@@ -13,11 +13,8 @@ import argparse
 import json
 import sys
 
-import yaml
-
 from . import fixture_names, fixture_path
 from .model import load_path, node_index, ParseError, ValidationError
-from .polynomial import Poly
 from . import tours, hypertrees, jaeger, tutte, crapo, delta, harness
 
 
@@ -132,16 +129,6 @@ def _cmd_crapo(args) -> int:
     return 0 if report["status"] == "PASS" else 1
 
 
-def _embedding_assignment(g):
-    P = delta.bases_from_hypertrees(g)
-    assignment = {}
-    for h in sorted(P.bases):
-        rec = jaeger.embedding_activities(g, h)
-        ni, ne = delta.nontrivial(P, h, rec.internal, rec.external)
-        assignment[h] = delta.BasisActivity(rec.internal, rec.external, ni, ne)
-    return P, assignment
-
-
 def _cmd_delta(args) -> int:
     if args.action == "check":
         with open(args.bases, encoding="utf-8") as fh:
@@ -164,7 +151,7 @@ def _cmd_delta(args) -> int:
     if args.source != "embedding":
         return _usage_error("only --from embedding is supported")
     g = _load(args.instance)
-    _, assignment = _embedding_assignment(g)
+    _, assignment = jaeger.embedding_assignment(g)
     verdict, element = delta.obstruction_check(assignment)
     print(verdict if element is None else f"{verdict} {element}")
     return 0

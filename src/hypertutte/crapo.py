@@ -4,18 +4,21 @@ The Crapo interval of a hypertree h collects the lattice points that may
 exceed h only in externally active coordinates and fall below h only in
 internally active ones.  These intervals partition Z^E, and the covering
 hypertree attains the one-sided distances d1< and d1> simultaneously;
-verify_crapo_partition certifies both claims exhaustively on a box.
+verify_intervals certifies both claims exhaustively on a box, for the
+embedding intervals (verify_crapo_partition) as for any Delta activity
+assignment (delta.crapo_verify).
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import prod
 
-from .model import RibbonGraph, emerald, node_index
+from .model import RibbonGraph, node_index
 from .hypertrees import enumerate_hypertrees
-from .jaeger import embedding_activities, NotAHypertree
+from .jaeger import embedding_activities, embedding_assignment, NotAHypertree
 
 
 class EmptySet(ValueError):
@@ -60,11 +63,18 @@ def d1(h_or_set, c) -> int:
 
 @dataclass(frozen=True)
 class CrapoInterval:
-    """Lattice points assigned to ``center``; free sets are emerald names."""
+    """Lattice points assigned to ``center``; free sets are emerald names,
+    coordinate i belonging to emerald e_i."""
 
     center: tuple
     internal_free: frozenset
     external_free: frozenset
+    _below: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _above: frozenset = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_below", frozenset(map(node_index, self.internal_free)))
+        object.__setattr__(self, "_above", frozenset(map(node_index, self.external_free)))
 
 
 def crapo_interval(g: RibbonGraph, h) -> CrapoInterval:
@@ -73,11 +83,13 @@ def crapo_interval(g: RibbonGraph, h) -> CrapoInterval:
 
 
 def interval_contains(interval: CrapoInterval, c) -> bool:
+    """c exceeds the center only in external-free coordinates and falls
+    below it only in internal-free ones."""
     for idx, (ci, hi) in enumerate(zip(c, interval.center)):
-        e = emerald(idx)
-        if ci > hi and e not in interval.external_free:
-            return False
-        if ci < hi and e not in interval.internal_free:
+        if ci > hi:
+            if idx not in interval._above:
+                return False
+        elif ci < hi and idx not in interval._below:
             return False
     return True
 
@@ -90,27 +102,63 @@ def default_box(g: RibbonGraph, margin: int = 2) -> list:
     ]
 
 
-def _check_points(args):
-    """Worker: check a chunk of lattice points; return violations + count."""
-    intervals, hs, points = args
-    violations = []
-    for c in points:
-        covering = [iv for iv in intervals if interval_contains(iv, c)]
+def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
+    """Check every lattice point of ``box`` (one ``(lo, hi)`` per
+    coordinate): exactly one interval contains it, and that interval's
+    center attains both d1< and d1> to the set of all centers, hence d1.
+
+    Returns ``(points checked, violations)``.  Points are streamed; with
+    ``jobs`` > 1, worker i checks every jobs-th point from the i-th on.
+    """
+    if any(lo > hi for lo, hi in box):
+        raise ValueError(f"empty box {[[lo, hi] for lo, hi in box]}: a side has lo > hi")
+    size = prod(hi - lo + 1 for lo, hi in box)
+    if size > _BOX_BUDGET:
+        raise BudgetExceeded(f"box of {size} points exceeds budget")
+    if any(len(iv.center) != len(box) for iv in intervals):
+        raise ValueError(f"box has {len(box)} sides, not one per center coordinate")
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(
+                pool.map(_check_slice, [(intervals, box, i, jobs) for i in range(jobs)])
+            )
+    else:
+        results = [_check_slice((intervals, box, 0, 1))]
+    return sum(n for n, _ in results), [v for _, vs in results for v in vs]
+
+
+def _check_slice(args):
+    """Worker: check every step-th lattice point of the box from start."""
+    intervals, box, start, step = args
+    centers = [iv.center for iv in intervals]
+    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+    checked, violations = 0, []
+    for c in itertools.islice(points, start, None, step):
+        checked += 1
+        covering = [i for i, iv in enumerate(intervals) if interval_contains(iv, c)]
         if len(covering) != 1:
             violations.append(
-                {"point": list(c), "covered_by": [list(iv.center) for iv in covering]}
+                {"point": list(c), "covered_by": [list(centers[i]) for i in covering]}
             )
             continue
-        h = covering[0].center
-        if (
-            d1(hs, c) != d1(h, c)
-            or d1_less(hs, c) != d1_less(h, c)
-            or d1_greater(hs, c) != d1_greater(h, c)
-        ):
+        sides = [_one_sided(h, c) for h in centers]
+        if sides[covering[0]] != tuple(map(min, zip(*sides))):
             violations.append(
-                {"point": list(c), "covered_by": [list(h)], "distance": "not attained"}
+                {"point": list(c), "covered_by": [list(centers[covering[0]])],
+                 "distance": "not attained"}
             )
-    return len(points), violations
+    return checked, violations
+
+
+def _one_sided(h, c) -> tuple:
+    """(d1<, d1>) from c to the single vector h."""
+    less = greater = 0
+    for ci, hi in zip(c, h):
+        if ci > hi:
+            less += ci - hi
+        else:
+            greater += hi - ci
+    return less, greater
 
 
 def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
@@ -122,29 +170,16 @@ def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
     """
     if box is None:
         box = default_box(g)
-    size = 1
-    for lo, hi in box:
-        size *= hi - lo + 1
-    if size > _BOX_BUDGET:
-        raise BudgetExceeded(f"box of {size} points exceeds budget")
-    hs = enumerate_hypertrees(g)
-    intervals = [crapo_interval(g, h) for h in hs]
-    points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
-    if jobs > 1:
-        chunks = [points[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_check_points, [(intervals, hs, ch) for ch in chunks])
-            )
-    else:
-        results = [_check_points((intervals, hs, points))]
-    checked = sum(n for n, _ in results)
-    violations = [v for _, vs in results for v in vs]
+    _, assignment = embedding_assignment(g)
+    intervals = [
+        CrapoInterval(h, rec.internal, rec.external) for h, rec in assignment.items()
+    ]
+    checked, violations = verify_intervals(intervals, box, jobs)
     return {
         "kind": "crapo-partition",
         "status": "PASS" if not violations else "FAIL",
         "points": checked,
-        "hypertrees": len(hs),
+        "hypertrees": len(intervals),
         "box": [[lo, hi] for lo, hi in box],
         "violations": violations,
     }

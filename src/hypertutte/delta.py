@@ -8,9 +8,9 @@ one); the minimum-rule kernel is also provided for activity notions that
 fix an order per basis directly, as in the parallel-edge counterexample.
 
 Also here: the Crapo partition check for an arbitrary activity
-assignment, the realizability obstruction (some element must be
-nontrivially active for no basis), and exhaustive search over all
-decision trees.
+assignment (on crapo's verifier), the realizability obstruction (some
+element must be nontrivially active for no basis), and exhaustive search
+over all decision trees.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import yaml
+from .model import ParseError, emerald, is_int, yaml_mapping
 
 
 class BasisOutOfRange(ValueError):
@@ -90,9 +90,14 @@ def _shift(b, up, down):
 
 
 def load_bases(text: str) -> PolymatroidBases:
-    data = yaml.safe_load(text)
-    ground = tuple(str(e) for e in data["ground"])
-    bases = frozenset(tuple(int(x) for x in b) for b in data["bases"])
+    data = yaml_mapping(text, ("ground", "bases"))
+    ground, bases = data["ground"], data["bases"]
+    if not isinstance(ground, list) or not isinstance(bases, list) or not all(
+        isinstance(b, list) and all(map(is_int, b)) for b in bases
+    ):
+        raise ParseError("ground must be a list and bases a list of integer vectors")
+    ground = tuple(str(e) for e in ground)
+    bases = frozenset(tuple(b) for b in bases)
     if any(len(b) != len(ground) for b in bases):
         raise ValueError("basis length does not match ground set")
     return PolymatroidBases(ground, bases)
@@ -101,7 +106,6 @@ def load_bases(text: str) -> PolymatroidBases:
 def bases_from_hypertrees(g) -> PolymatroidBases:
     """The hypergraphic polymatroid of a ribbon graph instance."""
     from .hypertrees import enumerate_hypertrees
-    from .model import emerald
 
     ground = tuple(emerald(j) for j in range(g.emerald_count))
     return PolymatroidBases(ground, frozenset(enumerate_hypertrees(g)))
@@ -116,15 +120,18 @@ class DecisionTree:
 
     @staticmethod
     def from_dict(data) -> "DecisionTree":
-        label = str(data["label"])
-        children = tuple(
-            DecisionTree.from_dict(ch) for ch in data.get("children") or ()
+        if not isinstance(data, dict) or "label" not in data:
+            raise ParseError(f"decision tree node without a label: {data!r}")
+        children = data.get("children") or []
+        if not isinstance(children, list):
+            raise ParseError(f"children of {data['label']!r} must be a list")
+        return DecisionTree(
+            str(data["label"]), tuple(DecisionTree.from_dict(ch) for ch in children)
         )
-        return DecisionTree(label, children)
 
 
 def load_decision_tree(text: str) -> DecisionTree:
-    return DecisionTree.from_dict(yaml.safe_load(text))
+    return DecisionTree.from_dict(yaml_mapping(text, ("label",)))
 
 
 def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
@@ -251,45 +258,31 @@ def obstruction_check(assignment: dict) -> tuple:
     return ("NO_EXEMPT", None)
 
 
-def interval_contains(P: PolymatroidBases, b, record: BasisActivity, c) -> bool:
-    """Delta-Crapo membership: excess only on externally active
-    coordinates, deficit only on internally active ones."""
-    for i, e in enumerate(P.ground):
-        if c[i] > b[i] and e not in record.external:
-            return False
-        if c[i] < b[i] and e not in record.internal:
-            return False
-    return True
+def basis_interval(P: PolymatroidBases, b, record: BasisActivity):
+    """The Delta-Crapo interval of basis b: excess only on externally
+    active coordinates, deficit only on internally active ones.  As a
+    :class:`crapo.CrapoInterval`, coordinate i is named e_i."""
+    from .crapo import CrapoInterval
+
+    def coords(elements):
+        return frozenset(emerald(P.index(e)) for e in elements)
+
+    return CrapoInterval(tuple(b), coords(record.internal), coords(record.external))
 
 
 def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
     """Check that the intervals of an activity assignment partition the
-    box and that the covering basis attains the d1 distance."""
-    n = len(P.ground)
+    box and that the covering basis attains both one-sided distances
+    (:func:`crapo.verify_intervals`)."""
+    from .crapo import verify_intervals
+
     if box is None:
         box = [
             (min(b[i] for b in P.bases) - 2, max(b[i] for b in P.bases) + 2)
-            for i in range(n)
+            for i in range(len(P.ground))
         ]
-    violations = []
-    points = 0
-    for c in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        points += 1
-        covering = [
-            b for b, record in assignment.items()
-            if interval_contains(P, b, record, c)
-        ]
-        if len(covering) != 1:
-            violations.append({"point": list(c), "covered_by": [list(b) for b in covering]})
-            continue
-        b = covering[0]
-        dist = sum(abs(ci - bi) for ci, bi in zip(c, b))
-        best = min(
-            sum(abs(ci - bi) for ci, bi in zip(c, b2)) for b2 in P.bases
-        )
-        if dist != best:
-            violations.append({"point": list(c), "covered_by": [list(b)],
-                               "distance": [dist, best]})
+    intervals = [basis_interval(P, b, rec) for b, rec in assignment.items()]
+    points, violations = verify_intervals(intervals, box)
     return {
         "kind": "delta-crapo",
         "status": "PASS" if not violations else "FAIL",
@@ -301,12 +294,12 @@ def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
 def graph_matroid(graph) -> PolymatroidBases:
     """Cycle matroid of an ordinary graph: bases are the 0/1 indicator
     vectors of its spanning trees, over the named edge ground set."""
-    from . import tours
+    from .tours import spanning_trees
 
     edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
     names = graph.edge_names()
     bases = set()
-    for tree in tours._trees(edges, graph.vertex_count, []):
+    for tree in spanning_trees(edges, graph.vertex_count):
         bases.add(tuple(1 if i in tree else 0 for i in range(len(names))))
     return PolymatroidBases(tuple(names), frozenset(bases))
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 
 from .model import RibbonGraph, violet, emerald
-from .polynomial import Poly, x_plus_y_minus_1
-from .hypertrees import enumerate_hypertrees
+from .polynomial import Poly
 from . import jaeger
 from . import tutte
 
@@ -76,20 +75,12 @@ def perturbed(g: RibbonGraph, rng: random.Random) -> RibbonGraph:
     )
 
 
-def _polynomial_from(g: RibbonGraph, order_fn) -> Poly:
-    out = Poly()
-    for h in enumerate_hypertrees(g):
-        rec = jaeger.activities(g, h, order_fn(g, h))
-        out = out + Poly.monomial(rec.oi, rec.oe) * x_plus_y_minus_1() ** rec.ie
-    return out
-
-
 def violet_prime_polynomial(g: RibbonGraph) -> Poly:
-    return _polynomial_from(g, jaeger.order_violet_prime)
+    return tutte.tutte_sum(g, jaeger.order_violet_prime)
 
 
 def violet_polynomial(g: RibbonGraph) -> Poly:
-    return _polynomial_from(g, jaeger.order_violet)
+    return tutte.tutte_sum(g, jaeger.order_violet)
 
 
 def _describe(g: RibbonGraph) -> dict:

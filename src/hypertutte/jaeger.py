@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import RibbonGraph, is_emerald, is_violet, node_index
+from .model import RibbonGraph, is_emerald
 from .tours import tour
-from .hypertrees import is_hypertree, representatives
+from .hypertrees import representatives
+from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
 
 
 class NotAHypertree(ValueError):
@@ -127,35 +128,24 @@ def activities(g: RibbonGraph, h, order) -> ActivityRecord:
     """Internal/external activities of h under a total emerald order.
 
     e is internal iff no earlier f makes h - 1_e + 1_f a hypertree, and
-    external iff no earlier f makes h + 1_e - 1_f a hypertree.  The
-    order minimum is always both.
+    external iff no earlier f makes h + 1_e - 1_f a hypertree (the MIN
+    rule of :func:`delta.min_rule_activities` on the hypertree set).
+    The order minimum is always both.
     """
+    P = bases_from_hypertrees(g)
     h = tuple(h)
-    internal, external = set(), set()
-    for pos, e in enumerate(order):
-        ei = node_index(e)
-        earlier = order[:pos]
-        if not any(_moved(h, ei, node_index(f), -1) and
-                   is_hypertree(g, _moved(h, ei, node_index(f), -1))
-                   for f in earlier):
-            internal.add(e)
-        if not any(_moved(h, ei, node_index(f), +1) and
-                   is_hypertree(g, _moved(h, ei, node_index(f), +1))
-                   for f in earlier):
-            external.add(e)
-    return ActivityRecord(frozenset(internal), frozenset(external))
-
-
-def _moved(h, ei, fi, sign):
-    """h + sign*(1_e - 1_f), or None if a coordinate would go negative."""
-    out = list(h)
-    out[ei] += sign
-    out[fi] -= sign
-    if out[ei] < 0 or out[fi] < 0:
-        return None
-    return tuple(out)
+    if h not in P.bases:
+        raise NotAHypertree(f"{h} is not a hypertree")
+    return ActivityRecord(*min_rule_activities(P, h, order))
 
 
 def embedding_activities(g: RibbonGraph, h) -> ActivityRecord:
     """Activities of h under its own tour order <_h."""
     return activities(g, h, order_emerald(g, h))
+
+
+def embedding_assignment(g: RibbonGraph):
+    """The hypergraphic polymatroid of g and the embedding activities of
+    every hypertree, as :mod:`delta` activity assignments."""
+    P = bases_from_hypertrees(g)
+    return P, assignment_from_orders(P, {h: order_emerald(g, h) for h in P.bases})

@@ -52,6 +52,29 @@ def node_sort_key(node: str):
     return (0 if is_violet(node) else 1, node_index(node))
 
 
+def adjacency(edges) -> dict:
+    """node -> [(edge, neighbour), ...] for an iterable of (edge, u, v)."""
+    adj = {}
+    for k, u, v in edges:
+        adj.setdefault(u, []).append((k, v))
+        adj.setdefault(v, []).append((k, u))
+    return adj
+
+
+def reach(adj: dict, start) -> dict:
+    """Every node reachable from ``start`` in an :func:`adjacency` map,
+    mapped to the edge it was first reached by (``None`` for ``start``)."""
+    via = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for k, other in adj.get(node, ()):
+            if other not in via:
+                via[other] = k
+                stack.append(other)
+    return via
+
+
 @dataclass(frozen=True)
 class RibbonGraph:
     """A connected bipartite ribbon graph with a distinguished basis.
@@ -178,17 +201,8 @@ class RibbonGraph:
         if beta0 not in incident[b0]:
             raise ValidationError(f"basis edge {beta0} is not incident to {b0}")
 
-        # connectivity
-        seen = {b0}
-        stack = [b0]
-        while stack:
-            node = stack.pop()
-            for k in incident[node]:
-                other = self.other_end(k, node)
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        if seen != nodes:
+        adj = adjacency((k, v, e) for k, (v, e) in enumerate(self.edges))
+        if len(reach(adj, b0)) != len(nodes):
             raise ValidationError("underlying bipartite graph is disconnected")
 
     # -- serialization -----------------------------------------------------
@@ -212,23 +226,35 @@ class RibbonGraph:
 _KEYS = {"violet", "emerald", "edges", "rotation", "basis"}
 
 
-def load(text: str) -> RibbonGraph:
-    """Parse and validate an instance file (see ``render`` for the format)."""
+def is_int(x) -> bool:
+    """True for integers proper; YAML booleans are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def yaml_mapping(text: str, required) -> dict:
+    """Parse a YAML document that must be a mapping holding every key of
+    ``required``; raise ParseError otherwise."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid syntax: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError("instance file must be a mapping")
+        raise ParseError("input file must be a mapping")
+    missing = set(required) - set(data)
+    if missing:
+        raise ParseError(f"missing keys: {sorted(missing)}")
+    return data
+
+
+def load(text: str) -> RibbonGraph:
+    """Parse and validate an instance file (see ``render`` for the format)."""
+    data = yaml_mapping(text, _KEYS)
     unknown = set(data) - _KEYS
     if unknown:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
-    missing = _KEYS - set(data)
-    if missing:
-        raise ParseError(f"missing keys: {sorted(missing)}")
 
     nv, ne = data["violet"], data["emerald"]
-    if not isinstance(nv, int) or not isinstance(ne, int):
+    if not is_int(nv) or not is_int(ne):
         raise ParseError("violet/emerald counts must be integers")
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
@@ -238,7 +264,7 @@ def load(text: str) -> RibbonGraph:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(is_int(x) for x in entry)
         ):
             raise ParseError(f"bad edge entry {entry!r}")
         edges.append((violet(entry[0]), emerald(entry[1])))
@@ -248,16 +274,20 @@ def load(text: str) -> RibbonGraph:
         raise ParseError("rotation must be a mapping node -> [edge, ...]")
     rotation = {}
     for node, rot in raw_rot.items():
-        if not isinstance(node, str) or not isinstance(rot, list):
+        if (
+            not isinstance(node, str)
+            or not isinstance(rot, list)
+            or not all(is_int(k) for k in rot)
+        ):
             raise ParseError(f"bad rotation entry for {node!r}")
-        rotation[node] = [int(k) for k in rot]
+        rotation[node] = rot
 
     raw_basis = data["basis"]
     if (
         not isinstance(raw_basis, list)
         or len(raw_basis) != 2
         or not isinstance(raw_basis[0], str)
-        or not isinstance(raw_basis[1], int)
+        or not is_int(raw_basis[1])
     ):
         raise ParseError("basis must be [node, edge_idx]")
 

@@ -13,7 +13,7 @@ tree enumeration by contraction/deletion.
 
 from __future__ import annotations
 
-from .model import RibbonGraph, is_emerald, is_violet
+from .model import RibbonGraph, adjacency, is_emerald, reach
 
 
 class WrongSide(ValueError):
@@ -24,24 +24,15 @@ class EqualTrees(ValueError):
     """Raised by the tree comparison when both trees are identical."""
 
 
+def _tree_adjacency(g: RibbonGraph, tree, removed=None) -> dict:
+    return adjacency((k, *g.endpoints(k)) for k in tree if k != removed)
+
+
 def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
     nodes = g.nodes
     if len(tree) != len(nodes) - 1:
         return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    adj = {n: [] for n in nodes}
-    for k in tree:
-        v, e = g.endpoints(k)
-        adj[v].append(e)
-        adj[e].append(v)
-    while stack:
-        n = stack.pop()
-        for m in adj[n]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return len(seen) == len(nodes)
+    return len(reach(_tree_adjacency(g, tree), nodes[0])) == len(nodes)
 
 
 def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
@@ -101,23 +92,13 @@ def tree_less(g: RibbonGraph, t1: frozenset, t2: frozenset) -> bool:
 
 def tree_path(g: RibbonGraph, tree: frozenset, start: str, goal: str) -> list[int]:
     """Edge sequence of the unique tree path from start to goal."""
-    parent = {start: (None, None)}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        if n == goal:
-            break
-        for k in g.incident(n):
-            if k in tree:
-                m = g.other_end(k, n)
-                if m not in parent:
-                    parent[m] = (n, k)
-                    stack.append(m)
+    via = reach(_tree_adjacency(g, tree), start)
     path = []
     n = goal
     while n != start:
-        n, k = parent[n]
+        k = via[n]
         path.append(k)
+        n = g.other_end(k, n)
     path.reverse()
     return path
 
@@ -131,17 +112,7 @@ def fundamental_cycle(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
 
 
 def _component(g: RibbonGraph, tree: frozenset, removed: int, root: str) -> frozenset:
-    seen = {root}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        for k in g.incident(n):
-            if k in tree and k != removed:
-                m = g.other_end(k, n)
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-    return frozenset(seen)
+    return frozenset(reach(_tree_adjacency(g, tree, removed), root))
 
 
 def fundamental_cut(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
@@ -165,35 +136,27 @@ def base_component(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
 
 
 def enumerate_spanning_trees(g: RibbonGraph):
-    """Yield every spanning tree exactly once, in a deterministic order.
+    """Yield every spanning tree exactly once, in the deterministic order
+    of :func:`spanning_trees`."""
+    edges = [(k, v, e) for k, (v, e) in enumerate(g.edges)]
+    yield from spanning_trees(edges, len(g.nodes))
+
+
+def spanning_trees(edges, n_nodes: int):
+    """Yield the edge-id set of every spanning tree of a connected
+    multigraph on ``n_nodes`` nodes given as (edge id, u, v) triples.
 
     Contraction/deletion recursion pivoting on the lowest remaining edge
     id; the include (contract) branch is explored first.
     """
-    edges = [(k, v, e) for k, (v, e) in enumerate(g.edges)]
-    n = len(g.nodes)
-    yield from _trees(edges, n, [])
+    yield from _trees(list(edges), n_nodes, [])
 
 
 def _connected(edges, n_nodes) -> bool:
     if n_nodes == 1:
         return True
-    adj = {}
-    for _, u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if len(adj) < n_nodes:
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n_nodes
+    adj = adjacency(edges)
+    return len(adj) == n_nodes and len(reach(adj, next(iter(adj)))) == n_nodes
 
 
 def _trees(edges, n_nodes, chosen):

@@ -12,13 +12,17 @@ conversion) supports the graph comparison report.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
-from .model import RibbonGraph, violet, emerald, node_index
+from .model import (
+    ParseError, RibbonGraph, adjacency, emerald, is_int, reach, violet, yaml_mapping,
+)
 from .polynomial import Poly, x_plus_y_minus_1
 from .hypertrees import enumerate_hypertrees
-from .jaeger import activities, embedding_activities
+from .delta import bases_from_hypertrees, min_rule_activities
+from .jaeger import ActivityRecord, order_emerald
 from . import crapo
 
 
@@ -34,31 +38,29 @@ class Disconnected(ValueError):
     """Classical Tutte requires a connected graph."""
 
 
-_BOX_BUDGET = 4_000_000
-
-
-def _monomial(record) -> Poly:
-    return (
-        Poly.monomial(record.oi, record.oe)
-        * x_plus_y_minus_1() ** record.ie
-    )
+def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
+    """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie, the activities of
+    h taken under the emerald order ``order_fn(g, h)``."""
+    P = bases_from_hypertrees(g)
+    triples = Counter()
+    for h in enumerate_hypertrees(g):
+        rec = ActivityRecord(*min_rule_activities(P, h, order_fn(g, h)))
+        triples[rec.oi, rec.oe, rec.ie] += 1
+    out = Poly()
+    for (oi, oe, ie), n in sorted(triples.items()):
+        out = out + Poly.monomial(oi, oe, n) * x_plus_y_minus_1() ** ie
+    return out
 
 
 def tutte_embedding(g: RibbonGraph) -> Poly:
     """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities."""
-    out = Poly()
-    for h in enumerate_hypertrees(g):
-        out = out + _monomial(embedding_activities(g, h))
-    return out
+    return tutte_sum(g, order_emerald)
 
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:
     """Same sum, with activities taken relative to one fixed emerald order."""
     order = tuple(order)
-    out = Poly()
-    for h in enumerate_hypertrees(g):
-        out = out + _monomial(activities(g, h, order))
-    return out
+    return tutte_sum(g, lambda g, h: order)
 
 
 def interior(g: RibbonGraph) -> Poly:
@@ -95,10 +97,8 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
     hs = enumerate_hypertrees(g)
     lo = [min(h[e] for h in hs) - imax for e in range(g.emerald_count)]
     hi = [max(h[e] for h in hs) + jmax for e in range(g.emerald_count)]
-    size = 1
-    for a, b in zip(lo, hi):
-        size *= b - a + 1
-    if size > _BOX_BUDGET:
+    size = prod(b - a + 1 for a, b in zip(lo, hi))
+    if size > crapo._BOX_BUDGET:
         raise BoundsTooLarge(f"box of {size} points exceeds budget")
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
     for c in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
@@ -165,35 +165,25 @@ class Graph:
 
 def load_graph(text: str) -> Graph:
     """Parse an ordinary-graph file: vertex count + named edges."""
-    import yaml
-
-    data = yaml.safe_load(text)
-    n = int(data["vertices"])
-    edges = tuple(
-        (str(name), int(u), int(v)) for name, (u, v) in data["edges"].items()
-    )
+    data = yaml_mapping(text, ("vertices", "edges"))
+    n, raw_edges = data["vertices"], data["edges"]
+    if not is_int(n) or not isinstance(raw_edges, dict):
+        raise ParseError("vertices must be an integer and edges a mapping")
+    edges = []
+    for name, ends in raw_edges.items():
+        if not isinstance(ends, list) or len(ends) != 2 or not all(map(is_int, ends)):
+            raise ParseError(f"edge {name!r} must be a pair of vertex indices")
+        edges.append((str(name), *ends))
     for _, u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("edge endpoint out of range")
-    return Graph(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def _graph_connected(vertex_count, edges) -> bool:
     if vertex_count <= 1:
         return True
-    adj = {i: [] for i in range(vertex_count)}
-    for _, u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == vertex_count
+    return len(reach(adjacency(edges), 0)) == vertex_count
 
 
 def classical_tutte(graph: Graph) -> Poly:

@@ -8,15 +8,14 @@ import itertools
 import random
 
 from hypertutte import harness
-from hypertutte.crapo import verify_crapo_partition
+from hypertutte.crapo import interval_contains, verify_crapo_partition
 from hypertutte.delta import (
-    BasisActivity,
     assignment_from_delta,
     bases_from_hypertrees,
+    basis_interval,
     basis_name,
     exhaustive_delta_search,
     fixed_tree_order_activities,
-    nontrivial,
     obstruction_check,
     random_decision_tree,
     validate_decision_tree,
@@ -26,7 +25,7 @@ from hypertutte.hypertrees import (
     exchange_witness,
     representatives,
 )
-from hypertutte.jaeger import embedding_activities, is_jaeger, jaeger_tree_of
+from hypertutte.jaeger import embedding_assignment, is_jaeger, jaeger_tree_of
 from hypertutte.model import is_violet
 from hypertutte.tours import (
     base_component,
@@ -105,8 +104,6 @@ def test_a7_graph_bridge():
 
 
 def test_a8_fig6_crapo_table(fig6_graph, fig6_orders):
-    from hypertutte.delta import interval_contains
-
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     union = {
         basis_name(P, b): rec.nontrivial_internal | rec.nontrivial_external
@@ -117,23 +114,13 @@ def test_a8_fig6_crapo_table(fig6_graph, fig6_orders):
         covering = [
             basis_name(P, b)
             for b, rec in assignment.items()
-            if interval_contains(P, b, rec, point)
+            if interval_contains(basis_interval(P, b, rec), point)
         ]
         assert covering == [name], point
 
 
-def _embedding_assignment(g):
-    P = bases_from_hypertrees(g)
-    assignment = {}
-    for h in sorted(P.bases):
-        rec = embedding_activities(g, h)
-        ni, ne = nontrivial(P, h, rec.internal, rec.external)
-        assignment[h] = BasisActivity(rec.internal, rec.external, ni, ne)
-    return P, assignment
-
-
 def test_a9_delta_obstruction(fig5, fig6_graph, fig6_orders):
-    _, fig5_assignment = _embedding_assignment(fig5)
+    _, fig5_assignment = embedding_assignment(fig5)
     assert obstruction_check(fig5_assignment) == ("NO_EXEMPT", None)
     P6, fig6_assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     assert obstruction_check(fig6_assignment) == ("NO_EXEMPT", None)

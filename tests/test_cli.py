@@ -1,11 +1,14 @@
 """End-to-end command-line checks."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from hypertutte import fixture_path
+from hypertutte import fixture_names, fixture_path
 from hypertutte.cli import main
 
 FIG2 = str(fixture_path("fig2.hg"))
@@ -127,6 +130,24 @@ def test_crapo_verify_json_schema(capsys, schema):
     assert report["status"] == "PASS"
 
 
+def test_crapo_verify_empty_box_is_usage_error(capsys):
+    code, out, err = run(capsys, "crapo", "verify", "--box", "5,2", FIG2)
+    assert code == 2
+    assert "error:" in err
+    assert "PASS" not in out
+
+
+def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):
+    bases = tmp_path / "broken.matroid"
+    bases.write_text("ground: [a, b, c]\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "delta", "check",
+        "--tree", str(fixture_path("delta_fig.tree")), "--bases", str(bases),
+    )
+    assert code == 2
+    assert "missing keys" in err
+
+
 def test_crapo_verify_parallel(capsys):
     code, out, _ = run(capsys, "crapo", "verify", "--jobs", "2",
                        "--box=-1,3", FIG2)
@@ -183,3 +204,44 @@ def test_fixtures_emit_requires_name(capsys):
     assert code == 2
     code, _, err = run(capsys, "fixtures", "emit", "nope.hg")
     assert code == 2
+
+
+GOLDEN = Path(__file__).with_name("data") / "cli_golden.txt"
+
+
+def _golden_commands():
+    for name in ("fig1.hg", "fig2.hg", "fig4.hg", "fig5.hg"):
+        yield ("tutte", name)
+        yield ("tutte", "--method", "fixed", name)
+        yield ("tutte", "--method", "corank-nullity", name)
+        yield ("hypertrees", name)
+        yield ("jaeger", name)
+        yield ("jaeger", "--variant", "violet", name)
+        yield ("crapo", "verify", name)
+        yield ("crapo", "verify", "--report", "json", name)
+        yield ("crapo", "verify", "--jobs", "2", name)
+        yield ("delta", "obstruct", "--from", "embedding", name)
+    yield ("delta", "check", "--tree", "delta_fig.tree", "--bases", "delta_fig.matroid")
+    yield ("conjecture", "violet-prime", "--trials", "30", "--report", "json")
+
+
+def cli_transcript() -> str:
+    """Stdout and exit code of every golden command, bundled fixture
+    names resolved to their paths but printed as names."""
+    fixtures = set(fixture_names())
+    parts = []
+    for argv in _golden_commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([str(fixture_path(a)) if a in fixtures else a for a in argv])
+        parts.append(f"$ hypertutte {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
+    return "".join(parts)
+
+
+def test_golden_transcript():
+    """Byte-for-byte CLI output of the figures.  Regenerate only for an
+    intended output change:
+    PYTHONPATH=src:tests python -c "import test_cli as t;
+    t.GOLDEN.write_text(t.cli_transcript(), encoding='utf-8')"
+    """
+    assert cli_transcript() == GOLDEN.read_text(encoding="utf-8")

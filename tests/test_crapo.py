@@ -13,6 +13,7 @@ from hypertutte.crapo import (
     default_box,
     interval_contains,
     verify_crapo_partition,
+    verify_intervals,
 )
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import NotAHypertree
@@ -111,16 +112,22 @@ def test_partition_budget(fig2):
 
 def test_partition_detects_mutation(fig2):
     """Swapping one interval's free sets must break the certificate."""
-    import hypertutte.crapo as crapo_mod
-
     real = crapo_interval(fig2, (1, 1, 0, 0))
     broken = CrapoInterval(real.center, real.external_free, real.internal_free)
     hs = enumerate_hypertrees(fig2)
     intervals = [
         broken if h == (1, 1, 0, 0) else crapo_interval(fig2, h) for h in hs
     ]
-    import itertools
-
-    points = list(itertools.product(*(range(-1, 3) for _ in range(4))))
-    _, violations = crapo_mod._check_points((intervals, hs, points))
+    points, violations = verify_intervals(intervals, [(-1, 2)] * 4)
+    assert points == 4 ** 4
     assert violations
+    _, serial = verify_intervals(intervals, [(-1, 2)] * 4)
+    _, parallel = verify_intervals(intervals, [(-1, 2)] * 4, jobs=2)
+    assert sorted(map(str, parallel)) == sorted(map(str, serial))
+
+
+def test_partition_rejects_empty_box(fig2):
+    with pytest.raises(ValueError):
+        verify_crapo_partition(fig2, box=[(5, 2)] * 4)
+    with pytest.raises(ValueError):
+        verify_crapo_partition(fig2, box=[(0, 1), (0, 1), (1, 0), (1, 0)])

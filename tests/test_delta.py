@@ -15,6 +15,7 @@ from hypertutte.delta import (
     assignment_from_delta,
     assignment_from_orders,
     bases_from_hypertrees,
+    basis_interval,
     basis_name,
     count_decision_trees,
     crapo_verify,
@@ -32,6 +33,8 @@ from hypertutte.delta import (
     random_decision_tree,
     validate_decision_tree,
 )
+from hypertutte.crapo import interval_contains
+from hypertutte.model import ParseError
 from hypertutte.tutte import Graph
 
 
@@ -180,14 +183,12 @@ def test_fig6_nontrivial_sets(fig6_graph, fig6_orders):
 
 
 def test_fig6_covering_table(fig6_graph, fig6_orders):
-    from hypertutte.delta import interval_contains
-
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     for point, name in FIG6_COVERING.items():
         covering = [
             basis_name(P, b)
             for b, rec in assignment.items()
-            if interval_contains(P, b, rec, point)
+            if interval_contains(basis_interval(P, b, rec), point)
         ]
         assert covering == [name], point
 
@@ -196,6 +197,42 @@ def test_fig6_crapo(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     assert crapo_verify(P, assignment, box=[(0, 1)] * 4)["status"] == "PASS"
     assert crapo_verify(P, assignment)["status"] == "PASS"
+
+
+def test_fig6_crapo_detects_mutation(fig6_graph, fig6_orders):
+    """Swapping one basis's internal and external sets must break the
+    certificate."""
+    P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
+    b = next(b for b, rec in sorted(assignment.items()) if rec.internal != rec.external)
+    rec = assignment[b]
+    assignment[b] = BasisActivity(
+        rec.external, rec.internal, rec.nontrivial_external, rec.nontrivial_internal
+    )
+    report = crapo_verify(P, assignment)
+    assert report["status"] == "FAIL"
+    assert report["violations"]
+
+
+def test_delta_crapo_rejects_empty_box(small_matroid):
+    assignment = assignment_from_orders(
+        small_matroid, {b: ("a", "b", "c") for b in small_matroid.bases}
+    )
+    with pytest.raises(ValueError):
+        crapo_verify(small_matroid, assignment, box=[(0, 1), (2, 1), (0, 1)])
+
+
+def test_load_bases_rejects_malformed():
+    with pytest.raises(ParseError):
+        load_bases("ground: [a, b]\n")
+    with pytest.raises(ParseError):
+        load_bases("ground: [a, b]\nbases: [[1, x]]\n")
+
+
+def test_load_decision_tree_rejects_malformed():
+    with pytest.raises(ParseError):
+        load_decision_tree("children: []\n")
+    with pytest.raises(ParseError):
+        load_decision_tree("label: a\nchildren: [{children: []}]\n")
 
 
 def test_decision_tree_counts(fig6_graph, fig5):

@@ -1,5 +1,8 @@
 """Instance loading, validation and rotation navigation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from hypertutte import fixture_path, load_path
@@ -43,6 +46,31 @@ def test_unknown_and_missing_keys_rejected():
         load(text + "extra: 1\n")
     with pytest.raises(ParseError):
         load(text.replace("basis: [v0, 0]\n", ""))
+
+
+def test_non_integer_rotation_entry_rejected():
+    text = fixture_path("fig2.hg").read_text()
+    with pytest.raises(ParseError):
+        load(text.replace("v0: [0, 2, 7]", "v0: [0.9, 2, 7]"))
+
+
+def test_boolean_rotation_entry_rejected():
+    text = fixture_path("fig2.hg").read_text()
+    with pytest.raises(ParseError):
+        load(text.replace("e0: [1, 0]", "e0: [1, false]"))
+
+
+def test_boolean_basis_edge_rejected():
+    text = fixture_path("fig2.hg").read_text()
+    with pytest.raises(ParseError):
+        load(text.replace("basis: [v0, 0]", "basis: [v0, false]"))
+
+
+def test_readme_instance_example_loads(fig2):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("**Hypergraph instance", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    assert load(block) == fig2
 
 
 def test_basis_must_be_incident():

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from hypertutte.jaeger import order_emerald
+from hypertutte.model import ParseError
 from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
     BoundsTooLarge,
@@ -122,6 +123,13 @@ def test_classical_tutte_fig6(fig6_graph):
 def test_classical_tutte_disconnected():
     with pytest.raises(Disconnected):
         classical_tutte(Graph(3, (("a", 0, 1),)))
+
+
+def test_load_graph_rejects_malformed():
+    with pytest.raises(ParseError):
+        load_graph("vertices: 2\n")
+    with pytest.raises(ParseError):
+        load_graph("vertices: 2\nedges:\n  a: [0, one]\n")
 
 
 def test_load_graph_rejects_bad_endpoint():
