@@ -104,11 +104,15 @@ def load_bases(text: str) -> PolymatroidBases:
 
 
 def bases_from_hypertrees(g) -> PolymatroidBases:
-    """The hypergraphic polymatroid of a ribbon graph instance."""
-    from .hypertrees import enumerate_hypertrees
+    """The hypergraphic polymatroid of a ribbon graph instance, built (and
+    its exchange axiom checked) once per graph."""
+    from .hypertrees import cached, enumerate_hypertrees
 
-    ground = tuple(emerald(j) for j in range(g.emerald_count))
-    return PolymatroidBases(ground, frozenset(enumerate_hypertrees(g)))
+    def build(g):
+        ground = tuple(emerald(j) for j in range(g.emerald_count))
+        return PolymatroidBases(ground, frozenset(enumerate_hypertrees(g)))
+
+    return cached(g, "bases", build)
 
 
 @dataclass(frozen=True)

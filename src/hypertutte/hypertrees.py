@@ -3,20 +3,99 @@
 A hypertree of a bipartite ribbon graph is a vector h over the emerald
 nodes such that some spanning tree has degree h(e)+1 at every emerald
 node e.  Hypertrees are stored as plain tuples indexed by emerald index.
-The set of all hypertrees forms the bases of a polymatroid; the exchange
-axiom is exposed via :func:`exchange_witness`.
+
+Membership and enumeration use Kálmán's characterisation: h is a
+hypertree iff h >= 0, sum(h) = #violet - 1 and h(S) <= mu(S) for every
+set S of emeralds, where mu(S) = |N(S)| - c(S), N(S) is the set of
+violet neighbours of S and c(S) the number of components of the subgraph
+that S's edges induce.  The mu table is built once per graph, from
+2^#emerald subset ranks.
+
+The Jaeger trees of a hypertree are built by one greedy walk along the
+tour of the tree under construction (:func:`greedy_tree`), which keeps h
+realisable at every decision.  Listing spanning trees
+(:func:`all_spanning_trees`, :func:`representatives`) and the exchange
+search :func:`hypertrees_by_exchange` remain as independent oracles for
+the tests.
+
+Everything derived from one graph lives in a per-graph cache that dies
+with the graph (:func:`cached`).  The set of all hypertrees forms the
+bases of a polymatroid; the exchange axiom is exposed via
+:func:`exchange_witness`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 
-from .model import RibbonGraph, emerald, node_index, is_emerald
+from .model import RibbonGraph, emerald, is_emerald, node_index
 from . import tours
 
 
 class NoWitness(RuntimeError):
     """No exchange witness exists; valid hypertree data never triggers this."""
+
+
+# graph -> {name: value derived from the graph}; no value refers to its graph
+_CACHE = weakref.WeakKeyDictionary()
+
+
+def cached(g: RibbonGraph, name: str, build):
+    """``build(g)``, computed once per graph and kept while g is alive."""
+    entry = _CACHE.setdefault(g, {})
+    if name not in entry:
+        entry[name] = build(g)
+    return entry[name]
+
+
+class _Layout:
+    """Integer form of a graph: violet i is node i, emerald j is node nv+j;
+    edges by emerald, the mu table over emerald sets (bit j of a set is
+    emerald j), the tour successors of every edge and the edges around
+    the tour's start node in tour order."""
+
+    def __init__(self, g: RibbonGraph):
+        nv, ne = g.violet_count, g.emerald_count
+        self.nv, self.ne = nv, ne
+        self.ends = tuple((node_index(v), nv + node_index(e)) for v, e in g.edges)
+        blocks = [[] for _ in range(ne)]
+        for k, (_, e) in enumerate(self.ends):
+            blocks[e - nv].append(k)
+        self.blocks = tuple(tuple(b) for b in blocks)
+        self.members = tuple(
+            tuple(j for j in range(ne) if S >> j & 1) for S in range(1 << ne)
+        )
+        # next edge around the violet (index 0) or emerald (index 1) end
+        self.succ = tuple(
+            tuple(g.next_at(g.edges[k][side], k) for k in range(len(g.edges)))
+            for side in (0, 1)
+        )
+        self.start = (is_emerald(g.basis[0]), g.basis[1])
+        around = [g.basis[1]]
+        while len(around) < g.degree(g.basis[0]):
+            around.append(self.succ[self.start[0]][around[-1]])
+        self.around_start = tuple(around)
+        self._mu_tables = {}
+        self.mu = self.mu_without(0)
+
+    def mu_without(self, m: int) -> list:
+        """mu(S) = |N(S)| - c(S), the rank of S's edges minus |S|, in the
+        graph less the first m edges around the start node."""
+        if m not in self._mu_tables:
+            gone = set(self.around_start[:m])
+            self._mu_tables[m] = [
+                _forest_size(
+                    (self.ends[k] for j in js for k in self.blocks[j] if k not in gone),
+                    len(self.ends),
+                )
+                - len(js)
+                for js in self.members
+            ]
+        return self._mu_tables[m]
+
+
+def _layout(g: RibbonGraph) -> _Layout:
+    return cached(g, "layout", _Layout)
 
 
 def degree_vector(g: RibbonGraph, tree: frozenset) -> tuple:
@@ -28,84 +107,191 @@ def degree_vector(g: RibbonGraph, tree: frozenset) -> tuple:
     return tuple(d - 1 for d in degs)
 
 
-def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:
-    """A spanning tree with degree vector(e)+1 at each emerald node, or None.
-
-    Backtracking over the edge list in index order, pruning on emerald
-    degree caps, remaining-edge feasibility and cycle formation.
-    """
-    if len(vector) != g.emerald_count:
-        return None
-    if any(x < 0 for x in vector) or sum(vector) != g.violet_count - 1:
-        return None
-    target = [x + 1 for x in vector]
-    m = len(g.edges)
-    need_total = g.violet_count + g.emerald_count - 1
-
-    # remaining incident edges per emerald among edges >= index k
-    remaining = [[0] * g.emerald_count for _ in range(m + 1)]
-    for k in range(m - 1, -1, -1):
-        row = remaining[k + 1][:]
-        row[node_index(g.edges[k][1])] += 1
-        remaining[k] = row
-
-    nodes = g.nodes
-    node_pos = {n: i for i, n in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    deg = [0] * g.emerald_count
-    chosen = []
-
-    def feasible(k):
-        for j in range(g.emerald_count):
-            if deg[j] + remaining[k][j] < target[j]:
-                return False
-        return True
-
-    def rec(k):
-        if len(chosen) == need_total:
-            return deg == target
-        if k == m or m - k < need_total - len(chosen) or not feasible(k):
-            return False
-        v, e = g.edges[k]
-        j = node_index(e)
-        ra, rb = find(node_pos[v]), find(node_pos[e])
-        if deg[j] < target[j] and ra != rb:
-            saved = parent[:]
-            parent[ra] = rb
-            deg[j] += 1
-            chosen.append(k)
-            if rec(k + 1):
-                return True
-            chosen.pop()
-            deg[j] -= 1
-            parent[:] = saved
-        return rec(k + 1)
-
-    if rec(0):
-        return frozenset(chosen)
-    return None
-
-
 def is_hypertree(g: RibbonGraph, vector) -> bool:
-    return find_tree_with_degrees(g, tuple(vector)) is not None
+    """Kálmán's test: v >= 0, sum(v) = #violet - 1 and v(S) <= mu(S)."""
+    v = tuple(vector)
+    lay = _layout(g)
+    if len(v) != lay.ne or any(not isinstance(x, int) or x < 0 for x in v):
+        return False
+    if sum(v) != lay.nv - 1:
+        return False
+    return all(s <= m for s, m in zip(_subset_sums(v), lay.mu))
 
 
-@lru_cache(maxsize=None)
-def all_spanning_trees(g: RibbonGraph) -> tuple:
-    return tuple(tours.enumerate_spanning_trees(g))
+def _subset_sums(values) -> list:
+    """The sum of values over S, for every index set S (bit i = index i)."""
+    sums = [0] * (1 << len(values))
+    for S in range(1, len(sums)):
+        low = S & -S
+        sums[S] = sums[S ^ low] + values[low.bit_length() - 1]
+    return sums
 
 
-@lru_cache(maxsize=None)
+def _hypertrees(lay: _Layout) -> tuple:
+    """Every v with v(S) <= mu(S) and sum(v) = #violet - 1, in
+    lexicographic order.  At coordinate j the subsets of {0..j} holding j
+    bound v(j) from above, and mu of the later coordinates bounds it from
+    below; the last coordinate is fixed by the sum."""
+    ne, mu, total = lay.ne, lay.mu, lay.nv - 1
+    full = (1 << ne) - 1
+    h = [0] * ne
+    sums = [0] * (1 << ne)  # h(S) over the coordinates assigned so far
+    out = []
+
+    def rec(j, used):
+        bit = 1 << j
+        cap = min(mu[S | bit] - sums[S] for S in range(bit))
+        later = full & ~((bit << 1) - 1)
+        for x in range(max(0, total - used - mu[later]), min(cap, total - used) + 1):
+            h[j] = x
+            if j == ne - 1:
+                out.append(tuple(h))
+                continue
+            for S in range(bit):
+                sums[S | bit] = sums[S] + x
+            rec(j + 1, used + x)
+
+    rec(0, 0)
+    return tuple(out)
+
+
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:
     """All hypertrees of g in lexicographic order (tuple of tuples)."""
-    return tuple(sorted({degree_vector(g, t) for t in all_spanning_trees(g)}))
+    return cached(g, "hypertrees", lambda g: _hypertrees(_layout(g)))
+
+
+def _find(parent, a):
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _forest_size(pairs, bound) -> int:
+    """Edges in a spanning forest of the (node, node) pairs, counted up to
+    ``bound``: the count stops as soon as it reaches it."""
+    parent = {}
+    size = 0
+    for a, b in pairs:
+        while parent.get(a, a) != a:
+            a = parent[a]
+        while parent.get(b, b) != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            size += 1
+            if size == bound:
+                break
+    return size
+
+
+def _realisable(lay, need, free, parent, k, include) -> bool:
+    """Whether some spanning tree keeps every decision so far, decides k
+    as asked and has need[j] more edges at each emerald j.
+
+    Rado's condition: for every set S of emeralds, the edges still
+    undecided at S must have rank at least need(S) once the included
+    edges are contracted.  Before the decision the state is realisable,
+    so only the sets the decision can change are checked: including k
+    contracts it, which changes the rank of sets without k's emerald j,
+    and only if j is already joined to some violet; excluding k deletes
+    it from j's edges, which changes the sets holding j.
+    """
+    v, e = lay.ends[k]
+    j = e - lay.nv
+    rv, re = _find(parent, v), _find(parent, e)
+    if include and (need[j] == 0 or rv == re):
+        return False
+    labels = [_find(parent, a) for a in range(len(parent))]
+    if include:
+        if labels.count(re) == 1:
+            # j joins the contracted part alone: no set without j sees it
+            return True
+        labels = [rv if a == re else a for a in labels]
+    ends = lay.ends
+    pairs = [
+        [(labels[ends[x][0]], labels[ends[x][1]]) for x in edges if x != k]
+        for edges in free
+    ]
+    bit = 1 << j
+    for S, demand in enumerate(_subset_sums(need)):
+        if demand and bool(S & bit) != include and _forest_size(
+            (p for i in lay.members[S] for p in pairs[i]), demand
+        ) < demand:
+            return False
+    return True
+
+
+def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> frozenset:
+    """The Jaeger tree of the hypertree h, built along its own tour.
+
+    The walk follows the tour of the tree under construction and decides
+    each edge at its first visit.  For the emerald Jaeger tree it prefers
+    to include the edge when standing at a violet node and to exclude it
+    at an emerald node; ``variant="violet"`` reverses both preferences.
+    The preferred side is kept if a spanning tree with degree h(e)+1 at
+    every emerald e still fits the decisions, otherwise the other side is
+    taken.  This picks the least representative of h in the order of
+    :func:`tours.tree_less`, which is its Jaeger tree.  h must be a
+    hypertree.
+
+    Until the first edge is included the walk stays at the start node,
+    having excluded the first few edges around it; h still fits iff it is
+    a hypertree of g less these edges, checked against their mu table,
+    which every hypertree of g shares.  So a walk that starts where it
+    prefers to exclude costs no more than one that starts where it
+    prefers to include.
+    """
+    lay = _layout(g)
+    need = [x + 1 for x in h]
+    sums = _subset_sums(h)
+    free = [frozenset(b) for b in lay.blocks]  # undecided edges per emerald
+    parent = list(range(lay.nv + lay.ne))
+    tree = set()
+    out = 0  # edges excluded while the tree is empty: the first around the start
+    include_at_emerald = variant == "violet"
+    at_emerald, k = lay.start
+    for _ in range(2 * len(lay.ends)):  # the length of a tour
+        v, e = lay.ends[k]
+        j = e - lay.nv
+        if k in free[j]:
+            include = at_emerald == include_at_emerald
+            if include:
+                include = _realisable(lay, need, free, parent, k, True)
+            elif not tree:
+                # nothing contracted: h must be a hypertree of g less these edges
+                include = any(s > m for s, m in zip(sums, lay.mu_without(out + 1)))
+            elif need[j] and _find(parent, v) != _find(parent, e):
+                # including is not ruled out, so excluding needs a check
+                include = not _realisable(lay, need, free, parent, k, False)
+            if not (include or tree):
+                out += 1
+            free[j] = free[j] - {k}
+            if include:
+                tree.add(k)
+                need[j] -= 1
+                parent[_find(parent, e)] = _find(parent, v)
+        if k in tree:
+            at_emerald = not at_emerald
+        k = lay.succ[at_emerald][k]
+    if any(free):
+        raise ValueError(f"{tuple(h)} is not a hypertree")
+    return frozenset(tree)
+
+
+def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:
+    """A spanning tree with degree vector(e)+1 at each emerald node (the
+    emerald Jaeger tree), or None if vector is not a hypertree."""
+    if not is_hypertree(g, vector):
+        return None
+    return greedy_tree(g, tuple(vector))
+
+
+# -- oracles: spanning-tree listing, for the tests ---------------------------
+
+
+def all_spanning_trees(g: RibbonGraph) -> tuple:
+    return cached(g, "spanning_trees", lambda g: tuple(tours.enumerate_spanning_trees(g)))
 
 
 def representatives(g: RibbonGraph, h) -> list[frozenset]:

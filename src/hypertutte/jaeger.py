@@ -2,10 +2,13 @@
 
 A (emerald) Jaeger tree is a spanning tree whose tour meets every
 non-tree edge first at its emerald endpoint; each hypertree has exactly
-one.  The violet variant uses the violet-endpoint-first rule.  Activities
-of a hypertree are computed relative to a total order on the emerald
-nodes; the tour of the Jaeger tree induces the order <_h, and the violet
-tours induce two further orders.
+one, the least of its representatives in the tour order, and
+:func:`hypertrees.greedy_tree` builds it along its own tour.  The violet
+variant uses the violet-endpoint-first rule.  The recognisers
+:func:`is_jaeger` and :func:`is_violet_jaeger` are kept as the test
+oracle.  Activities of a hypertree are computed relative to a total
+order on the emerald nodes; the tour of the Jaeger tree induces the
+order <_h, and the violet tours induce two further orders.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .model import RibbonGraph, is_emerald
 from .tours import tour
-from .hypertrees import representatives
+from .hypertrees import cached, greedy_tree, is_hypertree
 from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
 
 
@@ -67,25 +70,24 @@ def is_violet_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
     return True
 
 
-def _unique_tree(g, h, predicate, kind):
-    reps = representatives(g, h)
-    if not reps:
-        raise NotAHypertree(f"{tuple(h)} is not a hypertree")
-    found = [t for t in reps if predicate(g, t)]
-    if len(found) != 1:
-        raise AssertionError(
-            f"expected exactly one {kind} tree for {tuple(h)}, got {len(found)}"
-        )
-    return found[0]
+def _tree_of(g, h, variant):
+    """The Jaeger tree of h, built once per graph, hypertree and variant."""
+    h = tuple(h)
+    trees = cached(g, f"{variant} Jaeger trees", lambda g: {})
+    if h not in trees:
+        if not is_hypertree(g, h):
+            raise NotAHypertree(f"{h} is not a hypertree")
+        trees[h] = greedy_tree(g, h, variant)
+    return trees[h]
 
 
 def jaeger_tree_of(g: RibbonGraph, h) -> frozenset:
-    """The unique Jaeger tree representing h (filter + uniqueness assert)."""
-    return _unique_tree(g, h, is_jaeger, "Jaeger")
+    """The unique Jaeger tree representing h."""
+    return _tree_of(g, h, "emerald")
 
 
 def violet_jaeger_tree_of(g: RibbonGraph, h) -> frozenset:
-    return _unique_tree(g, h, is_violet_jaeger, "violet Jaeger")
+    return _tree_of(g, h, "violet")
 
 
 def _order_by_first_node(g: RibbonGraph, tree: frozenset) -> tuple:

@@ -73,6 +73,25 @@ def test_bases_from_hypertrees(fig2):
     assert P.bases == frozenset(enumerate_hypertrees(fig2))
 
 
+def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
+    """Single-hypertree callers share one polymatroid, and with it one
+    exchange-axiom check, per graph."""
+    from hypertutte import crapo, harness, jaeger, tutte
+
+    checks = []
+    check = PolymatroidBases._check_exchange
+    monkeypatch.setattr(
+        PolymatroidBases, "_check_exchange", lambda P: checks.append(P) or check(P)
+    )
+    g = harness.perturbed(fig2, random.Random(3))  # a graph no other test caches
+    assert g != fig2
+    for h in bases_from_hypertrees(g).bases:
+        jaeger.activities(g, h, jaeger.order_emerald(g, h))
+        crapo.crapo_interval(g, h)
+    tutte.tutte_embedding(g)
+    assert len(checks) == 1
+
+
 def test_decision_tree_validation(small_matroid):
     leaf_b = DecisionTree("b", ())
     leaf_c = DecisionTree("c", ())

@@ -1,10 +1,12 @@
 """Hypertree membership, enumeration, and the exchange axiom."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
-from hypertutte import harness
+from hypertutte import harness, hypertrees
 from hypertutte.hypertrees import (
     NoWitness,
     degree_vector,
@@ -115,3 +117,21 @@ def test_exchange_axiom_exhaustive(fig2, fig5):
             for e in range(g.emerald_count):
                 if h[e] < h2[e]:
                     exchange_witness(g, h, h2, e)  # NoWitness would raise
+
+
+def test_cache_dies_with_graph():
+    """The per-graph cache holds nothing of a graph once the graph is gone,
+    so long searches run in bounded memory."""
+    from hypertutte.tutte import tutte_embedding
+
+    gc.collect()
+    before = len(hypertrees._CACHE)
+    graphs = [harness.random_instance(seed=seed) for seed in range(50)]
+    for g in graphs:
+        tutte_embedding(g)
+    assert len(hypertrees._CACHE) > before
+    alive = [weakref.ref(g) for g in graphs]
+    del graphs, g
+    gc.collect()
+    assert all(ref() is None for ref in alive)
+    assert len(hypertrees._CACHE) <= before
