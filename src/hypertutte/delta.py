@@ -10,7 +10,11 @@ fix an order per basis directly, as in the parallel-edge counterexample.
 Also here: the Crapo partition check for an arbitrary activity
 assignment (on crapo's verifier), the realizability obstruction (some
 element must be nontrivially active for no basis), and exhaustive search
-over all decision trees.
+for a decision tree realizing a given assignment.  The search lists no
+decision trees: under the MAX rule a node's activities depend only on
+its label, the elements not labeled above it and the basis, so it
+solves each (remaining elements, bases routed to the node) subproblem
+once and returns the first matching tree in enumeration order.
 """
 
 from __future__ import annotations
@@ -372,31 +376,70 @@ def random_decision_tree(ground, ranks, rng) -> DecisionTree:
 
 
 def exhaustive_delta_search(P: PolymatroidBases, target: dict):
-    """A decision tree whose MAX-rule nontrivial activity sets equal the
-    target assignment's, or None after exhausting the space.
+    """The first decision tree, in :func:`enumerate_decision_trees` order,
+    whose MAX-rule nontrivial activity sets equal the target assignment's,
+    or None if no decision tree has them.
 
     Activity sets of a Delta always differ trivially from MIN-rule ones
     (the branch maximum vs. minimum is forced active), so assignments
     are compared on their nontrivial sets, which both conventions aim at.
+
+    The elements after a node's label e on every branch through it are
+    the elements R not labeled above it, less e.  So whether e is
+    nontrivially active for a basis routed there depends on (e, R, b)
+    alone, and the children of a node are independent subproblems.  Each
+    subproblem (R, bases routed to the node) is solved once: its answer
+    is the first label in ground order on which every routed basis agrees
+    with the target and whose children are all solvable, each child
+    taking its own first answer.  A child no basis reaches takes the
+    first tree of its enumeration.
     """
+    bases = sorted(P.bases)
+    for b in bases:
+        if any(v < 0 for v in b):
+            raise BasisOutOfRange(f"basis {b} has a negative coordinate")
     ranks = {e: P.rank(e) for e in P.ground}
     total = count_decision_trees(P.ground, ranks)
     if total > _SEARCH_GUARD:
         raise SearchSpaceTooLarge(f"{total} decision trees exceed the guard")
     want = {
-        b: (rec.nontrivial_internal, rec.nontrivial_external)
-        for b, rec in target.items()
+        b: (target[b].nontrivial_internal, target[b].nontrivial_external)
+        for b in bases
     }
-    bases = sorted(P.bases)
-    for tree in enumerate_decision_trees(P.ground, ranks):
-        ok = True
-        for b in bases:
-            internal, external = max_rule_activities(
-                P, b, order_of_basis(tree, P, b)
-            )
-            if nontrivial(P, b, internal, external) != want[b]:
-                ok = False
-                break
-        if ok:
-            return tree
-    return None
+    if any(not (ni | ne) <= set(P.ground) for ni, ne in want.values()):
+        return None  # no branch can make an element outside the ground active
+
+    def agrees(e, rest, b):
+        """e's nontrivial activity for b, with ``rest`` after it, is the target's."""
+        internal, external = max_rule_activities(P, b, (e,) + rest)
+        ni, ne = want[b]
+        return nontrivial(P, b, internal & {e}, external & {e}) == (ni & {e}, ne & {e})
+
+    memo = {}
+
+    def solve(elems, group):
+        """First tree over ``elems`` agreeing on every basis of ``group``."""
+        key = (elems, group)
+        if key not in memo:
+            memo[key] = first_tree(elems, group)
+        return memo[key]
+
+    def first_tree(elems, group):
+        for e in elems:
+            rest = tuple(x for x in elems if x != e)
+            if not all(agrees(e, rest, b) for b in group):
+                continue
+            if not rest:
+                return DecisionTree(e, ())
+            i = P.index(e)
+            children = []
+            for value in range(ranks[e] + 1):
+                child = solve(rest, tuple(b for b in group if b[i] == value))
+                if child is None:
+                    break
+                children.append(child)
+            else:
+                return DecisionTree(e, tuple(children))
+        return None
+
+    return solve(tuple(P.ground), tuple(bases))

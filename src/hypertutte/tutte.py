@@ -20,7 +20,7 @@ from .model import (
     ParseError, RibbonGraph, adjacency, emerald, is_int, reach, violet, yaml_mapping,
 )
 from .polynomial import Poly, x_plus_y_minus_1
-from .hypertrees import enumerate_hypertrees
+from .hypertrees import cached, enumerate_hypertrees
 from .delta import bases_from_hypertrees, min_rule_activities
 from .jaeger import ActivityRecord, order_emerald
 from . import crapo
@@ -53,8 +53,9 @@ def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
 
 
 def tutte_embedding(g: RibbonGraph) -> Poly:
-    """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities."""
-    return tutte_sum(g, order_emerald)
+    """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities;
+    computed once per graph (a Poly is never mutated)."""
+    return cached(g, "embedding", lambda g: tutte_sum(g, order_emerald))
 
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:
@@ -102,11 +103,8 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
         raise BoundsTooLarge(f"box of {size} points exceeds budget")
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
     for c in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        i = crapo.d1_greater(hs, c)
-        if i > imax:
-            continue
-        j = crapo.d1_less(hs, c)
-        if j <= jmax:
+        j, i = map(min, zip(*[crapo._one_sided(h, c) for h in hs]))
+        if i <= imax and j <= jmax:
             counts[(i, j)] += 1
     return CoefficientTable(imax, jmax, tuple(sorted(counts.items())))
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hypertutte import fixture_path
+from hypertutte import delta, fixture_path, harness
 from hypertutte.delta import (
     BasisActivity,
     BasisOutOfRange,
@@ -34,7 +34,8 @@ from hypertutte.delta import (
     validate_decision_tree,
 )
 from hypertutte.crapo import interval_contains
-from hypertutte.model import ParseError
+from hypertutte.jaeger import embedding_assignment
+from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.tutte import Graph
 
 
@@ -283,6 +284,157 @@ def test_planted_tree_recovered(small_matroid):
 def test_search_fails_on_fig6(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     assert exhaustive_delta_search(P, assignment) is None
+
+
+def first_match_by_enumeration(P, target):
+    """The first decision tree in enumeration order whose MAX-rule
+    nontrivial activity sets equal the target's, found by checking every
+    tree in turn: the reference for exhaustive_delta_search."""
+    ranks = {e: P.rank(e) for e in P.ground}
+    want = {
+        b: (rec.nontrivial_internal, rec.nontrivial_external)
+        for b, rec in target.items()
+    }
+    bases = sorted(P.bases)
+    for tree in enumerate_decision_trees(P.ground, ranks):
+        ok = True
+        for b in bases:
+            internal, external = max_rule_activities(
+                P, b, order_of_basis(tree, P, b)
+            )
+            if nontrivial(P, b, internal, external) != want[b]:
+                ok = False
+                break
+        if ok:
+            return tree
+    return None
+
+
+def assert_search_matches_enumeration(P, target):
+    found = exhaustive_delta_search(P, target)
+    assert found == first_match_by_enumeration(P, target)
+    return found
+
+
+def ribbon_graph(nv, ne, pairs, rng):
+    """Bipartite ribbon graph on the (violet, emerald) index ``pairs``,
+    rotations and basis shuffled by ``rng``."""
+    edges = [(violet(i), emerald(j)) for i, j in pairs]
+    rotation = {}
+    for k, (v, e) in enumerate(edges):
+        rotation.setdefault(v, []).append(k)
+        rotation.setdefault(e, []).append(k)
+    return harness.perturbed(RibbonGraph.build(nv, ne, edges, rotation, ("v0", 0)), rng)
+
+
+def random_embedding(rng):
+    """Connected, 2-4 violet and 2-4 emerald nodes: every further node
+    hangs off a placed node of the other colour, then 2-5 new pairs."""
+    nv, ne = rng.randint(2, 4), rng.randint(2, 4)
+    pairs = [(0, 0)]
+    placed = {"v": [0], "e": [0]}
+    rest = [("v", i) for i in range(1, nv)] + [("e", j) for j in range(1, ne)]
+    rng.shuffle(rest)
+    for kind, i in rest:
+        other = rng.choice(placed["e" if kind == "v" else "v"])
+        pairs.append((i, other) if kind == "v" else (other, i))
+        placed[kind].append(i)
+    missing = [(i, j) for i in range(nv) for j in range(ne) if (i, j) not in pairs]
+    pairs += rng.sample(missing, min(len(missing), rng.randint(2, 5)))
+    return ribbon_graph(nv, ne, pairs, rng)
+
+
+def test_search_matches_enumeration_on_fixtures(
+    fig2, fig5, fig6_graph, fig6_orders, small_matroid, small_tree
+):
+    for g in (fig2, fig5):
+        assert assert_search_matches_enumeration(*embedding_assignment(g)) is None
+    assert assert_search_matches_enumeration(
+        *fixed_tree_order_activities(fig6_graph, fig6_orders)
+    ) is None
+    planted = assignment_from_delta(small_tree, small_matroid)
+    assert assert_search_matches_enumeration(small_matroid, planted) is not None
+    assert_search_matches_enumeration(
+        small_matroid,
+        assignment_from_orders(
+            small_matroid, {b: ("c", "b", "a") for b in small_matroid.bases}
+        ),
+    )
+    b = min(planted)
+    rec = planted[b]
+    outside = dict(planted)  # one more nontrivial element, outside the ground
+    outside[b] = BasisActivity(
+        rec.internal, rec.external, rec.nontrivial_internal | {"z"}, rec.nontrivial_external
+    )
+    assert assert_search_matches_enumeration(small_matroid, outside) is None
+
+
+def test_k34_search_lists_no_decision_tree(monkeypatch):
+    """K3,4 has 55,296 decision trees; the search needs none of them and
+    returns the first match of the enumeration."""
+    g = ribbon_graph(3, 4, [(i, j) for i in range(3) for j in range(4)], random.Random(1))
+    P, target = embedding_assignment(g)
+    expected = first_match_by_enumeration(P, target)
+    assert expected is not None
+
+    def refuse(*args):
+        raise AssertionError("decision trees listed")
+
+    monkeypatch.setattr(delta, "enumerate_decision_trees", refuse)
+    assert exhaustive_delta_search(P, target) == expected
+
+
+def test_search_matches_enumeration_random():
+    """Embedding and planted random-tree targets on 40 random embeddings
+    with at most 50,000 decision trees each, and on those with at most
+    5,000 also the planted target with one nontrivial membership flipped,
+    which most often has no tree."""
+    rng = random.Random(0)
+    checked = found = flipped = 0
+    while checked < 40:
+        P, target = embedding_assignment(random_embedding(rng))
+        ranks = {e: P.rank(e) for e in P.ground}
+        size = count_decision_trees(P.ground, ranks)
+        if size > 50_000:
+            continue
+        planted = assignment_from_delta(random_decision_tree(P.ground, ranks, rng), P)
+        goals = [target, planted]
+        if size <= 5_000:
+            b, e = rng.choice(sorted(planted)), rng.choice(P.ground)
+            rec = planted[b]
+            goals.append(dict(planted))
+            goals[-1][b] = BasisActivity(
+                rec.internal, rec.external, rec.nontrivial_internal ^ {e},
+                rec.nontrivial_external,
+            )
+            flipped += 1
+        for goal in goals:
+            found += assert_search_matches_enumeration(P, goal) is not None
+        checked += 1
+    # planted targets always have a tree; some others have none
+    assert 40 <= found < 80 + flipped
+
+
+def test_fig1_search(fig1):
+    """fig1's space of 1,658,880 decision trees, out of reach of the
+    enumeration, is searched node by node."""
+    P, target = embedding_assignment(fig1)
+    ranks = {e: P.rank(e) for e in P.ground}
+    assert count_decision_trees(P.ground, ranks) == 1_658_880
+    tree = exhaustive_delta_search(P, target)
+    assert tree is not None
+    validate_decision_tree(tree, P)
+    got = assignment_from_delta(tree, P)
+    for b, rec in target.items():
+        assert got[b].nontrivial_internal == rec.nontrivial_internal, b
+        assert got[b].nontrivial_external == rec.nontrivial_external, b
+
+
+def test_search_rejects_negative_coordinate():
+    P = PolymatroidBases(("a", "b"), frozenset({(-1, 1), (0, 0)}))
+    empty = BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
+    with pytest.raises(BasisOutOfRange):
+        exhaustive_delta_search(P, {b: empty for b in P.bases})
 
 
 def test_search_guard():

@@ -85,3 +85,20 @@ def test_violet_and_prime_agree_at_one_one():
     n = tutte_embedding(g).evaluate(1, 1)
     assert harness.violet_polynomial(g).evaluate(1, 1) == n
     assert harness.violet_prime_polynomial(g).evaluate(1, 1) == n
+
+
+def test_embedding_polynomial_built_once_per_graph(fig2, monkeypatch):
+    """Both order checks on one graph share its embedding polynomial: one
+    activity sum for it and one for each order variant."""
+    from hypertutte import tutte
+
+    sums = []
+    tutte_sum = tutte.tutte_sum
+    monkeypatch.setattr(
+        tutte, "tutte_sum", lambda g, order_fn: sums.append(order_fn) or tutte_sum(g, order_fn)
+    )
+    g = harness.perturbed(fig2, random.Random(5))  # a graph no other test caches
+    assert g != fig2
+    assert harness.test_violet_prime(g)["verdict"] == "EQUAL"
+    harness.test_violet(g)
+    assert len(sums) == 3

@@ -1,11 +1,16 @@
 """The hypergraph polynomial, corank-nullity counts, and the graph bridge."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
+from hypertutte import harness
+from hypertutte.crapo import d1_greater, d1_less
+from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
-from hypertutte.model import ParseError
+from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
     BoundsTooLarge,
@@ -77,6 +82,36 @@ def test_corank_nullity_single_edge(single_edge):
 def test_corank_nullity_origin_counts_order_ideal(fig2):
     table = corank_nullity(fig2, 0, 0)
     assert table.entry(0, 0) == 7
+
+
+def brute_force_counts(g, imax, jmax):
+    """(d1>, d1<) -> number of points, over the box of corank_nullity, one
+    distance function call per point and side."""
+    hs = enumerate_hypertrees(g)
+    box = [
+        range(min(h[e] for h in hs) - imax, max(h[e] for h in hs) + jmax + 1)
+        for e in range(g.emerald_count)
+    ]
+    return Counter((d1_greater(hs, c), d1_less(hs, c)) for c in itertools.product(*box))
+
+
+def test_corank_nullity_matches_brute_force(fig1, fig2):
+    """Every window of the (3, 3) box's counts, which contains the smaller
+    windows' boxes."""
+    edges = [(violet(i), emerald(j)) for i in range(3) for j in range(4)]
+    rotation = {}
+    for k, (v, e) in enumerate(edges):
+        rotation.setdefault(v, []).append(k)
+        rotation.setdefault(e, []).append(k)
+    k34 = harness.perturbed(
+        RibbonGraph.build(3, 4, edges, rotation, ("v0", 0)), random.Random(34)
+    )
+    for g in (fig1, fig2, k34):
+        counts = brute_force_counts(g, 3, 3)
+        for imax, jmax in ((0, 0), (2, 3), (3, 3)):
+            assert corank_nullity(g, imax, jmax).entries == tuple(
+                ((i, j), counts[i, j]) for i in range(imax + 1) for j in range(jmax + 1)
+            )
 
 
 def test_corank_nullity_bad_bounds(fig2):
