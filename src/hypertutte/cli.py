@@ -159,28 +159,20 @@ def _cmd_delta(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     reports = []
-    failed = False
     for path in args.instances:
-        g = _load(path)
-        report = harness.test_violet_prime(g)
+        report = harness.test_violet_prime(_load(path))
         report["instance_path"] = path
         reports.append(report)
-    for i in range(args.trials):
-        g = harness.random_instance(seed=args.seed + i)
-        report = harness.test_violet_prime(g)
-        report["seed"] = args.seed + i
-        reports.append(report)
-    for report in reports:
-        if report["verdict"] != "EQUAL":
-            failed = True
+    reports.extend(harness.random_reports(harness.test_violet_prime, args.trials, args.seed))
+    counterexamples = [r for r in reports if r["verdict"] != "EQUAL"]
     summary = {
         "kind": "violet-prime-summary",
-        "verdict": "COUNTEREXAMPLE" if failed else "EQUAL",
+        "verdict": "COUNTEREXAMPLE" if counterexamples else "EQUAL",
         "checked": len(reports),
-        "counterexamples": [r for r in reports if r["verdict"] != "EQUAL"],
+        "counterexamples": counterexamples,
     }
     _emit_report(summary, args.report == "json")
-    return 1 if failed and args.strict else 0
+    return 1 if counterexamples and args.strict else 0
 
 
 def _cmd_fixtures(args) -> int:

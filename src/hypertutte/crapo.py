@@ -7,6 +7,11 @@ hypertree attains the one-sided distances d1< and d1> simultaneously;
 verify_intervals certifies both claims exhaustively on a box, for the
 embedding intervals (verify_crapo_partition) as for any Delta activity
 assignment (delta.crapo_verify).
+
+Every lattice sweep of the package goes through this module: box_around
+is the one box rule (the vectors' range widened by a margin below and
+above), box_points the one empty-side and budget check, and one_sided
+the one distance kernel; tutte.corank_nullity sweeps on all three.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import prod
 
 from .model import RibbonGraph, node_index
 from .hypertrees import enumerate_hypertrees
-from .jaeger import embedding_activities, embedding_assignment, NotAHypertree
+from .jaeger import embedding_activities, embedding_assignment
 
 
 class EmptySet(ValueError):
@@ -40,25 +45,31 @@ def _as_set(h_or_set):
     return tuple(tuple(h) for h in h_or_set)
 
 
+def one_sided(h, c) -> tuple:
+    """(d1<, d1>) from c to the single vector h: the total excess of c
+    over h and the total deficit of c below h."""
+    less = greater = 0
+    for ci, hi in zip(c, h):
+        if ci > hi:
+            less += ci - hi
+        else:
+            greater += hi - ci
+    return less, greater
+
+
 def d1_less(h_or_set, c) -> int:
     """min over the set of sum_e max(0, c(e) - h(e)): generalized nullity."""
-    return min(
-        sum(max(0, ci - hi) for ci, hi in zip(c, h)) for h in _as_set(h_or_set)
-    )
+    return min(one_sided(h, c)[0] for h in _as_set(h_or_set))
 
 
 def d1_greater(h_or_set, c) -> int:
     """min over the set of sum_e max(0, h(e) - c(e)): generalized corank."""
-    return min(
-        sum(max(0, hi - ci) for ci, hi in zip(c, h)) for h in _as_set(h_or_set)
-    )
+    return min(one_sided(h, c)[1] for h in _as_set(h_or_set))
 
 
 def d1(h_or_set, c) -> int:
     """Manhattan distance from c to the set."""
-    return min(
-        sum(abs(ci - hi) for ci, hi in zip(c, h)) for h in _as_set(h_or_set)
-    )
+    return min(sum(one_sided(h, c)) for h in _as_set(h_or_set))
 
 
 @dataclass(frozen=True)
@@ -94,12 +105,26 @@ def interval_contains(interval: CrapoInterval, c) -> bool:
     return True
 
 
+def box_around(vectors, below: int, above: int) -> list:
+    """One ``(lo, hi)`` per coordinate: the least value of the vectors
+    there less ``below`` to the greatest plus ``above``."""
+    return [(min(col) - below, max(col) + above) for col in zip(*vectors)]
+
+
 def default_box(g: RibbonGraph, margin: int = 2) -> list:
-    hs = enumerate_hypertrees(g)
-    return [
-        (min(h[e] for h in hs) - margin, max(h[e] for h in hs) + margin)
-        for e in range(g.emerald_count)
-    ]
+    return box_around(enumerate_hypertrees(g), margin, margin)
+
+
+def box_points(box):
+    """Every lattice point of ``box`` (one ``(lo, hi)`` per coordinate), in
+    :func:`itertools.product` order.  Raises ValueError if a side is empty
+    and BudgetExceeded if the box holds more than the budget's points."""
+    if any(lo > hi for lo, hi in box):
+        raise ValueError(f"empty box {[[lo, hi] for lo, hi in box]}: a side has lo > hi")
+    size = prod(hi - lo + 1 for lo, hi in box)
+    if size > _BOX_BUDGET:
+        raise BudgetExceeded(f"box of {size} points exceeds budget")
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
 
 
 def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
@@ -110,11 +135,7 @@ def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
     Returns ``(points checked, violations)``.  Points are streamed; with
     ``jobs`` > 1, worker i checks every jobs-th point from the i-th on.
     """
-    if any(lo > hi for lo, hi in box):
-        raise ValueError(f"empty box {[[lo, hi] for lo, hi in box]}: a side has lo > hi")
-    size = prod(hi - lo + 1 for lo, hi in box)
-    if size > _BOX_BUDGET:
-        raise BudgetExceeded(f"box of {size} points exceeds budget")
+    box_points(box)  # the empty-side and budget checks, before any worker starts
     if any(len(iv.center) != len(box) for iv in intervals):
         raise ValueError(f"box has {len(box)} sides, not one per center coordinate")
     if jobs > 1:
@@ -131,9 +152,8 @@ def _check_slice(args):
     """Worker: check every step-th lattice point of the box from start."""
     intervals, box, start, step = args
     centers = [iv.center for iv in intervals]
-    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box))
     checked, violations = 0, []
-    for c in itertools.islice(points, start, None, step):
+    for c in itertools.islice(box_points(box), start, None, step):
         checked += 1
         covering = [i for i, iv in enumerate(intervals) if interval_contains(iv, c)]
         if len(covering) != 1:
@@ -141,24 +161,13 @@ def _check_slice(args):
                 {"point": list(c), "covered_by": [list(centers[i]) for i in covering]}
             )
             continue
-        sides = [_one_sided(h, c) for h in centers]
+        sides = [one_sided(h, c) for h in centers]
         if sides[covering[0]] != tuple(map(min, zip(*sides))):
             violations.append(
                 {"point": list(c), "covered_by": [list(centers[covering[0]])],
                  "distance": "not attained"}
             )
     return checked, violations
-
-
-def _one_sided(h, c) -> tuple:
-    """(d1<, d1>) from c to the single vector h."""
-    less = greater = 0
-    for ci, hi in zip(c, h):
-        if ci > hi:
-            less += ci - hi
-        else:
-            greater += hi - ci
-    return less, greater
 
 
 def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:

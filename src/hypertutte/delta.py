@@ -232,24 +232,23 @@ class BasisActivity:
     nontrivial_external: frozenset
 
 
-def assignment_from_delta(tree: DecisionTree, P: PolymatroidBases) -> dict:
-    """basis -> BasisActivity under the decision tree's MAX-rule orders."""
+def _assignment(P: PolymatroidBases, rule, order_of) -> dict:
+    """basis -> BasisActivity, b's activities taken by ``rule`` on ``order_of(b)``."""
     out = {}
     for b in sorted(P.bases):
-        internal, external = max_rule_activities(P, b, order_of_basis(tree, P, b))
-        ni, ne = nontrivial(P, b, internal, external)
-        out[b] = BasisActivity(internal, external, ni, ne)
+        internal, external = rule(P, b, order_of(b))
+        out[b] = BasisActivity(internal, external, *nontrivial(P, b, internal, external))
     return out
+
+
+def assignment_from_delta(tree: DecisionTree, P: PolymatroidBases) -> dict:
+    """basis -> BasisActivity under the decision tree's MAX-rule orders."""
+    return _assignment(P, max_rule_activities, lambda b: order_of_basis(tree, P, b))
 
 
 def assignment_from_orders(P: PolymatroidBases, order_map: dict) -> dict:
     """basis -> BasisActivity from explicit per-basis orders, MIN rule."""
-    out = {}
-    for b in sorted(P.bases):
-        internal, external = min_rule_activities(P, b, order_map[b])
-        ni, ne = nontrivial(P, b, internal, external)
-        out[b] = BasisActivity(internal, external, ni, ne)
-    return out
+    return _assignment(P, min_rule_activities, lambda b: order_map[b])
 
 
 def obstruction_check(assignment: dict) -> tuple:
@@ -282,13 +281,10 @@ def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
     """Check that the intervals of an activity assignment partition the
     box and that the covering basis attains both one-sided distances
     (:func:`crapo.verify_intervals`)."""
-    from .crapo import verify_intervals
+    from .crapo import box_around, verify_intervals
 
     if box is None:
-        box = [
-            (min(b[i] for b in P.bases) - 2, max(b[i] for b in P.bases) + 2)
-            for i in range(len(P.ground))
-        ]
+        box = box_around(P.bases, 2, 2)
     intervals = [basis_interval(P, b, rec) for b, rec in assignment.items()]
     points, violations = verify_intervals(intervals, box)
     return {

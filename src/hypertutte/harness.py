@@ -7,7 +7,9 @@ polynomial (an open conjecture: reported, not assumed).  The plain
 violet-node order is also exposed, since it is known to disagree on some
 instances; stress_invariance re-derives the embedding polynomial under
 random rotation and basis perturbations, where any difference would be
-an implementation bug.
+an implementation bug.  random_reports is the one loop that runs a
+check over seeded random instances: search_counterexample and the CLI's
+conjecture command both read it.
 """
 
 from __future__ import annotations
@@ -24,20 +26,20 @@ class GenerationFailed(RuntimeError):
     """Could not generate a connected instance within the retry budget."""
 
 
-DEFAULT_PARAMS = {"max_violet": 4, "max_emerald": 5, "max_edges": 12}
+MAX_VIOLET, MAX_EMERALD, MAX_EDGES = 4, 5, 12
 
 
-def random_instance(params=None, seed: int = 0) -> RibbonGraph:
-    """Connected bipartite ribbon graph, deterministic per (params, seed)."""
-    p = dict(DEFAULT_PARAMS, **(params or {}))
+def random_instance(seed: int = 0) -> RibbonGraph:
+    """Connected bipartite ribbon graph with at most MAX_VIOLET violet and
+    MAX_EMERALD emerald nodes and MAX_EDGES edges, deterministic per seed."""
     rng = random.Random(seed)
     for _ in range(200):
-        nv = rng.randint(1, p["max_violet"])
-        ne = rng.randint(1, p["max_emerald"])
+        nv = rng.randint(1, MAX_VIOLET)
+        ne = rng.randint(1, MAX_EMERALD)
         lo = nv + ne - 1
-        if lo > p["max_edges"]:
+        if lo > MAX_EDGES:
             continue
-        m = rng.randint(lo, p["max_edges"])
+        m = rng.randint(lo, MAX_EDGES)
         # random spanning tree of the node set first, to force connectivity
         nodes = [violet(i) for i in range(nv)] + [emerald(j) for j in range(ne)]
         rng.shuffle(nodes)
@@ -92,35 +94,30 @@ def _describe(g: RibbonGraph) -> dict:
     }
 
 
-def test_violet_prime(g: RibbonGraph) -> dict:
-    """Compare the violet-prime-order polynomial to the embedding one."""
+def _compare(g: RibbonGraph, kind: str, polynomial_fn) -> dict:
+    """Compare ``polynomial_fn(g)`` to the embedding polynomial; a
+    counterexample reports the candidate under ``kind`` in snake case."""
     reference = tutte.tutte_embedding(g)
-    candidate = violet_prime_polynomial(g)
+    candidate = polynomial_fn(g)
     if reference == candidate:
-        return {"kind": "violet-prime", "verdict": "EQUAL",
-                "polynomial": str(reference)}
+        return {"kind": kind, "verdict": "EQUAL", "polynomial": str(reference)}
     return {
-        "kind": "violet-prime",
+        "kind": kind,
         "verdict": "COUNTEREXAMPLE",
         "instance": _describe(g),
         "embedding": str(reference),
-        "violet_prime": str(candidate),
+        kind.replace("-", "_"): str(candidate),
     }
+
+
+def test_violet_prime(g: RibbonGraph) -> dict:
+    """Compare the violet-prime-order polynomial to the embedding one."""
+    return _compare(g, "violet-prime", violet_prime_polynomial)
 
 
 def test_violet(g: RibbonGraph) -> dict:
     """Same comparison for the plain violet-node order."""
-    reference = tutte.tutte_embedding(g)
-    candidate = violet_polynomial(g)
-    if reference == candidate:
-        return {"kind": "violet", "verdict": "EQUAL"}
-    return {
-        "kind": "violet",
-        "verdict": "COUNTEREXAMPLE",
-        "instance": _describe(g),
-        "embedding": str(reference),
-        "violet": str(candidate),
-    }
+    return _compare(g, "violet", violet_polynomial)
 
 
 def stress_invariance(g: RibbonGraph, trials: int = 10, seed: int = 0) -> dict:
@@ -144,16 +141,21 @@ def stress_invariance(g: RibbonGraph, trials: int = 10, seed: int = 0) -> dict:
             "polynomial": str(reference)}
 
 
-def search_counterexample(check, trials: int, seed: int = 0, params=None) -> dict:
+def random_reports(check, trials: int, seed: int = 0):
+    """Yield ``check`` of the random instances of seeds ``seed`` ..
+    ``seed + trials - 1`` in order, each report tagged with its seed."""
+    for s in range(seed, seed + trials):
+        report = check(random_instance(seed=s))
+        report["seed"] = s
+        yield report
+
+
+def search_counterexample(check, trials: int, seed: int = 0) -> dict:
     """Run ``check`` over ``trials`` random instances; stop at the first
     counterexample."""
     checked = 0
-    for i in range(trials):
-        g = random_instance(params, seed=seed + i)
-        report = check(g)
-        checked += 1
+    for checked, report in enumerate(random_reports(check, trials, seed), 1):
         if report["verdict"] != "EQUAL":
-            report["seed"] = seed + i
             report["checked"] = checked
             return report
     return {"kind": "search", "verdict": "EQUAL", "checked": checked,

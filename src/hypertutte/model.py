@@ -75,6 +75,15 @@ def reach(adj: dict, start) -> dict:
     return via
 
 
+def connected(edges, n_nodes: int) -> bool:
+    """True if the (edge, u, v) triples join ``n_nodes`` nodes into one
+    component: a node on no edge disconnects, at most one node is connected."""
+    if n_nodes <= 1:
+        return True
+    adj = adjacency(edges)
+    return len(adj) == n_nodes and len(reach(adj, next(iter(adj)))) == n_nodes
+
+
 @dataclass(frozen=True)
 class RibbonGraph:
     """A connected bipartite ribbon graph with a distinguished basis.
@@ -201,8 +210,7 @@ class RibbonGraph:
         if beta0 not in incident[b0]:
             raise ValidationError(f"basis edge {beta0} is not incident to {b0}")
 
-        adj = adjacency((k, v, e) for k, (v, e) in enumerate(self.edges))
-        if len(reach(adj, b0)) != len(nodes):
+        if not connected(((k, v, e) for k, (v, e) in enumerate(self.edges)), len(nodes)):
             raise ValidationError("underlying bipartite graph is disconnected")
 
     # -- serialization -----------------------------------------------------

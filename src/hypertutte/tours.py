@@ -13,7 +13,7 @@ tree enumeration by contraction/deletion.
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, is_emerald, reach
+from .model import RibbonGraph, adjacency, connected, is_emerald, reach
 
 
 class WrongSide(ValueError):
@@ -29,10 +29,10 @@ def _tree_adjacency(g: RibbonGraph, tree, removed=None) -> dict:
 
 
 def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
-    nodes = g.nodes
-    if len(tree) != len(nodes) - 1:
+    n_nodes = len(g.nodes)
+    if len(tree) != n_nodes - 1:
         return False
-    return len(reach(_tree_adjacency(g, tree), nodes[0])) == len(nodes)
+    return connected(((k, *g.endpoints(k)) for k in tree), n_nodes)
 
 
 def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
@@ -152,13 +152,6 @@ def spanning_trees(edges, n_nodes: int):
     yield from _trees(list(edges), n_nodes, [])
 
 
-def _connected(edges, n_nodes) -> bool:
-    if n_nodes == 1:
-        return True
-    adj = adjacency(edges)
-    return len(adj) == n_nodes and len(reach(adj, next(iter(adj)))) == n_nodes
-
-
 def _trees(edges, n_nodes, chosen):
     if n_nodes == 1:
         yield frozenset(chosen)
@@ -177,5 +170,5 @@ def _trees(edges, n_nodes, chosen):
     yield from _trees(contracted, n_nodes - 1, chosen)
     chosen.pop()
     # delete: only if the graph stays connected
-    if _connected(rest, n_nodes):
+    if connected(rest, n_nodes):
         yield from _trees(rest, n_nodes, chosen)

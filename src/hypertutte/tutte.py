@@ -4,30 +4,28 @@ tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
 activities; tutte_from_order does the same with a fixed emerald order;
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
-substituted embedding polynomial as a formal power series.  A small
+substituted embedding polynomial as a formal power series; its box, budget
+and distance kernel are crapo's (box_around, box_points, one_sided).  A small
 classical-graph layer (deletion/contraction Tutte, bipartite-model
 conversion) supports the graph comparison report.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .model import (
-    ParseError, RibbonGraph, adjacency, emerald, is_int, reach, violet, yaml_mapping,
+    ParseError, RibbonGraph, connected, emerald, is_int, violet, yaml_mapping,
 )
 from .polynomial import Poly, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
 from .delta import bases_from_hypertrees, min_rule_activities
 from .jaeger import ActivityRecord, order_emerald
-from . import crapo
+from .crapo import BudgetExceeded, box_around, box_points, one_sided
 
-
-class BoundsTooLarge(ValueError):
-    """Requested lattice box exceeds the enumeration budget."""
+BoundsTooLarge = BudgetExceeded  # a corank-nullity window whose box is over budget
 
 
 class NotAGraph(ValueError):
@@ -96,14 +94,9 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
     hs = enumerate_hypertrees(g)
-    lo = [min(h[e] for h in hs) - imax for e in range(g.emerald_count)]
-    hi = [max(h[e] for h in hs) + jmax for e in range(g.emerald_count)]
-    size = prod(b - a + 1 for a, b in zip(lo, hi))
-    if size > crapo._BOX_BUDGET:
-        raise BoundsTooLarge(f"box of {size} points exceeds budget")
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
-    for c in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        j, i = map(min, zip(*[crapo._one_sided(h, c) for h in hs]))
+    for c in box_points(box_around(hs, imax, jmax)):
+        j, i = map(min, zip(*[one_sided(h, c) for h in hs]))
         if i <= imax and j <= jmax:
             counts[(i, j)] += 1
     return CoefficientTable(imax, jmax, tuple(sorted(counts.items())))
@@ -178,15 +171,9 @@ def load_graph(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _graph_connected(vertex_count, edges) -> bool:
-    if vertex_count <= 1:
-        return True
-    return len(reach(adjacency(edges), 0)) == vertex_count
-
-
 def classical_tutte(graph: Graph) -> Poly:
     """Deletion/contraction Tutte polynomial of a connected multigraph."""
-    if not _graph_connected(graph.vertex_count, graph.edges):
+    if not connected(graph.edges, graph.vertex_count):
         raise Disconnected("classical Tutte requires a connected graph")
     return _dc(graph.vertex_count, list(graph.edges))
 
@@ -196,7 +183,7 @@ def _dc(n: int, edges: list) -> Poly:
     plain = [t for t in edges if t[1] != t[2]]
     for idx, (name, u, v) in enumerate(plain):
         rest = plain[:idx] + plain[idx + 1:]
-        if _graph_connected(n, rest):
+        if connected(rest, n):
             # ordinary edge: delete + contract
             deleted = _dc(n, rest + loops)
             contracted = _dc(n - 1, _contract(rest + loops, u, v, n))

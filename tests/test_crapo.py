@@ -15,8 +15,9 @@ from hypertutte.crapo import (
     verify_crapo_partition,
     verify_intervals,
 )
+from hypertutte import delta
 from hypertutte.hypertrees import enumerate_hypertrees
-from hypertutte.jaeger import NotAHypertree
+from hypertutte.jaeger import NotAHypertree, embedding_assignment
 
 
 def test_distances_single_hypertree():
@@ -131,3 +132,13 @@ def test_partition_rejects_empty_box(fig2):
         verify_crapo_partition(fig2, box=[(5, 2)] * 4)
     with pytest.raises(ValueError):
         verify_crapo_partition(fig2, box=[(0, 1), (0, 1), (1, 0), (1, 0)])
+
+
+def test_delta_default_box_is_the_partition_box(all_hg):
+    """Delta-Crapo's default box is the Crapo partition's: on the embedding
+    assignment both check the same number of points."""
+    for name, g in all_hg.items():
+        P, assignment = embedding_assignment(g)
+        report = delta.crapo_verify(P, assignment)
+        assert report["status"] == "PASS", name
+        assert report["points"] == verify_crapo_partition(g)["points"] > 0, name

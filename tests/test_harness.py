@@ -68,6 +68,17 @@ def test_violet_order_counterexample():
     assert report["seed"] == 3
 
 
+def test_random_reports_tag_seeds_and_feed_the_search():
+    reports = list(harness.random_reports(harness.test_violet, 10, 0))
+    assert [r["seed"] for r in reports] == list(range(10))
+    assert [r["seed"] for r in harness.random_reports(harness.test_violet, 2, 7)] == [7, 8]
+    first = next(r for r in reports if r["verdict"] != "EQUAL")
+    assert first["seed"] == 3
+    assert all(r["verdict"] == "EQUAL" and r["polynomial"] for r in reports[:3])
+    report = harness.search_counterexample(harness.test_violet, trials=10, seed=0)
+    assert report == dict(first, checked=4)
+
+
 def test_violet_counterexample_replays_from_text():
     g = harness.random_instance(seed=3)
     report = harness.test_violet(g)

@@ -11,6 +11,7 @@ from hypertutte.model import (
     ParseError,
     RibbonGraph,
     ValidationError,
+    connected,
     load,
 )
 
@@ -136,3 +137,11 @@ def test_fixture_files_round_trip():
     for name in ("fig1.hg", "fig2.hg", "fig4.hg", "fig5.hg"):
         g = load_path(fixture_path(name))
         assert load(g.render()) == g
+
+
+def test_connected():
+    assert connected([], 0) and connected([], 1)
+    assert connected([(0, "a", "b"), (1, "b", "c")], 3)
+    assert not connected([(0, "a", "b")], 3)  # the third node is isolated
+    assert not connected([(0, "a", "b"), (1, "c", "c")], 3)
+    assert not connected([], 2)

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from hypertutte import harness
-from hypertutte.crapo import d1_greater, d1_less
+from hypertutte.crapo import BudgetExceeded, d1_greater, d1_less
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
@@ -158,6 +158,24 @@ def test_classical_tutte_fig6(fig6_graph):
 def test_classical_tutte_disconnected():
     with pytest.raises(Disconnected):
         classical_tutte(Graph(3, (("a", 0, 1),)))
+
+
+def test_corank_nullity_budget_is_crapos(fig2):
+    with pytest.raises(BudgetExceeded):
+        corank_nullity(fig2, 40, 40)
+
+
+def test_classical_tutte_isolated_vertex():
+    with pytest.raises(Disconnected):
+        classical_tutte(Graph(3, (("a", 1, 2), ("b", 1, 1))))
+    with pytest.raises(Disconnected):
+        classical_tutte(Graph(2, ()))
+
+
+def test_classical_tutte_at_most_one_vertex():
+    assert str(classical_tutte(Graph(0, ()))) == "1"
+    assert str(classical_tutte(Graph(1, ()))) == "1"
+    assert str(classical_tutte(Graph(1, (("a", 0, 0), ("b", 0, 0))))) == "y^2"
 
 
 def test_load_graph_rejects_malformed():
