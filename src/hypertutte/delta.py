@@ -15,6 +15,10 @@ decision trees: under the MAX rule a node's activities depend only on
 its label, the elements not labeled above it and the basis, so it
 solves each (remaining elements, bases routed to the node) subproblem
 once and returns the first matching tree in enumeration order.
+
+The exchange axiom is written once (:func:`exchange_witness`) and checked
+only where bases are loaded (:func:`check_exchange`): hypertree sets
+(Kálmán) and cycle matroids are polymatroids by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ _SEARCH_GUARD = 2_000_000
 
 @dataclass(frozen=True)
 class PolymatroidBases:
-    """Explicit polymatroid: named ground set and the set of base vectors."""
+    """Explicit polymatroid: named ground set and the set of base vectors,
+    checked for one coordinate sum here and for exchange by :func:`check_exchange`."""
 
     ground: tuple
     bases: frozenset
@@ -53,27 +58,6 @@ class PolymatroidBases:
         sums = {sum(b) for b in self.bases}
         if len(sums) != 1:
             raise ValueError("bases have differing coordinate sums")
-        self._check_exchange()
-
-    def _check_exchange(self):
-        """Exchange axiom: whenever b(e) < b'(e) there is f with
-        b(f) > b'(f) such that b + 1_e - 1_f and b' - 1_e + 1_f are bases."""
-        n = len(self.ground)
-        for b in self.bases:
-            for b2 in self.bases:
-                for e in range(n):
-                    if b[e] >= b2[e]:
-                        continue
-                    if not any(
-                        b[f] > b2[f]
-                        and _shift(b, e, f) in self.bases
-                        and _shift(b2, f, e) in self.bases
-                        for f in range(n)
-                    ):
-                        raise ValueError(
-                            f"exchange axiom fails for {b}, {b2} at "
-                            f"{self.ground[e]}"
-                        )
 
     def rank(self, e) -> int:
         i = self.index(e)
@@ -93,6 +77,24 @@ def _shift(b, up, down):
     return tuple(out)
 
 
+def exchange_witness(P: PolymatroidBases, b, b2, e):
+    """The first index f with b(f) > b2(f) such that b + 1_e - 1_f and
+    b2 - 1_e + 1_f are both bases, or None."""
+    for f in range(len(P.ground)):
+        if b[f] > b2[f] and _shift(b, e, f) in P.bases and _shift(b2, f, e) in P.bases:
+            return f
+    return None
+
+
+def check_exchange(P: PolymatroidBases):
+    """Exchange axiom: whenever b(e) < b'(e) there is an
+    :func:`exchange_witness`; ValueError at the first (b, b', e) without one."""
+    for b, b2 in itertools.product(P.bases, repeat=2):
+        for e in range(len(P.ground)):
+            if b[e] < b2[e] and exchange_witness(P, b, b2, e) is None:
+                raise ValueError(f"exchange axiom fails for {b}, {b2} at {P.ground[e]}")
+
+
 def load_bases(text: str) -> PolymatroidBases:
     data = yaml_mapping(text, ("ground", "bases"))
     ground, bases = data["ground"], data["bases"]
@@ -104,12 +106,14 @@ def load_bases(text: str) -> PolymatroidBases:
     bases = frozenset(tuple(b) for b in bases)
     if any(len(b) != len(ground) for b in bases):
         raise ValueError("basis length does not match ground set")
-    return PolymatroidBases(ground, bases)
+    P = PolymatroidBases(ground, bases)
+    check_exchange(P)
+    return P
 
 
 def bases_from_hypertrees(g) -> PolymatroidBases:
-    """The hypergraphic polymatroid of a ribbon graph instance, built (and
-    its exchange axiom checked) once per graph."""
+    """The hypergraphic polymatroid of a ribbon graph instance, built once
+    per graph; a polymatroid by Kálmán's theorem, so not checked."""
     from .hypertrees import cached, enumerate_hypertrees
 
     def build(g):

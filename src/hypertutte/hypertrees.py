@@ -20,8 +20,9 @@ the tests.
 
 Everything derived from one graph lives in a per-graph cache that dies
 with the graph (:func:`cached`).  The set of all hypertrees forms the
-bases of a polymatroid; the exchange axiom is exposed via
-:func:`exchange_witness`.
+bases of a polymatroid (Kálmán), so it is trusted, not checked, where it
+is built; :func:`exchange_witness` names a witness of the exchange axiom
+through :func:`delta.exchange_witness`, and the tests check the axiom.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import weakref
 
 from .model import RibbonGraph, emerald, is_emerald, node_index
-from . import tours
+from . import delta, tours
 
 
 class NoWitness(RuntimeError):
@@ -339,15 +340,7 @@ def exchange_witness(g: RibbonGraph, h, h2, e) -> str:
     ei = node_index(e) if isinstance(e, str) else e
     if h[ei] >= h2[ei]:
         raise ValueError("exchange_witness requires h(e) < h2(e)")
-    for fi in range(g.emerald_count):
-        if h[fi] <= h2[fi]:
-            continue
-        up = list(h)
-        up[ei] += 1
-        up[fi] -= 1
-        down = list(h2)
-        down[ei] -= 1
-        down[fi] += 1
-        if is_hypertree(g, tuple(up)) and is_hypertree(g, tuple(down)):
-            return emerald(fi)
-    raise NoWitness(f"no exchange witness for {h} -> {h2} at e{ei}")
+    fi = delta.exchange_witness(delta.bases_from_hypertrees(g), h, h2, ei)
+    if fi is None:
+        raise NoWitness(f"no exchange witness for {h} -> {h2} at e{ei}")
+    return emerald(fi)

@@ -10,6 +10,7 @@ node-edge pair for tours.  Instances are immutable and validated eagerly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -284,6 +285,7 @@ def load(text: str) -> RibbonGraph:
     for node, rot in raw_rot.items():
         if (
             not isinstance(node, str)
+            or not re.fullmatch("[ve][0-9]+", node)
             or not isinstance(rot, list)
             or not all(is_int(k) for k in rot)
         ):

@@ -28,10 +28,6 @@ from .crapo import BudgetExceeded, box_around, box_points, one_sided
 BoundsTooLarge = BudgetExceeded  # a corank-nullity window whose box is over budget
 
 
-class NotAGraph(ValueError):
-    """Instance is not the bipartite model of an ordinary graph."""
-
-
 class Disconnected(ValueError):
     """Classical Tutte requires a connected graph."""
 

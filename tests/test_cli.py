@@ -107,6 +107,10 @@ def test_tour_bad_tree(capsys):
     assert code == 2
     code, _, err = run(capsys, "tour", "--tree", "zero", FIG2)
     assert code == 2
+    for tree in ("0,1,2,4,5,-2", "0,1,2,4,5,99"):  # edge ids outside the edge list
+        code, out, err = run(capsys, "tour", f"--tree={tree}", FIG2)
+        assert code == 2, tree
+        assert out == "" and "not a spanning tree" in err
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -146,6 +150,18 @@ def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):
     )
     assert code == 2
     assert "missing keys" in err
+
+
+def test_delta_check_bases_breaking_exchange_is_usage_error(capsys, tmp_path):
+    bases = tmp_path / "no_exchange.matroid"
+    bases.write_text("ground: [a, b]\nbases: [[2, 0], [0, 2]]\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "delta", "check",
+        "--tree", str(fixture_path("delta_fig.tree")), "--bases", str(bases),
+    )
+    assert code == 2
+    assert out == ""
+    assert "exchange axiom fails" in err
 
 
 def test_crapo_verify_parallel(capsys):

@@ -17,9 +17,11 @@ from hypertutte.delta import (
     bases_from_hypertrees,
     basis_interval,
     basis_name,
+    check_exchange,
     count_decision_trees,
     crapo_verify,
     enumerate_decision_trees,
+    exchange_witness,
     exhaustive_delta_search,
     fixed_tree_order_activities,
     graph_matroid,
@@ -58,8 +60,10 @@ def test_load_bases(small_matroid):
 
 
 def test_bases_must_satisfy_exchange():
-    with pytest.raises(ValueError):
-        PolymatroidBases(("a", "b"), frozenset({(2, 0), (0, 2)}))
+    """Loaded bases must satisfy the exchange axiom; every base set needs
+    one coordinate sum and at least one basis."""
+    with pytest.raises(ValueError, match="exchange axiom fails"):
+        load_bases("ground: [a, b]\nbases: [[2, 0], [0, 2]]\n")
     with pytest.raises(ValueError):
         PolymatroidBases(("a", "b"), frozenset({(1, 0), (1, 1)}))
     with pytest.raises(ValueError):
@@ -75,14 +79,13 @@ def test_bases_from_hypertrees(fig2):
 
 
 def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
-    """Single-hypertree callers share one polymatroid, and with it one
-    exchange-axiom check, per graph."""
+    """Single-hypertree callers share one polymatroid per graph."""
     from hypertutte import crapo, harness, jaeger, tutte
 
-    checks = []
-    check = PolymatroidBases._check_exchange
+    built = []
+    init = PolymatroidBases.__post_init__
     monkeypatch.setattr(
-        PolymatroidBases, "_check_exchange", lambda P: checks.append(P) or check(P)
+        PolymatroidBases, "__post_init__", lambda P: built.append(P) or init(P)
     )
     g = harness.perturbed(fig2, random.Random(3))  # a graph no other test caches
     assert g != fig2
@@ -90,7 +93,37 @@ def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
         jaeger.activities(g, h, jaeger.order_emerald(g, h))
         crapo.crapo_interval(g, h)
     tutte.tutte_embedding(g)
-    assert len(checks) == 1
+    assert len(built) == 1
+
+
+def test_exchange_witness_and_check():
+    P = PolymatroidBases(("a", "b"), frozenset({(2, 0), (0, 2)}))
+    assert exchange_witness(P, (0, 2), (2, 0), 0) is None
+    with pytest.raises(ValueError, match="exchange axiom fails for"):
+        check_exchange(P)
+    Q = load_bases(fixture_path("delta_fig.matroid").read_text())
+    assert exchange_witness(Q, (0, 1, 1), (1, 1, 0), 0) == 2
+    assert exchange_witness(Q, (1, 1, 0), (0, 1, 1), 2) == 0
+
+
+def test_built_polymatroids_are_not_rechecked(fig2, fig6_graph, monkeypatch):
+    """Hypertree sets and cycle matroids are polymatroids by construction:
+    only loading bases runs the exchange check."""
+    from hypertutte import crapo, tutte
+
+    def refuse(P):
+        raise AssertionError("exchange axiom checked")
+
+    monkeypatch.setattr(delta, "check_exchange", refuse)
+    with pytest.raises(AssertionError):
+        load_bases(fixture_path("delta_fig.matroid").read_text())
+    g = harness.perturbed(fig2, random.Random(5))  # a graph no other test caches
+    assert g != fig2
+    assert tutte.tutte_embedding(g).evaluate(1, 1) == len(bases_from_hypertrees(g).bases)
+    assert crapo.verify_crapo_partition(g)["status"] == "PASS"
+    P, assignment = embedding_assignment(g)
+    exhaustive_delta_search(P, assignment)
+    assert len(graph_matroid(fig6_graph).bases) == 5
 
 
 def test_decision_tree_validation(small_matroid):

@@ -4,8 +4,9 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypertutte import fixture_path, load_path
+from hypertutte import fixture_names, fixture_path, load_path
 from hypertutte.model import (
     NotIncident,
     ParseError,
@@ -65,6 +66,36 @@ def test_boolean_basis_edge_rejected():
     text = fixture_path("fig2.hg").read_text()
     with pytest.raises(ParseError):
         load(text.replace("basis: [v0, 0]", "basis: [v0, false]"))
+
+
+@pytest.mark.parametrize("key", ["e", "vx", "x", "v1x", "w0"])
+def test_rotation_key_must_be_a_node_name(key):
+    text = fixture_path("fig2.hg").read_text()
+    with pytest.raises(ParseError, match="bad rotation entry"):
+        load(text.replace("  e2:", f"  {key}:"))
+
+
+INSTANCE_TEXTS = [
+    fixture_path(name).read_text() for name in fixture_names() if name.endswith(".hg")
+]
+FUZZ_TOKENS = ["-1", "0", "99", "x", "e", "vx", "[]", "{}", "true", "null"]
+
+
+@st.composite
+def one_token_mutants(draw):
+    """A fixture instance with one word or number replaced by a fuzz token."""
+    text = draw(st.sampled_from(INSTANCE_TEXTS))
+    start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"-?\w+", text)]))
+    return text[:start] + draw(st.sampled_from(FUZZ_TOKENS)) + text[end:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_token_mutants())
+def test_loader_raises_only_parse_or_validation_errors(text):
+    try:
+        load(text)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_readme_instance_example_loads(fig2):

@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from hypertutte import harness, tours
+from hypertutte.delta import bases_from_hypertrees, check_exchange, graph_matroid
 from hypertutte.hypertrees import (
     all_spanning_trees,
     degree_vector,
@@ -19,7 +20,7 @@ from hypertutte.jaeger import (
     jaeger_tree_of,
     violet_jaeger_tree_of,
 )
-from hypertutte.model import RibbonGraph, emerald, violet
+from hypertutte.model import RibbonGraph, emerald, load, violet
 from hypertutte.tutte import tutte_embedding, tutte_from_order
 
 
@@ -115,6 +116,28 @@ def ribbon_graphs(draw):
 @given(ribbon_graphs())
 def test_random_instances_match_oracle(g):
     assert_matches_oracle(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs())
+def test_random_instances_round_trip(g):
+    assert load(g.render()) == g
+
+
+def test_polymatroids_satisfy_exchange(all_hg, single_edge, fig6_graph):
+    """The exchange axiom, trusted where polymatroids are built, holds on
+    the fixtures, on K3,4 rotations and on a cycle matroid."""
+    rng = random.Random(7)
+    k34 = [harness.perturbed(complete_bipartite(3, 4), rng) for _ in range(20)]
+    for g in list(all_hg.values()) + [single_edge] + k34:
+        check_exchange(bases_from_hypertrees(g))
+    check_exchange(graph_matroid(fig6_graph))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs())
+def test_random_hypertrees_satisfy_exchange(g):
+    check_exchange(bases_from_hypertrees(g))
 
 
 def test_k56_without_listing_spanning_trees(monkeypatch):

@@ -1,7 +1,9 @@
 """Static checks on the package source: no module reaches into another
-module's private names, and no module imports a name it never uses."""
+module's private names, no module imports a name it never uses, and every
+exception class the package defines is raised somewhere in it."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,49 @@ def unused_imports(source: str) -> list:
     return sorted({bound for bound, _ in _imports(tree)} - used)
 
 
+def _name(node) -> str | None:
+    """The name a Name or Attribute node ends in, e.g. ``X`` for ``mod.X``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unraised_exceptions(sources) -> list:
+    """Exception classes defined in the sources that no ``raise`` names.
+
+    A class is an exception class if one of its bases is a builtin
+    exception or an exception class defined in the sources."""
+    trees = [ast.parse(source) for source in sources]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions = set()
+    grew = True
+    while grew:
+        before = len(exceptions)
+        for cls in classes:
+            for base in map(_name, cls.bases):
+                builtin = getattr(builtins, base or "", None)
+                if base in exceptions or (
+                    isinstance(builtin, type) and issubclass(builtin, BaseException)
+                ):
+                    exceptions.add(cls.name)
+        grew = len(exceptions) > before
+    raised = {
+        _name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    return sorted(exceptions - raised)
+
+
+def test_every_exception_class_is_raised():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unraised_exceptions(sources) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_access_across_modules(path):
     assert private_accesses(path.read_text(encoding="utf-8")) == []
@@ -85,3 +130,15 @@ def test_checks_catch_violations():
     )
     assert private_accesses(source) == ["from-import of _one_sided", "crapo._BOX_BUDGET"]
     assert unused_imports(source) == ["NotAHypertree"]
+    planted = [
+        "class Bad(ValueError):\n    pass\n"
+        "class Worse(Bad):\n    pass\n"
+        "class Unused(Worse):\n    pass\n"
+        "class Plain:\n    pass\n",
+        "from . import errors\n"
+        "raise errors.Worse('x')\n"
+        "raise Bad\n"
+        "raise\n",
+    ]
+    assert unraised_exceptions(planted) == ["Unused"]
+    assert unraised_exceptions(planted[:1]) == ["Bad", "Unused", "Worse"]

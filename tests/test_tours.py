@@ -202,5 +202,13 @@ def test_enumeration_matches_matrix_tree(all_hg, single_edge):
         assert len(trees) == _matrix_tree_count(g)
 
 
+def test_spanning_tree_rejects_foreign_edge_ids(fig2):
+    """Edge ids outside range(len(edges)) are no edges, not indices from
+    the end: -2 would otherwise stand for edge 7."""
+    assert is_spanning_tree(fig2, frozenset({0, 1, 2, 4, 5, 7}))
+    assert not is_spanning_tree(fig2, frozenset({0, 1, 2, 4, 5, -2}))
+    assert not is_spanning_tree(fig2, frozenset({0, 1, 2, 4, 5, 99}))
+
+
 def test_enumeration_deterministic(fig2):
     assert list(enumerate_spanning_trees(fig2)) == list(enumerate_spanning_trees(fig2))

@@ -155,6 +155,26 @@ def test_classical_tutte_fig6(fig6_graph):
     assert classical_tutte(fig6_graph).evaluate(1, 1) == 5
 
 
+K4 = Graph(4, tuple((f"{u}{v}", u, v) for u, v in itertools.combinations(range(4), 2)))
+# a triangle with one edge doubled and a loop: y(x^2 + xy + x + y^2 + y)
+LOOPED_MULTIGRAPH = Graph(
+    3, (("a", 0, 1), ("b", 0, 1), ("c", 1, 2), ("d", 0, 2), ("l", 2, 2))
+)
+
+
+def test_classical_tutte_matches_networkx(fig6_graph):
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    assert str(classical_tutte(LOOPED_MULTIGRAPH)) == "x^2y + xy^2 + xy + y^3 + y^2"
+    for graph in (fig6_graph, TRIANGLE, K4, LOOPED_MULTIGRAPH):
+        G = nx.MultiGraph()
+        G.add_nodes_from(range(graph.vertex_count))
+        G.add_edges_from((u, v) for _, u, v in graph.edges)
+        theirs = sympy.Poly(nx.tutte_polynomial(G), x, y).as_dict()
+        assert classical_tutte(graph).terms == theirs, graph
+
+
 def test_classical_tutte_disconnected():
     with pytest.raises(Disconnected):
         classical_tutte(Graph(3, (("a", 0, 1),)))
