@@ -104,8 +104,12 @@ def load_bases(text: str) -> PolymatroidBases:
         raise ParseError("ground must be a list and bases a list of integer vectors")
     ground = tuple(str(e) for e in ground)
     bases = frozenset(tuple(b) for b in bases)
+    if len(set(ground)) != len(ground):
+        raise ValueError("ground elements must be distinct")
     if any(len(b) != len(ground) for b in bases):
         raise ValueError("basis length does not match ground set")
+    if any(x < 0 for b in bases for x in b):
+        raise ValueError("basis coordinates must be non-negative")
     P = PolymatroidBases(ground, bases)
     check_exchange(P)
     return P

@@ -11,9 +11,10 @@ violet neighbours of S and c(S) the number of components of the subgraph
 that S's edges induce.  The mu table is built once per graph, from
 2^#emerald subset ranks.
 
-The Jaeger trees of a hypertree are built by one greedy walk along the
-tour of the tree under construction (:func:`greedy_tree`), which keeps h
-realisable at every decision.  Listing spanning trees
+The Jaeger trees of a hypertree are built by one greedy walk,
+:func:`tours.walk` over the tree under construction (:func:`greedy_tree`),
+which keeps h realisable at every decision; its steps are the tour of
+the tree it builds.  Listing spanning trees
 (:func:`all_spanning_trees`, :func:`representatives`) and the exchange
 search :func:`hypertrees_by_exchange` remain as independent oracles for
 the tests.
@@ -52,8 +53,7 @@ def cached(g: RibbonGraph, name: str, build):
 class _Layout:
     """Integer form of a graph: violet i is node i, emerald j is node nv+j;
     edges by emerald, the mu table over emerald sets (bit j of a set is
-    emerald j), the tour successors of every edge and the edges around
-    the tour's start node in tour order."""
+    emerald j) and the edges around the tour's start node in tour order."""
 
     def __init__(self, g: RibbonGraph):
         nv, ne = g.violet_count, g.emerald_count
@@ -66,16 +66,8 @@ class _Layout:
         self.members = tuple(
             tuple(j for j in range(ne) if S >> j & 1) for S in range(1 << ne)
         )
-        # next edge around the violet (index 0) or emerald (index 1) end
-        self.succ = tuple(
-            tuple(g.next_at(g.edges[k][side], k) for k in range(len(g.edges)))
-            for side in (0, 1)
-        )
-        self.start = (is_emerald(g.basis[0]), g.basis[1])
-        around = [g.basis[1]]
-        while len(around) < g.degree(g.basis[0]):
-            around.append(self.succ[self.start[0]][around[-1]])
-        self.around_start = tuple(around)
+        # the tour of the empty tree turns once around the start node
+        self.around_start = tuple(k for _, k in tours.walk(g, ()))
         self._mu_tables = {}
         self.mu = self.mu_without(0)
 
@@ -161,13 +153,6 @@ def enumerate_hypertrees(g: RibbonGraph) -> tuple:
     return cached(g, "hypertrees", lambda g: _hypertrees(_layout(g)))
 
 
-def _find(parent, a):
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
 def _forest_size(pairs, bound) -> int:
     """Edges in a spanning forest of the (node, node) pairs, counted up to
     ``bound``: the count stops as soon as it reaches it."""
@@ -186,34 +171,25 @@ def _forest_size(pairs, bound) -> int:
     return size
 
 
-def _realisable(lay, need, free, parent, k, include) -> bool:
+def _realisable(lay, need, free, reached, k, include) -> bool:
     """Whether some spanning tree keeps every decision so far, decides k
     as asked and has need[j] more edges at each emerald j.
 
-    Rado's condition: for every set S of emeralds, the edges still
-    undecided at S must have rank at least need(S) once the included
-    edges are contracted.  Before the decision the state is realisable,
-    so only the sets the decision can change are checked: including k
-    contracts it, which changes the rank of sets without k's emerald j,
-    and only if j is already joined to some violet; excluding k deletes
-    it from j's edges, which changes the sets holding j.
+    ``free`` holds the undecided edges, k no longer among them; the
+    included edges form one tree on the ``reached`` nodes.  Rado's
+    condition: for every set S of emeralds, the undecided edges at S must
+    have rank at least need(S) once the included edges are contracted,
+    i.e. once the reached nodes are one node.  Before the decision the
+    state is realisable, so only the sets the decision can change are
+    checked: including k contracts it, which changes the rank of sets
+    without k's emerald j; excluding k deletes it from j's edges, which
+    changes the sets holding j.
     """
-    v, e = lay.ends[k]
-    j = e - lay.nv
-    rv, re = _find(parent, v), _find(parent, e)
-    if include and (need[j] == 0 or rv == re):
-        return False
-    labels = [_find(parent, a) for a in range(len(parent))]
-    if include:
-        if labels.count(re) == 1:
-            # j joins the contracted part alone: no set without j sees it
-            return True
-        labels = [rv if a == re else a for a in labels]
     ends = lay.ends
-    pairs = [
-        [(labels[ends[x][0]], labels[ends[x][1]]) for x in edges if x != k]
-        for edges in free
-    ]
+    j = ends[k][1] - lay.nv
+    joined = reached.union(ends[k]) if include else reached
+    label = [-1 if a in joined else a for a in range(lay.nv + lay.ne)]
+    pairs = [[(label[ends[x][0]], label[ends[x][1]]) for x in edges] for edges in free]
     bit = 1 << j
     for S, demand in enumerate(_subset_sums(need)):
         if demand and bool(S & bit) != include and _forest_size(
@@ -223,18 +199,25 @@ def _realisable(lay, need, free, parent, k, include) -> bool:
     return True
 
 
-def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> frozenset:
-    """The Jaeger tree of the hypertree h, built along its own tour.
+def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset, list]:
+    """The Jaeger tree of the hypertree h and its tour, built in one walk.
 
-    The walk follows the tour of the tree under construction and decides
-    each edge at its first visit.  For the emerald Jaeger tree it prefers
-    to include the edge when standing at a violet node and to exclude it
-    at an emerald node; ``variant="violet"`` reverses both preferences.
-    The preferred side is kept if a spanning tree with degree h(e)+1 at
-    every emerald e still fits the decisions, otherwise the other side is
+    The walk is :func:`tours.walk` over the tree under construction; it
+    decides each edge at its first visit, so its steps are the tour of
+    the tree it returns.  For the emerald Jaeger tree it prefers to
+    include the edge when standing at a violet node and to exclude it at
+    an emerald node; ``variant="violet"`` reverses both preferences.  The
+    preferred side is kept if a spanning tree with degree h(e)+1 at every
+    emerald e still fits the decisions, otherwise the other side is
     taken.  This picks the least representative of h in the order of
     :func:`tours.tree_less`, which is its Jaeger tree.  h must be a
     hypertree.
+
+    The walk crosses only included edges, so they form one tree on the
+    nodes reached so far.  An edge back into that tree, or at an emerald
+    that needs no more edges, is excluded outright; including an edge
+    towards an unreached emerald changes no set without that emerald, so
+    it needs no check either.
 
     Until the first edge is included the walk stays at the start node,
     having excluded the first few edges around it; h still fits iff it is
@@ -247,37 +230,35 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> frozenset:
     need = [x + 1 for x in h]
     sums = _subset_sums(h)
     free = [frozenset(b) for b in lay.blocks]  # undecided edges per emerald
-    parent = list(range(lay.nv + lay.ne))
     tree = set()
-    out = 0  # edges excluded while the tree is empty: the first around the start
+    reached = set()
+    steps = []
     include_at_emerald = variant == "violet"
-    at_emerald, k = lay.start
-    for _ in range(2 * len(lay.ends)):  # the length of a tour
+    for i, (node, k) in enumerate(tours.walk(g, tree)):
+        steps.append((node, k))
         v, e = lay.ends[k]
         j = e - lay.nv
-        if k in free[j]:
-            include = at_emerald == include_at_emerald
-            if include:
-                include = _realisable(lay, need, free, parent, k, True)
-            elif not tree:
-                # nothing contracted: h must be a hypertree of g less these edges
-                include = any(s > m for s, m in zip(sums, lay.mu_without(out + 1)))
-            elif need[j] and _find(parent, v) != _find(parent, e):
-                # including is not ruled out, so excluding needs a check
-                include = not _realisable(lay, need, free, parent, k, False)
-            if not (include or tree):
-                out += 1
-            free[j] = free[j] - {k}
-            if include:
-                tree.add(k)
-                need[j] -= 1
-                parent[_find(parent, e)] = _find(parent, v)
-        if k in tree:
-            at_emerald = not at_emerald
-        k = lay.succ[at_emerald][k]
+        at_emerald = is_emerald(node)
+        here, there = (e, v) if at_emerald else (v, e)
+        reached.add(here)
+        if k not in free[j]:
+            continue
+        free[j] = free[j] - {k}
+        if there in reached or not need[j]:
+            continue
+        if at_emerald == include_at_emerald:
+            include = not at_emerald or _realisable(lay, need, free, reached, k, True)
+        elif not tree:
+            # nothing included: h must be a hypertree of g less these edges
+            include = any(s > m for s, m in zip(sums, lay.mu_without(i + 1)))
+        else:
+            include = not _realisable(lay, need, free, reached, k, False)
+        if include:
+            tree.add(k)
+            need[j] -= 1
     if any(free):
         raise ValueError(f"{tuple(h)} is not a hypertree")
-    return frozenset(tree)
+    return frozenset(tree), steps
 
 
 def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:
@@ -285,7 +266,7 @@ def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:
     emerald Jaeger tree), or None if vector is not a hypertree."""
     if not is_hypertree(g, vector):
         return None
-    return greedy_tree(g, tuple(vector))
+    return greedy_tree(g, tuple(vector))[0]
 
 
 # -- oracles: spanning-tree listing, for the tests ---------------------------

@@ -8,7 +8,9 @@ variant uses the violet-endpoint-first rule.  The recognisers
 :func:`is_jaeger` and :func:`is_violet_jaeger` are kept as the test
 oracle.  Activities of a hypertree are computed relative to a total
 order on the emerald nodes; the tour of the Jaeger tree induces the
-order <_h, and the violet tours induce two further orders.
+order <_h, and the violet tours induce two further orders.  Each order
+is read off the same walk that built its tree, so computing a
+polynomial walks the tour of each Jaeger tree once.
 """
 
 from __future__ import annotations
@@ -70,60 +72,45 @@ def is_violet_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
     return True
 
 
-def _tree_of(g, h, variant):
-    """The Jaeger tree of h, built once per graph, hypertree and variant."""
+def _walked(g, h, variant):
+    """The Jaeger tree of h and two emerald orders read off the walk that
+    built it: by first appearance as the current node, and as the emerald
+    end of the current edge.  Built once per graph, hypertree and
+    variant; the walk's steps are not kept."""
     h = tuple(h)
-    trees = cached(g, f"{variant} Jaeger trees", lambda g: {})
-    if h not in trees:
+    walked = cached(g, f"{variant} Jaeger trees", lambda g: {})
+    if h not in walked:
         if not is_hypertree(g, h):
             raise NotAHypertree(f"{h} is not a hypertree")
-        trees[h] = greedy_tree(g, h, variant)
-    return trees[h]
+        tree, steps = greedy_tree(g, h, variant)
+        walked[h] = (
+            tree,
+            tuple(dict.fromkeys(node for node, _ in steps if is_emerald(node))),
+            tuple(dict.fromkeys(g.edges[k][1] for _, k in steps)),
+        )
+    return walked[h]
 
 
 def jaeger_tree_of(g: RibbonGraph, h) -> frozenset:
     """The unique Jaeger tree representing h."""
-    return _tree_of(g, h, "emerald")
+    return _walked(g, h, "emerald")[0]
 
 
 def violet_jaeger_tree_of(g: RibbonGraph, h) -> frozenset:
-    return _tree_of(g, h, "violet")
-
-
-def _order_by_first_node(g: RibbonGraph, tree: frozenset) -> tuple:
-    """Emerald nodes ranked by first occurrence as the current node."""
-    seen = []
-    for node, _ in tour(g, tree):
-        if is_emerald(node) and node not in seen:
-            seen.append(node)
-    # the basis node may be emerald and is current from step 0 onwards;
-    # emeralds never reached as current node would be missing, but the
-    # tour visits every node of a spanning tree, so this is complete
-    return tuple(seen)
-
-
-def _order_by_first_endpoint(g: RibbonGraph, tree: frozenset) -> tuple:
-    """Emerald nodes ranked by first occurrence as an endpoint of the
-    current edge."""
-    seen = []
-    for _, k in tour(g, tree):
-        e = g.edges[k][1]
-        if e not in seen:
-            seen.append(e)
-    return tuple(seen)
+    return _walked(g, h, "violet")[0]
 
 
 def order_emerald(g: RibbonGraph, h) -> tuple:
     """The order <_h, read off the tour of the Jaeger tree of h."""
-    return _order_by_first_node(g, jaeger_tree_of(g, h))
+    return _walked(g, h, "emerald")[1]
 
 
 def order_violet(g: RibbonGraph, h) -> tuple:
-    return _order_by_first_node(g, violet_jaeger_tree_of(g, h))
+    return _walked(g, h, "violet")[1]
 
 
 def order_violet_prime(g: RibbonGraph, h) -> tuple:
-    return _order_by_first_endpoint(g, violet_jaeger_tree_of(g, h))
+    return _walked(g, h, "violet")[2]
 
 
 def activities(g: RibbonGraph, h, order) -> ActivityRecord:

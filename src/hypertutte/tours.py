@@ -5,6 +5,9 @@ tour of a tree walks the ribbon structure starting at the basis pair: at a
 non-tree edge it rotates to the next edge around the current node, at a
 tree edge it crosses to the other endpoint and rotates there.  It stops
 right before the basis pair would recur, having seen every edge twice.
+:func:`walk` holds this step rule, the only one in the package; the tour,
+the first tour difference of two trees and the greedy Jaeger walk of
+:mod:`hypertrees` all run on it.
 
 Also here: the tree order defined by the first difference of two tours,
 fundamental cycles and cuts, base components, and deterministic spanning
@@ -12,6 +15,8 @@ tree enumeration by contraction/deletion.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .model import RibbonGraph, adjacency, connected, is_emerald, reach
 
@@ -35,23 +40,29 @@ def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
     return connected(((k, *g.endpoints(k)) for k in tree), n_nodes)
 
 
-def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
-    """The tour of ``tree``: 2|edges| node-edge pairs starting at the basis."""
+def walk(g: RibbonGraph, tree):
+    """Yield the tour's (node, edge) steps, starting at the basis.
+
+    ``tree`` is read at each step, after the step is handed out: a caller
+    may add the edge it was just given, and the walk then crosses it.
+    """
     b0, beta0 = g.basis
     node, edge = b0, beta0
-    steps = []
-    limit = 2 * len(g.edges)
     while True:
-        steps.append((node, edge))
+        yield node, edge
         if edge in tree:
             node = g.other_end(edge, node)
-            edge = g.next_at(node, edge)
-        else:
-            edge = g.next_at(node, edge)
+        edge = g.next_at(node, edge)
         if (node, edge) == (b0, beta0):
-            break
-        if len(steps) > limit:
-            raise AssertionError("tour failed to close; not a spanning tree?")
+            return
+
+
+def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
+    """The tour of ``tree``: 2|edges| node-edge pairs starting at the basis."""
+    limit = 2 * len(g.edges)
+    steps = list(islice(walk(g, tree), limit + 1))
+    if len(steps) > limit:
+        raise AssertionError("tour failed to close; not a spanning tree?")
     return steps
 
 
@@ -59,22 +70,11 @@ def first_difference(g: RibbonGraph, t1: frozenset, t2: frozenset):
     """Earliest tour step treated differently by the two trees, or None.
 
     Both tours produce the same step sequence up to the first pair whose
-    edge lies in exactly one tree, so a single lockstep walk suffices.
+    edge lies in exactly one tree, so the tour of t1 alone suffices.
     """
-    b0, beta0 = g.basis
-    node, edge = b0, beta0
-    limit = 2 * len(g.edges)
-    for _ in range(limit):
-        in1 = edge in t1
-        if in1 != (edge in t2):
+    for node, edge in walk(g, t1):
+        if (edge in t1) != (edge in t2):
             return (node, edge)
-        if in1:
-            node = g.other_end(edge, node)
-            edge = g.next_at(node, edge)
-        else:
-            edge = g.next_at(node, edge)
-        if (node, edge) == (b0, beta0):
-            return None
     return None
 
 

@@ -154,8 +154,8 @@ def load_graph(text: str) -> Graph:
     """Parse an ordinary-graph file: vertex count + named edges."""
     data = yaml_mapping(text, ("vertices", "edges"))
     n, raw_edges = data["vertices"], data["edges"]
-    if not is_int(n) or not isinstance(raw_edges, dict):
-        raise ParseError("vertices must be an integer and edges a mapping")
+    if not is_int(n) or n < 0 or not isinstance(raw_edges, dict):
+        raise ParseError("vertices must be a non-negative integer and edges a mapping")
     edges = []
     for name, ends in raw_edges.items():
         if not isinstance(ends, list) or len(ends) != 2 or not all(map(is_int, ends)):

@@ -164,6 +164,22 @@ def test_delta_check_bases_breaking_exchange_is_usage_error(capsys, tmp_path):
     assert "exchange axiom fails" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ground: [a, b, b]\nbases: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n", "distinct"),
+    ("ground: [a, b, c]\nbases: [[-1, 2, 0], [0, 1, 0]]\n", "non-negative"),
+], ids=["repeated-name", "negative-coordinate"])
+def test_delta_check_bad_bases_is_usage_error(capsys, tmp_path, text, message):
+    bases = tmp_path / "bad.matroid"
+    bases.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "delta", "check",
+        "--tree", str(fixture_path("delta_fig.tree")), "--bases", str(bases),
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_crapo_verify_parallel(capsys):
     code, out, _ = run(capsys, "crapo", "verify", "--jobs", "2",
                        "--box=-1,3", FIG2)

@@ -281,6 +281,16 @@ def test_load_bases_rejects_malformed():
         load_bases("ground: [a, b]\nbases: [[1, x]]\n")
 
 
+def test_load_bases_rejects_repeated_names_and_negative_coordinates():
+    """A repeated name would always index its first coordinate, and no
+    polymatroid basis has a negative coordinate; both load otherwise."""
+    with pytest.raises(ValueError, match="distinct"):
+        load_bases("ground: [a, a]\nbases: [[1, 0], [0, 1]]\n")
+    with pytest.raises(ValueError, match="non-negative"):
+        load_bases("ground: [a, b]\nbases: [[-1, 2], [0, 1]]\n")
+    assert load_bases("ground: [a, b]\nbases: [[1, 0], [0, 1]]\n").ground == ("a", "b")
+
+
 def test_load_decision_tree_rejects_malformed():
     with pytest.raises(ParseError):
         load_decision_tree("children: []\n")

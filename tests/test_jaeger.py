@@ -1,10 +1,12 @@
 """Jaeger tree recognition/construction, orders, activities."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
 
-from hypertutte import harness
+from hypertutte import harness, jaeger, tours
 from hypertutte.hypertrees import degree_vector, enumerate_hypertrees, representatives
 from hypertutte.jaeger import (
     NotAHypertree,
@@ -21,6 +23,8 @@ from hypertutte.jaeger import (
 from hypertutte.model import RibbonGraph, is_emerald
 from hypertutte.polynomial import Poly, x_plus_y_minus_1
 from hypertutte.tours import enumerate_spanning_trees, tour, tree_less
+from hypertutte.tutte import tutte_embedding
+from test_oracle import complete_bipartite, ribbon_graphs
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
 
@@ -100,20 +104,77 @@ def test_order_single_emerald(single_edge):
     assert order_violet_prime(single_edge, (0,)) == ("e0",)
 
 
+def _order_by_first_node(g, tree):
+    """Emerald nodes ranked by first occurrence as the current node of
+    the tour of ``tree``."""
+    seen = []
+    for node, _ in tour(g, tree):
+        if is_emerald(node) and node not in seen:
+            seen.append(node)
+    return tuple(seen)
+
+
+def _order_by_first_endpoint(g, tree):
+    """Emerald nodes ranked by first occurrence as an endpoint of the
+    current edge of the tour of ``tree``."""
+    seen = []
+    for _, k in tour(g, tree):
+        e = g.edges[k][1]
+        if e not in seen:
+            seen.append(e)
+    return tuple(seen)
+
+
 def test_emerald_orders_coincide(all_hg):
     """In the tour of an emerald Jaeger tree, the first-as-current-node
     and first-as-endpoint-of-current-edge orders agree."""
     for g in all_hg.values():
         for h in enumerate_hypertrees(g):
             t = jaeger_tree_of(g, h)
-            by_node, by_endpoint = [], []
-            for node, k in tour(g, t):
-                e = g.edges[k][1]
-                if e not in by_endpoint:
-                    by_endpoint.append(e)
-                if is_emerald(node) and node not in by_node:
-                    by_node.append(node)
-            assert by_node == by_endpoint
+            assert _order_by_first_node(g, t) == _order_by_first_endpoint(g, t)
+
+
+def assert_orders_match_tours(g):
+    """The orders read off the walk that built each Jaeger tree are the
+    orders re-read from that tree's tour."""
+    for h in enumerate_hypertrees(g):
+        assert order_emerald(g, h) == _order_by_first_node(g, jaeger_tree_of(g, h)), h
+        violet_tree = violet_jaeger_tree_of(g, h)
+        assert order_violet(g, h) == _order_by_first_node(g, violet_tree), h
+        assert order_violet_prime(g, h) == _order_by_first_endpoint(g, violet_tree), h
+
+
+def test_orders_match_tours_on_fixtures(all_hg, single_edge):
+    for g in list(all_hg.values()) + [single_edge]:
+        assert_orders_match_tours(g)
+
+
+def test_orders_match_tours_on_k34_rotations():
+    rng = random.Random(34)
+    for _ in range(20):
+        assert_orders_match_tours(harness.perturbed(complete_bipartite(3, 4), rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs())
+def test_orders_match_tours_on_random_instances(g):
+    assert_orders_match_tours(g)
+
+
+def test_polynomials_walk_no_tour(monkeypatch):
+    """Trees and orders come from one walk each: computing the
+    polynomials never asks for a tour."""
+
+    def refuse(*args):
+        raise AssertionError("tour called")
+
+    monkeypatch.setattr(tours, "tour", refuse)
+    monkeypatch.setattr(jaeger, "tour", refuse)
+    # a K3,4 embedding that no other test builds, so nothing is cached
+    g = harness.perturbed(complete_bipartite(3, 4), random.Random(2718))
+    assert tutte_embedding(g).evaluate(1, 1) == len(enumerate_hypertrees(g))
+    assert harness.test_violet_prime(g)["kind"] == "violet-prime"
+    assert harness.test_violet(g)["kind"] == "violet"
 
 
 def test_activities_fig2(fig2):

@@ -1,6 +1,7 @@
 """Static checks on the package source: no module reaches into another
-module's private names, no module imports a name it never uses, and every
-exception class the package defines is raised somewhere in it."""
+module's private names, no module imports a name it never uses, every
+exception class the package defines is raised somewhere in it, and only
+``tours.walk`` steps around a rotation."""
 
 import ast
 import builtins
@@ -103,6 +104,32 @@ def unraised_exceptions(sources) -> list:
     return sorted(exceptions - raised)
 
 
+def next_at_callers(sources: dict) -> list:
+    """Where the sources, given as {module name: source}, call ``next_at``:
+    ``module.function`` for the innermost enclosing function, ``module``
+    at module level."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _name(child.func) == "next_at":
+                found.add(where)
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, module)
+    return sorted(found)
+
+
+def test_one_tour_step_rule():
+    """The tour's step rule lives in ``tours.walk`` alone."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert next_at_callers(sources) == ["tours.walk"]
+
+
 def test_every_exception_class_is_raised():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert unraised_exceptions(sources) == []
@@ -142,3 +169,14 @@ def test_checks_catch_violations():
     ]
     assert unraised_exceptions(planted) == ["Unused"]
     assert unraised_exceptions(planted[:1]) == ["Bad", "Unused", "Worse"]
+    stepping = {
+        "tours": "def walk(g, t):\n    yield g.next_at('v0', 0)\n",
+        "rogue": (
+            "def lap(g):\n"
+            "    def turn():\n"
+            "        return g.next_at('v0', 0)\n"
+            "    return turn\n"
+            "edge = next_at(g, 0)\n"
+        ),
+    }
+    assert next_at_callers(stepping) == ["rogue", "rogue.turn", "tours.walk"]

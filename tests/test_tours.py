@@ -88,6 +88,51 @@ def test_first_difference_symmetric(fig2):
         assert first_difference(fig2, t1, t2) == first_difference(fig2, t2, t1)
 
 
+def _lockstep_difference(g, t1, t2):
+    """The two tours walked side by side until they treat a step
+    differently: the reference for :func:`first_difference`."""
+    b0, beta0 = g.basis
+    node, edge = b0, beta0
+    for _ in range(2 * len(g.edges)):
+        in1 = edge in t1
+        if in1 != (edge in t2):
+            return (node, edge)
+        if in1:
+            node = g.other_end(edge, node)
+        edge = g.next_at(node, edge)
+        if (node, edge) == (b0, beta0):
+            return None
+    return None
+
+
+def test_first_difference_matches_lockstep_walk(fig2):
+    trees = list(enumerate_spanning_trees(fig2))
+    for t1, t2 in itertools.product(trees, repeat=2):
+        assert first_difference(fig2, t1, t2) == _lockstep_difference(fig2, t1, t2)
+
+
+def test_walk_crosses_edges_added_during_the_walk(all_hg):
+    """Adding each edge of a spanning tree at its first visit makes the
+    walk over the growing set the tour of that tree."""
+    for g in all_hg.values():
+        for t in list(enumerate_spanning_trees(g))[:20]:
+            grown, steps = set(), []
+            for node, k in tours.walk(g, grown):
+                steps.append((node, k))
+                if k in t:
+                    grown.add(k)
+            assert steps == tour(g, t)
+            assert grown == t
+
+
+def test_walk_of_the_empty_tree_turns_around_the_start(fig2):
+    b0, beta0 = fig2.basis
+    steps = list(tours.walk(fig2, ()))
+    assert [node for node, _ in steps] == [b0] * fig2.degree(b0)
+    assert sorted(k for _, k in steps) == sorted(fig2.incident(b0))
+    assert steps[0] == (b0, beta0)
+
+
 def test_tree_less_total_order(fig2):
     trees = list(enumerate_spanning_trees(fig2))
     assert len(trees) <= 50

@@ -203,6 +203,9 @@ def test_load_graph_rejects_malformed():
         load_graph("vertices: 2\n")
     with pytest.raises(ParseError):
         load_graph("vertices: 2\nedges:\n  a: [0, one]\n")
+    with pytest.raises(ParseError):
+        load_graph("vertices: -1\nedges: {}\n")
+    assert load_graph("vertices: 0\nedges: {}\n") == Graph(0, ())
 
 
 def test_load_graph_rejects_bad_endpoint():
