@@ -10,8 +10,11 @@ assignment (delta.crapo_verify).
 
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule (the vectors' range widened by a margin below and
-above), box_points the one empty-side and budget check, and one_sided
-the one distance kernel; tutte.corank_nullity sweeps on all three.
+above), box_points the one empty-side and budget check, one_sided the one
+distance rule, and sweep the one box walk.  sweep goes depth first and
+updates every center's partial distances one coordinate at a time, so
+consecutive points share their prefix's work; verify_intervals and
+tutte.corank_nullity both finish its points.
 """
 
 from __future__ import annotations
@@ -127,13 +130,70 @@ def box_points(box):
     return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
 
 
+def sweep(box, centers, free=None, prune=None, start=0, step=1):
+    """Every lattice point of ``box`` with its one-sided distances to each
+    center: the one lattice sweep of the package.
+
+    Yields ``(point, sides, inside)`` in :func:`itertools.product` order,
+    with ``sides[k] == one_sided(centers[k], point)``.  Given ``free``,
+    one ``(below, above)`` pair of coordinate index sets per center,
+    ``inside[k]`` says whether the point falls below center k only on
+    coordinates in below and exceeds it only on coordinates in above
+    (:func:`interval_contains`); without it ``inside`` is None.
+
+    The walk is depth first: each step sets one coordinate and adds its
+    term to every center's partial sides, so a point costs O(1) work per
+    center whatever its length.  A prefix (all coordinates but the last,
+    or fewer) for which ``prune(sides)`` holds is skipped with every
+    point extending it; sides never decrease as coordinates are added, so
+    this is exact for a test that stays true when the sides grow.  With
+    ``step`` > 1 only every step-th prefix of all coordinates but the
+    last, from the start-th on, is finished.
+    """
+    box_points(box)  # the empty-side and budget checks
+    sides, inside = [(0, 0)] * len(centers), [True] * len(centers)
+    if not box:  # the one point of a box without sides
+        if start == 0:
+            yield (), sides, None if free is None else inside
+        return
+    last = len(box) - 1
+    columns = [[h[i] for h in centers] for i in range(len(box))]
+    # the part of each interval's span on each side of the box
+    spans = None if free is None else [
+        [(lo if i in below else h[i], hi if i in above else h[i])
+         for h, (below, above) in zip(centers, free)]
+        for i, (lo, hi) in enumerate(box)
+    ]
+    prefixes = itertools.count()
+
+    def descend(i, point, sides, inside):
+        if i == last and next(prefixes) % step != start:
+            return
+        lo, hi = box[i]
+        column = columns[i]
+        span = None if spans is None else spans[i]
+        for v in range(lo, hi + 1):
+            here = [(less + v - t, greater) if v > t else (less, greater + t - v)
+                    for (less, greater), t in zip(sides, column)]
+            within = None if span is None else [
+                ok and a <= v <= b for ok, (a, b) in zip(inside, span)
+            ]
+            if i == last:
+                yield point + (v,), here, within
+            elif prune is None or not prune(here):
+                yield from descend(i + 1, point + (v,), here, within)
+
+    yield from descend(0, (), sides, inside)
+
+
 def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
     """Check every lattice point of ``box`` (one ``(lo, hi)`` per
     coordinate): exactly one interval contains it, and that interval's
     center attains both d1< and d1> to the set of all centers, hence d1.
 
-    Returns ``(points checked, violations)``.  Points are streamed; with
-    ``jobs`` > 1, worker i checks every jobs-th point from the i-th on.
+    Returns ``(points checked, violations)``, in :func:`sweep` order.
+    With ``jobs`` > 1, worker i finishes every jobs-th prefix (all
+    coordinates but the last) from the i-th on.
     """
     box_points(box)  # the empty-side and budget checks, before any worker starts
     if any(len(iv.center) != len(box) for iv in intervals):
@@ -149,22 +209,23 @@ def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
 
 
 def _check_slice(args):
-    """Worker: check every step-th lattice point of the box from start."""
+    """Worker: check the points of every step-th prefix from start."""
     intervals, box, start, step = args
     centers = [iv.center for iv in intervals]
+    free = [(iv._below, iv._above) for iv in intervals]
     checked, violations = 0, []
-    for c in itertools.islice(box_points(box), start, None, step):
+    for c, sides, inside in sweep(box, centers, free, start=start, step=step):
         checked += 1
-        covering = [i for i, iv in enumerate(intervals) if interval_contains(iv, c)]
-        if len(covering) != 1:
+        if inside.count(True) != 1:
             violations.append(
-                {"point": list(c), "covered_by": [list(centers[i]) for i in covering]}
+                {"point": list(c),
+                 "covered_by": [list(h) for h, ok in zip(centers, inside) if ok]}
             )
             continue
-        sides = [one_sided(h, c) for h in centers]
-        if sides[covering[0]] != tuple(map(min, zip(*sides))):
+        k = inside.index(True)
+        if sides[k] != tuple(map(min, zip(*sides))):
             violations.append(
-                {"point": list(c), "covered_by": [list(centers[covering[0]])],
+                {"point": list(c), "covered_by": [list(centers[k])],
                  "distance": "not attained"}
             )
     return checked, violations

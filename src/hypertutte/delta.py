@@ -24,7 +24,7 @@ only where bases are loaded (:func:`check_exchange`): hypertree sets
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ParseError, emerald, is_int, yaml_mapping
 
@@ -51,6 +51,7 @@ class PolymatroidBases:
 
     ground: tuple
     bases: frozenset
+    _ranks: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.bases:
@@ -58,10 +59,11 @@ class PolymatroidBases:
         sums = {sum(b) for b in self.bases}
         if len(sums) != 1:
             raise ValueError("bases have differing coordinate sums")
+        object.__setattr__(self, "_ranks", tuple(map(max, zip(*self.bases))))
 
     def rank(self, e) -> int:
-        i = self.index(e)
-        return max(b[i] for b in self.bases)
+        """mu({e}): the greatest value of coordinate e over the bases."""
+        return self._ranks[self.index(e)]
 
     def index(self, e) -> int:
         return self.ground.index(e)

@@ -16,8 +16,6 @@ tree enumeration by contraction/deletion.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .model import RibbonGraph, adjacency, connected, is_emerald, reach
 
 
@@ -58,12 +56,14 @@ def walk(g: RibbonGraph, tree):
 
 
 def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
-    """The tour of ``tree``: 2|edges| node-edge pairs starting at the basis."""
-    limit = 2 * len(g.edges)
-    steps = list(islice(walk(g, tree), limit + 1))
-    if len(steps) > limit:
-        raise AssertionError("tour failed to close; not a spanning tree?")
-    return steps
+    """The tour of ``tree``: the node-edge pairs of :func:`walk`, 2|edges|
+    of them for a spanning tree.
+
+    The step rule permutes the (node, edge) pairs, so the walk closes for
+    any edge set; a set that is not a spanning tree gets a shorter closed
+    tour, and callers that need a tree check :func:`is_spanning_tree`.
+    """
+    return list(walk(g, tree))
 
 
 def first_difference(g: RibbonGraph, t1: frozenset, t2: frozenset):

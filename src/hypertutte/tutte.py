@@ -4,8 +4,9 @@ tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
 activities; tutte_from_order does the same with a fixed emerald order;
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
-substituted embedding polynomial as a formal power series; its box, budget
-and distance kernel are crapo's (box_around, box_points, one_sided).  A small
+substituted embedding polynomial as a formal power series; its box rule
+and sweep are crapo's (box_around, sweep), and the sweep skips every
+prefix already out of the window.  A small
 classical-graph layer (deletion/contraction Tutte, bipartite-model
 conversion) supports the graph comparison report.
 """
@@ -23,7 +24,7 @@ from .polynomial import Poly, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
 from .delta import bases_from_hypertrees, min_rule_activities
 from .jaeger import ActivityRecord, order_emerald
-from .crapo import BudgetExceeded, box_around, box_points, one_sided
+from .crapo import BudgetExceeded, box_around, sweep
 
 BoundsTooLarge = BudgetExceeded  # a corank-nullity window whose box is over budget
 
@@ -85,14 +86,21 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
 
     Any c with d1> <= imax and d1< <= jmax satisfies, coordinatewise,
     min_h h(e) - imax <= c(e) <= max_h h(e) + jmax, so enumerating that
-    box and discarding out-of-window points yields exact counts.
+    box and discarding out-of-window points yields exact counts.  A
+    prefix whose least partial d1< already exceeds jmax, or d1> imax, is
+    discarded with all its points without visiting them.
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
     hs = enumerate_hypertrees(g)
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
-    for c in box_points(box_around(hs, imax, jmax)):
-        j, i = map(min, zip(*[one_sided(h, c) for h in hs]))
+
+    def out_of_window(sides):
+        less, greater = map(min, zip(*sides))
+        return less > jmax or greater > imax
+
+    for _, sides, _ in sweep(box_around(hs, imax, jmax), hs, prune=out_of_window):
+        j, i = map(min, zip(*sides))
         if i <= imax and j <= jmax:
             counts[(i, j)] += 1
     return CoefficientTable(imax, jmax, tuple(sorted(counts.items())))

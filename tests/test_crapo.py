@@ -1,5 +1,7 @@
 """Lattice distances, Crapo intervals, and the partition certificate."""
 
+import itertools
+
 import pytest
 
 from hypertutte.crapo import (
@@ -12,12 +14,15 @@ from hypertutte.crapo import (
     d1_less,
     default_box,
     interval_contains,
+    one_sided,
+    sweep,
     verify_crapo_partition,
     verify_intervals,
 )
 from hypertutte import delta
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import NotAHypertree, embedding_assignment
+from hypertutte.model import node_index
 
 
 def test_distances_single_hypertree():
@@ -142,3 +147,122 @@ def test_delta_default_box_is_the_partition_box(all_hg):
         report = delta.crapo_verify(P, assignment)
         assert report["status"] == "PASS", name
         assert report["points"] == verify_crapo_partition(g)["points"] > 0, name
+
+
+def reference_verify(intervals, box):
+    """The per-point oracle: every point of the box in itertools.product
+    order, one interval_contains call per interval and one one_sided call
+    per center."""
+    centers = [iv.center for iv in intervals]
+    violations = []
+    points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+    for c in points:
+        covering = [iv.center for iv in intervals if interval_contains(iv, c)]
+        if len(covering) != 1:
+            violations.append({"point": list(c), "covered_by": list(map(list, covering))})
+            continue
+        sides = [one_sided(h, c) for h in centers]
+        if one_sided(covering[0], c) != tuple(map(min, zip(*sides))):
+            violations.append({"point": list(c), "covered_by": [list(covering[0])],
+                               "distance": "not attained"})
+    return len(points), violations
+
+
+def embedding_intervals(g):
+    _, assignment = embedding_assignment(g)
+    return [CrapoInterval(h, rec.internal, rec.external) for h, rec in assignment.items()]
+
+
+def swapped(intervals, which):
+    """The intervals with the free sets of those at positions ``which``
+    exchanged, below for above."""
+    return [
+        CrapoInterval(iv.center, iv.external_free, iv.internal_free) if k in which else iv
+        for k, iv in enumerate(intervals)
+    ]
+
+
+def test_sweep_matches_per_point_oracle(all_hg, single_edge):
+    """Same points and the same violations in the same order, on the
+    embedding intervals and with free sets swapped."""
+    for g in [*all_hg.values(), single_edge]:
+        intervals = embedding_intervals(g)
+        box = default_box(g, 1)
+        cases = [intervals, swapped(intervals, {0}), swapped(intervals, range(len(intervals)))]
+        for case in cases:
+            assert verify_intervals(case, box) == reference_verify(case, box)
+        assert reference_verify(cases[1], box)[1] or len(intervals) == 1
+
+
+def test_sweep_parallel_matches_oracle(fig2):
+    intervals = swapped(embedding_intervals(fig2), {1, 4})
+    box = [(-1, 2)] * 4
+    points, violations = reference_verify(intervals, box)
+    got_points, got = verify_intervals(intervals, box, jobs=2)
+    assert violations and got_points == points
+    assert sorted(map(str, got)) == sorted(map(str, violations))
+
+
+def test_sweep_one_coordinate_box(single_edge):
+    """A one-coordinate box has the empty prefix only."""
+    intervals = embedding_intervals(single_edge)
+    for case in (intervals, swapped(intervals, {0})):
+        assert verify_intervals(case, [(-3, 5)]) == reference_verify(case, [(-3, 5)])
+    assert verify_intervals(intervals, [(-3, 5)], jobs=2) == (9, [])
+
+
+def test_sweep_box_missing_centers(fig2):
+    """An explicit box that leaves some centers outside."""
+    intervals = embedding_intervals(fig2)
+    box = [(1, 3), (-1, 0), (0, 0), (1, 2)]
+    assert any(not all(lo <= x <= hi for x, (lo, hi) in zip(iv.center, box))
+               for iv in intervals)
+    for case in (intervals, swapped(intervals, {2})):
+        assert verify_intervals(case, box) == reference_verify(case, box)
+
+
+def test_sweep_yields_one_sided_distances(fig2):
+    """The kernel's sides and inside flags are one_sided and
+    interval_contains at every point, in itertools.product order."""
+    intervals = swapped(embedding_intervals(fig2), {3})
+    centers = [iv.center for iv in intervals]
+    free = [(frozenset(map(node_index, iv.internal_free)),
+             frozenset(map(node_index, iv.external_free))) for iv in intervals]
+    box = [(-1, 1), (0, 2), (1, 1), (-1, 2)]
+    walked = list(sweep(box, centers, free))
+    assert [c for c, _, _ in walked] == list(
+        itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+    for c, sides, inside in walked:
+        assert sides == [one_sided(h, c) for h in centers]
+        assert inside == [interval_contains(iv, c) for iv in intervals]
+    assert all(inside is None for _, _, inside in sweep(box, centers))
+
+
+def test_sweep_box_without_sides():
+    """A box with no sides holds the one empty point."""
+    empty = CrapoInterval((), frozenset(), frozenset())
+    for case in ([empty], [empty, empty]):
+        assert verify_intervals(case, []) == reference_verify(case, [])
+    assert verify_intervals([empty], [], jobs=2) == (1, [])
+
+
+def test_sweep_checks_both_sides():
+    """Hand-made intervals where the covering center attains one side
+    only: at (-1, 2), (2, 2) attains d1< (0) but not d1> (3 against 2 at
+    (1, 2)); at (2, -1), (0, 0) attains d1> (1) but not d1< (2 against 1
+    at (1, 0))."""
+    cases = [
+        ([CrapoInterval((2, 1), frozenset({"e0", "e1"}), frozenset({"e0"})),
+          CrapoInterval((1, 2), frozenset(), frozenset({"e1"})),
+          CrapoInterval((2, 2), frozenset({"e0"}), frozenset({"e0", "e1"}))],
+         {"point": [-1, 2], "covered_by": [[2, 2]], "distance": "not attained"}),
+        ([CrapoInterval((1, 0), frozenset({"e1"}), frozenset()),
+          CrapoInterval((0, 1), frozenset({"e0"}), frozenset({"e0", "e1"})),
+          CrapoInterval((0, 0), frozenset({"e1"}), frozenset({"e0"}))],
+         {"point": [2, -1], "covered_by": [[0, 0]], "distance": "not attained"}),
+    ]
+    box = [(-1, 3), (-1, 3)]
+    for intervals, one_side in cases:
+        points, violations = verify_intervals(intervals, box)
+        assert (points, violations) == reference_verify(intervals, box)
+        assert one_side in violations

@@ -208,6 +208,16 @@ def test_graph_matroid_fig6(fig6_graph):
     assert {basis_name(P, b) for b in P.bases} == {"ac", "ad", "bc", "bd", "cd"}
 
 
+def test_rank_is_the_greatest_coordinate(all_hg, single_edge, fig6_graph, small_matroid):
+    """rank(e), read from the table built once per polymatroid, is the
+    greatest value of coordinate e over the bases."""
+    polymatroids = [bases_from_hypertrees(g) for g in [*all_hg.values(), single_edge]]
+    polymatroids += [graph_matroid(fig6_graph), small_matroid]
+    for P in polymatroids:
+        for i, e in enumerate(P.ground):
+            assert P.rank(e) == max(b[i] for b in P.bases)
+
+
 FIG6_NONTRIVIAL = {
     "cd": {"a", "b"},
     "bd": {"a"},

@@ -1,7 +1,8 @@
 """Static checks on the package source: no module reaches into another
 module's private names, no module imports a name it never uses, every
-exception class the package defines is raised somewhere in it, and only
-``tours.walk`` steps around a rotation."""
+exception class the package defines is raised somewhere in it, only
+``tours.walk`` steps around a rotation, and only ``crapo`` measures
+one-sided distances."""
 
 import ast
 import builtins
@@ -104,8 +105,8 @@ def unraised_exceptions(sources) -> list:
     return sorted(exceptions - raised)
 
 
-def next_at_callers(sources: dict) -> list:
-    """Where the sources, given as {module name: source}, call ``next_at``:
+def callers(sources: dict, name: str) -> list:
+    """Where the sources, given as {module name: source}, call ``name``:
     ``module.function`` for the innermost enclosing function, ``module``
     at module level."""
     found = set()
@@ -115,7 +116,7 @@ def next_at_callers(sources: dict) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, f"{module}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and _name(child.func) == "next_at":
+            if isinstance(child, ast.Call) and _name(child.func) == name:
                 found.add(where)
             visit(child, module, where)
 
@@ -127,7 +128,16 @@ def next_at_callers(sources: dict) -> list:
 def test_one_tour_step_rule():
     """The tour's step rule lives in ``tours.walk`` alone."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert next_at_callers(sources) == ["tours.walk"]
+    assert callers(sources, "next_at") == ["tours.walk"]
+
+
+def test_one_sweep():
+    """Only ``crapo`` calls the distance kernel ``one_sided``: every other
+    module sweeps a box through ``crapo.sweep``, never point by point."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    outside = [where for where in callers(sources, "one_sided")
+               if where.partition(".")[0] != "crapo"]
+    assert outside == []
 
 
 def test_every_exception_class_is_raised():
@@ -179,4 +189,13 @@ def test_checks_catch_violations():
             "edge = next_at(g, 0)\n"
         ),
     }
-    assert next_at_callers(stepping) == ["rogue", "rogue.turn", "tours.walk"]
+    assert callers(stepping, "next_at") == ["rogue", "rogue.turn", "tours.walk"]
+    sweeping = {
+        "crapo": "def d1_less(hs, c):\n    return min(one_sided(h, c)[0] for h in hs)\n",
+        "tutte": (
+            "from . import crapo\n"
+            "def corank_nullity(hs, box):\n"
+            "    return [crapo.one_sided(h, c) for c in box for h in hs]\n"
+        ),
+    }
+    assert callers(sweeping, "one_sided") == ["crapo.d1_less", "tutte.corank_nullity"]

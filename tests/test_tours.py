@@ -257,3 +257,18 @@ def test_spanning_tree_rejects_foreign_edge_ids(fig2):
 
 def test_enumeration_deterministic(fig2):
     assert list(enumerate_spanning_trees(fig2)) == list(enumerate_spanning_trees(fig2))
+
+
+def test_tour_closes_for_every_edge_set(fig2):
+    """The step rule permutes the (node, edge) pairs, so every edge set
+    gets a closed tour of at most 2|E| steps; exactly the spanning trees
+    get all 2|E|."""
+    limit = 2 * len(fig2.edges)
+    for r in range(len(fig2.edges) + 1):
+        for subset in itertools.combinations(range(len(fig2.edges)), r):
+            tree = frozenset(subset)
+            steps = tour(fig2, tree)
+            assert 0 < len(steps) <= limit
+            assert steps[0] == fig2.basis
+            if is_spanning_tree(fig2, tree):
+                assert len(steps) == limit
