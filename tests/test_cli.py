@@ -141,6 +141,14 @@ def test_crapo_verify_empty_box_is_usage_error(capsys):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_crapo_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "crapo", "verify", f"--jobs={jobs}", FIG2)
+    assert code == 2
+    assert out == ""
+    assert "jobs must be at least 1" in err
+
+
 def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):
     bases = tmp_path / "broken.matroid"
     bases.write_text("ground: [a, b, c]\n", encoding="utf-8")

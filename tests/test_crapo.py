@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from hypertutte.crapo import (
     BudgetExceeded,
     CrapoInterval,
     EmptySet,
+    box_around,
+    box_size,
     crapo_interval,
     d1,
     d1_greater,
@@ -19,10 +22,11 @@ from hypertutte.crapo import (
     verify_crapo_partition,
     verify_intervals,
 )
-from hypertutte import delta
+from hypertutte import crapo, delta
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import NotAHypertree, embedding_assignment
 from hypertutte.model import node_index
+from test_oracle import ribbon_graphs
 
 
 def test_distances_single_hypertree():
@@ -182,16 +186,126 @@ def swapped(intervals, which):
     ]
 
 
+def toggled(intervals, k, side):
+    """The intervals with e0 toggled in one free set, ``"below"`` or
+    ``"above"``, of the one at position k."""
+    iv = intervals[k]
+    below, above = iv.internal_free, iv.external_free
+    if side == "below":
+        below = below ^ {"e0"}
+    else:
+        above = above ^ {"e0"}
+    return [*intervals[:k], CrapoInterval(iv.center, below, above), *intervals[k + 1:]]
+
+
+def mutations(intervals):
+    """The intervals as they are, then with free sets swapped in one and in
+    all, with e0 toggled in a free set of the first and of the last, with
+    the first dropped and with the first duplicated."""
+    return [
+        intervals,
+        swapped(intervals, {0}),
+        swapped(intervals, range(len(intervals))),
+        toggled(intervals, 0, "below"),
+        toggled(intervals, len(intervals) - 1, "above"),
+        intervals[1:],
+        [*intervals, intervals[0]],
+    ]
+
+
+def boxes(intervals):
+    """The boxes of margin 0, 1 and 2 around the centers, one that leaves
+    out every center that is least on some coordinate, the lowest and the
+    highest two-point-wide corner of the margin-1 box, which leave out
+    most centers."""
+    centers = [iv.center for iv in intervals]
+    wide = box_around(centers, 1, 1)
+    return [*(box_around(centers, m, m) for m in (0, 1, 2)),
+            [(lo + 1, hi) for lo, hi in box_around(centers, 0, 1)],
+            [(lo, lo + 1) for lo, _ in wide],
+            [(hi - 1, hi) for _, hi in wide]]
+
+
+def assert_matches_reference(intervals):
+    for case in mutations(intervals):
+        for box in boxes(intervals):
+            assert verify_intervals(case, box) == reference_verify(case, box)
+
+
 def test_sweep_matches_per_point_oracle(all_hg, single_edge):
-    """Same points and the same violations in the same order, on the
-    embedding intervals and with free sets swapped."""
+    """Same points and the same violations in the same order as the
+    per-point oracle, on the embedding intervals and their mutations,
+    certified or swept."""
     for g in [*all_hg.values(), single_edge]:
         intervals = embedding_intervals(g)
+        assert_matches_reference(intervals)
         box = default_box(g, 1)
-        cases = [intervals, swapped(intervals, {0}), swapped(intervals, range(len(intervals)))]
-        for case in cases:
-            assert verify_intervals(case, box) == reference_verify(case, box)
-        assert reference_verify(cases[1], box)[1] or len(intervals) == 1
+        assert reference_verify(swapped(intervals, {0}), box)[1] or len(intervals) == 1
+        assert reference_verify(toggled(intervals, 0, "below"), box)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ribbon_graphs())
+def test_certificate_matches_oracle_on_random_instances(g):
+    assert_matches_reference(embedding_intervals(g))
+
+
+def test_pass_visits_no_point(all_hg, single_edge, monkeypatch):
+    """A box that passes is certified from the intervals alone: the sweep
+    is never entered."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a passing box was swept")
+
+    monkeypatch.setattr(crapo, "sweep", no_sweep)
+    for g in [*all_hg.values(), single_edge]:
+        intervals = embedding_intervals(g)
+        for box in boxes(intervals):
+            assert verify_intervals(intervals, box) == (box_size(box), [])
+        P, assignment = embedding_assignment(g)
+        assert delta.crapo_verify(P, assignment)["status"] == "PASS"
+
+
+def test_fail_lists_reference_violations_in_order(fig2):
+    """A box that fails is swept, and lists the oracle's violations in the
+    oracle's order.  One case leaves points uncovered, the other covers
+    points twice; test_sweep_checks_both_sides has distances not
+    attained."""
+    intervals = embedding_intervals(fig2)
+    box = default_box(fig2, 1)
+    for case in (toggled(intervals, 2, "above"), [*intervals, intervals[3]]):
+        points, violations = verify_intervals(case, box)
+        assert violations and (points, violations) == reference_verify(case, box)
+
+
+def test_certificate_edge_cases():
+    """One-coordinate intervals at the certificate's edges: parts that
+    partition the box while the covering center misses d1> (at the low
+    end of its range) or d1< (at the high end); parts that meet in one
+    point and miss another, so their sizes still sum to the box's; and a
+    center outside the box, whose part is empty."""
+    def iv(center, below, above):
+        return CrapoInterval((center,), frozenset(below), frozenset(above))
+
+    cases = [
+        ([iv(2, {"e0"}, {"e0"}), iv(0, {"e0"}, ())], [(1, 3)],
+         [{"point": [1], "covered_by": [[2]], "distance": "not attained"}]),
+        ([iv(0, {"e0"}, {"e0"}), iv(2, (), {"e0"})], [(-1, 1)],
+         [{"point": [1], "covered_by": [[0]], "distance": "not attained"}]),
+        ([iv(1, {"e0"}, ()), iv(1, (), ())], [(0, 2)],
+         [{"point": [1], "covered_by": [[1], [1]]}, {"point": [2], "covered_by": []}]),
+        ([iv(1, (), ()), iv(0, (), ())], [(1, 2)],
+         [{"point": [2], "covered_by": []}]),
+    ]
+    for intervals, box, violations in cases:
+        got = verify_intervals(intervals, box)
+        assert got == reference_verify(intervals, box) == (box_size(box), violations)
+
+
+def test_jobs_below_one_rejected(fig2):
+    intervals = embedding_intervals(fig2)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_intervals(intervals, default_box(fig2), jobs=jobs)
 
 
 def test_sweep_parallel_matches_oracle(fig2):
@@ -204,11 +318,23 @@ def test_sweep_parallel_matches_oracle(fig2):
 
 
 def test_sweep_one_coordinate_box(single_edge):
-    """A one-coordinate box has the empty prefix only."""
+    """A one-coordinate box has the empty prefix only, so its points are
+    dealt out among the workers."""
     intervals = embedding_intervals(single_edge)
-    for case in (intervals, swapped(intervals, {0})):
-        assert verify_intervals(case, [(-3, 5)]) == reference_verify(case, [(-3, 5)])
-    assert verify_intervals(intervals, [(-3, 5)], jobs=2) == (9, [])
+    broken = toggled(intervals, 0, "below")
+    box = [(-3, 5)]
+    for case in (intervals, swapped(intervals, {0}), broken):
+        assert verify_intervals(case, box) == reference_verify(case, box)
+    assert verify_intervals(intervals, box, jobs=2) == (9, [])
+    centers = [iv.center for iv in broken]
+    free = [(frozenset(map(node_index, iv.internal_free)),
+             frozenset(map(node_index, iv.external_free))) for iv in broken]
+    dealt = [[c for c, _, _ in sweep(box, centers, free, start=i, step=2)] for i in range(2)]
+    assert all(dealt) and sorted(dealt[0] + dealt[1]) == [(v,) for v in range(-3, 6)]
+    points, violations = reference_verify(broken, box)
+    got_points, got = verify_intervals(broken, box, jobs=2)
+    assert violations and got_points == points
+    assert sorted(map(str, got)) == sorted(map(str, violations))
 
 
 def test_sweep_box_missing_centers(fig2):
@@ -241,7 +367,7 @@ def test_sweep_yields_one_sided_distances(fig2):
 def test_sweep_box_without_sides():
     """A box with no sides holds the one empty point."""
     empty = CrapoInterval((), frozenset(), frozenset())
-    for case in ([empty], [empty, empty]):
+    for case in ([], [empty], [empty, empty]):
         assert verify_intervals(case, []) == reference_verify(case, [])
     assert verify_intervals([empty], [], jobs=2) == (1, [])
 
