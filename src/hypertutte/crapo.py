@@ -242,6 +242,19 @@ def _certified(intervals, box, size: int) -> bool:
     return True
 
 
+def _checked_size(box, widths, jobs: int) -> int:
+    """The number of points of ``box`` once the usage checks pass: its
+    sides (:func:`box_size`: none empty, within budget), one side per
+    coordinate of each center width in ``widths``, and ``jobs`` at least
+    1.  Raises ValueError (BudgetExceeded for the budget) otherwise."""
+    size = box_size(box)
+    if any(width != len(box) for width in widths):
+        raise ValueError(f"box has {len(box)} sides, not one per center coordinate")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    return size
+
+
 def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
     """Check that exactly one interval contains each lattice point of
     ``box`` (one ``(lo, hi)`` per coordinate), and that its center attains
@@ -254,11 +267,7 @@ def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
     processes share that listing: worker i finishes every jobs-th prefix,
     or point of a one-coordinate box, from the i-th on.
     """
-    size = box_size(box)  # the empty-side and budget checks, before any worker starts
-    if any(len(iv.center) != len(box) for iv in intervals):
-        raise ValueError(f"box has {len(box)} sides, not one per center coordinate")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    size = _checked_size(box, (len(iv.center) for iv in intervals), jobs)
     if _certified(intervals, box, size):
         return size, []
     if jobs > 1:
@@ -301,10 +310,12 @@ def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
     For every lattice point of the box: exactly one interval contains it,
     and that interval's center attains d1, d1< and d1> against the whole
     hypertree set (:func:`verify_intervals`).  Returns a PASS/FAIL report
-    with all violations.
+    with all violations.  A bad box or ``jobs`` raises before the
+    activities are computed.
     """
     if box is None:
         box = default_box(g)
+    _checked_size(box, (g.emerald_count,), jobs)
     _, assignment = embedding_assignment(g)
     intervals = [
         CrapoInterval(h, rec.internal, rec.external) for h, rec in assignment.items()

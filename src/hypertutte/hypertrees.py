@@ -9,15 +9,24 @@ hypertree iff h >= 0, sum(h) = #violet - 1 and h(S) <= mu(S) for every
 set S of emeralds, where mu(S) = |N(S)| - c(S), N(S) is the set of
 violet neighbours of S and c(S) the number of components of the subgraph
 that S's edges induce.  The mu table is built once per graph, from
-2^#emerald subset ranks.
+2^#emerald subset ranks, when membership or enumeration first needs it.
 
 The Jaeger trees of a hypertree are built by one greedy walk,
 :func:`tours.walk` over the tree under construction (:func:`greedy_tree`),
 which keeps h realisable at every decision; its steps are the tour of
-the tree it builds.  Listing spanning trees
-(:func:`all_spanning_trees`, :func:`representatives`) and the exchange
-search :func:`hypertrees_by_exchange` remain as independent oracles for
-the tests.
+the tree it builds.  The walk carries a witness tree, one spanning tree
+that realises h and agrees with every decision so far.  A decision the
+witness already makes costs nothing; any other moves the witness along
+at most one augmenting path of Edmonds' matroid intersection (the
+graphic matroid with the tree so far contracted and the decided edges
+deleted, against the partition matroid of the emerald degrees), or
+finds that no spanning tree fits it.  So the walk is polynomial and
+needs no mu table, and h is a hypertree iff a first witness exists.
+
+Listing spanning trees (:func:`all_spanning_trees`,
+:func:`representatives`) and the exchange search
+:func:`hypertrees_by_exchange` remain as independent oracles for the
+tests.
 
 Everything derived from one graph lives in a per-graph cache that dies
 with the graph (:func:`cached`).  The set of all hypertrees forms the
@@ -30,7 +39,7 @@ from __future__ import annotations
 
 import weakref
 
-from .model import RibbonGraph, emerald, is_emerald, node_index
+from .model import RibbonGraph, adjacency, emerald, is_emerald, node_index, reach
 from . import delta, tours
 
 
@@ -52,43 +61,42 @@ def cached(g: RibbonGraph, name: str, build):
 
 class _Layout:
     """Integer form of a graph: violet i is node i, emerald j is node nv+j;
-    edges by emerald, the mu table over emerald sets (bit j of a set is
-    emerald j) and the edges around the tour's start node in tour order."""
+    each edge's ends and emerald, and the edges at each node."""
 
     def __init__(self, g: RibbonGraph):
         nv, ne = g.violet_count, g.emerald_count
         self.nv, self.ne = nv, ne
         self.ends = tuple((node_index(v), nv + node_index(e)) for v, e in g.edges)
-        blocks = [[] for _ in range(ne)]
-        for k, (_, e) in enumerate(self.ends):
-            blocks[e - nv].append(k)
-        self.blocks = tuple(tuple(b) for b in blocks)
-        self.members = tuple(
-            tuple(j for j in range(ne) if S >> j & 1) for S in range(1 << ne)
-        )
-        # the tour of the empty tree turns once around the start node
-        self.around_start = tuple(k for _, k in tours.walk(g, ()))
-        self._mu_tables = {}
-        self.mu = self.mu_without(0)
-
-    def mu_without(self, m: int) -> list:
-        """mu(S) = |N(S)| - c(S), the rank of S's edges minus |S|, in the
-        graph less the first m edges around the start node."""
-        if m not in self._mu_tables:
-            gone = set(self.around_start[:m])
-            self._mu_tables[m] = [
-                _forest_size(
-                    (self.ends[k] for j in js for k in self.blocks[j] if k not in gone),
-                    len(self.ends),
-                )
-                - len(js)
-                for js in self.members
-            ]
-        return self._mu_tables[m]
+        self.at = tuple(e - nv for _, e in self.ends)
+        incident = [[] for _ in range(nv + ne)]
+        for k, ends in enumerate(self.ends):
+            for x in ends:
+                incident[x].append(k)
+        self.incident = tuple(map(tuple, incident))
+        self.blocks = self.incident[nv:]
 
 
 def _layout(g: RibbonGraph) -> _Layout:
     return cached(g, "layout", _Layout)
+
+
+def _mu(g: RibbonGraph) -> list:
+    """mu(S) = |N(S)| - c(S), the rank of S's edges minus |S|, for every
+    set S of emeralds (bit j of S is emerald j): 2^#emerald ranks, built
+    when membership or enumeration first needs them."""
+
+    def build(g):
+        lay = _layout(g)
+        return [
+            _forest_size(
+                (lay.ends[k] for j in range(lay.ne) if S >> j & 1 for k in lay.blocks[j]),
+                len(lay.ends),
+            )
+            - S.bit_count()
+            for S in range(1 << lay.ne)
+        ]
+
+    return cached(g, "mu", build)
 
 
 def degree_vector(g: RibbonGraph, tree: frozenset) -> tuple:
@@ -100,15 +108,20 @@ def degree_vector(g: RibbonGraph, tree: frozenset) -> tuple:
     return tuple(d - 1 for d in degs)
 
 
+def _well_formed(g: RibbonGraph, v: tuple) -> bool:
+    """The O(#emerald) part of membership: one non-negative int per
+    emerald, summing to #violet - 1."""
+    return (
+        len(v) == g.emerald_count
+        and all(isinstance(x, int) and x >= 0 for x in v)
+        and sum(v) == g.violet_count - 1
+    )
+
+
 def is_hypertree(g: RibbonGraph, vector) -> bool:
     """Kálmán's test: v >= 0, sum(v) = #violet - 1 and v(S) <= mu(S)."""
     v = tuple(vector)
-    lay = _layout(g)
-    if len(v) != lay.ne or any(not isinstance(x, int) or x < 0 for x in v):
-        return False
-    if sum(v) != lay.nv - 1:
-        return False
-    return all(s <= m for s, m in zip(_subset_sums(v), lay.mu))
+    return _well_formed(g, v) and all(s <= m for s, m in zip(_subset_sums(v), _mu(g)))
 
 
 def _subset_sums(values) -> list:
@@ -120,12 +133,12 @@ def _subset_sums(values) -> list:
     return sums
 
 
-def _hypertrees(lay: _Layout) -> tuple:
+def _hypertrees(g: RibbonGraph) -> tuple:
     """Every v with v(S) <= mu(S) and sum(v) = #violet - 1, in
     lexicographic order.  At coordinate j the subsets of {0..j} holding j
     bound v(j) from above, and mu of the later coordinates bounds it from
     below; the last coordinate is fixed by the sum."""
-    ne, mu, total = lay.ne, lay.mu, lay.nv - 1
+    ne, mu, total = g.emerald_count, _mu(g), g.violet_count - 1
     full = (1 << ne) - 1
     h = [0] * ne
     sums = [0] * (1 << ne)  # h(S) over the coordinates assigned so far
@@ -150,7 +163,7 @@ def _hypertrees(lay: _Layout) -> tuple:
 
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:
     """All hypertrees of g in lexicographic order (tuple of tuples)."""
-    return cached(g, "hypertrees", lambda g: _hypertrees(_layout(g)))
+    return cached(g, "hypertrees", _hypertrees)
 
 
 def _forest_size(pairs, bound) -> int:
@@ -171,36 +184,174 @@ def _forest_size(pairs, bound) -> int:
     return size
 
 
-def _realisable(lay, need, free, reached, k, include) -> bool:
-    """Whether some spanning tree keeps every decision so far, decides k
-    as asked and has need[j] more edges at each emerald j.
+# -- the witness: a spanning tree that fits h and every decision so far ------
+#
+# The walk's ground set is its undecided edges, each given by its ends in
+# ``pairs`` with every reached node renamed -1: the included tree is
+# contracted to that one node, and decided edges are left out.  A witness
+# less the included tree is a common basis there of the graphic matroid
+# and the partition matroid that allows need[j] more edges at emerald j.
 
-    ``free`` holds the undecided edges, k no longer among them; the
-    included edges form one tree on the ``reached`` nodes.  Rado's
-    condition: for every set S of emeralds, the undecided edges at S must
-    have rank at least need(S) once the included edges are contracted,
-    i.e. once the reached nodes are one node.  Before the decision the
-    state is realisable, so only the sets the decision can change are
-    checked: including k contracts it, which changes the rank of sets
-    without k's emerald j; excluding k deletes it from j's edges, which
-    changes the sets holding j.
+
+def _contract(lay: _Layout, pairs: list, x: int) -> None:
+    """Rename node x to -1, the reached nodes, in ``pairs``, in place."""
+    for k in lay.incident[x]:
+        a, b = pairs[k]
+        pairs[k] = (-1, b) if lay.ends[k][0] == x else (a, -1)
+
+
+def _rooted(pairs, edges, roots=()) -> tuple:
+    """The forest ``edges`` as (via, top): the edge each node was reached
+    by from its tree's root (None at the root) and that root; the
+    ``roots`` given are taken first."""
+    adj = adjacency((k, *pairs[k]) for k in edges)
+    via, top = {}, {}
+    for r in (*roots, *adj):
+        if r not in top:
+            found = reach(adj, r)
+            via.update(found)
+            top.update(dict.fromkeys(found, r))
+    return via, top
+
+
+def _climb(pairs, via, x) -> list:
+    """The edges from node x up to its root, as :func:`_rooted` found them."""
+    path = []
+    while via[x] is not None:
+        k = via[x]
+        path.append(k)
+        a, b = pairs[k]
+        x = a if x == b else b
+    return path
+
+
+def _augment(lay: _Layout, pairs, ground, chosen: set, need) -> bool:
+    """Grow ``chosen``, in place, by one edge of ``ground`` along a
+    shortest augmenting path of Edmonds' matroid intersection; False if
+    no such path exists, in which case ``chosen`` is as large as any
+    common independent set.
+
+    ``chosen`` is independent in the graphic matroid on the nodes of
+    ``pairs`` and in the partition matroid that allows need[j] edges at
+    emerald j.  The search goes breadth first and backwards from the
+    outside edges whose emerald has room: an outside edge is reached from
+    the chosen edges on its cycle in ``chosen``, a chosen edge from the
+    outside edges at its emerald.  The first outside edge reached that
+    joins two trees of ``chosen`` starts the path; being shortest, the
+    path can be swapped in and out with both matroids kept independent.
     """
-    ends = lay.ends
-    j = ends[k][1] - lay.nv
-    joined = reached.union(ends[k]) if include else reached
-    label = [-1 if a in joined else a for a in range(lay.nv + lay.ne)]
-    pairs = [[(label[ends[x][0]], label[ends[x][1]]) for x in edges] for edges in free]
-    bit = 1 << j
-    for S, demand in enumerate(_subset_sums(need)):
-        if demand and bool(S & bit) != include and _forest_size(
-            (p for i in lay.members[S] for p in pairs[i]), demand
-        ) < demand:
-            return False
-    return True
+    via, top = _rooted(pairs, chosen)
+    room = list(need)
+    for k in chosen:
+        room[lay.at[k]] -= 1
+    queue, joins = [], set()
+    for k in ground:
+        a, b = pairs[k]
+        if a != b and k not in chosen:
+            if top.get(a, a) != top.get(b, b):
+                joins.add(k)
+            if room[lay.at[k]]:
+                queue.append(k)
+    if not joins:  # no path can start
+        return False
+    back = dict.fromkeys(queue)  # edge -> the next edge towards room
+    opened = set()  # emeralds whose outside edges are queued
+    for x in queue:
+        if x in chosen:
+            j = lay.at[x]
+            if j in opened:
+                continue
+            opened.add(j)
+            after = [k for k in lay.blocks[j] if k in ground and k not in chosen
+                     and pairs[k][0] != pairs[k][1]]
+        elif x in joins:
+            while x is not None:
+                chosen.symmetric_difference_update((x,))
+                x = back[x]
+            return True
+        else:
+            a, b = pairs[x]
+            up, down = _climb(pairs, via, a), _climb(pairs, via, b)
+            while up and down and up[-1] == down[-1]:
+                up.pop()
+                down.pop()
+            after = up + down  # the cycle x closes in chosen
+        for y in after:
+            if y not in back:
+                back[y] = x
+                queue.append(y)
+    return False
 
 
-def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset, list]:
-    """The Jaeger tree of the hypertree h and its tour, built in one walk.
+def _grown(lay: _Layout, pairs, ground, chosen: set, need) -> set | None:
+    """``chosen`` grown by augmenting paths until it fills every cap, which
+    makes it a spanning tree of the nodes of ``pairs``, or None if it
+    cannot."""
+    while len(chosen) < sum(need):
+        if not _augment(lay, pairs, ground, chosen, need):
+            return None
+    return chosen
+
+
+def _witness(lay: _Layout, need) -> set | None:
+    """A spanning tree with need[j] edges at every emerald j, or None:
+    a greedy union-find pass under the caps, then augmenting paths."""
+    chosen, used, parent = set(), [0] * lay.ne, {}
+    for k, (a, b) in enumerate(lay.ends):
+        j = lay.at[k]
+        while parent.get(a, a) != a:
+            a = parent[a]
+        while parent.get(b, b) != b:
+            b = parent[b]
+        if a != b and used[j] < need[j]:
+            parent[a] = b
+            used[j] += 1
+            chosen.add(k)
+    return _grown(lay, lay.ends, range(len(lay.ends)), chosen, need)
+
+
+def _needed(lay: _Layout, pairs, free, need, k, there) -> bool:
+    """Whether every spanning tree that keeps the decisions so far has k:
+    k is the last undecided edge at its unreached end ``there``, or its
+    emerald has fewer other undecided edges, loops aside, than it needs."""
+    j = lay.at[k]
+    return not any(x in free for x in lay.incident[there]) or need[j] > sum(
+        x in free and pairs[x][0] != pairs[x][1] for x in lay.blocks[j]
+    )
+
+
+def _decided(lay: _Layout, pairs, via, free, rest: set, need, k, include) -> set | None:
+    """The edges of a witness outside the included tree once k is decided
+    as asked, or None if no spanning tree fits that decision.
+
+    ``rest``, the current witness less the included tree, decides k the
+    other way; this call may change it.  It is flipped at k and trimmed
+    to a common independent set: excluding k leaves it one edge short;
+    including k closes a cycle with the path that joins k's unreached end
+    to the reached nodes (found through ``via``, ``rest`` rooted there by
+    :func:`_rooted`), so one of its edges goes, and one more at k's
+    emerald if that edge was elsewhere, which leaves it one edge short.
+    One augmenting path then fills it up again, if it is short.
+    """
+    j = lay.at[k]
+    if include:
+        there = max(pairs[k])  # the unreached end; the reached one is -1
+        cycle = _climb(pairs, via, there)
+        cut = next((y for y in cycle if lay.at[y] == j), cycle[0])
+        rest.remove(cut)
+        if lay.at[cut] != j:
+            rest.remove(next(y for y in rest if lay.at[y] == j))
+        pairs, need = pairs.copy(), need.copy()
+        _contract(lay, pairs, there)
+        need[j] -= 1
+    else:
+        rest.remove(k)
+    return _grown(lay, pairs, free, rest, need)
+
+
+def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset, list] | None:
+    """The Jaeger tree of h and its tour, built in one walk, or None if h
+    is not a hypertree.
 
     The walk is :func:`tours.walk` over the tree under construction; it
     decides each edge at its first visit, so its steps are the tour of
@@ -210,63 +361,77 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset,
     preferred side is kept if a spanning tree with degree h(e)+1 at every
     emerald e still fits the decisions, otherwise the other side is
     taken.  This picks the least representative of h in the order of
-    :func:`tours.tree_less`, which is its Jaeger tree.  h must be a
-    hypertree.
+    :func:`tours.tree_less`, which is its Jaeger tree.
 
-    The walk crosses only included edges, so they form one tree on the
-    nodes reached so far.  An edge back into that tree, or at an emerald
-    that needs no more edges, is excluded outright; including an edge
-    towards an unreached emerald changes no set without that emerald, so
-    it needs no check either.
-
-    Until the first edge is included the walk stays at the start node,
-    having excluded the first few edges around it; h still fits iff it is
-    a hypertree of g less these edges, checked against their mu table,
-    which every hypertree of g shares.  So a walk that starts where it
-    prefers to exclude costs no more than one that starts where it
-    prefers to include.
+    Feasibility is read off a witness: one spanning tree that realises h
+    and keeps every decision so far, built by matroid intersection
+    (:func:`_witness`; none exists iff h is not a hypertree).  A decision
+    the witness already makes is feasible at no cost.  Any other is
+    tested by moving the witness (:func:`_decided`): if it cannot move,
+    no spanning tree fits the preferred side (Edmonds), and the witness
+    already fits the other one.  Some decisions need no search.  An edge
+    back into the included tree, or at an emerald that needs no more
+    edges, is in no witness and is excluded.  An edge that every fitting
+    tree has (:func:`_needed`) is included.  An edge to be included takes
+    the place of the witness edge by which its unreached end hangs towards
+    the reached nodes, if that edge is at the same emerald; this covers
+    every include from a violet node towards an unreached emerald.
     """
     lay = _layout(g)
+    h = tuple(h)
+    if not _well_formed(g, h):
+        return None
     need = [x + 1 for x in h]
-    sums = _subset_sums(h)
-    free = [frozenset(b) for b in lay.blocks]  # undecided edges per emerald
-    tree = set()
-    reached = set()
-    steps = []
+    witness = _witness(lay, need)
+    if witness is None:
+        return None
+    b0 = g.basis[0]
+    start = node_index(b0) + (lay.nv if is_emerald(b0) else 0)
+    pairs = list(lay.ends)
+    _contract(lay, pairs, start)
+    free = set(range(len(lay.ends)))  # undecided edges
+    tree, reached, steps = set(), {start}, []
+    via = None  # the witness less the tree, rooted at the reached nodes; None when stale
     include_at_emerald = variant == "violet"
-    for i, (node, k) in enumerate(tours.walk(g, tree)):
+    for node, k in tours.walk(g, tree):
         steps.append((node, k))
-        v, e = lay.ends[k]
-        j = e - lay.nv
-        at_emerald = is_emerald(node)
-        here, there = (e, v) if at_emerald else (v, e)
-        reached.add(here)
-        if k not in free[j]:
+        if k not in free:
             continue
-        free[j] = free[j] - {k}
+        free.remove(k)
+        at_emerald = is_emerald(node)
+        there = lay.ends[k][not at_emerald]
+        j = lay.at[k]
         if there in reached or not need[j]:
             continue
-        if at_emerald == include_at_emerald:
-            include = not at_emerald or _realisable(lay, need, free, reached, k, True)
-        elif not tree:
-            # nothing included: h must be a hypertree of g less these edges
-            include = any(s > m for s, m in zip(sums, lay.mu_without(i + 1)))
+        prefer = at_emerald == include_at_emerald
+        if k in witness:
+            moves = not prefer and not _needed(lay, pairs, free, need, k, there)
         else:
-            include = not _realisable(lay, need, free, reached, k, False)
-        if include:
+            moves = prefer
+        if moves:
+            if prefer and via is None:
+                via = _rooted(pairs, witness - tree, (-1,))[0]
+            if prefer and lay.at[via[there]] == j:
+                # k takes the place of the witness edge from there towards
+                # the reached nodes; once there is reached, via holds again
+                witness = witness - {via[there]} | {k}
+            else:
+                rest = _decided(lay, pairs, via, free, witness - tree, need, k, prefer)
+                if rest is not None:
+                    witness, via = tree | rest | ({k} if prefer else set()), None
+        if k in witness:  # the walk crosses k next
             tree.add(k)
             need[j] -= 1
-    if any(free):
-        raise ValueError(f"{tuple(h)} is not a hypertree")
+            reached.add(there)
+            _contract(lay, pairs, there)
     return frozenset(tree), steps
 
 
 def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:
     """A spanning tree with degree vector(e)+1 at each emerald node (the
     emerald Jaeger tree), or None if vector is not a hypertree."""
-    if not is_hypertree(g, vector):
-        return None
-    return greedy_tree(g, tuple(vector))[0]
+    walked = greedy_tree(g, vector)
+    return None if walked is None else walked[0]
 
 
 # -- oracles: spanning-tree listing, for the tests ---------------------------

@@ -3,10 +3,13 @@
 A (emerald) Jaeger tree is a spanning tree whose tour meets every
 non-tree edge first at its emerald endpoint; each hypertree has exactly
 one, the least of its representatives in the tour order, and
-:func:`hypertrees.greedy_tree` builds it along its own tour.  The violet
-variant uses the violet-endpoint-first rule.  The recognisers
-:func:`is_jaeger` and :func:`is_violet_jaeger` are kept as the test
-oracle.  Activities of a hypertree are computed relative to a total
+:func:`hypertrees.greedy_tree` builds it along its own tour, in
+polynomial time, moving a witness spanning tree by matroid intersection.
+The walk also decides membership: a vector that is not a hypertree has
+no first witness and raises :class:`NotAHypertree`, with no 2^k subset
+scan.  The violet variant uses the violet-endpoint-first rule.  The
+recognisers :func:`is_jaeger` and :func:`is_violet_jaeger` are kept as
+the test oracle.  Activities of a hypertree are computed relative to a total
 order on the emerald nodes; the tour of the Jaeger tree induces the
 order <_h, and the violet tours induce two further orders.  Each order
 is read off the same walk that built its tree, so computing a
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from .model import RibbonGraph, is_emerald
 from .tours import tour
-from .hypertrees import cached, greedy_tree, is_hypertree
+from .hypertrees import cached, greedy_tree
 from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
 
 
@@ -80,9 +83,10 @@ def _walked(g, h, variant):
     h = tuple(h)
     walked = cached(g, f"{variant} Jaeger trees", lambda g: {})
     if h not in walked:
-        if not is_hypertree(g, h):
+        built = greedy_tree(g, h, variant)
+        if built is None:
             raise NotAHypertree(f"{h} is not a hypertree")
-        tree, steps = greedy_tree(g, h, variant)
+        tree, steps = built
         walked[h] = (
             tree,
             tuple(dict.fromkeys(node for node, _ in steps if is_emerald(node))),

@@ -8,9 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hypertutte import fixture_names, fixture_path
+from hypertutte import crapo, fixture_names, fixture_path
 from hypertutte.cli import main
 
+FIG1 = str(fixture_path("fig1.hg"))
 FIG2 = str(fixture_path("fig2.hg"))
 FIG5 = str(fixture_path("fig5.hg"))
 
@@ -147,6 +148,18 @@ def test_crapo_verify_jobs_below_one_is_usage_error(capsys, jobs):
     assert code == 2
     assert out == ""
     assert "jobs must be at least 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--jobs=0", "--box=-50,50"])
+def test_crapo_verify_usage_error_before_graph_work(capsys, monkeypatch, flag):
+    def refuse(g):
+        raise AssertionError("embedding_assignment called")
+
+    monkeypatch.setattr(crapo, "embedding_assignment", refuse)
+    code, out, err = run(capsys, "crapo", "verify", flag, FIG1)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):

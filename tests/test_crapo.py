@@ -120,6 +120,20 @@ def test_partition_budget(fig2):
         verify_crapo_partition(fig2, box=[(-50, 50)] * 4)
 
 
+def test_usage_errors_before_graph_work(fig1, monkeypatch):
+    """A bad ``jobs`` or an over-budget box is refused before the
+    activities of any hypertree are computed."""
+
+    def refuse(g):
+        raise AssertionError("embedding_assignment called")
+
+    monkeypatch.setattr(crapo, "embedding_assignment", refuse)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_crapo_partition(fig1, jobs=0)
+    with pytest.raises(BudgetExceeded):
+        verify_crapo_partition(fig1, box=[(-50, 50)] * fig1.emerald_count)
+
+
 def test_partition_detects_mutation(fig2):
     """Swapping one interval's free sets must break the certificate."""
     real = crapo_interval(fig2, (1, 1, 0, 0))

@@ -2,9 +2,11 @@
 
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypertutte import harness, hypertrees
 from hypertutte.hypertrees import (
@@ -17,8 +19,10 @@ from hypertutte.hypertrees import (
     is_hypertree,
     representatives,
 )
-from hypertutte.model import RibbonGraph
+from hypertutte.jaeger import is_jaeger, is_violet_jaeger
+from hypertutte.model import RibbonGraph, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree
+from test_oracle import complete_bipartite, ribbon_graphs
 
 
 def test_degree_vector_panel1(fig2):
@@ -54,6 +58,218 @@ def test_find_tree_with_degrees_returns_tree(fig2):
         t = find_tree_with_degrees(fig2, h)
         assert is_spanning_tree(fig2, t)
         assert degree_vector(fig2, t) == h
+
+
+def realisable(ends, nv, need, free, reached, k, include) -> bool:
+    """Rado's condition, the reference for each decision of the walk:
+    whether some spanning tree keeps every decision so far, decides edge
+    k as asked and has need[j] more edges at each emerald j.
+
+    ``ends`` gives each edge's (violet, emerald) nodes, violet i as node i
+    and emerald j as node nv+j; ``free`` holds the undecided edges of
+    each emerald, k no longer among them; the included edges form one
+    tree on the ``reached`` nodes.  Such a tree exists iff, once the
+    reached nodes (with k's ends if k is included) are one node, the
+    undecided edges at every set S of emeralds have rank at least need(S).
+    Every set is checked.
+    """
+    if include:
+        reached = reached | set(ends[k])
+        need = list(need)
+        need[ends[k][1] - nv] -= 1
+    label = [-1 if a in reached else a for a in range(nv + len(need))]
+    pairs = [[(label[ends[x][0]], label[ends[x][1]]) for x in edges] for edges in free]
+    for S, demand in enumerate(hypertrees._subset_sums(need)):
+        members = [j for j in range(len(need)) if S >> j & 1]
+        if demand and hypertrees._forest_size(
+            (p for j in members for p in pairs[j]), demand
+        ) < demand:
+            return False
+    return True
+
+
+def replay_walk(g, h, variant) -> int:
+    """Replay the walk that builds a Jaeger tree of h and check that it
+    keeps each preferred decision exactly when Rado's condition allows
+    it; returns the number of decisions checked."""
+    tree, steps = hypertrees.greedy_tree(g, h, variant)
+    nv = g.violet_count
+    ends = [(node_index(v), nv + node_index(e)) for v, e in g.edges]
+    need = [x + 1 for x in h]
+    free = [set() for _ in range(g.emerald_count)]
+    for k, (_, e) in enumerate(ends):
+        free[e - nv].add(k)
+    reached, checked = set(), 0
+    for node, k in steps:
+        v, e = ends[k]
+        j = e - nv
+        at_emerald = is_emerald(node)
+        here, there = (e, v) if at_emerald else (v, e)
+        reached.add(here)
+        if k not in free[j]:
+            continue
+        free[j].remove(k)
+        if there in reached or not need[j]:  # a cycle or a full emerald
+            assert k not in tree
+            continue
+        prefer = at_emerald == (variant == "violet")
+        keep = realisable(ends, nv, need, free, reached, k, prefer)
+        assert (k in tree) == (prefer if keep else not prefer), (h, variant, node, k)
+        checked += 1
+        if k in tree:
+            need[j] -= 1
+    assert not any(free) and not any(need)
+    return checked
+
+
+def assert_walks_match_rado(g) -> int:
+    return sum(replay_walk(g, h, variant)
+               for h in enumerate_hypertrees(g) for variant in ("emerald", "violet"))
+
+
+def test_walk_decisions_match_rado_on_fixtures(all_hg, single_edge):
+    for g in list(all_hg.values()) + [single_edge]:
+        assert assert_walks_match_rado(g)
+
+
+def test_walk_decisions_match_rado_on_k34_rotations():
+    rng = random.Random(43)
+    for _ in range(20):
+        assert assert_walks_match_rado(harness.perturbed(complete_bipartite(3, 4), rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs())
+def test_walk_decisions_match_rado_on_random_instances(g):
+    assert_walks_match_rado(g)
+
+
+def assert_walk_ignores_first_witness(g, monkeypatch):
+    """Started from any spanning tree that realises h, the walk builds the
+    Jaeger trees that the filter finds among the representatives of h."""
+    for h in enumerate_hypertrees(g):
+        reps = representatives(g, h)
+        [emerald_tree] = [t for t in reps if is_jaeger(g, t)]
+        [violet_tree] = [t for t in reps if is_violet_jaeger(g, t)]
+        for first in reps:
+            monkeypatch.setattr(hypertrees, "_witness", lambda lay, need: set(first))
+            assert hypertrees.greedy_tree(g, h)[0] == emerald_tree, (h, first)
+            assert hypertrees.greedy_tree(g, h, "violet")[0] == violet_tree, (h, first)
+
+
+def test_walk_ignores_first_witness_on_fixtures(all_hg, single_edge, monkeypatch):
+    for g in list(all_hg.values()) + [single_edge]:
+        assert_walk_ignores_first_witness(g, monkeypatch)
+
+
+def test_walk_ignores_first_witness_on_k34_rotations(monkeypatch):
+    rng = random.Random(34)
+    for _ in range(5):
+        assert_walk_ignores_first_witness(
+            harness.perturbed(complete_bipartite(3, 4), rng), monkeypatch
+        )
+
+
+def random_spanning_tree(g, rng) -> frozenset:
+    """The edges, in shuffled order, that join two parts of the ones
+    kept so far."""
+    order = list(range(len(g.edges)))
+    rng.shuffle(order)
+    part = {node: {node} for node in g.nodes}
+    tree = set()
+    for k in order:
+        v, e = g.edges[k]
+        if part[v] is not part[e]:
+            tree.add(k)
+            part[v] |= part[e]
+            for node in part[e]:
+                part[node] = part[v]
+    return frozenset(tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(), st.integers(0, 2**32))
+def test_augmenting_paths_from_any_start(g, seed):
+    """From a random maximal common independent set, augmenting paths
+    grow a spanning tree with degree v(e)+1 at every emerald e exactly
+    when v is a hypertree."""
+    rng = random.Random(seed)
+    lay = hypertrees._layout(g)
+    h = degree_vector(g, random_spanning_tree(g, rng))
+    moved = list(h)
+    moved[rng.randrange(len(h))] += 1
+    moved[rng.randrange(len(h))] -= 1
+    for v in (h, tuple(moved)):
+        if min(v) < 0:
+            continue
+        need = [x + 1 for x in v]
+        start, part = set(), {node: {node} for node in range(lay.nv + lay.ne)}
+        for k in random_spanning_tree(g, rng) | set(range(len(g.edges))):
+            a, b = lay.ends[k]
+            if part[a] is not part[b] and need[lay.at[k]] > sum(lay.at[x] == lay.at[k] for x in start):
+                start.add(k)
+                part[a] |= part[b]
+                for node in part[b]:
+                    part[node] = part[a]
+        grown = hypertrees._grown(lay, lay.ends, range(len(g.edges)), start, need)
+        if is_hypertree(g, v):
+            assert is_spanning_tree(g, frozenset(grown)) and degree_vector(g, grown) == v
+        else:
+            assert grown is None
+
+
+def check_random_state(g, rng) -> int:
+    """Decide every edge that can be decided from a random state the walk
+    could be in: a witness, a subtree of it included, some edges outside
+    it excluded.  Moving the witness to the other side of an edge must
+    succeed exactly when Rado's condition allows it, and then give a
+    spanning tree with the same degrees that keeps every decision.
+    Returns how many includes met a witness path to the reached nodes
+    with no edge at the included edge's emerald."""
+    lay = hypertrees._layout(g)
+    witness = random_spanning_tree(g, rng)
+    reached, tree = {rng.randrange(lay.nv + lay.ne)}, set()
+    for _ in range(rng.randrange(len(g.nodes))):
+        grow = [k for k in witness - tree if len(reached & set(lay.ends[k])) == 1]
+        if grow:
+            k = rng.choice(grow)
+            tree.add(k)
+            reached |= set(lay.ends[k])
+    free = {k for k in range(len(g.edges))
+            if k not in tree and (k in witness or rng.random() < 0.7)}
+    rest = witness - tree
+    need = [sum(lay.at[k] == j for k in rest) for j in range(lay.ne)]
+    pairs = [tuple(-1 if x in reached else x for x in ends) for ends in lay.ends]
+    via = hypertrees._rooted(pairs, rest, (-1,))[0]
+    elsewhere = 0
+    for k in sorted(free):
+        j = lay.at[k]
+        if len(reached & set(lay.ends[k])) != 1 or not need[j]:
+            continue
+        include, others = k not in witness, free - {k}
+        if include:
+            path = hypertrees._climb(pairs, via, max(pairs[k]))
+            elsewhere += all(lay.at[y] != j for y in path)
+        got = hypertrees._decided(lay, pairs, via, others, set(rest), need, k, include)
+        by_emerald = [{x for x in others if lay.at[x] == i} for i in range(lay.ne)]
+        assert (got is not None) == realisable(
+            lay.ends, lay.nv, need, by_emerald, reached, k, include
+        ), (k, include)
+        if got is not None:
+            moved = tree | got | ({k} if include else set())
+            assert is_spanning_tree(g, frozenset(moved)), (k, include)
+            assert degree_vector(g, moved) == degree_vector(g, witness)
+            assert moved - tree <= others | {k}
+    return elsewhere
+
+
+def test_decisions_from_random_states(all_hg):
+    rng = random.Random(11)
+    graphs = list(all_hg.values())
+    graphs += [harness.perturbed(complete_bipartite(3, 4), rng) for _ in range(10)]
+    graphs += [harness.random_instance(seed=seed) for seed in range(40)]
+    elsewhere = sum(check_random_state(g, rng) for g in graphs for _ in range(40))
+    assert elsewhere >= 20
 
 
 def test_counts(fig2, fig5):

@@ -2,12 +2,19 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import harness, jaeger, tours
-from hypertutte.hypertrees import degree_vector, enumerate_hypertrees, representatives
+from hypertutte import harness, hypertrees, jaeger, tours
+from hypertutte.hypertrees import (
+    degree_vector,
+    enumerate_hypertrees,
+    find_tree_with_degrees,
+    is_hypertree,
+    representatives,
+)
 from hypertutte.jaeger import (
     NotAHypertree,
     activities,
@@ -20,10 +27,11 @@ from hypertutte.jaeger import (
     order_violet_prime,
     violet_jaeger_tree_of,
 )
-from hypertutte.model import RibbonGraph, is_emerald
+from hypertutte.model import RibbonGraph, adjacency, is_emerald
 from hypertutte.polynomial import Poly, x_plus_y_minus_1
 from hypertutte.tours import enumerate_spanning_trees, tour, tree_less
 from hypertutte.tutte import tutte_embedding
+from test_hypertrees import random_spanning_tree
 from test_oracle import complete_bipartite, ribbon_graphs
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
@@ -83,6 +91,72 @@ def test_jaeger_tree_is_order_minimum(all_hg):
             for t in reps:
                 if t != jt:
                     assert tree_less(g, jt, t)
+
+
+def test_walk_refuses_exactly_the_non_hypertrees(all_hg, single_edge):
+    """Membership by witness, in the walk, agrees with Kálmán's
+    inequalities on the box around every fixture's hypertrees."""
+    for g in list(all_hg.values()) + [single_edge]:
+        hs = enumerate_hypertrees(g)
+        box = [range(min(h[e] for h in hs) - 1, max(h[e] for h in hs) + 2)
+               for e in range(g.emerald_count)]
+        for v in itertools.product(*box):
+            if is_hypertree(g, v):
+                assert degree_vector(g, jaeger_tree_of(g, v)) == v
+                assert degree_vector(g, violet_jaeger_tree_of(g, v)) == v
+            else:
+                with pytest.raises(NotAHypertree):
+                    jaeger_tree_of(g, v)
+                with pytest.raises(NotAHypertree):
+                    violet_jaeger_tree_of(g, v)
+                assert find_tree_with_degrees(g, v) is None
+
+
+def test_walk_refuses_malformed_vectors(fig2):
+    for v in [(), (0, 2, 0), (0, 2, 0, 0, 0), (-1, 3, 0, 0), (0, 3, 0, 0)]:
+        with pytest.raises(NotAHypertree):
+            jaeger_tree_of(fig2, v)
+        assert find_tree_with_degrees(fig2, v) is None
+
+
+def _search_trees(g, rng):
+    """A breadth-first tree from every third node and a random spanning
+    tree."""
+    adj = adjacency((k, v, e) for k, (v, e) in enumerate(g.edges))
+    for start in sorted(adj)[::3]:
+        seen, queue, tree = {start}, deque([start]), set()
+        while queue:
+            for k, other in adj[queue.popleft()]:
+                if other not in seen:
+                    seen.add(other)
+                    tree.add(k)
+                    queue.append(other)
+        yield frozenset(tree)
+    yield random_spanning_tree(g, rng)
+
+
+def test_walk_builds_no_mu_table(monkeypatch):
+    """On a K3,16 embedding (2^16 emerald sets) both Jaeger trees of
+    several hypertrees and their orders come out of the walk without one
+    subset rank or subset sum."""
+
+    def refuse(*args):
+        raise AssertionError("subset scan")
+
+    monkeypatch.setattr(hypertrees, "_forest_size", refuse)
+    monkeypatch.setattr(hypertrees, "_subset_sums", refuse)
+    rng = random.Random(316)
+    g = harness.perturbed(complete_bipartite(3, 16), rng)
+    emeralds = sorted(f"e{j}" for j in range(16))
+    vectors = {degree_vector(g, t) for t in _search_trees(g, rng)}
+    assert len(vectors) > 2
+    for h in vectors:
+        emerald_tree = jaeger_tree_of(g, h)
+        assert is_jaeger(g, emerald_tree) and degree_vector(g, emerald_tree) == h
+        violet_tree = violet_jaeger_tree_of(g, h)
+        assert is_violet_jaeger(g, violet_tree) and degree_vector(g, violet_tree) == h
+        for order in (order_emerald(g, h), order_violet(g, h), order_violet_prime(g, h)):
+            assert sorted(order) == emeralds
 
 
 def test_violet_jaeger_fig4(fig2):
