@@ -158,6 +158,10 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.trials < 0:
+        return _usage_error(f"--trials must be at least 0, not {args.trials}")
+    if not args.instances and not args.trials:
+        return _usage_error("nothing to check: give instance files or --trials of at least 1")
     reports = []
     for path in args.instances:
         report = harness.test_violet_prime(_load(path))

@@ -15,19 +15,24 @@ point, to list its violations.
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule (the vectors' range widened by a margin below and
 above), box_size the one empty-side and budget check, _region the one
-rule for an interval's part of a box, one_sided the one distance rule,
-and sweep the one box walk.  sweep goes depth first and updates every
-center's partial distances one coordinate at a time, so consecutive
-points share their prefix's work; tutte.corank_nullity finishes its
-points, as does verify_intervals on a failing box.
+rule for an interval's part of a box, one_sided the one distance rule
+at a point, along_line the one rule for d1< along a line of the last
+coordinate, and sweep the one box walk.  sweep goes depth first and
+updates every center's partial distances one coordinate at a time, so
+consecutive points share their prefix's work.  verify_intervals finishes
+its points on a failing box; tutte.corank_nullity sweeps all coordinates
+but the last and closes each line with along_line, in O(k + w) for k
+centers and a line of w points.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import prod
+from math import inf, prod
+from operator import sub
 
 from .model import RibbonGraph, node_index
 from .hypertrees import enumerate_hypertrees
@@ -63,6 +68,31 @@ def one_sided(h, c) -> tuple:
         else:
             greater += hi - ci
     return less, greater
+
+
+def along_line(column, lo: int, hi: int):
+    """The one rule for d1< along a line of the last coordinate.
+
+    Returns ``line(lesses)``: given each center's d1< over all
+    coordinates but the last, the list of d1< to the set of centers at
+    each last coordinate v = lo..hi.  ``column`` holds the centers' last
+    coordinates x_k.  Center k's d1< at v is lesses[k] + max(0, v - x_k),
+    so the least is min(min_{x_k >= v} lesses[k], v + min_{x_k < v}
+    (lesses[k] - x_k)): one suffix minimum and one prefix minimum over
+    the centers sorted by x_k.  The sort is made once, so a line costs
+    O(k + w) for k centers and w values of v, not O(k w).
+    """
+    order = sorted(range(len(column)), key=column.__getitem__)
+    xs = [column[k] for k in order]
+    cuts = [(v, bisect_left(xs, v)) for v in range(lo, hi + 1)]
+
+    def line(lesses) -> list:
+        ls = [lesses[k] for k in order]
+        suffix = [*itertools.accumulate(reversed(ls), min)][::-1] + [inf]
+        prefix = [inf, *itertools.accumulate(map(sub, ls, xs), min)]
+        return [min(suffix[t], v + prefix[t]) for v, t in cuts]
+
+    return line
 
 
 def d1_less(h_or_set, c) -> int:

@@ -108,7 +108,7 @@ def degree_vector(g: RibbonGraph, tree: frozenset) -> tuple:
     return tuple(d - 1 for d in degs)
 
 
-def _well_formed(g: RibbonGraph, v: tuple) -> bool:
+def well_formed(g: RibbonGraph, v: tuple) -> bool:
     """The O(#emerald) part of membership: one non-negative int per
     emerald, summing to #violet - 1."""
     return (
@@ -121,7 +121,7 @@ def _well_formed(g: RibbonGraph, v: tuple) -> bool:
 def is_hypertree(g: RibbonGraph, vector) -> bool:
     """Kálmán's test: v >= 0, sum(v) = #violet - 1 and v(S) <= mu(S)."""
     v = tuple(vector)
-    return _well_formed(g, v) and all(s <= m for s, m in zip(_subset_sums(v), _mu(g)))
+    return well_formed(g, v) and all(s <= m for s, m in zip(_subset_sums(v), _mu(g)))
 
 
 def _subset_sums(values) -> list:
@@ -379,7 +379,7 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset,
     """
     lay = _layout(g)
     h = tuple(h)
-    if not _well_formed(g, h):
+    if not well_formed(g, h):
         return None
     need = [x + 1 for x in h]
     witness = _witness(lay, need)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .model import RibbonGraph, is_emerald
 from .tours import tour
-from .hypertrees import cached, greedy_tree
+from .hypertrees import cached, greedy_tree, well_formed
 from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
 
 
@@ -79,10 +79,12 @@ def _walked(g, h, variant):
     """The Jaeger tree of h and two emerald orders read off the walk that
     built it: by first appearance as the current node, and as the emerald
     end of the current edge.  Built once per graph, hypertree and
-    variant; the walk's steps are not kept."""
+    variant; the walk's steps are not kept.  The cache is read only for
+    a well-formed h: (0.0, 2) equals and hashes like (0, 2) but is no
+    hypertree."""
     h = tuple(h)
     walked = cached(g, f"{variant} Jaeger trees", lambda g: {})
-    if h not in walked:
+    if h not in walked or not well_formed(g, h):
         built = greedy_tree(g, h, variant)
         if built is None:
             raise NotAHypertree(f"{h} is not a hypertree")

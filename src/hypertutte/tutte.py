@@ -4,9 +4,12 @@ tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
 activities; tutte_from_order does the same with a fixed emerald order;
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
-substituted embedding polynomial as a formal power series; its box rule
-and sweep are crapo's (box_around, sweep), and the sweep skips every
-prefix already out of the window.  A small
+substituted embedding polynomial as a formal power series.  Its box
+rule, sweep and line rule are crapo's (box_around, sweep, along_line):
+the sweep walks all coordinates but the last, skipping every prefix
+already out of the window, and each prefix counts its whole line of
+last coordinates at once.  It reads only the hypertree set, no
+activities, so the series identity stays an independent check.  A small
 classical-graph layer (deletion/contraction Tutte, bipartite-model
 conversion) supports the graph comparison report.
 """
@@ -24,7 +27,7 @@ from .polynomial import Poly, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
 from .delta import bases_from_hypertrees, min_rule_activities
 from .jaeger import ActivityRecord, order_emerald
-from .crapo import BudgetExceeded, box_around, sweep
+from .crapo import BudgetExceeded, along_line, box_around, box_size, sweep
 
 BoundsTooLarge = BudgetExceeded  # a corank-nullity window whose box is over budget
 
@@ -82,27 +85,42 @@ class CoefficientTable:
 
 
 def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
-    """Exact truncated corank-nullity table by box enumeration.
+    """Exact truncated corank-nullity table, one line of the box at a time.
 
     Any c with d1> <= imax and d1< <= jmax satisfies, coordinatewise,
-    min_h h(e) - imax <= c(e) <= max_h h(e) + jmax, so enumerating that
-    box and discarding out-of-window points yields exact counts.  A
-    prefix whose least partial d1< already exceeds jmax, or d1> imax, is
-    discarded with all its points without visiting them.
+    min_h h(e) - imax <= c(e) <= max_h h(e) + jmax, so counting the
+    points of that box that fall in the window is exact.  Every
+    hypertree h has coordinate sum N = #violet - 1, so d1<(h, c) -
+    d1>(h, c) = sum(c) - N for each h, and d1>(H, c) = d1<(H, c) -
+    (sum(c) - N): d1< alone is needed.  The sweep walks the box of all
+    coordinates but the last and skips every prefix whose least partial
+    d1< already exceeds jmax, or d1> imax, with all its points; each
+    prefix it yields gets d1< on its whole line of last coordinates from
+    :func:`crapo.along_line`.  The whole box's budget is checked first.
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
     hs = enumerate_hypertrees(g)
+    box = box_around(hs, imax, jmax)
+    box_size(box)  # the empty-side and budget checks, before any sweep
+    *head, (lo, hi) = box
+    line = along_line([h[-1] for h in hs], lo, hi)
+    total = sum(hs[0])  # N, the coordinate sum of every hypertree
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
 
     def out_of_window(sides):
         less, greater = map(min, zip(*sides))
         return less > jmax or greater > imax
 
-    for _, sides, _ in sweep(box_around(hs, imax, jmax), hs, prune=out_of_window):
-        j, i = map(min, zip(*sides))
-        if i <= imax and j <= jmax:
-            counts[(i, j)] += 1
+    for point, sides, _ in sweep(head, [h[:-1] for h in hs], prune=out_of_window):
+        if out_of_window(sides):  # sides only grow along the line
+            continue
+        excess = sum(point) + lo - total  # sum(c) - N at the line's first point
+        for j in line([less for less, _ in sides]):
+            i = j - excess
+            excess += 1
+            if i <= imax and j <= jmax:
+                counts[(i, j)] += 1
     return CoefficientTable(imax, jmax, tuple(sorted(counts.items())))
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -239,6 +242,37 @@ def test_conjecture_deterministic(capsys):
     a = run(capsys, "conjecture", "violet-prime", "--trials", "8", "--seed", "2")
     b = run(capsys, "conjecture", "violet-prime", "--trials", "8", "--seed", "2")
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ("--trials", "-1"),
+    (FIG2, "--trials", "-1"),
+    ("--trials", "0"),
+], ids=["negative", "negative-with-instance", "zero-without-instance"])
+def test_conjecture_refuses_to_check_nothing(capsys, argv):
+    code, out, err = run(capsys, "conjecture", "violet-prime", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_conjecture_zero_trials_with_instance(capsys):
+    code, out, _ = run(capsys, "conjecture", "violet-prime", FIG2,
+                       "--trials", "0", "--report", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "EQUAL"
+    assert report["checked"] == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "hypertutte", "fixtures", "list"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == fixture_names()
 
 
 def test_fixtures_list_and_emit(capsys):

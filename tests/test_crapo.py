@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertutte.crapo import (
     BudgetExceeded,
     CrapoInterval,
+    along_line,
     EmptySet,
     box_around,
     box_size,
@@ -376,6 +378,39 @@ def test_sweep_yields_one_sided_distances(fig2):
         assert sides == [one_sided(h, c) for h in centers]
         assert inside == [interval_contains(iv, c) for iv in intervals]
     assert all(inside is None for _, _, inside in sweep(box, centers))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ribbon_graphs(), st.data())
+def test_one_sided_difference_is_coordinate_sum(g, data):
+    """Every hypertree sums to #violet - 1, so d1< - d1> to any one of
+    them is sum(c) - (#violet - 1): the identity corank_nullity counts
+    by."""
+    for _ in range(5):
+        c = data.draw(st.lists(st.integers(-3, 5), min_size=g.emerald_count,
+                               max_size=g.emerald_count))
+        for h in enumerate_hypertrees(g):
+            less, greater = one_sided(h, c)
+            assert less - greater == sum(c) - (g.violet_count - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_along_line_is_least_one_sided_on_the_line(data):
+    """The line rule gives, at every v of the line, the least over the
+    centers of their partial d1< plus one_sided on the last coordinate,
+    ties and lines beyond every center included."""
+    k = data.draw(st.integers(1, 6))
+    column = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    lo = data.draw(st.integers(-5, 5))
+    hi = data.draw(st.integers(lo, lo + 8))
+    line = along_line(column, lo, hi)
+    for _ in range(3):
+        lesses = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+        assert line(lesses) == [
+            min(less + one_sided((x,), (v,))[0] for less, x in zip(lesses, column))
+            for v in range(lo, hi + 1)
+        ]
 
 
 def test_sweep_box_without_sides():

@@ -119,6 +119,22 @@ def test_walk_refuses_malformed_vectors(fig2):
         assert find_tree_with_degrees(fig2, v) is None
 
 
+def test_walk_cache_refuses_float_vectors(fig2):
+    """A float vector equals and hashes like the int hypertree it rounds
+    to, so it must be refused even after that hypertree's walks are
+    cached (equal graphs share one cache entry)."""
+    h = (0, 2, 0, 0)
+    assert is_hypertree(fig2, h)
+    lookups = (jaeger_tree_of, violet_jaeger_tree_of,
+               order_emerald, order_violet, order_violet_prime)
+    for lookup in lookups:
+        lookup(fig2, h)
+    for v in [(0.0, 2, 0, 0), (0, 2.0, 0, 0)]:
+        for lookup in lookups:
+            with pytest.raises(NotAHypertree):
+                lookup(fig2, v)
+
+
 def _search_trees(g, rng):
     """A breadth-first tree from every third node and a random spanning
     tree."""

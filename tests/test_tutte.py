@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import harness
-from hypertutte.crapo import BudgetExceeded, d1_greater, d1_less
+from hypertutte import harness, tutte
+from hypertutte.crapo import BudgetExceeded, box_around, box_size, d1_greater, d1_less, sweep
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
@@ -126,6 +126,43 @@ def test_corank_nullity_matches_brute_force_on_random_instances(g):
         assert corank_nullity(g, imax, jmax).entries == tuple(
             ((i, j), counts[i, j]) for i in range(imax + 1) for j in range(jmax + 1)
         )
+
+
+ONE_EMERALD = RibbonGraph.build(
+    3, 1, [("v0", "e0"), ("v1", "e0"), ("v2", "e0"), ("v2", "e0")],
+    {"v0": [0], "v1": [1], "v2": [2, 3], "e0": [0, 2, 1, 3]}, ("e0", 0),
+)
+
+
+def test_corank_nullity_matches_brute_force_on_lopsided_windows(fig1, fig2):
+    """Windows much longer on one side than the other, and a graph with
+    one emerald, whose box has only the last coordinate: the sweep then
+    walks the box without sides and counts one line."""
+    cases = [(g, window) for g in (fig1, fig2, ONE_EMERALD) for window in ((4, 1), (1, 4))]
+    for g, (imax, jmax) in cases + [(ONE_EMERALD, (3, 3))]:
+        counts = brute_force_counts(g, imax, jmax)
+        assert corank_nullity(g, imax, jmax).entries == tuple(
+            ((i, j), counts[i, j]) for i in range(imax + 1) for j in range(jmax + 1)
+        )
+
+
+def test_corank_nullity_sweeps_one_point_per_line(fig1, monkeypatch):
+    """The sweep walks all coordinates but the last: fig1's (3, 3) box of
+    32,768 points, 8 wide on every side, gives at most 4,096 yields."""
+    box = box_around(enumerate_hypertrees(fig1), 3, 3)
+    lo, hi = box[-1]
+    yields = 0
+
+    def counted(*args, **kwargs):
+        nonlocal yields
+        for item in sweep(*args, **kwargs):
+            yields += 1
+            yield item
+
+    monkeypatch.setattr(tutte, "sweep", counted)
+    corank_nullity(fig1, 3, 3)
+    assert box_size(box) == 32_768
+    assert 0 < yields <= box_size(box) // (hi - lo + 1)
 
 
 def test_corank_nullity_bad_bounds(fig2):
