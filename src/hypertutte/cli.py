@@ -261,7 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "conjecture" and not any(arg.startswith("-") for arg in extra):
+        args.instances += extra  # instance files may also follow the options
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "fixtures" and args.action == "emit" and not args.name:
         return _usage_error("fixtures emit requires a name")
     try:

@@ -52,6 +52,8 @@ class PolymatroidBases:
     ground: tuple
     bases: frozenset
     _ranks: tuple = field(init=False, repr=False, compare=False, default=None)
+    _floors: tuple = field(init=False, repr=False, compare=False, default=None)
+    _positions: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.bases:
@@ -59,14 +61,23 @@ class PolymatroidBases:
         sums = {sum(b) for b in self.bases}
         if len(sums) != 1:
             raise ValueError("bases have differing coordinate sums")
-        object.__setattr__(self, "_ranks", tuple(map(max, zip(*self.bases))))
+        columns = tuple(zip(*self.bases))
+        object.__setattr__(self, "_ranks", tuple(map(max, columns)))
+        object.__setattr__(self, "_floors", tuple(map(min, columns)))
+        positions = {}
+        for i, e in enumerate(self.ground):
+            positions.setdefault(e, i)  # a repeated name maps to its first place
+        object.__setattr__(self, "_positions", positions)
 
     def rank(self, e) -> int:
         """mu({e}): the greatest value of coordinate e over the bases."""
         return self._ranks[self.index(e)]
 
     def index(self, e) -> int:
-        return self.ground.index(e)
+        try:
+            return self._positions[e]
+        except (KeyError, TypeError):
+            raise ValueError(f"{e!r} is not in the ground set") from None
 
     def value(self, b, e) -> int:
         return b[self.index(e)]
@@ -210,27 +221,25 @@ def min_rule_activities(P: PolymatroidBases, b, order):
 
 def _rule_activities(P, b, order, later):
     b = tuple(b)
+    at = [P.index(e) for e in order]  # each element's coordinate, in order
     internal, external = set(), set()
-    for pos, e in enumerate(order):
-        others = order[pos + 1:] if later else order[:pos]
-        ei = P.index(e)
-        if not any(_shift(b, P.index(f), ei) in P.bases for f in others):
+    for pos, (e, ei) in enumerate(zip(order, at)):
+        others = at[pos + 1:] if later else at[:pos]
+        if not any(_shift(b, f, ei) in P.bases for f in others):
             internal.add(e)
-        if not any(_shift(b, ei, P.index(f)) in P.bases for f in others):
+        if not any(_shift(b, ei, f) in P.bases for f in others):
             external.add(e)
     return frozenset(internal), frozenset(external)
 
 
 def nontrivial(P: PolymatroidBases, b, internal, external):
     """Filter to elements whose value actually varies in the active
-    direction across the base set."""
+    direction across the base set: some basis is lower at an internal
+    element, which is b(e) above the least value of e over the bases,
+    or higher at an external one, which is b(e) below its rank."""
     b = tuple(b)
-    ni = frozenset(
-        e for e in internal if any(b2[P.index(e)] < b[P.index(e)] for b2 in P.bases)
-    )
-    ne = frozenset(
-        e for e in external if any(b2[P.index(e)] > b[P.index(e)] for b2 in P.bases)
-    )
+    ni = frozenset(e for e in internal if b[P.index(e)] > P._floors[P.index(e)])
+    ne = frozenset(e for e in external if b[P.index(e)] < P._ranks[P.index(e)])
     return ni, ne
 
 

@@ -14,14 +14,18 @@ that S's edges induce.  The mu table is built once per graph, from
 The Jaeger trees of a hypertree are built by one greedy walk,
 :func:`tours.walk` over the tree under construction (:func:`greedy_tree`),
 which keeps h realisable at every decision; its steps are the tour of
-the tree it builds.  The walk carries a witness tree, one spanning tree
-that realises h and agrees with every decision so far.  A decision the
+the tree it builds, and it records the two emerald orders of that tour
+as it goes.  The walk carries a witness tree, one spanning tree that
+realises h and agrees with every decision so far.  A decision the
 witness already makes costs nothing; any other moves the witness along
 at most one augmenting path of Edmonds' matroid intersection (the
 graphic matroid with the tree so far contracted and the decided edges
 deleted, against the partition matroid of the emerald degrees), or
 finds that no spanning tree fits it.  So the walk is polynomial and
-needs no mu table, and h is a hypertree iff a first witness exists.
+needs no mu table, and h is a hypertree iff a first witness exists
+(:func:`first_witness`).  The first witness depends on h alone, so a
+caller that walks h in both variants builds it once and passes it to
+both walks.
 
 Listing spanning trees (:func:`all_spanning_trees`,
 :func:`representatives`) and the exchange search
@@ -349,9 +353,21 @@ def _decided(lay: _Layout, pairs, via, free, rest: set, need, k, include) -> set
     return _grown(lay, pairs, free, rest, need)
 
 
-def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset, list] | None:
-    """The Jaeger tree of h and its tour, built in one walk, or None if h
-    is not a hypertree.
+def first_witness(g: RibbonGraph, h) -> tuple | None:
+    """A spanning tree with degree h(e)+1 at every emerald e, as a sorted
+    tuple of edge ids, or None if h is not a hypertree.  It starts the
+    walk of :func:`greedy_tree`, and callers that walk h in both variants
+    build it once and pass it to both."""
+    h = tuple(h)
+    if not well_formed(g, h):
+        return None
+    witness = _witness(_layout(g), [x + 1 for x in h])
+    return None if witness is None else tuple(sorted(witness))
+
+
+def greedy_tree(g: RibbonGraph, h, variant: str = "emerald", first=None) -> tuple | None:
+    """The Jaeger tree of h and the two emerald orders of its tour,
+    built in one walk, or None if h is not a hypertree.
 
     The walk is :func:`tours.walk` over the tree under construction; it
     decides each edge at its first visit, so its steps are the tour of
@@ -361,44 +377,53 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset,
     preferred side is kept if a spanning tree with degree h(e)+1 at every
     emerald e still fits the decisions, otherwise the other side is
     taken.  This picks the least representative of h in the order of
-    :func:`tours.tree_less`, which is its Jaeger tree.
+    :func:`tours.tree_less`, which is its Jaeger tree.  Along the way the
+    walk records the emeralds in order of first appearance as the current
+    node, and as the emerald end of the current edge; it returns
+    (tree, node order, edge order).
 
     Feasibility is read off a witness: one spanning tree that realises h
-    and keeps every decision so far, built by matroid intersection
-    (:func:`_witness`; none exists iff h is not a hypertree).  A decision
-    the witness already makes is feasible at no cost.  Any other is
-    tested by moving the witness (:func:`_decided`): if it cannot move,
-    no spanning tree fits the preferred side (Edmonds), and the witness
-    already fits the other one.  Some decisions need no search.  An edge
-    back into the included tree, or at an emerald that needs no more
-    edges, is in no witness and is excluded.  An edge that every fitting
-    tree has (:func:`_needed`) is included.  An edge to be included takes
-    the place of the witness edge by which its unreached end hangs towards
-    the reached nodes, if that edge is at the same emerald; this covers
-    every include from a violet node towards an unreached emerald.
+    and keeps every decision so far.  The first witness is ``first``, if
+    given (edge ids of a spanning tree that realises h, as
+    :func:`first_witness` returns them), and is otherwise built here by
+    matroid intersection (:func:`_witness`; none exists iff h is not a
+    hypertree).  A decision the witness already makes is feasible at no
+    cost.  Any other is tested by moving the witness (:func:`_decided`):
+    if it cannot move, no spanning tree fits the preferred side
+    (Edmonds), and the witness already fits the other one.  Some
+    decisions need no search.  An edge back into the included tree, or
+    at an emerald that needs no more edges, is in no witness and is
+    excluded.  An edge that every fitting tree has (:func:`_needed`) is
+    included.  An edge to be included takes the place of the witness
+    edge by which its unreached end hangs towards the reached nodes, if
+    that edge is at the same emerald; this covers every include from a
+    violet node towards an unreached emerald.
     """
-    lay = _layout(g)
     h = tuple(h)
-    if not well_formed(g, h):
-        return None
+    if first is None:
+        first = first_witness(g, h)
+        if first is None:
+            return None
+    lay = _layout(g)
     need = [x + 1 for x in h]
-    witness = _witness(lay, need)
-    if witness is None:
-        return None
+    witness = set(first)
     b0 = g.basis[0]
     start = node_index(b0) + (lay.nv if is_emerald(b0) else 0)
     pairs = list(lay.ends)
     _contract(lay, pairs, start)
     free = set(range(len(lay.ends)))  # undecided edges
-    tree, reached, steps = set(), {start}, []
+    tree, reached = set(), {start}
+    by_node, by_edge = {}, {}  # emeralds in order of first appearance, as keys
     via = None  # the witness less the tree, rooted at the reached nodes; None when stale
     include_at_emerald = variant == "violet"
     for node, k in tours.walk(g, tree):
-        steps.append((node, k))
+        at_emerald = is_emerald(node)
+        if at_emerald:
+            by_node[node] = None
+        by_edge[g.edges[k][1]] = None
         if k not in free:
             continue
         free.remove(k)
-        at_emerald = is_emerald(node)
         there = lay.ends[k][not at_emerald]
         j = lay.at[k]
         if there in reached or not need[j]:
@@ -424,7 +449,7 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald") -> tuple[frozenset,
             need[j] -= 1
             reached.add(there)
             _contract(lay, pairs, there)
-    return frozenset(tree), steps
+    return frozenset(tree), tuple(by_node), tuple(by_edge)
 
 
 def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:

@@ -12,17 +12,18 @@ recognisers :func:`is_jaeger` and :func:`is_violet_jaeger` are kept as
 the test oracle.  Activities of a hypertree are computed relative to a total
 order on the emerald nodes; the tour of the Jaeger tree induces the
 order <_h, and the violet tours induce two further orders.  Each order
-is read off the same walk that built its tree, so computing a
-polynomial walks the tour of each Jaeger tree once.
+is recorded by the same walk that built its tree, so computing a
+polynomial walks the tour of each Jaeger tree once, and the emerald and
+violet walks of a hypertree start from one shared first witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import RibbonGraph, is_emerald
+from .model import RibbonGraph
 from .tours import tour
-from .hypertrees import cached, greedy_tree, well_formed
+from .hypertrees import cached, first_witness, greedy_tree, well_formed
 from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
 
 
@@ -76,34 +77,39 @@ def is_violet_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
 
 
 def _walked(g, h, variant):
-    """The Jaeger tree of h and two emerald orders read off the walk that
-    built it: by first appearance as the current node, and as the emerald
-    end of the current edge.  Built once per graph, hypertree and
-    variant; the walk's steps are not kept.  The cache is read only for
-    a well-formed h: (0.0, 2) equals and hashes like (0, 2) but is no
-    hypertree."""
+    """The Jaeger tree of h, as a sorted tuple of edge ids, and the two
+    emerald orders its walk records (:func:`hypertrees.greedy_tree`): by
+    first appearance as the current node, and as the emerald end of the
+    current edge.  Built once per graph, hypertree and variant.  The
+    emerald and violet walks of h start from one first witness: the
+    first of them builds it and keeps it, as a tuple of edge ids, and the
+    second takes it and drops it.  Only a well-formed h reaches the
+    caches: (0.0, 2) equals and hashes like (0, 2) but is no hypertree."""
     h = tuple(h)
+    if not well_formed(g, h):
+        raise NotAHypertree(f"{h} is not a hypertree")
     walked = cached(g, f"{variant} Jaeger trees", lambda g: {})
-    if h not in walked or not well_formed(g, h):
-        built = greedy_tree(g, h, variant)
-        if built is None:
-            raise NotAHypertree(f"{h} is not a hypertree")
-        tree, steps = built
-        walked[h] = (
-            tree,
-            tuple(dict.fromkeys(node for node, _ in steps if is_emerald(node))),
-            tuple(dict.fromkeys(g.edges[k][1] for _, k in steps)),
-        )
+    if h not in walked:
+        firsts = cached(g, "first witnesses", lambda g: {})
+        if h in firsts:  # the other variant has walked h
+            first = firsts.pop(h)
+        else:
+            first = first_witness(g, h)
+            if first is None:
+                raise NotAHypertree(f"{h} is not a hypertree")
+            firsts[h] = first
+        tree, *orders = greedy_tree(g, h, variant, first)
+        walked[h] = (tuple(sorted(tree)), *orders)
     return walked[h]
 
 
 def jaeger_tree_of(g: RibbonGraph, h) -> frozenset:
     """The unique Jaeger tree representing h."""
-    return _walked(g, h, "emerald")[0]
+    return frozenset(_walked(g, h, "emerald")[0])
 
 
 def violet_jaeger_tree_of(g: RibbonGraph, h) -> frozenset:
-    return _walked(g, h, "violet")[0]
+    return frozenset(_walked(g, h, "violet")[0])
 
 
 def order_emerald(g: RibbonGraph, h) -> tuple:

@@ -154,3 +154,27 @@ class Poly:
 
 def x_plus_y_minus_1() -> Poly:
     return Poly({(1, 0): 1, (0, 1): 1, (0, 0): -1})
+
+
+def expand_triples(triples) -> Poly:
+    """Sum of n x^a y^b (x+y-1)^c over a mapping {(a, b, c): n}.
+
+    The terms are grouped by c into A_c = sum of n x^a y^b, and the sum
+    is expanded by Horner's rule in s = x+y-1: out <- out*s + A_c, from
+    the largest c down to 0.  Multiplying by s is one pass over the
+    terms, so no power of s and no product of two large polynomials is
+    ever formed.
+    """
+    groups = {}
+    for (a, b, c), n in triples.items():
+        group = groups.setdefault(c, {})
+        group[a, b] = group.get((a, b), 0) + n
+    out = {}
+    for c in range(max(groups, default=-1), -1, -1):
+        times_s = groups.get(c, {})  # becomes out*s + A_c
+        for (a, b), n in out.items():
+            times_s[a + 1, b] = times_s.get((a + 1, b), 0) + n
+            times_s[a, b + 1] = times_s.get((a, b + 1), 0) + n
+            times_s[a, b] = times_s.get((a, b), 0) - n
+        out = times_s
+    return Poly(out)

@@ -23,7 +23,7 @@ from math import comb
 from .model import (
     ParseError, RibbonGraph, connected, emerald, is_int, violet, yaml_mapping,
 )
-from .polynomial import Poly, x_plus_y_minus_1
+from .polynomial import Poly, expand_triples, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
 from .delta import bases_from_hypertrees, min_rule_activities
 from .jaeger import ActivityRecord, order_emerald
@@ -38,16 +38,15 @@ class Disconnected(ValueError):
 
 def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
     """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie, the activities of
-    h taken under the emerald order ``order_fn(g, h)``."""
+    h taken under the emerald order ``order_fn(g, h)``.  The hypertrees
+    are counted by (oi, oe, ie) and the counts expanded by Horner's rule
+    in x+y-1 (:func:`polynomial.expand_triples`)."""
     P = bases_from_hypertrees(g)
     triples = Counter()
     for h in enumerate_hypertrees(g):
         rec = ActivityRecord(*min_rule_activities(P, h, order_fn(g, h)))
         triples[rec.oi, rec.oe, rec.ie] += 1
-    out = Poly()
-    for (oi, oe, ie), n in sorted(triples.items()):
-        out = out + Poly.monomial(oi, oe, n) * x_plus_y_minus_1() ** ie
-    return out
+    return expand_triples(triples)
 
 
 def tutte_embedding(g: RibbonGraph) -> Poly:

@@ -256,6 +256,23 @@ def test_conjecture_refuses_to_check_nothing(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_conjecture_instances_before_or_after_options(capsys):
+    before = run(capsys, "conjecture", "violet-prime", FIG2, FIG5, "--trials", "1",
+                 "--report", "json")
+    after = run(capsys, "conjecture", "violet-prime", "--trials", "1", FIG2,
+                "--report", "json", FIG5)
+    assert before[0] == after[0] == 0
+    assert before == after
+    assert json.loads(after[1])["checked"] == 3
+
+
+def test_conjecture_unknown_option_after_instance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "violet-prime", "--trials", "1", FIG2, "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+
+
 def test_conjecture_zero_trials_with_instance(capsys):
     code, out, _ = run(capsys, "conjecture", "violet-prime", FIG2,
                        "--trials", "0", "--report", "json")

@@ -21,7 +21,7 @@ from hypertutte.hypertrees import (
 )
 from hypertutte.jaeger import is_jaeger, is_violet_jaeger
 from hypertutte.model import RibbonGraph, is_emerald, node_index
-from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree
+from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
 from test_oracle import complete_bipartite, ribbon_graphs
 
 
@@ -92,7 +92,7 @@ def replay_walk(g, h, variant) -> int:
     """Replay the walk that builds a Jaeger tree of h and check that it
     keeps each preferred decision exactly when Rado's condition allows
     it; returns the number of decisions checked."""
-    tree, steps = hypertrees.greedy_tree(g, h, variant)
+    tree = hypertrees.greedy_tree(g, h, variant)[0]
     nv = g.violet_count
     ends = [(node_index(v), nv + node_index(e)) for v, e in g.edges]
     need = [x + 1 for x in h]
@@ -100,7 +100,7 @@ def replay_walk(g, h, variant) -> int:
     for k, (_, e) in enumerate(ends):
         free[e - nv].add(k)
     reached, checked = set(), 0
-    for node, k in steps:
+    for node, k in tour(g, tree):  # the walk's own steps
         v, e = ends[k]
         j = e - nv
         at_emerald = is_emerald(node)
@@ -152,9 +152,12 @@ def assert_walk_ignores_first_witness(g, monkeypatch):
         [emerald_tree] = [t for t in reps if is_jaeger(g, t)]
         [violet_tree] = [t for t in reps if is_violet_jaeger(g, t)]
         for first in reps:
-            monkeypatch.setattr(hypertrees, "_witness", lambda lay, need: set(first))
+            starts = []
+            monkeypatch.setattr(hypertrees, "_witness",
+                                lambda lay, need: starts.append(first) or set(first))
             assert hypertrees.greedy_tree(g, h)[0] == emerald_tree, (h, first)
             assert hypertrees.greedy_tree(g, h, "violet")[0] == violet_tree, (h, first)
+            assert starts == [first, first]  # each walk started from first
 
 
 def test_walk_ignores_first_witness_on_fixtures(all_hg, single_edge, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -265,6 +266,26 @@ def test_polynomials_walk_no_tour(monkeypatch):
     assert tutte_embedding(g).evaluate(1, 1) == len(enumerate_hypertrees(g))
     assert harness.test_violet_prime(g)["kind"] == "violet-prime"
     assert harness.test_violet(g)["kind"] == "violet"
+
+
+def test_one_first_witness_per_hypertree(all_hg, monkeypatch):
+    """The embedding and violet-prime polynomials walk every hypertree in
+    both variants from one first witness, built once and dropped once
+    both walks are done."""
+    monkeypatch.setattr(hypertrees, "_CACHE", weakref.WeakKeyDictionary())  # nothing walked
+    built = []
+    witness = hypertrees._witness
+    monkeypatch.setattr(hypertrees, "_witness",
+                        lambda lay, need: built.append(tuple(need)) or witness(lay, need))
+    k34 = harness.perturbed(complete_bipartite(3, 4), random.Random(34))
+    # fig4 is fig2's instance, and equal graphs share one cache entry
+    for g in dict.fromkeys([*all_hg.values(), k34]):
+        built.clear()
+        tutte_embedding(g)
+        harness.violet_prime_polynomial(g)
+        hs = enumerate_hypertrees(g)
+        assert sorted(built) == sorted(tuple(x + 1 for x in h) for h in hs)
+        assert hypertrees.cached(g, "first witnesses", dict) == {}
 
 
 def test_activities_fig2(fig2):

@@ -1,9 +1,11 @@
 """Bivariate polynomial arithmetic and canonical rendering."""
 
-import pytest
-from hypothesis import given, strategies as st
+from collections import Counter
 
-from hypertutte.polynomial import Poly, x_plus_y_minus_1
+import pytest
+from hypothesis import example, given, strategies as st
+
+from hypertutte.polynomial import Poly, expand_triples, x_plus_y_minus_1
 
 
 def test_square_expansion():
@@ -90,3 +92,21 @@ def test_distributivity(p, q, r):
 @given(polys, st.integers(-3, 3), st.integers(-3, 3))
 def test_evaluation_is_ring_hom(p, x, y):
     assert (p * p).evaluate(x, y) == p.evaluate(x, y) ** 2
+
+
+def triples(c):
+    """Mappings (a, b, c) -> n with coefficients of either sign."""
+    return st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4), c),
+                           coeffs, max_size=8)
+
+
+@given(st.one_of(triples(st.integers(0, 5)), triples(st.just(0))))
+@example({})
+@example({(2, 1, 0): 3, (0, 0, 0): -1})
+@example({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1, (0, 0, 1): -1})  # cancels to 0
+@example({(0, 0, 3): 2, (1, 0, 2): -2, (0, 1, 2): -2, (0, 0, 2): 2})  # cancels to 0
+def test_expand_triples_matches_naive_sum(terms):
+    naive = Poly()
+    for (a, b, c), n in terms.items():
+        naive = naive + Poly.monomial(a, b, n) * x_plus_y_minus_1() ** c
+    assert expand_triples(Counter(terms)) == naive

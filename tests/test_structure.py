@@ -1,11 +1,12 @@
 """Static checks on the package source: no module reaches into another
-module's private names, no module imports a name it never uses, every
-exception class the package defines is raised somewhere in it, only
-``tours.walk`` steps around a rotation, and only ``crapo`` measures
-one-sided distances."""
+module's private names, no module imports a name it never uses or
+defines a private helper it never names, every exception class the
+package defines is raised somewhere in it, only ``tours.walk`` steps
+around a rotation, and only ``crapo`` measures one-sided distances."""
 
 import ast
 import builtins
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,23 @@ def unused_imports(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= _exported(tree)
     return sorted({bound for bound, _ in _imports(tree)} - used)
+
+
+def unreferenced_private_definitions(source: str) -> list:
+    """Private functions and classes that the source names nowhere
+    outside their own definition, as a plain name or as an attribute."""
+    tree = ast.parse(source)
+
+    def names(node) -> Counter:
+        return Counter(map(_name, ast.walk(node)))
+
+    everywhere = names(tree)
+    return sorted(
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and _private(node.name)
+        and everywhere[node.name] == names(node)[node.name]
+    )
 
 
 def _name(node) -> str | None:
@@ -155,6 +173,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_helpers(path):
+    """A private helper that nothing in its module names is dead code."""
+    assert unreferenced_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
 def test_checks_catch_violations():
     source = (
         "from . import crapo\n"
@@ -167,6 +191,17 @@ def test_checks_catch_violations():
     )
     assert private_accesses(source) == ["from-import of _one_sided", "crapo._BOX_BUDGET"]
     assert unused_imports(source) == ["NotAHypertree"]
+    helpers = (
+        "def _used():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _orphan():\n    return _used()\n"
+        "class _Box:\n    def _method(self):\n        return self._method()\n"
+        "    def _called(self):\n        return 2\n"
+        "class _Gone:\n    pass\n"
+        "def public():\n    return _Box()._called()\n"
+    )
+    assert unreferenced_private_definitions(helpers) == [
+        "_Gone", "_method", "_orphan", "_recursive"]
     planted = [
         "class Bad(ValueError):\n    pass\n"
         "class Worse(Bad):\n    pass\n"
