@@ -43,8 +43,6 @@ def _cmd_tutte(args) -> int:
     elif args.method == "fixed":
         if args.order:
             order = tuple(args.order.split(","))
-            if sorted(order) != sorted(f"e{j}" for j in range(g.emerald_count)):
-                return _usage_error("--order must list every emerald node once")
         else:
             order = tuple(f"e{j}" for j in range(g.emerald_count))
         print(tutte.tutte_from_order(g, order))

@@ -14,7 +14,11 @@ for a decision tree realizing a given assignment.  The search lists no
 decision trees: under the MAX rule a node's activities depend only on
 its label, the elements not labeled above it and the basis, so it
 solves each (remaining elements, bases routed to the node) subproblem
-once and returns the first matching tree in enumeration order.
+once and returns the first matching tree in enumeration order.  Its
+memo of solved subproblems is capped (``_MEMO_CAP`` entries), which
+bounds its memory whatever the number of decision trees.  Listing,
+counting and drawing decision trees are test oracles, in
+``tests/oracles.py``.
 
 The exchange axiom is written once (:func:`exchange_witness`) and checked
 only where bases are loaded (:func:`check_exchange`): hypertree sets
@@ -27,6 +31,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .model import ParseError, emerald, is_int, yaml_mapping
+from .hypertrees import cached, enumerate_hypertrees
+from .tours import spanning_trees
 
 
 class BasisOutOfRange(ValueError):
@@ -34,14 +40,14 @@ class BasisOutOfRange(ValueError):
 
 
 class SearchSpaceTooLarge(ValueError):
-    """The decision-tree space exceeds the enumeration guard."""
+    """The search needs more subproblems than its memo may hold."""
 
 
 class InvalidDecisionTree(ValueError):
     """Branch misses an element, repeats one, or has wrong arity."""
 
 
-_SEARCH_GUARD = 2_000_000
+_MEMO_CAP = 100_000  # solved subproblems the search may keep
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,6 @@ def load_bases(text: str) -> PolymatroidBases:
 def bases_from_hypertrees(g) -> PolymatroidBases:
     """The hypergraphic polymatroid of a ribbon graph instance, built once
     per graph; a polymatroid by Kálmán's theorem, so not checked."""
-    from .hypertrees import cached, enumerate_hypertrees
 
     def build(g):
         ground = tuple(emerald(j) for j in range(g.emerald_count))
@@ -251,6 +256,19 @@ class BasisActivity:
     nontrivial_external: frozenset
 
 
+def check_order(P: PolymatroidBases, order):
+    """ValueError unless ``order`` lists every ground element of P
+    exactly once."""
+    try:
+        places = sorted(map(P.index, order))
+    except ValueError:
+        places = None
+    if places != list(range(len(P.ground))):
+        raise ValueError(
+            f"order {tuple(order)} must list every element of {P.ground} exactly once"
+        )
+
+
 def _assignment(P: PolymatroidBases, rule, order_of) -> dict:
     """basis -> BasisActivity, b's activities taken by ``rule`` on ``order_of(b)``."""
     out = {}
@@ -266,7 +284,10 @@ def assignment_from_delta(tree: DecisionTree, P: PolymatroidBases) -> dict:
 
 
 def assignment_from_orders(P: PolymatroidBases, order_map: dict) -> dict:
-    """basis -> BasisActivity from explicit per-basis orders, MIN rule."""
+    """basis -> BasisActivity from explicit per-basis orders, MIN rule;
+    each order must list every ground element once (:func:`check_order`)."""
+    for b in P.bases:
+        check_order(P, order_map[b])
     return _assignment(P, min_rule_activities, lambda b: order_map[b])
 
 
@@ -317,8 +338,6 @@ def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
 def graph_matroid(graph) -> PolymatroidBases:
     """Cycle matroid of an ordinary graph: bases are the 0/1 indicator
     vectors of its spanning trees, over the named edge ground set."""
-    from .tours import spanning_trees
-
     edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
     names = graph.edge_names()
     bases = set()
@@ -341,59 +360,11 @@ def fixed_tree_order_activities(graph, order_map: dict) -> tuple:
     return P, assignment_from_orders(P, by_basis)
 
 
-def count_decision_trees(ground, ranks) -> int:
-    """Number of decision trees: T(S) = sum_e (r(e)+1) powers of subtrees."""
-    memo = {}
-
-    def count(elems):
-        if len(elems) <= 1:
-            return 1
-        if elems in memo:
-            return memo[elems]
-        total = 0
-        for e in elems:
-            rest = tuple(x for x in elems if x != e)
-            total += count(rest) ** (ranks[e] + 1)
-        memo[elems] = total
-        return total
-
-    return count(tuple(ground))
-
-
-def enumerate_decision_trees(ground, ranks):
-    """All decision trees over the ground set, deterministically ordered."""
-
-    def gen(elems):
-        if len(elems) == 1:
-            yield DecisionTree(elems[0], ())
-            return
-        for e in elems:
-            rest = tuple(x for x in elems if x != e)
-            subtrees = list(gen(rest))
-            for combo in itertools.product(subtrees, repeat=ranks[e] + 1):
-                yield DecisionTree(e, combo)
-
-    yield from gen(tuple(ground))
-
-
-def random_decision_tree(ground, ranks, rng) -> DecisionTree:
-    """A uniformly structured random decision tree (labels chosen
-    uniformly at each node, subtrees drawn independently)."""
-
-    def gen(elems):
-        e = elems[rng.randrange(len(elems))]
-        rest = tuple(x for x in elems if x != e)
-        if not rest:
-            return DecisionTree(e, ())
-        return DecisionTree(e, tuple(gen(rest) for _ in range(ranks[e] + 1)))
-
-    return gen(tuple(ground))
-
-
 def exhaustive_delta_search(P: PolymatroidBases, target: dict):
-    """The first decision tree, in :func:`enumerate_decision_trees` order,
-    whose MAX-rule nontrivial activity sets equal the target assignment's,
-    or None if no decision tree has them.
+    """The first decision tree whose MAX-rule nontrivial activity sets
+    equal the target assignment's, or None if no decision tree has them.
+    Trees are ordered by root label in ground order, then by their
+    children's subtrees in turn, each in the same order.
 
     Activity sets of a Delta always differ trivially from MIN-rule ones
     (the branch maximum vs. minimum is forced active), so assignments
@@ -407,16 +378,14 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     is the first label in ground order on which every routed basis agrees
     with the target and whose children are all solvable, each child
     taking its own first answer.  A child no basis reaches takes the
-    first tree of its enumeration.
+    first tree of its enumeration.  The memo keeps at most ``_MEMO_CAP``
+    solved subproblems; one more raises :class:`SearchSpaceTooLarge`.
     """
     bases = sorted(P.bases)
     for b in bases:
         if any(v < 0 for v in b):
             raise BasisOutOfRange(f"basis {b} has a negative coordinate")
     ranks = {e: P.rank(e) for e in P.ground}
-    total = count_decision_trees(P.ground, ranks)
-    if total > _SEARCH_GUARD:
-        raise SearchSpaceTooLarge(f"{total} decision trees exceed the guard")
     want = {
         b: (target[b].nontrivial_internal, target[b].nontrivial_external)
         for b in bases
@@ -436,7 +405,10 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
         """First tree over ``elems`` agreeing on every basis of ``group``."""
         key = (elems, group)
         if key not in memo:
-            memo[key] = first_tree(elems, group)
+            tree = first_tree(elems, group)
+            if len(memo) >= _MEMO_CAP:
+                raise SearchSpaceTooLarge(f"more than {_MEMO_CAP} subproblems")
+            memo[key] = tree
         return memo[key]
 
     def first_tree(elems, group):

@@ -27,40 +27,31 @@ needs no mu table, and h is a hypertree iff a first witness exists
 caller that walks h in both variants builds it once and passes it to
 both walks.
 
-Listing spanning trees (:func:`all_spanning_trees`,
-:func:`representatives`) and the exchange search
-:func:`hypertrees_by_exchange` remain as independent oracles for the
-tests.
+Listing spanning trees (:func:`all_spanning_trees`) remains for the
+coverage figures of the benchmark; the oracles built on it, and the
+exchange search that re-derives the hypertree set, are in
+``tests/oracles.py``.
 
-Everything derived from one graph lives in a per-graph cache that dies
-with the graph (:func:`cached`).  The set of all hypertrees forms the
-bases of a polymatroid (Kálmán), so it is trusted, not checked, where it
-is built; :func:`exchange_witness` names a witness of the exchange axiom
-through :func:`delta.exchange_witness`, and the tests check the axiom.
+Everything derived from one graph lives in the graph itself and dies
+with it (:func:`cached`).  The set of all hypertrees forms the bases of
+a polymatroid (Kálmán), so it is trusted, not checked, where it is
+built; the tests check the exchange axiom through
+:func:`delta.exchange_witness`.
 """
 
 from __future__ import annotations
 
-import weakref
-
-from .model import RibbonGraph, adjacency, emerald, is_emerald, node_index, reach
-from . import delta, tours
-
-
-class NoWitness(RuntimeError):
-    """No exchange witness exists; valid hypertree data never triggers this."""
-
-
-# graph -> {name: value derived from the graph}; no value refers to its graph
-_CACHE = weakref.WeakKeyDictionary()
+from .model import RibbonGraph, adjacency, is_emerald, node_index, reach
+from . import tours
 
 
 def cached(g: RibbonGraph, name: str, build):
-    """``build(g)``, computed once per graph and kept while g is alive."""
-    entry = _CACHE.setdefault(g, {})
-    if name not in entry:
-        entry[name] = build(g)
-    return entry[name]
+    """``build(g)``, computed once per graph and kept in the graph, so it
+    lives as long as g does; no value refers back to its graph."""
+    derived = g.derived
+    if name not in derived:
+        derived[name] = build(g)
+    return derived[name]
 
 
 class _Layout:
@@ -376,8 +367,8 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald", first=None) -> tupl
     an emerald node; ``variant="violet"`` reverses both preferences.  The
     preferred side is kept if a spanning tree with degree h(e)+1 at every
     emerald e still fits the decisions, otherwise the other side is
-    taken.  This picks the least representative of h in the order of
-    :func:`tours.tree_less`, which is its Jaeger tree.  Along the way the
+    taken.  This picks the least representative of h in the tree order
+    by first tour difference, which is its Jaeger tree.  Along the way the
     walk records the emeralds in order of first appearance as the current
     node, and as the emerald end of the current edge; it returns
     (tree, node order, edge order).
@@ -452,66 +443,9 @@ def greedy_tree(g: RibbonGraph, h, variant: str = "emerald", first=None) -> tupl
     return frozenset(tree), tuple(by_node), tuple(by_edge)
 
 
-def find_tree_with_degrees(g: RibbonGraph, vector) -> frozenset | None:
-    """A spanning tree with degree vector(e)+1 at each emerald node (the
-    emerald Jaeger tree), or None if vector is not a hypertree."""
-    walked = greedy_tree(g, vector)
-    return None if walked is None else walked[0]
-
-
-# -- oracles: spanning-tree listing, for the tests ---------------------------
+# -- spanning-tree listing, for the benchmark's coverage figures -------------
 
 
 def all_spanning_trees(g: RibbonGraph) -> tuple:
     return cached(g, "spanning_trees", lambda g: tuple(tours.enumerate_spanning_trees(g)))
 
-
-def representatives(g: RibbonGraph, h) -> list[frozenset]:
-    """All spanning trees whose degree vector equals h."""
-    h = tuple(h)
-    return [t for t in all_spanning_trees(g) if degree_vector(g, t) == h]
-
-
-def hypertrees_by_exchange(g: RibbonGraph) -> tuple:
-    """Hypertree set via BFS over single exchange moves; cross-check path.
-
-    Seeded from one degree vector; every h +/- (1_e - 1_f) passing the
-    membership test is explored.  Agreement with enumerate_hypertrees is
-    asserted by the test suite, not assumed here.
-    """
-    seed = degree_vector(g, next(iter(tours.enumerate_spanning_trees(g))))
-    seen = {seed}
-    queue = [seed]
-    ne = g.emerald_count
-    while queue:
-        h = queue.pop()
-        for e in range(ne):
-            if h[e] == 0:
-                continue
-            for f in range(ne):
-                if f == e:
-                    continue
-                h2 = list(h)
-                h2[e] -= 1
-                h2[f] += 1
-                h2 = tuple(h2)
-                if h2 not in seen and is_hypertree(g, h2):
-                    seen.add(h2)
-                    queue.append(h2)
-    return tuple(sorted(seen))
-
-
-def exchange_witness(g: RibbonGraph, h, h2, e) -> str:
-    """The exchange axiom witness: an emerald f with h(f) > h2(f) such that
-    h + 1_e - 1_f and h2 - 1_e + 1_f are both hypertrees.
-
-    ``e`` may be an emerald name or index; requires h(e) < h2(e).
-    """
-    h, h2 = tuple(h), tuple(h2)
-    ei = node_index(e) if isinstance(e, str) else e
-    if h[ei] >= h2[ei]:
-        raise ValueError("exchange_witness requires h(e) < h2(e)")
-    fi = delta.exchange_witness(delta.bases_from_hypertrees(g), h, h2, ei)
-    if fi is None:
-        raise NoWitness(f"no exchange witness for {h} -> {h2} at e{ei}")
-    return emerald(fi)

@@ -8,10 +8,11 @@ polynomial time, moving a witness spanning tree by matroid intersection.
 The walk also decides membership: a vector that is not a hypertree has
 no first witness and raises :class:`NotAHypertree`, with no 2^k subset
 scan.  The violet variant uses the violet-endpoint-first rule.  The
-recognisers :func:`is_jaeger` and :func:`is_violet_jaeger` are kept as
-the test oracle.  Activities of a hypertree are computed relative to a total
-order on the emerald nodes; the tour of the Jaeger tree induces the
-order <_h, and the violet tours induce two further orders.  Each order
+recognisers that read the definition off a tree's tour are the test
+oracle, in ``tests/oracles.py``.  Activities of a hypertree are
+computed relative to a total order on the emerald nodes; the tour of
+the Jaeger tree induces the order <_h, and the violet tours induce two
+further orders.  Each order
 is recorded by the same walk that built its tree, so computing a
 polynomial walks the tour of each Jaeger tree once, and the emerald and
 violet walks of a hypertree start from one shared first witness.
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import RibbonGraph
-from .tours import tour
 from .hypertrees import cached, first_witness, greedy_tree, well_formed
 from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
 
@@ -49,31 +49,6 @@ class ActivityRecord:
     @property
     def ie(self) -> int:
         return len(self.internal & self.external)
-
-
-def _first_seen(g: RibbonGraph, tree: frozenset) -> dict:
-    """First tour index of every (node, edge) pair."""
-    first = {}
-    for i, step in enumerate(tour(g, tree)):
-        if step not in first:
-            first[step] = i
-    return first
-
-
-def is_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
-    first = _first_seen(g, tree)
-    for k, (v, e) in enumerate(g.edges):
-        if k not in tree and first[(v, k)] < first[(e, k)]:
-            return False
-    return True
-
-
-def is_violet_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
-    first = _first_seen(g, tree)
-    for k, (v, e) in enumerate(g.edges):
-        if k not in tree and first[(e, k)] < first[(v, k)]:
-            return False
-    return True
 
 
 def _walked(g, h, variant):

@@ -93,7 +93,8 @@ class RibbonGraph:
     ``rotations`` stores, per node, the cyclic list of incident edge ids;
     the first entry is not semantically distinguished.  ``basis`` is a
     ``(node, edge)`` pair with the edge incident to the node; the node may
-    be violet or emerald.
+    be violet or emerald.  ``derived`` holds what is computed from the
+    graph, read and filled through :func:`hypertrees.cached` only.
     """
 
     violet_count: int
@@ -103,6 +104,7 @@ class RibbonGraph:
     basis: tuple[str, int]
     _rotation: dict = field(init=False, repr=False, compare=False, default=None)
     _next: dict = field(init=False, repr=False, compare=False, default=None)
+    derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_rotation", dict(self.rotations))

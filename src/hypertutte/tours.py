@@ -5,26 +5,22 @@ tour of a tree walks the ribbon structure starting at the basis pair: at a
 non-tree edge it rotates to the next edge around the current node, at a
 tree edge it crosses to the other endpoint and rotates there.  It stops
 right before the basis pair would recur, having seen every edge twice.
-:func:`walk` holds this step rule, the only one in the package; the tour,
-the first tour difference of two trees and the greedy Jaeger walk of
-:mod:`hypertrees` all run on it.
+:func:`walk` holds this step rule, the only one in the package; the tour
+and the greedy Jaeger walk of :mod:`hypertrees` both run on it.  The
+tree order by first tour difference, which that walk minimises, is
+defined for the tests in ``tests/oracles.py``.
 
-Also here: the tree order defined by the first difference of two tours,
-fundamental cycles and cuts, base components, and deterministic spanning
-tree enumeration by contraction/deletion.
+Also here: fundamental cycles and cuts, base components, and
+deterministic spanning tree enumeration by contraction/deletion.
 """
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, connected, is_emerald, reach
+from .model import RibbonGraph, adjacency, connected, reach
 
 
 class WrongSide(ValueError):
     """Edge is on the wrong side of the tree for the requested operation."""
-
-
-class EqualTrees(ValueError):
-    """Raised by the tree comparison when both trees are identical."""
 
 
 def _tree_adjacency(g: RibbonGraph, tree, removed=None) -> dict:
@@ -64,30 +60,6 @@ def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
     tour, and callers that need a tree check :func:`is_spanning_tree`.
     """
     return list(walk(g, tree))
-
-
-def first_difference(g: RibbonGraph, t1: frozenset, t2: frozenset):
-    """Earliest tour step treated differently by the two trees, or None.
-
-    Both tours produce the same step sequence up to the first pair whose
-    edge lies in exactly one tree, so the tour of t1 alone suffices.
-    """
-    for node, edge in walk(g, t1):
-        if (edge in t1) != (edge in t2):
-            return (node, edge)
-    return None
-
-
-def tree_less(g: RibbonGraph, t1: frozenset, t2: frozenset) -> bool:
-    """Strict tree order: at the first tour difference (x, xy), t1 comes
-    first iff x is emerald and xy in t2, or x is violet and xy in t1."""
-    diff = first_difference(g, t1, t2)
-    if diff is None:
-        raise EqualTrees("tree_less requires distinct trees")
-    x, xy = diff
-    if is_emerald(x):
-        return xy in t2
-    return xy in t1
 
 
 def tree_path(g: RibbonGraph, tree: frozenset, start: str, goal: str) -> list[int]:

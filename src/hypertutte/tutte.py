@@ -25,11 +25,9 @@ from .model import (
 )
 from .polynomial import Poly, expand_triples, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
-from .delta import bases_from_hypertrees, min_rule_activities
+from .delta import bases_from_hypertrees, check_order, min_rule_activities
 from .jaeger import ActivityRecord, order_emerald
-from .crapo import BudgetExceeded, along_line, box_around, box_size, sweep
-
-BoundsTooLarge = BudgetExceeded  # a corank-nullity window whose box is over budget
+from .crapo import along_line, box_around, box_size, sweep
 
 
 class Disconnected(ValueError):
@@ -56,8 +54,10 @@ def tutte_embedding(g: RibbonGraph) -> Poly:
 
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:
-    """Same sum, with activities taken relative to one fixed emerald order."""
+    """Same sum, with activities taken relative to one fixed emerald
+    order, which must list every emerald once (:func:`delta.check_order`)."""
     order = tuple(order)
+    check_order(bases_from_hypertrees(g), order)
     return tutte_sum(g, lambda g, h: order)
 
 

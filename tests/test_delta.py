@@ -18,9 +18,7 @@ from hypertutte.delta import (
     basis_interval,
     basis_name,
     check_exchange,
-    count_decision_trees,
     crapo_verify,
-    enumerate_decision_trees,
     exchange_witness,
     exhaustive_delta_search,
     fixed_tree_order_activities,
@@ -32,13 +30,13 @@ from hypertutte.delta import (
     nontrivial,
     obstruction_check,
     order_of_basis,
-    random_decision_tree,
     validate_decision_tree,
 )
 from hypertutte.crapo import interval_contains
 from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.tutte import Graph
+from oracles import count_decision_trees, enumerate_decision_trees, random_decision_tree
 
 
 @pytest.fixture(scope="module")
@@ -423,17 +421,14 @@ def test_search_matches_enumeration_on_fixtures(
 
 
 def test_k34_search_lists_no_decision_tree(monkeypatch):
-    """K3,4 has 55,296 decision trees; the search needs none of them and
-    returns the first match of the enumeration."""
+    """K3,4 has 55,296 decision trees; the search solves fewer than 100
+    subproblems and returns the first match of the enumeration."""
     g = ribbon_graph(3, 4, [(i, j) for i in range(3) for j in range(4)], random.Random(1))
     P, target = embedding_assignment(g)
+    assert count_decision_trees(P.ground, {e: P.rank(e) for e in P.ground}) == 55_296
     expected = first_match_by_enumeration(P, target)
     assert expected is not None
-
-    def refuse(*args):
-        raise AssertionError("decision trees listed")
-
-    monkeypatch.setattr(delta, "enumerate_decision_trees", refuse)
+    monkeypatch.setattr(delta, "_MEMO_CAP", 100)
     assert exhaustive_delta_search(P, target) == expected
 
 
@@ -468,12 +463,14 @@ def test_search_matches_enumeration_random():
     assert 40 <= found < 80 + flipped
 
 
-def test_fig1_search(fig1):
-    """fig1's space of 1,658,880 decision trees, out of reach of the
-    enumeration, is searched node by node."""
-    P, target = embedding_assignment(fig1)
+def assert_search_realises(g, trees):
+    """The search finds a decision tree for g's embedding activities, in
+    a space of ``trees`` decision trees, and that tree reproduces every
+    nontrivial activity set, some of them non-empty."""
+    P, target = embedding_assignment(g)
     ranks = {e: P.rank(e) for e in P.ground}
-    assert count_decision_trees(P.ground, ranks) == 1_658_880
+    assert count_decision_trees(P.ground, ranks) == trees
+    assert any(rec.nontrivial_internal | rec.nontrivial_external for rec in target.values())
     tree = exhaustive_delta_search(P, target)
     assert tree is not None
     validate_decision_tree(tree, P)
@@ -483,6 +480,18 @@ def test_fig1_search(fig1):
         assert got[b].nontrivial_external == rec.nontrivial_external, b
 
 
+def test_fig1_search(fig1):
+    """fig1's space of 1,658,880 decision trees, out of reach of the
+    enumeration, is searched node by node."""
+    assert_search_realises(fig1, 1_658_880)
+
+
+def test_search_answers_past_two_million_trees():
+    """A space of more than 2·10⁶ decision trees costs the search no more
+    than a small one: a random instance with 4,180,320 is answered."""
+    assert_search_realises(harness.random_instance(seed=226), 4_180_320)
+
+
 def test_search_rejects_negative_coordinate():
     P = PolymatroidBases(("a", "b"), frozenset({(-1, 1), (0, 0)}))
     empty = BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
@@ -490,7 +499,10 @@ def test_search_rejects_negative_coordinate():
         exhaustive_delta_search(P, {b: empty for b in P.bases})
 
 
-def test_search_guard():
+def test_search_guard(monkeypatch):
+    """The search's memory is bounded by its memo cap.  U(1,6) with no
+    nontrivial activity wanted keeps 63 solved subproblems and finds no
+    tree; a cap of 62 refuses it."""
     n = 6
     ground = tuple("abcdef")
     bases = frozenset(
@@ -501,6 +513,9 @@ def test_search_guard():
         b: BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
         for b in P.bases
     }
+    monkeypatch.setattr(delta, "_MEMO_CAP", 63)
+    assert exhaustive_delta_search(P, target) is None
+    monkeypatch.setattr(delta, "_MEMO_CAP", 62)
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_delta_search(P, target)
 

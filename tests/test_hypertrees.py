@@ -5,23 +5,19 @@ import itertools
 import random
 import weakref
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertutte import harness, hypertrees
+from hypertutte import delta, harness, hypertrees
+from hypertutte.delta import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
-    NoWitness,
     degree_vector,
     enumerate_hypertrees,
-    exchange_witness,
-    find_tree_with_degrees,
-    hypertrees_by_exchange,
+    greedy_tree,
     is_hypertree,
-    representatives,
 )
-from hypertutte.jaeger import is_jaeger, is_violet_jaeger
 from hypertutte.model import RibbonGraph, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
+from oracles import hypertrees_by_exchange, is_jaeger, is_violet_jaeger, representatives
 from test_oracle import complete_bipartite, ribbon_graphs
 
 
@@ -53,9 +49,9 @@ def test_is_hypertree_fig2(fig2):
         assert is_hypertree(fig2, degree_vector(fig2, t))
 
 
-def test_find_tree_with_degrees_returns_tree(fig2):
+def test_greedy_tree_has_the_degrees(fig2):
     for h in enumerate_hypertrees(fig2):
-        t = find_tree_with_degrees(fig2, h)
+        t = greedy_tree(fig2, h)[0]
         assert is_spanning_tree(fig2, t)
         assert degree_vector(fig2, t) == h
 
@@ -316,41 +312,53 @@ def test_exchange_bfs_on_random_instances():
 
 def test_exchange_witness_forced(fig2):
     h, h2 = (0, 0, 1, 1), (0, 1, 0, 1)
-    assert exchange_witness(fig2, h, h2, "e1") == "e2"
+    assert exchange_witness(bases_from_hypertrees(fig2), h, h2, 1) == 2  # e2
 
 
 def test_exchange_witness_fig2(fig2):
-    f = exchange_witness(fig2, (0, 0, 1, 1), (0, 2, 0, 0), "e1")
-    assert f in ("e2", "e3")
+    f = exchange_witness(bases_from_hypertrees(fig2), (0, 0, 1, 1), (0, 2, 0, 0), 1)
+    assert f in (2, 3)  # e2 or e3
 
 
-def test_exchange_witness_requires_deficit(fig2):
-    with pytest.raises(ValueError):
-        exchange_witness(fig2, (0, 2, 0, 0), (0, 0, 1, 1), "e1")
+def test_exchange_witness_requires_deficit(fig2, fig5, monkeypatch):
+    """A witness is asked for only at an element where the first basis
+    is below the second: the exchange check keeps that precondition."""
+    asked = []
+    witness = delta.exchange_witness
+
+    def checked(P, b, b2, e):
+        assert b[e] < b2[e], (b, b2, e)
+        asked.append(e)
+        return witness(P, b, b2, e)
+
+    monkeypatch.setattr(delta, "exchange_witness", checked)
+    for g in (fig2, fig5):
+        delta.check_exchange(bases_from_hypertrees(g))
+    assert asked
 
 
 def test_exchange_axiom_exhaustive(fig2, fig5):
     for g in (fig2, fig5):
+        P = bases_from_hypertrees(g)
         hs = enumerate_hypertrees(g)
         for h, h2 in itertools.permutations(hs, 2):
             for e in range(g.emerald_count):
                 if h[e] < h2[e]:
-                    exchange_witness(g, h, h2, e)  # NoWitness would raise
+                    assert exchange_witness(P, h, h2, e) is not None, (h, h2, e)
 
 
 def test_cache_dies_with_graph():
-    """The per-graph cache holds nothing of a graph once the graph is gone,
-    so long searches run in bounded memory."""
+    """What is derived from a graph is kept in the graph and freed with
+    it, so long searches run in bounded memory."""
     from hypertutte.tutte import tutte_embedding
 
-    gc.collect()
-    before = len(hypertrees._CACHE)
     graphs = [harness.random_instance(seed=seed) for seed in range(50)]
+    layouts = []
     for g in graphs:
         tutte_embedding(g)
-    assert len(hypertrees._CACHE) > before
+        layouts.append(weakref.ref(hypertrees._layout(g)))
+        assert hypertrees.cached(g, "embedding", None) is tutte_embedding(g)
     alive = [weakref.ref(g) for g in graphs]
     del graphs, g
     gc.collect()
-    assert all(ref() is None for ref in alive)
-    assert len(hypertrees._CACHE) <= before
+    assert all(ref() is None for ref in alive + layouts)

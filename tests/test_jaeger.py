@@ -2,26 +2,22 @@
 
 import itertools
 import random
-import weakref
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import harness, hypertrees, jaeger, tours
+from hypertutte import harness, hypertrees, load_path, fixture_path, tours
 from hypertutte.hypertrees import (
     degree_vector,
     enumerate_hypertrees,
-    find_tree_with_degrees,
+    greedy_tree,
     is_hypertree,
-    representatives,
 )
 from hypertutte.jaeger import (
     NotAHypertree,
     activities,
     embedding_activities,
-    is_jaeger,
-    is_violet_jaeger,
     jaeger_tree_of,
     order_emerald,
     order_violet,
@@ -30,8 +26,9 @@ from hypertutte.jaeger import (
 )
 from hypertutte.model import RibbonGraph, adjacency, is_emerald
 from hypertutte.polynomial import Poly, x_plus_y_minus_1
-from hypertutte.tours import enumerate_spanning_trees, tour, tree_less
+from hypertutte.tours import tour
 from hypertutte.tutte import tutte_embedding
+from oracles import is_jaeger, is_violet_jaeger, representatives, tree_less
 from test_hypertrees import random_spanning_tree
 from test_oracle import complete_bipartite, ribbon_graphs
 
@@ -110,20 +107,20 @@ def test_walk_refuses_exactly_the_non_hypertrees(all_hg, single_edge):
                     jaeger_tree_of(g, v)
                 with pytest.raises(NotAHypertree):
                     violet_jaeger_tree_of(g, v)
-                assert find_tree_with_degrees(g, v) is None
+                assert greedy_tree(g, v) is None
 
 
 def test_walk_refuses_malformed_vectors(fig2):
     for v in [(), (0, 2, 0), (0, 2, 0, 0, 0), (-1, 3, 0, 0), (0, 3, 0, 0)]:
         with pytest.raises(NotAHypertree):
             jaeger_tree_of(fig2, v)
-        assert find_tree_with_degrees(fig2, v) is None
+        assert greedy_tree(fig2, v) is None
 
 
 def test_walk_cache_refuses_float_vectors(fig2):
     """A float vector equals and hashes like the int hypertree it rounds
     to, so it must be refused even after that hypertree's walks are
-    cached (equal graphs share one cache entry)."""
+    cached."""
     h = (0, 2, 0, 0)
     assert is_hypertree(fig2, h)
     lookups = (jaeger_tree_of, violet_jaeger_tree_of,
@@ -260,7 +257,6 @@ def test_polynomials_walk_no_tour(monkeypatch):
         raise AssertionError("tour called")
 
     monkeypatch.setattr(tours, "tour", refuse)
-    monkeypatch.setattr(jaeger, "tour", refuse)
     # a K3,4 embedding that no other test builds, so nothing is cached
     g = harness.perturbed(complete_bipartite(3, 4), random.Random(2718))
     assert tutte_embedding(g).evaluate(1, 1) == len(enumerate_hypertrees(g))
@@ -272,14 +268,15 @@ def test_one_first_witness_per_hypertree(all_hg, monkeypatch):
     """The embedding and violet-prime polynomials walk every hypertree in
     both variants from one first witness, built once and dropped once
     both walks are done."""
-    monkeypatch.setattr(hypertrees, "_CACHE", weakref.WeakKeyDictionary())  # nothing walked
     built = []
     witness = hypertrees._witness
     monkeypatch.setattr(hypertrees, "_witness",
                         lambda lay, need: built.append(tuple(need)) or witness(lay, need))
-    k34 = harness.perturbed(complete_bipartite(3, 4), random.Random(34))
-    # fig4 is fig2's instance, and equal graphs share one cache entry
-    for g in dict.fromkeys([*all_hg.values(), k34]):
+    # freshly loaded, so nothing is walked yet; fig4 is fig2's instance,
+    # and equal graphs keep their own derived values
+    fresh = [load_path(fixture_path(name)) for name in all_hg]
+    fresh.append(harness.perturbed(complete_bipartite(3, 4), random.Random(34)))
+    for g in fresh:
         built.clear()
         tutte_embedding(g)
         harness.violet_prime_polynomial(g)

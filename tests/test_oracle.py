@@ -14,14 +14,10 @@ from hypertutte.hypertrees import (
     enumerate_hypertrees,
     is_hypertree,
 )
-from hypertutte.jaeger import (
-    is_jaeger,
-    is_violet_jaeger,
-    jaeger_tree_of,
-    violet_jaeger_tree_of,
-)
+from hypertutte.jaeger import jaeger_tree_of, violet_jaeger_tree_of
 from hypertutte.model import RibbonGraph, emerald, load, violet
 from hypertutte.tutte import tutte_embedding, tutte_from_order
+from oracles import is_jaeger, is_violet_jaeger
 
 
 def complete_bipartite(a, b):

@@ -2,7 +2,9 @@
 module's private names, no module imports a name it never uses or
 defines a private helper it never names, every exception class the
 package defines is raised somewhere in it, only ``tours.walk`` steps
-around a rotation, and only ``crapo`` measures one-sided distances."""
+around a rotation, only ``crapo`` measures one-sided distances, an
+import inside a function is one that would close a cycle at the top of
+the module, and nothing in the package imports the test oracles."""
 
 import ast
 import builtins
@@ -143,6 +145,89 @@ def callers(sources: dict, name: str) -> list:
     return sorted(found)
 
 
+def _package_imports(node, modules) -> set:
+    """The package modules an import statement loads: ``from .m import f``
+    and ``import hypertutte.m`` load m, ``from . import m`` loads m, and a
+    name that is no module comes from the package's ``__init__``."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") for alias in node.names]
+        return {(parts + ["__init__"])[1] for parts in names if parts[0] == "hypertutte"}
+    parts = node.module.split(".") if node.module else []
+    if not node.level:
+        if parts[:1] != ["hypertutte"]:
+            return set()
+        parts = parts[1:]
+    if parts:
+        return {parts[0]}
+    return {alias.name if alias.name in modules else "__init__" for alias in node.names}
+
+
+def _scoped_imports(tree):
+    """(import statement, whether it runs inside a function) for every
+    import in the tree."""
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child, inside
+            yield from visit(child, inside or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    return visit(tree, False)
+
+
+def deferred_imports(sources: dict) -> tuple:
+    """Imports inside functions between the modules of ``sources``
+    ({module name: source}), as ``module -> imported``, split in two:
+    those a top-level import would close into a cycle, because the
+    imported module already reaches the importer through top-level
+    imports, and those it would not."""
+    top = {module: set() for module in sources}
+    inside = []
+    for module, source in sources.items():
+        for node, deferred in _scoped_imports(ast.parse(source)):
+            for target in _package_imports(node, sources):
+                if deferred:
+                    inside.append((module, target))
+                else:
+                    top[module].add(target)
+
+    def reaches(start, goal) -> bool:
+        seen, stack = set(), [start]
+        while stack:
+            module = stack.pop()
+            if module == goal:
+                return True
+            if module not in seen:
+                seen.add(module)
+                stack.extend(top.get(module, ()))
+        return False
+
+    cyclic, needless = set(), set()
+    for module, target in inside:
+        (cyclic if reaches(target, module) else needless).add(f"{module} -> {target}")
+    return sorted(cyclic), sorted(needless)
+
+
+def imported_names(source: str) -> set:
+    """The first component of every module an import names, and every
+    name a relative ``from . import`` takes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            if node.level and not node.module:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def _test_code(name: str) -> bool:
+    return name in ("oracles", "tests", "conftest") or name.startswith("test_")
+
+
 def test_one_tour_step_rule():
     """The tour's step rule lives in ``tours.walk`` alone."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
@@ -156,6 +241,20 @@ def test_one_sweep():
     outside = [where for where in callers(sources, "one_sided")
                if where.partition(".")[0] != "crapo"]
     assert outside == []
+
+
+def test_function_level_imports_only_break_cycles():
+    """An import inside a function is allowed only where the same import
+    at the top of the module would make a cycle."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert deferred_imports(sources)[1] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_no_test_code(path):
+    """The oracles and the rest of the tests stay out of the package."""
+    names = imported_names(path.read_text(encoding="utf-8"))
+    assert sorted(filter(_test_code, names)) == []
 
 
 def test_every_exception_class_is_raised():
@@ -234,3 +333,27 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(sweeping, "one_sided") == ["crapo.d1_less", "tutte.corank_nullity"]
+    deferring = {
+        "__init__": "from .model import load\n",
+        "model": "import yaml\n",
+        "tours": "from .model import load\n",
+        "jaeger": "from . import tours\nfrom .delta import f\n",
+        "delta": (
+            "def f():\n"
+            "    from .jaeger import g\n"
+            "    from . import tours, fixture_path\n"
+            "    from hypertutte.model import load\n"
+            "    return lambda: __import__('x')\n"
+        ),
+        "cli": "import hypertutte.tours\nclass C:\n    from .delta import f\n",
+    }
+    assert deferred_imports(deferring) == (
+        ["delta -> jaeger"], ["delta -> __init__", "delta -> model", "delta -> tours"])
+    assert sorted(filter(_test_code, imported_names(
+        "import tests.oracles\n"
+        "from oracles import is_jaeger\n"
+        "from test_delta import FIG6\n"
+        "from . import conftest, model\n"
+        "from .crapo import sweep\n"
+        "import itertools\n"
+    ))) == ["conftest", "oracles", "test_delta", "tests"]

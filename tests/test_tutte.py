@@ -14,7 +14,6 @@ from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
-    BoundsTooLarge,
     Disconnected,
     Graph,
     classical_tutte,
@@ -51,6 +50,24 @@ def test_all_fixed_orders_agree(fig2):
     names = tuple(f"e{j}" for j in range(fig2.emerald_count))
     for order in itertools.permutations(names):
         assert tutte_from_order(fig2, order) == expected
+
+
+def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
+    """An order that misses, repeats or adds an element is refused, by the
+    fixed-order sum and by explicit per-basis orders alike."""
+    from hypertutte.delta import assignment_from_orders, fixed_tree_order_activities
+
+    bad = [("e0",), ("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e3", "e3"),
+           ("e0", "e1", "e2", "e9"), ()]
+    for order in bad:
+        with pytest.raises(ValueError, match="exactly once"):
+            tutte_from_order(fig2, order)
+    P, _ = fixed_tree_order_activities(fig6_graph, fig6_orders)
+    orders = {b: ("a", "b", "c", "d") for b in P.bases}
+    assignment_from_orders(P, orders)
+    orders[min(P.bases)] = ("a", "b", "c", "c")
+    with pytest.raises(ValueError, match="exactly once"):
+        assignment_from_orders(P, orders)
 
 
 def test_embedding_order_is_a_fixed_order_per_tree(fig5):
@@ -168,7 +185,7 @@ def test_corank_nullity_sweeps_one_point_per_line(fig1, monkeypatch):
 def test_corank_nullity_bad_bounds(fig2):
     with pytest.raises(ValueError):
         corank_nullity(fig2, -1, 0)
-    with pytest.raises(BoundsTooLarge):
+    with pytest.raises(BudgetExceeded):
         corank_nullity(fig2, 40, 40)
 
 
