@@ -32,6 +32,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _pair(flag: str, text: str) -> tuple:
+    try:
+        first, second = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be two comma-separated integers, not {text!r}") from None
+    return first, second
+
+
 def _fmt_h(h) -> str:
     return ",".join(str(x) for x in h)
 
@@ -47,7 +55,7 @@ def _cmd_tutte(args) -> int:
             order = tuple(f"e{j}" for j in range(g.emerald_count))
         print(tutte.tutte_from_order(g, order))
     else:  # corank-nullity
-        imax, jmax = (int(x) for x in args.bounds.split(","))
+        imax, jmax = _pair("--bounds", args.bounds)
         table = tutte.corank_nullity(g, imax, jmax)
         print("i\\j\t" + "\t".join(str(j) for j in range(jmax + 1)))
         for i in range(imax + 1):
@@ -86,9 +94,12 @@ def _cmd_jaeger(args) -> int:
 def _cmd_tour(args) -> int:
     g = _load(args.instance)
     try:
-        tree = frozenset(int(k) for k in args.tree.split(","))
+        ids = [int(k) for k in args.tree.split(",")]
     except ValueError:
         return _usage_error("--tree must be comma-separated edge indices")
+    tree = frozenset(ids)
+    if len(tree) != len(ids):
+        return _usage_error("--tree repeats an edge index")
     if not tours.is_spanning_tree(g, tree):
         return _usage_error("--tree is not a spanning tree of the instance")
     if args.dot:
@@ -118,10 +129,7 @@ def _emit_report(report, as_json: bool) -> None:
 
 def _cmd_crapo(args) -> int:
     g = _load(args.instance)
-    box = None
-    if args.box:
-        lo, hi = (int(x) for x in args.box.split(","))
-        box = [(lo, hi)] * g.emerald_count
+    box = [_pair("--box", args.box)] * g.emerald_count if args.box else None
     report = crapo.verify_crapo_partition(g, box=box, jobs=args.jobs)
     _emit_report(report, args.report == "json")
     return 0 if report["status"] == "PASS" else 1

@@ -1,28 +1,28 @@
 """Manhattan distances to the hypertree set and Crapo intervals.
 
-The Crapo interval of a hypertree h collects the lattice points that may
-exceed h only in externally active coordinates and fall below h only in
-internally active ones.  These intervals partition Z^E, and the covering
-hypertree attains the one-sided distances d1< and d1> simultaneously;
-verify_intervals certifies both claims on a box, for the embedding
-intervals (verify_crapo_partition) as for any Delta activity assignment
-(delta.crapo_verify).  It visits no lattice point to do so: each
-interval's part of the box is a product of ranges, so disjointness,
-cover and attainment are decided range by range in O(k^2 n) for k
-intervals and n coordinates.  Only a box that fails is swept point by
-point, to list its violations.
+The Crapo interval of a basis b under an activity assignment collects
+the lattice points that exceed b only at externally active coordinates
+and fall below it only at internally active ones.  A CrapoInterval
+holds coordinate positions; intervals, the one interval rule, reads
+them from P.index.  These intervals partition Z^E, and the covering
+basis attains the one-sided distances d1< and d1> simultaneously.
+verify_assignment certifies both claims on a box, by default the bases'
+range widened by 2 (default_box), for the embedding activities
+(verify_crapo_partition) as for any Delta assignment (delta.crapo_verify).
+verify_intervals visits no lattice point to do so: each interval's part
+of the box is a product of ranges, so disjointness, cover and attainment
+are decided range by range in O(k^2 n) for k intervals and n
+coordinates.  Only a box that fails is swept, to list its violations.
 
 Every lattice sweep of the package goes through this module: box_around
-is the one box rule (the vectors' range widened by a margin below and
-above), box_size the one empty-side and budget check, _region the one
-rule for an interval's part of a box, one_sided the one distance rule
-at a point, along_line the one rule for d1< along a line of the last
-coordinate, and sweep the one box walk.  sweep goes depth first and
-updates every center's partial distances one coordinate at a time, so
-consecutive points share their prefix's work.  verify_intervals finishes
-its points on a failing box; tutte.corank_nullity sweeps all coordinates
-but the last and closes each line with along_line, in O(k + w) for k
-centers and a line of w points.
+is the one box rule, box_size the one empty-side and budget check,
+_region the one rule for an interval's part of a box, one_sided the one
+distance rule at a point, along_line the one rule for d1< along a line
+of the last coordinate (O(k + w) for k centers and w points), and sweep
+the one box walk, depth first, updating every center's partial
+distances one coordinate at a time.  verify_intervals finishes its
+points on a failing box; tutte.corank_nullity sweeps all coordinates but
+the last and closes each line with along_line.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, prod
 from operator import sub
 
-from .model import RibbonGraph, node_index
+from .model import RibbonGraph
 from .hypertrees import enumerate_hypertrees
-from .jaeger import embedding_activities, embedding_assignment
+from .jaeger import embedding_assignment
 
 
 class EmptySet(ValueError):
@@ -112,33 +112,31 @@ def d1(h_or_set, c) -> int:
 
 @dataclass(frozen=True)
 class CrapoInterval:
-    """Lattice points assigned to ``center``; free sets are emerald names,
-    coordinate i belonging to emerald e_i."""
+    """The lattice points below ``center`` only at the coordinate
+    positions in ``below`` and above it only at those in ``above``."""
 
     center: tuple
-    internal_free: frozenset
-    external_free: frozenset
-    _below: frozenset = field(init=False, repr=False, compare=False, default=None)
-    _above: frozenset = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_below", frozenset(map(node_index, self.internal_free)))
-        object.__setattr__(self, "_above", frozenset(map(node_index, self.external_free)))
+    below: frozenset
+    above: frozenset
 
 
-def crapo_interval(g: RibbonGraph, h) -> CrapoInterval:
-    record = embedding_activities(g, tuple(h))  # raises NotAHypertree
-    return CrapoInterval(tuple(h), record.internal, record.external)
+def intervals(P, assignment: dict) -> list:
+    """The one interval rule: each basis b of the polymatroid P, below
+    at the positions of its internally active elements, above at those
+    of its externally active ones (``assignment[b]``)."""
+    return [CrapoInterval(tuple(b), frozenset(map(P.index, rec.internal)),
+                          frozenset(map(P.index, rec.external)))
+            for b, rec in assignment.items()]
 
 
 def interval_contains(interval: CrapoInterval, c) -> bool:
-    """c exceeds the center only in external-free coordinates and falls
-    below it only in internal-free ones."""
+    """c exceeds the center only at coordinates in ``above`` and falls
+    below it only at those in ``below``."""
     for idx, (ci, hi) in enumerate(zip(c, interval.center)):
         if ci > hi:
-            if idx not in interval._above:
+            if idx not in interval.above:
                 return False
-        elif ci < hi and idx not in interval._below:
+        elif ci < hi and idx not in interval.below:
             return False
     return True
 
@@ -149,8 +147,9 @@ def box_around(vectors, below: int, above: int) -> list:
     return [(min(col) - below, max(col) + above) for col in zip(*vectors)]
 
 
-def default_box(g: RibbonGraph, margin: int = 2) -> list:
-    return box_around(enumerate_hypertrees(g), margin, margin)
+def default_box(bases, margin: int = 2) -> list:
+    """The one default box: the bases' range widened by ``margin``."""
+    return box_around(bases, margin, margin)
 
 
 def box_size(box) -> int:
@@ -252,7 +251,7 @@ def _certified(intervals, box, size: int) -> bool:
     """
     parts = []
     for iv in intervals:
-        part = _region(box, iv.center, iv._below, iv._above)
+        part = _region(box, iv.center, iv.below, iv.above)
         if all(a <= b for a, b in part):
             parts.append((iv.center, part))
     if sum(prod(b - a + 1 for a, b in part) for _, part in parts) != size:
@@ -315,7 +314,7 @@ def _check_slice(args):
     ``step``."""
     intervals, box, start, step = args
     centers = [iv.center for iv in intervals]
-    free = [(iv._below, iv._above) for iv in intervals]
+    free = [(iv.below, iv.above) for iv in intervals]
     checked, violations = 0, []
     for c, sides, inside in sweep(box, centers, free, start=start, step=step):
         checked += 1
@@ -334,28 +333,30 @@ def _check_slice(args):
     return checked, violations
 
 
-def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
-    """Certify the Crapo partition and distance attainment on a box.
+def verify_assignment(P, assignment: dict, box=None, jobs: int = 1) -> tuple:
+    """:func:`verify_intervals` on the :func:`intervals` of an assignment,
+    over ``box`` or else the :func:`default_box` of P's bases."""
+    if box is None:
+        box = default_box(P.bases)
+    return verify_intervals(intervals(P, assignment), box, jobs)
 
-    For every lattice point of the box: exactly one interval contains it,
-    and that interval's center attains d1, d1< and d1> against the whole
-    hypertree set (:func:`verify_intervals`).  Returns a PASS/FAIL report
-    with all violations.  A bad box or ``jobs`` raises before the
+
+def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
+    """Certify the Crapo partition of the embedding activities and
+    distance attainment on a box (:func:`verify_assignment`): a PASS/FAIL
+    report with all violations.  A bad box or ``jobs`` raises before the
     activities are computed.
     """
     if box is None:
-        box = default_box(g)
+        box = default_box(enumerate_hypertrees(g))
     _checked_size(box, (g.emerald_count,), jobs)
-    _, assignment = embedding_assignment(g)
-    intervals = [
-        CrapoInterval(h, rec.internal, rec.external) for h, rec in assignment.items()
-    ]
-    checked, violations = verify_intervals(intervals, box, jobs)
+    P, assignment = embedding_assignment(g)
+    checked, violations = verify_assignment(P, assignment, box, jobs)
     return {
         "kind": "crapo-partition",
         "status": "PASS" if not violations else "FAIL",
         "points": checked,
-        "hypertrees": len(intervals),
+        "hypertrees": len(assignment),
         "box": [[lo, hi] for lo, hi in box],
         "violations": violations,
     }

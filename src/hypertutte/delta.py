@@ -4,8 +4,9 @@ A decision tree assigns each basis its own element order: at a node
 labeled e, a basis with b(e)=i descends into the (i+1)-th child, and the
 order is the label sequence along the branch.  Delta activities use the
 MAX rule (an element is active if it cannot be exchanged with a larger
-one); the minimum-rule kernel is also provided for activity notions that
-fix an order per basis directly, as in the parallel-edge counterexample.
+one); the MIN rule serves orders fixed per basis, as in the parallel-edge
+counterexample and the Jaeger activities.  Both apply one per-element
+test, and :meth:`BasisActivity.of` builds every activity record.
 
 Also here: the Crapo partition check for an arbitrary activity
 assignment (on crapo's verifier), the realizability obstruction (some
@@ -14,11 +15,11 @@ for a decision tree realizing a given assignment.  The search lists no
 decision trees: under the MAX rule a node's activities depend only on
 its label, the elements not labeled above it and the basis, so it
 solves each (remaining elements, bases routed to the node) subproblem
-once and returns the first matching tree in enumeration order.  Its
-memo of solved subproblems is capped (``_MEMO_CAP`` entries), which
-bounds its memory whatever the number of decision trees.  Listing,
-counting and drawing decision trees are test oracles, in
-``tests/oracles.py``.
+once, checking the label alone against the rest in O(n) per basis, and
+returns the first matching tree in enumeration order.  Its memo of
+solved subproblems is capped (``_MEMO_CAP`` entries), which bounds its
+memory whatever the number of decision trees.  Listing, counting and
+drawing decision trees are test oracles, in ``tests/oracles.py``.
 
 The exchange axiom is written once (:func:`exchange_witness`) and checked
 only where bases are loaded (:func:`check_exchange`): hypertree sets
@@ -214,13 +215,12 @@ def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:
 
 
 def max_rule_activities(P: PolymatroidBases, b, order):
-    """e internally active iff no f > e with b - 1_e + 1_f a basis;
-    externally active iff no f > e with b + 1_e - 1_f a basis."""
+    """Each element's :func:`_active` test against the elements after it."""
     return _rule_activities(P, b, order, later=True)
 
 
 def min_rule_activities(P: PolymatroidBases, b, order):
-    """Same with f < e quantification (the fixed-order convention)."""
+    """Same against the elements before it (the fixed-order convention)."""
     return _rule_activities(P, b, order, later=False)
 
 
@@ -228,13 +228,26 @@ def _rule_activities(P, b, order, later):
     b = tuple(b)
     at = [P.index(e) for e in order]  # each element's coordinate, in order
     internal, external = set(), set()
-    for pos, (e, ei) in enumerate(zip(order, at)):
-        others = at[pos + 1:] if later else at[:pos]
-        if not any(_shift(b, f, ei) in P.bases for f in others):
+    for pos, (e, i) in enumerate(zip(order, at)):
+        inside, outside = _active(P, b, i, at[pos + 1:] if later else at[:pos])
+        if inside:
             internal.add(e)
-        if not any(_shift(b, ei, f) in P.bases for f in others):
+        if outside:
             external.add(e)
     return frozenset(internal), frozenset(external)
+
+
+def _active(P, b, i, others) -> tuple:
+    """The one activity rule: is the element e at coordinate i of basis b
+    internally active against the coordinates ``others`` (no f there makes
+    b - 1_e + 1_f a basis), and externally (nor b + 1_e - 1_f)?  A move
+    past P's floor or rank at a coordinate leaves the bases: no lookup."""
+    bases, floors, ranks = P.bases, P._floors, P._ranks
+    internal = b[i] <= floors[i] or not any(
+        b[f] < ranks[f] and _shift(b, f, i) in bases for f in others)
+    external = b[i] >= ranks[i] or not any(
+        b[f] > floors[f] and _shift(b, i, f) in bases for f in others)
+    return internal, external
 
 
 def nontrivial(P: PolymatroidBases, b, internal, external):
@@ -242,18 +255,35 @@ def nontrivial(P: PolymatroidBases, b, internal, external):
     direction across the base set: some basis is lower at an internal
     element, which is b(e) above the least value of e over the bases,
     or higher at an external one, which is b(e) below its rank."""
-    b = tuple(b)
-    ni = frozenset(e for e in internal if b[P.index(e)] > P._floors[P.index(e)])
-    ne = frozenset(e for e in external if b[P.index(e)] < P._ranks[P.index(e)])
-    return ni, ne
+    at, floors, ranks = P._positions, P._floors, P._ranks
+    ni, ne = [], []  # filled by plain loops: every Tutte sum runs this per hypertree
+    for e in internal:
+        if b[at[e]] > floors[at[e]]:
+            ni.append(e)
+    for e in external:
+        if b[at[e]] < ranks[at[e]]:
+            ne.append(e)
+    return frozenset(ni), frozenset(ne)
 
 
 @dataclass(frozen=True)
 class BasisActivity:
+    """The activities of one basis and their :func:`nontrivial` parts."""
+
     internal: frozenset
     external: frozenset
     nontrivial_internal: frozenset
     nontrivial_external: frozenset
+
+    @classmethod
+    def of(cls, P: PolymatroidBases, b, internal, external) -> "BasisActivity":
+        """The record of basis b whose rule gave ``internal`` and ``external``."""
+        return cls(internal, external, *nontrivial(P, b, internal, external))
+
+    # the exponents of x, y and x+y-1 in the basis's Tutte term
+    oi = property(lambda self: len(self.internal - self.external))
+    oe = property(lambda self: len(self.external - self.internal))
+    ie = property(lambda self: len(self.internal & self.external))
 
 
 def check_order(P: PolymatroidBases, order):
@@ -271,11 +301,7 @@ def check_order(P: PolymatroidBases, order):
 
 def _assignment(P: PolymatroidBases, rule, order_of) -> dict:
     """basis -> BasisActivity, b's activities taken by ``rule`` on ``order_of(b)``."""
-    out = {}
-    for b in sorted(P.bases):
-        internal, external = rule(P, b, order_of(b))
-        out[b] = BasisActivity(internal, external, *nontrivial(P, b, internal, external))
-    return out
+    return {b: BasisActivity.of(P, b, *rule(P, b, order_of(b))) for b in sorted(P.bases)}
 
 
 def assignment_from_delta(tree: DecisionTree, P: PolymatroidBases) -> dict:
@@ -305,28 +331,12 @@ def obstruction_check(assignment: dict) -> tuple:
     return ("NO_EXEMPT", None)
 
 
-def basis_interval(P: PolymatroidBases, b, record: BasisActivity):
-    """The Delta-Crapo interval of basis b: excess only on externally
-    active coordinates, deficit only on internally active ones.  As a
-    :class:`crapo.CrapoInterval`, coordinate i is named e_i."""
-    from .crapo import CrapoInterval
-
-    def coords(elements):
-        return frozenset(emerald(P.index(e)) for e in elements)
-
-    return CrapoInterval(tuple(b), coords(record.internal), coords(record.external))
-
-
 def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
-    """Check that the intervals of an activity assignment partition the
-    box and that the covering basis attains both one-sided distances
-    (:func:`crapo.verify_intervals`)."""
-    from .crapo import box_around, verify_intervals
+    """The Delta-Crapo report: the intervals of an activity assignment
+    partition the box, distances attained (:func:`crapo.verify_assignment`)."""
+    from .crapo import verify_assignment
 
-    if box is None:
-        box = box_around(P.bases, 2, 2)
-    intervals = [basis_interval(P, b, rec) for b, rec in assignment.items()]
-    points, violations = verify_intervals(intervals, box)
+    points, violations = verify_assignment(P, assignment, box)
     return {
         "kind": "delta-crapo",
         "status": "PASS" if not violations else "FAIL",
@@ -373,36 +383,37 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     The elements after a node's label e on every branch through it are
     the elements R not labeled above it, less e.  So whether e is
     nontrivially active for a basis routed there depends on (e, R, b)
-    alone, and the children of a node are independent subproblems.  Each
-    subproblem (R, bases routed to the node) is solved once: its answer
-    is the first label in ground order on which every routed basis agrees
-    with the target and whose children are all solvable, each child
-    taking its own first answer.  A child no basis reaches takes the
-    first tree of its enumeration.  The memo keeps at most ``_MEMO_CAP``
-    solved subproblems; one more raises :class:`SearchSpaceTooLarge`.
+    alone, one :func:`_active` test, and the children of a node are
+    independent subproblems.  Each subproblem (R, bases routed to the
+    node) is solved once: its answer is the first label in ground order
+    on which every routed basis agrees with the target and whose children
+    are all solvable, each child taking its own first answer.  A child no
+    basis reaches takes the first tree of its enumeration.  The memo
+    keeps at most ``_MEMO_CAP`` solved subproblems; one more raises
+    :class:`SearchSpaceTooLarge`.
     """
     bases = sorted(P.bases)
     for b in bases:
         if any(v < 0 for v in b):
             raise BasisOutOfRange(f"basis {b} has a negative coordinate")
-    ranks = {e: P.rank(e) for e in P.ground}
-    want = {
-        b: (target[b].nontrivial_internal, target[b].nontrivial_external)
-        for b in bases
-    }
-    if any(not (ni | ne) <= set(P.ground) for ni, ne in want.values()):
-        return None  # no branch can make an element outside the ground active
+    want = {}
+    for b in bases:
+        ni, ne = target[b].nontrivial_internal, target[b].nontrivial_external
+        if not (ni | ne) <= set(P.ground):
+            return None  # no branch can make an element outside the ground active
+        want[b] = (frozenset(map(P.index, ni)), frozenset(map(P.index, ne)))
+    floors, ranks = P._floors, P._ranks
 
-    def agrees(e, rest, b):
-        """e's nontrivial activity for b, with ``rest`` after it, is the target's."""
-        internal, external = max_rule_activities(P, b, (e,) + rest)
+    def agrees(i, rest, b):
+        """Coordinate i, with ``rest`` after it, is nontrivially active for b as wanted."""
+        internal, external = _active(P, b, i, rest)
         ni, ne = want[b]
-        return nontrivial(P, b, internal & {e}, external & {e}) == (ni & {e}, ne & {e})
+        return (internal and b[i] > floors[i], external and b[i] < ranks[i]) == (i in ni, i in ne)
 
     memo = {}
 
     def solve(elems, group):
-        """First tree over ``elems`` agreeing on every basis of ``group``."""
+        """First tree over the coordinates ``elems`` agreeing on every basis of ``group``."""
         key = (elems, group)
         if key not in memo:
             tree = first_tree(elems, group)
@@ -412,21 +423,20 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
         return memo[key]
 
     def first_tree(elems, group):
-        for e in elems:
-            rest = tuple(x for x in elems if x != e)
-            if not all(agrees(e, rest, b) for b in group):
+        for i in elems:
+            rest = tuple(x for x in elems if x != i)
+            if not all(agrees(i, rest, b) for b in group):
                 continue
             if not rest:
-                return DecisionTree(e, ())
-            i = P.index(e)
+                return DecisionTree(P.ground[i], ())
             children = []
-            for value in range(ranks[e] + 1):
+            for value in range(ranks[i] + 1):
                 child = solve(rest, tuple(b for b in group if b[i] == value))
                 if child is None:
                     break
                 children.append(child)
             else:
-                return DecisionTree(e, tuple(children))
+                return DecisionTree(P.ground[i], tuple(children))
         return None
 
-    return solve(tuple(P.ground), tuple(bases))
+    return solve(tuple(range(len(P.ground))), tuple(bases))

@@ -9,46 +9,25 @@ The walk also decides membership: a vector that is not a hypertree has
 no first witness and raises :class:`NotAHypertree`, with no 2^k subset
 scan.  The violet variant uses the violet-endpoint-first rule.  The
 recognisers that read the definition off a tree's tour are the test
-oracle, in ``tests/oracles.py``.  Activities of a hypertree are
-computed relative to a total order on the emerald nodes; the tour of
-the Jaeger tree induces the order <_h, and the violet tours induce two
-further orders.  Each order
-is recorded by the same walk that built its tree, so computing a
-polynomial walks the tour of each Jaeger tree once, and the emerald and
-violet walks of a hypertree start from one shared first witness.
+oracle, in ``tests/oracles.py``.  The tour of the Jaeger tree induces
+the emerald order <_h, and the violet tours induce two further orders.
+Each order is recorded by the same walk that built its tree, so
+computing a polynomial walks the tour of each Jaeger tree once, and the
+emerald and violet walks of a hypertree start from one shared first
+witness.  Activities under an order of all emeralds are delta's MIN
+rule on the hypertree set, as a :class:`delta.BasisActivity`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import RibbonGraph
 from .hypertrees import cached, first_witness, greedy_tree, well_formed
-from .delta import assignment_from_orders, bases_from_hypertrees, min_rule_activities
+from .delta import BasisActivity, assignment_from_orders, bases_from_hypertrees
+from .delta import check_order, min_rule_activities
 
 
 class NotAHypertree(ValueError):
     """The given vector is not a hypertree of this ribbon graph."""
-
-
-@dataclass(frozen=True)
-class ActivityRecord:
-    """Internal/external activity sets of one hypertree (emerald names)."""
-
-    internal: frozenset
-    external: frozenset
-
-    @property
-    def oi(self) -> int:
-        return len(self.internal - self.external)
-
-    @property
-    def oe(self) -> int:
-        return len(self.external - self.internal)
-
-    @property
-    def ie(self) -> int:
-        return len(self.internal & self.external)
 
 
 def _walked(g, h, variant):
@@ -100,8 +79,9 @@ def order_violet_prime(g: RibbonGraph, h) -> tuple:
     return _walked(g, h, "violet")[2]
 
 
-def activities(g: RibbonGraph, h, order) -> ActivityRecord:
-    """Internal/external activities of h under a total emerald order.
+def activities(g: RibbonGraph, h, order) -> BasisActivity:
+    """Internal/external activities of h under a total emerald order,
+    which must list every emerald once (:func:`delta.check_order`).
 
     e is internal iff no earlier f makes h - 1_e + 1_f a hypertree, and
     external iff no earlier f makes h + 1_e - 1_f a hypertree (the MIN
@@ -112,10 +92,11 @@ def activities(g: RibbonGraph, h, order) -> ActivityRecord:
     h = tuple(h)
     if h not in P.bases:
         raise NotAHypertree(f"{h} is not a hypertree")
-    return ActivityRecord(*min_rule_activities(P, h, order))
+    check_order(P, order)
+    return BasisActivity.of(P, h, *min_rule_activities(P, h, order))
 
 
-def embedding_activities(g: RibbonGraph, h) -> ActivityRecord:
+def embedding_activities(g: RibbonGraph, h) -> BasisActivity:
     """Activities of h under its own tour order <_h."""
     return activities(g, h, order_emerald(g, h))
 

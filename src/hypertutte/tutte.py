@@ -25,8 +25,8 @@ from .model import (
 )
 from .polynomial import Poly, expand_triples, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
-from .delta import bases_from_hypertrees, check_order, min_rule_activities
-from .jaeger import ActivityRecord, order_emerald
+from .delta import BasisActivity, bases_from_hypertrees, check_order, min_rule_activities
+from .jaeger import order_emerald
 from .crapo import along_line, box_around, box_size, sweep
 
 
@@ -42,7 +42,7 @@ def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
     P = bases_from_hypertrees(g)
     triples = Counter()
     for h in enumerate_hypertrees(g):
-        rec = ActivityRecord(*min_rule_activities(P, h, order_fn(g, h)))
+        rec = BasisActivity.of(P, h, *min_rule_activities(P, h, order_fn(g, h)))
         triples[rec.oi, rec.oe, rec.ie] += 1
     return expand_triples(triples)
 

@@ -8,11 +8,10 @@ import itertools
 import random
 
 from hypertutte import harness
-from hypertutte.crapo import interval_contains, verify_crapo_partition
+from hypertutte.crapo import interval_contains, intervals, verify_crapo_partition
 from hypertutte.delta import (
     assignment_from_delta,
     bases_from_hypertrees,
-    basis_interval,
     basis_name,
     exchange_witness,
     exhaustive_delta_search,
@@ -107,11 +106,12 @@ def test_a8_fig6_crapo_table(fig6_graph, fig6_orders):
         for b, rec in assignment.items()
     }
     assert union == FIG6_NONTRIVIAL
+    fig6_intervals = intervals(P, assignment)
     for point, name in FIG6_COVERING.items():
         covering = [
-            basis_name(P, b)
-            for b, rec in assignment.items()
-            if interval_contains(basis_interval(P, b, rec), point)
+            basis_name(P, iv.center)
+            for iv in fig6_intervals
+            if interval_contains(iv, point)
         ]
         assert covering == [name], point
 

@@ -115,6 +115,22 @@ def test_tour_bad_tree(capsys):
         code, out, err = run(capsys, "tour", f"--tree={tree}", FIG2)
         assert code == 2, tree
         assert out == "" and "not a spanning tree" in err
+    code, out, err = run(capsys, "tour", "--tree=0,0,1,2,4,5,7", FIG2)  # 0 twice
+    assert code == 2
+    assert out == "" and "--tree repeats an edge index" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("tutte", "--method", "corank-nullity", "--bounds", "3"),
+    ("tutte", "--method", "corank-nullity", "--bounds", "1,x"),
+    ("crapo", "verify", "--box", "1"),
+    ("crapo", "verify", "--box", "0,1,2"),
+])
+def test_integer_pair_flags_name_the_flag(capsys, args):
+    code, out, err = run(capsys, *args, FIG2)
+    assert code == 2
+    assert out == ""
+    assert f"{args[-2]} must be two comma-separated integers" in err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -13,7 +13,6 @@ from hypertutte.crapo import (
     EmptySet,
     box_around,
     box_size,
-    crapo_interval,
     d1,
     d1_greater,
     d1_less,
@@ -26,8 +25,7 @@ from hypertutte.crapo import (
 )
 from hypertutte import crapo, delta
 from hypertutte.hypertrees import enumerate_hypertrees
-from hypertutte.jaeger import NotAHypertree, embedding_assignment
-from hypertutte.model import node_index
+from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
 from test_oracle import ribbon_graphs
 
 
@@ -63,23 +61,26 @@ def test_empty_set_rejected():
 
 
 def test_interval_fig2(fig2):
-    iv = crapo_interval(fig2, (1, 1, 0, 0))
-    assert iv.internal_free == frozenset({"e0", "e2", "e3"})
-    assert iv.external_free == frozenset({"e0"})
+    P, assignment = embedding_assignment(fig2)
+    [iv] = crapo.intervals(P, {(1, 1, 0, 0): assignment[(1, 1, 0, 0)]})
+    assert iv.below == frozenset({0, 2, 3})  # e0, e2 and e3 internally active
+    assert iv.above == frozenset({0})  # e0 externally active
     assert interval_contains(iv, (1, 1, 0, 0))
     assert interval_contains(iv, (2, 1, -1, -3))  # e0 up, e2/e3 down
-    assert not interval_contains(iv, (1, 2, 0, 0))  # e1 not external-free
-    assert not interval_contains(iv, (1, 0, 0, 0))  # e1 not internal-free
+    assert not interval_contains(iv, (1, 2, 0, 0))  # e1 not externally active
+    assert not interval_contains(iv, (1, 0, 0, 0))  # e1 not internally active
 
 
 def test_interval_requires_hypertree(fig2):
+    """Only a hypertree has activities, hence an interval."""
     with pytest.raises(NotAHypertree):
-        crapo_interval(fig2, (2, 0, 0, 0))
+        embedding_activities(fig2, (2, 0, 0, 0))
 
 
 def test_default_box(fig2):
-    assert default_box(fig2) == [(-2, 3), (-2, 4), (-2, 3), (-2, 3)]
-    assert default_box(fig2, margin=0) == [(0, 1), (0, 2), (0, 1), (0, 1)]
+    hs = enumerate_hypertrees(fig2)
+    assert default_box(hs) == [(-2, 3), (-2, 4), (-2, 3), (-2, 3)]
+    assert default_box(hs, margin=0) == [(0, 1), (0, 2), (0, 1), (0, 1)]
 
 
 def test_partition_fig2(fig2):
@@ -105,7 +106,7 @@ def test_partition_single_edge_wide_box(single_edge):
 def test_partition_box_growth_stable(fig5):
     """Growing the box only adds points, never violations."""
     for margin in (1, 2, 3):
-        report = verify_crapo_partition(fig5, box=default_box(fig5, margin))
+        report = verify_crapo_partition(fig5, box=default_box(enumerate_hypertrees(fig5), margin))
         assert report["status"] == "PASS"
 
 
@@ -138,17 +139,13 @@ def test_usage_errors_before_graph_work(fig1, monkeypatch):
 
 def test_partition_detects_mutation(fig2):
     """Swapping one interval's free sets must break the certificate."""
-    real = crapo_interval(fig2, (1, 1, 0, 0))
-    broken = CrapoInterval(real.center, real.external_free, real.internal_free)
-    hs = enumerate_hypertrees(fig2)
-    intervals = [
-        broken if h == (1, 1, 0, 0) else crapo_interval(fig2, h) for h in hs
-    ]
-    points, violations = verify_intervals(intervals, [(-1, 2)] * 4)
+    real = embedding_intervals(fig2)
+    broken = swapped(real, {[iv.center for iv in real].index((1, 1, 0, 0))})
+    points, violations = verify_intervals(broken, [(-1, 2)] * 4)
     assert points == 4 ** 4
     assert violations
-    _, serial = verify_intervals(intervals, [(-1, 2)] * 4)
-    _, parallel = verify_intervals(intervals, [(-1, 2)] * 4, jobs=2)
+    _, serial = verify_intervals(broken, [(-1, 2)] * 4)
+    _, parallel = verify_intervals(broken, [(-1, 2)] * 4, jobs=2)
     assert sorted(map(str, parallel)) == sorted(map(str, serial))
 
 
@@ -189,28 +186,27 @@ def reference_verify(intervals, box):
 
 
 def embedding_intervals(g):
-    _, assignment = embedding_assignment(g)
-    return [CrapoInterval(h, rec.internal, rec.external) for h, rec in assignment.items()]
+    return crapo.intervals(*embedding_assignment(g))
 
 
 def swapped(intervals, which):
     """The intervals with the free sets of those at positions ``which``
     exchanged, below for above."""
     return [
-        CrapoInterval(iv.center, iv.external_free, iv.internal_free) if k in which else iv
+        CrapoInterval(iv.center, iv.above, iv.below) if k in which else iv
         for k, iv in enumerate(intervals)
     ]
 
 
 def toggled(intervals, k, side):
-    """The intervals with e0 toggled in one free set, ``"below"`` or
-    ``"above"``, of the one at position k."""
+    """The intervals with coordinate 0 toggled in one free set,
+    ``"below"`` or ``"above"``, of the one at position k."""
     iv = intervals[k]
-    below, above = iv.internal_free, iv.external_free
+    below, above = iv.below, iv.above
     if side == "below":
-        below = below ^ {"e0"}
+        below = below ^ {0}
     else:
-        above = above ^ {"e0"}
+        above = above ^ {0}
     return [*intervals[:k], CrapoInterval(iv.center, below, above), *intervals[k + 1:]]
 
 
@@ -255,7 +251,7 @@ def test_sweep_matches_per_point_oracle(all_hg, single_edge):
     for g in [*all_hg.values(), single_edge]:
         intervals = embedding_intervals(g)
         assert_matches_reference(intervals)
-        box = default_box(g, 1)
+        box = default_box(enumerate_hypertrees(g), 1)
         assert reference_verify(swapped(intervals, {0}), box)[1] or len(intervals) == 1
         assert reference_verify(toggled(intervals, 0, "below"), box)[1]
 
@@ -287,7 +283,7 @@ def test_fail_lists_reference_violations_in_order(fig2):
     points twice; test_sweep_checks_both_sides has distances not
     attained."""
     intervals = embedding_intervals(fig2)
-    box = default_box(fig2, 1)
+    box = default_box(enumerate_hypertrees(fig2), 1)
     for case in (toggled(intervals, 2, "above"), [*intervals, intervals[3]]):
         points, violations = verify_intervals(case, box)
         assert violations and (points, violations) == reference_verify(case, box)
@@ -303,11 +299,11 @@ def test_certificate_edge_cases():
         return CrapoInterval((center,), frozenset(below), frozenset(above))
 
     cases = [
-        ([iv(2, {"e0"}, {"e0"}), iv(0, {"e0"}, ())], [(1, 3)],
+        ([iv(2, {0}, {0}), iv(0, {0}, ())], [(1, 3)],
          [{"point": [1], "covered_by": [[2]], "distance": "not attained"}]),
-        ([iv(0, {"e0"}, {"e0"}), iv(2, (), {"e0"})], [(-1, 1)],
+        ([iv(0, {0}, {0}), iv(2, (), {0})], [(-1, 1)],
          [{"point": [1], "covered_by": [[0]], "distance": "not attained"}]),
-        ([iv(1, {"e0"}, ()), iv(1, (), ())], [(0, 2)],
+        ([iv(1, {0}, ()), iv(1, (), ())], [(0, 2)],
          [{"point": [1], "covered_by": [[1], [1]]}, {"point": [2], "covered_by": []}]),
         ([iv(1, (), ()), iv(0, (), ())], [(1, 2)],
          [{"point": [2], "covered_by": []}]),
@@ -321,7 +317,7 @@ def test_jobs_below_one_rejected(fig2):
     intervals = embedding_intervals(fig2)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
-            verify_intervals(intervals, default_box(fig2), jobs=jobs)
+            verify_intervals(intervals, default_box(enumerate_hypertrees(fig2)), jobs=jobs)
 
 
 def test_sweep_parallel_matches_oracle(fig2):
@@ -343,8 +339,7 @@ def test_sweep_one_coordinate_box(single_edge):
         assert verify_intervals(case, box) == reference_verify(case, box)
     assert verify_intervals(intervals, box, jobs=2) == (9, [])
     centers = [iv.center for iv in broken]
-    free = [(frozenset(map(node_index, iv.internal_free)),
-             frozenset(map(node_index, iv.external_free))) for iv in broken]
+    free = [(iv.below, iv.above) for iv in broken]
     dealt = [[c for c, _, _ in sweep(box, centers, free, start=i, step=2)] for i in range(2)]
     assert all(dealt) and sorted(dealt[0] + dealt[1]) == [(v,) for v in range(-3, 6)]
     points, violations = reference_verify(broken, box)
@@ -368,8 +363,7 @@ def test_sweep_yields_one_sided_distances(fig2):
     interval_contains at every point, in itertools.product order."""
     intervals = swapped(embedding_intervals(fig2), {3})
     centers = [iv.center for iv in intervals]
-    free = [(frozenset(map(node_index, iv.internal_free)),
-             frozenset(map(node_index, iv.external_free))) for iv in intervals]
+    free = [(iv.below, iv.above) for iv in intervals]
     box = [(-1, 1), (0, 2), (1, 1), (-1, 2)]
     walked = list(sweep(box, centers, free))
     assert [c for c, _, _ in walked] == list(
@@ -427,13 +421,13 @@ def test_sweep_checks_both_sides():
     (1, 2)); at (2, -1), (0, 0) attains d1> (1) but not d1< (2 against 1
     at (1, 0))."""
     cases = [
-        ([CrapoInterval((2, 1), frozenset({"e0", "e1"}), frozenset({"e0"})),
-          CrapoInterval((1, 2), frozenset(), frozenset({"e1"})),
-          CrapoInterval((2, 2), frozenset({"e0"}), frozenset({"e0", "e1"}))],
+        ([CrapoInterval((2, 1), frozenset({0, 1}), frozenset({0})),
+          CrapoInterval((1, 2), frozenset(), frozenset({1})),
+          CrapoInterval((2, 2), frozenset({0}), frozenset({0, 1}))],
          {"point": [-1, 2], "covered_by": [[2, 2]], "distance": "not attained"}),
-        ([CrapoInterval((1, 0), frozenset({"e1"}), frozenset()),
-          CrapoInterval((0, 1), frozenset({"e0"}), frozenset({"e0", "e1"})),
-          CrapoInterval((0, 0), frozenset({"e1"}), frozenset({"e0"}))],
+        ([CrapoInterval((1, 0), frozenset({1}), frozenset()),
+          CrapoInterval((0, 1), frozenset({0}), frozenset({0, 1})),
+          CrapoInterval((0, 0), frozenset({1}), frozenset({0}))],
          {"point": [2, -1], "covered_by": [[0, 0]], "distance": "not attained"}),
     ]
     box = [(-1, 3), (-1, 3)]

@@ -15,7 +15,6 @@ from hypertutte.delta import (
     assignment_from_delta,
     assignment_from_orders,
     bases_from_hypertrees,
-    basis_interval,
     basis_name,
     check_exchange,
     crapo_verify,
@@ -32,7 +31,7 @@ from hypertutte.delta import (
     order_of_basis,
     validate_decision_tree,
 )
-from hypertutte.crapo import interval_contains
+from hypertutte.crapo import interval_contains, intervals
 from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.tutte import Graph
@@ -89,7 +88,7 @@ def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
     assert g != fig2
     for h in bases_from_hypertrees(g).bases:
         jaeger.activities(g, h, jaeger.order_emerald(g, h))
-        crapo.crapo_interval(g, h)
+    crapo.verify_crapo_partition(g)
     tutte.tutte_embedding(g)
     assert len(built) == 1
 
@@ -245,11 +244,12 @@ def test_fig6_nontrivial_sets(fig6_graph, fig6_orders):
 
 def test_fig6_covering_table(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
+    fig6_intervals = intervals(P, assignment)
     for point, name in FIG6_COVERING.items():
         covering = [
-            basis_name(P, b)
-            for b, rec in assignment.items()
-            if interval_contains(basis_interval(P, b, rec), point)
+            basis_name(P, iv.center)
+            for iv in fig6_intervals
+            if interval_contains(iv, point)
         ]
         assert covering == [name], point
 
@@ -499,25 +499,71 @@ def test_search_rejects_negative_coordinate():
         exhaustive_delta_search(P, {b: empty for b in P.bases})
 
 
+def uniform_rank_one(n):
+    """U(1,n) over the ground a, b, ..., and the target that wants no
+    nontrivial activity for any basis."""
+    bases = frozenset(tuple(1 if i == k else 0 for i in range(n)) for k in range(n))
+    P = PolymatroidBases(tuple("abcdefghijklmnop"[:n]), bases)
+    empty = BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
+    return P, {b: empty for b in P.bases}
+
+
 def test_search_guard(monkeypatch):
     """The search's memory is bounded by its memo cap.  U(1,6) with no
     nontrivial activity wanted keeps 63 solved subproblems and finds no
     tree; a cap of 62 refuses it."""
-    n = 6
-    ground = tuple("abcdef")
-    bases = frozenset(
-        tuple(1 if i == k else 0 for i in range(n)) for k in range(n)
-    )
-    P = PolymatroidBases(ground, bases)
-    target = {
-        b: BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
-        for b in P.bases
-    }
+    P, target = uniform_rank_one(6)
     monkeypatch.setattr(delta, "_MEMO_CAP", 63)
     assert exhaustive_delta_search(P, target) is None
     monkeypatch.setattr(delta, "_MEMO_CAP", 62)
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_delta_search(P, target)
+
+
+def tree_text(tree):
+    """A decision tree as its labels, each node's children in brackets."""
+    if not tree.children:
+        return tree.label
+    return f"{tree.label}({','.join(map(tree_text, tree.children))})"
+
+
+FIG1_TREE = ("e3(e0(e1(e2(e4,e4),e2(e4,e4)),e4(e1(e2,e2),e2(e1,e1))),"
+             "e2(e1(e0(e4,e4),e4(e0,e0)),e1(e4(e0,e0),e0(e4,e4))))")
+K34_TREE = ("e0(e3(e1(e2,e2,e2),e1(e2,e2,e2),e1(e2,e2,e2)),"
+            "e3(e1(e2,e2,e2),e1(e2,e2,e2),e1(e2,e2,e2)),"
+            "e1(e2(e3,e3,e3),e2(e3,e3,e3),e2(e3,e3,e3)))")
+
+
+def test_search_checks_one_element_at_a_time(
+    fig1, fig2, fig5, fig6_graph, fig6_orders, monkeypatch
+):
+    """Each check of the search tests a node's label alone against the
+    elements after it, in O(n): it never computes a whole branch's
+    activities, nor filters them through ``nontrivial``.  The answers are
+    those of the whole-branch check: the trees below for fig1 and a
+    seeded K3,4, each reproducing every nontrivial set, and none for
+    fig2, fig5, fig6's fixed-tree assignment (A9) and U(1,6) with no
+    nontrivial activity wanted."""
+    k34 = ribbon_graph(3, 4, [(i, j) for i in range(3) for j in range(4)], random.Random(1))
+    cases = [(*embedding_assignment(g), want)
+             for g, want in ((fig1, FIG1_TREE), (fig2, None), (fig5, None), (k34, K34_TREE))]
+    cases.append((*fixed_tree_order_activities(fig6_graph, fig6_orders), None))
+    cases.append((*uniform_rank_one(6), None))
+
+    def refuse(*args):
+        raise AssertionError("a whole branch's activities were computed")
+
+    with monkeypatch.context() as patched:
+        for name in ("max_rule_activities", "_rule_activities", "nontrivial"):
+            patched.setattr(delta, name, refuse)
+        found = [exhaustive_delta_search(P, target) for P, target, _ in cases]
+    for (P, target, want), tree in zip(cases, found):
+        assert (tree and tree_text(tree)) == want
+        if tree is not None:
+            got = assignment_from_delta(tree, P)
+            for b, rec in target.items():
+                assert got[b].nontrivial_internal == rec.nontrivial_internal, b
+                assert got[b].nontrivial_external == rec.nontrivial_external, b
 
 
 def test_random_deltas_satisfy_partition_and_exemption(fig6_graph):

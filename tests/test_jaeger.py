@@ -292,6 +292,19 @@ def test_activities_fig2(fig2):
     assert (rec.oi, rec.oe, rec.ie) == (2, 0, 1)
 
 
+def test_activities_order_must_be_a_permutation(fig2):
+    """An order that misses, repeats or adds an emerald is refused, not
+    read as the activities of the emeralds it happens to list."""
+    h = (1, 1, 0, 0)
+    for order in [("e0",), ("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e3", "e3"),
+                  ("e0", "e1", "e2", "e9"), ()]:
+        with pytest.raises(ValueError, match="exactly once"):
+            activities(fig2, h, order)
+    with pytest.raises(NotAHypertree):  # membership is checked first
+        activities(fig2, (2, 0, 0, 0), ("e0",))
+    assert activities(fig2, h, ("e3", "e2", "e1", "e0")).internal
+
+
 def test_minimum_always_both_active(all_hg):
     for g in all_hg.values():
         for h in enumerate_hypertrees(g):

@@ -2,9 +2,11 @@
 module's private names, no module imports a name it never uses or
 defines a private helper it never names, every exception class the
 package defines is raised somewhere in it, only ``tours.walk`` steps
-around a rotation, only ``crapo`` measures one-sided distances, an
-import inside a function is one that would close a cycle at the top of
-the module, and nothing in the package imports the test oracles."""
+around a rotation, only ``crapo`` measures one-sided distances, only
+``crapo.intervals`` builds a Crapo interval, ``delta.BasisActivity`` is
+the one activity record, an import inside a function is one that would
+close a cycle at the top of the module, and nothing in the package
+imports the test oracles."""
 
 import ast
 import builtins
@@ -145,6 +147,24 @@ def callers(sources: dict, name: str) -> list:
     return sorted(found)
 
 
+def activity_records(sources: dict) -> list:
+    """``module.Class`` for every dataclass in the sources, given as
+    {module name: source}, with both an ``internal`` and an ``external``
+    field."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list
+            ):
+                fields = {stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+                if {"internal", "external"} <= fields:
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
 def _package_imports(node, modules) -> set:
     """The package modules an import statement loads: ``from .m import f``
     and ``import hypertutte.m`` load m, ``from . import m`` loads m, and a
@@ -243,6 +263,20 @@ def test_one_sweep():
     assert outside == []
 
 
+def test_one_interval_rule():
+    """Only ``crapo.intervals`` builds a ``CrapoInterval``: the Crapo
+    partition and the Delta-Crapo check read one rule."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "CrapoInterval") == ["crapo.intervals"]
+
+
+def test_one_activity_record():
+    """``delta.BasisActivity`` is the only dataclass holding internal and
+    external activity sets."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert activity_records(sources) == ["delta.BasisActivity"]
+
+
 def test_function_level_imports_only_break_cycles():
     """An import inside a function is allowed only where the same import
     at the top of the module would make a cycle."""
@@ -333,6 +367,29 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(sweeping, "one_sided") == ["crapo.d1_less", "tutte.corank_nullity"]
+    building = {
+        "crapo": (
+            "def intervals(P, a):\n    return [CrapoInterval(b, (), ()) for b in a]\n"
+            "def crapo_interval(g, h):\n    return CrapoInterval(h, (), ())\n"
+        ),
+        "delta": "from . import crapo\ndef basis_interval(b):\n    return crapo.CrapoInterval(b)\n",
+    }
+    assert callers(building, "CrapoInterval") == [
+        "crapo.crapo_interval", "crapo.intervals", "delta.basis_interval"]
+    recording = {
+        "delta": (
+            "@dataclass(frozen=True)\nclass BasisActivity:\n"
+            "    internal: frozenset\n    external: frozenset\n"
+        ),
+        "jaeger": (
+            "import dataclasses\n"
+            "@dataclasses.dataclass\nclass ActivityRecord:\n"
+            "    internal: frozenset\n    external: frozenset\n"
+            "class Plain:\n    internal = external = frozenset()\n"
+            "@dataclass\nclass Half:\n    internal: frozenset\n"
+        ),
+    }
+    assert activity_records(recording) == ["delta.BasisActivity", "jaeger.ActivityRecord"]
     deferring = {
         "__init__": "from .model import load\n",
         "model": "import yaml\n",
