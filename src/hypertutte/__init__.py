@@ -16,8 +16,7 @@ def fixture_names() -> list[str]:
 
 
 def fixture_path(name: str):
-    """Filesystem path of a bundled fixture."""
-    path = resources.files(__name__) / "fixtures" / name
-    if not path.is_file():
+    """Filesystem path of a bundled fixture named by :func:`fixture_names`."""
+    if name not in fixture_names():
         raise FileNotFoundError(f"no fixture named {name!r}")
-    return path
+    return resources.files(__name__) / "fixtures" / name

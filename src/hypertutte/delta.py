@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .model import ParseError, emerald, is_int, yaml_mapping
+from .model import ParseError, connected, emerald, is_int, yaml_mapping
 from .hypertrees import cached, enumerate_hypertrees
 from .tours import spanning_trees
 
@@ -280,11 +280,6 @@ class BasisActivity:
         """The record of basis b whose rule gave ``internal`` and ``external``."""
         return cls(internal, external, *nontrivial(P, b, internal, external))
 
-    # the exponents of x, y and x+y-1 in the basis's Tutte term
-    oi = property(lambda self: len(self.internal - self.external))
-    oe = property(lambda self: len(self.external - self.internal))
-    ie = property(lambda self: len(self.internal & self.external))
-
 
 def check_order(P: PolymatroidBases, order):
     """ValueError unless ``order`` lists every ground element of P
@@ -346,9 +341,12 @@ def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
 
 
 def graph_matroid(graph) -> PolymatroidBases:
-    """Cycle matroid of an ordinary graph: bases are the 0/1 indicator
-    vectors of its spanning trees, over the named edge ground set."""
+    """Cycle matroid of a connected ordinary graph: bases are the 0/1
+    indicator vectors of its spanning trees, over the named edge ground set."""
     edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
+    if not connected(edges, graph.vertex_count):
+        raise ValueError("the cycle matroid needs a connected graph: "
+                         "a disconnected one has no spanning tree")
     names = graph.edge_names()
     bases = set()
     for tree in spanning_trees(edges, graph.vertex_count):

@@ -41,7 +41,7 @@ built; the tests check the exchange axiom through
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, is_emerald, node_index, reach
+from .model import RibbonGraph, adjacency, climb, is_emerald, node_index, reach
 from . import tours
 
 
@@ -209,17 +209,6 @@ def _rooted(pairs, edges, roots=()) -> tuple:
     return via, top
 
 
-def _climb(pairs, via, x) -> list:
-    """The edges from node x up to its root, as :func:`_rooted` found them."""
-    path = []
-    while via[x] is not None:
-        k = via[x]
-        path.append(k)
-        a, b = pairs[k]
-        x = a if x == b else b
-    return path
-
-
 def _augment(lay: _Layout, pairs, ground, chosen: set, need) -> bool:
     """Grow ``chosen``, in place, by one edge of ``ground`` along a
     shortest augmenting path of Edmonds' matroid intersection; False if
@@ -230,10 +219,11 @@ def _augment(lay: _Layout, pairs, ground, chosen: set, need) -> bool:
     ``pairs`` and in the partition matroid that allows need[j] edges at
     emerald j.  The search goes breadth first and backwards from the
     outside edges whose emerald has room: an outside edge is reached from
-    the chosen edges on its cycle in ``chosen``, a chosen edge from the
-    outside edges at its emerald.  The first outside edge reached that
-    joins two trees of ``chosen`` starts the path; being shortest, the
-    path can be swapped in and out with both matroids kept independent.
+    the chosen edges on its cycle in ``chosen`` (:func:`model.climb` from
+    both ends, less the common part), a chosen edge from the outside
+    edges at its emerald.  The first outside edge reached that joins two
+    trees of ``chosen`` starts the path; being shortest, the path can be
+    swapped in and out with both matroids kept independent.
     """
     via, top = _rooted(pairs, chosen)
     room = list(need)
@@ -266,7 +256,7 @@ def _augment(lay: _Layout, pairs, ground, chosen: set, need) -> bool:
             return True
         else:
             a, b = pairs[x]
-            up, down = _climb(pairs, via, a), _climb(pairs, via, b)
+            up, down = climb(via, pairs, a), climb(via, pairs, b)
             while up and down and up[-1] == down[-1]:
                 up.pop()
                 down.pop()
@@ -323,15 +313,16 @@ def _decided(lay: _Layout, pairs, via, free, rest: set, need, k, include) -> set
     other way; this call may change it.  It is flipped at k and trimmed
     to a common independent set: excluding k leaves it one edge short;
     including k closes a cycle with the path that joins k's unreached end
-    to the reached nodes (found through ``via``, ``rest`` rooted there by
-    :func:`_rooted`), so one of its edges goes, and one more at k's
-    emerald if that edge was elsewhere, which leaves it one edge short.
+    to the reached nodes (:func:`model.climb` through ``via``, ``rest``
+    rooted there by :func:`_rooted`), so one of its edges goes, and one
+    more at k's emerald if that edge was elsewhere, which leaves it one
+    edge short.
     One augmenting path then fills it up again, if it is short.
     """
     j = lay.at[k]
     if include:
         there = max(pairs[k])  # the unreached end; the reached one is -1
-        cycle = _climb(pairs, via, there)
+        cycle = climb(via, pairs, there)
         cut = next((y for y in cycle if lay.at[y] == j), cycle[0])
         rest.remove(cut)
         if lay.at[cut] != j:

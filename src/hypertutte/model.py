@@ -6,6 +6,9 @@ A hypergraph is represented by its bipartite graph.  Nodes are named
 list; parallel edges are allowed.  Every node carries a cyclic rotation of
 its incident edges, and a basis ``(b0, beta0)`` fixes the starting
 node-edge pair for tours.  Instances are immutable and validated eagerly.
+
+Also here, on (edge, u, v) triples: adjacency, reachability, connectivity
+and :func:`climb`, the one walk from a node up to its root.
 """
 
 from __future__ import annotations
@@ -74,6 +77,18 @@ def reach(adj: dict, start) -> dict:
                 via[other] = k
                 stack.append(other)
     return via
+
+
+def climb(via: dict, ends, x) -> list:
+    """The edges from node x up to its root in a :func:`reach` map, where
+    ``ends[k]`` holds edge k's two ends: the one tree climb."""
+    path = []
+    while via[x] is not None:
+        k = via[x]
+        path.append(k)
+        a, b = ends[k]
+        x = a if x == b else b
+    return path
 
 
 def connected(edges, n_nodes: int) -> bool:

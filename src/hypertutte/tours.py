@@ -10,13 +10,15 @@ and the greedy Jaeger walk of :mod:`hypertrees` both run on it.  The
 tree order by first tour difference, which that walk minimises, is
 defined for the tests in ``tests/oracles.py``.
 
-Also here: fundamental cycles and cuts, base components, and
-deterministic spanning tree enumeration by contraction/deletion.
+Also here: fundamental cycles and cuts, base components, and the one
+contraction/deletion recursion (:func:`deletion_contraction`): it sets
+loops aside, counts each branch's bridges and loops for the classical
+Tutte polynomial, and lists the spanning trees.
 """
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, connected, reach
+from .model import RibbonGraph, adjacency, climb, connected, reach
 
 
 class WrongSide(ValueError):
@@ -62,25 +64,12 @@ def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
     return list(walk(g, tree))
 
 
-def tree_path(g: RibbonGraph, tree: frozenset, start: str, goal: str) -> list[int]:
-    """Edge sequence of the unique tree path from start to goal."""
-    via = reach(_tree_adjacency(g, tree), start)
-    path = []
-    n = goal
-    while n != start:
-        k = via[n]
-        path.append(k)
-        n = g.other_end(k, n)
-    path.reverse()
-    return path
-
-
 def fundamental_cycle(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
     """Edge set of the unique cycle of tree + edge (includes ``edge``)."""
     if edge in tree:
         raise WrongSide("fundamental_cycle expects a non-tree edge")
     v, e = g.endpoints(edge)
-    return frozenset(tree_path(g, tree, v, e)) | {edge}
+    return frozenset(climb(reach(_tree_adjacency(g, tree), v), g.edges, e)) | {edge}
 
 
 def _component(g: RibbonGraph, tree: frozenset, removed: int, root: str) -> frozenset:
@@ -108,39 +97,45 @@ def base_component(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
 
 
 def enumerate_spanning_trees(g: RibbonGraph):
-    """Yield every spanning tree exactly once, in the deterministic order
-    of :func:`spanning_trees`."""
-    edges = [(k, v, e) for k, (v, e) in enumerate(g.edges)]
-    yield from spanning_trees(edges, len(g.nodes))
+    """Every spanning tree of g once, in the order of :func:`spanning_trees`."""
+    return spanning_trees(((k, v, e) for k, (v, e) in enumerate(g.edges)), len(g.nodes))
 
 
 def spanning_trees(edges, n_nodes: int):
-    """Yield the edge-id set of every spanning tree of a connected
+    """The trees of :func:`deletion_contraction`, in its order."""
+    return (tree for tree, _, _ in deletion_contraction(edges, n_nodes))
+
+
+def deletion_contraction(edges, n_nodes: int):
+    """Yield (tree, bridges, loops) for every spanning tree of a connected
     multigraph on ``n_nodes`` nodes given as (edge id, u, v) triples.
 
-    Contraction/deletion recursion pivoting on the lowest remaining edge
-    id; the include (contract) branch is explored first.
+    Input loops are set aside: they are in no spanning tree.  Each step
+    pivots on the lowest remaining edge id, contracts it first, then
+    deletes it unless that disconnects the graph.  Along a branch,
+    ``bridges`` counts the pivots it had to contract and ``loops`` the
+    edges its contractions made loops, input loops included: the leaf's
+    term of the Tutte polynomial is x^bridges y^loops.
     """
-    yield from _trees(list(edges), n_nodes, [])
+    edges = list(edges)
+    plain = [t for t in edges if t[1] != t[2]]
+    yield from _trees(plain, n_nodes, [], 0, len(edges) - len(plain))
 
 
-def _trees(edges, n_nodes, chosen):
-    if n_nodes == 1:
-        yield frozenset(chosen)
+def _trees(edges, n_nodes, chosen, bridges, loops):
+    if n_nodes <= 1:
+        yield frozenset(chosen), bridges, loops
         return
     pivot = min(edges)  # lowest edge id
     k, u, v = pivot
     rest = [t for t in edges if t[0] != k]
-    # contract: relabel v to u, drop loops
-    contracted = []
-    for kk, a, b in rest:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            contracted.append((kk, a2, b2))
+    deletable = connected(rest, n_nodes)
+    # contract: relabel v to u; the edges parallel to the pivot become loops
+    contracted = [(kk, u if a == v else a, u if b == v else b)
+                  for kk, a, b in rest if {a, b} != {u, v}]
+    made = len(rest) - len(contracted)
     chosen.append(k)
-    yield from _trees(contracted, n_nodes - 1, chosen)
+    yield from _trees(contracted, n_nodes - 1, chosen, bridges + (not deletable), loops + made)
     chosen.pop()
-    # delete: only if the graph stays connected
-    if connected(rest, n_nodes):
-        yield from _trees(rest, n_nodes, chosen)
+    if deletable:
+        yield from _trees(rest, n_nodes, chosen, bridges, loops)

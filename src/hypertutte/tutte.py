@@ -10,8 +10,9 @@ the sweep walks all coordinates but the last, skipping every prefix
 already out of the window, and each prefix counts its whole line of
 last coordinates at once.  It reads only the hypertree set, no
 activities, so the series identity stays an independent check.  A small
-classical-graph layer (deletion/contraction Tutte, bipartite-model
-conversion) supports the graph comparison report.
+classical-graph layer supports the graph comparison report: the Tutte
+polynomial read off the leaves of :func:`tours.deletion_contraction`,
+independent of any activity rule, and the bipartite-model conversion.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .model import (
 )
 from .polynomial import Poly, expand_triples, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
-from .delta import BasisActivity, bases_from_hypertrees, check_order, min_rule_activities
+from .delta import bases_from_hypertrees, check_order, min_rule_activities
 from .jaeger import order_emerald
 from .crapo import along_line, box_around, box_size, sweep
+from .tours import deletion_contraction
 
 
 class Disconnected(ValueError):
@@ -35,15 +37,15 @@ class Disconnected(ValueError):
 
 
 def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
-    """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie, the activities of
-    h taken under the emerald order ``order_fn(g, h)``.  The hypertrees
-    are counted by (oi, oe, ie) and the counts expanded by Horner's rule
-    in x+y-1 (:func:`polynomial.expand_triples`)."""
+    """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie: the emeralds only
+    internally, only externally and both ways active under the order
+    ``order_fn(g, h)``, counted per (oi, oe, ie) and expanded by Horner's
+    rule in x+y-1 (:func:`polynomial.expand_triples`)."""
     P = bases_from_hypertrees(g)
     triples = Counter()
     for h in enumerate_hypertrees(g):
-        rec = BasisActivity.of(P, h, *min_rule_activities(P, h, order_fn(g, h)))
-        triples[rec.oi, rec.oe, rec.ie] += 1
+        internal, external = min_rule_activities(P, h, order_fn(g, h))
+        triples[len(internal - external), len(external - internal), len(internal & external)] += 1
     return expand_triples(triples)
 
 
@@ -193,41 +195,14 @@ def load_graph(text: str) -> Graph:
 
 
 def classical_tutte(graph: Graph) -> Poly:
-    """Deletion/contraction Tutte polynomial of a connected multigraph."""
+    """Tutte polynomial of a connected multigraph: the deletion/contraction
+    recurrence read at its leaves, x^bridges y^loops summed over the
+    spanning trees of :func:`tours.deletion_contraction`."""
     if not connected(graph.edges, graph.vertex_count):
         raise Disconnected("classical Tutte requires a connected graph")
-    return _dc(graph.vertex_count, list(graph.edges))
-
-
-def _dc(n: int, edges: list) -> Poly:
-    loops = [t for t in edges if t[1] == t[2]]
-    plain = [t for t in edges if t[1] != t[2]]
-    for idx, (name, u, v) in enumerate(plain):
-        rest = plain[:idx] + plain[idx + 1:]
-        if connected(rest, n):
-            # ordinary edge: delete + contract
-            deleted = _dc(n, rest + loops)
-            contracted = _dc(n - 1, _contract(rest + loops, u, v, n))
-            return deleted + contracted
-    # only bridges and loops remain
-    p = Poly.x() ** len(plain) * Poly.y() ** len(loops)
-    return p
-
-
-def _contract(edges, u, v, n):
-    """Merge v into u and relabel the last vertex into v's slot."""
-    out = []
-    for name, a, b in edges:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        # keep vertex ids dense: move vertex n-1 down to v's old id
-        if v != n - 1:
-            if a2 == n - 1:
-                a2 = v
-            if b2 == n - 1:
-                b2 = v
-        out.append((name, a2, b2))
-    return out
+    edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
+    leaves = deletion_contraction(edges, graph.vertex_count)
+    return Poly(Counter((bridges, loops) for _, bridges, loops in leaves))
 
 
 def to_bipartite(graph: Graph) -> RibbonGraph:

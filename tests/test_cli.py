@@ -319,11 +319,17 @@ def test_fixtures_list_and_emit(capsys):
     assert out == fixture_path("fig2.hg").read_text()
 
 
-def test_fixtures_emit_requires_name(capsys):
+def test_fixtures_emit_requires_name(capsys, tmp_path):
+    """Only a bundled fixture's name is emitted: an absolute path, or one
+    that climbs out of the fixture folder, is no fixture name."""
+    outside = tmp_path / "outside.hg"
+    outside.write_text("not a fixture\n")
     code, _, err = run(capsys, "fixtures", "emit")
     assert code == 2
-    code, _, err = run(capsys, "fixtures", "emit", "nope.hg")
-    assert code == 2
+    for name in ("nope.hg", str(outside), "../cli.py"):
+        code, out, err = run(capsys, "fixtures", "emit", name)
+        assert (code, out) == (2, ""), name
+        assert "no fixture named" in err
 
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.txt"

@@ -205,6 +205,15 @@ def test_graph_matroid_fig6(fig6_graph):
     assert {basis_name(P, b) for b in P.bases} == {"ac", "ad", "bc", "bd", "cd"}
 
 
+def test_graph_matroid_loops_and_connectivity():
+    """A loop is in no spanning tree, even as the lowest edge, and a
+    disconnected graph is refused by name rather than by an empty min()."""
+    looped = Graph(3, (("a", 0, 0), ("b", 0, 1), ("c", 1, 2)))
+    assert graph_matroid(looped).bases == frozenset({(0, 1, 1)})
+    with pytest.raises(ValueError, match="connected graph"):
+        graph_matroid(Graph(3, (("a", 0, 1),)))
+
+
 def test_rank_is_the_greatest_coordinate(all_hg, single_edge, fig6_graph, small_matroid):
     """rank(e), read from the table built once per polymatroid, is the
     greatest value of coordinate e over the bases."""

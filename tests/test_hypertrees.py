@@ -15,7 +15,7 @@ from hypertutte.hypertrees import (
     greedy_tree,
     is_hypertree,
 )
-from hypertutte.model import RibbonGraph, is_emerald, node_index
+from hypertutte.model import RibbonGraph, climb, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
 from oracles import hypertrees_by_exchange, is_jaeger, is_violet_jaeger, representatives
 from test_oracle import complete_bipartite, ribbon_graphs
@@ -247,7 +247,7 @@ def check_random_state(g, rng) -> int:
             continue
         include, others = k not in witness, free - {k}
         if include:
-            path = hypertrees._climb(pairs, via, max(pairs[k]))
+            path = climb(via, pairs, max(pairs[k]))
             elsewhere += all(lay.at[y] != j for y in path)
         got = hypertrees._decided(lay, pairs, via, others, set(rest), need, k, include)
         by_emerald = [{x for x in others if lay.at[x] == i} for i in range(lay.ne)]

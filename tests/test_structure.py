@@ -2,7 +2,8 @@
 module's private names, no module imports a name it never uses or
 defines a private helper it never names, every exception class the
 package defines is raised somewhere in it, only ``tours.walk`` steps
-around a rotation, only ``crapo`` measures one-sided distances, only
+around a rotation, only ``tours._trees`` recurses by contraction and
+deletion, only ``crapo`` measures one-sided distances, only
 ``crapo.intervals`` builds a Crapo interval, ``delta.BasisActivity`` is
 the one activity record, an import inside a function is one that would
 close a cycle at the top of the module, and nothing in the package
@@ -254,6 +255,16 @@ def test_one_tour_step_rule():
     assert callers(sources, "next_at") == ["tours.walk"]
 
 
+def test_one_contraction_deletion():
+    """``tours._trees`` is the one contraction/deletion recursion: apart
+    from the checks on loaded input, it alone asks whether a graph stays
+    connected, and the classical Tutte polynomial reads its leaves."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "connected") == [
+        "delta.graph_matroid", "model._validate", "tours._trees",
+        "tours.is_spanning_tree", "tutte.classical_tutte"]
+
+
 def test_one_sweep():
     """Only ``crapo`` calls the distance kernel ``one_sided``: every other
     module sweeps a box through ``crapo.sweep``, never point by point."""
@@ -358,6 +369,17 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(stepping, "next_at") == ["rogue", "rogue.turn", "tours.walk"]
+    recursing = {
+        "tours": "def _trees(edges, n):\n    return connected(edges[1:], n)\n",
+        "tutte": (
+            "def classical_tutte(graph):\n    return connected(graph.edges, 2)\n"
+            "def _dc(n, edges):\n"
+            "    rest = edges[1:]\n"
+            "    return _dc(n, rest) + _dc(n - 1, rest) if connected(rest, n) else 0\n"
+        ),
+    }
+    assert callers(recursing, "connected") == [
+        "tours._trees", "tutte._dc", "tutte.classical_tutte"]
     sweeping = {
         "crapo": "def d1_less(hs, c):\n    return min(one_sided(h, c)[0] for h in hs)\n",
         "tutte": (

@@ -10,10 +10,12 @@ from hypertutte.model import RibbonGraph, is_violet, node_sort_key
 from hypertutte.tours import (
     WrongSide,
     base_component,
+    deletion_contraction,
     enumerate_spanning_trees,
     fundamental_cut,
     fundamental_cycle,
     is_spanning_tree,
+    spanning_trees,
     tour,
 )
 from oracles import EqualTrees, first_difference, tree_less
@@ -251,6 +253,14 @@ def test_spanning_tree_rejects_foreign_edge_ids(fig2):
     assert is_spanning_tree(fig2, frozenset({0, 1, 2, 4, 5, 7}))
     assert not is_spanning_tree(fig2, frozenset({0, 1, 2, 4, 5, -2}))
     assert not is_spanning_tree(fig2, frozenset({0, 1, 2, 4, 5, 99}))
+
+
+def test_loops_are_in_no_tree():
+    """A loop, here the lowest edge id, is set aside, not contracted; it
+    counts as a loop of the one tree, whose two edges are bridges."""
+    edges = [(0, 0, 0), (1, 0, 1), (2, 1, 2)]
+    assert list(spanning_trees(edges, 3)) == [frozenset({1, 2})]
+    assert list(deletion_contraction(edges, 3)) == [(frozenset({1, 2}), 2, 1)]
 
 
 def test_enumeration_deterministic(fig2):

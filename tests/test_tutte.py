@@ -230,12 +230,25 @@ LOOPED_MULTIGRAPH = Graph(
 )
 
 
+def random_multigraph(rng) -> Graph:
+    """A connected multigraph on 2 to 6 vertices with at most 9 edges: a
+    random spanning tree, then edges between any two vertices, which
+    makes loops and parallel edges."""
+    n = rng.randint(2, 6)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 10 - n))]
+    rng.shuffle(pairs)
+    return Graph(n, tuple((f"g{i}", u, v) for i, (u, v) in enumerate(pairs)))
+
+
 def test_classical_tutte_matches_networkx(fig6_graph):
     nx = pytest.importorskip("networkx")
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     assert str(classical_tutte(LOOPED_MULTIGRAPH)) == "x^2y + xy^2 + xy + y^3 + y^2"
-    for graph in (fig6_graph, TRIANGLE, K4, LOOPED_MULTIGRAPH):
+    rng = random.Random(7)
+    randoms = [random_multigraph(rng) for _ in range(30)]
+    for graph in (fig6_graph, TRIANGLE, K4, LOOPED_MULTIGRAPH, *randoms):
         G = nx.MultiGraph()
         G.add_nodes_from(range(graph.vertex_count))
         G.add_edges_from((u, v) for _, u, v in graph.edges)
