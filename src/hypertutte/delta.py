@@ -174,7 +174,7 @@ def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
     non-final node has r(label)+1 children."""
     n = len(P.ground)
 
-    def walk(node, seen):
+    def visit(node, seen):
         if node.label not in P.ground:
             raise InvalidDecisionTree(f"unknown element {node.label!r}")
         if node.label in seen:
@@ -190,9 +190,9 @@ def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
                 f"node {node.label!r} needs {arity} children, has {len(node.children)}"
             )
         for child in node.children:
-            walk(child, seen)
+            visit(child, seen)
 
-    walk(tree, frozenset())
+    visit(tree, frozenset())
 
 
 def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:

@@ -2,26 +2,24 @@
 
 A (emerald) Jaeger tree is a spanning tree whose tour meets every
 non-tree edge first at its emerald endpoint; each hypertree has exactly
-one, the least of its representatives in the tour order, and
-:func:`hypertrees.greedy_tree` builds it along its own tour, in
-polynomial time, moving a witness spanning tree by matroid intersection.
-The walk also decides membership: a vector that is not a hypertree has
-no first witness and raises :class:`NotAHypertree`, with no 2^k subset
-scan.  The violet variant uses the violet-endpoint-first rule.  The
-recognisers that read the definition off a tree's tour are the test
-oracle, in ``tests/oracles.py``.  The tour of the Jaeger tree induces
-the emerald order <_h, and the violet tours induce two further orders.
-Each order is recorded by the same walk that built its tree, so
-computing a polynomial walks the tour of each Jaeger tree once, and the
-emerald and violet walks of a hypertree start from one shared first
-witness.  Activities under an order of all emeralds are delta's MIN
-rule on the hypertree set, as a :class:`delta.BasisActivity`.
+one, the least of its representatives in the tour order.  The violet
+variant uses the violet-endpoint-first rule.  Both come, with the
+hypertrees themselves, from one depth-first search per graph and
+variant over the tour of the tree under construction
+(:func:`hypertrees.tour_search`); a vector it did not reach is not a
+hypertree and raises :class:`NotAHypertree`.  The recognisers that read
+the definition off a tree's tour are the test oracle, in
+``tests/oracles.py``.  The tour of the Jaeger tree induces the emerald
+order <_h, and the violet tours induce two further orders; the search
+records each order along the branch that built its tree, so no tour is
+walked again.  Activities under an order of all emeralds are delta's
+MIN rule on the hypertree set, as a :class:`delta.BasisActivity`.
 """
 
 from __future__ import annotations
 
 from .model import RibbonGraph
-from .hypertrees import cached, first_witness, greedy_tree, well_formed
+from .hypertrees import jaeger_trees, well_formed
 from .delta import BasisActivity, assignment_from_orders, bases_from_hypertrees
 from .delta import check_order, min_rule_activities
 
@@ -32,29 +30,14 @@ class NotAHypertree(ValueError):
 
 def _walked(g, h, variant):
     """The Jaeger tree of h, as a sorted tuple of edge ids, and the two
-    emerald orders its walk records (:func:`hypertrees.greedy_tree`): by
-    first appearance as the current node, and as the emerald end of the
-    current edge.  Built once per graph, hypertree and variant.  The
-    emerald and violet walks of h start from one first witness: the
-    first of them builds it and keeps it, as a tuple of edge ids, and the
-    second takes it and drops it.  Only a well-formed h reaches the
-    caches: (0.0, 2) equals and hashes like (0, 2) but is no hypertree."""
+    emerald orders of its tour, as the search of the variant found them
+    (:func:`hypertrees.jaeger_trees`).  Only a well-formed h is looked
+    up: (0.0, 2) equals and hashes like (0, 2) but is no hypertree."""
     h = tuple(h)
-    if not well_formed(g, h):
+    found = jaeger_trees(g, variant)
+    if not well_formed(g, h) or h not in found:
         raise NotAHypertree(f"{h} is not a hypertree")
-    walked = cached(g, f"{variant} Jaeger trees", lambda g: {})
-    if h not in walked:
-        firsts = cached(g, "first witnesses", lambda g: {})
-        if h in firsts:  # the other variant has walked h
-            first = firsts.pop(h)
-        else:
-            first = first_witness(g, h)
-            if first is None:
-                raise NotAHypertree(f"{h} is not a hypertree")
-            firsts[h] = first
-        tree, *orders = greedy_tree(g, h, variant, first)
-        walked[h] = (tuple(sorted(tree)), *orders)
-    return walked[h]
+    return found[h]
 
 
 def jaeger_tree_of(g: RibbonGraph, h) -> frozenset:

@@ -6,9 +6,11 @@ non-tree edge it rotates to the next edge around the current node, at a
 tree edge it crosses to the other endpoint and rotates there.  It stops
 right before the basis pair would recur, having seen every edge twice.
 :func:`walk` holds this step rule, the only one in the package; the tour
-and the greedy Jaeger walk of :mod:`hypertrees` both run on it.  The
-tree order by first tour difference, which that walk minimises, is
-defined for the tests in ``tests/oracles.py``.
+and the search for Jaeger trees (:func:`hypertrees.tour_search`) both
+run on it, the search resuming a walk at a step to branch there.  The
+tree order by first tour difference, whose least representative of each
+hypertree is its Jaeger tree, is defined for the tests in
+``tests/oracles.py``.
 
 Also here: fundamental cycles and cuts, base components, and the one
 contraction/deletion recursion (:func:`deletion_contraction`): it sets
@@ -36,14 +38,17 @@ def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
     return connected(((k, *g.endpoints(k)) for k in tree), n_nodes)
 
 
-def walk(g: RibbonGraph, tree):
-    """Yield the tour's (node, edge) steps, starting at the basis.
+def walk(g: RibbonGraph, tree, at=None):
+    """Yield the tour's (node, edge) steps, from the basis or from the
+    step ``at``, up to the basis.
 
     ``tree`` is read at each step, after the step is handed out: a caller
     may add the edge it was just given, and the walk then crosses it.
+    A walk resumed at a step of another walk, over a copy of its tree,
+    goes on as that walk would with that tree.
     """
     b0, beta0 = g.basis
-    node, edge = b0, beta0
+    node, edge = at or g.basis
     while True:
         yield node, edge
         if edge in tree:

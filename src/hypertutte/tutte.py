@@ -36,6 +36,10 @@ class Disconnected(ValueError):
     """Classical Tutte requires a connected graph."""
 
 
+class NoEdges(ValueError):
+    """The bipartite model of a graph needs at least one edge."""
+
+
 def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
     """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie: the emeralds only
     internally, only externally and both ways active under the order
@@ -209,8 +213,11 @@ def to_bipartite(graph: Graph) -> RibbonGraph:
     """Bipartite ribbon model: one emerald node per graph edge.
 
     The embedding polynomial is ribbon-structure invariant, so rotations
-    are simply the incidence lists in index order.
+    are simply the incidence lists in index order.  A graph with no edge
+    has no emerald node, so it has no model.
     """
+    if not graph.edges:
+        raise NoEdges("the bipartite model needs at least one edge, and the graph has none")
     edges = []
     for j, (_, u, v) in enumerate(graph.edges):
         edges.append((violet(u), emerald(j)))

@@ -2,22 +2,28 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, settings
 
 from hypertutte import delta, harness, hypertrees
 from hypertutte.delta import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
+    all_spanning_trees,
     degree_vector,
     enumerate_hypertrees,
-    greedy_tree,
     is_hypertree,
+    jaeger_trees,
+    tour_search,
 )
-from hypertutte.model import RibbonGraph, climb, is_emerald, node_index
+from hypertutte.jaeger import jaeger_tree_of, violet_jaeger_tree_of
+from hypertutte.model import RibbonGraph, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
-from oracles import hypertrees_by_exchange, is_jaeger, is_violet_jaeger, representatives
+from hypertutte.tutte import tutte_embedding
+from oracles import hypertrees_by_exchange, is_jaeger, is_violet_jaeger
 from test_oracle import complete_bipartite, ribbon_graphs
 
 
@@ -49,11 +55,34 @@ def test_is_hypertree_fig2(fig2):
         assert is_hypertree(fig2, degree_vector(fig2, t))
 
 
-def test_greedy_tree_has_the_degrees(fig2):
-    for h in enumerate_hypertrees(fig2):
-        t = greedy_tree(fig2, h)[0]
-        assert is_spanning_tree(fig2, t)
-        assert degree_vector(fig2, t) == h
+def test_search_trees_have_the_degrees(fig2):
+    for variant in ("emerald", "violet"):
+        for h, (t, *_) in jaeger_trees(fig2, variant).items():
+            assert is_spanning_tree(fig2, frozenset(t))
+            assert degree_vector(fig2, t) == h
+
+
+def _subset_sums(values) -> list:
+    """The sum of values over S, for every index set S (bit i = index i)."""
+    sums = [0] * (1 << len(values))
+    for S in range(1, len(sums)):
+        low = S & -S
+        sums[S] = sums[S ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
+def _forest_size(pairs) -> int:
+    """Edges in a spanning forest of the (node, node) pairs."""
+    parent, size = {}, 0
+    for a, b in pairs:
+        while parent.get(a, a) != a:
+            a = parent[a]
+        while parent.get(b, b) != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            size += 1
+    return size
 
 
 def realisable(ends, nv, need, free, reached, k, include) -> bool:
@@ -75,20 +104,20 @@ def realisable(ends, nv, need, free, reached, k, include) -> bool:
         need[ends[k][1] - nv] -= 1
     label = [-1 if a in reached else a for a in range(nv + len(need))]
     pairs = [[(label[ends[x][0]], label[ends[x][1]]) for x in edges] for edges in free]
-    for S, demand in enumerate(hypertrees._subset_sums(need)):
+    for S, demand in enumerate(_subset_sums(need)):
         members = [j for j in range(len(need)) if S >> j & 1]
-        if demand and hypertrees._forest_size(
-            (p for j in members for p in pairs[j]), demand
-        ) < demand:
+        if demand and _forest_size(p for j in members for p in pairs[j]) < demand:
             return False
     return True
 
 
 def replay_walk(g, h, variant) -> int:
-    """Replay the walk that builds a Jaeger tree of h and check that it
-    keeps each preferred decision exactly when Rado's condition allows
-    it; returns the number of decisions checked."""
-    tree = hypertrees.greedy_tree(g, h, variant)[0]
+    """Replay the tour of the Jaeger tree of h that the search found and
+    check that each decision along it takes the preferred side (in at a
+    node of the colour that cannot choose, out at the other) exactly when
+    Rado's condition allows it, as the least representative of h in the
+    tour order must; returns the number of decisions checked."""
+    tree = (jaeger_tree_of if variant == "emerald" else violet_jaeger_tree_of)(g, h)
     nv = g.violet_count
     ends = [(node_index(v), nv + node_index(e)) for v, e in g.edges]
     need = [x + 1 for x in h]
@@ -140,137 +169,6 @@ def test_walk_decisions_match_rado_on_random_instances(g):
     assert_walks_match_rado(g)
 
 
-def assert_walk_ignores_first_witness(g, monkeypatch):
-    """Started from any spanning tree that realises h, the walk builds the
-    Jaeger trees that the filter finds among the representatives of h."""
-    for h in enumerate_hypertrees(g):
-        reps = representatives(g, h)
-        [emerald_tree] = [t for t in reps if is_jaeger(g, t)]
-        [violet_tree] = [t for t in reps if is_violet_jaeger(g, t)]
-        for first in reps:
-            starts = []
-            monkeypatch.setattr(hypertrees, "_witness",
-                                lambda lay, need: starts.append(first) or set(first))
-            assert hypertrees.greedy_tree(g, h)[0] == emerald_tree, (h, first)
-            assert hypertrees.greedy_tree(g, h, "violet")[0] == violet_tree, (h, first)
-            assert starts == [first, first]  # each walk started from first
-
-
-def test_walk_ignores_first_witness_on_fixtures(all_hg, single_edge, monkeypatch):
-    for g in list(all_hg.values()) + [single_edge]:
-        assert_walk_ignores_first_witness(g, monkeypatch)
-
-
-def test_walk_ignores_first_witness_on_k34_rotations(monkeypatch):
-    rng = random.Random(34)
-    for _ in range(5):
-        assert_walk_ignores_first_witness(
-            harness.perturbed(complete_bipartite(3, 4), rng), monkeypatch
-        )
-
-
-def random_spanning_tree(g, rng) -> frozenset:
-    """The edges, in shuffled order, that join two parts of the ones
-    kept so far."""
-    order = list(range(len(g.edges)))
-    rng.shuffle(order)
-    part = {node: {node} for node in g.nodes}
-    tree = set()
-    for k in order:
-        v, e = g.edges[k]
-        if part[v] is not part[e]:
-            tree.add(k)
-            part[v] |= part[e]
-            for node in part[e]:
-                part[node] = part[v]
-    return frozenset(tree)
-
-
-@settings(max_examples=150, deadline=None)
-@given(ribbon_graphs(), st.integers(0, 2**32))
-def test_augmenting_paths_from_any_start(g, seed):
-    """From a random maximal common independent set, augmenting paths
-    grow a spanning tree with degree v(e)+1 at every emerald e exactly
-    when v is a hypertree."""
-    rng = random.Random(seed)
-    lay = hypertrees._layout(g)
-    h = degree_vector(g, random_spanning_tree(g, rng))
-    moved = list(h)
-    moved[rng.randrange(len(h))] += 1
-    moved[rng.randrange(len(h))] -= 1
-    for v in (h, tuple(moved)):
-        if min(v) < 0:
-            continue
-        need = [x + 1 for x in v]
-        start, part = set(), {node: {node} for node in range(lay.nv + lay.ne)}
-        for k in random_spanning_tree(g, rng) | set(range(len(g.edges))):
-            a, b = lay.ends[k]
-            if part[a] is not part[b] and need[lay.at[k]] > sum(lay.at[x] == lay.at[k] for x in start):
-                start.add(k)
-                part[a] |= part[b]
-                for node in part[b]:
-                    part[node] = part[a]
-        grown = hypertrees._grown(lay, lay.ends, range(len(g.edges)), start, need)
-        if is_hypertree(g, v):
-            assert is_spanning_tree(g, frozenset(grown)) and degree_vector(g, grown) == v
-        else:
-            assert grown is None
-
-
-def check_random_state(g, rng) -> int:
-    """Decide every edge that can be decided from a random state the walk
-    could be in: a witness, a subtree of it included, some edges outside
-    it excluded.  Moving the witness to the other side of an edge must
-    succeed exactly when Rado's condition allows it, and then give a
-    spanning tree with the same degrees that keeps every decision.
-    Returns how many includes met a witness path to the reached nodes
-    with no edge at the included edge's emerald."""
-    lay = hypertrees._layout(g)
-    witness = random_spanning_tree(g, rng)
-    reached, tree = {rng.randrange(lay.nv + lay.ne)}, set()
-    for _ in range(rng.randrange(len(g.nodes))):
-        grow = [k for k in witness - tree if len(reached & set(lay.ends[k])) == 1]
-        if grow:
-            k = rng.choice(grow)
-            tree.add(k)
-            reached |= set(lay.ends[k])
-    free = {k for k in range(len(g.edges))
-            if k not in tree and (k in witness or rng.random() < 0.7)}
-    rest = witness - tree
-    need = [sum(lay.at[k] == j for k in rest) for j in range(lay.ne)]
-    pairs = [tuple(-1 if x in reached else x for x in ends) for ends in lay.ends]
-    via = hypertrees._rooted(pairs, rest, (-1,))[0]
-    elsewhere = 0
-    for k in sorted(free):
-        j = lay.at[k]
-        if len(reached & set(lay.ends[k])) != 1 or not need[j]:
-            continue
-        include, others = k not in witness, free - {k}
-        if include:
-            path = climb(via, pairs, max(pairs[k]))
-            elsewhere += all(lay.at[y] != j for y in path)
-        got = hypertrees._decided(lay, pairs, via, others, set(rest), need, k, include)
-        by_emerald = [{x for x in others if lay.at[x] == i} for i in range(lay.ne)]
-        assert (got is not None) == realisable(
-            lay.ends, lay.nv, need, by_emerald, reached, k, include
-        ), (k, include)
-        if got is not None:
-            moved = tree | got | ({k} if include else set())
-            assert is_spanning_tree(g, frozenset(moved)), (k, include)
-            assert degree_vector(g, moved) == degree_vector(g, witness)
-            assert moved - tree <= others | {k}
-    return elsewhere
-
-
-def test_decisions_from_random_states(all_hg):
-    rng = random.Random(11)
-    graphs = list(all_hg.values())
-    graphs += [harness.perturbed(complete_bipartite(3, 4), rng) for _ in range(10)]
-    graphs += [harness.random_instance(seed=seed) for seed in range(40)]
-    elsewhere = sum(check_random_state(g, rng) for g in graphs for _ in range(40))
-    assert elsewhere >= 20
-
-
 def test_counts(fig2, fig5):
     assert len(enumerate_hypertrees(fig2)) == 7
     assert len(enumerate_hypertrees(fig5)) == 6
@@ -290,13 +188,47 @@ def test_graph_case_indicators(fig1):
     assert len(hs) == 8
 
 
+def kalman(g, v) -> bool:
+    """Kálmán's test, with the mu table the package does not build:
+    v >= 0, sum(v) = #violet - 1 and v(S) <= mu(S) = |N(S)| - c(S), the
+    rank of S's edges less |S|, for every set S of emeralds."""
+    blocks = [[ends for ends in g.edges if ends[1] == e] for e in g.emeralds]
+    return min(v) >= 0 and sum(v) == g.violet_count - 1 and all(
+        total <= _forest_size(p for j, block in enumerate(blocks) if S >> j & 1 for p in block)
+        - S.bit_count()
+        for S, total in enumerate(_subset_sums(v))
+    )
+
+
 def test_membership_matches_enumeration(fig2, fig5):
+    """Membership read off the search agrees with the degree vectors of
+    all spanning trees and with Kálmán's inequalities on the box around
+    the hypertrees, widened by one."""
     for g in (fig2, fig5):
         hs = set(enumerate_hypertrees(g))
-        lo = [min(h[e] for h in hs) for e in range(g.emerald_count)]
-        hi = [max(h[e] for h in hs) for e in range(g.emerald_count)]
+        assert hs == {degree_vector(g, t) for t in all_spanning_trees(g)}
+        lo = [min(h[e] for h in hs) - 1 for e in range(g.emerald_count)]
+        hi = [max(h[e] for h in hs) + 1 for e in range(g.emerald_count)]
         for v in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            assert is_hypertree(g, v) == (v in hs)
+            assert is_hypertree(g, v) == (v in hs) == kalman(g, v), v
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), (4, 5),
+                                  (5, 5), (3, 14), (4, 10), (6, 6), (3, 24), (7, 7)])
+def test_search_ladder(a, b):
+    """On K_{a,b} with index rotations every composition of a-1 into b
+    parts is a hypertree, C(a+b-2, a-1) of them: each search lists each
+    once, the embedding polynomial counts them at (1, 1), and on the
+    small rungs every tree the search lists is a Jaeger tree of its
+    variant by the tour oracle."""
+    g = complete_bipartite(a, b)
+    count = math.comb(a + b - 2, a - 1)
+    for variant, oracle in (("emerald", is_jaeger), ("violet", is_violet_jaeger)):
+        leaves = list(tour_search(g, variant))
+        assert len(leaves) == len({h for h, *_ in leaves}) == count
+        if a * b <= 25:
+            assert all(oracle(g, frozenset(t)) for _, t, *_ in leaves)
+    assert tutte_embedding(g).evaluate(1, 1) == count
 
 
 def test_exchange_bfs_equals_enumeration(all_hg, single_edge):
@@ -350,15 +282,13 @@ def test_exchange_axiom_exhaustive(fig2, fig5):
 def test_cache_dies_with_graph():
     """What is derived from a graph is kept in the graph and freed with
     it, so long searches run in bounded memory."""
-    from hypertutte.tutte import tutte_embedding
-
     graphs = [harness.random_instance(seed=seed) for seed in range(50)]
-    layouts = []
+    polymatroids = []
     for g in graphs:
         tutte_embedding(g)
-        layouts.append(weakref.ref(hypertrees._layout(g)))
+        polymatroids.append(weakref.ref(bases_from_hypertrees(g)))
         assert hypertrees.cached(g, "embedding", None) is tutte_embedding(g)
     alive = [weakref.ref(g) for g in graphs]
     del graphs, g
     gc.collect()
-    assert all(ref() is None for ref in alive + layouts)
+    assert all(ref() is None for ref in alive + polymatroids)

@@ -2,18 +2,12 @@
 
 import itertools
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
 
 from hypertutte import harness, hypertrees, load_path, fixture_path, tours
-from hypertutte.hypertrees import (
-    degree_vector,
-    enumerate_hypertrees,
-    greedy_tree,
-    is_hypertree,
-)
+from hypertutte.hypertrees import all_spanning_trees, degree_vector, enumerate_hypertrees
 from hypertutte.jaeger import (
     NotAHypertree,
     activities,
@@ -24,12 +18,11 @@ from hypertutte.jaeger import (
     order_violet_prime,
     violet_jaeger_tree_of,
 )
-from hypertutte.model import RibbonGraph, adjacency, is_emerald
+from hypertutte.model import is_emerald
 from hypertutte.polynomial import Poly, x_plus_y_minus_1
 from hypertutte.tours import tour
 from hypertutte.tutte import tutte_embedding
 from oracles import is_jaeger, is_violet_jaeger, representatives, tree_less
-from test_hypertrees import random_spanning_tree
 from test_oracle import complete_bipartite, ribbon_graphs
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
@@ -92,14 +85,15 @@ def test_jaeger_tree_is_order_minimum(all_hg):
 
 
 def test_walk_refuses_exactly_the_non_hypertrees(all_hg, single_edge):
-    """Membership by witness, in the walk, agrees with Kálmán's
-    inequalities on the box around every fixture's hypertrees."""
+    """The Jaeger-tree lookups answer exactly the degree vectors of
+    spanning trees on the box around every fixture's hypertrees."""
     for g in list(all_hg.values()) + [single_edge]:
         hs = enumerate_hypertrees(g)
+        vectors = {degree_vector(g, t) for t in all_spanning_trees(g)}
         box = [range(min(h[e] for h in hs) - 1, max(h[e] for h in hs) + 2)
                for e in range(g.emerald_count)]
         for v in itertools.product(*box):
-            if is_hypertree(g, v):
+            if v in vectors:
                 assert degree_vector(g, jaeger_tree_of(g, v)) == v
                 assert degree_vector(g, violet_jaeger_tree_of(g, v)) == v
             else:
@@ -107,14 +101,12 @@ def test_walk_refuses_exactly_the_non_hypertrees(all_hg, single_edge):
                     jaeger_tree_of(g, v)
                 with pytest.raises(NotAHypertree):
                     violet_jaeger_tree_of(g, v)
-                assert greedy_tree(g, v) is None
 
 
 def test_walk_refuses_malformed_vectors(fig2):
     for v in [(), (0, 2, 0), (0, 2, 0, 0, 0), (-1, 3, 0, 0), (0, 3, 0, 0)]:
         with pytest.raises(NotAHypertree):
             jaeger_tree_of(fig2, v)
-        assert greedy_tree(fig2, v) is None
 
 
 def test_walk_cache_refuses_float_vectors(fig2):
@@ -122,7 +114,7 @@ def test_walk_cache_refuses_float_vectors(fig2):
     to, so it must be refused even after that hypertree's walks are
     cached."""
     h = (0, 2, 0, 0)
-    assert is_hypertree(fig2, h)
+    assert h in enumerate_hypertrees(fig2)
     lookups = (jaeger_tree_of, violet_jaeger_tree_of,
                order_emerald, order_violet, order_violet_prime)
     for lookup in lookups:
@@ -133,38 +125,15 @@ def test_walk_cache_refuses_float_vectors(fig2):
                 lookup(fig2, v)
 
 
-def _search_trees(g, rng):
-    """A breadth-first tree from every third node and a random spanning
-    tree."""
-    adj = adjacency((k, v, e) for k, (v, e) in enumerate(g.edges))
-    for start in sorted(adj)[::3]:
-        seen, queue, tree = {start}, deque([start]), set()
-        while queue:
-            for k, other in adj[queue.popleft()]:
-                if other not in seen:
-                    seen.add(other)
-                    tree.add(k)
-                    queue.append(other)
-        yield frozenset(tree)
-    yield random_spanning_tree(g, rng)
-
-
-def test_walk_builds_no_mu_table(monkeypatch):
-    """On a K3,16 embedding (2^16 emerald sets) both Jaeger trees of
-    several hypertrees and their orders come out of the walk without one
-    subset rank or subset sum."""
-
-    def refuse(*args):
-        raise AssertionError("subset scan")
-
-    monkeypatch.setattr(hypertrees, "_forest_size", refuse)
-    monkeypatch.setattr(hypertrees, "_subset_sums", refuse)
-    rng = random.Random(316)
-    g = harness.perturbed(complete_bipartite(3, 16), rng)
+def test_walk_builds_no_mu_table():
+    """On a K3,16 embedding (2^16 emerald sets) the two searches list
+    every hypertree, its Jaeger trees and their orders, with no table
+    over emerald sets."""
+    g = harness.perturbed(complete_bipartite(3, 16), random.Random(316))
     emeralds = sorted(f"e{j}" for j in range(16))
-    vectors = {degree_vector(g, t) for t in _search_trees(g, rng)}
-    assert len(vectors) > 2
-    for h in vectors:
+    hs = enumerate_hypertrees(g)
+    assert len(hs) == 136  # C(17, 2)
+    for h in hs:
         emerald_tree = jaeger_tree_of(g, h)
         assert is_jaeger(g, emerald_tree) and degree_vector(g, emerald_tree) == h
         violet_tree = violet_jaeger_tree_of(g, h)
@@ -264,25 +233,27 @@ def test_polynomials_walk_no_tour(monkeypatch):
     assert harness.test_violet(g)["kind"] == "violet"
 
 
-def test_one_first_witness_per_hypertree(all_hg, monkeypatch):
-    """The embedding and violet-prime polynomials walk every hypertree in
-    both variants from one first witness, built once and dropped once
-    both walks are done."""
-    built = []
-    witness = hypertrees._witness
-    monkeypatch.setattr(hypertrees, "_witness",
-                        lambda lay, need: built.append(tuple(need)) or witness(lay, need))
-    # freshly loaded, so nothing is walked yet; fig4 is fig2's instance,
+def test_one_search_per_variant(all_hg, monkeypatch):
+    """The embedding and violet-prime polynomials, with the hypertree
+    list and every tree and order lookup, run one tour search per graph
+    and variant."""
+    searched = []
+    search = hypertrees.tour_search
+    monkeypatch.setattr(hypertrees, "tour_search",
+                        lambda g, variant: searched.append(variant) or search(g, variant))
+    # freshly loaded, so nothing is searched yet; fig4 is fig2's instance,
     # and equal graphs keep their own derived values
     fresh = [load_path(fixture_path(name)) for name in all_hg]
     fresh.append(harness.perturbed(complete_bipartite(3, 4), random.Random(34)))
     for g in fresh:
-        built.clear()
+        searched.clear()
         tutte_embedding(g)
         harness.violet_prime_polynomial(g)
-        hs = enumerate_hypertrees(g)
-        assert sorted(built) == sorted(tuple(x + 1 for x in h) for h in hs)
-        assert hypertrees.cached(g, "first witnesses", dict) == {}
+        harness.violet_polynomial(g)
+        for h in enumerate_hypertrees(g):
+            jaeger_tree_of(g, h)
+            violet_jaeger_tree_of(g, h)
+        assert sorted(searched) == ["emerald", "violet"]
 
 
 def test_activities_fig2(fig2):

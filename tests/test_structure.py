@@ -2,7 +2,8 @@
 module's private names, no module imports a name it never uses or
 defines a private helper it never names, every exception class the
 package defines is raised somewhere in it, only ``tours.walk`` steps
-around a rotation, only ``tours._trees`` recurses by contraction and
+around a rotation, only ``tours.tour`` and ``hypertrees.tour_search``
+walk, only ``tours._trees`` recurses by contraction and
 deletion, only ``crapo`` measures one-sided distances, only
 ``crapo.intervals`` builds a Crapo interval, ``delta.BasisActivity`` is
 the one activity record, an import inside a function is one that would
@@ -255,6 +256,13 @@ def test_one_tour_step_rule():
     assert callers(sources, "next_at") == ["tours.walk"]
 
 
+def test_one_jaeger_tree_builder():
+    """Besides ``tours.tour``, only ``hypertrees.tour_search`` walks a
+    tour: it is the one builder of Jaeger trees and their orders."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "walk") == ["hypertrees.tour_search", "tours.tour"]
+
+
 def test_one_contraction_deletion():
     """``tours._trees`` is the one contraction/deletion recursion: apart
     from the checks on loaded input, it alone asks whether a graph stays
@@ -369,6 +377,17 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(stepping, "next_at") == ["rogue", "rogue.turn", "tours.walk"]
+    walking = {
+        "tours": "def tour(g, t):\n    return list(walk(g, t))\n",
+        "hypertrees": "from . import tours\ndef tour_search(g):\n    yield from tours.walk(g, set())\n",
+        "jaeger": (
+            "from . import tours\n"
+            "def greedy_tree(g, h):\n"
+            "    return [step for step in tours.walk(g, set())]\n"
+        ),
+    }
+    assert callers(walking, "walk") == [
+        "hypertrees.tour_search", "jaeger.greedy_tree", "tours.tour"]
     recursing = {
         "tours": "def _trees(edges, n):\n    return connected(edges[1:], n)\n",
         "tutte": (

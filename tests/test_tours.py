@@ -125,6 +125,15 @@ def test_walk_crosses_edges_added_during_the_walk(all_hg):
             assert grown == t
 
 
+def test_walk_resumes_at_any_step(all_hg):
+    """A walk resumed at a step of a tour goes on as that tour."""
+    for g in all_hg.values():
+        for t in list(enumerate_spanning_trees(g))[:5]:
+            steps = tour(g, t)
+            for i, step in enumerate(steps):
+                assert list(tours.walk(g, t, step)) == steps[i:]
+
+
 def test_walk_of_the_empty_tree_turns_around_the_start(fig2):
     b0, beta0 = fig2.basis
     steps = list(tours.walk(fig2, ()))

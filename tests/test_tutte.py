@@ -16,6 +16,7 @@ from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
     Disconnected,
     Graph,
+    NoEdges,
     classical_tutte,
     corank_nullity,
     exterior,
@@ -292,6 +293,16 @@ def test_load_graph_rejects_malformed():
 def test_load_graph_rejects_bad_endpoint():
     with pytest.raises(ValueError):
         load_graph("vertices: 2\nedges:\n  a: [0, 5]\n")
+
+
+def test_bridge_refuses_edgeless_graphs():
+    """An edgeless graph has a classical Tutte polynomial but no
+    bipartite model: the bridge report says so instead of failing on a
+    missing rotation."""
+    for graph in (Graph(0, ()), Graph(1, ())):
+        assert str(classical_tutte(graph)) == "1"
+        with pytest.raises(NoEdges, match="at least one edge"):
+            graph_tutte_bridge(graph)
 
 
 def test_to_bipartite_shape(fig6_graph):
