@@ -8,13 +8,17 @@ Every hypertree has exactly one emerald Jaeger tree and one violet one
 (Kálmán and Tóthmérész), so one search that lists the Jaeger trees of a
 variant lists the hypertrees too: :func:`tour_search`, one depth-first
 search per graph and variant over the tour of the tree under
-construction.  It steps by :func:`tours.walk` and decides each edge at
-its first visit.  An emerald Jaeger tree meets every non-tree edge
-first at its emerald end, so at a violet node the edge must go in, and
-if its far end is already reached the branch is dead.  At an emerald
-node an edge whose far end is reached stays out; any other branches,
-out if the edges not excluded still connect the graph (the walk resumes
-at the same step over a copy of the tree), then in.  The violet variant
+construction.  It steps by :func:`tours.walk`, on darts, and decides
+each edge at its first visit: the dart's parity is the colour of the
+current node and its edge's other entry the far end.  An emerald Jaeger
+tree meets every non-tree edge first at its emerald end, so at a violet
+node the edge must go in, and if its far end is already reached the
+branch is dead.  At an emerald node an edge whose far end is reached
+stays out; any other branches, out if the edges not excluded still
+connect the graph (the walk resumes at the same dart over a copy of the
+tree), then in.  That test is one :func:`model.reach` from the far end
+on the graph's adjacency, built once per graph: it crosses no decided
+edge and stops at the first reached node.  The violet variant
 swaps the colours.  A look-ahead prunes an include into an unreached
 node w of the colour that cannot choose: if w has an undecided edge to a
 reached node, the tour finishes w's subtree before it leaves w, so it
@@ -23,12 +27,13 @@ That edge also keeps w joined to the tree, so the out branch then needs
 no connectivity test.  Every branch that completes its tour is a Jaeger
 tree: no include closes a cycle, every exclusion keeps the graph
 connected, so the tree spans, and the rule holds at every first visit.
-Its degree vector is its hypertree, and its two emerald orders (first appearance as the current
-node, and as the emerald end of the current edge) are read off the
-nodes in the order the walk reached them and the edges in the order it
-first met them.  With Python 3.11 on a 2-vCPU host (measured seconds,
-seeded embeddings), the emerald search takes about 0.02 s on K6,6 (252
-hypertrees), 0.07 s on K7,7 (924) and 0.03 s on K3,24 (300).
+Its degree vector is its hypertree, and its two emerald orders (first
+appearance as the current node, and as the emerald end of the current
+edge) are read off the nodes in the order the walk reached them and the
+edges in the order it first met them.  With Python 3.11 on a 2-vCPU host
+(CPU seconds, seeded embeddings), the emerald search takes about 0.008 s
+on K6,6 (252 hypertrees), 0.04 s on K7,7 (924) and 0.016 s on K3,24
+(300).
 
 Listing spanning trees (:func:`all_spanning_trees`) remains for the
 coverage figures of the benchmark; the oracles built on it, and the
@@ -44,7 +49,7 @@ built; the tests check the exchange axiom through
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, is_emerald, is_violet, node_index, reach
+from .model import RibbonGraph, adjacency, is_emerald, is_int, node_index, reach
 from . import tours
 
 
@@ -71,7 +76,7 @@ def well_formed(g: RibbonGraph, v: tuple) -> bool:
     emerald, summing to #violet - 1."""
     return (
         len(v) == g.emerald_count
-        and all(isinstance(x, int) and x >= 0 for x in v)
+        and all(is_int(x) and x >= 0 for x in v)
         and sum(v) == g.violet_count - 1
     )
 
@@ -82,36 +87,37 @@ def tour_search(g: RibbonGraph, variant: str):
     ids, and the emeralds in order of first appearance in its tour as the
     current node and as the emerald end of the current edge.
 
-    Each pending branch is the walk's state at a step: the tree so far,
+    Each pending branch is the walk's state at a dart: the tree so far,
     the nodes in the order the walk reached them, the edges in the order
-    it first met them, and the step to resume at.
+    it first met them, and the dart to resume at.
     """
-    chooses = is_emerald if variant == "emerald" else is_violet
-    triples = [(k, v, e) for k, (v, e) in enumerate(g.edges)]
+    chooser = 1 if variant == "emerald" else 0  # dart side of the choosing colour
+    edges = g.edges
+    adj = cached(g, "adjacency",
+                 lambda g: adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)))
     pending = [(set(), {g.basis[0]: None}, [], None)]
     while pending:
         tree, reached, met, at = pending.pop()
         seen = set(met)
-        for node, k in tours.walk(g, tree, at):
+        for d in tours.walk(g, tree, at):
+            k = d >> 1
             if k in seen:
                 continue
             seen.add(k)
             met.append(k)
-            far = g.other_end(k, node)
-            if not chooses(node):
+            far = edges[k][(d & 1) ^ 1]
+            if d & 1 != chooser:
                 if far in reached:
                     break  # k must go in and would close a cycle
-            elif far in reached or any(x not in seen and g.other_end(x, far) in reached
-                                       for x in g.incident(far)):
+            elif far in reached or any(x not in seen and w in reached for x, w in adj[far]):
                 # k stays out: in, it would close a cycle now, or at far,
                 # the look-ahead; and out, far is still joined to the tree
                 continue
-            else:
+            elif next(reversed(reach(adj, far, seen, reached))) in reached:
                 # out keeps the graph connected iff far still reaches the
-                # tree through undecided edges; in goes on in this walk
-                rest = reach(adjacency(t for t in triples if t[0] not in seen), far)
-                if not reached.keys().isdisjoint(rest):
-                    pending.append((set(tree), dict(reached), list(met), (node, k)))
+                # tree through undecided edges, when the search stops at a
+                # reached node, its last key; in goes on in this walk
+                pending.append((set(tree), dict(reached), list(met), d))
             tree.add(k)
             reached[far] = None
         else:
@@ -119,7 +125,7 @@ def tour_search(g: RibbonGraph, variant: str):
                 degree_vector(g, tree),
                 tuple(sorted(tree)),
                 tuple(filter(is_emerald, reached)),
-                tuple(dict.fromkeys(g.edges[k][1] for k in met)),
+                tuple(dict.fromkeys(edges[k][1] for k in met)),
             )
 
 

@@ -32,7 +32,8 @@ def _walked(g, h, variant):
     """The Jaeger tree of h, as a sorted tuple of edge ids, and the two
     emerald orders of its tour, as the search of the variant found them
     (:func:`hypertrees.jaeger_trees`).  Only a well-formed h is looked
-    up: (0.0, 2) equals and hashes like (0, 2) but is no hypertree."""
+    up: (0.0, 2) and (False, 2) equal and hash like (0, 2) but are no
+    hypertrees."""
     h = tuple(h)
     found = jaeger_trees(g, variant)
     if not well_formed(g, h) or h not in found:
@@ -73,7 +74,7 @@ def activities(g: RibbonGraph, h, order) -> BasisActivity:
     """
     P = bases_from_hypertrees(g)
     h = tuple(h)
-    if h not in P.bases:
+    if not well_formed(g, h) or h not in P.bases:
         raise NotAHypertree(f"{h} is not a hypertree")
     check_order(P, order)
     return BasisActivity.of(P, h, *min_rule_activities(P, h, order))

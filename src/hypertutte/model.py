@@ -7,6 +7,13 @@ list; parallel edges are allowed.  Every node carries a cyclic rotation of
 its incident edges, and a basis ``(b0, beta0)`` fixes the starting
 node-edge pair for tours.  Instances are immutable and validated eagerly.
 
+The rotations are also kept as one permutation of darts (half-edges),
+the combinatorial map on which tours run: dart ``2k`` is edge k at its
+violet end and dart ``2k+1`` edge k at its emerald end, so ``d >> 1`` is
+a dart's edge, ``d & 1`` the colour of its node (1 for emerald) and
+``d ^ 1`` the dart at the edge's other end.  ``sigma[d]`` is the next
+dart around d's node, and ``basis_dart`` is the basis pair's dart.
+
 Also here, on (edge, u, v) triples: adjacency, reachability, connectivity
 and :func:`climb`, the one walk from a node up to its root.
 """
@@ -65,16 +72,24 @@ def adjacency(edges) -> dict:
     return adj
 
 
-def reach(adj: dict, start) -> dict:
-    """Every node reachable from ``start`` in an :func:`adjacency` map,
-    mapped to the edge it was first reached by (``None`` for ``start``)."""
+def reach(adj: dict, start, avoid=(), until=()) -> dict:
+    """Every node reachable from ``start`` in an :func:`adjacency` map
+    without crossing an edge of ``avoid``, mapped to the edge it was
+    first reached by (``None`` for ``start``).
+
+    The search stops at the first node of ``until`` it reaches, which is
+    then the last key of the map."""
     via = {start: None}
+    if start in until:
+        return via
     stack = [start]
     while stack:
         node = stack.pop()
         for k, other in adj.get(node, ()):
-            if other not in via:
+            if other not in via and k not in avoid:
                 via[other] = k
+                if other in until:
+                    return via
                 stack.append(other)
     return via
 
@@ -108,8 +123,10 @@ class RibbonGraph:
     ``rotations`` stores, per node, the cyclic list of incident edge ids;
     the first entry is not semantically distinguished.  ``basis`` is a
     ``(node, edge)`` pair with the edge incident to the node; the node may
-    be violet or emerald.  ``derived`` holds what is computed from the
-    graph, read and filled through :func:`hypertrees.cached` only.
+    be violet or emerald.  ``sigma`` and ``basis_dart`` are the rotations
+    and the basis on darts (see the module docstring).  ``derived`` holds
+    what is computed from the graph, read and filled through
+    :func:`hypertrees.cached` only.
     """
 
     violet_count: int
@@ -118,17 +135,20 @@ class RibbonGraph:
     rotations: tuple[tuple[str, tuple[int, ...]], ...]
     basis: tuple[str, int]
     _rotation: dict = field(init=False, repr=False, compare=False, default=None)
-    _next: dict = field(init=False, repr=False, compare=False, default=None)
+    sigma: tuple = field(init=False, repr=False, compare=False, default=None)
+    basis_dart: int = field(init=False, repr=False, compare=False, default=None)
     derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_rotation", dict(self.rotations))
         self._validate()
-        nxt = {}
+        sigma = [0] * (2 * len(self.edges))
         for node, rot in self.rotations:
-            for pos, edge in enumerate(rot):
-                nxt[node, edge] = rot[(pos + 1) % len(rot)]
-        object.__setattr__(self, "_next", nxt)
+            side = is_emerald(node)
+            for edge, nxt in zip(rot, rot[1:] + rot[:1]):
+                sigma[2 * edge + side] = 2 * nxt + side
+        object.__setattr__(self, "sigma", tuple(sigma))
+        object.__setattr__(self, "basis_dart", self.dart(*self.basis))
 
     @staticmethod
     def build(violet_count, emerald_count, edges, rotation, basis) -> "RibbonGraph":
@@ -162,26 +182,25 @@ class RibbonGraph:
     def endpoints(self, edge: int) -> tuple[str, str]:
         return self.edges[edge]
 
-    def other_end(self, edge: int, node: str) -> str:
-        v, e = self.edges[edge]
-        if node == v:
-            return e
-        if node == e:
-            return v
-        raise NotIncident(f"edge {edge} is not incident to {node}")
-
     def incident(self, node: str) -> tuple[int, ...]:
         return self._rotation[node]
 
     def degree(self, node: str) -> int:
         return len(self._rotation[node])
 
+    def dart(self, node: str, edge: int) -> int:
+        """The dart of ``edge`` at ``node``."""
+        if is_int(edge) and 0 <= edge < len(self.edges) and node in self.edges[edge]:
+            return 2 * edge + self.edges[edge].index(node)
+        raise NotIncident(f"edge {edge} is not incident to {node}")
+
+    def node_edge(self, dart: int) -> tuple[str, int]:
+        """The (node, edge) pair of a dart."""
+        return self.edges[dart >> 1][dart & 1], dart >> 1
+
     def next_at(self, node: str, edge: int) -> int:
         """Successor of ``edge`` in the cyclic rotation at ``node``."""
-        try:
-            return self._next[node, edge]
-        except KeyError:
-            raise NotIncident(f"edge {edge} is not incident to {node}") from None
+        return self.sigma[self.dart(node, edge)] >> 1
 
     # -- derived instances -------------------------------------------------
 
@@ -225,7 +244,7 @@ class RibbonGraph:
         b0, beta0 = self.basis
         if b0 not in nodes:
             raise ValidationError(f"basis node {b0!r} does not exist")
-        if beta0 not in incident[b0]:
+        if not is_int(beta0) or beta0 not in incident[b0]:
             raise ValidationError(f"basis edge {beta0} is not incident to {b0}")
 
         if not connected(((k, v, e) for k, (v, e) in enumerate(self.edges)), len(nodes)):

@@ -1,16 +1,17 @@
 """Spanning trees and their tours.
 
 A spanning tree is a frozenset of edge ids of a :class:`RibbonGraph`.  The
-tour of a tree walks the ribbon structure starting at the basis pair: at a
-non-tree edge it rotates to the next edge around the current node, at a
-tree edge it crosses to the other endpoint and rotates there.  It stops
-right before the basis pair would recur, having seen every edge twice.
-:func:`walk` holds this step rule, the only one in the package; the tour
-and the search for Jaeger trees (:func:`hypertrees.tour_search`) both
-run on it, the search resuming a walk at a step to branch there.  The
-tree order by first tour difference, whose least representative of each
-hypertree is its Jaeger tree, is defined for the tests in
-``tests/oracles.py``.
+tour of a tree is a walk on darts (half-edges, see :mod:`model`) starting
+at the basis dart: at a non-tree edge it turns to the next dart around
+the current node (``d -> sigma[d]``), at a tree edge it crosses to the
+other end and turns there (``d -> sigma[d ^ 1]``).  It stops right
+before the basis dart would recur, having seen every edge twice, once
+at each end.  :func:`walk` holds this step rule, the only one in the
+package; the tour and the search for Jaeger trees
+(:func:`hypertrees.tour_search`) both run on it, the search resuming a
+walk at a dart to branch there.  The tree order by first tour
+difference, whose least representative of each hypertree is its Jaeger
+tree, is defined for the tests in ``tests/oracles.py``.
 
 Also here: fundamental cycles and cuts, base components, and the one
 contraction/deletion recursion (:func:`deletion_contraction`): it sets
@@ -39,34 +40,34 @@ def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
 
 
 def walk(g: RibbonGraph, tree, at=None):
-    """Yield the tour's (node, edge) steps, from the basis or from the
-    step ``at``, up to the basis.
+    """Yield the tour's darts, from the basis dart or from the dart
+    ``at``, up to the basis dart.
 
-    ``tree`` is read at each step, after the step is handed out: a caller
+    One step turns to the next dart around the node (``g.sigma``), first
+    crossing to the edge's other end if the edge is in the tree.
+    ``tree`` is read at each step, after the dart is handed out: a caller
     may add the edge it was just given, and the walk then crosses it.
-    A walk resumed at a step of another walk, over a copy of its tree,
+    A walk resumed at a dart of another walk, over a copy of its tree,
     goes on as that walk would with that tree.
     """
-    b0, beta0 = g.basis
-    node, edge = at or g.basis
+    sigma, start = g.sigma, g.basis_dart
+    d = start if at is None else at
     while True:
-        yield node, edge
-        if edge in tree:
-            node = g.other_end(edge, node)
-        edge = g.next_at(node, edge)
-        if (node, edge) == (b0, beta0):
+        yield d
+        d = sigma[d ^ 1] if d >> 1 in tree else sigma[d]
+        if d == start:
             return
 
 
 def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
-    """The tour of ``tree``: the node-edge pairs of :func:`walk`, 2|edges|
-    of them for a spanning tree.
+    """The tour of ``tree``: the darts of :func:`walk` as (node, edge)
+    pairs, 2|edges| of them for a spanning tree.
 
-    The step rule permutes the (node, edge) pairs, so the walk closes for
-    any edge set; a set that is not a spanning tree gets a shorter closed
-    tour, and callers that need a tree check :func:`is_spanning_tree`.
+    The step rule permutes the darts, so the walk closes for any edge
+    set; a set that is not a spanning tree gets a shorter closed tour,
+    and callers that need a tree check :func:`is_spanning_tree`.
     """
-    return list(walk(g, tree))
+    return [g.node_edge(d) for d in walk(g, tree)]
 
 
 def fundamental_cycle(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:

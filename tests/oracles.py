@@ -99,14 +99,15 @@ class EqualTrees(ValueError):
 
 
 def first_difference(g: RibbonGraph, t1: frozenset, t2: frozenset):
-    """Earliest tour step treated differently by the two trees, or None.
+    """Earliest tour step treated differently by the two trees, as a
+    (node, edge) pair, or None.
 
-    Both tours produce the same step sequence up to the first pair whose
+    Both tours produce the same dart sequence up to the first dart whose
     edge lies in exactly one tree, so the tour of t1 alone suffices.
     """
-    for node, edge in walk(g, t1):
-        if (edge in t1) != (edge in t2):
-            return (node, edge)
+    for d in walk(g, t1):
+        if (d >> 1 in t1) != (d >> 1 in t2):
+            return g.node_edge(d)
     return None
 
 

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import delta, harness, hypertrees
+from hypertutte import delta, harness, hypertrees, model
 from hypertutte.delta import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
     all_spanning_trees,
@@ -53,6 +53,22 @@ def test_is_hypertree_fig2(fig2):
     assert not is_hypertree(fig2, (-1, 2, 0, 1))
     for t in enumerate_spanning_trees(fig2):
         assert is_hypertree(fig2, degree_vector(fig2, t))
+
+
+def test_search_builds_the_adjacency_once(monkeypatch):
+    """Both searches of a K4,4 embedding test connectivity on one
+    adjacency map of the graph, built once, not once per exclusion."""
+    built = []
+
+    def counting(edges):
+        built.append(None)
+        return model.adjacency(edges)
+
+    monkeypatch.setattr(hypertrees, "adjacency", counting)
+    g = harness.perturbed(complete_bipartite(4, 4), random.Random(44))
+    for variant in ("emerald", "violet"):
+        assert len(list(tour_search(g, variant))) == 20  # C(6, 3)
+    assert len(built) <= 1
 
 
 def test_search_trees_have_the_degrees(fig2):

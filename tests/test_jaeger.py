@@ -125,6 +125,22 @@ def test_walk_cache_refuses_float_vectors(fig2):
                 lookup(fig2, v)
 
 
+def test_walk_cache_refuses_boolean_entries(fig2):
+    """True equals and hashes like 1, so (True, True, 0, 0) would look up
+    the hypertree (1, 1, 0, 0); a boolean is no entry of a hypertree."""
+    h = (1, 1, 0, 0)
+    assert h in enumerate_hypertrees(fig2)
+    order = order_emerald(fig2, h)
+    for v in [(True, True, 0, 0), (1, True, 0, False)]:
+        assert not hypertrees.is_hypertree(fig2, v)
+        for lookup in (jaeger_tree_of, violet_jaeger_tree_of,
+                       order_emerald, order_violet, order_violet_prime):
+            with pytest.raises(NotAHypertree):
+                lookup(fig2, v)
+        with pytest.raises(NotAHypertree):
+            activities(fig2, v, order)
+
+
 def test_walk_builds_no_mu_table():
     """On a K3,16 embedding (2^16 emerald sets) the two searches list
     every hypertree, its Jaeger trees and their orders, with no table

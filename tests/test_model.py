@@ -1,5 +1,6 @@
 """Instance loading, validation and rotation navigation."""
 
+import random
 import re
 from pathlib import Path
 
@@ -12,8 +13,10 @@ from hypertutte.model import (
     ParseError,
     RibbonGraph,
     ValidationError,
+    adjacency,
     connected,
     load,
+    reach,
 )
 
 
@@ -111,6 +114,13 @@ def test_basis_must_be_incident():
         load(text.replace("basis: [v0, 0]", "basis: [v0, 1]"))
 
 
+def test_basis_edge_must_be_an_integer(fig2):
+    """True equals edge 1, which is incident to v1, but is no edge id."""
+    assert fig2.with_basis(("v1", 1)).basis_dart == 2
+    with pytest.raises(ValidationError):
+        fig2.with_basis(("v1", True))
+
+
 def test_disconnected_rejected():
     with pytest.raises(ValidationError):
         RibbonGraph.build(
@@ -135,10 +145,13 @@ def test_next_at_fig1_rotation(fig1):
 
 
 def test_next_at_not_incident(fig2):
-    with pytest.raises(NotIncident):
-        fig2.next_at("v0", 8)
-    with pytest.raises(NotIncident):
-        fig2.other_end(8, "v0")
+    """Edge ids out of range are no edges, not indices from the end: -9
+    would otherwise stand for edge 0, which is incident to v0."""
+    for edge in (8, 99, -9):
+        with pytest.raises(NotIncident):
+            fig2.next_at("v0", edge)
+        with pytest.raises(NotIncident):
+            fig2.dart("v0", edge)
 
 
 def test_next_at_cyclic(all_hg):
@@ -176,3 +189,40 @@ def test_connected():
     assert not connected([(0, "a", "b")], 3)  # the third node is isolated
     assert not connected([(0, "a", "b"), (1, "c", "c")], 3)
     assert not connected([], 2)
+
+
+def _full_adjacency(g):
+    return adjacency((k, v, e) for k, (v, e) in enumerate(g.edges))
+
+
+def test_reach_without_limits(fig2):
+    """With neither ``avoid`` nor ``until`` the search reaches the whole
+    graph, each node keyed to the edge that first reached it, in the
+    order it reached them."""
+    assert list(reach(_full_adjacency(fig2), "v0").items()) == [
+        ("v0", None), ("e0", 0), ("e1", 2), ("e3", 7), ("v2", 8), ("e2", 6), ("v1", 5)]
+
+
+def test_reach_avoids_and_stops(all_hg):
+    """``avoid`` acts as deleting its edges from the map, and the search
+    stops at the first ``until`` node it reaches: its map is a prefix of
+    the full one, crosses no avoided edge, and ends at that node, the
+    only one of ``until`` in it."""
+    rng = random.Random(11)
+    for g in all_hg.values():
+        triples = [(k, v, e) for k, (v, e) in enumerate(g.edges)]
+        adj = _full_adjacency(g)
+        for _ in range(60):
+            avoid = set(rng.sample(range(len(triples)), rng.randrange(len(triples))))
+            start = rng.choice(g.nodes)
+            full = list(reach(adjacency(t for t in triples if t[0] not in avoid), start).items())
+            assert list(reach(adj, start, avoid).items()) == full
+            until = set(rng.sample(g.nodes, rng.randrange(1, 4)))
+            stopped = list(reach(adj, start, avoid, until).items())
+            assert stopped == full[:len(stopped)]
+            assert all(k not in avoid for _, k in stopped)
+            hits = [node for node, _ in stopped if node in until]
+            if until.isdisjoint(node for node, _ in full):
+                assert stopped == full and hits == []
+            else:
+                assert hits == [stopped[-1][0]]

@@ -2,9 +2,9 @@
 module's private names, no module imports a name it never uses or
 defines a private helper it never names, every exception class the
 package defines is raised somewhere in it, only ``tours.walk`` steps
-around a rotation, only ``tours.tour`` and ``hypertrees.tour_search``
-walk, only ``tours._trees`` recurses by contraction and
-deletion, only ``crapo`` measures one-sided distances, only
+the dart permutation around the nodes, only ``tours.tour`` and
+``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
+contraction and deletion, only ``crapo`` measures one-sided distances, only
 ``crapo.intervals`` builds a Crapo interval, ``delta.BasisActivity`` is
 the one activity record, an import inside a function is one that would
 close a cycle at the top of the module, and nothing in the package
@@ -129,10 +129,10 @@ def unraised_exceptions(sources) -> list:
     return sorted(exceptions - raised)
 
 
-def callers(sources: dict, name: str) -> list:
-    """Where the sources, given as {module name: source}, call ``name``:
-    ``module.function`` for the innermost enclosing function, ``module``
-    at module level."""
+def _places(sources: dict, match) -> list:
+    """Where the sources, given as {module name: source}, hold a node
+    that ``match`` accepts: ``module.function`` for the innermost
+    enclosing function, ``module`` at module level."""
     found = set()
 
     def visit(node, module, where):
@@ -140,13 +140,24 @@ def callers(sources: dict, name: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, f"{module}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and _name(child.func) == name:
+            if match(child):
                 found.add(where)
             visit(child, module, where)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, module)
     return sorted(found)
+
+
+def callers(sources: dict, name: str) -> list:
+    """Where the sources call ``name``, in the form of :func:`_places`."""
+    return _places(sources, lambda node: isinstance(node, ast.Call) and _name(node.func) == name)
+
+
+def readers(sources: dict, attr: str) -> list:
+    """Where the sources read the attribute ``attr`` of any object, in
+    the form of :func:`_places`."""
+    return _places(sources, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def activity_records(sources: dict) -> list:
@@ -251,9 +262,12 @@ def _test_code(name: str) -> bool:
 
 
 def test_one_tour_step_rule():
-    """The tour's step rule lives in ``tours.walk`` alone."""
+    """The tour's step rule lives in ``tours.walk`` alone: it alone steps
+    the dart permutation ``sigma``, which ``RibbonGraph.next_at`` only
+    reads, and nothing in the package steps through ``next_at``."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "next_at") == ["tours.walk"]
+    assert readers(sources, "sigma") == ["model.next_at", "tours.walk"]
+    assert callers(sources, "next_at") == []
 
 
 def test_one_jaeger_tree_builder():
@@ -377,6 +391,23 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(stepping, "next_at") == ["rogue", "rogue.turn", "tours.walk"]
+    darting = {
+        "model": (
+            "class RibbonGraph:\n"
+            "    def next_at(self, node, edge):\n"
+            "        return self.sigma[self.dart(node, edge)] >> 1\n"
+        ),
+        "tours": "def walk(g, tree, d):\n    sigma = g.sigma\n    yield sigma[d]\n",
+        "hypertrees": (
+            "def tour_search(g, d):\n"
+            "    while True:\n"
+            "        d = g.sigma[d ^ 1]\n"
+            "        yield d\n"
+            "start = g.sigma[0]\n"
+        ),
+    }
+    assert readers(darting, "sigma") == [
+        "hypertrees", "hypertrees.tour_search", "model.next_at", "tours.walk"]
     walking = {
         "tours": "def tour(g, t):\n    return list(walk(g, t))\n",
         "hypertrees": "from . import tours\ndef tour_search(g):\n    yield from tours.walk(g, set())\n",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypertutte import tours
+from hypertutte.hypertrees import jaeger_trees
 from hypertutte.model import RibbonGraph, is_violet, node_sort_key
 from hypertutte.tours import (
     WrongSide,
@@ -98,7 +99,8 @@ def _lockstep_difference(g, t1, t2):
         if in1 != (edge in t2):
             return (node, edge)
         if in1:
-            node = g.other_end(edge, node)
+            v, e = g.endpoints(edge)
+            node = e if node == v else v
         edge = g.next_at(node, edge)
         if (node, edge) == (b0, beta0):
             return None
@@ -117,10 +119,10 @@ def test_walk_crosses_edges_added_during_the_walk(all_hg):
     for g in all_hg.values():
         for t in list(enumerate_spanning_trees(g))[:20]:
             grown, steps = set(), []
-            for node, k in tours.walk(g, grown):
-                steps.append((node, k))
-                if k in t:
-                    grown.add(k)
+            for d in tours.walk(g, grown):
+                steps.append(g.node_edge(d))
+                if d >> 1 in t:
+                    grown.add(d >> 1)
             assert steps == tour(g, t)
             assert grown == t
 
@@ -131,12 +133,22 @@ def test_walk_resumes_at_any_step(all_hg):
         for t in list(enumerate_spanning_trees(g))[:5]:
             steps = tour(g, t)
             for i, step in enumerate(steps):
-                assert list(tours.walk(g, t, step)) == steps[i:]
+                resumed = tours.walk(g, t, g.dart(*step))
+                assert [g.node_edge(d) for d in resumed] == steps[i:]
+
+
+def test_walk_visits_every_dart_once(all_hg):
+    """On the tour of every Jaeger tree of either variant, the walk hands
+    out each of the 2|E| darts exactly once."""
+    for g in all_hg.values():
+        for variant in ("emerald", "violet"):
+            for tree, *_ in jaeger_trees(g, variant).values():
+                assert sorted(tours.walk(g, frozenset(tree))) == list(range(2 * len(g.edges)))
 
 
 def test_walk_of_the_empty_tree_turns_around_the_start(fig2):
     b0, beta0 = fig2.basis
-    steps = list(tours.walk(fig2, ()))
+    steps = [fig2.node_edge(d) for d in tours.walk(fig2, ())]
     assert [node for node, _ in steps] == [b0] * fig2.degree(b0)
     assert sorted(k for _, k in steps) == sorted(fig2.incident(b0))
     assert steps[0] == (b0, beta0)
