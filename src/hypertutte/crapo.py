@@ -17,22 +17,19 @@ coordinates.  Only a box that fails is swept, to list its violations.
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule, box_size the one empty-side and budget check,
 _region the one rule for an interval's part of a box, one_sided the one
-distance rule at a point, along_line the one rule for d1< along a line
-of the last coordinate (O(k + w) for k centers and w points), and sweep
-the one box walk, depth first, updating every center's partial
-distances one coordinate at a time.  verify_intervals finishes its
-points on a failing box; tutte.corank_nullity sweeps all coordinates but
-the last and closes each line with along_line.
+distance rule at a point, and sweep the one box walk, depth first,
+updating every center's partial distances one coordinate at a time.
+verify_intervals finishes its points on a failing box;
+tutte.corank_nullity sweeps the hypertrees' bounding box and counts the
+rest of its window in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import inf, prod
-from operator import sub
+from math import prod
 
 from .model import RibbonGraph
 from .hypertrees import enumerate_hypertrees
@@ -68,31 +65,6 @@ def one_sided(h, c) -> tuple:
         else:
             greater += hi - ci
     return less, greater
-
-
-def along_line(column, lo: int, hi: int):
-    """The one rule for d1< along a line of the last coordinate.
-
-    Returns ``line(lesses)``: given each center's d1< over all
-    coordinates but the last, the list of d1< to the set of centers at
-    each last coordinate v = lo..hi.  ``column`` holds the centers' last
-    coordinates x_k.  Center k's d1< at v is lesses[k] + max(0, v - x_k),
-    so the least is min(min_{x_k >= v} lesses[k], v + min_{x_k < v}
-    (lesses[k] - x_k)): one suffix minimum and one prefix minimum over
-    the centers sorted by x_k.  The sort is made once, so a line costs
-    O(k + w) for k centers and w values of v, not O(k w).
-    """
-    order = sorted(range(len(column)), key=column.__getitem__)
-    xs = [column[k] for k in order]
-    cuts = [(v, bisect_left(xs, v)) for v in range(lo, hi + 1)]
-
-    def line(lesses) -> list:
-        ls = [lesses[k] for k in order]
-        suffix = [*itertools.accumulate(reversed(ls), min)][::-1] + [inf]
-        prefix = [inf, *itertools.accumulate(map(sub, ls, xs), min)]
-        return [min(suffix[t], v + prefix[t]) for v, t in cuts]
-
-    return line
 
 
 def d1_less(h_or_set, c) -> int:
@@ -174,7 +146,7 @@ def _region(box, center, below, above) -> list:
             for i, ((lo, hi), t) in enumerate(zip(box, center))]
 
 
-def sweep(box, centers, free=None, prune=None, start=0, step=1):
+def sweep(box, centers, free=None, start=0, step=1):
     """Every lattice point of ``box`` with its one-sided distances to each
     center: the one lattice sweep of the package.
 
@@ -187,13 +159,10 @@ def sweep(box, centers, free=None, prune=None, start=0, step=1):
 
     The walk is depth first: each step sets one coordinate and adds its
     term to every center's partial sides, so a point costs O(1) work per
-    center whatever its length.  A prefix (all coordinates but the last,
-    or fewer) for which ``prune(sides)`` holds is skipped with every
-    point extending it; sides never decrease as coordinates are added, so
-    this is exact for a test that stays true when the sides grow.  With
-    ``step`` > 1 only every step-th prefix of all coordinates but the
-    last, from the start-th on, is finished; a one-coordinate box, whose
-    one prefix is empty, deals out its points that way instead.
+    center whatever its length.  With ``step`` > 1 only every step-th
+    prefix of all coordinates but the last, from the start-th on, is
+    finished; a one-coordinate box, whose one prefix is empty, deals out
+    its points that way instead.
     """
     box_size(box)  # the empty-side and budget checks
     sides, inside = [(0, 0)] * len(centers), [True] * len(centers)
@@ -227,7 +196,7 @@ def sweep(box, centers, free=None, prune=None, start=0, step=1):
             ]
             if i == last:
                 yield point + (v,), here, within
-            elif prune is None or not prune(here):
+            else:
                 yield from descend(i + 1, point + (v,), here, within)
 
     yield from descend(0, (), sides, inside)

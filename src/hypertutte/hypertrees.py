@@ -63,12 +63,14 @@ def cached(g: RibbonGraph, name: str, build):
 
 
 def degree_vector(g: RibbonGraph, tree) -> tuple:
-    """h(e) = (tree degree of emerald node e) - 1, as a tuple."""
-    degs = [0] * g.emerald_count
+    """h(e) = (tree degree of emerald node e) - 1, as a tuple; each edge's
+    emerald index is read from one tuple per graph."""
+    emerald_of = cached(g, "emerald of edge",
+                        lambda g: tuple(node_index(e) for _, e in g.edges))
+    degs = [-1] * g.emerald_count
     for k in tree:
-        _, e = g.endpoints(k)
-        degs[node_index(e)] += 1
-    return tuple(d - 1 for d in degs)
+        degs[emerald_of[k]] += 1
+    return tuple(degs)
 
 
 def well_formed(g: RibbonGraph, v: tuple) -> bool:

@@ -182,12 +182,6 @@ class RibbonGraph:
     def endpoints(self, edge: int) -> tuple[str, str]:
         return self.edges[edge]
 
-    def incident(self, node: str) -> tuple[int, ...]:
-        return self._rotation[node]
-
-    def degree(self, node: str) -> int:
-        return len(self._rotation[node])
-
     def dart(self, node: str, edge: int) -> int:
         """The dart of ``edge`` at ``node``."""
         if is_int(edge) and 0 <= edge < len(self.edges) and node in self.edges[edge]:

@@ -5,14 +5,14 @@ activities; tutte_from_order does the same with a fixed emerald order;
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
 substituted embedding polynomial as a formal power series.  Its box
-rule, sweep and line rule are crapo's (box_around, sweep, along_line):
-the sweep walks all coordinates but the last, skipping every prefix
-already out of the window, and each prefix counts its whole line of
-last coordinates at once.  It reads only the hypertree set, no
-activities, so the series identity stays an independent check.  A small
-classical-graph layer supports the graph comparison report: the Tutte
-polynomial read off the leaves of :func:`tours.deletion_contraction`,
-independent of any activity rule, and the bipartite-model conversion.
+rule and sweep are crapo's (box_around, sweep): the sweep walks only the
+hypertrees' bounding box, and every window point outside it is counted
+in closed form from the box point it clamps to.  It reads only the
+hypertree set, no activities, so the series identity stays an
+independent check.  A small classical-graph layer supports the graph
+comparison report: the Tutte polynomial read off the leaves of
+:func:`tours.deletion_contraction`, independent of any activity rule,
+and the bipartite-model conversion.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .polynomial import Poly, expand_triples, x_plus_y_minus_1
 from .hypertrees import cached, enumerate_hypertrees
 from .delta import bases_from_hypertrees, check_order, min_rule_activities
 from .jaeger import order_emerald
-from .crapo import along_line, box_around, box_size, sweep
+from .crapo import box_around, box_size, sweep
 from .tours import deletion_contraction
 
 
@@ -90,47 +90,52 @@ class CoefficientTable:
 
 
 def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
-    """Exact truncated corank-nullity table, one line of the box at a time.
+    """Exact truncated corank-nullity table: the hypertrees' bounding box
+    is swept, and the rest of the window is counted in closed form.
 
     Any c with d1> <= imax and d1< <= jmax satisfies, coordinatewise,
-    min_h h(e) - imax <= c(e) <= max_h h(e) + jmax, so counting the
-    points of that box that fall in the window is exact.  Every
-    hypertree h has coordinate sum N = #violet - 1, so d1<(h, c) -
-    d1>(h, c) = sum(c) - N for each h, and d1>(H, c) = d1<(H, c) -
-    (sum(c) - N): d1< alone is needed.  The sweep walks the box of all
-    coordinates but the last and skips every prefix whose least partial
-    d1< already exceeds jmax, or d1> imax, with all its points; each
-    prefix it yields gets d1< on its whole line of last coordinates from
-    :func:`crapo.along_line`.  The whole box's budget is checked first.
+    m(e) - imax <= c(e) <= M(e) + jmax, where [m, M] is the hypertrees'
+    bounding box; that window box's budget is checked first.  Clamping c
+    into [m, M] brings it equally closer to every hypertree h:
+    one_sided(h, c) = one_sided(h, p) + (sum (c(e) - M(e))+, sum (m(e) -
+    c(e))+) for p = clamp(c), so both least distances shift by that same
+    offset.  :func:`crapo.sweep` therefore walks only [m, M], and each of
+    its points p at (d1>, d1<) = (i0, j0) stands for the window points
+    that leave it outward: t >= 0 more d1< on each coordinate with p(e) =
+    M(e) > m(e) (up), t >= 0 more d1> on each with p(e) = m(e) < M(e)
+    (down), and either, not both, on each with m(e) = M(e) (fixed),
+    whose series 1/(1-u) + 1/(1-v) - 1 counts s of them going up by at
+    least one and the rest down.  t units spread over a coordinates in
+    :func:`_series_coeff` (a, t) ways.  The points are grouped by (i0,
+    j0, #down, #up) before they are expanded into the window.
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
     hs = enumerate_hypertrees(g)
-    box = box_around(hs, imax, jmax)
-    box_size(box)  # the empty-side and budget checks, before any sweep
-    *head, (lo, hi) = box
-    line = along_line([h[-1] for h in hs], lo, hi)
-    total = sum(hs[0])  # N, the coordinate sum of every hypertree
-    counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
-
-    def out_of_window(sides):
+    box_size(box_around(hs, imax, jmax))  # the empty-side and budget checks
+    core = box_around(hs, 0, 0)
+    fixed = sum(lo == hi for lo, hi in core)
+    groups = Counter()
+    for point, sides, _ in sweep(core, hs):
         less, greater = map(min, zip(*sides))
-        return less > jmax or greater > imax
-
-    for point, sides, _ in sweep(head, [h[:-1] for h in hs], prune=out_of_window):
-        if out_of_window(sides):  # sides only grow along the line
-            continue
-        excess = sum(point) + lo - total  # sum(c) - N at the line's first point
-        for j in line([less for less, _ in sides]):
-            i = j - excess
-            excess += 1
-            if i <= imax and j <= jmax:
-                counts[(i, j)] += 1
+        if greater <= imax and less <= jmax:
+            down = sum(v == lo < hi for v, (lo, hi) in zip(point, core))
+            up = sum(v == hi > lo for v, (lo, hi) in zip(point, core))
+            groups[greater, less, down, up] += 1
+    counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
+    for (i0, j0, down, up), n in groups.items():
+        for s in range(fixed + 1):  # the fixed coordinates that go up
+            ways = n * comb(fixed, s)
+            for i in range(i0, imax + 1):
+                below = ways * _series_coeff(down + fixed - s, i - i0)
+                for j in range(j0 + s, jmax + 1):
+                    counts[i, j] += below * _series_coeff(up + s, j - j0 - s)
     return CoefficientTable(imax, jmax, tuple(sorted(counts.items())))
 
 
 def _series_coeff(a: int, i: int) -> int:
-    """Coefficient of u^i in (1/(1-u))^a = sum_i C(a+i-1, a-1) u^i."""
+    """Coefficient of u^i in (1/(1-u))^a = sum_i C(a+i-1, a-1) u^i: the
+    number of ways to spread i units over a coordinates."""
     if a == 0:
         return 1 if i == 0 else 0
     return comb(a + i - 1, a - 1)

@@ -12,6 +12,8 @@ checked.  No command and no benchmark workload runs them.
 - Decision trees listed, counted and drawn at random
   (:func:`enumerate_decision_trees`, :func:`count_decision_trees`,
   :func:`random_decision_tree`).
+- A node's incident edges and degree, read off its rotation
+  (:func:`incident`, :func:`degree`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,18 @@ from hypertutte.delta import DecisionTree
 from hypertutte.hypertrees import all_spanning_trees, degree_vector, is_hypertree
 from hypertutte.model import RibbonGraph, is_emerald
 from hypertutte.tours import tour, walk
+
+
+# -- rotations -----------------------------------------------------------------
+
+
+def incident(g: RibbonGraph, node: str) -> tuple[int, ...]:
+    """The edges at ``node``, in the order of its rotation."""
+    return dict(g.rotations)[node]
+
+
+def degree(g: RibbonGraph, node: str) -> int:
+    return len(incident(g, node))
 
 
 # -- hypertrees ----------------------------------------------------------------

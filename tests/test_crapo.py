@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypertutte.crapo import (
     BudgetExceeded,
     CrapoInterval,
-    along_line,
     EmptySet,
     box_around,
     box_size,
@@ -388,23 +387,24 @@ def test_one_sided_difference_is_coordinate_sum(g, data):
             assert less - greater == sum(c) - (g.violet_count - 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_along_line_is_least_one_sided_on_the_line(data):
-    """The line rule gives, at every v of the line, the least over the
-    centers of their partial d1< plus one_sided on the last coordinate,
-    ties and lines beyond every center included."""
-    k = data.draw(st.integers(1, 6))
-    column = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-    lo = data.draw(st.integers(-5, 5))
-    hi = data.draw(st.integers(lo, lo + 8))
-    line = along_line(column, lo, hi)
-    for _ in range(3):
-        lesses = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
-        assert line(lesses) == [
-            min(less + one_sided((x,), (v,))[0] for less, x in zip(lesses, column))
-            for v in range(lo, hi + 1)
-        ]
+@settings(max_examples=100, deadline=None)
+@given(ribbon_graphs(), st.data())
+def test_clamping_into_the_hypertree_box_shifts_every_distance_alike(g, data):
+    """For any c and every hypertree h, one_sided(h, c) is one_sided(h, p)
+    for c clamped into the hypertrees' bounding box [m, M] plus the same
+    offset (sum (c - M)+, sum (m - c)+): the fact corank_nullity counts the
+    window outside that box by."""
+    hs = enumerate_hypertrees(g)
+    core = box_around(hs, 0, 0)
+    for _ in range(5):
+        c = data.draw(st.lists(st.integers(-4, 6), min_size=g.emerald_count,
+                               max_size=g.emerald_count))
+        p = [min(max(x, lo), hi) for x, (lo, hi) in zip(c, core)]
+        up = sum(max(0, x - hi) for x, (_, hi) in zip(c, core))
+        down = sum(max(0, lo - x) for x, (lo, _) in zip(c, core))
+        for h in hs:
+            less, greater = one_sided(h, p)
+            assert one_sided(h, c) == (less + up, greater + down)
 
 
 def test_sweep_box_without_sides():

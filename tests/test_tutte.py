@@ -29,6 +29,7 @@ from hypertutte.tutte import (
     tutte_embedding,
     tutte_from_order,
 )
+from oracles import degree
 from test_oracle import ribbon_graphs
 
 FIG2_POLY = (
@@ -137,9 +138,9 @@ def test_corank_nullity_matches_brute_force(fig1, fig2):
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs())
 def test_corank_nullity_matches_brute_force_on_random_instances(g):
-    """Windows with one bound 0 leave most of the box out of window, so
-    the sweep skips prefixes there."""
-    for imax, jmax in ((0, 0), (0, 3), (3, 0)):
+    """Windows with one bound 0 put every tail on one side; the others
+    spread tails both ways."""
+    for imax, jmax in ((0, 0), (0, 3), (3, 0), (2, 2), (4, 1)):
         counts = brute_force_counts(g, imax, jmax)
         assert corank_nullity(g, imax, jmax).entries == tuple(
             ((i, j), counts[i, j]) for i in range(imax + 1) for j in range(jmax + 1)
@@ -154,8 +155,8 @@ ONE_EMERALD = RibbonGraph.build(
 
 def test_corank_nullity_matches_brute_force_on_lopsided_windows(fig1, fig2):
     """Windows much longer on one side than the other, and a graph with
-    one emerald, whose box has only the last coordinate: the sweep then
-    walks the box without sides and counts one line."""
+    one emerald, whose bounding box is a single point: every window point
+    is then a tail of it."""
     cases = [(g, window) for g in (fig1, fig2, ONE_EMERALD) for window in ((4, 1), (1, 4))]
     for g, (imax, jmax) in cases + [(ONE_EMERALD, (3, 3))]:
         counts = brute_force_counts(g, imax, jmax)
@@ -164,11 +165,42 @@ def test_corank_nullity_matches_brute_force_on_lopsided_windows(fig1, fig2):
         )
 
 
-def test_corank_nullity_sweeps_one_point_per_line(fig1, monkeypatch):
-    """The sweep walks all coordinates but the last: fig1's (3, 3) box of
-    32,768 points, 8 wide on every side, gives at most 4,096 yields."""
-    box = box_around(enumerate_hypertrees(fig1), 3, 3)
-    lo, hi = box[-1]
+# e2 joins v2 to the rest by bridges alone, so every hypertree has h(e2) = 1
+FIXED_EMERALD = RibbonGraph.build(
+    3, 3, [("v0", "e0"), ("v1", "e0"), ("v0", "e1"), ("v1", "e1"), ("v1", "e2"), ("v2", "e2")],
+    {"v0": [0, 2], "v1": [1, 3, 4], "v2": [5], "e0": [0, 1], "e1": [2, 3], "e2": [4, 5]},
+    ("v0", 0),
+)
+
+
+def test_corank_nullity_matches_brute_force_with_a_fixed_coordinate():
+    """A coordinate where the least and greatest hypertree entries agree
+    takes tails on either side, beside coordinates that take tails on
+    one side only."""
+    hs = enumerate_hypertrees(FIXED_EMERALD)
+    assert hs == ((0, 1, 1), (1, 0, 1))
+    assert box_around(hs, 0, 0) == [(0, 1), (0, 1), (1, 1)]
+    for imax, jmax in ((0, 0), (3, 3), (4, 1), (1, 4), (0, 4)):
+        counts = brute_force_counts(FIXED_EMERALD, imax, jmax)
+        assert corank_nullity(FIXED_EMERALD, imax, jmax).entries == tuple(
+            ((i, j), counts[i, j]) for i in range(imax + 1) for j in range(jmax + 1)
+        )
+
+
+def test_tail_count_is_the_number_of_compositions():
+    """C(t + a - 1, a - 1), the count of window points t units out over a
+    coordinates and the series coefficient of (1/(1-u))^a, against the
+    compositions of t into a non-negative parts listed one by one."""
+    for a in range(5):
+        for t in range(7):
+            listed = sum(sum(parts) == t for parts in itertools.product(range(t + 1), repeat=a))
+            assert tutte._series_coeff(a, t) == listed
+
+
+def test_corank_nullity_sweeps_the_hypertree_bounding_box(fig1, monkeypatch):
+    """The sweep walks only the hypertrees' bounding box: for fig1's (3, 3)
+    window of 32,768 points, its 32 points."""
+    hs = enumerate_hypertrees(fig1)
     yields = 0
 
     def counted(*args, **kwargs):
@@ -179,8 +211,8 @@ def test_corank_nullity_sweeps_one_point_per_line(fig1, monkeypatch):
 
     monkeypatch.setattr(tutte, "sweep", counted)
     corank_nullity(fig1, 3, 3)
-    assert box_size(box) == 32_768
-    assert 0 < yields <= box_size(box) // (hi - lo + 1)
+    assert box_size(box_around(hs, 3, 3)) == 32_768
+    assert yields == box_size(box_around(hs, 0, 0)) == 32
 
 
 def test_corank_nullity_bad_bounds(fig2):
@@ -309,7 +341,7 @@ def test_to_bipartite_shape(fig6_graph):
     g = to_bipartite(fig6_graph)
     assert g.violet_count == fig6_graph.vertex_count
     assert g.emerald_count == len(fig6_graph.edges)
-    assert all(g.degree(f"e{j}") == 2 for j in range(g.emerald_count))
+    assert all(degree(g, f"e{j}") == 2 for j in range(g.emerald_count))
 
 
 def test_graph_bridge_triangle_and_double_edge(fig6_graph):
