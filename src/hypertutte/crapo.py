@@ -16,12 +16,13 @@ coordinates.  Only a box that fails is swept, to list its violations.
 
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule, box_size the one empty-side and budget check,
-_region the one rule for an interval's part of a box, one_sided the one
-distance rule at a point, and sweep the one box walk, depth first,
-updating every center's partial distances one coordinate at a time.
-verify_intervals finishes its points on a failing box;
-tutte.corank_nullity sweeps the hypertrees' bounding box and counts the
-rest of its window in closed form.
+_region the one rule for an interval's part of a box, and sweep the one
+box walk and the one distance rule, depth first, updating every center's
+partial distances one coordinate at a time.  verify_intervals finishes
+its points on a failing box; tutte.corank_nullity sweeps the
+hypertrees' bounding box and counts the rest of its window in closed
+form.  The point-by-point distances and interval membership that the
+tests check the sweep against are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,50 +37,11 @@ from .hypertrees import enumerate_hypertrees
 from .jaeger import embedding_assignment
 
 
-class EmptySet(ValueError):
-    """Distance to an empty hypertree set is undefined."""
-
-
 class BudgetExceeded(ValueError):
     """Verification box larger than the configured enumeration budget."""
 
 
 _BOX_BUDGET = 4_000_000
-
-
-def _as_set(h_or_set):
-    if not h_or_set:
-        raise EmptySet("empty hypertree set")
-    if isinstance(h_or_set[0], (int,)):
-        return (tuple(h_or_set),)
-    return tuple(tuple(h) for h in h_or_set)
-
-
-def one_sided(h, c) -> tuple:
-    """(d1<, d1>) from c to the single vector h: the total excess of c
-    over h and the total deficit of c below h."""
-    less = greater = 0
-    for ci, hi in zip(c, h):
-        if ci > hi:
-            less += ci - hi
-        else:
-            greater += hi - ci
-    return less, greater
-
-
-def d1_less(h_or_set, c) -> int:
-    """min over the set of sum_e max(0, c(e) - h(e)): generalized nullity."""
-    return min(one_sided(h, c)[0] for h in _as_set(h_or_set))
-
-
-def d1_greater(h_or_set, c) -> int:
-    """min over the set of sum_e max(0, h(e) - c(e)): generalized corank."""
-    return min(one_sided(h, c)[1] for h in _as_set(h_or_set))
-
-
-def d1(h_or_set, c) -> int:
-    """Manhattan distance from c to the set."""
-    return min(sum(one_sided(h, c)) for h in _as_set(h_or_set))
 
 
 @dataclass(frozen=True)
@@ -99,18 +61,6 @@ def intervals(P, assignment: dict) -> list:
     return [CrapoInterval(tuple(b), frozenset(map(P.index, rec.internal)),
                           frozenset(map(P.index, rec.external)))
             for b, rec in assignment.items()]
-
-
-def interval_contains(interval: CrapoInterval, c) -> bool:
-    """c exceeds the center only at coordinates in ``above`` and falls
-    below it only at those in ``below``."""
-    for idx, (ci, hi) in enumerate(zip(c, interval.center)):
-        if ci > hi:
-            if idx not in interval.above:
-                return False
-        elif ci < hi and idx not in interval.below:
-            return False
-    return True
 
 
 def box_around(vectors, below: int, above: int) -> list:
@@ -151,11 +101,12 @@ def sweep(box, centers, free=None, start=0, step=1):
     center: the one lattice sweep of the package.
 
     Yields ``(point, sides, inside)`` in :func:`itertools.product` order,
-    with ``sides[k] == one_sided(centers[k], point)``.  Given ``free``,
-    one ``(below, above)`` pair of coordinate index sets per center,
-    ``inside[k]`` says whether the point falls below center k only on
-    coordinates in below and exceeds it only on coordinates in above
-    (:func:`interval_contains`); without it ``inside`` is None.
+    with ``sides[k]`` the pair (d1<, d1>) from the point to center k: the
+    point's total excess over the center and its total deficit below it.
+    Given ``free``, one ``(below, above)`` pair of coordinate index sets
+    per center, ``inside[k]`` says whether the point falls below center k
+    only on coordinates in below and exceeds it only on coordinates in
+    above; without it ``inside`` is None.
 
     The walk is depth first: each step sets one coordinate and adds its
     term to every center's partial sides, so a point costs O(1) work per
@@ -211,9 +162,10 @@ def _certified(intervals, box, size: int) -> bool:
     Each part is a product of ranges (:func:`_region`).  Two parts meet
     iff their ranges meet on every coordinate, so pairwise disjoint parts
     whose sizes sum to ``size`` partition the box.  For centers h and k,
-    one_sided(h, c) - one_sided(k, c) is on each side a sum of one term
-    per coordinate, max(0, c_i - h_i) - max(0, c_i - k_i) below and
-    max(0, h_i - c_i) - max(0, k_i - c_i) above, each monotone in c_i; so
+    the one-sided distances from c to h less those to k are on each side
+    a sum of one term per coordinate, max(0, c_i - h_i) - max(0, c_i -
+    k_i) below and max(0, h_i - c_i) - max(0, k_i - c_i) above, each
+    monotone in c_i; so
     its least value on k's part is the sum of each term's lesser value at
     the two ends of k's range there, and k attains both distances on its
     whole part iff no such sum is negative.

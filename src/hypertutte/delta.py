@@ -22,8 +22,10 @@ memory whatever the number of decision trees.  Listing, counting and
 drawing decision trees are test oracles, in ``tests/oracles.py``.
 
 The exchange axiom is written once (:func:`exchange_witness`) and checked
-only where bases are loaded (:func:`check_exchange`): hypertree sets
-(Kálmán) and cycle matroids are polymatroids by construction.
+only where bases are loaded (:func:`check_exchange`): hypertree sets are
+polymatroids by Kálmán's theorem.  The cycle matroid of a graph and the
+per-tree orders of the parallel-edge counterexample (fig6) are built by
+the test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .model import ParseError, connected, emerald, is_int, yaml_mapping
+from .model import ParseError, emerald, is_int, yaml_mapping
 from .hypertrees import cached, enumerate_hypertrees
-from .tours import spanning_trees
 
 
 class BasisOutOfRange(ValueError):
@@ -338,34 +339,6 @@ def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
         "points": points,
         "violations": violations,
     }
-
-
-def graph_matroid(graph) -> PolymatroidBases:
-    """Cycle matroid of a connected ordinary graph: bases are the 0/1
-    indicator vectors of its spanning trees, over the named edge ground set."""
-    edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
-    if not connected(edges, graph.vertex_count):
-        raise ValueError("the cycle matroid needs a connected graph: "
-                         "a disconnected one has no spanning tree")
-    names = graph.edge_names()
-    bases = set()
-    for tree in spanning_trees(edges, graph.vertex_count):
-        bases.add(tuple(1 if i in tree else 0 for i in range(len(names))))
-    return PolymatroidBases(tuple(names), frozenset(bases))
-
-
-def basis_name(P: PolymatroidBases, b) -> str:
-    """Concatenated names of the elements present in a 0/1 basis."""
-    return "".join(e for e, x in zip(P.ground, b) if x)
-
-
-def fixed_tree_order_activities(graph, order_map: dict) -> tuple:
-    """Prop-6.4-style assignment: each spanning tree carries its own
-    element order (keyed by concatenated edge names), MIN-rule
-    activities.  Returns (matroid, assignment)."""
-    P = graph_matroid(graph)
-    by_basis = {b: tuple(order_map[basis_name(P, b)]) for b in P.bases}
-    return P, assignment_from_orders(P, by_basis)
 
 
 def exhaustive_delta_search(P: PolymatroidBases, target: dict):

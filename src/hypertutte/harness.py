@@ -1,15 +1,14 @@
-"""Randomized instance generation and conjecture/invariance testing.
+"""Randomized instance generation and conjecture testing.
 
 random_instance builds connected bipartite ribbon graphs with shuffled
 rotations, deterministically per seed.  test_violet_prime compares the
 polynomial built from violet-tour endpoint orders against the embedding
 polynomial (an open conjecture: reported, not assumed).  The plain
 violet-node order is also exposed, since it is known to disagree on some
-instances; stress_invariance re-derives the embedding polynomial under
-random rotation and basis perturbations, where any difference would be
-an implementation bug.  random_reports is the one loop that runs a
-check over seeded random instances: search_counterexample and the CLI's
-conjecture command both read it.
+instances.  random_reports is the one loop that runs a check over seeded
+random instances; the CLI's conjecture command reads it.  The rotation
+and basis perturbation under which the tests re-derive the embedding
+polynomial is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -65,18 +64,6 @@ def random_instance(seed: int = 0) -> RibbonGraph:
     raise GenerationFailed(f"no connected instance for seed {seed}")
 
 
-def perturbed(g: RibbonGraph, rng: random.Random) -> RibbonGraph:
-    """Same underlying graph with shuffled rotations and a random basis."""
-    rotation = {node: list(rot) for node, rot in g.rotations}
-    for rot in rotation.values():
-        rng.shuffle(rot)
-    b0 = rng.choice(list(rotation))
-    beta0 = rng.choice(rotation[b0])
-    return RibbonGraph.build(
-        g.violet_count, g.emerald_count, g.edges, rotation, (b0, beta0)
-    )
-
-
 def violet_prime_polynomial(g: RibbonGraph) -> Poly:
     return tutte.tutte_sum(g, jaeger.order_violet_prime)
 
@@ -120,27 +107,6 @@ def test_violet(g: RibbonGraph) -> dict:
     return _compare(g, "violet", violet_polynomial)
 
 
-def stress_invariance(g: RibbonGraph, trials: int = 10, seed: int = 0) -> dict:
-    """Recompute the embedding polynomial under random ribbon/basis
-    perturbations; any difference indicates a bug."""
-    rng = random.Random(seed)
-    reference = tutte.tutte_embedding(g)
-    for trial in range(trials):
-        g2 = perturbed(g, rng)
-        p2 = tutte.tutte_embedding(g2)
-        if p2 != reference:
-            return {
-                "kind": "invariance",
-                "verdict": "COUNTEREXAMPLE",
-                "trial": trial,
-                "instance": _describe(g2),
-                "reference": str(reference),
-                "got": str(p2),
-            }
-    return {"kind": "invariance", "verdict": "EQUAL", "trials": trials,
-            "polynomial": str(reference)}
-
-
 def random_reports(check, trials: int, seed: int = 0):
     """Yield ``check`` of the random instances of seeds ``seed`` ..
     ``seed + trials - 1`` in order, each report tagged with its seed."""
@@ -149,14 +115,3 @@ def random_reports(check, trials: int, seed: int = 0):
         report["seed"] = s
         yield report
 
-
-def search_counterexample(check, trials: int, seed: int = 0) -> dict:
-    """Run ``check`` over ``trials`` random instances; stop at the first
-    counterexample."""
-    checked = 0
-    for checked, report in enumerate(random_reports(check, trials, seed), 1):
-        if report["verdict"] != "EQUAL":
-            report["checked"] = checked
-            return report
-    return {"kind": "search", "verdict": "EQUAL", "checked": checked,
-            "seed": seed}

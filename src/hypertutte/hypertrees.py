@@ -36,7 +36,8 @@ on K6,6 (252 hypertrees), 0.04 s on K7,7 (924) and 0.016 s on K3,24
 (300).
 
 Listing spanning trees (:func:`all_spanning_trees`) remains for the
-coverage figures of the benchmark; the oracles built on it, and the
+coverage figures of the benchmark; the oracles built on it, the
+membership test ``is_hypertree`` on the search's table, and the
 exchange search that re-derives the hypertree set, are in
 ``tests/oracles.py``.
 
@@ -141,13 +142,6 @@ def jaeger_trees(g: RibbonGraph, variant: str = "emerald") -> dict:
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:
     """All hypertrees of g in lexicographic order (tuple of tuples)."""
     return cached(g, "hypertrees", lambda g: tuple(sorted(jaeger_trees(g))))
-
-
-def is_hypertree(g: RibbonGraph, vector) -> bool:
-    """Whether the vector is a hypertree: well formed, and the degree
-    vector of an emerald Jaeger tree."""
-    v = tuple(vector)
-    return well_formed(g, v) and v in jaeger_trees(g)
 
 
 # -- spanning-tree listing, for the benchmark's coverage figures -------------

@@ -14,8 +14,9 @@ a dart's edge, ``d & 1`` the colour of its node (1 for emerald) and
 ``d ^ 1`` the dart at the edge's other end.  ``sigma[d]`` is the next
 dart around d's node, and ``basis_dart`` is the basis pair's dart.
 
-Also here, on (edge, u, v) triples: adjacency, reachability, connectivity
-and :func:`climb`, the one walk from a node up to its root.
+Also here, on (edge, u, v) triples: adjacency, reachability and
+connectivity.  Walks up a reachability map, a node's successor in its
+rotation and the other test oracles are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -92,18 +93,6 @@ def reach(adj: dict, start, avoid=(), until=()) -> dict:
                     return via
                 stack.append(other)
     return via
-
-
-def climb(via: dict, ends, x) -> list:
-    """The edges from node x up to its root in a :func:`reach` map, where
-    ``ends[k]`` holds edge k's two ends: the one tree climb."""
-    path = []
-    while via[x] is not None:
-        k = via[x]
-        path.append(k)
-        a, b = ends[k]
-        x = a if x == b else b
-    return path
 
 
 def connected(edges, n_nodes: int) -> bool:
@@ -191,23 +180,6 @@ class RibbonGraph:
     def node_edge(self, dart: int) -> tuple[str, int]:
         """The (node, edge) pair of a dart."""
         return self.edges[dart >> 1][dart & 1], dart >> 1
-
-    def next_at(self, node: str, edge: int) -> int:
-        """Successor of ``edge`` in the cyclic rotation at ``node``."""
-        return self.sigma[self.dart(node, edge)] >> 1
-
-    # -- derived instances -------------------------------------------------
-
-    def with_rotation(self, rotation: dict) -> "RibbonGraph":
-        return RibbonGraph.build(
-            self.violet_count, self.emerald_count, self.edges, rotation, self.basis
-        )
-
-    def with_basis(self, basis) -> "RibbonGraph":
-        rotation = {node: list(rot) for node, rot in self.rotations}
-        return RibbonGraph.build(
-            self.violet_count, self.emerald_count, self.edges, rotation, basis
-        )
 
     # -- validation --------------------------------------------------------
 

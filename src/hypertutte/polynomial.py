@@ -3,7 +3,10 @@
 Terms are a map (x-exponent, y-exponent) -> coefficient; zero
 coefficients are never stored.  Canonical ordering for rendering and
 iteration is lexicographic on (x-exponent, y-exponent), descending, so
-that output diffs are byte-stable.
+that output diffs are byte-stable.  The Tutte sums expand in one pass
+per power of x+y-1 (:func:`expand_triples`); substitution, degrees and
+the factor x+y-1 itself, which only the test oracles use, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -98,33 +101,8 @@ class Poly:
             n >>= 1
         return result
 
-    def substitute(self, px: "Poly", py: "Poly") -> "Poly":
-        """Evaluate at x = px, y = py (both polynomials)."""
-        out = Poly()
-        xpows = {0: Poly.constant(1)}
-        ypows = {0: Poly.constant(1)}
-        for (a, b), c in sorted(self.terms.items()):
-            if a not in xpows:
-                xpows[a] = px ** a
-            if b not in ypows:
-                ypows[b] = py ** b
-            out = out + c * (xpows[a] * ypows[b])
-        return out
-
     def evaluate(self, x: int, y: int) -> int:
         return sum(c * x ** a * y ** b for (a, b), c in self.terms.items())
-
-    def degrees(self) -> tuple[int, int]:
-        """(max x-exponent, max y-exponent); (0, 0) for the zero polynomial."""
-        if not self.terms:
-            return (0, 0)
-        return (
-            max(a for a, _ in self.terms),
-            max(b for _, b in self.terms),
-        )
-
-    def coefficient(self, a: int, b: int) -> int:
-        return self.terms.get((a, b), 0)
 
     def sorted_terms(self):
         """Terms in canonical order: lex on (x-exp, y-exp), descending."""
@@ -150,10 +128,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
-
-
-def x_plus_y_minus_1() -> Poly:
-    return Poly({(1, 0): 1, (0, 1): 1, (0, 0): -1})
 
 
 def expand_triples(triples) -> Poly:

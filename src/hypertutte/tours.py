@@ -13,23 +13,16 @@ walk at a dart to branch there.  The tree order by first tour
 difference, whose least representative of each hypertree is its Jaeger
 tree, is defined for the tests in ``tests/oracles.py``.
 
-Also here: fundamental cycles and cuts, base components, and the one
-contraction/deletion recursion (:func:`deletion_contraction`): it sets
-loops aside, counts each branch's bridges and loops for the classical
-Tutte polynomial, and lists the spanning trees.
+Also here: the one contraction/deletion recursion
+(:func:`deletion_contraction`): it sets loops aside, counts each
+branch's bridges and loops, and lists the spanning trees.  The classical
+Tutte polynomial that reads those counts, and fundamental cycles, cuts
+and base components, are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, climb, connected, reach
-
-
-class WrongSide(ValueError):
-    """Edge is on the wrong side of the tree for the requested operation."""
-
-
-def _tree_adjacency(g: RibbonGraph, tree, removed=None) -> dict:
-    return adjacency((k, *g.endpoints(k)) for k in tree if k != removed)
+from .model import RibbonGraph, connected
 
 
 def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
@@ -68,38 +61,6 @@ def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
     and callers that need a tree check :func:`is_spanning_tree`.
     """
     return [g.node_edge(d) for d in walk(g, tree)]
-
-
-def fundamental_cycle(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
-    """Edge set of the unique cycle of tree + edge (includes ``edge``)."""
-    if edge in tree:
-        raise WrongSide("fundamental_cycle expects a non-tree edge")
-    v, e = g.endpoints(edge)
-    return frozenset(climb(reach(_tree_adjacency(g, tree), v), g.edges, e)) | {edge}
-
-
-def _component(g: RibbonGraph, tree: frozenset, removed: int, root: str) -> frozenset:
-    return frozenset(reach(_tree_adjacency(g, tree, removed), root))
-
-
-def fundamental_cut(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
-    """Edges crossing the two components of tree - edge (includes ``edge``)."""
-    if edge not in tree:
-        raise WrongSide("fundamental_cut expects a tree edge")
-    v, _ = g.endpoints(edge)
-    shore = _component(g, tree, edge, v)
-    return frozenset(
-        k
-        for k, (a, b) in enumerate(g.edges)
-        if (a in shore) != (b in shore)
-    )
-
-
-def base_component(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
-    """Node set of the basis-side component of tree - edge."""
-    if edge not in tree:
-        raise WrongSide("base_component expects a tree edge")
-    return _component(g, tree, edge, g.basis[0])
 
 
 def enumerate_spanning_trees(g: RibbonGraph):

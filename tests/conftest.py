@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from hypertutte import fixture_path, load_path
-from hypertutte import tutte
+from oracles import load_graph
 
 
 HG_FIXTURES = ["fig1.hg", "fig2.hg", "fig4.hg", "fig5.hg"]
@@ -62,7 +62,7 @@ def all_hg():
 @pytest.fixture(scope="session")
 def fig6_graph():
     with open(fixture_path("fig6.graph"), encoding="utf-8") as fh:
-        return tutte.load_graph(fh.read())
+        return load_graph(fh.read())
 
 
 @pytest.fixture(scope="session")

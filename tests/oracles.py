@@ -1,30 +1,44 @@
-"""Brute-force oracles for the tests: definitions computed the slow,
-obvious way, against which the package's direct constructions are
-checked.  No command and no benchmark workload runs them.
+"""Oracles for the tests: definitions computed the slow, obvious way,
+against which the package's direct constructions are checked, and the
+helpers that build test inputs.  No command and no benchmark workload
+runs them.
 
-- Spanning-tree listing by degree vector (:func:`representatives`) and
-  the hypertree set grown by single exchange moves
-  (:func:`hypertrees_by_exchange`).
-- The Jaeger-tree recognisers :func:`is_jaeger` and
-  :func:`is_violet_jaeger`, read off a tree's tour.
-- The tree order by first tour difference (:func:`first_difference`,
-  :func:`tree_less`).
-- Decision trees listed, counted and drawn at random
-  (:func:`enumerate_decision_trees`, :func:`count_decision_trees`,
-  :func:`random_decision_tree`).
-- A node's incident edges and degree, read off its rotation
-  (:func:`incident`, :func:`degree`).
+- Rotations and trees: incident edges, degree and rotation successor
+  (:func:`next_at`), fundamental cycles and cuts and base components.
+- Hypertrees: listing by degree vector (:func:`representatives`),
+  membership (:func:`is_hypertree`) and the set grown by exchange moves.
+- Jaeger trees read off a tour (:func:`is_jaeger`), and the tree order
+  by first tour difference (:func:`tree_less`).
+- Distances point by point (:func:`one_sided`, :func:`d1`) and Crapo
+  interval membership (:func:`interval_contains`).
+- Polynomial :func:`substitute` and :func:`degrees`, and a random
+  rotation and basis for the same graph (:func:`perturbed`).
+- Classical graphs (:class:`Graph`, :func:`load_graph`): the classical
+  Tutte polynomial, the bipartite model, and the bridge report that
+  compares the two polynomials (:func:`graph_tutte_bridge`).
+- fig6, the parallel-edge counterexample: the cycle matroid with an
+  order per spanning tree (:func:`fixed_tree_order_activities`).
+- Decision trees listed, counted and drawn at random.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
+from dataclasses import dataclass
 
-from hypertutte import tours
-from hypertutte.delta import DecisionTree
-from hypertutte.hypertrees import all_spanning_trees, degree_vector, is_hypertree
-from hypertutte.model import RibbonGraph, is_emerald
-from hypertutte.tours import tour, walk
+from hypertutte.delta import DecisionTree, PolymatroidBases, assignment_from_orders
+from hypertutte.hypertrees import all_spanning_trees, degree_vector, jaeger_trees, well_formed
+from hypertutte.model import (
+    ParseError, RibbonGraph, adjacency, connected, emerald, is_emerald, is_int, reach,
+    violet, yaml_mapping,
+)
+from hypertutte.polynomial import Poly
+from hypertutte.tours import (
+    deletion_contraction, enumerate_spanning_trees, spanning_trees, tour, walk,
+)
+from hypertutte.tutte import tutte_embedding
 
 
 # -- rotations -----------------------------------------------------------------
@@ -39,7 +53,74 @@ def degree(g: RibbonGraph, node: str) -> int:
     return len(incident(g, node))
 
 
+def next_at(g: RibbonGraph, node: str, edge: int) -> int:
+    """Successor of ``edge`` in the cyclic rotation at ``node``."""
+    return g.sigma[g.dart(node, edge)] >> 1
+
+
+# -- trees ---------------------------------------------------------------------
+
+
+class WrongSide(ValueError):
+    """Edge is on the wrong side of the tree for the requested operation."""
+
+
+def _tree_adjacency(g: RibbonGraph, tree, removed=None) -> dict:
+    return adjacency((k, *g.endpoints(k)) for k in tree if k != removed)
+
+
+def climb(via: dict, ends, x) -> list:
+    """The edges from node x up to its root in a :func:`reach` map, where
+    ``ends[k]`` holds edge k's two ends."""
+    path = []
+    while via[x] is not None:
+        k = via[x]
+        path.append(k)
+        a, b = ends[k]
+        x = a if x == b else b
+    return path
+
+
+def fundamental_cycle(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
+    """Edge set of the unique cycle of tree + edge (includes ``edge``)."""
+    if edge in tree:
+        raise WrongSide("fundamental_cycle expects a non-tree edge")
+    v, e = g.endpoints(edge)
+    return frozenset(climb(reach(_tree_adjacency(g, tree), v), g.edges, e)) | {edge}
+
+
+def _component(g: RibbonGraph, tree: frozenset, removed: int, root: str) -> frozenset:
+    return frozenset(reach(_tree_adjacency(g, tree, removed), root))
+
+
+def fundamental_cut(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
+    """Edges crossing the two components of tree - edge (includes ``edge``)."""
+    if edge not in tree:
+        raise WrongSide("fundamental_cut expects a tree edge")
+    v, _ = g.endpoints(edge)
+    shore = _component(g, tree, edge, v)
+    return frozenset(
+        k
+        for k, (a, b) in enumerate(g.edges)
+        if (a in shore) != (b in shore)
+    )
+
+
+def base_component(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
+    """Node set of the basis-side component of tree - edge."""
+    if edge not in tree:
+        raise WrongSide("base_component expects a tree edge")
+    return _component(g, tree, edge, g.basis[0])
+
+
 # -- hypertrees ----------------------------------------------------------------
+
+
+def is_hypertree(g: RibbonGraph, vector) -> bool:
+    """Whether the vector is a hypertree: well formed, and the degree
+    vector of an emerald Jaeger tree."""
+    v = tuple(vector)
+    return well_formed(g, v) and v in jaeger_trees(g)
 
 
 def representatives(g: RibbonGraph, h) -> list[frozenset]:
@@ -55,7 +136,7 @@ def hypertrees_by_exchange(g: RibbonGraph) -> tuple:
     membership test is explored.  Agreement with enumerate_hypertrees is
     asserted by the test suite, not assumed here.
     """
-    seed = degree_vector(g, next(iter(tours.enumerate_spanning_trees(g))))
+    seed = degree_vector(g, next(iter(enumerate_spanning_trees(g))))
     seen = {seed}
     queue = [seed]
     ne = g.emerald_count
@@ -135,6 +216,247 @@ def tree_less(g: RibbonGraph, t1: frozenset, t2: frozenset) -> bool:
     if is_emerald(x):
         return xy in t2
     return xy in t1
+
+
+# -- lattice distances ---------------------------------------------------------
+
+
+def one_sided(h, c) -> tuple:
+    """(d1<, d1>) from c to the single vector h: the total excess of c
+    over h and the total deficit of c below h."""
+    less = greater = 0
+    for ci, hi in zip(c, h):
+        if ci > hi:
+            less += ci - hi
+        else:
+            greater += hi - ci
+    return less, greater
+
+
+def d1_less(hs, c) -> int:
+    """min over the set of sum_e max(0, c(e) - h(e)): generalized nullity."""
+    return min(one_sided(h, c)[0] for h in hs)
+
+
+def d1_greater(hs, c) -> int:
+    """min over the set of sum_e max(0, h(e) - c(e)): generalized corank."""
+    return min(one_sided(h, c)[1] for h in hs)
+
+
+def d1(hs, c) -> int:
+    """Manhattan distance from c to the set."""
+    return min(sum(one_sided(h, c)) for h in hs)
+
+
+def interval_contains(interval, c) -> bool:
+    """c exceeds the center only at coordinates in ``above`` and falls
+    below it only at those in ``below``."""
+    for idx, (ci, hi) in enumerate(zip(c, interval.center)):
+        if ci > hi:
+            if idx not in interval.above:
+                return False
+        elif ci < hi and idx not in interval.below:
+            return False
+    return True
+
+
+# -- polynomials ---------------------------------------------------------------
+
+
+def substitute(p: Poly, px: Poly, py: Poly) -> Poly:
+    """Evaluate p at x = px, y = py (both polynomials)."""
+    out = Poly()
+    xpows = {0: Poly.constant(1)}
+    ypows = {0: Poly.constant(1)}
+    for (a, b), c in sorted(p.terms.items()):
+        if a not in xpows:
+            xpows[a] = px ** a
+        if b not in ypows:
+            ypows[b] = py ** b
+        out = out + c * (xpows[a] * ypows[b])
+    return out
+
+
+def degrees(p: Poly) -> tuple[int, int]:
+    """(max x-exponent, max y-exponent); (0, 0) for the zero polynomial."""
+    if not p.terms:
+        return (0, 0)
+    return (
+        max(a for a, _ in p.terms),
+        max(b for _, b in p.terms),
+    )
+
+
+def x_plus_y_minus_1() -> Poly:
+    return Poly({(1, 0): 1, (0, 1): 1, (0, 0): -1})
+
+
+# -- random embeddings ---------------------------------------------------------
+
+
+def perturbed(g: RibbonGraph, rng: random.Random) -> RibbonGraph:
+    """Same underlying graph with shuffled rotations and a random basis."""
+    rotation = {node: list(rot) for node, rot in g.rotations}
+    for rot in rotation.values():
+        rng.shuffle(rot)
+    b0 = rng.choice(list(rotation))
+    beta0 = rng.choice(rotation[b0])
+    return RibbonGraph.build(
+        g.violet_count, g.emerald_count, g.edges, rotation, (b0, beta0)
+    )
+
+
+# -- classical graphs ----------------------------------------------------------
+
+
+class Disconnected(ValueError):
+    """Classical Tutte requires a connected graph."""
+
+
+class NoEdges(ValueError):
+    """The bipartite model of a graph needs at least one edge."""
+
+
+@dataclass(frozen=True)
+class Graph:
+    """Ordinary multigraph: vertex_count and named edges (name, u, v)."""
+
+    vertex_count: int
+    edges: tuple  # of (name, u, v)
+
+    def edge_names(self):
+        return [name for name, _, _ in self.edges]
+
+
+def load_graph(text: str) -> Graph:
+    """Parse an ordinary-graph file: vertex count + named edges."""
+    data = yaml_mapping(text, ("vertices", "edges"))
+    n, raw_edges = data["vertices"], data["edges"]
+    if not is_int(n) or n < 0 or not isinstance(raw_edges, dict):
+        raise ParseError("vertices must be a non-negative integer and edges a mapping")
+    edges = []
+    for name, ends in raw_edges.items():
+        if not isinstance(ends, list) or len(ends) != 2 or not all(map(is_int, ends)):
+            raise ParseError(f"edge {name!r} must be a pair of vertex indices")
+        edges.append((str(name), *ends))
+    for _, u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge endpoint out of range")
+    return Graph(n, tuple(edges))
+
+
+def classical_tutte(graph: Graph) -> Poly:
+    """Tutte polynomial of a connected multigraph: the deletion/contraction
+    recurrence read at its leaves, x^bridges y^loops summed over the
+    spanning trees of :func:`tours.deletion_contraction`."""
+    if not connected(graph.edges, graph.vertex_count):
+        raise Disconnected("classical Tutte requires a connected graph")
+    edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
+    leaves = deletion_contraction(edges, graph.vertex_count)
+    return Poly(Counter((bridges, loops) for _, bridges, loops in leaves))
+
+
+def to_bipartite(graph: Graph) -> RibbonGraph:
+    """Bipartite ribbon model: one emerald node per graph edge.
+
+    The embedding polynomial is ribbon-structure invariant, so rotations
+    are simply the incidence lists in index order.  A graph with no edge
+    has no emerald node, so it has no model.
+    """
+    if not graph.edges:
+        raise NoEdges("the bipartite model needs at least one edge, and the graph has none")
+    edges = []
+    for j, (_, u, v) in enumerate(graph.edges):
+        edges.append((violet(u), emerald(j)))
+        edges.append((violet(v), emerald(j)))
+    rotation = {}
+    for k, (vn, en) in enumerate(edges):
+        rotation.setdefault(vn, []).append(k)
+        rotation.setdefault(en, []).append(k)
+    return RibbonGraph.build(
+        graph.vertex_count, len(graph.edges), edges, rotation, (violet(0), rotation[violet(0)][0])
+    )
+
+
+def _substitute_rational(p: Poly, num1, den1, num2, den2):
+    """p(num1/den1, num2/den2) cleared to (numerator, den1^dx * den2^dy)."""
+    dx, dy = degrees(p)
+    out = Poly()
+    for (a, b), c in p.terms.items():
+        out = out + c * (num1 ** a) * (den1 ** (dx - a)) * (num2 ** b) * (den2 ** (dy - b))
+    return out, dx, dy
+
+
+def graph_tutte_bridge(graph: Graph) -> dict:
+    """Test the candidate identities relating the classical Tutte
+    polynomial T and the bipartite-model polynomial of the same graph.
+
+    Four candidates: both printed-argument variants ((x+y-1)/y twice,
+    or (x+y-1)/y then (x+y-1)/x), in both orientations (substituting
+    into the hypergraph polynomial or into T).  All checks clear
+    denominators and compare exact polynomials.  Returns a report with
+    the verdict of each candidate.
+    """
+    t_classical = classical_tutte(graph)
+    t_hyper = tutte_embedding(to_bipartite(graph))
+    n_edges = len(graph.edges)
+    n_vertices = graph.vertex_count
+    a = n_edges - n_vertices + 1
+    b = n_vertices - 1
+    s = x_plus_y_minus_1()
+    yv, xv = Poly.y(), Poly.x()
+
+    candidates = {}
+    for args_label, (d1, d2) in (("equal-args", (yv, yv)), ("split-args", (yv, xv))):
+        for orient, (lhs, inner) in (
+            ("classical-from-hyper", (t_classical, t_hyper)),
+            ("hyper-from-classical", (t_hyper, t_classical)),
+        ):
+            num, dx, dy = _substitute_rational(inner, s, d1, s, d2)
+            rhs = Poly.monomial(a, b) * num
+            left = lhs * (d1 ** dx) * (d2 ** dy)
+            candidates[f"{orient}/{args_label}"] = left == rhs
+
+    holding = sorted(name for name, ok in candidates.items() if ok)
+    return {
+        "kind": "graph-bridge",
+        "status": "PASS" if holding else "FAIL",
+        "candidates": candidates,
+        "holding": holding,
+        "classical": str(t_classical),
+        "hypergraph": str(t_hyper),
+    }
+
+
+# -- fig6: the cycle matroid with per-tree orders ------------------------------
+
+
+def graph_matroid(graph) -> PolymatroidBases:
+    """Cycle matroid of a connected ordinary graph: bases are the 0/1
+    indicator vectors of its spanning trees, over the named edge ground set."""
+    edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
+    if not connected(edges, graph.vertex_count):
+        raise ValueError("the cycle matroid needs a connected graph: "
+                         "a disconnected one has no spanning tree")
+    names = graph.edge_names()
+    bases = set()
+    for tree in spanning_trees(edges, graph.vertex_count):
+        bases.add(tuple(1 if i in tree else 0 for i in range(len(names))))
+    return PolymatroidBases(tuple(names), frozenset(bases))
+
+
+def basis_name(P: PolymatroidBases, b) -> str:
+    """Concatenated names of the elements present in a 0/1 basis."""
+    return "".join(e for e, x in zip(P.ground, b) if x)
+
+
+def fixed_tree_order_activities(graph, order_map: dict) -> tuple:
+    """Prop-6.4-style assignment: each spanning tree carries its own
+    element order (keyed by concatenated edge names), MIN-rule
+    activities.  Returns (matroid, assignment)."""
+    P = graph_matroid(graph)
+    by_basis = {b: tuple(order_map[basis_name(P, b)]) for b in P.bases}
+    return P, assignment_from_orders(P, by_basis)
 
 
 # -- decision trees ------------------------------------------------------------

@@ -15,13 +15,10 @@ from hypertutte.delta import (
     assignment_from_delta,
     assignment_from_orders,
     bases_from_hypertrees,
-    basis_name,
     check_exchange,
     crapo_verify,
     exchange_witness,
     exhaustive_delta_search,
-    fixed_tree_order_activities,
-    graph_matroid,
     load_bases,
     load_decision_tree,
     max_rule_activities,
@@ -31,11 +28,14 @@ from hypertutte.delta import (
     order_of_basis,
     validate_decision_tree,
 )
-from hypertutte.crapo import interval_contains, intervals
+from hypertutte.crapo import intervals
 from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
-from hypertutte.tutte import Graph
-from oracles import count_decision_trees, enumerate_decision_trees, random_decision_tree
+from oracles import (
+    Graph, basis_name, count_decision_trees, enumerate_decision_trees,
+    fixed_tree_order_activities, graph_matroid, interval_contains, perturbed,
+    random_decision_tree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +77,14 @@ def test_bases_from_hypertrees(fig2):
 
 def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
     """Single-hypertree callers share one polymatroid per graph."""
-    from hypertutte import crapo, harness, jaeger, tutte
+    from hypertutte import crapo, jaeger, tutte
 
     built = []
     init = PolymatroidBases.__post_init__
     monkeypatch.setattr(
         PolymatroidBases, "__post_init__", lambda P: built.append(P) or init(P)
     )
-    g = harness.perturbed(fig2, random.Random(3))  # a graph no other test caches
+    g = perturbed(fig2, random.Random(3))  # a graph no other test caches
     assert g != fig2
     for h in bases_from_hypertrees(g).bases:
         jaeger.activities(g, h, jaeger.order_emerald(g, h))
@@ -114,7 +114,7 @@ def test_built_polymatroids_are_not_rechecked(fig2, fig6_graph, monkeypatch):
     monkeypatch.setattr(delta, "check_exchange", refuse)
     with pytest.raises(AssertionError):
         load_bases(fixture_path("delta_fig.matroid").read_text())
-    g = harness.perturbed(fig2, random.Random(5))  # a graph no other test caches
+    g = perturbed(fig2, random.Random(5))  # a graph no other test caches
     assert g != fig2
     assert tutte.tutte_embedding(g).evaluate(1, 1) == len(bases_from_hypertrees(g).bases)
     assert crapo.verify_crapo_partition(g)["status"] == "PASS"
@@ -384,7 +384,7 @@ def ribbon_graph(nv, ne, pairs, rng):
     for k, (v, e) in enumerate(edges):
         rotation.setdefault(v, []).append(k)
         rotation.setdefault(e, []).append(k)
-    return harness.perturbed(RibbonGraph.build(nv, ne, edges, rotation, ("v0", 0)), rng)
+    return perturbed(RibbonGraph.build(nv, ne, edges, rotation, ("v0", 0)), rng)
 
 
 def random_embedding(rng):

@@ -7,6 +7,8 @@ from hypertutte.model import is_violet
 from hypertutte.tours import enumerate_spanning_trees
 from hypertutte.tutte import tutte_embedding
 
+from oracles import perturbed
+
 
 def test_random_instance_deterministic():
     for seed in (0, 1, 17):
@@ -26,25 +28,11 @@ def test_random_instances_valid():
 
 def test_perturbed_preserves_underlying_graph(fig2):
     rng = random.Random(5)
-    g2 = harness.perturbed(fig2, rng)
+    g2 = perturbed(fig2, rng)
     assert g2.edges == fig2.edges
     assert {n: sorted(r) for n, r in g2.rotations} == {
         n: sorted(r) for n, r in fig2.rotations
     }
-
-
-def test_invariance_fixtures(all_hg):
-    for g in all_hg.values():
-        report = harness.stress_invariance(g, trials=6, seed=1)
-        assert report["verdict"] == "EQUAL", report
-
-
-def test_invariance_negative_control(fig2, fig5, monkeypatch):
-    """If perturbation silently swapped the instance, the check must say so."""
-    monkeypatch.setattr(harness, "perturbed", lambda g, rng: fig5)
-    report = harness.stress_invariance(fig2, trials=1)
-    assert report["verdict"] == "COUNTEREXAMPLE"
-    assert report["trial"] == 0
 
 
 def test_violet_prime_fixtures(fig2, fig5):
@@ -53,17 +41,15 @@ def test_violet_prime_fixtures(fig2, fig5):
 
 
 def test_violet_prime_random_search():
-    report = harness.search_counterexample(
-        harness.test_violet_prime, trials=60, seed=0
-    )
-    assert report["verdict"] == "EQUAL"
-    assert report["checked"] == 60
+    reports = list(harness.random_reports(harness.test_violet_prime, 60, 0))
+    assert [r["verdict"] for r in reports] == ["EQUAL"] * 60
 
 
 def test_violet_order_counterexample():
     """The plain violet-node order does not reproduce the embedding
     polynomial; the first random seed exhibiting this is frozen here."""
-    report = harness.search_counterexample(harness.test_violet, trials=10, seed=0)
+    reports = harness.random_reports(harness.test_violet, 10, 0)
+    report = next(r for r in reports if r["verdict"] != "EQUAL")
     assert report["verdict"] == "COUNTEREXAMPLE"
     assert report["seed"] == 3
 
@@ -75,8 +61,6 @@ def test_random_reports_tag_seeds_and_feed_the_search():
     first = next(r for r in reports if r["verdict"] != "EQUAL")
     assert first["seed"] == 3
     assert all(r["verdict"] == "EQUAL" and r["polynomial"] for r in reports[:3])
-    report = harness.search_counterexample(harness.test_violet, trials=10, seed=0)
-    assert report == dict(first, checked=4)
 
 
 def test_violet_counterexample_replays_from_text():
@@ -108,7 +92,7 @@ def test_embedding_polynomial_built_once_per_graph(fig2, monkeypatch):
     monkeypatch.setattr(
         tutte, "tutte_sum", lambda g, order_fn: sums.append(order_fn) or tutte_sum(g, order_fn)
     )
-    g = harness.perturbed(fig2, random.Random(5))  # a graph no other test caches
+    g = perturbed(fig2, random.Random(5))  # a graph no other test caches
     assert g != fig2
     assert harness.test_violet_prime(g)["verdict"] == "EQUAL"
     harness.test_violet(g)

@@ -15,7 +15,6 @@ from hypertutte.hypertrees import (
     all_spanning_trees,
     degree_vector,
     enumerate_hypertrees,
-    is_hypertree,
     jaeger_trees,
     tour_search,
 )
@@ -23,7 +22,7 @@ from hypertutte.jaeger import jaeger_tree_of, violet_jaeger_tree_of
 from hypertutte.model import RibbonGraph, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
 from hypertutte.tutte import tutte_embedding
-from oracles import hypertrees_by_exchange, is_jaeger, is_violet_jaeger
+from oracles import hypertrees_by_exchange, is_hypertree, is_jaeger, is_violet_jaeger, perturbed
 from test_oracle import complete_bipartite, ribbon_graphs
 
 
@@ -65,7 +64,7 @@ def test_search_builds_the_adjacency_once(monkeypatch):
         return model.adjacency(edges)
 
     monkeypatch.setattr(hypertrees, "adjacency", counting)
-    g = harness.perturbed(complete_bipartite(4, 4), random.Random(44))
+    g = perturbed(complete_bipartite(4, 4), random.Random(44))
     for variant in ("emerald", "violet"):
         assert len(list(tour_search(g, variant))) == 20  # C(6, 3)
     assert len(built) <= 1
@@ -176,7 +175,7 @@ def test_walk_decisions_match_rado_on_fixtures(all_hg, single_edge):
 def test_walk_decisions_match_rado_on_k34_rotations():
     rng = random.Random(43)
     for _ in range(20):
-        assert assert_walks_match_rado(harness.perturbed(complete_bipartite(3, 4), rng))
+        assert assert_walks_match_rado(perturbed(complete_bipartite(3, 4), rng))
 
 
 @settings(max_examples=150, deadline=None)

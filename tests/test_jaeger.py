@@ -19,10 +19,13 @@ from hypertutte.jaeger import (
     violet_jaeger_tree_of,
 )
 from hypertutte.model import is_emerald
-from hypertutte.polynomial import Poly, x_plus_y_minus_1
+from hypertutte.polynomial import Poly
 from hypertutte.tours import tour
 from hypertutte.tutte import tutte_embedding
-from oracles import is_jaeger, is_violet_jaeger, representatives, tree_less
+from oracles import (
+    is_hypertree, is_jaeger, is_violet_jaeger, perturbed, representatives, tree_less,
+    x_plus_y_minus_1,
+)
 from test_oracle import complete_bipartite, ribbon_graphs
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
@@ -132,7 +135,7 @@ def test_walk_cache_refuses_boolean_entries(fig2):
     assert h in enumerate_hypertrees(fig2)
     order = order_emerald(fig2, h)
     for v in [(True, True, 0, 0), (1, True, 0, False)]:
-        assert not hypertrees.is_hypertree(fig2, v)
+        assert not is_hypertree(fig2, v)
         for lookup in (jaeger_tree_of, violet_jaeger_tree_of,
                        order_emerald, order_violet, order_violet_prime):
             with pytest.raises(NotAHypertree):
@@ -145,7 +148,7 @@ def test_walk_builds_no_mu_table():
     """On a K3,16 embedding (2^16 emerald sets) the two searches list
     every hypertree, its Jaeger trees and their orders, with no table
     over emerald sets."""
-    g = harness.perturbed(complete_bipartite(3, 16), random.Random(316))
+    g = perturbed(complete_bipartite(3, 16), random.Random(316))
     emeralds = sorted(f"e{j}" for j in range(16))
     hs = enumerate_hypertrees(g)
     assert len(hs) == 136  # C(17, 2)
@@ -225,7 +228,7 @@ def test_orders_match_tours_on_fixtures(all_hg, single_edge):
 def test_orders_match_tours_on_k34_rotations():
     rng = random.Random(34)
     for _ in range(20):
-        assert_orders_match_tours(harness.perturbed(complete_bipartite(3, 4), rng))
+        assert_orders_match_tours(perturbed(complete_bipartite(3, 4), rng))
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +246,7 @@ def test_polynomials_walk_no_tour(monkeypatch):
 
     monkeypatch.setattr(tours, "tour", refuse)
     # a K3,4 embedding that no other test builds, so nothing is cached
-    g = harness.perturbed(complete_bipartite(3, 4), random.Random(2718))
+    g = perturbed(complete_bipartite(3, 4), random.Random(2718))
     assert tutte_embedding(g).evaluate(1, 1) == len(enumerate_hypertrees(g))
     assert harness.test_violet_prime(g)["kind"] == "violet-prime"
     assert harness.test_violet(g)["kind"] == "violet"
@@ -260,7 +263,7 @@ def test_one_search_per_variant(all_hg, monkeypatch):
     # freshly loaded, so nothing is searched yet; fig4 is fig2's instance,
     # and equal graphs keep their own derived values
     fresh = [load_path(fixture_path(name)) for name in all_hg]
-    fresh.append(harness.perturbed(complete_bipartite(3, 4), random.Random(34)))
+    fresh.append(perturbed(complete_bipartite(3, 4), random.Random(34)))
     for g in fresh:
         searched.clear()
         tutte_embedding(g)

@@ -6,18 +6,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from hypertutte import harness, tours
-from hypertutte.delta import bases_from_hypertrees, check_exchange, graph_matroid
-from hypertutte.hypertrees import (
-    all_spanning_trees,
-    degree_vector,
-    enumerate_hypertrees,
-    is_hypertree,
-)
+from hypertutte import tours
+from hypertutte.delta import bases_from_hypertrees, check_exchange
+from hypertutte.hypertrees import all_spanning_trees, degree_vector, enumerate_hypertrees
 from hypertutte.jaeger import jaeger_tree_of, violet_jaeger_tree_of
 from hypertutte.model import RibbonGraph, emerald, load, violet
 from hypertutte.tutte import tutte_embedding, tutte_from_order
-from oracles import is_jaeger, is_violet_jaeger
+from oracles import graph_matroid, is_hypertree, is_jaeger, is_violet_jaeger, perturbed
 
 
 def complete_bipartite(a, b):
@@ -67,7 +62,7 @@ def _rotations_match_oracle(g, count=20):
     buckets = trees_by_degree_vector(g)
     rng = random.Random(7)
     for _ in range(count):
-        assert_matches_oracle(harness.perturbed(g, rng), buckets)
+        assert_matches_oracle(perturbed(g, rng), buckets)
 
 
 def test_fig2_rotations_match_oracle(fig2):
@@ -105,7 +100,7 @@ def ribbon_graphs(draw):
     g = _with_index_rotation(nv, ne, edges, ("v0", 0))
     rotation = {node: draw(st.permutations(rot)) for node, rot in g.rotations}
     b0 = draw(st.sampled_from(sorted(rotation)))
-    return g.with_rotation(rotation).with_basis((b0, draw(st.sampled_from(rotation[b0]))))
+    return RibbonGraph.build(nv, ne, edges, rotation, (b0, draw(st.sampled_from(rotation[b0]))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,7 +119,7 @@ def test_polymatroids_satisfy_exchange(all_hg, single_edge, fig6_graph):
     """The exchange axiom, trusted where polymatroids are built, holds on
     the fixtures, on K3,4 rotations and on a cycle matroid."""
     rng = random.Random(7)
-    k34 = [harness.perturbed(complete_bipartite(3, 4), rng) for _ in range(20)]
+    k34 = [perturbed(complete_bipartite(3, 4), rng) for _ in range(20)]
     for g in list(all_hg.values()) + [single_edge] + k34:
         check_exchange(bases_from_hypertrees(g))
     check_exchange(graph_matroid(fig6_graph))
@@ -144,7 +139,7 @@ def test_k56_without_listing_spanning_trees(monkeypatch):
 
     monkeypatch.setattr(tours, "enumerate_spanning_trees", refuse)
     monkeypatch.setattr(tours, "spanning_trees", refuse)
-    g = harness.perturbed(complete_bipartite(5, 6), random.Random(56))
+    g = perturbed(complete_bipartite(5, 6), random.Random(56))
     poly = tutte_embedding(g)
     assert poly.evaluate(1, 1) == 126
     assert poly == tutte_from_order(g, tuple(emerald(j) for j in range(6)))

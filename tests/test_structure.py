@@ -1,14 +1,15 @@
-"""Static checks on the package source: no module reaches into another
-module's private names, no module imports a name it never uses or
-defines a private helper it never names, every exception class the
-package defines is raised somewhere in it, only ``tours.walk`` steps
-the dart permutation around the nodes, only ``tours.tour`` and
+"""Static checks on the package source: every function, class and method
+is reached by name from a command or the benchmark, no module reaches
+into another module's private names, no module imports a name it never
+uses or defines a private helper it never names, every exception class
+the package defines is raised somewhere in it, only ``tours.walk``
+steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
-contraction and deletion, only ``crapo`` measures one-sided distances, only
-``crapo.intervals`` builds a Crapo interval, ``delta.BasisActivity`` is
-the one activity record, an import inside a function is one that would
-close a cycle at the top of the module, and nothing in the package
-imports the test oracles."""
+contraction and deletion, only ``crapo._check_slice`` and
+``tutte.corank_nullity`` sweep a box, only ``crapo.intervals`` builds a
+Crapo interval, ``delta.BasisActivity`` is the one activity record, an
+import inside a function is one that would close a cycle at the top of
+the module, and nothing in the package imports the test oracles."""
 
 import ast
 import builtins
@@ -17,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hypertutte"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hypertutte"
 MODULES = sorted(SRC.glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+ENTRY_POINTS = ("cli", "__init__")  # the commands and the package's public names
 
 
 def _private(name: str) -> bool:
@@ -98,6 +102,43 @@ def _name(node) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
+
+
+def _named(nodes) -> set:
+    """Every name the nodes and their descendants hold, as in :func:`_name`."""
+    return {_name(n) for node in nodes for n in ast.walk(node)} - {None}
+
+
+def unreachable_definitions(sources: dict, roots) -> list:
+    """Functions, classes and methods of the sources, given as {module
+    name: source}, as ``module.name`` or ``module.Class.method``, that no
+    name reaches from the root sources ``roots`` or from module-level code.
+
+    Reaching goes by name alone: once a name is reached, so is every
+    definition of that name, with all the names its body holds.  A class
+    brings its bases, decorators, class-level statements and dunder
+    methods; dunder methods, which Python calls, are never reported."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    reached = _named(map(ast.parse, roots))
+    definitions = {}  # where -> (name, the names it brings)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, functions):
+                definitions[f"{module}.{node.name}"] = (node.name, _named([node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [stmt for stmt in node.body if isinstance(stmt, functions)
+                           and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+                for m in methods:
+                    definitions[f"{module}.{node.name}.{m.name}"] = (m.name, _named([m]))
+                brings = node.bases + node.decorator_list + [
+                    stmt for stmt in node.body if stmt not in methods]
+                definitions[f"{module}.{node.name}"] = (node.name, _named(brings))
+            else:
+                reached |= _named([node])
+    while found := [where for where, (name, _) in definitions.items() if name in reached]:
+        for where in found:
+            reached |= definitions.pop(where)[1]
+    return sorted(definitions)
 
 
 def unraised_exceptions(sources) -> list:
@@ -261,12 +302,22 @@ def _test_code(name: str) -> bool:
     return name in ("oracles", "tests", "conftest") or name.startswith("test_")
 
 
-def test_one_tour_step_rule():
-    """The tour's step rule lives in ``tours.walk`` alone: it alone steps
-    the dart permutation ``sigma``, which ``RibbonGraph.next_at`` only
-    reads, and nothing in the package steps through ``next_at``."""
+def test_src_is_reachable():
+    """The package holds only what a command or the benchmark runs: every
+    function, class and method outside the entry points is reached by
+    name from them, from module-level code or from ``perfbench``."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert readers(sources, "sigma") == ["model.next_at", "tours.walk"]
+    roots = [sources.pop(name) for name in ENTRY_POINTS]
+    roots += [path.read_text(encoding="utf-8") for path in BENCHMARK]
+    assert unreachable_definitions(sources, roots) == []
+
+
+def test_one_tour_step_rule():
+    """The tour's step rule lives in ``tours.walk`` alone: it alone reads
+    the dart permutation ``sigma``, and nothing in the package steps
+    through a rotation successor ``next_at``."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert readers(sources, "sigma") == ["tours.walk"]
     assert callers(sources, "next_at") == []
 
 
@@ -279,21 +330,20 @@ def test_one_jaeger_tree_builder():
 
 def test_one_contraction_deletion():
     """``tours._trees`` is the one contraction/deletion recursion: apart
-    from the checks on loaded input, it alone asks whether a graph stays
-    connected, and the classical Tutte polynomial reads its leaves."""
+    from the checks on a ribbon graph and on a spanning tree, it alone
+    asks whether a graph stays connected."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "connected") == [
-        "delta.graph_matroid", "model._validate", "tours._trees",
-        "tours.is_spanning_tree", "tutte.classical_tutte"]
+        "model._validate", "tours._trees", "tours.is_spanning_tree"]
 
 
 def test_one_sweep():
-    """Only ``crapo`` calls the distance kernel ``one_sided``: every other
-    module sweeps a box through ``crapo.sweep``, never point by point."""
+    """Only ``crapo._check_slice`` and ``tutte.corank_nullity`` call
+    ``crapo.sweep``, the one box walk and distance rule: the Crapo
+    certificate lists the violations of a failing box, and the
+    corank-nullity table counts the hypertrees' bounding box."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    outside = [where for where in callers(sources, "one_sided")
-               if where.partition(".")[0] != "crapo"]
-    assert outside == []
+    assert callers(sources, "sweep") == ["crapo._check_slice", "tutte.corank_nullity"]
 
 
 def test_one_interval_rule():
@@ -421,24 +471,38 @@ def test_checks_catch_violations():
         "hypertrees.tour_search", "jaeger.greedy_tree", "tours.tour"]
     recursing = {
         "tours": "def _trees(edges, n):\n    return connected(edges[1:], n)\n",
+        "model": "class RibbonGraph:\n    def _validate(self):\n        return connected(self.edges, 2)\n",
         "tutte": (
-            "def classical_tutte(graph):\n    return connected(graph.edges, 2)\n"
             "def _dc(n, edges):\n"
             "    rest = edges[1:]\n"
             "    return _dc(n, rest) + _dc(n - 1, rest) if connected(rest, n) else 0\n"
         ),
     }
-    assert callers(recursing, "connected") == [
-        "tours._trees", "tutte._dc", "tutte.classical_tutte"]
+    assert callers(recursing, "connected") == ["model._validate", "tours._trees", "tutte._dc"]
     sweeping = {
-        "crapo": "def d1_less(hs, c):\n    return min(one_sided(h, c)[0] for h in hs)\n",
-        "tutte": (
-            "from . import crapo\n"
-            "def corank_nullity(hs, box):\n"
-            "    return [crapo.one_sided(h, c) for c in box for h in hs]\n"
+        "crapo": "def _check_slice(args):\n    return list(sweep(*args))\n",
+        "tutte": "from . import crapo\ndef corank_nullity(hs, box):\n    return crapo.sweep(box, hs)\n",
+        "delta": (
+            "from .crapo import sweep\n"
+            "def crapo_verify(P, box):\n"
+            "    return [sides for _, sides, _ in sweep(box, P.bases)]\n"
         ),
     }
-    assert callers(sweeping, "one_sided") == ["crapo.d1_less", "tutte.corank_nullity"]
+    assert callers(sweeping, "sweep") == [
+        "crapo._check_slice", "delta.crapo_verify", "tutte.corank_nullity"]
+    reaching = {
+        "tutte": (
+            "def run(g):\n    return _helper(g)\n"
+            "def _helper(g):\n    return Table(g).entry(0)\n"
+            "class Table:\n"
+            "    def __init__(self, g):\n        self.g = g\n"
+            "    def entry(self, i):\n        return i\n"
+            "    def only_tested(self):\n        return self.entry(1)\n"
+            "def orphan():\n    return orphan()\n"
+        ),
+    }
+    assert unreachable_definitions(reaching, ["from . import tutte\ntutte.run(None)\n"]) == [
+        "tutte.Table.only_tested", "tutte.orphan"]
     building = {
         "crapo": (
             "def intervals(P, a):\n    return [CrapoInterval(b, (), ()) for b in a]\n"

@@ -9,17 +9,12 @@ from hypertutte import tours
 from hypertutte.hypertrees import jaeger_trees
 from hypertutte.model import RibbonGraph, is_violet, node_sort_key
 from hypertutte.tours import (
-    WrongSide,
-    base_component,
-    deletion_contraction,
-    enumerate_spanning_trees,
-    fundamental_cut,
-    fundamental_cycle,
-    is_spanning_tree,
-    spanning_trees,
-    tour,
+    deletion_contraction, enumerate_spanning_trees, is_spanning_tree, spanning_trees, tour,
 )
-from oracles import EqualTrees, degree, first_difference, incident, tree_less
+from oracles import (
+    EqualTrees, WrongSide, base_component, degree, first_difference, fundamental_cut,
+    fundamental_cycle, incident, next_at, tree_less,
+)
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
 
@@ -101,7 +96,7 @@ def _lockstep_difference(g, t1, t2):
         if in1:
             v, e = g.endpoints(edge)
             node = e if node == v else v
-        edge = g.next_at(node, edge)
+        edge = next_at(g, node, edge)
         if (node, edge) == (b0, beta0):
             return None
     return None

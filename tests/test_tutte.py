@@ -7,29 +7,24 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import harness, tutte
-from hypertutte.crapo import BudgetExceeded, box_around, box_size, d1_greater, d1_less, sweep
+from hypertutte import tutte
+from hypertutte.crapo import BudgetExceeded, box_around, box_size, sweep
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
-    Disconnected,
-    Graph,
-    NoEdges,
-    classical_tutte,
     corank_nullity,
-    exterior,
-    graph_tutte_bridge,
-    interior,
-    load_graph,
     series_identity_check,
     series_window,
-    to_bipartite,
     tutte_embedding,
     tutte_from_order,
 )
-from oracles import degree
+from oracles import (
+    Disconnected, Graph, NoEdges, classical_tutte, d1_greater, d1_less, degree,
+    fixed_tree_order_activities, graph_tutte_bridge, load_graph, perturbed, substitute,
+    to_bipartite,
+)
 from test_oracle import ribbon_graphs
 
 FIG2_POLY = (
@@ -57,7 +52,7 @@ def test_all_fixed_orders_agree(fig2):
 def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
     """An order that misses, repeats or adds an element is refused, by the
     fixed-order sum and by explicit per-basis orders alike."""
-    from hypertutte.delta import assignment_from_orders, fixed_tree_order_activities
+    from hypertutte.delta import assignment_from_orders
 
     bad = [("e0",), ("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e3", "e3"),
            ("e0", "e1", "e2", "e9"), ()]
@@ -82,8 +77,10 @@ def test_embedding_order_is_a_fixed_order_per_tree(fig5):
 
 
 def test_interior_exterior_fig2(fig2):
-    assert str(interior(fig2)) == "x^4 + 3x^3 + 3x^2"
-    assert str(exterior(fig2)) == "y^4 + 2y^3 + 3y^2 + y"
+    """The specializations T(x, 1) and T(1, y)."""
+    t = tutte_embedding(fig2)
+    assert str(substitute(t, Poly.x(), Poly.constant(1))) == "x^4 + 3x^3 + 3x^2"
+    assert str(substitute(t, Poly.constant(1), Poly.y())) == "y^4 + 2y^3 + 3y^2 + y"
 
 
 def test_evaluation_counts_hypertrees(all_hg):
@@ -124,7 +121,7 @@ def test_corank_nullity_matches_brute_force(fig1, fig2):
     for k, (v, e) in enumerate(edges):
         rotation.setdefault(v, []).append(k)
         rotation.setdefault(e, []).append(k)
-    k34 = harness.perturbed(
+    k34 = perturbed(
         RibbonGraph.build(3, 4, edges, rotation, ("v0", 0)), random.Random(34)
     )
     for g in (fig1, fig2, k34):
@@ -215,11 +212,22 @@ def test_corank_nullity_sweeps_the_hypertree_bounding_box(fig1, monkeypatch):
     assert yields == box_size(box_around(hs, 0, 0)) == 32
 
 
-def test_corank_nullity_bad_bounds(fig2):
-    with pytest.raises(ValueError):
-        corank_nullity(fig2, -1, 0)
+def test_corank_nullity_bad_bounds(fig2, monkeypatch):
+    """Negative bounds are refused, and the budget is on the table's own
+    cells: fig2's (40, 40) window, whose box holds 45,763,544 lattice
+    points, sweeps the 24-point bounding box of the hypertrees and passes
+    the series identity, while (2000, 2000) is refused before any sweep."""
+    for bounds in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            corank_nullity(fig2, *bounds)
+    hs = enumerate_hypertrees(fig2)
+    assert box_size(box_around(hs, 0, 0)) == 24
     with pytest.raises(BudgetExceeded):
-        corank_nullity(fig2, 40, 40)
+        box_size(box_around(hs, 40, 40))
+    assert series_identity_check(fig2, 40, 40)["status"] == "PASS"
+    monkeypatch.setattr(tutte, "sweep", None)  # a sweep would raise TypeError
+    with pytest.raises(BudgetExceeded):
+        corank_nullity(fig2, 2000, 2000)
 
 
 def test_series_identity_fig2(fig2):
@@ -292,11 +300,6 @@ def test_classical_tutte_matches_networkx(fig6_graph):
 def test_classical_tutte_disconnected():
     with pytest.raises(Disconnected):
         classical_tutte(Graph(3, (("a", 0, 1),)))
-
-
-def test_corank_nullity_budget_is_crapos(fig2):
-    with pytest.raises(BudgetExceeded):
-        corank_nullity(fig2, 40, 40)
 
 
 def test_classical_tutte_isolated_vertex():
