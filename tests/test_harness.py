@@ -35,6 +35,16 @@ def test_perturbed_preserves_underlying_graph(fig2):
     }
 
 
+def test_invariance_fixtures(all_hg):
+    """Random ribbon and basis perturbations leave the embedding
+    polynomial of every fixture unchanged."""
+    for name, g in all_hg.items():
+        expected = tutte_embedding(g)
+        rng = random.Random(1)
+        for trial in range(6):
+            assert tutte_embedding(perturbed(g, rng)) == expected, (name, trial)
+
+
 def test_violet_prime_fixtures(fig2, fig5):
     assert harness.test_violet_prime(fig2)["verdict"] == "EQUAL"
     assert harness.test_violet_prime(fig5)["verdict"] == "EQUAL"

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import tutte
+from hypertutte import crapo, tutte
 from hypertutte.crapo import BudgetExceeded, box_around, box_size, sweep
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
@@ -300,6 +300,14 @@ def test_classical_tutte_matches_networkx(fig6_graph):
 def test_classical_tutte_disconnected():
     with pytest.raises(Disconnected):
         classical_tutte(Graph(3, (("a", 0, 1),)))
+
+
+def test_corank_nullity_budget_is_crapos(fig2, monkeypatch):
+    """The table is held to crapo's box budget: one cell under fig2's
+    41 x 41 table of (40, 40), and the table is refused."""
+    monkeypatch.setattr(crapo, "_BOX_BUDGET", 41 * 41 - 1)
+    with pytest.raises(BudgetExceeded):
+        corank_nullity(fig2, 40, 40)
 
 
 def test_classical_tutte_isolated_vertex():
