@@ -6,7 +6,14 @@ order is the label sequence along the branch.  Delta activities use the
 MAX rule (an element is active if it cannot be exchanged with a larger
 one); the MIN rule serves orders fixed per basis, as in the parallel-edge
 counterexample and the Jaeger activities.  Both apply one per-element
-test, and :meth:`BasisActivity.of` builds every activity record.
+test, :func:`_active`, and :meth:`BasisActivity.of` builds every
+activity record.  Whether b - 1_e + 1_f or b + 1_e - 1_f is a basis
+depends on b, e and f alone, never on the order, so the test reads the
+exchange table of b (:meth:`PolymatroidBases.exchanges`): bit masks
+built once per basis in n(n-1) lookups and memoised on the polymatroid.
+An element is active against the mask of the elements before it (MIN)
+or after it (MAX) when a mask AND is empty, so each further order of a
+basis costs O(n).
 
 Also here: the Crapo partition check for an arbitrary activity
 assignment (on crapo's verifier), the realizability obstruction (some
@@ -15,17 +22,18 @@ for a decision tree realizing a given assignment.  The search lists no
 decision trees: under the MAX rule a node's activities depend only on
 its label, the elements not labeled above it and the basis, so it
 solves each (remaining elements, bases routed to the node) subproblem
-once, checking the label alone against the rest in O(n) per basis, and
-returns the first matching tree in enumeration order.  Its memo of
-solved subproblems is capped (``_MEMO_CAP`` entries), which bounds its
-memory whatever the number of decision trees.  Listing, counting and
+once, checking the label alone against the mask of the rest, two ANDs
+per basis, and returns the first matching tree in enumeration order.
+Its memo of solved subproblems is capped (``_MEMO_CAP`` entries), which
+bounds its memory whatever the number of decision trees.  Listing, counting and
 drawing decision trees are test oracles, in ``tests/oracles.py``.
 
 The exchange axiom is written once (:func:`exchange_witness`) and checked
 only where bases are loaded (:func:`check_exchange`): hypertree sets are
-polymatroids by Kálmán's theorem.  The cycle matroid of a graph and the
-per-tree orders of the parallel-edge counterexample (fig6) are built by
-the test oracles, in ``tests/oracles.py``.
+polymatroids by Kálmán's theorem.  The rule that looks each shifted
+basis up afresh, against which the exchange tables are checked, the
+cycle matroid of a graph and the per-tree orders of the parallel-edge
+counterexample (fig6) are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ class PolymatroidBases:
     _ranks: tuple = field(init=False, repr=False, compare=False, default=None)
     _floors: tuple = field(init=False, repr=False, compare=False, default=None)
     _positions: dict = field(init=False, repr=False, compare=False, default=None)
+    _exchange_rows: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.bases:
@@ -76,6 +85,7 @@ class PolymatroidBases:
         for i, e in enumerate(self.ground):
             positions.setdefault(e, i)  # a repeated name maps to its first place
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_exchange_rows", {})
 
     def rank(self, e) -> int:
         """mu({e}): the greatest value of coordinate e over the bases."""
@@ -89,6 +99,32 @@ class PolymatroidBases:
 
     def value(self, b, e) -> int:
         return b[self.index(e)]
+
+    def exchanges(self, b) -> tuple:
+        """The exchange table of basis b, two tuples of bit masks over the
+        coordinates: ``down[i]`` has bit f set iff b - 1_i + 1_f is a
+        basis, ``up[i]`` iff b + 1_i - 1_f is.  Built in one pass over
+        the pairs (i, f), each hit recorded in both, and memoised per
+        basis, so the memo holds at most one row per basis; a vector
+        that is no basis raises ValueError.  A move past P's floor or
+        rank at a coordinate leaves the bases: no lookup."""
+        row = self._exchange_rows.get(b)
+        if row is not None:
+            return row
+        if b not in self.bases:
+            raise ValueError(f"{b!r} is not a basis")
+        bases, floors, ranks = self.bases, self._floors, self._ranks
+        n = len(b)
+        down, up = [0] * n, [0] * n
+        for i in range(n):
+            if b[i] <= floors[i]:
+                continue
+            for f in range(n):
+                if f != i and b[f] < ranks[f] and _shift(b, f, i) in bases:
+                    down[i] |= 1 << f
+                    up[f] |= 1 << i
+        self._exchange_rows[b] = row = (tuple(down), tuple(up))
+        return row
 
 
 def _shift(b, up, down):
@@ -226,29 +262,36 @@ def min_rule_activities(P: PolymatroidBases, b, order):
 
 
 def _rule_activities(P, b, order, later):
+    internal, external = activity_masks(P, b, tuple(reversed(order)) if later else order)
+    return (frozenset(e for e in order if internal >> P.index(e) & 1),
+            frozenset(e for e in order if external >> P.index(e) & 1))
+
+
+def activity_masks(P: PolymatroidBases, b, order) -> tuple:
+    """The coordinates of basis b internally and externally active under
+    the MIN rule, as two bit masks: each element of ``order`` is tested
+    by :func:`_active` against the mask of the elements before it.  The
+    MAX rule is the same test over the reversed order."""
     b = tuple(b)
-    at = [P.index(e) for e in order]  # each element's coordinate, in order
-    internal, external = set(), set()
-    for pos, (e, i) in enumerate(zip(order, at)):
-        inside, outside = _active(P, b, i, at[pos + 1:] if later else at[:pos])
+    internal = external = passed = 0
+    for e in order:
+        i = P.index(e)
+        inside, outside = _active(P, b, i, passed)
         if inside:
-            internal.add(e)
+            internal |= 1 << i
         if outside:
-            external.add(e)
-    return frozenset(internal), frozenset(external)
+            external |= 1 << i
+        passed |= 1 << i
+    return internal, external
 
 
 def _active(P, b, i, others) -> tuple:
-    """The one activity rule: is the element e at coordinate i of basis b
-    internally active against the coordinates ``others`` (no f there makes
-    b - 1_e + 1_f a basis), and externally (nor b + 1_e - 1_f)?  A move
-    past P's floor or rank at a coordinate leaves the bases: no lookup."""
-    bases, floors, ranks = P.bases, P._floors, P._ranks
-    internal = b[i] <= floors[i] or not any(
-        b[f] < ranks[f] and _shift(b, f, i) in bases for f in others)
-    external = b[i] >= ranks[i] or not any(
-        b[f] > floors[f] and _shift(b, i, f) in bases for f in others)
-    return internal, external
+    """The one activity rule: is the element at coordinate i of basis b
+    internally active against the coordinates in the bit mask ``others``
+    (no f there makes b - 1_e + 1_f a basis), and externally (nor
+    b + 1_e - 1_f)?  Two ANDs on b's row of :meth:`PolymatroidBases.exchanges`."""
+    down, up = P.exchanges(b)
+    return not down[i] & others, not up[i] & others
 
 
 def nontrivial(P: PolymatroidBases, b, internal, external):
@@ -354,8 +397,8 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     The elements after a node's label e on every branch through it are
     the elements R not labeled above it, less e.  So whether e is
     nontrivially active for a basis routed there depends on (e, R, b)
-    alone, one :func:`_active` test, and the children of a node are
-    independent subproblems.  Each subproblem (R, bases routed to the
+    alone, one :func:`_active` test on the mask of R, and the children
+    of a node are independent subproblems.  Each subproblem (R, bases routed to the
     node) is solved once: its answer is the first label in ground order
     on which every routed basis agrees with the target and whose children
     are all solvable, each child taking its own first answer.  A child no
@@ -376,7 +419,7 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     floors, ranks = P._floors, P._ranks
 
     def agrees(i, rest, b):
-        """Coordinate i, with ``rest`` after it, is nontrivially active for b as wanted."""
+        """Coordinate i, with the mask ``rest`` after it, is nontrivially active for b as wanted."""
         internal, external = _active(P, b, i, rest)
         ni, ne = want[b]
         return (internal and b[i] > floors[i], external and b[i] < ranks[i]) == (i in ni, i in ne)
@@ -384,7 +427,7 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     memo = {}
 
     def solve(elems, group):
-        """First tree over the coordinates ``elems`` agreeing on every basis of ``group``."""
+        """First tree over the coordinates in the mask ``elems`` agreeing on every basis of ``group``."""
         key = (elems, group)
         if key not in memo:
             tree = first_tree(elems, group)
@@ -394,8 +437,10 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
         return memo[key]
 
     def first_tree(elems, group):
-        for i in elems:
-            rest = tuple(x for x in elems if x != i)
+        for i in range(len(P.ground)):
+            if not elems >> i & 1:
+                continue
+            rest = elems & ~(1 << i)
             if not all(agrees(i, rest, b) for b in group):
                 continue
             if not rest:
@@ -410,4 +455,4 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
                 return DecisionTree(P.ground[i], tuple(children))
         return None
 
-    return solve(tuple(range(len(P.ground))), tuple(bases))
+    return solve((1 << len(P.ground)) - 1, tuple(bases))

@@ -5,7 +5,8 @@ rotations, deterministically per seed.  test_violet_prime compares the
 polynomial built from violet-tour endpoint orders against the embedding
 polynomial (an open conjecture: reported, not assumed).  The plain
 violet-node order is also exposed, since it is known to disagree on some
-instances.  random_reports is the one loop that runs a check over seeded
+instances.  Both read their orders straight off the violet tour search
+(hypertrees.jaeger_trees) as one mapping per graph.  random_reports is the one loop that runs a check over seeded
 random instances; the CLI's conjecture command reads it.  The rotation
 and basis perturbation under which the tests re-derive the embedding
 polynomial is in ``tests/oracles.py``.
@@ -17,7 +18,7 @@ import random
 
 from .model import RibbonGraph, violet, emerald
 from .polynomial import Poly
-from . import jaeger
+from .hypertrees import jaeger_trees
 from . import tutte
 
 
@@ -65,11 +66,13 @@ def random_instance(seed: int = 0) -> RibbonGraph:
 
 
 def violet_prime_polynomial(g: RibbonGraph) -> Poly:
-    return tutte.tutte_sum(g, jaeger.order_violet_prime)
+    """The Tutte sum under the edge orders of the violet tour search."""
+    return tutte.tutte_sum(g, {h: found[2] for h, found in jaeger_trees(g, "violet").items()})
 
 
 def violet_polynomial(g: RibbonGraph) -> Poly:
-    return tutte.tutte_sum(g, jaeger.order_violet)
+    """The Tutte sum under the node orders of the violet tour search."""
+    return tutte.tutte_sum(g, {h: found[1] for h, found in jaeger_trees(g, "violet").items()})
 
 
 def _describe(g: RibbonGraph) -> dict:

@@ -13,7 +13,14 @@ the definition off a tree's tour are the test oracle, in
 order <_h, and the violet tours induce two further orders; the search
 records each order along the branch that built its tree, so no tour is
 walked again.  Activities under an order of all emeralds are delta's
-MIN rule on the hypertree set, as a :class:`delta.BasisActivity`.
+MIN rule on the hypertree set, as a :class:`delta.BasisActivity`: mask
+tests on each hypertree's exchange table, built once per hypertree
+whatever the number of orders.  The lookups by hypertree (the Jaeger
+trees, :func:`order_emerald`, :func:`order_violet_prime`) check their
+vector first; the embedding and violet Tutte sums and
+:func:`embedding_assignment` read the orders straight off the searches'
+tables.  The plain violet node order
+is read off the violet search by ``harness.violet_polynomial`` alone.
 """
 
 from __future__ import annotations
@@ -55,10 +62,6 @@ def order_emerald(g: RibbonGraph, h) -> tuple:
     return _walked(g, h, "emerald")[1]
 
 
-def order_violet(g: RibbonGraph, h) -> tuple:
-    return _walked(g, h, "violet")[1]
-
-
 def order_violet_prime(g: RibbonGraph, h) -> tuple:
     return _walked(g, h, "violet")[2]
 
@@ -89,4 +92,4 @@ def embedding_assignment(g: RibbonGraph):
     """The hypergraphic polymatroid of g and the embedding activities of
     every hypertree, as :mod:`delta` activity assignments."""
     P = bases_from_hypertrees(g)
-    return P, assignment_from_orders(P, {h: order_emerald(g, h) for h in P.bases})
+    return P, assignment_from_orders(P, {h: found[1] for h, found in jaeger_trees(g).items()})

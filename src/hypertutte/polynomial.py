@@ -4,9 +4,9 @@ Terms are a map (x-exponent, y-exponent) -> coefficient; zero
 coefficients are never stored.  Canonical ordering for rendering and
 iteration is lexicographic on (x-exponent, y-exponent), descending, so
 that output diffs are byte-stable.  The Tutte sums expand in one pass
-per power of x+y-1 (:func:`expand_triples`); substitution, degrees and
-the factor x+y-1 itself, which only the test oracles use, are in
-``tests/oracles.py``.
+per power of x+y-1 (:func:`expand_triples`); substitution, degrees,
+the monomials x, y and c x^a y^b, and the factor x+y-1 itself, which
+only the test oracles use, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,18 +29,6 @@ class Poly:
     @staticmethod
     def constant(c: int) -> "Poly":
         return Poly({(0, 0): c})
-
-    @staticmethod
-    def monomial(a: int, b: int, c: int = 1) -> "Poly":
-        return Poly({(a, b): c})
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly.monomial(1, 0)
-
-    @staticmethod
-    def y() -> "Poly":
-        return Poly.monomial(0, 1)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms

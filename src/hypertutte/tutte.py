@@ -1,7 +1,13 @@
 """The hypergraph Tutte polynomial, three ways.
 
 tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
-activities; tutte_from_order does the same with a fixed emerald order;
+activities; tutte_from_order does the same with a fixed emerald order.
+Both go through tutte_sum, which takes one order per hypertree as a
+mapping (the embedding sum reads the node orders of the emerald tour
+search, hypertrees.jaeger_trees), so no hypertree is looked up again,
+and counts (oi, oe, ie) from the bit counts of delta's activity masks.
+A graph's sums share one exchange table per hypertree.
+
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
 substituted embedding polynomial as a formal power series.  Its box
@@ -23,37 +29,40 @@ from math import comb
 
 from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
-from .hypertrees import cached, enumerate_hypertrees
-from .delta import bases_from_hypertrees, check_order, min_rule_activities
-from .jaeger import order_emerald
+from .hypertrees import cached, enumerate_hypertrees, jaeger_trees
+from .delta import activity_masks, bases_from_hypertrees, check_order
 from .crapo import box_around, box_size, sweep
 
 
-def tutte_sum(g: RibbonGraph, order_fn) -> Poly:
+def tutte_sum(g: RibbonGraph, orders) -> Poly:
     """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie: the emeralds only
     internally, only externally and both ways active under the order
-    ``order_fn(g, h)``, counted per (oi, oe, ie) and expanded by Horner's
-    rule in x+y-1 (:func:`polynomial.expand_triples`)."""
+    ``orders[h]``, counted per (oi, oe, ie) on the activity bit masks and
+    expanded by Horner's rule in x+y-1 (:func:`polynomial.expand_triples`)."""
     P = bases_from_hypertrees(g)
     triples = Counter()
     for h in enumerate_hypertrees(g):
-        internal, external = min_rule_activities(P, h, order_fn(g, h))
-        triples[len(internal - external), len(external - internal), len(internal & external)] += 1
+        internal, external = activity_masks(P, h, orders[h])
+        both = internal & external
+        triples[(internal ^ both).bit_count(), (external ^ both).bit_count(), both.bit_count()] += 1
     return expand_triples(triples)
 
 
 def tutte_embedding(g: RibbonGraph) -> Poly:
-    """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities;
-    computed once per graph (a Poly is never mutated)."""
-    return cached(g, "embedding", lambda g: tutte_sum(g, order_emerald))
+    """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities
+    under the node orders of the emerald tour search; computed once per
+    graph (a Poly is never mutated)."""
+    return cached(g, "embedding", lambda g: tutte_sum(
+        g, {h: found[1] for h, found in jaeger_trees(g).items()}))
 
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:
     """Same sum, with activities taken relative to one fixed emerald
     order, which must list every emerald once (:func:`delta.check_order`)."""
     order = tuple(order)
-    check_order(bases_from_hypertrees(g), order)
-    return tutte_sum(g, lambda g, h: order)
+    P = bases_from_hypertrees(g)
+    check_order(P, order)
+    return tutte_sum(g, dict.fromkeys(P.bases, order))
 
 
 @dataclass(frozen=True)

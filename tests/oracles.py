@@ -7,17 +7,21 @@ runs them.
   (:func:`next_at`), fundamental cycles and cuts and base components.
 - Hypertrees: listing by degree vector (:func:`representatives`),
   membership (:func:`is_hypertree`) and the set grown by exchange moves.
-- Jaeger trees read off a tour (:func:`is_jaeger`), and the tree order
-  by first tour difference (:func:`tree_less`).
+- Jaeger trees read off a tour (:func:`is_jaeger`), the violet node
+  order of a hypertree (:func:`order_violet`), and the tree order by
+  first tour difference (:func:`tree_less`).
 - Distances point by point (:func:`one_sided`, :func:`d1`) and Crapo
   interval membership (:func:`interval_contains`).
-- Polynomial :func:`substitute` and :func:`degrees`, and a random
-  rotation and basis for the same graph (:func:`perturbed`).
+- Polynomial :func:`substitute` and :func:`degrees`, the monomials
+  :func:`x`, :func:`y` and :func:`monomial`, and a random rotation and
+  basis for the same graph (:func:`perturbed`).
 - Classical graphs (:class:`Graph`, :func:`load_graph`): the classical
   Tutte polynomial, the bipartite model, and the bridge report that
   compares the two polynomials (:func:`graph_tutte_bridge`).
 - fig6, the parallel-edge counterexample: the cycle matroid with an
   order per spanning tree (:func:`fixed_tree_order_activities`).
+- Activities one shifted basis at a time (:func:`shifted_active`), the
+  rule the exchange tables of the package are checked against.
 - Decision trees listed, counted and drawn at random.
 """
 
@@ -186,6 +190,13 @@ def is_violet_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
     return True
 
 
+def order_violet(g: RibbonGraph, h) -> tuple:
+    """The emeralds in order of first appearance as the current node on
+    the tour of the violet Jaeger tree of h, as the violet search found
+    them."""
+    return jaeger_trees(g, "violet")[tuple(h)][1]
+
+
 # -- the tree order ------------------------------------------------------------
 
 
@@ -285,6 +296,18 @@ def degrees(p: Poly) -> tuple[int, int]:
         max(a for a, _ in p.terms),
         max(b for _, b in p.terms),
     )
+
+
+def monomial(a: int, b: int, c: int = 1) -> Poly:
+    return Poly({(a, b): c})
+
+
+def x() -> Poly:
+    return monomial(1, 0)
+
+
+def y() -> Poly:
+    return monomial(0, 1)
 
 
 def x_plus_y_minus_1() -> Poly:
@@ -404,7 +427,7 @@ def graph_tutte_bridge(graph: Graph) -> dict:
     a = n_edges - n_vertices + 1
     b = n_vertices - 1
     s = x_plus_y_minus_1()
-    yv, xv = Poly.y(), Poly.x()
+    yv, xv = y(), x()
 
     candidates = {}
     for args_label, (d1, d2) in (("equal-args", (yv, yv)), ("split-args", (yv, xv))):
@@ -413,7 +436,7 @@ def graph_tutte_bridge(graph: Graph) -> dict:
             ("hyper-from-classical", (t_hyper, t_classical)),
         ):
             num, dx, dy = _substitute_rational(inner, s, d1, s, d2)
-            rhs = Poly.monomial(a, b) * num
+            rhs = monomial(a, b) * num
             left = lhs * (d1 ** dx) * (d2 ** dy)
             candidates[f"{orient}/{args_label}"] = left == rhs
 
@@ -457,6 +480,47 @@ def fixed_tree_order_activities(graph, order_map: dict) -> tuple:
     P = graph_matroid(graph)
     by_basis = {b: tuple(order_map[basis_name(P, b)]) for b in P.bases}
     return P, assignment_from_orders(P, by_basis)
+
+
+# -- activities by shifted bases ------------------------------------------------
+
+
+def shift(b, up, down) -> tuple:
+    """b + 1_up - 1_down."""
+    out = list(b)
+    out[up] += 1
+    out[down] -= 1
+    return tuple(out)
+
+
+def shifted_active(P: PolymatroidBases, b, i, others) -> tuple:
+    """The activity rule one shifted basis at a time: is the element e at
+    coordinate i of basis b internally active against the coordinates
+    ``others`` (no f there makes b - 1_e + 1_f a basis), and externally
+    (nor b + 1_e - 1_f)?  A move past P's floor or rank at a coordinate
+    leaves the bases: no lookup."""
+    bases, floors, ranks = P.bases, P._floors, P._ranks
+    internal = b[i] <= floors[i] or not any(
+        b[f] < ranks[f] and shift(b, f, i) in bases for f in others)
+    external = b[i] >= ranks[i] or not any(
+        b[f] > floors[f] and shift(b, i, f) in bases for f in others)
+    return internal, external
+
+
+def shifted_rule_activities(P: PolymatroidBases, b, order, later) -> tuple:
+    """(internal, external) element sets of basis b, each element tested
+    by :func:`shifted_active` against the elements after it in ``order``
+    (``later``, the MAX rule) or before it (the MIN rule)."""
+    b = tuple(b)
+    at = [P.index(e) for e in order]
+    internal, external = set(), set()
+    for pos, (e, i) in enumerate(zip(order, at)):
+        inside, outside = shifted_active(P, b, i, at[pos + 1:] if later else at[:pos])
+        if inside:
+            internal.add(e)
+        if outside:
+            external.add(e)
+    return frozenset(internal), frozenset(external)
 
 
 # -- decision trees ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Decision-tree activities, the realizability obstruction, and search."""
 
+import itertools
 import random
 
 import pytest
@@ -34,7 +35,7 @@ from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from oracles import (
     Graph, basis_name, count_decision_trees, enumerate_decision_trees,
     fixed_tree_order_activities, graph_matroid, interval_contains, perturbed,
-    random_decision_tree,
+    random_decision_tree, shift, shifted_rule_activities,
 )
 
 
@@ -101,6 +102,43 @@ def test_exchange_witness_and_check():
     Q = load_bases(fixture_path("delta_fig.matroid").read_text())
     assert exchange_witness(Q, (0, 1, 1), (1, 1, 0), 0) == 2
     assert exchange_witness(Q, (1, 1, 0), (0, 1, 1), 2) == 0
+
+
+def test_exchange_tables_match_shifted_bases(all_hg, small_matroid, fig6_graph):
+    """Each basis's exchange table holds exactly the shifted vectors that
+    are bases, and the MIN and MAX rules on it agree with the rule that
+    looks each shifted basis up, under every order of the ground set:
+    on every bundled fixture, 50 random instances, fig6's cycle matroid
+    and U(1,6)."""
+    polymatroids = [bases_from_hypertrees(g) for g in all_hg.values()]
+    polymatroids += [bases_from_hypertrees(harness.random_instance(seed=s)) for s in range(50)]
+    polymatroids += [small_matroid, graph_matroid(fig6_graph), uniform_rank_one(6)[0]]
+    for P in polymatroids:
+        n = len(P.ground)
+        orders = list(itertools.permutations(P.ground))
+        for b in sorted(P.bases):
+            down, up = P.exchanges(b)
+            for i, f in itertools.product(range(n), repeat=2):
+                assert (down[i] >> f & 1) == (f != i and shift(b, f, i) in P.bases), (b, i, f)
+                assert (up[i] >> f & 1) == (f != i and shift(b, i, f) in P.bases), (b, i, f)
+            for order in orders:
+                assert min_rule_activities(P, b, order) == shifted_rule_activities(
+                    P, b, order, later=False), (b, order)
+                assert max_rule_activities(P, b, order) == shifted_rule_activities(
+                    P, b, order, later=True), (b, order)
+
+
+def test_exchange_table_only_for_bases(small_matroid):
+    """A vector that is no basis has no exchange table, and asking for
+    one keeps no row, so the memo holds at most one row per basis."""
+    P = PolymatroidBases(small_matroid.ground, small_matroid.bases)
+    for v in [(1, 1, 1), (0, 0, 2), (2, 0, 0), (0, 1)]:
+        with pytest.raises(ValueError, match="is not a basis"):
+            P.exchanges(v)
+    assert P.exchanges((0, 1, 1)) == ((0, 0b001, 0b001), (0b110, 0, 0))
+    for b in P.bases:
+        P.exchanges(b)
+    assert len(P._exchange_rows) == len(P.bases)
 
 
 def test_built_polymatroids_are_not_rechecked(fig2, fig6_graph, monkeypatch):

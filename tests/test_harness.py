@@ -100,7 +100,7 @@ def test_embedding_polynomial_built_once_per_graph(fig2, monkeypatch):
     sums = []
     tutte_sum = tutte.tutte_sum
     monkeypatch.setattr(
-        tutte, "tutte_sum", lambda g, order_fn: sums.append(order_fn) or tutte_sum(g, order_fn)
+        tutte, "tutte_sum", lambda g, orders: sums.append(orders) or tutte_sum(g, orders)
     )
     g = perturbed(fig2, random.Random(5))  # a graph no other test caches
     assert g != fig2

@@ -14,17 +14,15 @@ from hypertutte.jaeger import (
     embedding_activities,
     jaeger_tree_of,
     order_emerald,
-    order_violet,
     order_violet_prime,
     violet_jaeger_tree_of,
 )
 from hypertutte.model import is_emerald
-from hypertutte.polynomial import Poly
 from hypertutte.tours import tour
 from hypertutte.tutte import tutte_embedding
 from oracles import (
-    is_hypertree, is_jaeger, is_violet_jaeger, perturbed, representatives, tree_less,
-    x_plus_y_minus_1,
+    is_hypertree, is_jaeger, is_violet_jaeger, monomial, order_violet, perturbed,
+    representatives, tree_less, x_plus_y_minus_1,
 )
 from test_oracle import complete_bipartite, ribbon_graphs
 
@@ -118,8 +116,7 @@ def test_walk_cache_refuses_float_vectors(fig2):
     cached."""
     h = (0, 2, 0, 0)
     assert h in enumerate_hypertrees(fig2)
-    lookups = (jaeger_tree_of, violet_jaeger_tree_of,
-               order_emerald, order_violet, order_violet_prime)
+    lookups = (jaeger_tree_of, violet_jaeger_tree_of, order_emerald, order_violet_prime)
     for lookup in lookups:
         lookup(fig2, h)
     for v in [(0.0, 2, 0, 0), (0, 2.0, 0, 0)]:
@@ -136,8 +133,7 @@ def test_walk_cache_refuses_boolean_entries(fig2):
     order = order_emerald(fig2, h)
     for v in [(True, True, 0, 0), (1, True, 0, False)]:
         assert not is_hypertree(fig2, v)
-        for lookup in (jaeger_tree_of, violet_jaeger_tree_of,
-                       order_emerald, order_violet, order_violet_prime):
+        for lookup in (jaeger_tree_of, violet_jaeger_tree_of, order_emerald, order_violet_prime):
             with pytest.raises(NotAHypertree):
                 lookup(fig2, v)
         with pytest.raises(NotAHypertree):
@@ -308,18 +304,18 @@ def test_minimum_always_both_active(all_hg):
 def test_panel_monomials(fig2):
     s = x_plus_y_minus_1()
     expected = {
-        (0, 0, 1, 1): s ** 2 * Poly.monomial(0, 2),
-        (0, 1, 1, 0): s * Poly.monomial(1, 2),
-        (0, 1, 0, 1): s * Poly.monomial(1, 2),
-        (0, 2, 0, 0): s * Poly.monomial(2, 1),
-        (1, 0, 0, 1): s * Poly.monomial(2, 1),
-        (1, 1, 0, 0): s * Poly.monomial(2, 0),
-        (1, 0, 1, 0): s ** 2 * Poly.monomial(2, 0),
+        (0, 0, 1, 1): s ** 2 * monomial(0, 2),
+        (0, 1, 1, 0): s * monomial(1, 2),
+        (0, 1, 0, 1): s * monomial(1, 2),
+        (0, 2, 0, 0): s * monomial(2, 1),
+        (1, 0, 0, 1): s * monomial(2, 1),
+        (1, 1, 0, 0): s * monomial(2, 0),
+        (1, 0, 1, 0): s ** 2 * monomial(2, 0),
     }
     for h, want in expected.items():
         rec = embedding_activities(fig2, h)
         internal, external = rec.internal, rec.external
-        got = Poly.monomial(len(internal - external), len(external - internal))
+        got = monomial(len(internal - external), len(external - internal))
         got = got * s ** len(internal & external)
         assert got == want, h
 

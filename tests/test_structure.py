@@ -7,7 +7,10 @@ steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
 contraction and deletion, only ``crapo._check_slice`` and
 ``tutte.corank_nullity`` sweep a box, only ``crapo.intervals`` builds a
-Crapo interval, ``delta.BasisActivity`` is the one activity record, an
+Crapo interval, ``delta.BasisActivity`` is the one activity record,
+``delta._active`` the one activity rule and the one reader of a
+basis's exchange table, which only ``PolymatroidBases.exchanges`` and
+``delta.exchange_witness`` build from shifted bases, an
 import inside a function is one that would close a cycle at the top of
 the module, and nothing in the package imports the test oracles."""
 
@@ -360,6 +363,16 @@ def test_one_activity_record():
     assert activity_records(sources) == ["delta.BasisActivity"]
 
 
+def test_one_activity_rule():
+    """``delta._active`` is the one activity rule: it alone reads a
+    basis's exchange table, and besides the exchange check only
+    ``PolymatroidBases.exchanges``, which builds that table, looks up a
+    shifted basis."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert readers(sources, "exchanges") == ["delta._active"]
+    assert callers(sources, "_shift") == ["delta.exchange_witness", "delta.exchanges"]
+
+
 def test_function_level_imports_only_break_cycles():
     """An import inside a function is allowed only where the same import
     at the top of the module would make a cycle."""
@@ -526,6 +539,23 @@ def test_checks_catch_violations():
         ),
     }
     assert activity_records(recording) == ["delta.BasisActivity", "jaeger.ActivityRecord"]
+    exchanging = {
+        "delta": (
+            "class PolymatroidBases:\n"
+            "    def exchanges(self, b):\n"
+            "        return [_shift(b, 0, 1) in self.bases]\n"
+            "def exchange_witness(P, b, e):\n    return _shift(b, e, 0)\n"
+            "def _active(P, b, i, others):\n    return P.exchanges(b)[i] & others\n"
+        ),
+        "tutte": (
+            "def tutte_sum(P, h, i):\n"
+            "    down, up = P.exchanges(h)\n"
+            "    return down[i], _shift(h, i, 0) in P.bases\n"
+        ),
+    }
+    assert readers(exchanging, "exchanges") == ["delta._active", "tutte.tutte_sum"]
+    assert callers(exchanging, "_shift") == [
+        "delta.exchange_witness", "delta.exchanges", "tutte.tutte_sum"]
     deferring = {
         "__init__": "from .model import load\n",
         "model": "import yaml\n",
