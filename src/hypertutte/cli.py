@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import fixture_names, fixture_path
-from .model import load_path, node_index, ParseError, ValidationError
+from .model import load_path, ParseError, ValidationError
 from . import tours, hypertrees, jaeger, tutte, crapo, delta, harness
 
 
@@ -74,6 +74,7 @@ def _cmd_hypertrees(args) -> int:
 def _cmd_jaeger(args) -> int:
     g = _load(args.instance)
     emeraldish = args.variant == "emerald"
+    P = delta.bases_from_hypertrees(g)
     for h in hypertrees.enumerate_hypertrees(g):
         if emeraldish:
             tree = jaeger.jaeger_tree_of(g, h)
@@ -85,8 +86,8 @@ def _cmd_jaeger(args) -> int:
         print(
             f"h={_fmt_h(h)} tree={','.join(str(k) for k in sorted(tree))} "
             f"order={'<'.join(order)} "
-            f"Int={','.join(sorted(rec.internal, key=node_index))} "
-            f"Ext={','.join(sorted(rec.external, key=node_index))}"
+            f"Int={','.join(delta.names(P, rec.internal))} "
+            f"Ext={','.join(delta.names(P, rec.external))}"
         )
     return 0
 
@@ -144,11 +145,12 @@ def _cmd_delta(args) -> int:
         delta.validate_decision_tree(dtree, P)
         assignment = delta.assignment_from_delta(dtree, P)
         for b, rec in assignment.items():
+            nontrivial = rec.nontrivial_internal | rec.nontrivial_external
             print(
                 f"b={_fmt_h(b)} order={'<'.join(delta.order_of_basis(dtree, P, b))} "
-                f"Int={','.join(sorted(rec.internal))} "
-                f"Ext={','.join(sorted(rec.external))} "
-                f"nontrivial={','.join(sorted(rec.nontrivial_internal | rec.nontrivial_external))}"
+                f"Int={','.join(sorted(delta.names(P, rec.internal)))} "
+                f"Ext={','.join(sorted(delta.names(P, rec.external)))} "
+                f"nontrivial={','.join(sorted(delta.names(P, nontrivial)))}"
             )
         report = delta.crapo_verify(P, assignment)
         _emit_report(report, args.report == "json")
@@ -157,8 +159,8 @@ def _cmd_delta(args) -> int:
     if args.source != "embedding":
         return _usage_error("only --from embedding is supported")
     g = _load(args.instance)
-    _, assignment = jaeger.embedding_assignment(g)
-    verdict, element = delta.obstruction_check(assignment)
+    P, assignment = jaeger.embedding_assignment(g)
+    verdict, element = delta.obstruction_check(P, assignment)
     print(verdict if element is None else f"{verdict} {element}")
     return 0
 

@@ -3,8 +3,9 @@
 The Crapo interval of a basis b under an activity assignment collects
 the lattice points that exceed b only at externally active coordinates
 and fall below it only at internally active ones.  A CrapoInterval
-holds coordinate positions; intervals, the one interval rule, reads
-them from P.index.  These intervals partition Z^E, and the covering
+holds the two bit masks over P's coordinates of the basis's activity
+record (delta.BasisActivity); intervals, the one interval rule, passes
+them through.  These intervals partition Z^E, and the covering
 basis attains the one-sided distances d1< and d1> simultaneously.
 verify_assignment certifies both claims on a box, by default the bases'
 range widened by 2 (default_box), for the embedding activities
@@ -46,21 +47,19 @@ _BOX_BUDGET = 4_000_000
 
 @dataclass(frozen=True)
 class CrapoInterval:
-    """The lattice points below ``center`` only at the coordinate
-    positions in ``below`` and above it only at those in ``above``."""
+    """The lattice points below ``center`` only at the coordinates in
+    the bit mask ``below`` and above it only at those in ``above``."""
 
     center: tuple
-    below: frozenset
-    above: frozenset
+    below: int
+    above: int
 
 
-def intervals(P, assignment: dict) -> list:
-    """The one interval rule: each basis b of the polymatroid P, below
-    at the positions of its internally active elements, above at those
-    of its externally active ones (``assignment[b]``)."""
-    return [CrapoInterval(tuple(b), frozenset(map(P.index, rec.internal)),
-                          frozenset(map(P.index, rec.external)))
-            for b, rec in assignment.items()]
+def intervals(assignment: dict) -> list:
+    """The one interval rule: each basis b of an activity assignment, below
+    at its internally active coordinates, above at its externally active
+    ones (the masks of ``assignment[b]``)."""
+    return [CrapoInterval(tuple(b), rec.internal, rec.external) for b, rec in assignment.items()]
 
 
 def box_around(vectors, below: int, above: int) -> list:
@@ -88,11 +87,11 @@ def box_size(box) -> int:
 
 def _region(box, center, below, above) -> list:
     """The part of ``box`` an interval may cover, one ``(a, b)`` range per
-    coordinate: from the box's low end where the coordinate is in
-    ``below``, else from the center, up to the box's high end where it is
-    in ``above``, else to the center; clipped to the box, so a > b
+    coordinate: from the box's low end where the bit mask ``below`` holds
+    the coordinate, else from the center, up to the box's high end where
+    ``above`` holds it, else to the center; clipped to the box, so a > b
     where the interval misses it."""
-    return [(lo if i in below else max(t, lo), hi if i in above else min(t, hi))
+    return [(lo if below >> i & 1 else max(t, lo), hi if above >> i & 1 else min(t, hi))
             for i, ((lo, hi), t) in enumerate(zip(box, center))]
 
 
@@ -103,7 +102,7 @@ def sweep(box, centers, free=None, start=0, step=1):
     Yields ``(point, sides, inside)`` in :func:`itertools.product` order,
     with ``sides[k]`` the pair (d1<, d1>) from the point to center k: the
     point's total excess over the center and its total deficit below it.
-    Given ``free``, one ``(below, above)`` pair of coordinate index sets
+    Given ``free``, one ``(below, above)`` pair of coordinate bit masks
     per center, ``inside[k]`` says whether the point falls below center k
     only on coordinates in below and exceeds it only on coordinates in
     above; without it ``inside`` is None.
@@ -259,7 +258,7 @@ def verify_assignment(P, assignment: dict, box=None, jobs: int = 1) -> tuple:
     over ``box`` or else the :func:`default_box` of P's bases."""
     if box is None:
         box = default_box(P.bases)
-    return verify_intervals(intervals(P, assignment), box, jobs)
+    return verify_intervals(intervals(assignment), box, jobs)
 
 
 def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:

@@ -6,27 +6,32 @@ order is the label sequence along the branch.  Delta activities use the
 MAX rule (an element is active if it cannot be exchanged with a larger
 one); the MIN rule serves orders fixed per basis, as in the parallel-edge
 counterexample and the Jaeger activities.  Both apply one per-element
-test, :func:`_active`, and :meth:`BasisActivity.of` builds every
-activity record.  Whether b - 1_e + 1_f or b + 1_e - 1_f is a basis
-depends on b, e and f alone, never on the order, so the test reads the
-exchange table of b (:meth:`PolymatroidBases.exchanges`): bit masks
-built once per basis in n(n-1) lookups and memoised on the polymatroid.
-An element is active against the mask of the elements before it (MIN)
-or after it (MAX) when a mask AND is empty, so each further order of a
-basis costs O(n).
+test, :func:`_active`, the MAX rule as the MIN rule over the reversed
+order, and :meth:`BasisActivity.of` builds every activity record.
+Whether b - 1_e + 1_f or b + 1_e - 1_f is a basis depends on b, e and f
+alone, never on the order, so the test reads the exchange table of b
+(:meth:`PolymatroidBases.exchanges`): bit masks built once per basis in
+n(n-1) lookups and memoised on the polymatroid.  An element is active
+against the mask of the elements before it (MIN) or after it (MAX) when
+a mask AND is empty, so each further order of a basis costs O(n).
+
+A record holds four bit masks over P's coordinates, which every layer
+reads as they are; :func:`names` turns a mask back into element names
+only for what the CLI prints.
 
 Also here: the Crapo partition check for an arbitrary activity
 assignment (on crapo's verifier), the realizability obstruction (some
-element must be nontrivially active for no basis), and exhaustive search
-for a decision tree realizing a given assignment.  The search lists no
-decision trees: under the MAX rule a node's activities depend only on
-its label, the elements not labeled above it and the basis, so it
-solves each (remaining elements, bases routed to the node) subproblem
+element of P must be nontrivially active for no basis), and exhaustive
+search for a decision tree realizing a given assignment.  The search
+lists no decision trees: under the MAX rule a node's activities depend
+only on its label, the elements not labeled above it and the basis, so
+it solves each (remaining elements, bases routed to the node) subproblem
 once, checking the label alone against the mask of the rest, two ANDs
 per basis, and returns the first matching tree in enumeration order.
 Its memo of solved subproblems is capped (``_MEMO_CAP`` entries), which
-bounds its memory whatever the number of decision trees.  Listing, counting and
-drawing decision trees are test oracles, in ``tests/oracles.py``.
+bounds its memory whatever the number of decision trees.  Listing,
+counting and drawing decision trees are test oracles, in
+``tests/oracles.py``.
 
 The exchange axiom is written once (:func:`exchange_witness`) and checked
 only where bases are loaded (:func:`check_exchange`): hypertree sets are
@@ -209,15 +214,16 @@ def load_decision_tree(text: str) -> DecisionTree:
 def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
     """Every branch lists every ground element exactly once; every
     non-final node has r(label)+1 children."""
-    n = len(P.ground)
+    full = (1 << len(P.ground)) - 1
 
     def visit(node, seen):
         if node.label not in P.ground:
             raise InvalidDecisionTree(f"unknown element {node.label!r}")
-        if node.label in seen:
+        bit = 1 << P.index(node.label)
+        if seen & bit:
             raise InvalidDecisionTree(f"element {node.label!r} repeats on a branch")
-        seen = seen | {node.label}
-        if len(seen) == n:
+        seen |= bit
+        if seen == full:
             if node.children:
                 raise InvalidDecisionTree("branch longer than the ground set")
             return
@@ -229,7 +235,7 @@ def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
         for child in node.children:
             visit(child, seen)
 
-    visit(tree, frozenset())
+    visit(tree, 0)
 
 
 def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:
@@ -249,22 +255,6 @@ def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:
             )
         node = node.children[value]
     return tuple(order)
-
-
-def max_rule_activities(P: PolymatroidBases, b, order):
-    """Each element's :func:`_active` test against the elements after it."""
-    return _rule_activities(P, b, order, later=True)
-
-
-def min_rule_activities(P: PolymatroidBases, b, order):
-    """Same against the elements before it (the fixed-order convention)."""
-    return _rule_activities(P, b, order, later=False)
-
-
-def _rule_activities(P, b, order, later):
-    internal, external = activity_masks(P, b, tuple(reversed(order)) if later else order)
-    return (frozenset(e for e in order if internal >> P.index(e) & 1),
-            frozenset(e for e in order if external >> P.index(e) & 1))
 
 
 def activity_masks(P: PolymatroidBases, b, order) -> tuple:
@@ -294,34 +284,37 @@ def _active(P, b, i, others) -> tuple:
     return not down[i] & others, not up[i] & others
 
 
-def nontrivial(P: PolymatroidBases, b, internal, external):
-    """Filter to elements whose value actually varies in the active
-    direction across the base set: some basis is lower at an internal
-    element, which is b(e) above the least value of e over the bases,
-    or higher at an external one, which is b(e) below its rank."""
-    at, floors, ranks = P._positions, P._floors, P._ranks
-    ni, ne = [], []  # filled by plain loops: every Tutte sum runs this per hypertree
-    for e in internal:
-        if b[at[e]] > floors[at[e]]:
-            ni.append(e)
-    for e in external:
-        if b[at[e]] < ranks[at[e]]:
-            ne.append(e)
-    return frozenset(ni), frozenset(ne)
+def nontrivial(P: PolymatroidBases, b, internal, external) -> tuple:
+    """Filter the masks to coordinates whose value actually varies in the
+    active direction across the base set: some basis is lower at an
+    internal one, which is b(e) above the least value of e over the
+    bases, or higher at an external one, which is b(e) below its rank."""
+    lower = higher = 0
+    for i, (v, floor, rank) in enumerate(zip(b, P._floors, P._ranks)):
+        lower |= (v > floor) << i
+        higher |= (v < rank) << i
+    return internal & lower, external & higher
+
+
+def names(P: PolymatroidBases, mask) -> tuple:
+    """The elements of P at the coordinates in the bit mask, in ground
+    order: the one way back from a mask to names, for print."""
+    return tuple(e for i, e in enumerate(P.ground) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
 class BasisActivity:
-    """The activities of one basis and their :func:`nontrivial` parts."""
+    """The activities of one basis and their :func:`nontrivial` parts,
+    each a bit mask over P's coordinates."""
 
-    internal: frozenset
-    external: frozenset
-    nontrivial_internal: frozenset
-    nontrivial_external: frozenset
+    internal: int
+    external: int
+    nontrivial_internal: int
+    nontrivial_external: int
 
     @classmethod
     def of(cls, P: PolymatroidBases, b, internal, external) -> "BasisActivity":
-        """The record of basis b whose rule gave ``internal`` and ``external``."""
+        """The record of basis b whose rule gave the masks ``internal`` and ``external``."""
         return cls(internal, external, *nontrivial(P, b, internal, external))
 
 
@@ -338,14 +331,16 @@ def check_order(P: PolymatroidBases, order):
         )
 
 
-def _assignment(P: PolymatroidBases, rule, order_of) -> dict:
-    """basis -> BasisActivity, b's activities taken by ``rule`` on ``order_of(b)``."""
-    return {b: BasisActivity.of(P, b, *rule(P, b, order_of(b))) for b in sorted(P.bases)}
+def _assignment(P: PolymatroidBases, order_of) -> dict:
+    """basis -> BasisActivity, b's activities by :func:`activity_masks`
+    (the MIN rule) on ``order_of(b)``."""
+    return {b: BasisActivity.of(P, b, *activity_masks(P, b, order_of(b))) for b in sorted(P.bases)}
 
 
 def assignment_from_delta(tree: DecisionTree, P: PolymatroidBases) -> dict:
-    """basis -> BasisActivity under the decision tree's MAX-rule orders."""
-    return _assignment(P, max_rule_activities, lambda b: order_of_basis(tree, P, b))
+    """basis -> BasisActivity under the decision tree's MAX-rule orders:
+    the MIN rule on each branch's order reversed."""
+    return _assignment(P, lambda b: order_of_basis(tree, P, b)[::-1])
 
 
 def assignment_from_orders(P: PolymatroidBases, order_map: dict) -> dict:
@@ -353,20 +348,19 @@ def assignment_from_orders(P: PolymatroidBases, order_map: dict) -> dict:
     each order must list every ground element once (:func:`check_order`)."""
     for b in P.bases:
         check_order(P, order_map[b])
-    return _assignment(P, min_rule_activities, lambda b: order_map[b])
+    return _assignment(P, lambda b: order_map[b])
 
 
-def obstruction_check(assignment: dict) -> tuple:
-    """('EXEMPT', e) if some element is nontrivially active for no basis
-    (necessary for Delta-realizability); ('NO_EXEMPT', None) otherwise."""
-    elements = set()
-    active = set()
+def obstruction_check(P: PolymatroidBases, assignment: dict) -> tuple:
+    """('EXEMPT', e) if some element of P, the least name of those, is
+    nontrivially active for no basis (necessary for Delta-realizability);
+    ('NO_EXEMPT', None) otherwise."""
+    active = 0
     for record in assignment.values():
         active |= record.nontrivial_internal | record.nontrivial_external
-        elements |= record.internal | record.external
-    exempt = sorted(elements - active)
+    exempt = names(P, ~active)
     if exempt:
-        return ("EXEMPT", exempt[0])
+        return ("EXEMPT", min(exempt))
     return ("NO_EXEMPT", None)
 
 
@@ -410,19 +404,18 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     for b in bases:
         if any(v < 0 for v in b):
             raise BasisOutOfRange(f"basis {b} has a negative coordinate")
-    want = {}
-    for b in bases:
-        ni, ne = target[b].nontrivial_internal, target[b].nontrivial_external
-        if not (ni | ne) <= set(P.ground):
-            return None  # no branch can make an element outside the ground active
-        want[b] = (frozenset(map(P.index, ni)), frozenset(map(P.index, ne)))
+    n = len(P.ground)
+    want = {b: (target[b].nontrivial_internal, target[b].nontrivial_external) for b in bases}
+    if any((ni | ne) >> n for ni, ne in want.values()):
+        return None  # no branch can make an element outside the ground active
     floors, ranks = P._floors, P._ranks
 
     def agrees(i, rest, b):
         """Coordinate i, with the mask ``rest`` after it, is nontrivially active for b as wanted."""
         internal, external = _active(P, b, i, rest)
         ni, ne = want[b]
-        return (internal and b[i] > floors[i], external and b[i] < ranks[i]) == (i in ni, i in ne)
+        return (internal and b[i] > floors[i], external and b[i] < ranks[i]) == (
+            bool(ni >> i & 1), bool(ne >> i & 1))
 
     memo = {}
 
@@ -437,7 +430,7 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
         return memo[key]
 
     def first_tree(elems, group):
-        for i in range(len(P.ground)):
+        for i in range(n):
             if not elems >> i & 1:
                 continue
             rest = elems & ~(1 << i)
@@ -455,4 +448,4 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
                 return DecisionTree(P.ground[i], tuple(children))
         return None
 
-    return solve((1 << len(P.ground)) - 1, tuple(bases))
+    return solve((1 << n) - 1, tuple(bases))

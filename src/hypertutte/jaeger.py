@@ -13,22 +13,23 @@ the definition off a tree's tour are the test oracle, in
 order <_h, and the violet tours induce two further orders; the search
 records each order along the branch that built its tree, so no tour is
 walked again.  Activities under an order of all emeralds are delta's
-MIN rule on the hypertree set, as a :class:`delta.BasisActivity`: mask
-tests on each hypertree's exchange table, built once per hypertree
-whatever the number of orders.  The lookups by hypertree (the Jaeger
-trees, :func:`order_emerald`, :func:`order_violet_prime`) check their
-vector first; the embedding and violet Tutte sums and
-:func:`embedding_assignment` read the orders straight off the searches'
-tables.  The plain violet node order
-is read off the violet search by ``harness.violet_polynomial`` alone.
+MIN rule on the hypertree set, as a :class:`delta.BasisActivity` of bit
+masks over the emeralds' coordinates: mask tests on each hypertree's
+exchange table, built once per hypertree whatever the number of
+orders.  Names appear only where the CLI prints a record.  The lookups
+by hypertree (the Jaeger trees, :func:`order_emerald`,
+:func:`order_violet_prime`) check their vector first; the embedding
+and violet Tutte sums and :func:`embedding_assignment` read the orders
+straight off the searches' tables.  The plain violet node order is read
+off the violet search by ``harness.violet_polynomial`` alone.
 """
 
 from __future__ import annotations
 
 from .model import RibbonGraph
 from .hypertrees import jaeger_trees, well_formed
-from .delta import BasisActivity, assignment_from_orders, bases_from_hypertrees
-from .delta import check_order, min_rule_activities
+from .delta import BasisActivity, activity_masks, assignment_from_orders
+from .delta import bases_from_hypertrees, check_order
 
 
 class NotAHypertree(ValueError):
@@ -68,11 +69,12 @@ def order_violet_prime(g: RibbonGraph, h) -> tuple:
 
 def activities(g: RibbonGraph, h, order) -> BasisActivity:
     """Internal/external activities of h under a total emerald order,
-    which must list every emerald once (:func:`delta.check_order`).
+    which must list every emerald once (:func:`delta.check_order`), as
+    bit masks over the emeralds' coordinates.
 
     e is internal iff no earlier f makes h - 1_e + 1_f a hypertree, and
     external iff no earlier f makes h + 1_e - 1_f a hypertree (the MIN
-    rule of :func:`delta.min_rule_activities` on the hypertree set).
+    rule of :func:`delta.activity_masks` on the hypertree set).
     The order minimum is always both.
     """
     P = bases_from_hypertrees(g)
@@ -80,7 +82,7 @@ def activities(g: RibbonGraph, h, order) -> BasisActivity:
     if not well_formed(g, h) or h not in P.bases:
         raise NotAHypertree(f"{h} is not a hypertree")
     check_order(P, order)
-    return BasisActivity.of(P, h, *min_rule_activities(P, h, order))
+    return BasisActivity.of(P, h, *activity_masks(P, h, order))
 
 
 def embedding_activities(g: RibbonGraph, h) -> BasisActivity:

@@ -260,13 +260,13 @@ def d1(hs, c) -> int:
 
 
 def interval_contains(interval, c) -> bool:
-    """c exceeds the center only at coordinates in ``above`` and falls
-    below it only at those in ``below``."""
+    """c exceeds the center only at coordinates in the bit mask ``above``
+    and falls below it only at those in ``below``."""
     for idx, (ci, hi) in enumerate(zip(c, interval.center)):
         if ci > hi:
-            if idx not in interval.above:
+            if not interval.above >> idx & 1:
                 return False
-        elif ci < hi and idx not in interval.below:
+        elif ci < hi and not interval.below >> idx & 1:
             return False
     return True
 
@@ -508,19 +508,18 @@ def shifted_active(P: PolymatroidBases, b, i, others) -> tuple:
 
 
 def shifted_rule_activities(P: PolymatroidBases, b, order, later) -> tuple:
-    """(internal, external) element sets of basis b, each element tested
-    by :func:`shifted_active` against the elements after it in ``order``
-    (``later``, the MAX rule) or before it (the MIN rule)."""
+    """(internal, external) bit masks over the coordinates of basis b,
+    each element tested by :func:`shifted_active` against the elements
+    after it in ``order`` (``later``, the MAX rule) or before it (the MIN
+    rule)."""
     b = tuple(b)
     at = [P.index(e) for e in order]
-    internal, external = set(), set()
-    for pos, (e, i) in enumerate(zip(order, at)):
+    internal = external = 0
+    for pos, i in enumerate(at):
         inside, outside = shifted_active(P, b, i, at[pos + 1:] if later else at[:pos])
-        if inside:
-            internal.add(e)
-        if outside:
-            external.add(e)
-    return frozenset(internal), frozenset(external)
+        internal |= inside << i
+        external |= outside << i
+    return internal, external
 
 
 # -- decision trees ------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypertutte.delta import (
     bases_from_hypertrees,
     exchange_witness,
     exhaustive_delta_search,
+    names,
     obstruction_check,
     validate_decision_tree,
 )
@@ -93,11 +94,11 @@ def test_a7_graph_bridge():
 def test_a8_fig6_crapo_table(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     union = {
-        basis_name(P, b): rec.nontrivial_internal | rec.nontrivial_external
+        basis_name(P, b): set(names(P, rec.nontrivial_internal | rec.nontrivial_external))
         for b, rec in assignment.items()
     }
     assert union == FIG6_NONTRIVIAL
-    fig6_intervals = intervals(P, assignment)
+    fig6_intervals = intervals(assignment)
     for point, name in FIG6_COVERING.items():
         covering = [
             basis_name(P, iv.center)
@@ -108,10 +109,10 @@ def test_a8_fig6_crapo_table(fig6_graph, fig6_orders):
 
 
 def test_a9_delta_obstruction(fig5, fig6_graph, fig6_orders):
-    _, fig5_assignment = embedding_assignment(fig5)
-    assert obstruction_check(fig5_assignment) == ("NO_EXEMPT", None)
+    P5, fig5_assignment = embedding_assignment(fig5)
+    assert obstruction_check(P5, fig5_assignment) == ("NO_EXEMPT", None)
     P6, fig6_assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
-    assert obstruction_check(fig6_assignment) == ("NO_EXEMPT", None)
+    assert obstruction_check(P6, fig6_assignment) == ("NO_EXEMPT", None)
     assert exhaustive_delta_search(P6, fig6_assignment) is None
 
 
@@ -146,8 +147,8 @@ def test_a10c_root_exemption_random():
         tree = random_decision_tree(P.ground, ranks, rng)
         validate_decision_tree(tree, P)
         for rec in assignment_from_delta(tree, P).values():
-            assert tree.label not in rec.nontrivial_internal
-            assert tree.label not in rec.nontrivial_external
+            assert tree.label not in names(P, rec.nontrivial_internal)
+            assert tree.label not in names(P, rec.nontrivial_external)
         checked += 1
 
 

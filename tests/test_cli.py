@@ -24,9 +24,12 @@ FIG2_POLY = (
 )
 
 
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
+
+
 @pytest.fixture(scope="module")
 def schema():
-    with open("docs/report-schema.json", encoding="utf-8") as fh:
+    with open(SCHEMA, encoding="utf-8") as fh:
         return json.load(fh)
 
 

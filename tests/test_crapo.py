@@ -51,9 +51,9 @@ def test_distance_triangle_decomposition(fig2):
 
 def test_interval_fig2(fig2):
     P, assignment = embedding_assignment(fig2)
-    [iv] = crapo.intervals(P, {(1, 1, 0, 0): assignment[(1, 1, 0, 0)]})
-    assert iv.below == frozenset({0, 2, 3})  # e0, e2 and e3 internally active
-    assert iv.above == frozenset({0})  # e0 externally active
+    [iv] = crapo.intervals({(1, 1, 0, 0): assignment[(1, 1, 0, 0)]})
+    assert iv.below == 0b1101  # e0, e2 and e3 internally active
+    assert iv.above == 0b0001  # e0 externally active
     assert interval_contains(iv, (1, 1, 0, 0))
     assert interval_contains(iv, (2, 1, -1, -3))  # e0 up, e2/e3 down
     assert not interval_contains(iv, (1, 2, 0, 0))  # e1 not externally active
@@ -127,7 +127,7 @@ def test_usage_errors_before_graph_work(fig1, monkeypatch):
 
 
 def test_partition_detects_mutation(fig2):
-    """Swapping one interval's free sets must break the certificate."""
+    """Swapping one interval's free masks must break the certificate."""
     real = embedding_intervals(fig2)
     broken = swapped(real, {[iv.center for iv in real].index((1, 1, 0, 0))})
     points, violations = verify_intervals(broken, [(-1, 2)] * 4)
@@ -175,11 +175,11 @@ def reference_verify(intervals, box):
 
 
 def embedding_intervals(g):
-    return crapo.intervals(*embedding_assignment(g))
+    return crapo.intervals(embedding_assignment(g)[1])
 
 
 def swapped(intervals, which):
-    """The intervals with the free sets of those at positions ``which``
+    """The intervals with the free masks of those at positions ``which``
     exchanged, below for above."""
     return [
         CrapoInterval(iv.center, iv.above, iv.below) if k in which else iv
@@ -188,20 +188,20 @@ def swapped(intervals, which):
 
 
 def toggled(intervals, k, side):
-    """The intervals with coordinate 0 toggled in one free set,
+    """The intervals with coordinate 0 toggled in one free mask,
     ``"below"`` or ``"above"``, of the one at position k."""
     iv = intervals[k]
     below, above = iv.below, iv.above
     if side == "below":
-        below = below ^ {0}
+        below = below ^ 1
     else:
-        above = above ^ {0}
+        above = above ^ 1
     return [*intervals[:k], CrapoInterval(iv.center, below, above), *intervals[k + 1:]]
 
 
 def mutations(intervals):
-    """The intervals as they are, then with free sets swapped in one and in
-    all, with e0 toggled in a free set of the first and of the last, with
+    """The intervals as they are, then with free masks swapped in one and in
+    all, with e0 toggled in a free mask of the first and of the last, with
     the first dropped and with the first duplicated."""
     return [
         intervals,
@@ -283,18 +283,19 @@ def test_certificate_edge_cases():
     partition the box while the covering center misses d1> (at the low
     end of its range) or d1< (at the high end); parts that meet in one
     point and miss another, so their sizes still sum to the box's; and a
-    center outside the box, whose part is empty."""
+    center outside the box, whose part is empty.  The free masks of a
+    one-coordinate interval are 1 (coordinate 0 free) or 0."""
     def iv(center, below, above):
-        return CrapoInterval((center,), frozenset(below), frozenset(above))
+        return CrapoInterval((center,), below, above)
 
     cases = [
-        ([iv(2, {0}, {0}), iv(0, {0}, ())], [(1, 3)],
+        ([iv(2, 1, 1), iv(0, 1, 0)], [(1, 3)],
          [{"point": [1], "covered_by": [[2]], "distance": "not attained"}]),
-        ([iv(0, {0}, {0}), iv(2, (), {0})], [(-1, 1)],
+        ([iv(0, 1, 1), iv(2, 0, 1)], [(-1, 1)],
          [{"point": [1], "covered_by": [[0]], "distance": "not attained"}]),
-        ([iv(1, {0}, ()), iv(1, (), ())], [(0, 2)],
+        ([iv(1, 1, 0), iv(1, 0, 0)], [(0, 2)],
          [{"point": [1], "covered_by": [[1], [1]]}, {"point": [2], "covered_by": []}]),
-        ([iv(1, (), ()), iv(0, (), ())], [(1, 2)],
+        ([iv(1, 0, 0), iv(0, 0, 0)], [(1, 2)],
          [{"point": [2], "covered_by": []}]),
     ]
     for intervals, box, violations in cases:
@@ -399,7 +400,7 @@ def test_clamping_into_the_hypertree_box_shifts_every_distance_alike(g, data):
 
 def test_sweep_box_without_sides():
     """A box with no sides holds the one empty point."""
-    empty = CrapoInterval((), frozenset(), frozenset())
+    empty = CrapoInterval((), 0, 0)
     for case in ([], [empty], [empty, empty]):
         assert verify_intervals(case, []) == reference_verify(case, [])
     assert verify_intervals([empty], [], jobs=2) == (1, [])
@@ -411,13 +412,13 @@ def test_sweep_checks_both_sides():
     (1, 2)); at (2, -1), (0, 0) attains d1> (1) but not d1< (2 against 1
     at (1, 0))."""
     cases = [
-        ([CrapoInterval((2, 1), frozenset({0, 1}), frozenset({0})),
-          CrapoInterval((1, 2), frozenset(), frozenset({1})),
-          CrapoInterval((2, 2), frozenset({0}), frozenset({0, 1}))],
+        ([CrapoInterval((2, 1), 0b11, 0b01),
+          CrapoInterval((1, 2), 0b00, 0b10),
+          CrapoInterval((2, 2), 0b01, 0b11)],
          {"point": [-1, 2], "covered_by": [[2, 2]], "distance": "not attained"}),
-        ([CrapoInterval((1, 0), frozenset({1}), frozenset()),
-          CrapoInterval((0, 1), frozenset({0}), frozenset({0, 1})),
-          CrapoInterval((0, 0), frozenset({1}), frozenset({0}))],
+        ([CrapoInterval((1, 0), 0b10, 0b00),
+          CrapoInterval((0, 1), 0b01, 0b11),
+          CrapoInterval((0, 0), 0b10, 0b01)],
          {"point": [2, -1], "covered_by": [[0, 0]], "distance": "not attained"}),
     ]
     box = [(-1, 3), (-1, 3)]

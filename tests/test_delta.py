@@ -13,6 +13,7 @@ from hypertutte.delta import (
     InvalidDecisionTree,
     PolymatroidBases,
     SearchSpaceTooLarge,
+    activity_masks,
     assignment_from_delta,
     assignment_from_orders,
     bases_from_hypertrees,
@@ -22,8 +23,7 @@ from hypertutte.delta import (
     exhaustive_delta_search,
     load_bases,
     load_decision_tree,
-    max_rule_activities,
-    min_rule_activities,
+    names,
     nontrivial,
     obstruction_check,
     order_of_basis,
@@ -122,10 +122,31 @@ def test_exchange_tables_match_shifted_bases(all_hg, small_matroid, fig6_graph):
                 assert (down[i] >> f & 1) == (f != i and shift(b, f, i) in P.bases), (b, i, f)
                 assert (up[i] >> f & 1) == (f != i and shift(b, i, f) in P.bases), (b, i, f)
             for order in orders:
-                assert min_rule_activities(P, b, order) == shifted_rule_activities(
+                assert activity_masks(P, b, order) == shifted_rule_activities(
                     P, b, order, later=False), (b, order)
-                assert max_rule_activities(P, b, order) == shifted_rule_activities(
+                assert max_rule(P, b, order) == shifted_rule_activities(
                     P, b, order, later=True), (b, order)
+
+
+def test_nontrivial_masks_match_exchange_rows(all_hg, small_matroid, fig6_graph):
+    """The masks :func:`nontrivial` filters by, read off the floors and
+    ranks, are the exchange-row form: b(i) is above its least value over
+    the bases iff some b - 1_i + 1_f is a basis (``down[i] != 0``), and
+    below its greatest iff some b + 1_i - 1_f is (``up[i] != 0``).  On
+    every bundled fixture, delta_fig.matroid, fig6's cycle matroid and 50
+    random instances."""
+    polymatroids = [bases_from_hypertrees(g) for g in all_hg.values()]
+    polymatroids += [bases_from_hypertrees(harness.random_instance(seed=s)) for s in range(50)]
+    polymatroids += [small_matroid, graph_matroid(fig6_graph)]
+    for P in polymatroids:
+        n = len(P.ground)
+        columns = list(zip(*P.bases))
+        for b in sorted(P.bases):
+            lower, higher = nontrivial(P, b, (1 << n) - 1, (1 << n) - 1)
+            down, up = P.exchanges(b)
+            for i in range(n):
+                assert bool(lower >> i & 1) == (b[i] > min(columns[i])) == (down[i] != 0), (b, i)
+                assert bool(higher >> i & 1) == (b[i] < max(columns[i])) == (up[i] != 0), (b, i)
 
 
 def test_exchange_table_only_for_bases(small_matroid):
@@ -195,27 +216,32 @@ def test_order_of_basis_out_of_range(small_matroid, small_tree):
         order_of_basis(small_tree, small_matroid, (2, 0, 0))
 
 
+def max_rule(P, b, order) -> tuple:
+    """The MAX rule's masks, as the decision trees take them: the MIN
+    rule of ``activity_masks`` over the reversed order."""
+    return activity_masks(P, b, tuple(order)[::-1])
+
+
 def test_max_rule_small(small_matroid):
-    internal, external = max_rule_activities(
-        small_matroid, (0, 1, 1), ("a", "b", "c")
-    )
-    assert internal == frozenset({"a", "b", "c"})
-    assert external == frozenset({"b", "c"})
+    internal, external = max_rule(small_matroid, (0, 1, 1), ("a", "b", "c"))
+    assert names(small_matroid, internal) == ("a", "b", "c")
+    assert names(small_matroid, external) == ("b", "c")
 
 
 def test_last_element_always_both_active(small_matroid):
     for b in small_matroid.bases:
         for order in (("a", "b", "c"), ("c", "a", "b")):
-            internal, external = max_rule_activities(small_matroid, b, order)
-            assert order[-1] in internal and order[-1] in external
-            internal, external = min_rule_activities(small_matroid, b, order)
-            assert order[0] in internal and order[0] in external
+            last, first = (1 << small_matroid.index(order[k]) for k in (-1, 0))
+            internal, external = max_rule(small_matroid, b, order)
+            assert internal & last and external & last
+            internal, external = activity_masks(small_matroid, b, order)
+            assert internal & first and external & first
 
 
 def test_small_assignment_nontrivial_sets(small_matroid, small_tree):
     assignment = assignment_from_delta(small_tree, small_matroid)
     union = {
-        b: rec.nontrivial_internal | rec.nontrivial_external
+        b: set(names(small_matroid, rec.nontrivial_internal | rec.nontrivial_external))
         for b, rec in assignment.items()
     }
     assert union == {
@@ -227,7 +253,24 @@ def test_small_assignment_nontrivial_sets(small_matroid, small_tree):
 
 def test_small_assignment_root_exempt(small_matroid, small_tree):
     assignment = assignment_from_delta(small_tree, small_matroid)
-    assert obstruction_check(assignment) == ("EXEMPT", "a")
+    assert obstruction_check(small_matroid, assignment) == ("EXEMPT", "a")
+
+
+def test_obstruction_counts_every_element(small_matroid, small_tree):
+    """Every element of P is a candidate for the obstruction, not only
+    those some record lists as active: with the root a dropped from every
+    raw internal and external mask, the nontrivial masks kept, a is still
+    nontrivially active for no basis, and the search still realises the
+    target, so it must not read as not Delta-realisable."""
+    a = 1 << small_matroid.index("a")
+    target = {
+        b: BasisActivity(rec.internal & ~a, rec.external & ~a,
+                         rec.nontrivial_internal, rec.nontrivial_external)
+        for b, rec in assignment_from_delta(small_tree, small_matroid).items()
+    }
+    assert not any((rec.internal | rec.external) & a for rec in target.values())
+    assert obstruction_check(small_matroid, target) == ("EXEMPT", "a")
+    assert exhaustive_delta_search(small_matroid, target) is not None
 
 
 def test_small_assignment_crapo(small_matroid, small_tree):
@@ -283,7 +326,7 @@ FIG6_COVERING = {
 def test_fig6_nontrivial_sets(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     union = {
-        basis_name(P, b): rec.nontrivial_internal | rec.nontrivial_external
+        basis_name(P, b): set(names(P, rec.nontrivial_internal | rec.nontrivial_external))
         for b, rec in assignment.items()
     }
     assert union == FIG6_NONTRIVIAL
@@ -291,7 +334,7 @@ def test_fig6_nontrivial_sets(fig6_graph, fig6_orders):
 
 def test_fig6_covering_table(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
-    fig6_intervals = intervals(P, assignment)
+    fig6_intervals = intervals(assignment)
     for point, name in FIG6_COVERING.items():
         covering = [
             basis_name(P, iv.center)
@@ -308,7 +351,7 @@ def test_fig6_crapo(fig6_graph, fig6_orders):
 
 
 def test_fig6_crapo_detects_mutation(fig6_graph, fig6_orders):
-    """Swapping one basis's internal and external sets must break the
+    """Swapping one basis's internal and external masks must break the
     certificate."""
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     b = next(b for b, rec in sorted(assignment.items()) if rec.internal != rec.external)
@@ -397,9 +440,7 @@ def first_match_by_enumeration(P, target):
     for tree in enumerate_decision_trees(P.ground, ranks):
         ok = True
         for b in bases:
-            internal, external = max_rule_activities(
-                P, b, order_of_basis(tree, P, b)
-            )
+            internal, external = max_rule(P, b, order_of_basis(tree, P, b))
             if nontrivial(P, b, internal, external) != want[b]:
                 ok = False
                 break
@@ -462,7 +503,8 @@ def test_search_matches_enumeration_on_fixtures(
     rec = planted[b]
     outside = dict(planted)  # one more nontrivial element, outside the ground
     outside[b] = BasisActivity(
-        rec.internal, rec.external, rec.nontrivial_internal | {"z"}, rec.nontrivial_external
+        rec.internal, rec.external, rec.nontrivial_internal | 1 << len(small_matroid.ground),
+        rec.nontrivial_external,
     )
     assert assert_search_matches_enumeration(small_matroid, outside) is None
 
@@ -499,7 +541,7 @@ def test_search_matches_enumeration_random():
             rec = planted[b]
             goals.append(dict(planted))
             goals[-1][b] = BasisActivity(
-                rec.internal, rec.external, rec.nontrivial_internal ^ {e},
+                rec.internal, rec.external, rec.nontrivial_internal ^ 1 << P.index(e),
                 rec.nontrivial_external,
             )
             flipped += 1
@@ -541,7 +583,7 @@ def test_search_answers_past_two_million_trees():
 
 def test_search_rejects_negative_coordinate():
     P = PolymatroidBases(("a", "b"), frozenset({(-1, 1), (0, 0)}))
-    empty = BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
+    empty = BasisActivity(0, 0, 0, 0)
     with pytest.raises(BasisOutOfRange):
         exhaustive_delta_search(P, {b: empty for b in P.bases})
 
@@ -551,7 +593,7 @@ def uniform_rank_one(n):
     nontrivial activity for any basis."""
     bases = frozenset(tuple(1 if i == k else 0 for i in range(n)) for k in range(n))
     P = PolymatroidBases(tuple("abcdefghijklmnop"[:n]), bases)
-    empty = BasisActivity(frozenset(), frozenset(), frozenset(), frozenset())
+    empty = BasisActivity(0, 0, 0, 0)
     return P, {b: empty for b in P.bases}
 
 
@@ -601,7 +643,7 @@ def test_search_checks_one_element_at_a_time(
         raise AssertionError("a whole branch's activities were computed")
 
     with monkeypatch.context() as patched:
-        for name in ("max_rule_activities", "_rule_activities", "nontrivial"):
+        for name in ("activity_masks", "nontrivial"):
             patched.setattr(delta, name, refuse)
         found = [exhaustive_delta_search(P, target) for P, target, _ in cases]
     for (P, target, want), tree in zip(cases, found):
@@ -632,8 +674,8 @@ def test_random_deltas_satisfy_partition_and_exemption(fig6_graph):
             assignment = assignment_from_delta(tree, P)
             assert crapo_verify(P, assignment)["status"] == "PASS"
             for rec in assignment.values():
-                assert tree.label not in rec.nontrivial_internal
-                assert tree.label not in rec.nontrivial_external
+                assert tree.label not in names(P, rec.nontrivial_internal)
+                assert tree.label not in names(P, rec.nontrivial_external)
 
 
 def test_min_rule_assignment_from_orders(small_matroid):
@@ -641,4 +683,5 @@ def test_min_rule_assignment_from_orders(small_matroid):
     assignment = assignment_from_orders(small_matroid, orders)
     assert set(assignment) == set(small_matroid.bases)
     for rec in assignment.values():
-        assert "a" in rec.internal and "a" in rec.external
+        assert "a" in names(small_matroid, rec.internal)
+        assert "a" in names(small_matroid, rec.external)

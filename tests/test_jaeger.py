@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from hypertutte import harness, hypertrees, load_path, fixture_path, tours
+from hypertutte.delta import bases_from_hypertrees, names
 from hypertutte.hypertrees import all_spanning_trees, degree_vector, enumerate_hypertrees
 from hypertutte.jaeger import (
     NotAHypertree,
@@ -272,11 +273,12 @@ def test_one_search_per_variant(all_hg, monkeypatch):
 
 
 def test_activities_fig2(fig2):
+    P = bases_from_hypertrees(fig2)
     rec = embedding_activities(fig2, (1, 1, 0, 0))
-    assert rec.internal == frozenset({"e0", "e2", "e3"})
-    assert rec.external == frozenset({"e0"})
-    assert (len(rec.internal - rec.external), len(rec.external - rec.internal),
-            len(rec.internal & rec.external)) == (2, 0, 1)
+    assert names(P, rec.internal) == ("e0", "e2", "e3")
+    assert names(P, rec.external) == ("e0",)
+    assert ((rec.internal & ~rec.external).bit_count(), (rec.external & ~rec.internal).bit_count(),
+            (rec.internal & rec.external).bit_count()) == (2, 0, 1)
 
 
 def test_activities_order_must_be_a_permutation(fig2):
@@ -294,11 +296,12 @@ def test_activities_order_must_be_a_permutation(fig2):
 
 def test_minimum_always_both_active(all_hg):
     for g in all_hg.values():
+        P = bases_from_hypertrees(g)
         for h in enumerate_hypertrees(g):
             for order in (order_emerald(g, h), tuple(sorted(order_emerald(g, h)))):
                 rec = activities(g, h, order)
-                assert order[0] in rec.internal
-                assert order[0] in rec.external
+                assert order[0] in names(P, rec.internal)
+                assert order[0] in names(P, rec.external)
 
 
 def test_panel_monomials(fig2):
@@ -315,8 +318,8 @@ def test_panel_monomials(fig2):
     for h, want in expected.items():
         rec = embedding_activities(fig2, h)
         internal, external = rec.internal, rec.external
-        got = monomial(len(internal - external), len(external - internal))
-        got = got * s ** len(internal & external)
+        got = monomial((internal & ~external).bit_count(), (external & ~internal).bit_count())
+        got = got * s ** (internal & external).bit_count()
         assert got == want, h
 
 
@@ -372,8 +375,8 @@ def test_classical_activity_shift(fig1):
             n, edges, tree, range(len(edges))
         )
         rec = activities(fig1, h, order)
-        assert len(rec.internal) == len(internal) + (len(edges) - (n - 1))
-        assert len(rec.external) == len(external) + (n - 1)
+        assert rec.internal.bit_count() == len(internal) + (len(edges) - (n - 1))
+        assert rec.external.bit_count() == len(external) + (n - 1)
 
 
 def test_uniqueness_on_random_instances():

@@ -8,11 +8,14 @@ steps the dart permutation around the nodes, only ``tours.tour`` and
 contraction and deletion, only ``crapo._check_slice`` and
 ``tutte.corank_nullity`` sweep a box, only ``crapo.intervals`` builds a
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
-``delta._active`` the one activity rule and the one reader of a
-basis's exchange table, which only ``PolymatroidBases.exchanges`` and
-``delta.exchange_witness`` build from shifted bases, an
-import inside a function is one that would close a cycle at the top of
-the module, and nothing in the package imports the test oracles."""
+whose bit masks over P's coordinates only the CLI commands and
+``delta.obstruction_check`` turn back into names (``delta.names``), so
+names appear only at print, ``delta._active`` is the one activity rule
+and the one reader of a basis's exchange table, which only
+``PolymatroidBases.exchanges`` and ``delta.exchange_witness`` build from
+shifted bases, an import inside a function is one that would close a
+cycle at the top of the module, and nothing in the package imports the
+test oracles."""
 
 import ast
 import builtins
@@ -373,6 +376,15 @@ def test_one_activity_rule():
     assert callers(sources, "_shift") == ["delta.exchange_witness", "delta.exchanges"]
 
 
+def test_names_only_at_print():
+    """Activity records stay bit masks through every layer: only the CLI
+    commands that print a record and ``delta.obstruction_check``, whose
+    answer the CLI prints, call ``delta.names``."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "names") == [
+        "cli._cmd_delta", "cli._cmd_jaeger", "delta.obstruction_check"]
+
+
 def test_function_level_imports_only_break_cycles():
     """An import inside a function is allowed only where the same import
     at the top of the module would make a cycle."""
@@ -539,6 +551,15 @@ def test_checks_catch_violations():
         ),
     }
     assert activity_records(recording) == ["delta.BasisActivity", "jaeger.ActivityRecord"]
+    decoding = {
+        "cli": "from . import delta\ndef _cmd_jaeger(P, rec):\n    print(delta.names(P, rec.internal))\n",
+        "crapo": (
+            "from .delta import names\n"
+            "def intervals(P, a):\n"
+            "    return [(b, names(P, rec.internal)) for b, rec in a.items()]\n"
+        ),
+    }
+    assert callers(decoding, "names") == ["cli._cmd_jaeger", "crapo.intervals"]
     exchanging = {
         "delta": (
             "class PolymatroidBases:\n"
