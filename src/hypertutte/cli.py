@@ -60,7 +60,7 @@ def _cmd_tutte(args) -> int:
         print("i\\j\t" + "\t".join(str(j) for j in range(jmax + 1)))
         for i in range(imax + 1):
             print(str(i) + "\t" + "\t".join(
-                str(table.entry(i, j)) for j in range(jmax + 1)))
+                str(table[i, j]) for j in range(jmax + 1)))
     return 0
 
 

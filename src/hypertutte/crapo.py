@@ -8,12 +8,17 @@ record (delta.BasisActivity); intervals, the one interval rule, passes
 them through.  These intervals partition Z^E, and the covering
 basis attains the one-sided distances d1< and d1> simultaneously.
 verify_assignment certifies both claims on a box, by default the bases'
-range widened by 2 (default_box), for the embedding activities
-(verify_crapo_partition) as for any Delta assignment (delta.crapo_verify).
+range widened by 2 (default_box), in the one PASS/FAIL report, which the
+embedding activities' (verify_crapo_partition) and any Delta
+assignment's (delta.crapo_verify) extend.
 verify_intervals visits no lattice point to do so: each interval's part
 of the box is a product of ranges, so disjointness, cover and attainment
 are decided range by range in O(k^2 n) for k intervals and n
-coordinates.  Only a box that fails is swept, to list its violations.
+coordinates.  Only a box that fails is swept, to list its violations:
+it is cut into slabs by fixing its leading coordinates (_slabs), at
+least one per worker, and the slabs' lists are joined in
+itertools.product order, so the report is the same for every number of
+workers.
 
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule, box_size the one empty-side and budget check,
@@ -95,7 +100,7 @@ def _region(box, center, below, above) -> list:
             for i, ((lo, hi), t) in enumerate(zip(box, center))]
 
 
-def sweep(box, centers, free=None, start=0, step=1):
+def sweep(box, centers, free=None):
     """Every lattice point of ``box`` with its one-sided distances to each
     center: the one lattice sweep of the package.
 
@@ -109,16 +114,12 @@ def sweep(box, centers, free=None, start=0, step=1):
 
     The walk is depth first: each step sets one coordinate and adds its
     term to every center's partial sides, so a point costs O(1) work per
-    center whatever its length.  With ``step`` > 1 only every step-th
-    prefix of all coordinates but the last, from the start-th on, is
-    finished; a one-coordinate box, whose one prefix is empty, deals out
-    its points that way instead.
+    center whatever its length.
     """
     box_size(box)  # the empty-side and budget checks
     sides, inside = [(0, 0)] * len(centers), [True] * len(centers)
     if not box:  # the one point of a box without sides
-        if start == 0:
-            yield (), sides, None if free is None else inside
+        yield (), sides, None if free is None else inside
         return
     last = len(box) - 1
     columns = [[h[i] for h in centers] for i in range(len(box))]
@@ -126,19 +127,12 @@ def sweep(box, centers, free=None, start=0, step=1):
     if free is not None:
         regions = [_region(box, h, below, above) for h, (below, above) in zip(centers, free)]
         spans = [[region[i] for region in regions] for i in range(len(box))]
-    prefixes = itertools.count()
 
     def descend(i, point, sides, inside):
         lo, hi = box[i]
-        values = range(lo, hi + 1)
-        if i == last:
-            if last == 0:
-                values = values[start::step]
-            elif next(prefixes) % step != start:
-                return
         column = columns[i]
         span = None if spans is None else spans[i]
-        for v in values:
+        for v in range(lo, hi + 1):
             here = [(less + v - t, greater) if v > t else (less, greater + t - v)
                     for (less, greater), t in zip(sides, column)]
             within = None if span is None else [
@@ -211,32 +205,46 @@ def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
 
     Returns ``(points, violations)``.  A box that passes is certified
     from its intervals' ranges (:func:`_certified`) without visiting its
-    points; otherwise every point is checked through :func:`sweep` and
-    the violations are listed in its order.  ``jobs`` (at least 1) worker
-    processes share that listing: worker i finishes every jobs-th prefix,
-    or point of a one-coordinate box, from the i-th on.
+    points.  Otherwise the box is cut into :func:`_slabs`, at least
+    ``jobs`` (at least 1) of them where it has that many points, every
+    point of each is checked through :func:`sweep`, and the slabs' lists
+    are joined in slab order: the box's :func:`itertools.product` order,
+    the same for every ``jobs``.  With ``jobs`` > 1 that many worker
+    processes share the slabs.
     """
     size = _checked_size(box, (len(iv.center) for iv in intervals), jobs)
     if _certified(intervals, box, size):
         return size, []
+    work = [(intervals, slab) for slab in _slabs(box, jobs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_check_slice, [(intervals, box, i, jobs) for i in range(jobs)])
-            )
+            results = list(pool.map(_check_slab, work))
     else:
-        results = [_check_slice((intervals, box, 0, 1))]
+        results = list(map(_check_slab, work))
     return sum(n for n, _ in results), [v for _, vs in results for v in vs]
 
 
-def _check_slice(args):
-    """Worker: check the points :func:`sweep` deals out to ``start`` of
-    ``step``."""
-    intervals, box, start, step = args
+def _slabs(box, count: int) -> list:
+    """``box`` cut into at least ``count`` slabs, or into its points if it
+    holds fewer: its leading coordinates fixed one at a time to each value
+    of their sides, the slabs in :func:`itertools.product` order.  A
+    ``count`` of 1 leaves the box whole."""
+    slabs = [list(box)]
+    for i, (lo, hi) in enumerate(box):
+        if len(slabs) >= count:
+            break
+        slabs = [[*slab[:i], (v, v), *slab[i + 1:]] for slab in slabs for v in range(lo, hi + 1)]
+    return slabs
+
+
+def _check_slab(args):
+    """Worker: the number of points of a slab and their violations, in
+    :func:`sweep` order."""
+    intervals, slab = args
     centers = [iv.center for iv in intervals]
     free = [(iv.below, iv.above) for iv in intervals]
     checked, violations = 0, []
-    for c, sides, inside in sweep(box, centers, free, start=start, step=step):
+    for c, sides, inside in sweep(slab, centers, free):
         checked += 1
         if inside.count(True) != 1:
             violations.append(
@@ -253,30 +261,26 @@ def _check_slice(args):
     return checked, violations
 
 
-def verify_assignment(P, assignment: dict, box=None, jobs: int = 1) -> tuple:
+def verify_assignment(P, assignment: dict, box=None, jobs: int = 1) -> dict:
     """:func:`verify_intervals` on the :func:`intervals` of an assignment,
-    over ``box`` or else the :func:`default_box` of P's bases."""
+    over ``box`` or else the :func:`default_box` of P's bases: the one
+    PASS/FAIL report, with the ``points`` checked and all ``violations``."""
     if box is None:
         box = default_box(P.bases)
-    return verify_intervals(intervals(assignment), box, jobs)
+    points, violations = verify_intervals(intervals(assignment), box, jobs)
+    return {"status": "PASS" if not violations else "FAIL", "points": points,
+            "violations": violations}
 
 
 def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
     """Certify the Crapo partition of the embedding activities and
-    distance attainment on a box (:func:`verify_assignment`): a PASS/FAIL
-    report with all violations.  A bad box or ``jobs`` raises before the
-    activities are computed.
+    distance attainment on a box: the :func:`verify_assignment` report,
+    with the number of hypertrees and the box.  A bad box or ``jobs``
+    raises before the activities are computed.
     """
     if box is None:
         box = default_box(enumerate_hypertrees(g))
     _checked_size(box, (g.emerald_count,), jobs)
     P, assignment = embedding_assignment(g)
-    checked, violations = verify_assignment(P, assignment, box, jobs)
-    return {
-        "kind": "crapo-partition",
-        "status": "PASS" if not violations else "FAIL",
-        "points": checked,
-        "hypertrees": len(assignment),
-        "box": [[lo, hi] for lo, hi in box],
-        "violations": violations,
-    }
+    return {"kind": "crapo-partition", **verify_assignment(P, assignment, box, jobs),
+            "hypertrees": len(assignment), "box": [[lo, hi] for lo, hi in box]}

@@ -369,13 +369,7 @@ def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
     partition the box, distances attained (:func:`crapo.verify_assignment`)."""
     from .crapo import verify_assignment
 
-    points, violations = verify_assignment(P, assignment, box)
-    return {
-        "kind": "delta-crapo",
-        "status": "PASS" if not violations else "FAIL",
-        "points": points,
-        "violations": violations,
-    }
+    return {"kind": "delta-crapo", **verify_assignment(P, assignment, box)}
 
 
 def exhaustive_delta_search(P: PolymatroidBases, target: dict):

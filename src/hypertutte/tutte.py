@@ -10,7 +10,8 @@ A graph's sums share one exchange table per hypertree.
 
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
-substituted embedding polynomial as a formal power series.  Its box
+substituted embedding polynomial as a formal power series, in
+series_window's format: a window dict {(i, j): count}.  Its box
 rule and sweep are crapo's (box_around, sweep): the sweep walks only the
 hypertrees' bounding box, and every window point outside it is counted
 in closed form from the box point it clamps to.  It reads only the
@@ -24,7 +25,6 @@ oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
 from .model import RibbonGraph
@@ -65,21 +65,11 @@ def tutte_from_order(g: RibbonGraph, order) -> Poly:
     return tutte_sum(g, dict.fromkeys(P.bases, order))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """entry[(i, j)] = #{c : d1>(H,c)=i, d1<(H,c)=j} for i<=imax, j<=jmax."""
-
-    imax: int
-    jmax: int
-    entries: tuple
-
-    def entry(self, i: int, j: int) -> int:
-        return dict(self.entries)[(i, j)]
-
-
-def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
-    """Exact truncated corank-nullity table: the hypertrees' bounding box
-    is swept, and the rest of the window is counted in closed form.
+def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:
+    """Exact truncated corank-nullity table, ``{(i, j): #{c : d1>(H, c) =
+    i, d1<(H, c) = j}}`` for i <= imax and j <= jmax: the hypertrees'
+    bounding box is swept, and the rest of the window is counted in
+    closed form.
 
     Any c with d1> <= imax and d1< <= jmax satisfies, coordinatewise,
     m(e) - imax <= c(e) <= M(e) + jmax, where [m, M] is the hypertrees'
@@ -119,7 +109,7 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> CoefficientTable:
                 below = ways * _series_coeff(down + fixed - s, i - i0)
                 for j in range(j0 + s, jmax + 1):
                     counts[i, j] += below * _series_coeff(up + s, j - j0 - s)
-    return CoefficientTable(imax, jmax, tuple(sorted(counts.items())))
+    return counts
 
 
 def _series_coeff(a: int, i: int) -> int:
@@ -146,10 +136,10 @@ def series_window(p: Poly, imax: int, jmax: int) -> dict:
 def series_identity_check(g: RibbonGraph, imax: int, jmax: int) -> dict:
     """Compare the substituted embedding polynomial against the lattice
     count table, coefficient by coefficient; report PASS or the first
-    mismatch."""
+    mismatch in (i, j) order."""
     table = corank_nullity(g, imax, jmax)
     window = series_window(tutte_embedding(g), imax, jmax)
-    for (i, j), expected in sorted(table.entries):
+    for (i, j), expected in sorted(table.items()):
         got = window[(i, j)]
         if got != expected:
             return {

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hypertutte import crapo, fixture_names, fixture_path
+from hypertutte import crapo, fixture_names, fixture_path, tutte
 from hypertutte.cli import main
 
 FIG1 = str(fixture_path("fig1.hg"))
@@ -67,6 +67,18 @@ def test_tutte_corank_nullity_table(capsys):
     assert lines[0].split("\t") == ["i\\j", "0", "1"]
     assert lines[1].split("\t")[0] == "0"
     assert int(lines[1].split("\t")[1]) == 7  # points at zero distance both ways
+
+
+def test_tutte_corank_nullity_lopsided_table(capsys, fig2):
+    """A window of 3 rows by 6 columns prints row i as the cells (i, j)
+    of the table, j = 0..5."""
+    code, out, _ = run(capsys, "tutte", "--method", "corank-nullity",
+                       "--bounds", "2,5", FIG2)
+    assert code == 0
+    table = tutte.corank_nullity(fig2, 2, 5)
+    header, *rows = [line.split("\t") for line in out.strip().splitlines()]
+    assert header == ["i\\j", *map(str, range(6))]
+    assert rows == [[str(i), *(str(table[i, j]) for j in range(6))] for i in range(3)]
 
 
 def test_hypertrees(capsys):

@@ -135,7 +135,7 @@ def test_partition_detects_mutation(fig2):
     assert violations
     _, serial = verify_intervals(broken, [(-1, 2)] * 4)
     _, parallel = verify_intervals(broken, [(-1, 2)] * 4, jobs=2)
-    assert sorted(map(str, parallel)) == sorted(map(str, serial))
+    assert parallel == serial
 
 
 def test_partition_rejects_empty_box(fig2):
@@ -314,28 +314,46 @@ def test_sweep_parallel_matches_oracle(fig2):
     intervals = swapped(embedding_intervals(fig2), {1, 4})
     box = [(-1, 2)] * 4
     points, violations = reference_verify(intervals, box)
-    got_points, got = verify_intervals(intervals, box, jobs=2)
-    assert violations and got_points == points
-    assert sorted(map(str, got)) == sorted(map(str, violations))
+    assert violations
+    assert verify_intervals(intervals, box, jobs=2) == (points, violations)
 
 
-def test_sweep_one_coordinate_box(single_edge):
-    """A one-coordinate box has the empty prefix only, so its points are
-    dealt out among the workers."""
+def test_sweep_one_coordinate_box(single_edge, fig2):
+    """A one-coordinate box is cut into its points, and lists the oracle's
+    violations in the oracle's order for every number of jobs; so do the
+    box without sides and a box whose first side is one value, which
+    is cut on its second coordinate."""
     intervals = embedding_intervals(single_edge)
     broken = toggled(intervals, 0, "below")
     box = [(-3, 5)]
-    for case in (intervals, swapped(intervals, {0}), broken):
+    for case in (intervals, swapped(intervals, {0})):
         assert verify_intervals(case, box) == reference_verify(case, box)
     assert verify_intervals(intervals, box, jobs=2) == (9, [])
-    centers = [iv.center for iv in broken]
-    free = [(iv.below, iv.above) for iv in broken]
-    dealt = [[c for c, _, _ in sweep(box, centers, free, start=i, step=2)] for i in range(2)]
-    assert all(dealt) and sorted(dealt[0] + dealt[1]) == [(v,) for v in range(-3, 6)]
-    points, violations = reference_verify(broken, box)
-    got_points, got = verify_intervals(broken, box, jobs=2)
-    assert violations and got_points == points
-    assert sorted(map(str, got)) == sorted(map(str, violations))
+    fig2_broken = swapped(embedding_intervals(fig2), {1, 4})
+    cases = [(broken, box), ([], []),
+             (fig2_broken, [(0, 0), (-1, 2), (-1, 2), (-1, 2)])]
+    for case, where in cases:
+        points, violations = reference_verify(case, where)
+        assert violations
+        for jobs in (1, 2, 3):
+            assert verify_intervals(case, where, jobs=jobs) == (points, violations), jobs
+
+
+def test_slabs_fix_leading_coordinates_in_product_order():
+    """At least ``count`` slabs where the box has that many points, cut on
+    as few leading coordinates as that takes; together they hold the
+    box's points in itertools.product order."""
+    box = [(0, 0), (-1, 1), (2, 3)]
+    cases = [(1, 1, 0), (2, 3, 2), (3, 3, 2), (4, 6, 3), (7, 6, 3)]
+    for count, slabs, fixed in cases:
+        got = crapo._slabs(box, count)
+        assert len(got) == slabs
+        assert all(lo == hi for slab in got for lo, hi in slab[:fixed])
+        assert all(slab[fixed:] == box[fixed:] for slab in got)
+        points = [c for slab in got for c in itertools.product(
+            *(range(lo, hi + 1) for lo, hi in slab))]
+        assert points == list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+    assert crapo._slabs([], 3) == [[]]
 
 
 def test_sweep_box_missing_centers(fig2):

@@ -5,7 +5,7 @@ uses or defines a private helper it never names, every exception class
 the package defines is raised somewhere in it, only ``tours.walk``
 steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
-contraction and deletion, only ``crapo._check_slice`` and
+contraction and deletion, only ``crapo._check_slab`` and
 ``tutte.corank_nullity`` sweep a box, only ``crapo.intervals`` builds a
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
 whose bit masks over P's coordinates only the CLI commands and
@@ -344,12 +344,12 @@ def test_one_contraction_deletion():
 
 
 def test_one_sweep():
-    """Only ``crapo._check_slice`` and ``tutte.corank_nullity`` call
+    """Only ``crapo._check_slab`` and ``tutte.corank_nullity`` call
     ``crapo.sweep``, the one box walk and distance rule: the Crapo
     certificate lists the violations of a failing box, and the
     corank-nullity table counts the hypertrees' bounding box."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "sweep") == ["crapo._check_slice", "tutte.corank_nullity"]
+    assert callers(sources, "sweep") == ["crapo._check_slab", "tutte.corank_nullity"]
 
 
 def test_one_interval_rule():
@@ -505,7 +505,7 @@ def test_checks_catch_violations():
     }
     assert callers(recursing, "connected") == ["model._validate", "tours._trees", "tutte._dc"]
     sweeping = {
-        "crapo": "def _check_slice(args):\n    return list(sweep(*args))\n",
+        "crapo": "def _check_slab(args):\n    return list(sweep(*args))\n",
         "tutte": "from . import crapo\ndef corank_nullity(hs, box):\n    return crapo.sweep(box, hs)\n",
         "delta": (
             "from .crapo import sweep\n"
@@ -514,7 +514,7 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(sweeping, "sweep") == [
-        "crapo._check_slice", "delta.crapo_verify", "tutte.corank_nullity"]
+        "crapo._check_slab", "delta.crapo_verify", "tutte.corank_nullity"]
     reaching = {
         "tutte": (
             "def run(g):\n    return _helper(g)\n"
