@@ -16,9 +16,9 @@ of the box is a product of ranges, so disjointness, cover and attainment
 are decided range by range in O(k^2 n) for k intervals and n
 coordinates.  Only a box that fails is swept, to list its violations:
 it is cut into slabs by fixing its leading coordinates (_slabs), at
-least one per worker, and the slabs' lists are joined in
-itertools.product order, so the report is the same for every number of
-workers.
+least one per worker, with at most one worker per CPU, and the slabs'
+lists are joined in itertools.product order, so the report is the same
+for every number of workers.
 
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule, box_size the one empty-side and budget check,
@@ -34,6 +34,7 @@ tests check the sweep against are in ``tests/oracles.py``.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
@@ -73,9 +74,9 @@ def box_around(vectors, below: int, above: int) -> list:
     return [(min(col) - below, max(col) + above) for col in zip(*vectors)]
 
 
-def default_box(bases, margin: int = 2) -> list:
-    """The one default box: the bases' range widened by ``margin``."""
-    return box_around(bases, margin, margin)
+def default_box(bases) -> list:
+    """The one default box: the bases' range widened by 2."""
+    return box_around(bases, 2, 2)
 
 
 def box_size(box) -> int:
@@ -205,19 +206,21 @@ def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
 
     Returns ``(points, violations)``.  A box that passes is certified
     from its intervals' ranges (:func:`_certified`) without visiting its
-    points.  Otherwise the box is cut into :func:`_slabs`, at least
-    ``jobs`` (at least 1) of them where it has that many points, every
-    point of each is checked through :func:`sweep`, and the slabs' lists
-    are joined in slab order: the box's :func:`itertools.product` order,
-    the same for every ``jobs``.  With ``jobs`` > 1 that many worker
-    processes share the slabs.
+    points.  Otherwise ``jobs`` (at least 1), capped at the number of
+    CPUs, sets the workers: the box is cut into :func:`_slabs`, at least
+    one per worker where it has that many points, every point of each is
+    checked through :func:`sweep`, and the slabs' lists are joined in
+    slab order: the box's :func:`itertools.product` order, the same for
+    every ``jobs``.  With more than one worker, that many processes share
+    the slabs.
     """
     size = _checked_size(box, (len(iv.center) for iv in intervals), jobs)
     if _certified(intervals, box, size):
         return size, []
-    work = [(intervals, slab) for slab in _slabs(box, jobs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    work = [(intervals, slab) for slab in _slabs(box, workers)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_slab, work))
     else:
         results = list(map(_check_slab, work))

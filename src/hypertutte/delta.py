@@ -364,12 +364,13 @@ def obstruction_check(P: PolymatroidBases, assignment: dict) -> tuple:
     return ("NO_EXEMPT", None)
 
 
-def crapo_verify(P: PolymatroidBases, assignment: dict, box=None) -> dict:
+def crapo_verify(P: PolymatroidBases, assignment: dict) -> dict:
     """The Delta-Crapo report: the intervals of an activity assignment
-    partition the box, distances attained (:func:`crapo.verify_assignment`)."""
+    partition the default box of P's bases, distances attained
+    (:func:`crapo.verify_assignment`)."""
     from .crapo import verify_assignment
 
-    return {"kind": "delta-crapo", **verify_assignment(P, assignment, box)}
+    return {"kind": "delta-crapo", **verify_assignment(P, assignment)}
 
 
 def exhaustive_delta_search(P: PolymatroidBases, target: dict):

@@ -77,10 +77,9 @@ def activities(g: RibbonGraph, h, order) -> BasisActivity:
     rule of :func:`delta.activity_masks` on the hypertree set).
     The order minimum is always both.
     """
+    _walked(g, h, "emerald")  # the membership check
     P = bases_from_hypertrees(g)
     h = tuple(h)
-    if not well_formed(g, h) or h not in P.bases:
-        raise NotAHypertree(f"{h} is not a hypertree")
     check_order(P, order)
     return BasisActivity.of(P, h, *activity_masks(P, h, order))
 

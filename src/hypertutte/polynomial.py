@@ -3,17 +3,21 @@
 Terms are a map (x-exponent, y-exponent) -> coefficient; zero
 coefficients are never stored.  Canonical ordering for rendering and
 iteration is lexicographic on (x-exponent, y-exponent), descending, so
-that output diffs are byte-stable.  The Tutte sums expand in one pass
-per power of x+y-1 (:func:`expand_triples`); substitution, degrees,
-the monomials x, y and c x^a y^b, and the factor x+y-1 itself, which
-only the test oracles use, are in ``tests/oracles.py``.
+that output diffs are byte-stable.  The package builds a polynomial,
+compares, prints and evaluates it, and nothing more: the Tutte sums
+expand in one pass per power of x+y-1 (:func:`expand_triples`), so no
+sum or product of two polynomials is ever formed.  Ring arithmetic
+(sums, products, powers), substitution, degrees, the monomials x, y and
+c x^a y^b, and the factor x+y-1 itself, which only the test oracles
+use, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 
 class Poly:
-    """Immutable-by-convention polynomial in x and y over the integers."""
+    """Immutable-by-convention polynomial in x and y over the integers,
+    compared by its terms and never hashed."""
 
     __slots__ = ("terms",)
 
@@ -26,68 +30,8 @@ class Poly:
                         raise ValueError("exponents must be non-negative")
                     self.terms[(a, b)] = c
 
-    @staticmethod
-    def constant(c: int) -> "Poly":
-        return Poly({(0, 0): c})
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other) -> "Poly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                out.pop(key, None)
-        result = Poly()
-        result.terms = out
-        return result
-
-    def __neg__(self) -> "Poly":
-        result = Poly()
-        result.terms = {key: -c for key, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                c = out.get(key, 0) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        result = Poly()
-        result.terms = out
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, x: int, y: int) -> int:
         return sum(c * x ** a * y ** b for (a, b), c in self.terms.items())

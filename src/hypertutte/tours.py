@@ -13,11 +13,10 @@ walk at a dart to branch there.  The tree order by first tour
 difference, whose least representative of each hypertree is its Jaeger
 tree, is defined for the tests in ``tests/oracles.py``.
 
-Also here: the one contraction/deletion recursion
-(:func:`deletion_contraction`): it sets loops aside, counts each
-branch's bridges and loops, and lists the spanning trees.  The classical
-Tutte polynomial that reads those counts, and fundamental cycles, cuts
-and base components, are test oracles in ``tests/oracles.py``.
+Also here: the one contraction/deletion recursion (:func:`_trees`),
+which lists the spanning trees.  The classical Tutte polynomial read off
+those trees by Tutte's activities, and fundamental cycles, cuts and base
+components, are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -69,40 +68,29 @@ def enumerate_spanning_trees(g: RibbonGraph):
 
 
 def spanning_trees(edges, n_nodes: int):
-    """The trees of :func:`deletion_contraction`, in its order."""
-    return (tree for tree, _, _ in deletion_contraction(edges, n_nodes))
-
-
-def deletion_contraction(edges, n_nodes: int):
-    """Yield (tree, bridges, loops) for every spanning tree of a connected
-    multigraph on ``n_nodes`` nodes given as (edge id, u, v) triples.
+    """Yield every spanning tree of a connected multigraph on ``n_nodes``
+    nodes given as (edge id, u, v) triples.
 
     Input loops are set aside: they are in no spanning tree.  Each step
     pivots on the lowest remaining edge id, contracts it first, then
-    deletes it unless that disconnects the graph.  Along a branch,
-    ``bridges`` counts the pivots it had to contract and ``loops`` the
-    edges its contractions made loops, input loops included: the leaf's
-    term of the Tutte polynomial is x^bridges y^loops.
+    deletes it unless that disconnects the graph.
     """
-    edges = list(edges)
-    plain = [t for t in edges if t[1] != t[2]]
-    yield from _trees(plain, n_nodes, [], 0, len(edges) - len(plain))
+    yield from _trees([t for t in edges if t[1] != t[2]], n_nodes, [])
 
 
-def _trees(edges, n_nodes, chosen, bridges, loops):
+def _trees(edges, n_nodes, chosen):
     if n_nodes <= 1:
-        yield frozenset(chosen), bridges, loops
+        yield frozenset(chosen)
         return
     pivot = min(edges)  # lowest edge id
     k, u, v = pivot
     rest = [t for t in edges if t[0] != k]
     deletable = connected(rest, n_nodes)
-    # contract: relabel v to u; the edges parallel to the pivot become loops
+    # contract: relabel v to u; the edges parallel to the pivot become loops, dropped
     contracted = [(kk, u if a == v else a, u if b == v else b)
                   for kk, a, b in rest if {a, b} != {u, v}]
-    made = len(rest) - len(contracted)
     chosen.append(k)
-    yield from _trees(contracted, n_nodes - 1, chosen, bridges + (not deletable), loops + made)
+    yield from _trees(contracted, n_nodes - 1, chosen)
     chosen.pop()
     if deletable:
-        yield from _trees(rest, n_nodes, chosen, bridges, loops)
+        yield from _trees(rest, n_nodes, chosen)

@@ -12,12 +12,15 @@ runs them.
   first tour difference (:func:`tree_less`).
 - Distances point by point (:func:`one_sided`, :func:`d1`) and Crapo
   interval membership (:func:`interval_contains`).
-- Polynomial :func:`substitute` and :func:`degrees`, the monomials
-  :func:`x`, :func:`y` and :func:`monomial`, and a random rotation and
-  basis for the same graph (:func:`perturbed`).
-- Classical graphs (:class:`Graph`, :func:`load_graph`): the classical
-  Tutte polynomial, the bipartite model, and the bridge report that
-  compares the two polynomials (:func:`graph_tutte_bridge`).
+- Polynomial arithmetic on the terms of a ``Poly`` (:func:`plus`,
+  :func:`times`, :func:`power`), :func:`substitute` and :func:`degrees`,
+  the monomials :func:`x`, :func:`y` and :func:`monomial`, and a random
+  rotation and basis for the same graph (:func:`perturbed`).
+- Classical graphs (:class:`Graph`, :func:`load_graph`): fixed-order
+  activities of a spanning tree (:func:`classical_activities`), the
+  classical Tutte polynomial as Tutte's activity expansion, the
+  bipartite model, and the bridge report that compares the two
+  polynomials (:func:`graph_tutte_bridge`).
 - fig6, the parallel-edge counterexample: the cycle matroid with an
   order per spanning tree (:func:`fixed_tree_order_activities`).
 - Activities one shifted basis at a time (:func:`shifted_active`), the
@@ -39,9 +42,7 @@ from hypertutte.model import (
     violet, yaml_mapping,
 )
 from hypertutte.polynomial import Poly
-from hypertutte.tours import (
-    deletion_contraction, enumerate_spanning_trees, spanning_trees, tour, walk,
-)
+from hypertutte.tours import enumerate_spanning_trees, spanning_trees, tour, walk
 from hypertutte.tutte import tutte_embedding
 
 
@@ -274,18 +275,37 @@ def interval_contains(interval, c) -> bool:
 # -- polynomials ---------------------------------------------------------------
 
 
+def plus(*ps: Poly) -> Poly:
+    """The sum of the polynomials; 0 for none."""
+    out = Counter()
+    for p in ps:
+        out.update(p.terms)
+    return Poly(out)
+
+
+def times(*ps: Poly) -> Poly:
+    """The product of the polynomials; 1 for none."""
+    out = Counter({(0, 0): 1})
+    for p in ps:
+        product = Counter()
+        for (a1, b1), c1 in out.items():
+            for (a2, b2), c2 in p.terms.items():
+                product[a1 + a2, b1 + b2] += c1 * c2
+        out = product
+    return Poly(out)
+
+
+def power(p: Poly, n: int) -> Poly:
+    """p to the power n, for n at least 0."""
+    if n < 0:
+        raise ValueError("negative power")
+    return times(*[p] * n)
+
+
 def substitute(p: Poly, px: Poly, py: Poly) -> Poly:
     """Evaluate p at x = px, y = py (both polynomials)."""
-    out = Poly()
-    xpows = {0: Poly.constant(1)}
-    ypows = {0: Poly.constant(1)}
-    for (a, b), c in sorted(p.terms.items()):
-        if a not in xpows:
-            xpows[a] = px ** a
-        if b not in ypows:
-            ypows[b] = py ** b
-        out = out + c * (xpows[a] * ypows[b])
-    return out
+    return plus(*(times(monomial(0, 0, c), power(px, a), power(py, b))
+                  for (a, b), c in p.terms.items()))
 
 
 def degrees(p: Poly) -> tuple[int, int]:
@@ -368,15 +388,40 @@ def load_graph(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def classical_activities(n_vertices, edges, tree, order):
+    """Fixed-order internal/external activity of a spanning tree of an
+    ordinary graph; edges are (u, v) pairs indexed by position.  A tree
+    edge e is internal iff no f before e in ``order`` makes tree - e + f
+    a tree, a non-tree edge e external iff no f before e makes
+    tree + e - f one."""
+
+    def is_tree(edge_set):
+        return len(edge_set) == n_vertices - 1 and connected(
+            ((k, *edges[k]) for k in edge_set), n_vertices)
+
+    internal = {
+        e for e in tree
+        if not any(f < e and is_tree(tree - {e} | {f}) for f in order)
+    }
+    external = {
+        e for e in set(order) - tree
+        if not any(f < e and is_tree((tree | {e}) - {f}) for f in order)
+    }
+    return internal, external
+
+
 def classical_tutte(graph: Graph) -> Poly:
-    """Tutte polynomial of a connected multigraph: the deletion/contraction
-    recurrence read at its leaves, x^bridges y^loops summed over the
-    spanning trees of :func:`tours.deletion_contraction`."""
+    """Tutte polynomial of a connected multigraph, by Tutte's activity
+    expansion: x^internal y^external summed over the spanning trees of
+    :func:`tours.spanning_trees`, edges ordered by position."""
     if not connected(graph.edges, graph.vertex_count):
         raise Disconnected("classical Tutte requires a connected graph")
-    edges = [(i, u, v) for i, (_, u, v) in enumerate(graph.edges)]
-    leaves = deletion_contraction(edges, graph.vertex_count)
-    return Poly(Counter((bridges, loops) for _, bridges, loops in leaves))
+    n, edges = graph.vertex_count, [(u, v) for _, u, v in graph.edges]
+    terms = Counter()
+    for tree in spanning_trees(((k, u, v) for k, (u, v) in enumerate(edges)), n):
+        internal, external = classical_activities(n, edges, tree, range(len(edges)))
+        terms[len(internal), len(external)] += 1
+    return Poly(terms)
 
 
 def to_bipartite(graph: Graph) -> RibbonGraph:
@@ -404,9 +449,9 @@ def to_bipartite(graph: Graph) -> RibbonGraph:
 def _substitute_rational(p: Poly, num1, den1, num2, den2):
     """p(num1/den1, num2/den2) cleared to (numerator, den1^dx * den2^dy)."""
     dx, dy = degrees(p)
-    out = Poly()
-    for (a, b), c in p.terms.items():
-        out = out + c * (num1 ** a) * (den1 ** (dx - a)) * (num2 ** b) * (den2 ** (dy - b))
+    out = plus(*(times(monomial(0, 0, c), power(num1, a), power(den1, dx - a),
+                       power(num2, b), power(den2, dy - b))
+                 for (a, b), c in p.terms.items()))
     return out, dx, dy
 
 
@@ -436,8 +481,8 @@ def graph_tutte_bridge(graph: Graph) -> dict:
             ("hyper-from-classical", (t_hyper, t_classical)),
         ):
             num, dx, dy = _substitute_rational(inner, s, d1, s, d2)
-            rhs = monomial(a, b) * num
-            left = lhs * (d1 ** dx) * (d2 ** dy)
+            rhs = times(monomial(a, b), num)
+            left = times(lhs, power(d1, dx), power(d2, dy))
             candidates[f"{orient}/{args_label}"] = left == rhs
 
     holding = sorted(name for name, ok in candidates.items() if ok)

@@ -1,6 +1,7 @@
 """Lattice distances, Crapo intervals, and the partition certificate."""
 
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +70,7 @@ def test_interval_requires_hypertree(fig2):
 def test_default_box(fig2):
     hs = enumerate_hypertrees(fig2)
     assert default_box(hs) == [(-2, 3), (-2, 4), (-2, 3), (-2, 3)]
-    assert default_box(hs, margin=0) == [(0, 1), (0, 2), (0, 1), (0, 1)]
+    assert box_around(hs, 0, 0) == [(0, 1), (0, 2), (0, 1), (0, 1)]
 
 
 def test_partition_fig2(fig2):
@@ -95,7 +96,8 @@ def test_partition_single_edge_wide_box(single_edge):
 def test_partition_box_growth_stable(fig5):
     """Growing the box only adds points, never violations."""
     for margin in (1, 2, 3):
-        report = verify_crapo_partition(fig5, box=default_box(enumerate_hypertrees(fig5), margin))
+        box = box_around(enumerate_hypertrees(fig5), margin, margin)
+        report = verify_crapo_partition(fig5, box=box)
         assert report["status"] == "PASS"
 
 
@@ -240,7 +242,7 @@ def test_sweep_matches_per_point_oracle(all_hg, single_edge):
     for g in [*all_hg.values(), single_edge]:
         intervals = embedding_intervals(g)
         assert_matches_reference(intervals)
-        box = default_box(enumerate_hypertrees(g), 1)
+        box = box_around(enumerate_hypertrees(g), 1, 1)
         assert reference_verify(swapped(intervals, {0}), box)[1] or len(intervals) == 1
         assert reference_verify(toggled(intervals, 0, "below"), box)[1]
 
@@ -272,7 +274,7 @@ def test_fail_lists_reference_violations_in_order(fig2):
     points twice; test_sweep_checks_both_sides has distances not
     attained."""
     intervals = embedding_intervals(fig2)
-    box = default_box(enumerate_hypertrees(fig2), 1)
+    box = box_around(enumerate_hypertrees(fig2), 1, 1)
     for case in (toggled(intervals, 2, "above"), [*intervals, intervals[3]]):
         points, violations = verify_intervals(case, box)
         assert violations and (points, violations) == reference_verify(case, box)
@@ -316,6 +318,43 @@ def test_sweep_parallel_matches_oracle(fig2):
     points, violations = reference_verify(intervals, box)
     assert violations
     assert verify_intervals(intervals, box, jobs=2) == (points, violations)
+
+
+def test_jobs_are_capped_at_the_cpu_count(fig2, monkeypatch):
+    """However many jobs are asked for, a failing box is listed by at most
+    one worker per CPU, cut into slabs for that many, and reported as
+    with one job.  The pool is a stand-in that maps in this process and
+    records the workers asked for and the slabs handed out."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            work = list(work)
+            started.append(len(work))
+            return map(fn, work)
+
+    monkeypatch.setattr(crapo, "ProcessPoolExecutor", SerialPool)
+    intervals = swapped(embedding_intervals(fig2), {1, 4})
+    box = [(-1, 2)] * 4
+    serial = verify_intervals(intervals, box)
+    assert serial[1]
+    # two CPUs: two workers, one slab per value of the first side; an
+    # unknown count: one worker, no pool
+    for cpus, workers in ((2, [2, 4]), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for jobs in (2, 5000):
+            started.clear()
+            assert verify_intervals(intervals, box, jobs=jobs) == serial
+            assert started == workers
 
 
 def test_sweep_one_coordinate_box(single_edge, fig2):

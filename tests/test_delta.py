@@ -29,7 +29,7 @@ from hypertutte.delta import (
     order_of_basis,
     validate_decision_tree,
 )
-from hypertutte.crapo import intervals
+from hypertutte.crapo import intervals, verify_assignment
 from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from oracles import (
@@ -346,7 +346,7 @@ def test_fig6_covering_table(fig6_graph, fig6_orders):
 
 def test_fig6_crapo(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
-    assert crapo_verify(P, assignment, box=[(0, 1)] * 4)["status"] == "PASS"
+    assert verify_assignment(P, assignment, [(0, 1)] * 4)["status"] == "PASS"
     assert crapo_verify(P, assignment)["status"] == "PASS"
 
 
@@ -369,7 +369,7 @@ def test_delta_crapo_rejects_empty_box(small_matroid):
         small_matroid, {b: ("a", "b", "c") for b in small_matroid.bases}
     )
     with pytest.raises(ValueError):
-        crapo_verify(small_matroid, assignment, box=[(0, 1), (2, 1), (0, 1)])
+        verify_assignment(small_matroid, assignment, [(0, 1), (2, 1), (0, 1)])
 
 
 def test_load_bases_rejects_malformed():
