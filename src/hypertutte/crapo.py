@@ -11,24 +11,38 @@ verify_assignment certifies both claims on a box, by default the bases'
 range widened by 2 (default_box), in the one PASS/FAIL report, which the
 embedding activities' (verify_crapo_partition) and any Delta
 assignment's (delta.crapo_verify) extend.
-verify_intervals visits no lattice point to do so: each interval's part
-of the box is a product of ranges, so disjointness, cover and attainment
-are decided range by range in O(k^2 n) for k intervals and n
-coordinates.  Only a box that fails is swept, to list its violations:
-it is cut into slabs by fixing its leading coordinates (_slabs), at
-least one per worker, with at most one worker per CPU, and the slabs'
-lists are joined in itertools.product order, so the report is the same
-for every number of workers.
+
+A box that passes visits no lattice point: each interval's part of the
+box is a product of ranges, so cover and disjointness are decided range
+by range, in O(k^2 n) for k intervals and n coordinates.  Attainment
+reads each basis's exchange table, in O(k n) bit tests.  The base set
+of a polymatroid is M-convex, so by Murota's local optimality theorem
+(Discrete Convex Analysis, 2003) a basis k minimises a separable convex
+function such as h -> d1<(c, h) over the bases iff no exchange
+neighbour k - 1_i + 1_f does better.  On k's part, that neighbour's d1<
+less k's is [c_i >= k_i] - [c_f > k_f], negative somewhere iff the part
+goes below k at i and above it at f.  All bases share one coordinate
+sum, so d1< - d1> = sum(c) - sum(h) is the same for every basis and the
+d1> differences equal the d1< ones: one test settles both sides.
+The certificate applies when the intervals' centers are exactly P's
+bases, each once; any other list, and a box that fails, is swept by
+verify_intervals, the exact lister: it is cut into slabs by fixing its
+leading coordinates (_slabs), at least one per worker, with at most
+one worker per CPU, and the slabs' lists are joined in
+itertools.product order, so the report is the same for every number of
+workers.
 
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule, box_size the one empty-side and budget check,
 _region the one rule for an interval's part of a box, and sweep the one
 box walk and the one distance rule, depth first, updating every center's
-partial distances one coordinate at a time.  verify_intervals finishes
-its points on a failing box; tutte.corank_nullity sweeps the
+partial distances one coordinate at a time.  verify_intervals lists the
+points of a box; tutte.corank_nullity sweeps the
 hypertrees' bounding box and counts the rest of its window in closed
 form.  The point-by-point distances and interval membership that the
-tests check the sweep against are in ``tests/oracles.py``.
+tests check the sweep against, and the attainment test against every
+other center that the exchange-table test is checked against, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from math import prod
 from .model import RibbonGraph
 from .hypertrees import enumerate_hypertrees
 from .jaeger import embedding_assignment
+from .delta import exchange_free
 
 
 class BudgetExceeded(ValueError):
@@ -147,22 +162,26 @@ def sweep(box, centers, free=None):
     yield from descend(0, (), sides, inside)
 
 
-def _certified(intervals, box, size: int) -> bool:
-    """Whether the intervals partition ``box``, of ``size`` points, and
-    each center attains both one-sided distances to all centers on its
-    whole part of the box: exact, in O(k^2 n) for k intervals and n
-    coordinates, without visiting a point.
+def _certified(P, intervals, box, size: int) -> bool:
+    """Whether the intervals, whose centers are P's bases, partition
+    ``box``, of ``size`` points, and each center attains both one-sided
+    distances to all bases on its whole part of the box: exact, in
+    O(k^2 n) for k intervals and n coordinates, without visiting a point.
 
     Each part is a product of ranges (:func:`_region`).  Two parts meet
     iff their ranges meet on every coordinate, so pairwise disjoint parts
-    whose sizes sum to ``size`` partition the box.  For centers h and k,
-    the one-sided distances from c to h less those to k are on each side
-    a sum of one term per coordinate, max(0, c_i - h_i) - max(0, c_i -
-    k_i) below and max(0, h_i - c_i) - max(0, k_i - c_i) above, each
-    monotone in c_i; so
-    its least value on k's part is the sum of each term's lesser value at
-    the two ends of k's range there, and k attains both distances on its
-    whole part iff no such sum is negative.
+    whose sizes sum to ``size`` partition the box.
+
+    Attainment is local.  For a neighbour h = k - 1_i + 1_f of center k
+    and a point c, d1<(c, h) - d1<(c, k) = [c_i >= k_i] - [c_f > k_f],
+    whose least value on k's part [a, b] is [a_i >= k_i] - [b_f > k_f]:
+    negative iff a_i < k_i and b_f > k_f.  d1< - d1> = sum(c) - sum(h)
+    is the same for every basis, since all share one coordinate sum, so
+    the d1> difference equals the d1< one.  The bases are M-convex and
+    h -> d1<(c, h) is separable convex, so k attains both distances at c
+    iff no neighbour does better there (Murota's local optimality
+    theorem); on its whole part, iff no i where the part goes below k and
+    f where it goes above make k - 1_i + 1_f a basis (:func:`_attains`).
     """
     parts = []
     for iv in intervals:
@@ -174,16 +193,19 @@ def _certified(intervals, box, size: int) -> bool:
     for (_, p), (_, q) in itertools.combinations(parts, 2):
         if all(a <= d and c <= b for (a, b), (c, d) in zip(p, q)):
             return False
-    centers = [iv.center for iv in intervals]
-    for k, part in parts:
-        for h in centers:
-            less = greater = 0
-            for (a, b), x, y in zip(part, h, k):
-                less += min(max(0, a - x) - max(0, a - y), max(0, b - x) - max(0, b - y))
-                greater += min(max(0, x - a) - max(0, y - a), max(0, x - b) - max(0, y - b))
-            if less < 0 or greater < 0:
-                return False
-    return True
+    return all(_attains(P, k, part) for k, part in parts)
+
+
+def _attains(P, k, part) -> bool:
+    """Whether basis k attains both one-sided distances to P's bases at
+    every point of ``part``, one ``(a, b)`` range per coordinate: no i
+    where the part goes below k and f where it goes above make
+    k - 1_i + 1_f a basis (see :func:`_certified`)."""
+    lower = upper = 0
+    for i, ((a, b), t) in enumerate(zip(part, k)):
+        lower |= (a < t) << i
+        upper |= (b > t) << i
+    return exchange_free(P, k, lower, upper)
 
 
 def _checked_size(box, widths, jobs: int) -> int:
@@ -200,23 +222,19 @@ def _checked_size(box, widths, jobs: int) -> int:
 
 
 def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
-    """Check that exactly one interval contains each lattice point of
-    ``box`` (one ``(lo, hi)`` per coordinate), and that its center attains
+    """Check every lattice point of ``box`` (one ``(lo, hi)`` per
+    coordinate): exactly one interval contains it, and its center attains
     both d1< and d1> to the set of all centers, hence d1.
 
-    Returns ``(points, violations)``.  A box that passes is certified
-    from its intervals' ranges (:func:`_certified`) without visiting its
-    points.  Otherwise ``jobs`` (at least 1), capped at the number of
-    CPUs, sets the workers: the box is cut into :func:`_slabs`, at least
-    one per worker where it has that many points, every point of each is
-    checked through :func:`sweep`, and the slabs' lists are joined in
-    slab order: the box's :func:`itertools.product` order, the same for
-    every ``jobs``.  With more than one worker, that many processes share
-    the slabs.
+    Returns ``(points, violations)``, exact for any list of intervals.
+    ``jobs`` (at least 1), capped at the number of CPUs, sets the
+    workers: the box is cut into :func:`_slabs`, at least one per worker
+    where it has that many points, every point of each is checked through
+    :func:`sweep`, and the slabs' lists are joined in slab order: the
+    box's :func:`itertools.product` order, the same for every ``jobs``.
+    With more than one worker, that many processes share the slabs.
     """
-    size = _checked_size(box, (len(iv.center) for iv in intervals), jobs)
-    if _certified(intervals, box, size):
-        return size, []
+    _checked_size(box, (len(iv.center) for iv in intervals), jobs)
     workers = min(jobs, os.cpu_count() or 1)
     work = [(intervals, slab) for slab in _slabs(box, workers)]
     if workers > 1:
@@ -265,12 +283,26 @@ def _check_slab(args):
 
 
 def verify_assignment(P, assignment: dict, box=None, jobs: int = 1) -> dict:
-    """:func:`verify_intervals` on the :func:`intervals` of an assignment,
-    over ``box`` or else the :func:`default_box` of P's bases: the one
-    PASS/FAIL report, with the ``points`` checked and all ``violations``."""
+    """The :func:`intervals` of an assignment checked over ``box`` or else
+    the :func:`default_box` of P's bases: the one PASS/FAIL report, with
+    the ``points`` checked and all ``violations``.
+
+    When the assignment has exactly P's bases, a box that passes is
+    certified without visiting a point (:func:`_certified`); every other
+    case is listed by :func:`verify_intervals`, with the same report.
+    The certificate needs P's bases to satisfy the exchange axiom: a
+    hypertree set does by Kálmán's theorem, and loaded bases are checked
+    (:func:`delta.check_exchange`).
+    """
     if box is None:
         box = default_box(P.bases)
-    points, violations = verify_intervals(intervals(assignment), box, jobs)
+    ivs = intervals(assignment)
+    size = _checked_size(box, (len(iv.center) for iv in ivs), jobs)
+    exact = len(ivs) == len(P.bases) and {iv.center for iv in ivs} == P.bases
+    if exact and _certified(P, ivs, box, size):
+        points, violations = size, []
+    else:
+        points, violations = verify_intervals(ivs, box, jobs)
     return {"status": "PASS" if not violations else "FAIL", "points": points,
             "violations": violations}
 

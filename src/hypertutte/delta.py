@@ -20,9 +20,11 @@ reads as they are; :func:`names` turns a mask back into element names
 only for what the CLI prints.
 
 Also here: the Crapo partition check for an arbitrary activity
-assignment (on crapo's verifier), the realizability obstruction (some
-element of P must be nontrivially active for no basis), and exhaustive
-search for a decision tree realizing a given assignment.  The search
+assignment (on crapo's verifier), whose distance attainment test
+(:func:`exchange_free`) is the same rule on the same table, the
+realizability obstruction (some element of P must be nontrivially
+active for no basis), and exhaustive search for a decision tree
+realizing a given assignment.  The search
 lists no decision trees: under the MAX rule a node's activities depend
 only on its label, the elements not labeled above it and the basis, so
 it solves each (remaining elements, bases routed to the node) subproblem
@@ -282,6 +284,14 @@ def _active(P, b, i, others) -> tuple:
     b + 1_e - 1_f)?  Two ANDs on b's row of :meth:`PolymatroidBases.exchanges`."""
     down, up = P.exchanges(b)
     return not down[i] & others, not up[i] & others
+
+
+def exchange_free(P: PolymatroidBases, b, lower, upper) -> bool:
+    """No coordinate i in the bit mask ``lower`` and f in ``upper`` make
+    b - 1_i + 1_f a basis: each such i is internally active against
+    ``upper`` (:func:`_active`).  The Crapo certificate's attainment
+    test (:func:`crapo.verify_assignment`)."""
+    return all(_active(P, b, i, upper)[0] for i in range(len(b)) if lower >> i & 1)
 
 
 def nontrivial(P: PolymatroidBases, b, internal, external) -> tuple:

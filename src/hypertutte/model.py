@@ -186,6 +186,12 @@ class RibbonGraph:
     def _validate(self):
         if self.violet_count < 1 or self.emerald_count < 1:
             raise ValidationError("need at least one violet and one emerald node")
+        count = self.violet_count + self.emerald_count
+        if count > len(self.edges) + 1:  # refused before a name is built
+            raise ValidationError(
+                f"underlying bipartite graph is disconnected: {count} nodes"
+                f" need at least {count - 1} edges, not {len(self.edges)}"
+            )
         nodes = set(self.violets) | set(self.emeralds)
         for k, (v, e) in enumerate(self.edges):
             if v not in nodes or not is_violet(v):
@@ -199,8 +205,9 @@ class RibbonGraph:
             incident[e].append(k)
 
         if set(self._rotation) != nodes:
-            missing = nodes.symmetric_difference(self._rotation)
-            raise ValidationError(f"rotation node set mismatch: {sorted(missing)}")
+            missing = sorted(nodes.symmetric_difference(self._rotation))
+            more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+            raise ValidationError(f"rotation node set mismatch: {missing[:5]}{more}")
         for node in nodes:
             if sorted(self._rotation[node]) != sorted(incident[node]):
                 raise ValidationError(

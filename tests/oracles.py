@@ -10,8 +10,10 @@ runs them.
 - Jaeger trees read off a tour (:func:`is_jaeger`), the violet node
   order of a hypertree (:func:`order_violet`), and the tree order by
   first tour difference (:func:`tree_less`).
-- Distances point by point (:func:`one_sided`, :func:`d1`) and Crapo
-  interval membership (:func:`interval_contains`).
+- Distances point by point (:func:`one_sided`, :func:`d1`), Crapo
+  interval membership (:func:`interval_contains`), and distance
+  attainment on a product of ranges against every other center
+  (:func:`attains_against_all`).
 - Polynomial arithmetic on the terms of a ``Poly`` (:func:`plus`,
   :func:`times`, :func:`power`), :func:`substitute` and :func:`degrees`,
   the monomials :func:`x`, :func:`y` and :func:`monomial`, and a random
@@ -268,6 +270,26 @@ def interval_contains(interval, c) -> bool:
             if not interval.above >> idx & 1:
                 return False
         elif ci < hi and not interval.below >> idx & 1:
+            return False
+    return True
+
+
+def attains_against_all(part, k, centers) -> bool:
+    """Whether center k attains both one-sided distances to ``centers`` at
+    every point of ``part``, one ``(a, b)`` range per coordinate (a <= b).
+    For each center h, the distances from c to h less those to k are on
+    each side a sum of one term per coordinate, max(0, c_i - h_i) -
+    max(0, c_i - k_i) below and max(0, h_i - c_i) - max(0, k_i - c_i)
+    above, each monotone in c_i; so its least value on the part is the
+    sum of each term's lesser value at the two ends of the range, and k
+    attains both distances iff no such sum is negative: O(k n) per
+    center for k centers and n coordinates."""
+    for h in centers:
+        less = greater = 0
+        for (a, b), x, y in zip(part, h, k):
+            less += min(max(0, a - x) - max(0, a - y), max(0, b - x) - max(0, b - y))
+            greater += min(max(0, x - a) - max(0, y - a), max(0, x - b) - max(0, y - b))
+        if less < 0 or greater < 0:
             return False
     return True
 

@@ -154,6 +154,21 @@ def test_missing_file_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def test_declared_node_count_above_the_edges_is_refused_briefly(capsys, tmp_path):
+    """100,000 declared violet nodes with one edge are refused as usage
+    errors before a node name is listed: a connected graph on N nodes
+    needs N - 1 edges."""
+    path = tmp_path / "wide.hg"
+    path.write_text("violet: 100000\nemerald: 1\nedges: [[0, 0]]\n"
+                    "rotation:\n  v0: [0]\n  e0: [0]\nbasis: [v0, 0]\n")
+    with pytest.raises(SystemExit) as info:
+        main(["tutte", str(path)])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "100001 nodes need at least 100000 edges" in err
+    assert len(err) < 300
+
+
 def test_crapo_verify_text(capsys):
     code, out, _ = run(capsys, "crapo", "verify", "--box=-2,4", FIG2)
     assert code == 0

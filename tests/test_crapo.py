@@ -2,6 +2,9 @@
 
 import itertools
 import os
+import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +17,18 @@ from hypertutte.crapo import (
     box_size,
     default_box,
     sweep,
+    verify_assignment,
     verify_crapo_partition,
     verify_intervals,
 )
-from hypertutte import crapo, delta
+from hypertutte import crapo, delta, fixture_path
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
-from oracles import d1, d1_greater, d1_less, interval_contains, one_sided
+from oracles import (
+    attains_against_all, d1, d1_greater, d1_less, graph_matroid, interval_contains,
+    one_sided, random_decision_tree,
+)
+from test_delta import ribbon_graph
 from test_oracle import ribbon_graphs
 
 
@@ -201,27 +209,34 @@ def toggled(intervals, k, side):
     return [*intervals[:k], CrapoInterval(iv.center, below, above), *intervals[k + 1:]]
 
 
-def mutations(intervals):
-    """The intervals as they are, then with free masks swapped in one and in
-    all, with e0 toggled in a free mask of the first and of the last, with
-    the first dropped and with the first duplicated."""
+def assignment_mutations(assignment):
+    """The assignment as it is, then with internal and external masks
+    swapped for the first basis and for all, with e0 toggled in the
+    internal mask of the first and in the external mask of the last, and
+    with the first basis dropped."""
+    bases = list(assignment)
+
+    def changed(which, edit):
+        return {b: edit(rec) if b in which else rec for b, rec in assignment.items()}
+
+    def swap(rec):
+        return replace(rec, internal=rec.external, external=rec.internal)
+
     return [
-        intervals,
-        swapped(intervals, {0}),
-        swapped(intervals, range(len(intervals))),
-        toggled(intervals, 0, "below"),
-        toggled(intervals, len(intervals) - 1, "above"),
-        intervals[1:],
-        [*intervals, intervals[0]],
+        assignment,
+        changed(bases[:1], swap),
+        changed(bases, swap),
+        changed(bases[:1], lambda rec: replace(rec, internal=rec.internal ^ 1)),
+        changed(bases[-1:], lambda rec: replace(rec, external=rec.external ^ 1)),
+        {b: assignment[b] for b in bases[1:]},
     ]
 
 
-def boxes(intervals):
+def boxes(centers):
     """The boxes of margin 0, 1 and 2 around the centers, one that leaves
     out every center that is least on some coordinate, the lowest and the
     highest two-point-wide corner of the margin-1 box, which leave out
     most centers."""
-    centers = [iv.center for iv in intervals]
     wide = box_around(centers, 1, 1)
     return [*(box_around(centers, m, m) for m in (0, 1, 2)),
             [(lo + 1, hi) for lo, hi in box_around(centers, 0, 1)],
@@ -229,19 +244,48 @@ def boxes(intervals):
             [(hi - 1, hi) for _, hi in wide]]
 
 
-def assert_matches_reference(intervals):
-    for case in mutations(intervals):
-        for box in boxes(intervals):
-            assert verify_intervals(case, box) == reference_verify(case, box)
+def report_of(points, violations):
+    """The PASS/FAIL report of :func:`crapo.verify_assignment` for a
+    ``(points, violations)`` pair."""
+    return {"status": "PASS" if not violations else "FAIL", "points": points,
+            "violations": violations}
+
+
+def assert_matches_reference(g):
+    """On the embedding assignment of g and its :func:`assignment_mutations`,
+    over every one of the :func:`boxes`: the lister ``verify_intervals``,
+    and the reports of ``verify_assignment``, ``verify_crapo_partition``
+    (fed the assignment) and, on the default box, ``delta.crapo_verify``,
+    certified or swept, equal the per-point oracle; so does the lister on
+    the intervals with the first duplicated."""
+    P, assignment = embedding_assignment(g)
+    real = crapo.intervals(assignment)
+    with pytest.MonkeyPatch.context() as patched:
+        for case in assignment_mutations(assignment):
+            patched.setattr(crapo, "embedding_assignment", lambda _, case=case: (P, case))
+            ivs = crapo.intervals(case)
+            for box in boxes(P.bases):
+                want = reference_verify(ivs, box)
+                assert verify_intervals(ivs, box) == want
+                assert verify_assignment(P, case, box) == report_of(*want)
+                report = verify_crapo_partition(g, box)
+                assert {key: report[key] for key in ("status", "points", "violations")
+                        } == report_of(*want)
+                if box == default_box(P.bases):
+                    assert delta.crapo_verify(P, case) == {"kind": "delta-crapo",
+                                                           **report_of(*want)}
+    doubled = [*real, real[0]]
+    for box in boxes(P.bases):
+        assert verify_intervals(doubled, box) == reference_verify(doubled, box)
 
 
 def test_sweep_matches_per_point_oracle(all_hg, single_edge):
     """Same points and the same violations in the same order as the
-    per-point oracle, on the embedding intervals and their mutations,
+    per-point oracle, on the embedding assignments and their mutations,
     certified or swept."""
     for g in [*all_hg.values(), single_edge]:
+        assert_matches_reference(g)
         intervals = embedding_intervals(g)
-        assert_matches_reference(intervals)
         box = box_around(enumerate_hypertrees(g), 1, 1)
         assert reference_verify(swapped(intervals, {0}), box)[1] or len(intervals) == 1
         assert reference_verify(toggled(intervals, 0, "below"), box)[1]
@@ -250,22 +294,126 @@ def test_sweep_matches_per_point_oracle(all_hg, single_edge):
 @settings(max_examples=40, deadline=None)
 @given(ribbon_graphs())
 def test_certificate_matches_oracle_on_random_instances(g):
-    assert_matches_reference(embedding_intervals(g))
+    assert_matches_reference(g)
+
+
+def no_sweep(*args, **kwargs):
+    raise AssertionError("a passing box was swept")
 
 
 def test_pass_visits_no_point(all_hg, single_edge, monkeypatch):
-    """A box that passes is certified from the intervals alone: the sweep
-    is never entered."""
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a passing box was swept")
-
+    """A box that passes on an assignment of exactly P's bases is
+    certified from the intervals alone, through every route: the sweep is
+    never entered."""
     monkeypatch.setattr(crapo, "sweep", no_sweep)
     for g in [*all_hg.values(), single_edge]:
-        intervals = embedding_intervals(g)
-        for box in boxes(intervals):
-            assert verify_intervals(intervals, box) == (box_size(box), [])
         P, assignment = embedding_assignment(g)
+        for box in boxes(P.bases):
+            want = report_of(box_size(box), [])
+            assert verify_assignment(P, assignment, box) == want
+            report = verify_crapo_partition(g, box)
+            assert {key: report[key] for key in want} == want
         assert delta.crapo_verify(P, assignment)["status"] == "PASS"
+
+
+def test_certifies_k66_default_box_without_sweeping(monkeypatch):
+    """A seeded K6,6 (252 hypertrees) passes on its default box of 10^6
+    points from the exchange tables, well within a tenth of a CPU second
+    once its hypertrees and Jaeger trees are built."""
+    g = ribbon_graph(6, 6, [(i, j) for i in range(6) for j in range(6)], random.Random(1))
+    embedding_assignment(g)
+    monkeypatch.setattr(crapo, "sweep", no_sweep)
+    start = time.process_time()
+    report = verify_crapo_partition(g)
+    elapsed = time.process_time() - start
+    assert (report["status"], report["points"], report["hypertrees"]) == ("PASS", 10 ** 6, 252)
+    assert elapsed < 0.1, elapsed
+
+
+def test_assignment_missing_a_basis_is_swept(fig2, monkeypatch):
+    """An assignment without one of P's bases is never certified: every
+    box is swept, whether it passes or fails, with the oracle's report."""
+    P, assignment = embedding_assignment(fig2)
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(crapo, "sweep", counted)
+    verdicts = set()
+    for dropped in assignment:
+        case = {b: rec for b, rec in assignment.items() if b != dropped}
+        for box in boxes(P.bases):
+            walks.clear()
+            report = verify_assignment(P, case, box)
+            assert report == report_of(*reference_verify(crapo.intervals(case), box))
+            assert walks, (dropped, box)
+            verdicts.add(report["status"])
+    assert verdicts == {"PASS", "FAIL"}
+
+
+def test_delta_planted_failure_matches_reference(fig6_graph):
+    """Two bases' activity records exchanged in a random decision tree's
+    assignment on fig6's cycle matroid: the Delta-Crapo check fails with
+    the oracle's violations, in the oracle's order."""
+    P = graph_matroid(fig6_graph)
+    ranks = {e: P.rank(e) for e in P.ground}
+    tree = random_decision_tree(P.ground, ranks, random.Random(3))
+    assignment = delta.assignment_from_delta(tree, P)
+    first, second = next(
+        (b, c) for b, c in itertools.combinations(sorted(assignment), 2)
+        if (assignment[b].internal, assignment[b].external)
+        != (assignment[c].internal, assignment[c].external))
+    planted = {**assignment, first: assignment[second], second: assignment[first]}
+    assert delta.crapo_verify(P, assignment)["status"] == "PASS"
+    points, violations = reference_verify(crapo.intervals(planted), default_box(P.bases))
+    assert violations
+    assert delta.crapo_verify(P, planted) == {"kind": "delta-crapo",
+                                              **report_of(points, violations)}
+
+
+def attainment_cases(P, rng, draws=40):
+    """(basis, part) pairs for every basis of P and every one of the
+    :func:`boxes` around P's bases: the basis's nonempty part of the box
+    under ``draws`` random below and above masks, with every coordinate
+    free and none."""
+    n = len(P.ground)
+    full = (1 << n) - 1
+    masks = [(0, 0), (full, full), (full, 0), (0, full)]
+    masks += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(draws)]
+    for box in boxes(P.bases):
+        for k in sorted(P.bases):
+            for below, above in masks:
+                part = crapo._region(box, k, below, above)
+                if all(a <= b for a, b in part):
+                    yield k, part
+
+
+def test_attainment_matches_all_pairs_oracle(all_hg, single_edge, fig6_graph):
+    """The exchange-table attainment test equals the test against every
+    other basis on random parts of the boxes of margin 0-2 and those that
+    leave centers out, on every fixture, fig6's cycle matroid and
+    delta_fig.matroid; both verdicts occur."""
+    polymatroids = [delta.bases_from_hypertrees(g) for g in [*all_hg.values(), single_edge]]
+    polymatroids += [graph_matroid(fig6_graph),
+                     delta.load_bases(fixture_path("delta_fig.matroid").read_text())]
+    rng = random.Random(0)
+    verdicts = set()
+    for P in polymatroids:
+        for k, part in attainment_cases(P, rng):
+            got = crapo._attains(P, k, part)
+            assert got == attains_against_all(part, k, P.bases), (P.ground, k, part)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_graphs(), st.integers(0, 2 ** 32))
+def test_attainment_matches_all_pairs_oracle_on_random_instances(g, seed):
+    P = delta.bases_from_hypertrees(g)
+    for k, part in attainment_cases(P, random.Random(seed), draws=8):
+        assert crapo._attains(P, k, part) == attains_against_all(part, k, P.bases)
 
 
 def test_fail_lists_reference_violations_in_order(fig2):

@@ -134,6 +134,26 @@ def test_disconnected_rejected():
         )
 
 
+def test_node_count_above_the_edges_rejected_before_names():
+    """A declared count far above what the edges can connect is refused
+    from the counts alone, whatever their size."""
+    for violets, emeralds in ((10 ** 9, 1), (1, 10 ** 9)):
+        with pytest.raises(ValidationError, match="need at least") as info:
+            RibbonGraph.build(violets, emeralds, [("v0", "e0")],
+                              {"v0": [0], "e0": [0]}, ("v0", 0))
+        assert len(str(info.value)) < 200
+
+
+def test_rotation_mismatch_names_a_few_nodes():
+    """A rotation that misses many nodes names five of them and counts
+    the rest."""
+    edges = [(f"v{i}", "e0") for i in range(8)]
+    with pytest.raises(ValidationError) as info:
+        RibbonGraph.build(8, 1, edges, {"v0": [0], "e0": list(range(8))}, ("v0", 0))
+    assert str(info.value) == (
+        "rotation node set mismatch: ['v1', 'v2', 'v3', 'v4', 'v5'] and 2 more")
+
+
 def test_next_at_degree_one(single_edge):
     assert next_at(single_edge, "v0", 0) == 0
 
