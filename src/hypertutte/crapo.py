@@ -33,16 +33,16 @@ itertools.product order, so the report is the same for every number of
 workers.
 
 Every lattice sweep of the package goes through this module: box_around
-is the one box rule, box_size the one empty-side and budget check,
-_region the one rule for an interval's part of a box, and sweep the one
-box walk and the one distance rule, depth first, updating every center's
-partial distances one coordinate at a time.  verify_intervals lists the
-points of a box; tutte.corank_nullity sweeps the
-hypertrees' bounding box and counts the rest of its window in closed
-form.  The point-by-point distances and interval membership that the
-tests check the sweep against, and the attainment test against every
-other center that the exchange-table test is checked against, are in
-``tests/oracles.py``.
+is the one box rule, box_size the one empty-side check, check_budget
+the one budget check, run only where points are visited, _region the
+one rule for an interval's part of a box, and sweep the one box walk
+and the one distance rule, depth first, updating every center's partial
+distances one coordinate at a time.  verify_intervals lists the points
+of a box; tutte.corank_nullity sweeps the hypertrees' bounding box and
+counts the rest of its window in closed form.  The point-by-point
+distances and interval membership that the tests check the sweep
+against, and the attainment test against every other center that the
+exchange-table test is checked against, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -96,11 +96,16 @@ def default_box(bases) -> list:
 
 def box_size(box) -> int:
     """The number of lattice points of ``box`` (one ``(lo, hi)`` per
-    coordinate).  Raises ValueError if a side is empty and BudgetExceeded
-    if the box holds more than the budget's points."""
+    coordinate).  Raises ValueError if a side is empty."""
     if any(lo > hi for lo, hi in box):
         raise ValueError(f"empty box {[[lo, hi] for lo, hi in box]}: a side has lo > hi")
-    size = prod(hi - lo + 1 for lo, hi in box)
+    return prod(hi - lo + 1 for lo, hi in box)
+
+
+def check_budget(box) -> int:
+    """The :func:`box_size` of a box whose points are about to be visited;
+    raises BudgetExceeded if it holds more than the budget's points."""
+    size = box_size(box)
     if size > _BOX_BUDGET:
         raise BudgetExceeded(f"box of {size} points exceeds budget")
     return size
@@ -116,50 +121,38 @@ def _region(box, center, below, above) -> list:
             for i, ((lo, hi), t) in enumerate(zip(box, center))]
 
 
-def sweep(box, centers, free=None):
+def sweep(box, centers):
     """Every lattice point of ``box`` with its one-sided distances to each
     center: the one lattice sweep of the package.
 
-    Yields ``(point, sides, inside)`` in :func:`itertools.product` order,
-    with ``sides[k]`` the pair (d1<, d1>) from the point to center k: the
+    Yields ``(point, sides)`` in :func:`itertools.product` order, with
+    ``sides[k]`` the pair (d1<, d1>) from the point to center k: the
     point's total excess over the center and its total deficit below it.
-    Given ``free``, one ``(below, above)`` pair of coordinate bit masks
-    per center, ``inside[k]`` says whether the point falls below center k
-    only on coordinates in below and exceeds it only on coordinates in
-    above; without it ``inside`` is None.
 
     The walk is depth first: each step sets one coordinate and adds its
     term to every center's partial sides, so a point costs O(1) work per
     center whatever its length.
     """
-    box_size(box)  # the empty-side and budget checks
-    sides, inside = [(0, 0)] * len(centers), [True] * len(centers)
+    check_budget(box)
+    sides = [(0, 0)] * len(centers)
     if not box:  # the one point of a box without sides
-        yield (), sides, None if free is None else inside
+        yield (), sides
         return
     last = len(box) - 1
     columns = [[h[i] for h in centers] for i in range(len(box))]
-    spans = None
-    if free is not None:
-        regions = [_region(box, h, below, above) for h, (below, above) in zip(centers, free)]
-        spans = [[region[i] for region in regions] for i in range(len(box))]
 
-    def descend(i, point, sides, inside):
+    def descend(i, point, sides):
         lo, hi = box[i]
         column = columns[i]
-        span = None if spans is None else spans[i]
         for v in range(lo, hi + 1):
             here = [(less + v - t, greater) if v > t else (less, greater + t - v)
                     for (less, greater), t in zip(sides, column)]
-            within = None if span is None else [
-                ok and a <= v <= b for ok, (a, b) in zip(inside, span)
-            ]
             if i == last:
-                yield point + (v,), here, within
+                yield point + (v,), here
             else:
-                yield from descend(i + 1, point + (v,), here, within)
+                yield from descend(i + 1, point + (v,), here)
 
-    yield from descend(0, (), sides, inside)
+    yield from descend(0, (), sides)
 
 
 def _certified(P, intervals, box, size: int) -> bool:
@@ -210,9 +203,9 @@ def _attains(P, k, part) -> bool:
 
 def _checked_size(box, widths, jobs: int) -> int:
     """The number of points of ``box`` once the usage checks pass: its
-    sides (:func:`box_size`: none empty, within budget), one side per
-    coordinate of each center width in ``widths``, and ``jobs`` at least
-    1.  Raises ValueError (BudgetExceeded for the budget) otherwise."""
+    sides (:func:`box_size`: none empty), one side per coordinate of each
+    center width in ``widths``, and ``jobs`` at least 1.  Raises
+    ValueError otherwise."""
     size = box_size(box)
     if any(width != len(box) for width in widths):
         raise ValueError(f"box has {len(box)} sides, not one per center coordinate")
@@ -226,17 +219,22 @@ def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
     coordinate): exactly one interval contains it, and its center attains
     both d1< and d1> to the set of all centers, hence d1.
 
-    Returns ``(points, violations)``, exact for any list of intervals.
-    ``jobs`` (at least 1), capped at the number of CPUs, sets the
-    workers: the box is cut into :func:`_slabs`, at least one per worker
-    where it has that many points, every point of each is checked through
-    :func:`sweep`, and the slabs' lists are joined in slab order: the
-    box's :func:`itertools.product` order, the same for every ``jobs``.
-    With more than one worker, that many processes share the slabs.
+    Returns ``(points, violations)``, exact for any list of intervals
+    and within the budget.  ``jobs`` (at least 1), capped at the number
+    of CPUs, sets the workers: the box is cut into :func:`_slabs`, at
+    least one per worker where it has that many points, every point of
+    each is checked through :func:`sweep` against the intervals'
+    :func:`_region` parts, and the slabs' lists are joined in slab
+    order: the box's :func:`itertools.product` order, the same for every
+    ``jobs``.  With more than one worker, that many processes share the
+    slabs.
     """
     _checked_size(box, (len(iv.center) for iv in intervals), jobs)
+    check_budget(box)
+    centers = [iv.center for iv in intervals]
+    parts = [_region(box, iv.center, iv.below, iv.above) for iv in intervals]
     workers = min(jobs, os.cpu_count() or 1)
-    work = [(intervals, slab) for slab in _slabs(box, workers)]
+    work = [(centers, parts, slab) for slab in _slabs(box, workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_slab, work))
@@ -260,25 +258,25 @@ def _slabs(box, count: int) -> list:
 
 def _check_slab(args):
     """Worker: the number of points of a slab and their violations, in
-    :func:`sweep` order."""
-    intervals, slab = args
-    centers = [iv.center for iv in intervals]
-    free = [(iv.below, iv.above) for iv in intervals]
+    :func:`sweep` order; the parts holding a point are the AND over its
+    coordinates of one bit mask of parts per coordinate and value."""
+    centers, parts, slab = args
+    held = [{v: sum(1 << k for k, part in enumerate(parts) if part[i][0] <= v <= part[i][1])
+             for v in range(lo, hi + 1)} for i, (lo, hi) in enumerate(slab)]
     checked, violations = 0, []
-    for c, sides, inside in sweep(slab, centers, free):
+    for c, sides in sweep(slab, centers):
         checked += 1
-        if inside.count(True) != 1:
-            violations.append(
-                {"point": list(c),
-                 "covered_by": [list(h) for h, ok in zip(centers, inside) if ok]}
-            )
+        inside = (1 << len(parts)) - 1
+        for row, v in zip(held, c):
+            inside &= row[v]
+        if inside.bit_count() != 1:
+            violations.append({"point": list(c), "covered_by": [
+                list(h) for k, h in enumerate(centers) if inside >> k & 1]})
             continue
-        k = inside.index(True)
+        k = inside.bit_length() - 1
         if sides[k] != tuple(map(min, zip(*sides))):
-            violations.append(
-                {"point": list(c), "covered_by": [list(centers[k])],
-                 "distance": "not attained"}
-            )
+            violations.append({"point": list(c), "covered_by": [list(centers[k])],
+                               "distance": "not attained"})
     return checked, violations
 
 

@@ -12,28 +12,32 @@ construction.  It steps by :func:`tours.walk`, on darts, and decides
 each edge at its first visit: the dart's parity is the colour of the
 current node and its edge's other entry the far end.  An emerald Jaeger
 tree meets every non-tree edge first at its emerald end, so at a violet
-node the edge must go in, and if its far end is already reached the
-branch is dead.  At an emerald node an edge whose far end is reached
-stays out; any other branches, out if the edges not excluded still
-connect the graph (the walk resumes at the same dart over a copy of the
-tree), then in.  That test is one :func:`model.reach` from the far end
-on the graph's adjacency, built once per graph: it crosses no decided
-edge and stops at the first reached node.  The violet variant
+node the edge must go in.  At an emerald node an edge whose far end is
+reached stays out; any other branches, out if the edges not excluded
+still connect the graph (the walk resumes at the same dart over a copy
+of the tree), then in.  That test is one :func:`model.reach` from the
+far end on the graph's adjacency, built once per graph: it crosses no
+decided edge and stops at the first reached node.  The violet variant
 swaps the colours.  A look-ahead prunes an include into an unreached
 node w of the colour that cannot choose: if w has an undecided edge to a
 reached node, the tour finishes w's subtree before it leaves w, so it
 meets that edge first at w, where it must go in and closes a cycle.
 That edge also keeps w joined to the tree, so the out branch then needs
-no connectivity test.  Every branch that completes its tour is a Jaeger
-tree: no include closes a cycle, every exclusion keeps the graph
-connected, so the tree spans, and the rule holds at every first visit.
-Its degree vector is its hypertree, and its two emerald orders (first
+no connectivity test.  No branch dies: at a node x that cannot choose,
+an edge k met first there never has its far end y reached.  Not before
+x was entered, for the look-ahead refused every include into x while x
+had an undecided edge to a reached node; not after, for then y lies in
+x's subtree, and a tour walks every dart around a node before it leaves
+that node for the last time, so it met k at y first.  So no include
+closes a cycle, every exclusion keeps the graph connected, the tree
+spans, and every branch the search pushes is one Jaeger tree.  Its
+degree vector is its hypertree, and its two emerald orders (first
 appearance as the current node, and as the emerald end of the current
 edge) are read off the nodes in the order the walk reached them and the
-edges in the order it first met them.  With Python 3.11 on a 2-vCPU host
-(CPU seconds, seeded embeddings), the emerald search takes about 0.008 s
-on K6,6 (252 hypertrees), 0.04 s on K7,7 (924) and 0.016 s on K3,24
-(300).
+edges in the order it first met them.  With Python 3.11 on a 2-vCPU
+host (CPU seconds, seeded embeddings), the emerald search takes about
+0.008 s on K6,6 (252 hypertrees), 0.04 s on K7,7 (924) and 0.016 s on
+K3,24 (300).
 
 Listing spanning trees (:func:`all_spanning_trees`) remains for the
 coverage figures of the benchmark; the oracles built on it, the
@@ -109,27 +113,24 @@ def tour_search(g: RibbonGraph, variant: str):
             seen.add(k)
             met.append(k)
             far = edges[k][(d & 1) ^ 1]
-            if d & 1 != chooser:
-                if far in reached:
-                    break  # k must go in and would close a cycle
-            elif far in reached or any(x not in seen and w in reached for x, w in adj[far]):
-                # k stays out: in, it would close a cycle now, or at far,
-                # the look-ahead; and out, far is still joined to the tree
-                continue
-            elif next(reversed(reach(adj, far, seen, reached))) in reached:
-                # out keeps the graph connected iff far still reaches the
-                # tree through undecided edges, when the search stops at a
-                # reached node, its last key; in goes on in this walk
-                pending.append((set(tree), dict(reached), list(met), d))
-            tree.add(k)
+            if d & 1 == chooser:
+                if far in reached or any(x not in seen and w in reached for x, w in adj[far]):
+                    # k stays out: in, it would close a cycle now, or at far,
+                    # the look-ahead; and out, far is still joined to the tree
+                    continue
+                if next(reversed(reach(adj, far, seen, reached))) in reached:
+                    # out keeps the graph connected iff far still reaches the
+                    # tree through undecided edges, when the search stops at a
+                    # reached node, its last key; in goes on in this walk
+                    pending.append((set(tree), dict(reached), list(met), d))
+            tree.add(k)  # at a node that cannot choose, far is never reached
             reached[far] = None
-        else:
-            yield (
-                degree_vector(g, tree),
-                tuple(sorted(tree)),
-                tuple(filter(is_emerald, reached)),
-                tuple(dict.fromkeys(edges[k][1] for k in met)),
-            )
+        yield (
+            degree_vector(g, tree),
+            tuple(sorted(tree)),
+            tuple(filter(is_emerald, reached)),
+            tuple(dict.fromkeys(edges[k][1] for k in met)),
+        )
 
 
 def jaeger_trees(g: RibbonGraph, variant: str = "emerald") -> dict:

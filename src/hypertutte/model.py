@@ -254,7 +254,7 @@ def yaml_mapping(text: str, required) -> dict:
     ``required``; raise ParseError otherwise."""
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ParseError(f"invalid syntax: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("input file must be a mapping")

@@ -31,7 +31,7 @@ from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
 from .hypertrees import cached, enumerate_hypertrees, jaeger_trees
 from .delta import activity_masks, bases_from_hypertrees, check_order
-from .crapo import box_around, box_size, sweep
+from .crapo import box_around, check_budget, sweep
 
 
 def tutte_sum(g: RibbonGraph, orders) -> Poly:
@@ -90,12 +90,12 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
-    box_size([(0, imax), (0, jmax)])  # the table's budget
+    check_budget([(0, imax), (0, jmax)])  # the table's cells
     hs = enumerate_hypertrees(g)
     core = box_around(hs, 0, 0)
     fixed = sum(lo == hi for lo, hi in core)
     groups = Counter()
-    for point, sides, _ in sweep(core, hs):
+    for point, sides in sweep(core, hs):
         less, greater = map(min, zip(*sides))
         if greater <= imax and less <= jmax:
             down = sum(v == lo < hi for v, (lo, hi) in zip(point, core))

@@ -199,7 +199,7 @@ def test_crapo_verify_jobs_below_one_is_usage_error(capsys, jobs):
     assert "jobs must be at least 1" in err
 
 
-@pytest.mark.parametrize("flag", ["--jobs=0", "--box=-50,50"])
+@pytest.mark.parametrize("flag", ["--jobs=0", "--box=5,2"])
 def test_crapo_verify_usage_error_before_graph_work(capsys, monkeypatch, flag):
     def refuse(g):
         raise AssertionError("embedding_assignment called")
@@ -336,6 +336,31 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == fixture_names()
+
+
+@pytest.mark.parametrize("kind", ["tree", "hg"])
+def test_deeply_nested_yaml_is_usage_error(tmp_path, kind):
+    """A decision tree nested 1,000 deep and an instance whose edges are a
+    list nested 2,000 deep overflow the YAML parser's recursion: exit 2
+    with an error line, not a traceback."""
+    if kind == "tree":
+        text = "{label: a, children: [" * 1000 + "{label: a}" + "]}" * 1000 + "\n"
+        argv = ["delta", "check", "--tree", str(tmp_path / "deep.tree"),
+                "--bases", str(fixture_path("delta_fig.matroid"))]
+    else:
+        deep = "edges: " + "[" * 2000 + "]" * 2000
+        text = "".join(deep + "\n" if line.startswith("edges:") else line
+                       for line in fixture_path("fig2.hg").read_text().splitlines(True))
+        argv = ["tutte", str(tmp_path / "deep.hg")]
+    (tmp_path / f"deep.{kind}").write_text(text, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "hypertutte", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 def test_fixtures_list_and_emit(capsys):

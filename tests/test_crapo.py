@@ -117,14 +117,30 @@ def test_partition_parallel_matches_serial(fig2):
     assert parallel["points"] == serial["points"]
 
 
-def test_partition_budget(fig2):
-    with pytest.raises(BudgetExceeded):
-        verify_crapo_partition(fig2, box=[(-50, 50)] * 4)
+def test_partition_budget(fig2, monkeypatch):
+    """Only swept points are budgeted: fig2 passes on [-50, 50]^4, whose
+    101^4 points are far over the budget, without a sweep.  With two
+    bases' activity records exchanged the certificate fails, and the same
+    box is refused before its violations are listed."""
+    box = [(-50, 50)] * 4
+    P, assignment = embedding_assignment(fig2)
+    first, second = next(
+        (b, c) for b, c in itertools.combinations(sorted(assignment), 2)
+        if assignment[b] != assignment[c])
+    planted = {**assignment, first: assignment[second], second: assignment[first]}
+    assert verify_assignment(P, planted)["status"] == "FAIL"
+    assert box_size(box) == 101 ** 4 > crapo._BOX_BUDGET
+    monkeypatch.setattr(crapo, "sweep", no_sweep)
+    report = verify_crapo_partition(fig2, box=box)
+    assert (report["status"], report["points"], report["violations"]) == ("PASS", 101 ** 4, [])
+    monkeypatch.setattr(crapo, "embedding_assignment", lambda g: (P, planted))
+    with pytest.raises(BudgetExceeded, match=f"box of {101 ** 4} points exceeds budget"):
+        verify_crapo_partition(fig2, box=box)
 
 
 def test_usage_errors_before_graph_work(fig1, monkeypatch):
-    """A bad ``jobs`` or an over-budget box is refused before the
-    activities of any hypertree are computed."""
+    """A bad ``jobs`` or an empty box is refused before the activities of
+    any hypertree are computed."""
 
     def refuse(g):
         raise AssertionError("embedding_assignment called")
@@ -132,8 +148,8 @@ def test_usage_errors_before_graph_work(fig1, monkeypatch):
     monkeypatch.setattr(crapo, "embedding_assignment", refuse)
     with pytest.raises(ValueError, match="jobs"):
         verify_crapo_partition(fig1, jobs=0)
-    with pytest.raises(BudgetExceeded):
-        verify_crapo_partition(fig1, box=[(-50, 50)] * fig1.emerald_count)
+    with pytest.raises(ValueError, match="empty box"):
+        verify_crapo_partition(fig1, box=[(5, 2)] * fig1.emerald_count)
 
 
 def test_partition_detects_mutation(fig2):
@@ -319,15 +335,20 @@ def test_pass_visits_no_point(all_hg, single_edge, monkeypatch):
 def test_certifies_k66_default_box_without_sweeping(monkeypatch):
     """A seeded K6,6 (252 hypertrees) passes on its default box of 10^6
     points from the exchange tables, well within a tenth of a CPU second
-    once its hypertrees and Jaeger trees are built."""
-    g = ribbon_graph(6, 6, [(i, j) for i in range(6) for j in range(6)], random.Random(1))
-    embedding_assignment(g)
+    once its hypertrees and Jaeger trees are built; a seeded K7,7 (924
+    hypertrees) passes on its default box of 19,487,171 points, beyond
+    the budget, which only swept points are held to."""
     monkeypatch.setattr(crapo, "sweep", no_sweep)
-    start = time.process_time()
-    report = verify_crapo_partition(g)
-    elapsed = time.process_time() - start
-    assert (report["status"], report["points"], report["hypertrees"]) == ("PASS", 10 ** 6, 252)
-    assert elapsed < 0.1, elapsed
+    cases = [(6, 10 ** 6, 252, 0.1), (7, 19_487_171, 924, 2.0)]
+    for n, points, hypertrees, seconds in cases:
+        g = ribbon_graph(n, n, [(i, j) for i in range(n) for j in range(n)], random.Random(1))
+        embedding_assignment(g)
+        start = time.process_time()
+        report = verify_crapo_partition(g)
+        elapsed = time.process_time() - start
+        assert (report["status"], report["points"], report["hypertrees"]) == (
+            "PASS", points, hypertrees)
+        assert elapsed < seconds, (n, elapsed)
 
 
 def test_assignment_missing_a_basis_is_swept(fig2, monkeypatch):
@@ -554,19 +575,16 @@ def test_sweep_box_missing_centers(fig2):
 
 
 def test_sweep_yields_one_sided_distances(fig2):
-    """The kernel's sides and inside flags are one_sided and
-    interval_contains at every point, in itertools.product order."""
-    intervals = swapped(embedding_intervals(fig2), {3})
-    centers = [iv.center for iv in intervals]
-    free = [(iv.below, iv.above) for iv in intervals]
+    """The kernel's sides are one_sided at every point, in
+    itertools.product order."""
+    centers = enumerate_hypertrees(fig2)
     box = [(-1, 1), (0, 2), (1, 1), (-1, 2)]
-    walked = list(sweep(box, centers, free))
-    assert [c for c, _, _ in walked] == list(
+    walked = list(sweep(box, centers))
+    assert [c for c, _ in walked] == list(
         itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
-    for c, sides, inside in walked:
+    for c, sides in walked:
         assert sides == [one_sided(h, c) for h in centers]
-        assert inside == [interval_contains(iv, c) for iv in intervals]
-    assert all(inside is None for _, _, inside in sweep(box, centers))
+    assert list(sweep([], [(), ()])) == [((), [(0, 0), (0, 0)])]
 
 
 @settings(max_examples=100, deadline=None)

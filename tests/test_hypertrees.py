@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import delta, harness, hypertrees, model
+from hypertutte import delta, harness, hypertrees, model, tours
 from hypertutte.delta import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
     all_spanning_trees,
@@ -68,6 +68,41 @@ def test_search_builds_the_adjacency_once(monkeypatch):
     for variant in ("emerald", "violet"):
         assert len(list(tour_search(g, variant))) == 20  # C(6, 3)
     assert len(built) <= 1
+
+
+def assert_one_walk_per_hypertree(g):
+    """Each branch the search pops resumes one ``tours.walk``: for both
+    variants there are as many walks as hypertrees, so no branch dies
+    (the argument is in the ``hypertrees`` docstring)."""
+    walk = tours.walk
+    hypertree_count = len(enumerate_hypertrees(g))
+    for variant in ("emerald", "violet"):
+        walks = []
+
+        def counted(*args):
+            walks.append(None)
+            return walk(*args)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(tours, "walk", counted)
+            leaves = list(tour_search(g, variant))
+        assert len(walks) == len(leaves) == hypertree_count, variant
+
+
+def test_every_branch_is_a_jaeger_tree(all_hg, single_edge):
+    """On the fixtures and seeded K_{a,b} embeddings, with the basis at
+    either colour, every branch the search pushes yields a Jaeger tree."""
+    graphs = [*all_hg.values(), single_edge]
+    for a, b in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
+        graphs += [perturbed(complete_bipartite(a, b), random.Random(seed)) for seed in range(4)]
+    for g in graphs:
+        assert_one_walk_per_hypertree(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_graphs())
+def test_every_branch_is_a_jaeger_tree_on_random_instances(g):
+    assert_one_walk_per_hypertree(g)
 
 
 def test_search_trees_have_the_degrees(fig2):

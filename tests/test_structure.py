@@ -6,7 +6,9 @@ the package defines is raised somewhere in it, only ``tours.walk``
 steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
 contraction and deletion, only ``crapo._check_slab`` and
-``tutte.corank_nullity`` sweep a box, only ``crapo.intervals`` builds a
+``tutte.corank_nullity`` sweep a box, only the routines that visit
+points check the box budget, ``crapo._region`` is the one membership
+rule of the certificate and the lister, only ``crapo.intervals`` builds a
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
 whose bit masks over P's coordinates only the CLI commands and
 ``delta.obstruction_check`` turn back into names (``delta.names``), so
@@ -346,10 +348,29 @@ def test_one_contraction_deletion():
 def test_one_sweep():
     """Only ``crapo._check_slab`` and ``tutte.corank_nullity`` call
     ``crapo.sweep``, the one box walk and distance rule: the Crapo
-    certificate lists the violations of a failing box, and the
+    lister lists the violations of a failing box, and the
     corank-nullity table counts the hypertrees' bounding box."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "sweep") == ["crapo._check_slab", "tutte.corank_nullity"]
+
+
+def test_budget_only_where_points_are_visited():
+    """``crapo.check_budget`` runs only in the sweep, in the lister before
+    it cuts slabs, and on the corank-nullity table's cells: the Crapo
+    certificate, which visits no point, never reads the budget."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "check_budget") == [
+        "crapo.sweep", "crapo.verify_intervals", "tutte.corank_nullity"]
+    named = _places(sources, lambda node: isinstance(node, ast.Name) and node.id == "_BOX_BUDGET")
+    assert named == ["crapo", "crapo.check_budget"]
+
+
+def test_one_membership_rule():
+    """``crapo._region``, an interval's part of a box, is the one
+    membership rule: the certificate decides cover and disjointness on
+    it, and the lister tests each point against it."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "_region") == ["crapo._certified", "crapo.verify_intervals"]
 
 
 def test_one_interval_rule():
@@ -510,7 +531,7 @@ def test_checks_catch_violations():
         "delta": (
             "from .crapo import sweep\n"
             "def crapo_verify(P, box):\n"
-            "    return [sides for _, sides, _ in sweep(box, P.bases)]\n"
+            "    return [sides for _, sides in sweep(box, P.bases)]\n"
         ),
     }
     assert callers(sweeping, "sweep") == [

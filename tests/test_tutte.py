@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from hypertutte import crapo, tutte
-from hypertutte.crapo import BudgetExceeded, box_around, box_size, sweep
+from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget, sweep
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
@@ -214,8 +214,8 @@ def test_corank_nullity_bad_bounds(fig2, monkeypatch):
             corank_nullity(fig2, *bounds)
     hs = enumerate_hypertrees(fig2)
     assert box_size(box_around(hs, 0, 0)) == 24
-    with pytest.raises(BudgetExceeded):
-        box_size(box_around(hs, 40, 40))
+    with pytest.raises(BudgetExceeded, match="box of 45763544 points exceeds budget"):
+        check_budget(box_around(hs, 40, 40))
     assert series_identity_check(fig2, 40, 40)["status"] == "PASS"
     monkeypatch.setattr(tutte, "sweep", None)  # a sweep would raise TypeError
     with pytest.raises(BudgetExceeded):
