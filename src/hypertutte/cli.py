@@ -129,9 +129,11 @@ def _emit_report(report, as_json: bool) -> None:
 
 
 def _cmd_crapo(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {args.jobs}")
     g = _load(args.instance)
     box = [_pair("--box", args.box)] * g.emerald_count if args.box else None
-    report = crapo.verify_crapo_partition(g, box=box, jobs=args.jobs)
+    report = crapo.verify_crapo_partition(g, box=box)
     _emit_report(report, args.report == "json")
     return 0 if report["status"] == "PASS" else 1
 
@@ -234,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crapo", help="verify the Crapo partition on a box")
     p.add_argument("action", choices=("verify",))
     p.add_argument("--box", help="lo,hi applied to every coordinate")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="at least 1; accepted for compatibility, the listing runs in one process")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_crapo)

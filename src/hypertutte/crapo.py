@@ -24,32 +24,35 @@ less k's is [c_i >= k_i] - [c_f > k_f], negative somewhere iff the part
 goes below k at i and above it at f.  All bases share one coordinate
 sum, so d1< - d1> = sum(c) - sum(h) is the same for every basis and the
 d1> differences equal the d1< ones: one test settles both sides.
-The certificate applies when the intervals' centers are exactly P's
-bases, each once; any other list, and a box that fails, is swept by
-verify_intervals, the exact lister: it is cut into slabs by fixing its
-leading coordinates (_slabs), at least one per worker, with at most
-one worker per CPU, and the slabs' lists are joined in
-itertools.product order, so the report is the same for every number of
-workers.
+verify_assignment takes an assignment of exactly P's bases, each once,
+the only case in which the exchange-table test is exact, and refuses
+any other.  A box that fails is listed by _violations, region by
+region: it is cut at a boundary of a part that meets a sub-box without
+containing it, until every part that meets a sub-box contains it.
+Every point of such a leaf is a violation when the leaf lies in no part
+or in several; in one part, its basis either attains both distances on
+the whole leaf, by the same exchange-table test, or is tested point by
+point.  The leaves left to list are held to the budget together, and
+the violations are reported in itertools.product order.
 
 Every lattice sweep of the package goes through this module: box_around
 is the one box rule, box_size the one empty-side check, check_budget
-the one budget check, run only where points are visited, _region the
-one rule for an interval's part of a box, and sweep the one box walk
-and the one distance rule, depth first, updating every center's partial
-distances one coordinate at a time.  verify_intervals lists the points
-of a box; tutte.corank_nullity sweeps the hypertrees' bounding box and
+the one budget check, run only where points are visited (the sweep,
+the lister and the corank-nullity table), _region the one rule for an
+interval's part of a box, and sweep the one box walk and the one
+distance rule, depth first, updating every center's partial distances
+one coordinate at a time:
+tutte.corank_nullity sweeps the hypertrees' bounding box with it and
 counts the rest of its window in closed form.  The point-by-point
-distances and interval membership that the tests check the sweep
-against, and the attainment test against every other center that the
-exchange-table test is checked against, are in ``tests/oracles.py``.
+distances and interval membership that the tests check the lister and
+the sweep against, and the attainment test against every other center
+that the exchange-table test is checked against, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
 
@@ -102,13 +105,12 @@ def box_size(box) -> int:
     return prod(hi - lo + 1 for lo, hi in box)
 
 
-def check_budget(box) -> int:
-    """The :func:`box_size` of a box whose points are about to be visited;
-    raises BudgetExceeded if it holds more than the budget's points."""
-    size = box_size(box)
-    if size > _BOX_BUDGET:
-        raise BudgetExceeded(f"box of {size} points exceeds budget")
-    return size
+def check_budget(points: int, what: str = "box") -> int:
+    """``points``, the number of lattice points of a ``what`` about to be
+    visited; raises BudgetExceeded if that is more than the budget."""
+    if points > _BOX_BUDGET:
+        raise BudgetExceeded(f"{what} of {points} points exceeds budget")
+    return points
 
 
 def _region(box, center, below, above) -> list:
@@ -133,7 +135,7 @@ def sweep(box, centers):
     term to every center's partial sides, so a point costs O(1) work per
     center whatever its length.
     """
-    check_budget(box)
+    check_budget(box_size(box))
     sides = [(0, 0)] * len(centers)
     if not box:  # the one point of a box without sides
         yield (), sides
@@ -201,119 +203,93 @@ def _attains(P, k, part) -> bool:
     return exchange_free(P, k, lower, upper)
 
 
-def _checked_size(box, widths, jobs: int) -> int:
+def _violations(P, intervals, box) -> list:
+    """Every lattice point of ``box`` that no interval or more than one
+    contains, or whose one covering center does not attain both d1< and
+    d1> to P's bases there, in :func:`itertools.product` order.
+
+    The box is cut, region by region, at a boundary of an interval's
+    :func:`_region` part that meets a sub-box without containing it,
+    until every part that meets a sub-box contains it.  Each point of
+    such a leaf is then covered by the same parts: by none or several,
+    and every point is a violation, or by one, whose center k attains
+    the distances on the whole leaf (:func:`_attains`) or is checked
+    point by point.  The leaves left to list are held to the budget
+    together before any of their points is visited.
+    """
+    parts = [(iv.center, _region(box, iv.center, iv.below, iv.above)) for iv in intervals]
+    stack = [(box, [(k, part) for k, part in parts if all(a <= b for a, b in part)])]
+    leaves = []
+    while stack:
+        sub, meeting = stack.pop()
+        # cut side i after ``at``, where a meeting part's side i stops inside the sub-box's
+        cut = next(((i, a - 1 if lo < a else b) for _, part in meeting
+                    for i, ((a, b), (lo, hi)) in enumerate(zip(part, sub)) if lo < a or b < hi),
+                   None)
+        if cut is None:
+            if len(meeting) != 1 or not _attains(P, meeting[0][0], sub):
+                leaves.append((sub, meeting))
+            continue
+        i, at = cut
+        for lo, hi in ((sub[i][0], at), (at + 1, sub[i][1])):
+            stack.append(([*sub[:i], (lo, hi), *sub[i + 1:]],
+                          [(k, part) for k, part in meeting if part[i][0] <= hi and lo <= part[i][1]]))
+    check_budget(sum(box_size(sub) for sub, _ in leaves), "listing")
+    violations = []
+    for sub, meeting in leaves:
+        centers = [k for k, _ in meeting]
+        for c in itertools.product(*(range(lo, hi + 1) for lo, hi in sub)):
+            if len(centers) != 1:
+                violations.append({"point": list(c), "covered_by": list(map(list, centers))})
+            elif not _attains(P, centers[0], [(v, v) for v in c]):
+                violations.append({"point": list(c), "covered_by": [list(centers[0])],
+                                   "distance": "not attained"})
+    return sorted(violations, key=lambda v: v["point"])
+
+
+def _checked_size(box, width: int) -> int:
     """The number of points of ``box`` once the usage checks pass: its
-    sides (:func:`box_size`: none empty), one side per coordinate of each
-    center width in ``widths``, and ``jobs`` at least 1.  Raises
-    ValueError otherwise."""
+    sides (:func:`box_size`: none empty), one per coordinate of the
+    ``width`` of the centers.  Raises ValueError otherwise."""
     size = box_size(box)
-    if any(width != len(box) for width in widths):
+    if len(box) != width:
         raise ValueError(f"box has {len(box)} sides, not one per center coordinate")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
     return size
 
 
-def verify_intervals(intervals, box, jobs: int = 1) -> tuple:
-    """Check every lattice point of ``box`` (one ``(lo, hi)`` per
-    coordinate): exactly one interval contains it, and its center attains
-    both d1< and d1> to the set of all centers, hence d1.
+def verify_assignment(P, assignment: dict, box=None) -> dict:
+    """The :func:`intervals` of an assignment of P's bases checked over
+    ``box`` or else the :func:`default_box` of P's bases: the one
+    PASS/FAIL report, with the ``points`` checked and all ``violations``.
 
-    Returns ``(points, violations)``, exact for any list of intervals
-    and within the budget.  ``jobs`` (at least 1), capped at the number
-    of CPUs, sets the workers: the box is cut into :func:`_slabs`, at
-    least one per worker where it has that many points, every point of
-    each is checked through :func:`sweep` against the intervals'
-    :func:`_region` parts, and the slabs' lists are joined in slab
-    order: the box's :func:`itertools.product` order, the same for every
-    ``jobs``.  With more than one worker, that many processes share the
-    slabs.
+    A box that passes is certified without visiting a point
+    (:func:`_certified`); one that fails is listed by :func:`_violations`.
+    Both read attainment off P's exchange tables, exact only when the
+    assignment holds each of P's bases once: any other assignment is
+    refused with ValueError before the box is looked at.  P's bases
+    must satisfy the exchange axiom: a hypertree set does by Kálmán's
+    theorem, and loaded bases are checked (:func:`delta.check_exchange`).
     """
-    _checked_size(box, (len(iv.center) for iv in intervals), jobs)
-    check_budget(box)
-    centers = [iv.center for iv in intervals]
-    parts = [_region(box, iv.center, iv.below, iv.above) for iv in intervals]
-    workers = min(jobs, os.cpu_count() or 1)
-    work = [(centers, parts, slab) for slab in _slabs(box, workers)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_slab, work))
-    else:
-        results = list(map(_check_slab, work))
-    return sum(n for n, _ in results), [v for _, vs in results for v in vs]
-
-
-def _slabs(box, count: int) -> list:
-    """``box`` cut into at least ``count`` slabs, or into its points if it
-    holds fewer: its leading coordinates fixed one at a time to each value
-    of their sides, the slabs in :func:`itertools.product` order.  A
-    ``count`` of 1 leaves the box whole."""
-    slabs = [list(box)]
-    for i, (lo, hi) in enumerate(box):
-        if len(slabs) >= count:
-            break
-        slabs = [[*slab[:i], (v, v), *slab[i + 1:]] for slab in slabs for v in range(lo, hi + 1)]
-    return slabs
-
-
-def _check_slab(args):
-    """Worker: the number of points of a slab and their violations, in
-    :func:`sweep` order; the parts holding a point are the AND over its
-    coordinates of one bit mask of parts per coordinate and value."""
-    centers, parts, slab = args
-    held = [{v: sum(1 << k for k, part in enumerate(parts) if part[i][0] <= v <= part[i][1])
-             for v in range(lo, hi + 1)} for i, (lo, hi) in enumerate(slab)]
-    checked, violations = 0, []
-    for c, sides in sweep(slab, centers):
-        checked += 1
-        inside = (1 << len(parts)) - 1
-        for row, v in zip(held, c):
-            inside &= row[v]
-        if inside.bit_count() != 1:
-            violations.append({"point": list(c), "covered_by": [
-                list(h) for k, h in enumerate(centers) if inside >> k & 1]})
-            continue
-        k = inside.bit_length() - 1
-        if sides[k] != tuple(map(min, zip(*sides))):
-            violations.append({"point": list(c), "covered_by": [list(centers[k])],
-                               "distance": "not attained"})
-    return checked, violations
-
-
-def verify_assignment(P, assignment: dict, box=None, jobs: int = 1) -> dict:
-    """The :func:`intervals` of an assignment checked over ``box`` or else
-    the :func:`default_box` of P's bases: the one PASS/FAIL report, with
-    the ``points`` checked and all ``violations``.
-
-    When the assignment has exactly P's bases, a box that passes is
-    certified without visiting a point (:func:`_certified`); every other
-    case is listed by :func:`verify_intervals`, with the same report.
-    The certificate needs P's bases to satisfy the exchange axiom: a
-    hypertree set does by Kálmán's theorem, and loaded bases are checked
-    (:func:`delta.check_exchange`).
-    """
+    if assignment.keys() != P.bases:
+        raise ValueError("the assignment must hold exactly the polymatroid's bases")
     if box is None:
         box = default_box(P.bases)
     ivs = intervals(assignment)
-    size = _checked_size(box, (len(iv.center) for iv in ivs), jobs)
-    exact = len(ivs) == len(P.bases) and {iv.center for iv in ivs} == P.bases
-    if exact and _certified(P, ivs, box, size):
-        points, violations = size, []
-    else:
-        points, violations = verify_intervals(ivs, box, jobs)
-    return {"status": "PASS" if not violations else "FAIL", "points": points,
+    size = _checked_size(box, len(P.ground))
+    violations = [] if _certified(P, ivs, box, size) else _violations(P, ivs, box)
+    return {"status": "PASS" if not violations else "FAIL", "points": size,
             "violations": violations}
 
 
-def verify_crapo_partition(g: RibbonGraph, box=None, jobs: int = 1) -> dict:
+def verify_crapo_partition(g: RibbonGraph, box=None) -> dict:
     """Certify the Crapo partition of the embedding activities and
     distance attainment on a box: the :func:`verify_assignment` report,
-    with the number of hypertrees and the box.  A bad box or ``jobs``
-    raises before the activities are computed.
+    with the number of hypertrees and the box.  A bad box raises before
+    the activities are computed.
     """
     if box is None:
         box = default_box(enumerate_hypertrees(g))
-    _checked_size(box, (g.emerald_count,), jobs)
+    _checked_size(box, g.emerald_count)
     P, assignment = embedding_assignment(g)
-    return {"kind": "crapo-partition", **verify_assignment(P, assignment, box, jobs),
+    return {"kind": "crapo-partition", **verify_assignment(P, assignment, box),
             "hypertrees": len(assignment), "box": [[lo, hi] for lo, hi in box]}

@@ -375,9 +375,9 @@ def obstruction_check(P: PolymatroidBases, assignment: dict) -> tuple:
 
 
 def crapo_verify(P: PolymatroidBases, assignment: dict) -> dict:
-    """The Delta-Crapo report: the intervals of an activity assignment
-    partition the default box of P's bases, distances attained
-    (:func:`crapo.verify_assignment`)."""
+    """The Delta-Crapo report: the intervals of an activity assignment of
+    exactly P's bases partition their default box, distances attained
+    (:func:`crapo.verify_assignment`, which refuses any other assignment)."""
     from .crapo import verify_assignment
 
     return {"kind": "delta-crapo", **verify_assignment(P, assignment)}

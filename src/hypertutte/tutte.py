@@ -90,7 +90,7 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
-    check_budget([(0, imax), (0, jmax)])  # the table's cells
+    check_budget((imax + 1) * (jmax + 1))  # the table's cells
     hs = enumerate_hypertrees(g)
     core = box_around(hs, 0, 0)
     fixed = sum(lo == hi for lo, hi in core)

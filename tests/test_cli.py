@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hypertutte import crapo, fixture_names, fixture_path, tutte
+from hypertutte import crapo, fixture_names, fixture_path, hypertrees, tutte
 from hypertutte.cli import main
 
 FIG1 = str(fixture_path("fig1.hg"))
@@ -209,6 +209,19 @@ def test_crapo_verify_usage_error_before_graph_work(capsys, monkeypatch, flag):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_crapo_verify_jobs_refused_before_the_tour_search(capsys, monkeypatch):
+    """``--jobs`` below 1 is refused before the instance is searched for
+    its hypertrees, which the default box needs."""
+    def refuse(g, variant):
+        raise AssertionError("tour_search called")
+
+    monkeypatch.setattr(hypertrees, "tour_search", refuse)
+    code, out, err = run(capsys, "crapo", "verify", "--jobs=0", FIG1)
+    assert code == 2
+    assert out == ""
+    assert "jobs must be at least 1" in err
 
 
 def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Lattice distances, Crapo intervals, and the partition certificate."""
 
 import itertools
-import os
 import random
 import time
 from dataclasses import replace
@@ -19,9 +18,9 @@ from hypertutte.crapo import (
     sweep,
     verify_assignment,
     verify_crapo_partition,
-    verify_intervals,
 )
 from hypertutte import crapo, delta, fixture_path
+from hypertutte.delta import BasisActivity, PolymatroidBases
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
 from oracles import (
@@ -109,59 +108,83 @@ def test_partition_box_growth_stable(fig5):
         assert report["status"] == "PASS"
 
 
-def test_partition_parallel_matches_serial(fig2):
-    box = [(-1, 3)] * 4
-    serial = verify_crapo_partition(fig2, box=box)
-    parallel = verify_crapo_partition(fig2, box=box, jobs=2)
-    assert parallel["status"] == serial["status"] == "PASS"
-    assert parallel["points"] == serial["points"]
-
-
 def test_partition_budget(fig2, monkeypatch):
-    """Only swept points are budgeted: fig2 passes on [-50, 50]^4, whose
-    101^4 points are far over the budget, without a sweep.  With two
-    bases' activity records exchanged the certificate fails, and the same
-    box is refused before its violations are listed."""
+    """Only visited points are budgeted.  fig2 passes on [-50, 50]^4,
+    whose 101^4 points are far over the budget, without entering the
+    lister.  With e0 toggled in the external mask of its last basis, the
+    same box is listed: 127,449 violations, of which those in the default
+    box are the oracle's 18.  With two bases' activity records exchanged,
+    the regions left to list hold more points than the budget, and the
+    box is refused before any of them is listed."""
     box = [(-50, 50)] * 4
     P, assignment = embedding_assignment(fig2)
+    assert box_size(box) == 101 ** 4 > crapo._BOX_BUDGET
+    with monkeypatch.context() as patched:
+        patched.setattr(crapo, "_violations", no_listing)
+        report = verify_crapo_partition(fig2, box=box)
+    assert (report["status"], report["points"], report["violations"]) == ("PASS", 101 ** 4, [])
+    toggled_last = toggled(assignment, len(assignment) - 1, "external")
+    listed = verify_assignment(P, toggled_last, box)["violations"]
+    inner = default_box(P.bases)
+    _, want = reference_verify(crapo.intervals(toggled_last), inner)
+    assert len(listed) == 127_449 and len(want) == 18
+    assert [v for v in listed
+            if all(lo <= x <= hi for x, (lo, hi) in zip(v["point"], inner))] == want
     first, second = next(
         (b, c) for b, c in itertools.combinations(sorted(assignment), 2)
         if assignment[b] != assignment[c])
     planted = {**assignment, first: assignment[second], second: assignment[first]}
     assert verify_assignment(P, planted)["status"] == "FAIL"
-    assert box_size(box) == 101 ** 4 > crapo._BOX_BUDGET
-    monkeypatch.setattr(crapo, "sweep", no_sweep)
-    report = verify_crapo_partition(fig2, box=box)
-    assert (report["status"], report["points"], report["violations"]) == ("PASS", 101 ** 4, [])
     monkeypatch.setattr(crapo, "embedding_assignment", lambda g: (P, planted))
-    with pytest.raises(BudgetExceeded, match=f"box of {101 ** 4} points exceeds budget"):
+    with pytest.raises(BudgetExceeded, match="listing of 38890050 points exceeds budget"):
         verify_crapo_partition(fig2, box=box)
 
 
 def test_usage_errors_before_graph_work(fig1, monkeypatch):
-    """A bad ``jobs`` or an empty box is refused before the activities of
-    any hypertree are computed."""
+    """An empty box is refused before the activities of any hypertree
+    are computed."""
 
     def refuse(g):
         raise AssertionError("embedding_assignment called")
 
     monkeypatch.setattr(crapo, "embedding_assignment", refuse)
-    with pytest.raises(ValueError, match="jobs"):
-        verify_crapo_partition(fig1, jobs=0)
     with pytest.raises(ValueError, match="empty box"):
         verify_crapo_partition(fig1, box=[(5, 2)] * fig1.emerald_count)
 
 
+def test_assignment_not_of_the_bases_is_refused(fig2, monkeypatch):
+    """An assignment with a basis dropped, or with a key that is no
+    basis, is refused by verify_assignment and delta.crapo_verify before
+    any box is built, measured or cut: the exchange-table test is exact
+    only on an assignment of exactly P's bases."""
+    P, assignment = embedding_assignment(fig2)
+    first = next(iter(assignment))
+    cases = [{b: rec for b, rec in assignment.items() if b != first},
+             {**assignment, (9, 9, 9, 9): assignment[first]}]
+
+    def refuse(*args):
+        raise AssertionError("box work")
+
+    for name in ("default_box", "box_size", "_region"):
+        monkeypatch.setattr(crapo, name, refuse)
+    for case in cases:
+        for box in (None, [(0, 1)] * 4):
+            with pytest.raises(ValueError, match="exactly the polymatroid's bases"):
+                verify_assignment(P, case, box)
+        with pytest.raises(ValueError, match="exactly the polymatroid's bases"):
+            delta.crapo_verify(P, case)
+
+
 def test_partition_detects_mutation(fig2):
-    """Swapping one interval's free masks must break the certificate."""
-    real = embedding_intervals(fig2)
-    broken = swapped(real, {[iv.center for iv in real].index((1, 1, 0, 0))})
-    points, violations = verify_intervals(broken, [(-1, 2)] * 4)
-    assert points == 4 ** 4
-    assert violations
-    _, serial = verify_intervals(broken, [(-1, 2)] * 4)
-    _, parallel = verify_intervals(broken, [(-1, 2)] * 4, jobs=2)
-    assert parallel == serial
+    """Swapping one basis's internal and external masks must break the
+    certificate, with the oracle's violations."""
+    P, assignment = embedding_assignment(fig2)
+    broken = swapped(assignment, {list(assignment).index((1, 1, 0, 0))})
+    box = [(-1, 2)] * 4
+    report = verify_assignment(P, broken, box)
+    assert report["points"] == 4 ** 4
+    assert report["violations"]
+    assert report == oracle_report(broken, box)
 
 
 def test_partition_rejects_empty_box(fig2):
@@ -200,52 +223,28 @@ def reference_verify(intervals, box):
     return len(points), violations
 
 
-def embedding_intervals(g):
-    return crapo.intervals(embedding_assignment(g)[1])
+def swapped(assignment, which):
+    """The assignment with the internal and external masks of the bases
+    at positions ``which`` exchanged."""
+    return {b: replace(rec, internal=rec.external, external=rec.internal) if k in which else rec
+            for k, (b, rec) in enumerate(assignment.items())}
 
 
-def swapped(intervals, which):
-    """The intervals with the free masks of those at positions ``which``
-    exchanged, below for above."""
-    return [
-        CrapoInterval(iv.center, iv.above, iv.below) if k in which else iv
-        for k, iv in enumerate(intervals)
-    ]
-
-
-def toggled(intervals, k, side):
-    """The intervals with coordinate 0 toggled in one free mask,
-    ``"below"`` or ``"above"``, of the one at position k."""
-    iv = intervals[k]
-    below, above = iv.below, iv.above
-    if side == "below":
-        below = below ^ 1
-    else:
-        above = above ^ 1
-    return [*intervals[:k], CrapoInterval(iv.center, below, above), *intervals[k + 1:]]
+def toggled(assignment, k, side):
+    """The assignment with coordinate 0 toggled in one mask,
+    ``"internal"`` or ``"external"``, of the basis at position k."""
+    return {b: replace(rec, **{side: getattr(rec, side) ^ 1}) if j == k else rec
+            for j, (b, rec) in enumerate(assignment.items())}
 
 
 def assignment_mutations(assignment):
     """The assignment as it is, then with internal and external masks
-    swapped for the first basis and for all, with e0 toggled in the
-    internal mask of the first and in the external mask of the last, and
-    with the first basis dropped."""
-    bases = list(assignment)
-
-    def changed(which, edit):
-        return {b: edit(rec) if b in which else rec for b, rec in assignment.items()}
-
-    def swap(rec):
-        return replace(rec, internal=rec.external, external=rec.internal)
-
-    return [
-        assignment,
-        changed(bases[:1], swap),
-        changed(bases, swap),
-        changed(bases[:1], lambda rec: replace(rec, internal=rec.internal ^ 1)),
-        changed(bases[-1:], lambda rec: replace(rec, external=rec.external ^ 1)),
-        {b: assignment[b] for b in bases[1:]},
-    ]
+    swapped for the first basis and for all, and with e0 toggled in the
+    internal mask of the first and in the external mask of the last:
+    each holds exactly the assignment's bases."""
+    return [assignment, swapped(assignment, {0}), swapped(assignment, range(len(assignment))),
+            toggled(assignment, 0, "internal"),
+            toggled(assignment, len(assignment) - 1, "external")]
 
 
 def boxes(centers):
@@ -267,44 +266,45 @@ def report_of(points, violations):
             "violations": violations}
 
 
+def oracle_report(assignment, box):
+    """The per-point oracle's report on the intervals of an assignment."""
+    return report_of(*reference_verify(crapo.intervals(assignment), box))
+
+
 def assert_matches_reference(g):
     """On the embedding assignment of g and its :func:`assignment_mutations`,
-    over every one of the :func:`boxes`: the lister ``verify_intervals``,
-    and the reports of ``verify_assignment``, ``verify_crapo_partition``
-    (fed the assignment) and, on the default box, ``delta.crapo_verify``,
-    certified or swept, equal the per-point oracle; so does the lister on
-    the intervals with the first duplicated."""
+    over every one of the :func:`boxes`: the reports of
+    ``verify_assignment``, ``verify_crapo_partition`` (fed the
+    assignment) and, on the default box, ``delta.crapo_verify``,
+    certified or listed, equal the per-point oracle."""
     P, assignment = embedding_assignment(g)
-    real = crapo.intervals(assignment)
     with pytest.MonkeyPatch.context() as patched:
         for case in assignment_mutations(assignment):
             patched.setattr(crapo, "embedding_assignment", lambda _, case=case: (P, case))
-            ivs = crapo.intervals(case)
             for box in boxes(P.bases):
-                want = reference_verify(ivs, box)
-                assert verify_intervals(ivs, box) == want
-                assert verify_assignment(P, case, box) == report_of(*want)
+                want = oracle_report(case, box)
+                assert verify_assignment(P, case, box) == want
                 report = verify_crapo_partition(g, box)
-                assert {key: report[key] for key in ("status", "points", "violations")
-                        } == report_of(*want)
+                assert {key: report[key] for key in want} == want
                 if box == default_box(P.bases):
-                    assert delta.crapo_verify(P, case) == {"kind": "delta-crapo",
-                                                           **report_of(*want)}
-    doubled = [*real, real[0]]
-    for box in boxes(P.bases):
-        assert verify_intervals(doubled, box) == reference_verify(doubled, box)
+                    assert delta.crapo_verify(P, case) == {"kind": "delta-crapo", **want}
 
 
 def test_sweep_matches_per_point_oracle(all_hg, single_edge):
     """Same points and the same violations in the same order as the
     per-point oracle, on the embedding assignments and their mutations,
-    certified or swept."""
+    certified or listed.  The oracle alone checks the intervals with
+    the first doubled, which no assignment holds."""
     for g in [*all_hg.values(), single_edge]:
         assert_matches_reference(g)
-        intervals = embedding_intervals(g)
-        box = box_around(enumerate_hypertrees(g), 1, 1)
-        assert reference_verify(swapped(intervals, {0}), box)[1] or len(intervals) == 1
-        assert reference_verify(toggled(intervals, 0, "below"), box)[1]
+        P, assignment = embedding_assignment(g)
+        box = box_around(P.bases, 1, 1)
+        assert oracle_report(swapped(assignment, {0}), box)["violations"] or len(P.bases) == 1
+        assert oracle_report(toggled(assignment, 0, "internal"), box)["violations"]
+        intervals = crapo.intervals(assignment)
+        doubled = reference_verify([*intervals, intervals[0]], box)[1]
+        assert {"point": list(intervals[0].center),
+                "covered_by": [list(intervals[0].center)] * 2} in doubled
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,15 +313,14 @@ def test_certificate_matches_oracle_on_random_instances(g):
     assert_matches_reference(g)
 
 
-def no_sweep(*args, **kwargs):
-    raise AssertionError("a passing box was swept")
+def no_listing(*args, **kwargs):
+    raise AssertionError("a passing box was listed")
 
 
 def test_pass_visits_no_point(all_hg, single_edge, monkeypatch):
-    """A box that passes on an assignment of exactly P's bases is
-    certified from the intervals alone, through every route: the sweep is
-    never entered."""
-    monkeypatch.setattr(crapo, "sweep", no_sweep)
+    """A box that passes is certified from the intervals alone, through
+    every route: the lister is never entered."""
+    monkeypatch.setattr(crapo, "_violations", no_listing)
     for g in [*all_hg.values(), single_edge]:
         P, assignment = embedding_assignment(g)
         for box in boxes(P.bases):
@@ -337,8 +336,8 @@ def test_certifies_k66_default_box_without_sweeping(monkeypatch):
     points from the exchange tables, well within a tenth of a CPU second
     once its hypertrees and Jaeger trees are built; a seeded K7,7 (924
     hypertrees) passes on its default box of 19,487,171 points, beyond
-    the budget, which only swept points are held to."""
-    monkeypatch.setattr(crapo, "sweep", no_sweep)
+    the budget, which only visited points are held to."""
+    monkeypatch.setattr(crapo, "_violations", no_listing)
     cases = [(6, 10 ** 6, 252, 0.1), (7, 19_487_171, 924, 2.0)]
     for n, points, hypertrees, seconds in cases:
         g = ribbon_graph(n, n, [(i, j) for i in range(n) for j in range(n)], random.Random(1))
@@ -351,26 +350,18 @@ def test_certifies_k66_default_box_without_sweeping(monkeypatch):
         assert elapsed < seconds, (n, elapsed)
 
 
-def test_assignment_missing_a_basis_is_swept(fig2, monkeypatch):
-    """An assignment without one of P's bases is never certified: every
-    box is swept, whether it passes or fails, with the oracle's report."""
+def test_assignment_missing_a_basis_is_swept(fig2):
+    """An assignment without one of P's bases is swept by the per-point
+    oracle alone, which passes it on some boxes and fails it on others:
+    verify_assignment refuses it, since the exchange-table test is exact
+    only on an assignment of exactly P's bases."""
     P, assignment = embedding_assignment(fig2)
-    walks = []
-
-    def counted(*args, **kwargs):
-        walks.append(1)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(crapo, "sweep", counted)
     verdicts = set()
     for dropped in assignment:
         case = {b: rec for b, rec in assignment.items() if b != dropped}
-        for box in boxes(P.bases):
-            walks.clear()
-            report = verify_assignment(P, case, box)
-            assert report == report_of(*reference_verify(crapo.intervals(case), box))
-            assert walks, (dropped, box)
-            verdicts.add(report["status"])
+        verdicts |= {oracle_report(case, box)["status"] for box in boxes(P.bases)}
+        with pytest.raises(ValueError, match="exactly the polymatroid's bases"):
+            verify_assignment(P, case)
     assert verdicts == {"PASS", "FAIL"}
 
 
@@ -438,140 +429,66 @@ def test_attainment_matches_all_pairs_oracle_on_random_instances(g, seed):
 
 
 def test_fail_lists_reference_violations_in_order(fig2):
-    """A box that fails is swept, and lists the oracle's violations in the
-    oracle's order.  One case leaves points uncovered, the other covers
-    points twice; test_sweep_checks_both_sides has distances not
-    attained."""
-    intervals = embedding_intervals(fig2)
-    box = box_around(enumerate_hypertrees(fig2), 1, 1)
-    for case in (toggled(intervals, 2, "above"), [*intervals, intervals[3]]):
-        points, violations = verify_intervals(case, box)
-        assert violations and (points, violations) == reference_verify(case, box)
+    """A box that fails lists the oracle's violations in the oracle's
+    order.  One case leaves points uncovered, the other covers points
+    twice; test_sweep_checks_both_sides has distances not attained."""
+    P, assignment = embedding_assignment(fig2)
+    box = box_around(P.bases, 1, 1)
+    uncovered, twice = toggled(assignment, 2, "external"), swapped(assignment, {6})
+    for case, covers in ((uncovered, 0), (twice, 2)):
+        report = verify_assignment(P, case, box)
+        assert report == oracle_report(case, box)
+        assert any(len(v["covered_by"]) == covers for v in report["violations"])
 
 
 def test_certificate_edge_cases():
-    """One-coordinate intervals at the certificate's edges: parts that
-    partition the box while the covering center misses d1> (at the low
-    end of its range) or d1< (at the high end); parts that meet in one
-    point and miss another, so their sizes still sum to the box's; and a
-    center outside the box, whose part is empty.  The free masks of a
-    one-coordinate interval are 1 (coordinate 0 free) or 0."""
-    def iv(center, below, above):
-        return CrapoInterval((center,), below, above)
+    """Intervals of the bases (0, 1) and (1, 0) at the certificate's
+    edges: parts that meet in one point and miss another, so their sizes
+    still sum to the box's; and the basis (0, 1) outside the box, whose
+    part is empty, on a box that fails and on one that passes."""
+    P = PolymatroidBases(("a", "b"), frozenset({(0, 1), (1, 0)}))
+
+    def assignment(first, second):
+        return {(0, 1): BasisActivity(*first, 0, 0), (1, 0): BasisActivity(*second, 0, 0)}
 
     cases = [
-        ([iv(2, 1, 1), iv(0, 1, 0)], [(1, 3)],
-         [{"point": [1], "covered_by": [[2]], "distance": "not attained"}]),
-        ([iv(0, 1, 1), iv(2, 0, 1)], [(-1, 1)],
-         [{"point": [1], "covered_by": [[0]], "distance": "not attained"}]),
-        ([iv(1, 1, 0), iv(1, 0, 0)], [(0, 2)],
-         [{"point": [1], "covered_by": [[1], [1]]}, {"point": [2], "covered_by": []}]),
-        ([iv(1, 0, 0), iv(0, 0, 0)], [(1, 2)],
-         [{"point": [2], "covered_by": []}]),
+        (assignment((0, 0b01), (0, 0b10)), [(0, 1), (0, 1)],
+         [{"point": [0, 0], "covered_by": []},
+          {"point": [1, 1], "covered_by": [[0, 1], [1, 0]]}]),
+        (assignment((0, 0), (0, 0)), [(1, 2), (-1, 0)],
+         [{"point": [1, -1], "covered_by": []}, {"point": [2, -1], "covered_by": []},
+          {"point": [2, 0], "covered_by": []}]),
+        (assignment((0, 0), (0b10, 0b01)), [(1, 2), (-1, 0)], []),
     ]
-    for intervals, box, violations in cases:
-        got = verify_intervals(intervals, box)
-        assert got == reference_verify(intervals, box) == (box_size(box), violations)
-
-
-def test_jobs_below_one_rejected(fig2):
-    intervals = embedding_intervals(fig2)
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match="jobs"):
-            verify_intervals(intervals, default_box(enumerate_hypertrees(fig2)), jobs=jobs)
-
-
-def test_sweep_parallel_matches_oracle(fig2):
-    intervals = swapped(embedding_intervals(fig2), {1, 4})
-    box = [(-1, 2)] * 4
-    points, violations = reference_verify(intervals, box)
-    assert violations
-    assert verify_intervals(intervals, box, jobs=2) == (points, violations)
-
-
-def test_jobs_are_capped_at_the_cpu_count(fig2, monkeypatch):
-    """However many jobs are asked for, a failing box is listed by at most
-    one worker per CPU, cut into slabs for that many, and reported as
-    with one job.  The pool is a stand-in that maps in this process and
-    records the workers asked for and the slabs handed out."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work):
-            work = list(work)
-            started.append(len(work))
-            return map(fn, work)
-
-    monkeypatch.setattr(crapo, "ProcessPoolExecutor", SerialPool)
-    intervals = swapped(embedding_intervals(fig2), {1, 4})
-    box = [(-1, 2)] * 4
-    serial = verify_intervals(intervals, box)
-    assert serial[1]
-    # two CPUs: two workers, one slab per value of the first side; an
-    # unknown count: one worker, no pool
-    for cpus, workers in ((2, [2, 4]), (None, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        for jobs in (2, 5000):
-            started.clear()
-            assert verify_intervals(intervals, box, jobs=jobs) == serial
-            assert started == workers
+    for case, box, violations in cases:
+        got = verify_assignment(P, case, box)
+        assert got == oracle_report(case, box) == report_of(box_size(box), violations)
 
 
 def test_sweep_one_coordinate_box(single_edge, fig2):
-    """A one-coordinate box is cut into its points, and lists the oracle's
-    violations in the oracle's order for every number of jobs; so do the
-    box without sides and a box whose first side is one value, which
-    is cut on its second coordinate."""
-    intervals = embedding_intervals(single_edge)
-    broken = toggled(intervals, 0, "below")
+    """A one-coordinate box lists the oracle's violations in the oracle's
+    order, and so does a box whose first side is one value."""
+    P, assignment = embedding_assignment(single_edge)
     box = [(-3, 5)]
-    for case in (intervals, swapped(intervals, {0})):
-        assert verify_intervals(case, box) == reference_verify(case, box)
-    assert verify_intervals(intervals, box, jobs=2) == (9, [])
-    fig2_broken = swapped(embedding_intervals(fig2), {1, 4})
-    cases = [(broken, box), ([], []),
-             (fig2_broken, [(0, 0), (-1, 2), (-1, 2), (-1, 2)])]
-    for case, where in cases:
-        points, violations = reference_verify(case, where)
-        assert violations
-        for jobs in (1, 2, 3):
-            assert verify_intervals(case, where, jobs=jobs) == (points, violations), jobs
-
-
-def test_slabs_fix_leading_coordinates_in_product_order():
-    """At least ``count`` slabs where the box has that many points, cut on
-    as few leading coordinates as that takes; together they hold the
-    box's points in itertools.product order."""
-    box = [(0, 0), (-1, 1), (2, 3)]
-    cases = [(1, 1, 0), (2, 3, 2), (3, 3, 2), (4, 6, 3), (7, 6, 3)]
-    for count, slabs, fixed in cases:
-        got = crapo._slabs(box, count)
-        assert len(got) == slabs
-        assert all(lo == hi for slab in got for lo, hi in slab[:fixed])
-        assert all(slab[fixed:] == box[fixed:] for slab in got)
-        points = [c for slab in got for c in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in slab))]
-        assert points == list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
-    assert crapo._slabs([], 3) == [[]]
+    for case in (assignment, swapped(assignment, {0})):
+        assert verify_assignment(P, case, box) == oracle_report(case, box)
+    assert verify_assignment(P, assignment, box) == report_of(9, [])
+    fig2_bases, fig2_assignment = embedding_assignment(fig2)
+    cases = [(P, toggled(assignment, 0, "internal"), box),
+             (fig2_bases, swapped(fig2_assignment, {1, 4}), [(0, 0), (-1, 2), (-1, 2), (-1, 2)])]
+    for Q, case, where in cases:
+        want = oracle_report(case, where)
+        assert want["violations"]
+        assert verify_assignment(Q, case, where) == want
 
 
 def test_sweep_box_missing_centers(fig2):
     """An explicit box that leaves some centers outside."""
-    intervals = embedding_intervals(fig2)
+    P, assignment = embedding_assignment(fig2)
     box = [(1, 3), (-1, 0), (0, 0), (1, 2)]
-    assert any(not all(lo <= x <= hi for x, (lo, hi) in zip(iv.center, box))
-               for iv in intervals)
-    for case in (intervals, swapped(intervals, {2})):
-        assert verify_intervals(case, box) == reference_verify(case, box)
+    assert any(not all(lo <= x <= hi for x, (lo, hi) in zip(b, box)) for b in P.bases)
+    for case in (assignment, swapped(assignment, {2})):
+        assert verify_assignment(P, case, box) == oracle_report(case, box)
 
 
 def test_sweep_yields_one_sided_distances(fig2):
@@ -622,30 +539,27 @@ def test_clamping_into_the_hypertree_box_shifts_every_distance_alike(g, data):
 
 
 def test_sweep_box_without_sides():
-    """A box with no sides holds the one empty point."""
+    """A box with no sides holds the one empty point.  The polymatroid
+    on no elements, whose one basis is (), passes on it; the lister finds
+    the point covered by no interval, and twice by two."""
+    P = PolymatroidBases((), frozenset({()}))
+    assert verify_assignment(P, {(): BasisActivity(0, 0, 0, 0)}, []) == report_of(1, [])
     empty = CrapoInterval((), 0, 0)
     for case in ([], [empty], [empty, empty]):
-        assert verify_intervals(case, []) == reference_verify(case, [])
-    assert verify_intervals([empty], [], jobs=2) == (1, [])
+        assert crapo._violations(P, case, []) == reference_verify(case, [])[1]
 
 
 def test_sweep_checks_both_sides():
-    """Hand-made intervals where the covering center attains one side
-    only: at (-1, 2), (2, 2) attains d1< (0) but not d1> (3 against 2 at
-    (1, 2)); at (2, -1), (0, 0) attains d1> (1) but not d1< (2 against 1
-    at (1, 0))."""
-    cases = [
-        ([CrapoInterval((2, 1), 0b11, 0b01),
-          CrapoInterval((1, 2), 0b00, 0b10),
-          CrapoInterval((2, 2), 0b01, 0b11)],
-         {"point": [-1, 2], "covered_by": [[2, 2]], "distance": "not attained"}),
-        ([CrapoInterval((1, 0), 0b10, 0b00),
-          CrapoInterval((0, 1), 0b01, 0b11),
-          CrapoInterval((0, 0), 0b10, 0b01)],
-         {"point": [2, -1], "covered_by": [[0, 0]], "distance": "not attained"}),
-    ]
-    box = [(-1, 3), (-1, 3)]
-    for intervals, one_side in cases:
-        points, violations = verify_intervals(intervals, box)
-        assert (points, violations) == reference_verify(intervals, box)
-        assert one_side in violations
+    """The basis (1, 0) free on every side and (0, 1) covering itself
+    only: at (-1, 1), covered by (1, 0) alone, (1, 0) misses both d1< (1
+    against 0 at (0, 1)) and d1> (2 against 1).  All bases share one
+    coordinate sum, so d1< - d1> is the same for each, and the one
+    attainment test settles both sides."""
+    P = PolymatroidBases(("a", "b"), frozenset({(0, 1), (1, 0)}))
+    case = {(0, 1): BasisActivity(0, 0, 0, 0), (1, 0): BasisActivity(0b11, 0b11, 0, 0)}
+    box = [(-1, 2), (-1, 2)]
+    report = verify_assignment(P, case, box)
+    assert report == oracle_report(case, box)
+    assert {"point": [-1, 1], "covered_by": [[1, 0]], "distance": "not attained"} in report[
+        "violations"]
+    assert (one_sided((1, 0), (-1, 1)), one_sided((0, 1), (-1, 1))) == ((1, 2), (0, 1))

@@ -5,10 +5,11 @@ uses or defines a private helper it never names, every exception class
 the package defines is raised somewhere in it, only ``tours.walk``
 steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
-contraction and deletion, only ``crapo._check_slab`` and
-``tutte.corank_nullity`` sweep a box, only the routines that visit
-points check the box budget, ``crapo._region`` is the one membership
-rule of the certificate and the lister, only ``crapo.intervals`` builds a
+contraction and deletion, only ``tutte.corank_nullity`` sweeps a box,
+only the routines that visit points check the box budget,
+``crapo._region`` is the one membership rule of the certificate and the
+lister, the package runs in one process (no module imports ``os``,
+``concurrent.futures`` or ``multiprocessing``), only ``crapo.intervals`` builds a
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
 whose bit masks over P's coordinates only the CLI commands and
 ``delta.obstruction_check`` turn back into names (``delta.names``), so
@@ -31,6 +32,7 @@ SRC = ROOT / "src" / "hypertutte"
 MODULES = sorted(SRC.glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 ENTRY_POINTS = ("cli", "__init__")  # the commands and the package's public names
+POOLING = {"os", "concurrent", "multiprocessing"}  # modules that start other processes
 
 
 def _private(name: str) -> bool:
@@ -346,21 +348,22 @@ def test_one_contraction_deletion():
 
 
 def test_one_sweep():
-    """Only ``crapo._check_slab`` and ``tutte.corank_nullity`` call
-    ``crapo.sweep``, the one box walk and distance rule: the Crapo
-    lister lists the violations of a failing box, and the
-    corank-nullity table counts the hypertrees' bounding box."""
+    """Only ``tutte.corank_nullity`` calls ``crapo.sweep``, the one box
+    walk and distance rule, to count the hypertrees' bounding box: the
+    Crapo lister reads attainment off the exchange tables, region by
+    region, not distances point by point."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "sweep") == ["crapo._check_slab", "tutte.corank_nullity"]
+    assert callers(sources, "sweep") == ["tutte.corank_nullity"]
 
 
 def test_budget_only_where_points_are_visited():
-    """``crapo.check_budget`` runs only in the sweep, in the lister before
-    it cuts slabs, and on the corank-nullity table's cells: the Crapo
-    certificate, which visits no point, never reads the budget."""
+    """``crapo.check_budget`` runs only in the sweep, in the lister on the
+    leaves it is about to list, and on the corank-nullity table's cells:
+    the Crapo certificate, which visits no point, never reads the
+    budget."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "check_budget") == [
-        "crapo.sweep", "crapo.verify_intervals", "tutte.corank_nullity"]
+        "crapo._violations", "crapo.sweep", "tutte.corank_nullity"]
     named = _places(sources, lambda node: isinstance(node, ast.Name) and node.id == "_BOX_BUDGET")
     assert named == ["crapo", "crapo.check_budget"]
 
@@ -368,9 +371,16 @@ def test_budget_only_where_points_are_visited():
 def test_one_membership_rule():
     """``crapo._region``, an interval's part of a box, is the one
     membership rule: the certificate decides cover and disjointness on
-    it, and the lister tests each point against it."""
+    it, and the lister cuts the box at its boundaries."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "_region") == ["crapo._certified", "crapo.verify_intervals"]
+    assert callers(sources, "_region") == ["crapo._certified", "crapo._violations"]
+
+
+def test_one_process():
+    """The package runs in one process: no module imports ``os``,
+    ``concurrent.futures`` or ``multiprocessing``."""
+    assert [path.name for path in MODULES
+            if imported_names(path.read_text(encoding="utf-8")) & POOLING] == []
 
 
 def test_one_interval_rule():
@@ -526,7 +536,7 @@ def test_checks_catch_violations():
     }
     assert callers(recursing, "connected") == ["model._validate", "tours._trees", "tutte._dc"]
     sweeping = {
-        "crapo": "def _check_slab(args):\n    return list(sweep(*args))\n",
+        "crapo": "def _violations(args):\n    return list(sweep(*args))\n",
         "tutte": "from . import crapo\ndef corank_nullity(hs, box):\n    return crapo.sweep(box, hs)\n",
         "delta": (
             "from .crapo import sweep\n"
@@ -535,7 +545,7 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(sweeping, "sweep") == [
-        "crapo._check_slab", "delta.crapo_verify", "tutte.corank_nullity"]
+        "crapo._violations", "delta.crapo_verify", "tutte.corank_nullity"]
     reaching = {
         "tutte": (
             "def run(g):\n    return _helper(g)\n"
@@ -622,3 +632,8 @@ def test_checks_catch_violations():
         "from .crapo import sweep\n"
         "import itertools\n"
     ))) == ["conftest", "oracles", "test_delta", "tests"]
+    assert imported_names(
+        "import os.path\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import multiprocessing as mp\n"
+    ) & POOLING == POOLING

@@ -215,7 +215,7 @@ def test_corank_nullity_bad_bounds(fig2, monkeypatch):
     hs = enumerate_hypertrees(fig2)
     assert box_size(box_around(hs, 0, 0)) == 24
     with pytest.raises(BudgetExceeded, match="box of 45763544 points exceeds budget"):
-        check_budget(box_around(hs, 40, 40))
+        check_budget(box_size(box_around(hs, 40, 40)))
     assert series_identity_check(fig2, 40, 40)["status"] == "PASS"
     monkeypatch.setattr(tutte, "sweep", None)  # a sweep would raise TypeError
     with pytest.raises(BudgetExceeded):
