@@ -7,32 +7,24 @@ holds the two bit masks over P's coordinates of the basis's activity
 record (delta.BasisActivity); intervals, the one interval rule, passes
 them through.  These intervals partition Z^E, and the covering
 basis attains the one-sided distances d1< and d1> simultaneously.
-verify_assignment certifies both claims on a box, by default the bases'
+verify_assignment checks both claims on a box, by default the bases'
 range widened by 2 (default_box), in the one PASS/FAIL report, which the
 embedding activities' (verify_crapo_partition) and any Delta
 assignment's (delta.crapo_verify) extend.
 
-A box that passes visits no lattice point: each interval's part of the
-box is a product of ranges, so cover and disjointness are decided range
-by range, in O(k^2 n) for k intervals and n coordinates.  Attainment
-reads each basis's exchange table, in O(k n) bit tests.  The base set
-of a polymatroid is M-convex, so by Murota's local optimality theorem
-(Discrete Convex Analysis, 2003) a basis k minimises a separable convex
-function such as h -> d1<(c, h) over the bases iff no exchange
-neighbour k - 1_i + 1_f does better.  On k's part, that neighbour's d1<
-less k's is [c_i >= k_i] - [c_f > k_f], negative somewhere iff the part
-goes below k at i and above it at f.  All bases share one coordinate
-sum, so d1< - d1> = sum(c) - sum(h) is the same for every basis and the
-d1> differences equal the d1< ones: one test settles both sides.
-verify_assignment takes an assignment of exactly P's bases, each once,
-the only case in which the exchange-table test is exact, and refuses
-any other.  A box that fails is listed by _violations, region by
-region: it is cut at a boundary of a part that meets a sub-box without
-containing it, until every part that meets a sub-box contains it.
-Every point of such a leaf is a violation when the leaf lies in no part
-or in several; in one part, its basis either attains both distances on
-the whole leaf, by the same exchange-table test, or is tested point by
-point.  The leaves left to list are held to the budget together, and
+One recursion, _violations, decides and lists every box.  Each
+interval's part of the box is a product of ranges (_region), and the
+box is cut, region by region, at a boundary of a part that meets a
+sub-box without containing it, until every part that meets a sub-box
+contains it.  Every point of such a leaf is a violation when the leaf
+lies in no part or in several; in one part, its basis either attains
+both distances on the whole leaf or is tested point by point.
+Attainment reads the basis's exchange table in O(n) bit tests, by
+Murota's local optimality theorem (_attains), exact only for an
+assignment of exactly P's bases, each once: verify_assignment refuses
+any other.  A leaf that passes is dropped before any of its points is
+visited, so a box that passes visits no lattice point whatever its
+size; the leaves left to list are held to the budget together, and
 the violations are reported in itertools.product order.
 
 Every lattice sweep of the package goes through this module: box_around
@@ -157,45 +149,23 @@ def sweep(box, centers):
     yield from descend(0, (), sides)
 
 
-def _certified(P, intervals, box, size: int) -> bool:
-    """Whether the intervals, whose centers are P's bases, partition
-    ``box``, of ``size`` points, and each center attains both one-sided
-    distances to all bases on its whole part of the box: exact, in
-    O(k^2 n) for k intervals and n coordinates, without visiting a point.
-
-    Each part is a product of ranges (:func:`_region`).  Two parts meet
-    iff their ranges meet on every coordinate, so pairwise disjoint parts
-    whose sizes sum to ``size`` partition the box.
+def _attains(P, k, part) -> bool:
+    """Whether basis k attains both one-sided distances to P's bases at
+    every point of ``part``, one ``(a, b)`` range per coordinate, in O(n)
+    bit tests on k's exchange table.
 
     Attainment is local.  For a neighbour h = k - 1_i + 1_f of center k
     and a point c, d1<(c, h) - d1<(c, k) = [c_i >= k_i] - [c_f > k_f],
-    whose least value on k's part [a, b] is [a_i >= k_i] - [b_f > k_f]:
+    whose least value on the part [a, b] is [a_i >= k_i] - [b_f > k_f]:
     negative iff a_i < k_i and b_f > k_f.  d1< - d1> = sum(c) - sum(h)
     is the same for every basis, since all share one coordinate sum, so
     the d1> difference equals the d1< one.  The bases are M-convex and
     h -> d1<(c, h) is separable convex, so k attains both distances at c
     iff no neighbour does better there (Murota's local optimality
-    theorem); on its whole part, iff no i where the part goes below k and
-    f where it goes above make k - 1_i + 1_f a basis (:func:`_attains`).
+    theorem); on the whole part, iff no i where the part goes below k
+    and f where it goes above make k - 1_i + 1_f a basis
+    (:func:`delta.exchange_free`).  k must be one of P's bases.
     """
-    parts = []
-    for iv in intervals:
-        part = _region(box, iv.center, iv.below, iv.above)
-        if all(a <= b for a, b in part):
-            parts.append((iv.center, part))
-    if sum(prod(b - a + 1 for a, b in part) for _, part in parts) != size:
-        return False
-    for (_, p), (_, q) in itertools.combinations(parts, 2):
-        if all(a <= d and c <= b for (a, b), (c, d) in zip(p, q)):
-            return False
-    return all(_attains(P, k, part) for k, part in parts)
-
-
-def _attains(P, k, part) -> bool:
-    """Whether basis k attains both one-sided distances to P's bases at
-    every point of ``part``, one ``(a, b)`` range per coordinate: no i
-    where the part goes below k and f where it goes above make
-    k - 1_i + 1_f a basis (see :func:`_certified`)."""
     lower = upper = 0
     for i, ((a, b), t) in enumerate(zip(part, k)):
         lower |= (a < t) << i
@@ -203,41 +173,62 @@ def _attains(P, k, part) -> bool:
     return exchange_free(P, k, lower, upper)
 
 
+def _cut(sub, meeting):
+    """``(i, at)``: cut side i of ``sub`` after ``at``, where the first
+    meeting part not containing ``sub`` stops inside it; None if every
+    meeting part contains ``sub``."""
+    for _, part, _ in meeting:
+        for i, ((a, b), (lo, hi)) in enumerate(zip(part, sub)):
+            if lo < a:
+                return i, a - 1
+            if b < hi:
+                return i, b
+    return None
+
+
 def _violations(P, intervals, box) -> list:
     """Every lattice point of ``box`` that no interval or more than one
     contains, or whose one covering center does not attain both d1< and
-    d1> to P's bases there, in :func:`itertools.product` order.
+    d1> to P's bases there, in :func:`itertools.product` order: the one
+    Crapo decider, whose empty list is a PASS.
 
     The box is cut, region by region, at a boundary of an interval's
     :func:`_region` part that meets a sub-box without containing it,
     until every part that meets a sub-box contains it.  Each point of
     such a leaf is then covered by the same parts: by none or several,
     and every point is a violation, or by one, whose center k attains
-    the distances on the whole leaf (:func:`_attains`) or is checked
-    point by point.  The leaves left to list are held to the budget
-    together before any of their points is visited.
+    the distances on the whole leaf (:func:`_attains`, read once per
+    part and again on the leaf only where the whole part misses) or is
+    checked point by point.  A leaf that passes is dropped unvisited, so
+    a passing box of any size visits no point; the points of the leaves
+    left to list are held to the budget together before any is visited.
     """
-    parts = [(iv.center, _region(box, iv.center, iv.below, iv.above)) for iv in intervals]
-    stack = [(box, [(k, part) for k, part in parts if all(a <= b for a, b in part)])]
+    parts = []
+    for iv in intervals:
+        part = _region(box, iv.center, iv.below, iv.above)
+        if all(a <= b for a, b in part):
+            parts.append((iv.center, part, _attains(P, iv.center, part)))
+    stack = [(box, parts)]
     leaves = []
     while stack:
         sub, meeting = stack.pop()
-        # cut side i after ``at``, where a meeting part's side i stops inside the sub-box's
-        cut = next(((i, a - 1 if lo < a else b) for _, part in meeting
-                    for i, ((a, b), (lo, hi)) in enumerate(zip(part, sub)) if lo < a or b < hi),
-                   None)
+        cut = _cut(sub, meeting)
         if cut is None:
-            if len(meeting) != 1 or not _attains(P, meeting[0][0], sub):
+            if len(meeting) != 1 or not (meeting[0][2] or _attains(P, meeting[0][0], sub)):
                 leaves.append((sub, meeting))
             continue
         i, at = cut
-        for lo, hi in ((sub[i][0], at), (at + 1, sub[i][1])):
-            stack.append(([*sub[:i], (lo, hi), *sub[i + 1:]],
-                          [(k, part) for k, part in meeting if part[i][0] <= hi and lo <= part[i][1]]))
+        lo, hi = sub[i]
+        # a part meeting ``sub`` meets the half up to ``at`` iff it starts by then,
+        # and the half after it iff it ends after
+        stack.append(([*sub[:i], (lo, at), *sub[i + 1:]],
+                      [m for m in meeting if m[1][i][0] <= at]))
+        stack.append(([*sub[:i], (at + 1, hi), *sub[i + 1:]],
+                      [m for m in meeting if m[1][i][1] > at]))
     check_budget(sum(box_size(sub) for sub, _ in leaves), "listing")
     violations = []
     for sub, meeting in leaves:
-        centers = [k for k, _ in meeting]
+        centers = [k for k, _, _ in meeting]
         for c in itertools.product(*(range(lo, hi + 1) for lo, hi in sub)):
             if len(centers) != 1:
                 violations.append({"point": list(c), "covered_by": list(map(list, centers))})
@@ -262,21 +253,20 @@ def verify_assignment(P, assignment: dict, box=None) -> dict:
     ``box`` or else the :func:`default_box` of P's bases: the one
     PASS/FAIL report, with the ``points`` checked and all ``violations``.
 
-    A box that passes is certified without visiting a point
-    (:func:`_certified`); one that fails is listed by :func:`_violations`.
-    Both read attainment off P's exchange tables, exact only when the
-    assignment holds each of P's bases once: any other assignment is
-    refused with ValueError before the box is looked at.  P's bases
-    must satisfy the exchange axiom: a hypertree set does by Kálmán's
-    theorem, and loaded bases are checked (:func:`delta.check_exchange`).
+    The one decider, :func:`_violations`, lists the violations; an empty
+    list is a PASS, reached without visiting a point.  It reads
+    attainment off P's exchange tables, exact only when the assignment
+    holds each of P's bases once: any other assignment is refused with
+    ValueError before the box is looked at.  P's bases must satisfy the
+    exchange axiom: a hypertree set does by Kálmán's theorem, and loaded
+    bases are checked (:func:`delta.check_exchange`).
     """
     if assignment.keys() != P.bases:
         raise ValueError("the assignment must hold exactly the polymatroid's bases")
     if box is None:
         box = default_box(P.bases)
-    ivs = intervals(assignment)
     size = _checked_size(box, len(P.ground))
-    violations = [] if _certified(P, ivs, box, size) else _violations(P, ivs, box)
+    violations = _violations(P, intervals(assignment), box)
     return {"status": "PASS" if not violations else "FAIL", "points": size,
             "violations": violations}
 

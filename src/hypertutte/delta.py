@@ -289,8 +289,8 @@ def _active(P, b, i, others) -> tuple:
 def exchange_free(P: PolymatroidBases, b, lower, upper) -> bool:
     """No coordinate i in the bit mask ``lower`` and f in ``upper`` make
     b - 1_i + 1_f a basis: each such i is internally active against
-    ``upper`` (:func:`_active`).  The Crapo certificate's attainment
-    test (:func:`crapo.verify_assignment`)."""
+    ``upper`` (:func:`_active`).  The Crapo decider's attainment test
+    (:func:`crapo._attains`)."""
     return all(_active(P, b, i, upper)[0] for i in range(len(b)) if lower >> i & 1)
 
 

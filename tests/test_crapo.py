@@ -1,4 +1,4 @@
-"""Lattice distances, Crapo intervals, and the partition certificate."""
+"""Lattice distances, Crapo intervals, and the partition decider."""
 
 import itertools
 import random
@@ -110,19 +110,21 @@ def test_partition_box_growth_stable(fig5):
 
 def test_partition_budget(fig2, monkeypatch):
     """Only visited points are budgeted.  fig2 passes on [-50, 50]^4,
-    whose 101^4 points are far over the budget, without entering the
-    lister.  With e0 toggled in the external mask of its last basis, the
-    same box is listed: 127,449 violations, of which those in the default
-    box are the oracle's 18.  With two bases' activity records exchanged,
-    the regions left to list hold more points than the budget, and the
-    box is refused before any of them is listed."""
+    whose 101^4 points are far over the budget, with no point left to
+    list: the lister's one budget check is for 0 points.  With e0
+    toggled in the external mask of its last basis, the same box is
+    listed: 127,449 violations, of which those in the default box are the
+    oracle's 18.  With two bases' activity records exchanged, the regions
+    left to list hold more points than the budget, and the box is refused
+    before any of them is listed."""
     box = [(-50, 50)] * 4
     P, assignment = embedding_assignment(fig2)
     assert box_size(box) == 101 ** 4 > crapo._BOX_BUDGET
     with monkeypatch.context() as patched:
-        patched.setattr(crapo, "_violations", no_listing)
+        budgeted = budget_calls(patched)
         report = verify_crapo_partition(fig2, box=box)
     assert (report["status"], report["points"], report["violations"]) == ("PASS", 101 ** 4, [])
+    assert budgeted == [(0, "listing")]
     toggled_last = toggled(assignment, len(assignment) - 1, "external")
     listed = verify_assignment(P, toggled_last, box)["violations"]
     inner = default_box(P.bases)
@@ -176,8 +178,8 @@ def test_assignment_not_of_the_bases_is_refused(fig2, monkeypatch):
 
 
 def test_partition_detects_mutation(fig2):
-    """Swapping one basis's internal and external masks must break the
-    certificate, with the oracle's violations."""
+    """Swapping one basis's internal and external masks must fail the
+    Crapo check, with the oracle's violations."""
     P, assignment = embedding_assignment(fig2)
     broken = swapped(assignment, {list(assignment).index((1, 1, 0, 0))})
     box = [(-1, 2)] * 4
@@ -275,8 +277,8 @@ def assert_matches_reference(g):
     """On the embedding assignment of g and its :func:`assignment_mutations`,
     over every one of the :func:`boxes`: the reports of
     ``verify_assignment``, ``verify_crapo_partition`` (fed the
-    assignment) and, on the default box, ``delta.crapo_verify``,
-    certified or listed, equal the per-point oracle."""
+    assignment) and, on the default box, ``delta.crapo_verify``, passing
+    or failing, equal the per-point oracle."""
     P, assignment = embedding_assignment(g)
     with pytest.MonkeyPatch.context() as patched:
         for case in assignment_mutations(assignment):
@@ -293,7 +295,7 @@ def assert_matches_reference(g):
 def test_sweep_matches_per_point_oracle(all_hg, single_edge):
     """Same points and the same violations in the same order as the
     per-point oracle, on the embedding assignments and their mutations,
-    certified or listed.  The oracle alone checks the intervals with
+    passing or failing.  The oracle alone checks the intervals with
     the first doubled, which no assignment holds."""
     for g in [*all_hg.values(), single_edge]:
         assert_matches_reference(g)
@@ -313,40 +315,59 @@ def test_certificate_matches_oracle_on_random_instances(g):
     assert_matches_reference(g)
 
 
-def no_listing(*args, **kwargs):
-    raise AssertionError("a passing box was listed")
+def budget_calls(patched) -> list:
+    """The ``(points, what)`` of every :func:`crapo.check_budget` call made
+    through ``crapo`` while ``patched`` (a monkeypatch) holds, in order."""
+    calls = []
+    check = crapo.check_budget
+
+    def spy(points, what="box"):
+        calls.append((points, what))
+        return check(points, what)
+
+    patched.setattr(crapo, "check_budget", spy)
+    return calls
 
 
 def test_pass_visits_no_point(all_hg, single_edge, monkeypatch):
-    """A box that passes is certified from the intervals alone, through
-    every route: the lister is never entered."""
-    monkeypatch.setattr(crapo, "_violations", no_listing)
+    """A box that passes leaves the lister no point to list, through
+    every route: its one budget check is for 0 points."""
+    budgeted = budget_calls(monkeypatch)
     for g in [*all_hg.values(), single_edge]:
         P, assignment = embedding_assignment(g)
         for box in boxes(P.bases):
             want = report_of(box_size(box), [])
+            budgeted.clear()
             assert verify_assignment(P, assignment, box) == want
+            assert budgeted == [(0, "listing")]
+            budgeted.clear()
             report = verify_crapo_partition(g, box)
             assert {key: report[key] for key in want} == want
+            assert budgeted == [(0, "listing")]
+        budgeted.clear()
         assert delta.crapo_verify(P, assignment)["status"] == "PASS"
+        assert budgeted == [(0, "listing")]
 
 
 def test_certifies_k66_default_box_without_sweeping(monkeypatch):
     """A seeded K6,6 (252 hypertrees) passes on its default box of 10^6
     points from the exchange tables, well within a tenth of a CPU second
     once its hypertrees and Jaeger trees are built; a seeded K7,7 (924
-    hypertrees) passes on its default box of 19,487,171 points, beyond
-    the budget, which only visited points are held to."""
-    monkeypatch.setattr(crapo, "_violations", no_listing)
-    cases = [(6, 10 ** 6, 252, 0.1), (7, 19_487_171, 924, 2.0)]
+    hypertrees) and K8,8 (3,432 hypertrees) pass on their default boxes
+    of 19,487,171 and 429,981,696 points, beyond the budget, which only
+    listed points are held to: no point is left to list."""
+    budgeted = budget_calls(monkeypatch)
+    cases = [(6, 10 ** 6, 252, 0.1), (7, 19_487_171, 924, 2.0), (8, 429_981_696, 3432, 1.0)]
     for n, points, hypertrees, seconds in cases:
         g = ribbon_graph(n, n, [(i, j) for i in range(n) for j in range(n)], random.Random(1))
         embedding_assignment(g)
+        budgeted.clear()
         start = time.process_time()
         report = verify_crapo_partition(g)
         elapsed = time.process_time() - start
         assert (report["status"], report["points"], report["hypertrees"]) == (
             "PASS", points, hypertrees)
+        assert budgeted == [(0, "listing")]
         assert elapsed < seconds, (n, elapsed)
 
 
@@ -442,10 +463,11 @@ def test_fail_lists_reference_violations_in_order(fig2):
 
 
 def test_certificate_edge_cases():
-    """Intervals of the bases (0, 1) and (1, 0) at the certificate's
-    edges: parts that meet in one point and miss another, so their sizes
-    still sum to the box's; and the basis (0, 1) outside the box, whose
-    part is empty, on a box that fails and on one that passes."""
+    """Intervals of the bases (0, 1) and (1, 0) at the decider's edges:
+    parts that meet in one point and miss another, so their sizes still
+    sum to the box's, which a count of sizes alone would pass; and the
+    basis (0, 1) outside the box, whose part is empty, on a box that
+    fails and on one that passes."""
     P = PolymatroidBases(("a", "b"), frozenset({(0, 1), (1, 0)}))
 
     def assignment(first, second):

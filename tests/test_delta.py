@@ -351,8 +351,8 @@ def test_fig6_crapo(fig6_graph, fig6_orders):
 
 
 def test_fig6_crapo_detects_mutation(fig6_graph, fig6_orders):
-    """Swapping one basis's internal and external masks must break the
-    certificate."""
+    """Swapping one basis's internal and external masks must fail the
+    Crapo check."""
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
     b = next(b for b, rec in sorted(assignment.items()) if rec.internal != rec.external)
     rec = assignment[b]

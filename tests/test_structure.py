@@ -7,8 +7,8 @@ steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
 contraction and deletion, only ``tutte.corank_nullity`` sweeps a box,
 only the routines that visit points check the box budget,
-``crapo._region`` is the one membership rule of the certificate and the
-lister, the package runs in one process (no module imports ``os``,
+``crapo._region`` is the one membership rule, read by the one Crapo
+decider, the package runs in one process (no module imports ``os``,
 ``concurrent.futures`` or ``multiprocessing``), only ``crapo.intervals`` builds a
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
 whose bit masks over P's coordinates only the CLI commands and
@@ -357,10 +357,10 @@ def test_one_sweep():
 
 
 def test_budget_only_where_points_are_visited():
-    """``crapo.check_budget`` runs only in the sweep, in the lister on the
-    leaves it is about to list, and on the corank-nullity table's cells:
-    the Crapo certificate, which visits no point, never reads the
-    budget."""
+    """``crapo.check_budget`` runs only in the sweep, in the Crapo lister
+    on the leaves it is about to list, and on the corank-nullity table's
+    cells: a box the lister passes leaves no leaf to list, so it is held
+    to the budget for 0 points whatever its size."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "check_budget") == [
         "crapo._violations", "crapo.sweep", "tutte.corank_nullity"]
@@ -370,10 +370,10 @@ def test_budget_only_where_points_are_visited():
 
 def test_one_membership_rule():
     """``crapo._region``, an interval's part of a box, is the one
-    membership rule: the certificate decides cover and disjointness on
-    it, and the lister cuts the box at its boundaries."""
+    membership rule, read by the one Crapo decider: the lister cuts the
+    box at its boundaries."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "_region") == ["crapo._certified", "crapo._violations"]
+    assert callers(sources, "_region") == ["crapo._violations"]
 
 
 def test_one_process():
