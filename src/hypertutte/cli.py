@@ -49,7 +49,7 @@ def _cmd_tutte(args) -> int:
     if args.method == "embedding":
         print(tutte.tutte_embedding(g))
     elif args.method == "fixed":
-        if args.order:
+        if args.order is not None:
             order = tuple(args.order.split(","))
         else:
             order = tuple(f"e{j}" for j in range(g.emerald_count))

@@ -27,18 +27,15 @@ visited, so a box that passes visits no lattice point whatever its
 size; the leaves left to list are held to the budget together, and
 the violations are reported in itertools.product order.
 
-Every lattice sweep of the package goes through this module: box_around
-is the one box rule, box_size the one empty-side check, check_budget
-the one budget check, run only where points are visited (the sweep,
-the lister and the corank-nullity table), _region the one rule for an
-interval's part of a box, and sweep the one box walk and the one
-distance rule, depth first, updating every center's partial distances
-one coordinate at a time:
-tutte.corank_nullity sweeps the hypertrees' bounding box with it and
-counts the rest of its window in closed form.  The point-by-point
-distances and interval membership that the tests check the lister and
-the sweep against, and the attainment test against every other center
-that the exchange-table test is checked against, are in
+This module holds the package's box rules: box_around is the one box
+rule, box_size the one empty-side check, check_budget the one budget
+check, run only where points are visited (the lister, and
+tutte.corank_nullity, the one walk of lattice points, on its table's
+cells and on the hypertrees' bounding box), and _region the one rule
+for an interval's part of a box.  The point-by-point distances and
+interval membership that the tests check the lister and the
+corank-nullity table against, and the attainment test against every
+other center that the exchange-table test is checked against, are in
 ``tests/oracles.py``.
 """
 
@@ -113,40 +110,6 @@ def _region(box, center, below, above) -> list:
     where the interval misses it."""
     return [(lo if below >> i & 1 else max(t, lo), hi if above >> i & 1 else min(t, hi))
             for i, ((lo, hi), t) in enumerate(zip(box, center))]
-
-
-def sweep(box, centers):
-    """Every lattice point of ``box`` with its one-sided distances to each
-    center: the one lattice sweep of the package.
-
-    Yields ``(point, sides)`` in :func:`itertools.product` order, with
-    ``sides[k]`` the pair (d1<, d1>) from the point to center k: the
-    point's total excess over the center and its total deficit below it.
-
-    The walk is depth first: each step sets one coordinate and adds its
-    term to every center's partial sides, so a point costs O(1) work per
-    center whatever its length.
-    """
-    check_budget(box_size(box))
-    sides = [(0, 0)] * len(centers)
-    if not box:  # the one point of a box without sides
-        yield (), sides
-        return
-    last = len(box) - 1
-    columns = [[h[i] for h in centers] for i in range(len(box))]
-
-    def descend(i, point, sides):
-        lo, hi = box[i]
-        column = columns[i]
-        for v in range(lo, hi + 1):
-            here = [(less + v - t, greater) if v > t else (less, greater + t - v)
-                    for (less, greater), t in zip(sides, column)]
-            if i == last:
-                yield point + (v,), here
-            else:
-                yield from descend(i + 1, point + (v,), here)
-
-    yield from descend(0, (), sides)
 
 
 def _attains(P, k, part) -> bool:

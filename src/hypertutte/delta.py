@@ -294,15 +294,23 @@ def exchange_free(P: PolymatroidBases, b, lower, upper) -> bool:
     return all(_active(P, b, i, upper)[0] for i in range(len(b)) if lower >> i & 1)
 
 
-def nontrivial(P: PolymatroidBases, b, internal, external) -> tuple:
-    """Filter the masks to coordinates whose value actually varies in the
-    active direction across the base set: some basis is lower at an
-    internal one, which is b(e) above the least value of e over the
-    bases, or higher at an external one, which is b(e) below its rank."""
+def _movable(P: PolymatroidBases, b) -> tuple:
+    """``(lower, higher)``: the bit masks of the coordinates of basis b
+    where some basis is lower, which is b(e) above the least value of e
+    over the bases, and where some basis is higher, b(e) below its rank.
+    The one rule of :func:`nontrivial`."""
     lower = higher = 0
     for i, (v, floor, rank) in enumerate(zip(b, P._floors, P._ranks)):
         lower |= (v > floor) << i
         higher |= (v < rank) << i
+    return lower, higher
+
+
+def nontrivial(P: PolymatroidBases, b, internal, external) -> tuple:
+    """Filter the masks to coordinates whose value actually varies in the
+    active direction across the base set (:func:`_movable`): some basis
+    is lower at an internal one, or higher at an external one."""
+    lower, higher = _movable(P, b)
     return internal & lower, external & higher
 
 
@@ -413,14 +421,17 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     want = {b: (target[b].nontrivial_internal, target[b].nontrivial_external) for b in bases}
     if any((ni | ne) >> n for ni, ne in want.values()):
         return None  # no branch can make an element outside the ground active
-    floors, ranks = P._floors, P._ranks
+    ranks = P._ranks
+    movable = {b: _movable(P, b) for b in bases}
 
     def agrees(i, rest, b):
         """Coordinate i, with the mask ``rest`` after it, is nontrivially active for b as wanted."""
         internal, external = _active(P, b, i, rest)
+        lower, higher = movable[b]
         ni, ne = want[b]
-        return (internal and b[i] > floors[i], external and b[i] < ranks[i]) == (
-            bool(ni >> i & 1), bool(ne >> i & 1))
+        bit = 1 << i
+        return (lower & bit if internal else 0, higher & bit if external else 0) == (
+            ni & bit, ne & bit)
 
     memo = {}
 

@@ -123,13 +123,11 @@ class RibbonGraph:
     edges: tuple[tuple[str, str], ...]
     rotations: tuple[tuple[str, tuple[int, ...]], ...]
     basis: tuple[str, int]
-    _rotation: dict = field(init=False, repr=False, compare=False, default=None)
     sigma: tuple = field(init=False, repr=False, compare=False, default=None)
     basis_dart: int = field(init=False, repr=False, compare=False, default=None)
     derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rotation", dict(self.rotations))
         self._validate()
         sigma = [0] * (2 * len(self.edges))
         for node, rot in self.rotations:
@@ -204,12 +202,13 @@ class RibbonGraph:
             incident[v].append(k)
             incident[e].append(k)
 
-        if set(self._rotation) != nodes:
-            missing = sorted(nodes.symmetric_difference(self._rotation))
+        rotation = dict(self.rotations)
+        if set(rotation) != nodes:
+            missing = sorted(nodes.symmetric_difference(rotation))
             more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
             raise ValidationError(f"rotation node set mismatch: {missing[:5]}{more}")
         for node in nodes:
-            if sorted(self._rotation[node]) != sorted(incident[node]):
+            if sorted(rotation[node]) != sorted(incident[node]):
                 raise ValidationError(
                     f"rotation at {node} does not list its incident edges exactly once"
                 )

@@ -12,11 +12,13 @@ corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
 substituted embedding polynomial as a formal power series, in
 series_window's format: a window dict {(i, j): count}.  Its box
-rule and sweep are crapo's (box_around, sweep): the sweep walks only the
-hypertrees' bounding box, and every window point outside it is counted
-in closed form from the box point it clamps to.  It reads only the
-hypertree set, no activities, so the series identity stays an
-independent check.  The classical graph layer that compares the
+rule and budget are crapo's (box_around, check_budget).  It is the
+package's one walk of lattice points: it walks only the hypertrees'
+bounding box, with one deficit per hypertree (all share one coordinate
+sum, so the deficits give both distances), and every window point
+outside it is counted in closed form from the box point it clamps to.
+It reads only the hypertree set, no activities, so the series identity
+stays an independent check.  The classical graph layer that compares the
 polynomial of a graph's bipartite model with the classical Tutte
 polynomial, and the specializations T(x, 1) and T(1, y), are test
 oracles in ``tests/oracles.py``.
@@ -31,7 +33,7 @@ from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
 from .hypertrees import cached, enumerate_hypertrees, jaeger_trees
 from .delta import activity_masks, bases_from_hypertrees, check_order
-from .crapo import box_around, check_budget, sweep
+from .crapo import box_around, box_size, check_budget
 
 
 def tutte_sum(g: RibbonGraph, orders) -> Poly:
@@ -68,17 +70,17 @@ def tutte_from_order(g: RibbonGraph, order) -> Poly:
 def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:
     """Exact truncated corank-nullity table, ``{(i, j): #{c : d1>(H, c) =
     i, d1<(H, c) = j}}`` for i <= imax and j <= jmax: the hypertrees'
-    bounding box is swept, and the rest of the window is counted in
+    bounding box is walked, and the rest of the window is counted in
     closed form.
 
     Any c with d1> <= imax and d1< <= jmax satisfies, coordinatewise,
     m(e) - imax <= c(e) <= M(e) + jmax, where [m, M] is the hypertrees'
     bounding box.  The table's own cells are checked against the box
-    budget first, and :func:`crapo.sweep` checks [m, M].  Clamping c
+    budget first, then [m, M].  Clamping c
     into [m, M] brings it equally closer to every hypertree h: the total
     excess and deficit of c against h are those of p = clamp(c) plus
     (sum (c(e) - M(e))+, sum (m(e) - c(e))+), so both least distances
-    shift by that same offset.  :func:`crapo.sweep` therefore walks only [m, M], and each of
+    shift by that same offset.  Only [m, M] is walked, and each of
     its points p at (d1>, d1<) = (i0, j0) stands for the window points
     that leave it outward: t >= 0 more d1< on each coordinate with p(e) =
     M(e) > m(e) (up), t >= 0 more d1> on each with p(e) = m(e) < M(e)
@@ -87,20 +89,38 @@ def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:
     least one and the rest down.  t units spread over a coordinates in
     :func:`_series_coeff` (a, t) ways.  The points are grouped by (i0,
     j0, #down, #up) before they are expanded into the window.
+
+    The walk is depth first on an explicit stack of prefixes, each with
+    one deficit per hypertree h, sum (h(e) - c(e))+ over the coordinates
+    set so far, its coordinate sum and its counts of coordinates at the
+    box's low and high ends.  At a full point c, d1> = min(deficits), and
+    d1< = d1> + sum(c) - r: every hypertree sums to r = #violet - 1, so
+    d1<(c, h) - d1>(c, h) = sum(c) - r is the same for every h.
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
     check_budget((imax + 1) * (jmax + 1))  # the table's cells
     hs = enumerate_hypertrees(g)
     core = box_around(hs, 0, 0)
+    check_budget(box_size(core))  # the points walked
     fixed = sum(lo == hi for lo, hi in core)
+    rank = g.violet_count - 1
+    columns = list(zip(*hs))
     groups = Counter()
-    for point, sides in sweep(core, hs):
-        less, greater = map(min, zip(*sides))
-        if greater <= imax and less <= jmax:
-            down = sum(v == lo < hi for v, (lo, hi) in zip(point, core))
-            up = sum(v == hi > lo for v, (lo, hi) in zip(point, core))
-            groups[greater, less, down, up] += 1
+    stack = [(0, [0] * len(hs), 0, 0, 0)]  # (coordinates set, deficits, sum, #down, #up)
+    while stack:
+        i, deficits, total, down, up = stack.pop()
+        if i == len(core):
+            greater = min(deficits)
+            less = greater + total - rank
+            if greater <= imax and less <= jmax:
+                groups[greater, less, down, up] += 1
+            continue
+        lo, hi = core[i]
+        column = columns[i]
+        for v in range(lo, hi + 1):
+            stack.append((i + 1, [d + t - v if t > v else d for d, t in zip(deficits, column)],
+                          total + v, down + (v == lo < hi), up + (v == hi > lo)))
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
     for (i0, j0, down, up), n in groups.items():
         for s in range(fixed + 1):  # the fixed coordinates that go up

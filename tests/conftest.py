@@ -77,3 +77,15 @@ def single_edge():
     from hypertutte.model import RibbonGraph
 
     return RibbonGraph.build(1, 1, [("v0", "e0")], {"v0": [0], "e0": [0]}, ("v0", 0))
+
+
+@pytest.fixture(scope="session")
+def long_star():
+    """One violet on 1,500 emeralds, each emerald on one edge: 1,500
+    coordinates, more than Python's default recursion limit of 1,000."""
+    from hypertutte.model import RibbonGraph
+
+    n = 1500
+    return RibbonGraph.build(
+        1, n, [("v0", f"e{j}") for j in range(n)],
+        {"v0": list(range(n)), **{f"e{j}": [j] for j in range(n)}}, ("v0", 0))

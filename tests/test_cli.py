@@ -59,6 +59,31 @@ def test_tutte_fixed_order_rejects_bad_order(capsys):
     assert "error:" in err
 
 
+def test_tutte_fixed_order_rejects_empty_order(capsys):
+    """An empty ``--order`` is an order that lists no emerald, not a
+    missing one: exit 2, not the index-order polynomial."""
+    code, out, err = run(capsys, "tutte", "--method", "fixed", "--order", "", FIG1)
+    assert code == 2
+    assert out == ""
+    assert "must list every element" in err
+
+
+def test_tutte_corank_nullity_long_star(tmp_path, long_star):
+    """A 1,500-emerald star's table is walked without recursion: exit 0
+    and the table, with no traceback."""
+    path = tmp_path / "star.hg"
+    path.write_text(long_star.render(), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "hypertutte", "tutte", "--method",
+                           "corank-nullity", "--bounds", "1,1", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.splitlines() == ["i\\j\t0\t1", "0\t1\t1500", "1\t1500\t2248500"]
+
+
 def test_tutte_corank_nullity_table(capsys):
     code, out, _ = run(capsys, "tutte", "--method", "corank-nullity",
                        "--bounds", "1,1", FIG2)

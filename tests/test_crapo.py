@@ -15,7 +15,6 @@ from hypertutte.crapo import (
     box_around,
     box_size,
     default_box,
-    sweep,
     verify_assignment,
     verify_crapo_partition,
 )
@@ -511,19 +510,6 @@ def test_sweep_box_missing_centers(fig2):
     assert any(not all(lo <= x <= hi for x, (lo, hi) in zip(b, box)) for b in P.bases)
     for case in (assignment, swapped(assignment, {2})):
         assert verify_assignment(P, case, box) == oracle_report(case, box)
-
-
-def test_sweep_yields_one_sided_distances(fig2):
-    """The kernel's sides are one_sided at every point, in
-    itertools.product order."""
-    centers = enumerate_hypertrees(fig2)
-    box = [(-1, 1), (0, 2), (1, 1), (-1, 2)]
-    walked = list(sweep(box, centers))
-    assert [c for c, _ in walked] == list(
-        itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
-    for c, sides in walked:
-        assert sides == [one_sided(h, c) for h in centers]
-    assert list(sweep([], [(), ()])) == [((), [(0, 0), (0, 0)])]
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,9 +5,11 @@ uses or defines a private helper it never names, every exception class
 the package defines is raised somewhere in it, only ``tours.walk``
 steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
-contraction and deletion, only ``tutte.corank_nullity`` sweeps a box,
-only the routines that visit points check the box budget,
-``crapo._region`` is the one membership rule, read by the one Crapo
+contraction and deletion, no module defines a ``sweep``
+(``tutte.corank_nullity`` is the one walk of lattice points) and no
+function of ``crapo`` or ``tutte`` calls itself, only the routines that
+visit points check the box budget, ``crapo._region`` is the one
+membership rule, read by the one Crapo
 decider, the package runs in one process (no module imports ``os``,
 ``concurrent.futures`` or ``multiprocessing``), only ``crapo.intervals`` builds a
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
@@ -205,6 +207,22 @@ def callers(sources: dict, name: str) -> list:
     return _places(sources, lambda node: isinstance(node, ast.Call) and _name(node.func) == name)
 
 
+def functions(sources: dict):
+    """``(module.name, node)`` for every function and method of the
+    sources, given as {module name: source}, nested ones included."""
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{module}.{node.name}", node
+
+
+def self_callers(sources: dict) -> list:
+    """``module.name`` of every function of the sources whose body calls
+    its own name: recursion, direct or through a nested generator."""
+    return sorted(where for where, node in functions(sources) if any(
+        isinstance(n, ast.Call) and _name(n.func) == node.name for n in ast.walk(node)))
+
+
 def readers(sources: dict, attr: str) -> list:
     """Where the sources read the attribute ``attr`` of any object, in
     the form of :func:`_places`."""
@@ -348,22 +366,26 @@ def test_one_contraction_deletion():
 
 
 def test_one_sweep():
-    """Only ``tutte.corank_nullity`` calls ``crapo.sweep``, the one box
-    walk and distance rule, to count the hypertrees' bounding box: the
+    """No module defines a ``sweep``: ``tutte.corank_nullity`` is the one
+    walk of lattice points, which it makes on an explicit stack, and the
     Crapo lister reads attainment off the exchange tables, region by
-    region, not distances point by point."""
+    region, not distances point by point.  No function of ``crapo`` or
+    ``tutte`` calls itself, so neither lattice walk recurses: the depth
+    of a walk is the number of coordinates, which may exceed Python's
+    recursion limit."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "sweep") == ["tutte.corank_nullity"]
+    assert [where for where, node in functions(sources) if node.name == "sweep"] == []
+    assert self_callers({name: sources[name] for name in ("crapo", "tutte")}) == []
 
 
 def test_budget_only_where_points_are_visited():
-    """``crapo.check_budget`` runs only in the sweep, in the Crapo lister
-    on the leaves it is about to list, and on the corank-nullity table's
-    cells: a box the lister passes leaves no leaf to list, so it is held
-    to the budget for 0 points whatever its size."""
+    """``crapo.check_budget`` runs only in the Crapo lister on the leaves
+    it is about to list, and in the corank-nullity walk on the table's
+    cells and the hypertrees' bounding box: a box the lister passes
+    leaves no leaf to list, so it is held to the budget for 0 points
+    whatever its size."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "check_budget") == [
-        "crapo._violations", "crapo.sweep", "tutte.corank_nullity"]
+    assert callers(sources, "check_budget") == ["crapo._violations", "tutte.corank_nullity"]
     named = _places(sources, lambda node: isinstance(node, ast.Name) and node.id == "_BOX_BUDGET")
     assert named == ["crapo", "crapo.check_budget"]
 
@@ -546,6 +568,20 @@ def test_checks_catch_violations():
     }
     assert callers(sweeping, "sweep") == [
         "crapo._violations", "delta.crapo_verify", "tutte.corank_nullity"]
+    descending = {
+        "crapo": (
+            "def sweep(box):\n"
+            "    def descend(i):\n        yield from descend(i + 1)\n"
+            "    return descend(0)\n"
+        ),
+        "tutte": (
+            "def corank_nullity(g):\n    stack = [g]\n    while stack:\n        stack.pop()\n"
+            "class Table:\n    def size(self, n):\n        return n and self.size(n - 1)\n"
+        ),
+    }
+    assert self_callers(descending) == ["crapo.descend", "tutte.size"]
+    assert [where for where, node in functions(descending) if node.name == "sweep"] == [
+        "crapo.sweep"]
     reaching = {
         "tutte": (
             "def run(g):\n    return _helper(g)\n"

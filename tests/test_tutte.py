@@ -3,12 +3,13 @@
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from hypertutte import crapo, tutte
-from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget, sweep
+from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
@@ -186,29 +187,35 @@ def test_tail_count_is_the_number_of_compositions():
             assert tutte._series_coeff(a, t) == listed
 
 
+def budget_spy(monkeypatch) -> list:
+    """The point counts ``tutte.check_budget`` is asked about, in order."""
+    asked = []
+
+    def spy(points, *args):
+        asked.append(points)
+        return check_budget(points, *args)
+
+    monkeypatch.setattr(tutte, "check_budget", spy)
+    return asked
+
+
 def test_corank_nullity_sweeps_the_hypertree_bounding_box(fig1, monkeypatch):
-    """The sweep walks only the hypertrees' bounding box: for fig1's (3, 3)
-    window of 32,768 points, its 32 points."""
+    """The walk covers only the hypertrees' bounding box: for fig1's (3, 3)
+    window of 32,768 points, the table's 16 cells and then its 32 points
+    are budgeted."""
     hs = enumerate_hypertrees(fig1)
-    yields = 0
-
-    def counted(*args, **kwargs):
-        nonlocal yields
-        for item in sweep(*args, **kwargs):
-            yields += 1
-            yield item
-
-    monkeypatch.setattr(tutte, "sweep", counted)
+    asked = budget_spy(monkeypatch)
     corank_nullity(fig1, 3, 3)
     assert box_size(box_around(hs, 3, 3)) == 32_768
-    assert yields == box_size(box_around(hs, 0, 0)) == 32
+    assert asked == [16, box_size(box_around(hs, 0, 0))] == [16, 32]
 
 
 def test_corank_nullity_bad_bounds(fig2, monkeypatch):
     """Negative bounds are refused, and the budget is on the table's own
     cells: fig2's (40, 40) window, whose box holds 45,763,544 lattice
-    points, sweeps the 24-point bounding box of the hypertrees and passes
-    the series identity, while (2000, 2000) is refused before any sweep."""
+    points, walks the 24-point bounding box of the hypertrees and passes
+    the series identity, while (2000, 2000) is refused at the cell check,
+    before any hypertree is listed."""
     for bounds in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             corank_nullity(fig2, *bounds)
@@ -217,9 +224,29 @@ def test_corank_nullity_bad_bounds(fig2, monkeypatch):
     with pytest.raises(BudgetExceeded, match="box of 45763544 points exceeds budget"):
         check_budget(box_size(box_around(hs, 40, 40)))
     assert series_identity_check(fig2, 40, 40)["status"] == "PASS"
-    monkeypatch.setattr(tutte, "sweep", None)  # a sweep would raise TypeError
+    asked = budget_spy(monkeypatch)
+    monkeypatch.setattr(tutte, "enumerate_hypertrees", None)  # a listing would raise TypeError
     with pytest.raises(BudgetExceeded):
         corank_nullity(fig2, 2000, 2000)
+    assert asked == [2001 * 2001]
+
+
+def test_corank_nullity_walks_a_long_star(long_star):
+    """The walk is as deep as the star has emeralds, beyond the recursion
+    limit.  The only hypertree is 0, so c counts at (i, j) when its
+    negative entries sum to -i over some a coordinates and its positive
+    ones to j over b others: C(n, a) C(n - a, b) choices of coordinates
+    times the compositions of i into a parts and of j into b."""
+    n = long_star.emerald_count
+
+    def compositions(t, parts):
+        return comb(t - 1, parts - 1) if parts else int(t == 0)
+
+    assert corank_nullity(long_star, 3, 3) == {
+        (i, j): sum(comb(n, a) * comb(n - a, b) * compositions(i, a) * compositions(j, b)
+                    for a in range(i + 1) for b in range(j + 1))
+        for i in range(4) for j in range(4)
+    }
 
 
 def test_series_identity_fig2(fig2):
