@@ -11,7 +11,8 @@ order, and :meth:`BasisActivity.of` builds every activity record.
 Whether b - 1_e + 1_f or b + 1_e - 1_f is a basis depends on b, e and f
 alone, never on the order, so the test reads the exchange table of b
 (:meth:`PolymatroidBases.exchanges`): bit masks built once per basis in
-n(n-1) lookups and memoised on the polymatroid.  An element is active
+n(n-1) lookups and memoised on the polymatroid, whose row a caller
+fetches once and hands to every test on b.  An element is active
 against the mask of the elements before it (MIN) or after it (MAX) when
 a mask AND is empty, so each further order of a basis costs O(n).
 
@@ -262,27 +263,29 @@ def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:
 def activity_masks(P: PolymatroidBases, b, order) -> tuple:
     """The coordinates of basis b internally and externally active under
     the MIN rule, as two bit masks: each element of ``order`` is tested
-    by :func:`_active` against the mask of the elements before it.  The
-    MAX rule is the same test over the reversed order."""
-    b = tuple(b)
+    by :func:`_active` against the mask of the elements before it, on
+    b's exchange row, fetched once.  The MAX rule is the same test over
+    the reversed order."""
+    row = P.exchanges(tuple(b))
     internal = external = passed = 0
-    for e in order:
-        i = P.index(e)
-        inside, outside = _active(P, b, i, passed)
+    for i in map(P.index, order):
+        inside, outside = _active(row, i, passed)
+        bit = 1 << i
         if inside:
-            internal |= 1 << i
+            internal |= bit
         if outside:
-            external |= 1 << i
-        passed |= 1 << i
+            external |= bit
+        passed |= bit
     return internal, external
 
 
-def _active(P, b, i, others) -> tuple:
+def _active(row, i, others) -> tuple:
     """The one activity rule: is the element at coordinate i of basis b
     internally active against the coordinates in the bit mask ``others``
     (no f there makes b - 1_e + 1_f a basis), and externally (nor
-    b + 1_e - 1_f)?  Two ANDs on b's row of :meth:`PolymatroidBases.exchanges`."""
-    down, up = P.exchanges(b)
+    b + 1_e - 1_f)?  Two ANDs on ``row``, b's exchange table
+    (:meth:`PolymatroidBases.exchanges`), which the caller fetches once."""
+    down, up = row
     return not down[i] & others, not up[i] & others
 
 
@@ -291,7 +294,10 @@ def exchange_free(P: PolymatroidBases, b, lower, upper) -> bool:
     b - 1_i + 1_f a basis: each such i is internally active against
     ``upper`` (:func:`_active`).  The Crapo decider's attainment test
     (:func:`crapo._attains`)."""
-    return all(_active(P, b, i, upper)[0] for i in range(len(b)) if lower >> i & 1)
+    if not lower:
+        return True  # no coordinate to test: b's row stays unbuilt
+    row = P.exchanges(b)
+    return all(_active(row, i, upper)[0] for i in range(len(b)) if lower >> i & 1)
 
 
 def _movable(P: PolymatroidBases, b) -> tuple:
@@ -426,7 +432,7 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
 
     def agrees(i, rest, b):
         """Coordinate i, with the mask ``rest`` after it, is nontrivially active for b as wanted."""
-        internal, external = _active(P, b, i, rest)
+        internal, external = _active(P.exchanges(b), i, rest)
         lower, higher = movable[b]
         ni, ne = want[b]
         bit = 1 << i

@@ -18,7 +18,7 @@ import random
 
 from .model import RibbonGraph, violet, emerald
 from .polynomial import Poly
-from .hypertrees import jaeger_trees
+from .hypertrees import cached, jaeger_trees
 from . import tutte
 
 
@@ -85,17 +85,19 @@ def _describe(g: RibbonGraph) -> dict:
 
 
 def _compare(g: RibbonGraph, kind: str, polynomial_fn) -> dict:
-    """Compare ``polynomial_fn(g)`` to the embedding polynomial; a
-    counterexample reports the candidate under ``kind`` in snake case."""
+    """Compare ``polynomial_fn(g)`` to the embedding polynomial, rendered
+    once per graph; a counterexample reports the candidate under ``kind``
+    in snake case."""
     reference = tutte.tutte_embedding(g)
     candidate = polynomial_fn(g)
+    rendered = cached(g, "rendered embedding", lambda g: str(reference))
     if reference == candidate:
-        return {"kind": kind, "verdict": "EQUAL", "polynomial": str(reference)}
+        return {"kind": kind, "verdict": "EQUAL", "polynomial": rendered}
     return {
         "kind": kind,
         "verdict": "COUNTEREXAMPLE",
         "instance": _describe(g),
-        "embedding": str(reference),
+        "embedding": rendered,
         kind.replace("-", "_"): str(candidate),
     }
 

@@ -34,10 +34,12 @@ spans, and every branch the search pushes is one Jaeger tree.  Its
 degree vector is its hypertree, and its two emerald orders (first
 appearance as the current node, and as the emerald end of the current
 edge) are read off the nodes in the order the walk reached them and the
-edges in the order it first met them.  With Python 3.11 on a 2-vCPU
-host (CPU seconds, seeded embeddings), the emerald search takes about
-0.008 s on K6,6 (252 hypertrees), 0.04 s on K7,7 (924) and 0.016 s on
-K3,24 (300).
+edges in the order it first met them, through per-graph tables built
+once (each edge's emerald index and name, and the set of emeralds).
+With Python 3.11 on a shared 2-vCPU host (CPU seconds, seeded
+embeddings, medians of five rounds of five runs), the emerald search
+takes about 0.006 s on K6,6 (252 hypertrees), 0.03 s on K7,7 (924) and
+0.011 s on K3,24 (300).
 
 Listing spanning trees (:func:`all_spanning_trees`) remains for the
 coverage figures of the benchmark; the oracles built on it, the
@@ -54,7 +56,7 @@ built; the tests check the exchange axiom through
 
 from __future__ import annotations
 
-from .model import RibbonGraph, adjacency, is_emerald, is_int, node_index, reach
+from .model import RibbonGraph, adjacency, is_int, node_index, reach
 from . import tours
 
 
@@ -102,6 +104,8 @@ def tour_search(g: RibbonGraph, variant: str):
     edges = g.edges
     adj = cached(g, "adjacency",
                  lambda g: adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)))
+    emerald_name = cached(g, "emerald name of edge", lambda g: tuple(e for _, e in g.edges))
+    emeralds = cached(g, "emeralds", lambda g: frozenset(e for _, e in g.edges)).__contains__
     pending = [(set(), {g.basis[0]: None}, [], None)]
     while pending:
         tree, reached, met, at = pending.pop()
@@ -114,22 +118,30 @@ def tour_search(g: RibbonGraph, variant: str):
             met.append(k)
             far = edges[k][(d & 1) ^ 1]
             if d & 1 == chooser:
-                if far in reached or any(x not in seen and w in reached for x, w in adj[far]):
-                    # k stays out: in, it would close a cycle now, or at far,
-                    # the look-ahead; and out, far is still joined to the tree
-                    continue
-                if next(reversed(reach(adj, far, seen, reached))) in reached:
-                    # out keeps the graph connected iff far still reaches the
-                    # tree through undecided edges, when the search stops at a
-                    # reached node, its last key; in goes on in this walk
-                    pending.append((set(tree), dict(reached), list(met), d))
+                if far in reached:
+                    continue  # k stays out: in, it would close a cycle
+                for x, w in adj[far]:
+                    if w in reached and x not in seen:
+                        # k stays out: in, the look-ahead kills it at far;
+                        # out, x keeps far joined to the tree
+                        break
+                else:
+                    if next(reversed(reach(adj, far, seen, reached))) in reached:
+                        # out keeps the graph connected iff far still reaches
+                        # the tree through undecided edges, when the search
+                        # stops at a reached node, its last key; in goes on
+                        # in this walk
+                        pending.append((set(tree), dict(reached), list(met), d))
+                    tree.add(k)
+                    reached[far] = None
+                continue
             tree.add(k)  # at a node that cannot choose, far is never reached
             reached[far] = None
         yield (
             degree_vector(g, tree),
             tuple(sorted(tree)),
-            tuple(filter(is_emerald, reached)),
-            tuple(dict.fromkeys(edges[k][1] for k in met)),
+            tuple(filter(emeralds, reached)),
+            tuple(dict.fromkeys(map(emerald_name.__getitem__, met))),
         )
 
 

@@ -5,14 +5,16 @@ coefficients are never stored.  Canonical ordering for rendering and
 iteration is lexicographic on (x-exponent, y-exponent), descending, so
 that output diffs are byte-stable.  The package builds a polynomial,
 compares, prints and evaluates it, and nothing more: the Tutte sums
-expand in one pass per power of x+y-1 (:func:`expand_triples`), so no
-sum or product of two polynomials is ever formed.  Ring arithmetic
-(sums, products, powers), substitution, degrees, the monomials x, y and
-c x^a y^b, and the factor x+y-1 itself, which only the test oracles
-use, are in ``tests/oracles.py``.
+expand each power of x+y-1 they need by its trinomial coefficients
+(:func:`expand_triples`), so no sum or product of two polynomials is
+ever formed.  Ring arithmetic (sums, products, powers), substitution,
+degrees, the monomials x, y and c x^a y^b, and the factor x+y-1
+itself, which only the test oracles use, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 
 class Poly:
@@ -37,8 +39,9 @@ class Poly:
         return sum(c * x ** a * y ** b for (a, b), c in self.terms.items())
 
     def sorted_terms(self):
-        """Terms in canonical order: lex on (x-exp, y-exp), descending."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in canonical order: lex on (x-exp, y-exp), descending
+        (the keys are distinct, so the pairs sort by them alone)."""
+        return sorted(self.terms.items(), reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -65,22 +68,23 @@ class Poly:
 def expand_triples(triples) -> Poly:
     """Sum of n x^a y^b (x+y-1)^c over a mapping {(a, b, c): n}.
 
-    The terms are grouped by c into A_c = sum of n x^a y^b, and the sum
-    is expanded by Horner's rule in s = x+y-1: out <- out*s + A_c, from
-    the largest c down to 0.  Multiplying by s is one pass over the
-    terms, so no power of s and no product of two large polynomials is
-    ever formed.
+    (x+y-1)^c is the sum of C(c, i) C(c-i, j) (-1)^(c-i-j) x^i y^j over
+    i + j <= c, its trinomial expansion; each distinct c is expanded once
+    (along j, the coefficient changes by -(c-i-j)/(j+1)) and each triple
+    adds n times it, shifted by x^a y^b.  No product of polynomials is
+    formed, and the cost is proportional to the output.
     """
-    groups = {}
+    out, powers = {}, {}
     for (a, b, c), n in triples.items():
-        group = groups.setdefault(c, {})
-        group[a, b] = group.get((a, b), 0) + n
-    out = {}
-    for c in range(max(groups, default=-1), -1, -1):
-        times_s = groups.get(c, {})  # becomes out*s + A_c
-        for (a, b), n in out.items():
-            times_s[a + 1, b] = times_s.get((a + 1, b), 0) + n
-            times_s[a, b + 1] = times_s.get((a, b + 1), 0) + n
-            times_s[a, b] = times_s.get((a, b), 0) - n
-        out = times_s
+        power = powers.get(c)
+        if power is None:
+            power = powers[c] = []
+            for i in range(c + 1):
+                m = comb(c, i) if (c - i) % 2 == 0 else -comb(c, i)
+                for j in range(c - i + 1):
+                    power.append((i, j, m))
+                    m = -m * (c - i - j) // (j + 1)
+        for i, j, m in power:
+            key = a + i, b + j
+            out[key] = out.get(key, 0) + n * m
     return Poly(out)

@@ -40,7 +40,7 @@ def tutte_sum(g: RibbonGraph, orders) -> Poly:
     """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie: the emeralds only
     internally, only externally and both ways active under the order
     ``orders[h]``, counted per (oi, oe, ie) on the activity bit masks and
-    expanded by Horner's rule in x+y-1 (:func:`polynomial.expand_triples`)."""
+    expanded with trinomial coefficients (:func:`polynomial.expand_triples`)."""
     P = bases_from_hypertrees(g)
     triples = Counter()
     for h in enumerate_hypertrees(g):

@@ -162,6 +162,20 @@ def test_exchange_table_only_for_bases(small_matroid):
     assert len(P._exchange_rows) == len(P.bases)
 
 
+def test_activity_masks_refuse_unknown_elements(small_matroid):
+    """An element outside the ground set, or an unhashable one, raises
+    ValueError wherever it stands in the order, whether or not the
+    basis's exchange row was fetched before."""
+    P = PolymatroidBases(small_matroid.ground, small_matroid.bases)
+    b = min(P.bases)
+    for _ in range(2):  # the second round runs with b's row fetched
+        for order in [("z",), ("a", "b", "z"), ("a", ["b"], "c"), ("c", 0)]:
+            with pytest.raises(ValueError, match="is not in the ground set"):
+                activity_masks(P, b, order)
+        assert activity_masks(P, b, P.ground) == shifted_rule_activities(
+            P, b, P.ground, later=False)
+
+
 def test_built_polymatroids_are_not_rechecked(fig2, fig6_graph, monkeypatch):
     """Hypertree sets and cycle matroids are polymatroids by construction:
     only loading bases runs the exchange check."""

@@ -1,6 +1,8 @@
 """Bivariate polynomials: construction, canonical rendering, evaluation,
-the Tutte sums' one-pass expansion, and the oracles' arithmetic."""
+the Tutte sums' trinomial expansion, and the oracles' arithmetic."""
 
+import math
+import time
 from collections import Counter
 
 import pytest
@@ -102,12 +104,30 @@ def triples(c):
                            coeffs, max_size=8)
 
 
-@given(st.one_of(triples(st.integers(0, 5)), triples(st.just(0))))
+@given(st.one_of(triples(st.integers(0, 12)), triples(st.sampled_from((0, 1, 11, 12))),
+                 triples(st.just(0))))
 @example({})
 @example({(2, 1, 0): 3, (0, 0, 0): -1})
 @example({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1, (0, 0, 1): -1})  # cancels to 0
 @example({(0, 0, 3): 2, (1, 0, 2): -2, (0, 1, 2): -2, (0, 0, 2): 2})  # cancels to 0
+@example({(0, 0, 12): 1, (4, 4, 0): -7, (1, 3, 1): 2})  # gaps between the powers
+@example({(0, 0, 12): 1, (0, 0, 11): 1, (1, 0, 11): -1, (0, 1, 11): -1})  # cancels to 0
 def test_expand_triples_matches_naive_sum(terms):
     naive = plus(*(times(monomial(a, b, n), power(x_plus_y_minus_1(), c))
                    for (a, b, c), n in terms.items()))
     assert expand_triples(Counter(terms)) == naive
+
+
+def test_expand_triples_at_scale():
+    """A lone (0, 0, 300) triple, the star with 300 emeralds on one
+    violet: (x+y-1)^300 has C(302, 2) terms, T(1, 1) = 1, T(2, 1) = 2^300,
+    T(2, 2) = 3^300, and x^100 y^100 has the trinomial coefficient
+    300!/(100!)^3; the expansion is quadratic in c, well under a second."""
+    start = time.process_time()
+    p = expand_triples({(0, 0, 300): 1})
+    assert time.process_time() - start < 1
+    assert len(p.terms) == math.comb(302, 2) == 45_451
+    assert p.evaluate(1, 1) == 1
+    assert p.evaluate(2, 1) == 2 ** 300
+    assert p.evaluate(2, 2) == 3 ** 300
+    assert p.terms[100, 100] == math.factorial(300) // math.factorial(100) ** 3

@@ -15,8 +15,8 @@ decider, the package runs in one process (no module imports ``os``,
 Crapo interval, ``delta.BasisActivity`` is the one activity record,
 whose bit masks over P's coordinates only the CLI commands and
 ``delta.obstruction_check`` turn back into names (``delta.names``), so
-names appear only at print, ``delta._active`` is the one activity rule
-and the one reader of a basis's exchange table, which only
+names appear only at print, ``delta._active`` is the one activity rule,
+to which every fetched row of a basis's exchange table goes, a table only
 ``PolymatroidBases.exchanges`` and ``delta.exchange_witness`` build from
 shifted bases, an import inside a function is one that would close a
 cycle at the top of the module, and nothing in the package imports the
@@ -229,6 +229,41 @@ def readers(sources: dict, attr: str) -> list:
     return _places(sources, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
+def rows_not_handed_to(sources: dict, rule: str) -> list:
+    """``module.function`` of every function of the sources, given as
+    {module name: source}, that uses an exchange row other than as an
+    argument of a call of ``rule``.  A row is what a call of an
+    ``exchanges`` attribute returns; it may be handed to ``rule`` at
+    once or bound to a plain name whose every read is such an argument.
+    Any other read of the attribute, or other use of a row, counts, also
+    for each function around a nested one that holds it."""
+    found = set()
+    for where, node in functions(sources):
+        parent = {child: up for up in ast.walk(node) for child in ast.iter_child_nodes(up)}
+
+        def handed(n):
+            up = parent.get(n)
+            return isinstance(up, ast.Call) and _name(up.func) == rule and n in up.args
+
+        bound = set()
+        for n in ast.walk(node):
+            if not (isinstance(n, ast.Attribute) and n.attr == "exchanges"):
+                continue
+            call = parent.get(n)
+            if not (isinstance(call, ast.Call) and call.func is n):
+                found.add(where)
+                continue
+            up = parent.get(call)
+            if isinstance(up, ast.Assign) and [type(t) for t in up.targets] == [ast.Name]:
+                bound.add(up.targets[0].id)
+            elif not handed(call):
+                found.add(where)
+        if any(isinstance(n, ast.Name) and n.id in bound and isinstance(n.ctx, ast.Load)
+               and not handed(n) for n in ast.walk(node)):
+            found.add(where)
+    return sorted(found)
+
+
 def activity_records(sources: dict) -> list:
     """``module.Class`` for every dataclass in the sources, given as
     {module name: source}, with both an ``internal`` and an ``external``
@@ -420,12 +455,14 @@ def test_one_activity_record():
 
 
 def test_one_activity_rule():
-    """``delta._active`` is the one activity rule: it alone reads a
-    basis's exchange table, and besides the exchange check only
+    """``delta._active`` is the one activity rule: it alone ANDs a row of
+    a basis's exchange table, for every row a caller fetches goes to it
+    and nowhere else, and besides the exchange check only
     ``PolymatroidBases.exchanges``, which builds that table, looks up a
     shifted basis."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert readers(sources, "exchanges") == ["delta._active"]
+    assert readers(sources, "exchanges") != []
+    assert rows_not_handed_to(sources, "_active") == []
     assert callers(sources, "_shift") == ["delta.exchange_witness", "delta.exchanges"]
 
 
@@ -633,15 +670,21 @@ def test_checks_catch_violations():
             "    def exchanges(self, b):\n"
             "        return [_shift(b, 0, 1) in self.bases]\n"
             "def exchange_witness(P, b, e):\n    return _shift(b, e, 0)\n"
-            "def _active(P, b, i, others):\n    return P.exchanges(b)[i] & others\n"
+            "def _active(row, i, others):\n    down, up = row\n    return down[i] & others\n"
+            "def activity_masks(P, b):\n    row = P.exchanges(b)\n    return _active(row, 0, 1)\n"
+            "def exchange_free(P, b):\n    return _active(P.exchanges(b), 0, 1)\n"
         ),
         "tutte": (
             "def tutte_sum(P, h, i):\n"
             "    down, up = P.exchanges(h)\n"
             "    return down[i], _shift(h, i, 0) in P.bases\n"
+            "def inline(P, h, i):\n    row = P.exchanges(h)\n    return _active(row, i, row[0][i])\n"
+            "def fetcher(P):\n    return P.exchanges\n"
+            "def lazy(P, h):\n    return [P.exchanges(h)]\n"
         ),
     }
-    assert readers(exchanging, "exchanges") == ["delta._active", "tutte.tutte_sum"]
+    assert rows_not_handed_to(exchanging, "_active") == [
+        "tutte.fetcher", "tutte.inline", "tutte.lazy", "tutte.tutte_sum"]
     assert callers(exchanging, "_shift") == [
         "delta.exchange_witness", "delta.exchanges", "tutte.tutte_sum"]
     deferring = {
