@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import fixture_names, fixture_path
 from .model import load_path, ParseError, ValidationError
@@ -44,16 +45,26 @@ def _fmt_h(h) -> str:
     return ",".join(str(x) for x in h)
 
 
+def _print_poly(poly) -> None:
+    """``print(poly)``, written a thousand terms at a time so that the
+    whole text is never held."""
+    texts, sep = poly.term_texts(), ""
+    while chunk := " ".join(islice(texts, 1000)):
+        sys.stdout.write(sep + chunk)
+        sep = " "
+    sys.stdout.write("\n")
+
+
 def _cmd_tutte(args) -> int:
     g = _load(args.instance)
     if args.method == "embedding":
-        print(tutte.tutte_embedding(g))
+        _print_poly(tutte.tutte_embedding(g))
     elif args.method == "fixed":
         if args.order is not None:
             order = tuple(args.order.split(","))
         else:
             order = tuple(f"e{j}" for j in range(g.emerald_count))
-        print(tutte.tutte_from_order(g, order))
+        _print_poly(tutte.tutte_from_order(g, order))
     else:  # corank-nullity
         imax, jmax = _pair("--bounds", args.bounds)
         table = tutte.corank_nullity(g, imax, jmax)

@@ -42,7 +42,7 @@ other center that the exchange-table test is checked against, are in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .model import RibbonGraph
@@ -58,14 +58,11 @@ class BudgetExceeded(ValueError):
 _BOX_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
-class CrapoInterval:
+class CrapoInterval(namedtuple("CrapoInterval", "center below above")):
     """The lattice points below ``center`` only at the coordinates in
     the bit mask ``below`` and above it only at those in ``above``."""
 
-    center: tuple
-    below: int
-    above: int
+    __slots__ = ()
 
 
 def intervals(assignment: dict) -> list:

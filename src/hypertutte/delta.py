@@ -47,9 +47,9 @@ counterexample (fig6) are test oracles, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .model import ParseError, emerald, is_int, yaml_mapping
+from .model import Frozen, ParseError, emerald, is_int, yaml_mapping
 from .hypertrees import cached, enumerate_hypertrees
 
 
@@ -68,32 +68,30 @@ class InvalidDecisionTree(ValueError):
 _MEMO_CAP = 100_000  # solved subproblems the search may keep
 
 
-@dataclass(frozen=True)
-class PolymatroidBases:
+class PolymatroidBases(Frozen):
     """Explicit polymatroid: named ground set and the set of base vectors,
-    checked for one coordinate sum here and for exchange by :func:`check_exchange`."""
+    checked for one coordinate sum here and for exchange by :func:`check_exchange`.
 
-    ground: tuple
-    bases: frozenset
-    _ranks: tuple = field(init=False, repr=False, compare=False, default=None)
-    _floors: tuple = field(init=False, repr=False, compare=False, default=None)
-    _positions: dict = field(init=False, repr=False, compare=False, default=None)
-    _exchange_rows: dict = field(init=False, repr=False, compare=False, default=None)
+    Instances are immutable (:class:`model.Frozen`).  Equality, hashing
+    and the ``repr`` read ``ground`` and ``bases`` alone; ``pickle`` and
+    ``copy`` rebuild and recheck a polymatroid from them, so a copy
+    starts with no exchange rows memoised."""
 
-    def __post_init__(self):
-        if not self.bases:
+    _fields = ("ground", "bases")
+    __slots__ = _fields + ("_ranks", "_floors", "_positions", "_exchange_rows", "__weakref__")
+
+    def __init__(self, ground: tuple, bases: frozenset):
+        if not bases:
             raise ValueError("empty base set")
-        sums = {sum(b) for b in self.bases}
+        sums = {sum(b) for b in bases}
         if len(sums) != 1:
             raise ValueError("bases have differing coordinate sums")
-        columns = tuple(zip(*self.bases))
-        object.__setattr__(self, "_ranks", tuple(map(max, columns)))
-        object.__setattr__(self, "_floors", tuple(map(min, columns)))
+        columns = tuple(zip(*bases))
         positions = {}
-        for i, e in enumerate(self.ground):
+        for i, e in enumerate(ground):
             positions.setdefault(e, i)  # a repeated name maps to its first place
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_exchange_rows", {})
+        self._set(ground=ground, bases=bases, _ranks=tuple(map(max, columns)),
+                  _floors=tuple(map(min, columns)), _positions=positions, _exchange_rows={})
 
     def rank(self, e) -> int:
         """mu({e}): the greatest value of coordinate e over the bases."""
@@ -191,12 +189,10 @@ def bases_from_hypertrees(g) -> PolymatroidBases:
     return cached(g, "bases", build)
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(namedtuple("DecisionTree", "label children")):
     """Node labeled ``label`` with an ordered tuple of child subtrees."""
 
-    label: str
-    children: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_dict(data) -> "DecisionTree":
@@ -326,15 +322,12 @@ def names(P: PolymatroidBases, mask) -> tuple:
     return tuple(e for i, e in enumerate(P.ground) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class BasisActivity:
+class BasisActivity(namedtuple(
+        "BasisActivity", "internal external nontrivial_internal nontrivial_external")):
     """The activities of one basis and their :func:`nontrivial` parts,
     each a bit mask over P's coordinates."""
 
-    internal: int
-    external: int
-    nontrivial_internal: int
-    nontrivial_external: int
+    __slots__ = ()
 
     @classmethod
     def of(cls, P: PolymatroidBases, b, internal, external) -> "BasisActivity":

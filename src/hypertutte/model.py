@@ -21,11 +21,6 @@ rotation and the other test oracles are in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-
-import yaml
-
 
 class ParseError(ValueError):
     """Raised when an instance file is syntactically malformed."""
@@ -104,8 +99,46 @@ def connected(edges, n_nodes: int) -> bool:
     return len(adj) == n_nodes and len(reach(adj, next(iter(adj)))) == n_nodes
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class Frozen:
+    """An immutable value.  A subclass names in ``_fields`` the arguments
+    of its ``__init__``, which sets them and what it derives from them
+    once, through :meth:`_set`; assigning or deleting an attribute later
+    raises AttributeError.  Equality, hashing and the ``repr`` read those
+    fields alone, and ``pickle`` and ``copy`` rebuild the value from them."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RibbonGraph(Frozen):
     """A connected bipartite ribbon graph with a distinguished basis.
 
     ``edges[k]`` is the pair ``(violet_node, emerald_node)`` of edge ``k``.
@@ -116,26 +149,28 @@ class RibbonGraph:
     and the basis on darts (see the module docstring).  ``derived`` holds
     what is computed from the graph, read and filled through
     :func:`hypertrees.cached` only.
+
+    Instances are immutable (:class:`Frozen`).  Equality, hashing and the
+    ``repr`` read the five fields ``violet_count``, ``emerald_count``,
+    ``edges``, ``rotations`` and ``basis``; ``pickle`` and ``copy``
+    rebuild and revalidate a graph from them, so a copy starts with an
+    empty ``derived``.
     """
 
-    violet_count: int
-    emerald_count: int
-    edges: tuple[tuple[str, str], ...]
-    rotations: tuple[tuple[str, tuple[int, ...]], ...]
-    basis: tuple[str, int]
-    sigma: tuple = field(init=False, repr=False, compare=False, default=None)
-    basis_dart: int = field(init=False, repr=False, compare=False, default=None)
-    derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _fields = ("violet_count", "emerald_count", "edges", "rotations", "basis")
+    __slots__ = _fields + ("sigma", "basis_dart", "derived", "__weakref__")
 
-    def __post_init__(self):
+    def __init__(self, violet_count: int, emerald_count: int, edges: tuple,
+                 rotations: tuple, basis: tuple):
+        self._set(violet_count=violet_count, emerald_count=emerald_count, edges=edges,
+                  rotations=rotations, basis=basis)
         self._validate()
-        sigma = [0] * (2 * len(self.edges))
-        for node, rot in self.rotations:
+        sigma = [0] * (2 * len(edges))
+        for node, rot in rotations:
             side = is_emerald(node)
             for edge, nxt in zip(rot, rot[1:] + rot[:1]):
                 sigma[2 * edge + side] = 2 * nxt + side
-        object.__setattr__(self, "sigma", tuple(sigma))
-        object.__setattr__(self, "basis_dart", self.dart(*self.basis))
+        self._set(sigma=tuple(sigma), basis_dart=self.dart(*basis), derived={})
 
     @staticmethod
     def build(violet_count, emerald_count, edges, rotation, basis) -> "RibbonGraph":
@@ -251,6 +286,8 @@ def is_int(x) -> bool:
 def yaml_mapping(text: str, required) -> dict:
     """Parse a YAML document that must be a mapping holding every key of
     ``required``; raise ParseError otherwise."""
+    import yaml  # only a parse needs it
+
     try:
         data = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError) as exc:
@@ -293,7 +330,8 @@ def load(text: str) -> RibbonGraph:
     for node, rot in raw_rot.items():
         if (
             not isinstance(node, str)
-            or not re.fullmatch("[ve][0-9]+", node)
+            or node[:1] not in ("v", "e")
+            or not (node[1:].isdigit() and node[1:].isascii())
             or not isinstance(rot, list)
             or not all(is_int(k) for k in rot)
         ):

@@ -43,10 +43,15 @@ class Poly:
         (the keys are distinct, so the pairs sort by them alone)."""
         return sorted(self.terms.items(), reverse=True)
 
-    def __str__(self):
+    def term_texts(self):
+        """The rendered text of each term in canonical order, its sign
+        joined to it (``"-x^2"`` first, ``"+ 3xy"`` after), or ``"0"``
+        alone: ``str`` joins them with spaces, and the CLI writes them a
+        thousand at a time."""
         if not self.terms:
-            return "0"
-        parts = []
+            yield "0"
+            return
+        first = True
         for (a, b), c in self.sorted_terms():
             mono = ""
             if a:
@@ -55,11 +60,14 @@ class Poly:
                 mono += "y" if b == 1 else f"y^{b}"
             mag = abs(c)
             body = mono if mag == 1 and mono else f"{mag}{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+            if first:
+                yield body if c > 0 else f"-{body}"
+                first = False
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+                yield ("+ " if c > 0 else "- ") + body
+
+    def __str__(self):
+        return " ".join(self.term_texts())
 
     def __repr__(self):
         return f"Poly({self})"

@@ -3,7 +3,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -227,14 +226,14 @@ def reference_verify(intervals, box):
 def swapped(assignment, which):
     """The assignment with the internal and external masks of the bases
     at positions ``which`` exchanged."""
-    return {b: replace(rec, internal=rec.external, external=rec.internal) if k in which else rec
+    return {b: rec._replace(internal=rec.external, external=rec.internal) if k in which else rec
             for k, (b, rec) in enumerate(assignment.items())}
 
 
 def toggled(assignment, k, side):
     """The assignment with coordinate 0 toggled in one mask,
     ``"internal"`` or ``"external"``, of the basis at position k."""
-    return {b: replace(rec, **{side: getattr(rec, side) ^ 1}) if j == k else rec
+    return {b: rec._replace(**{side: getattr(rec, side) ^ 1}) if j == k else rec
             for j, (b, rec) in enumerate(assignment.items())}
 
 

@@ -1,7 +1,12 @@
 """Instance loading, validation and rotation navigation."""
 
+import copy
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +23,12 @@ from hypertutte.model import (
     load,
     reach,
 )
-from oracles import degree, incident, next_at
+from hypertutte.crapo import intervals
+from hypertutte.delta import load_decision_tree
+from hypertutte.jaeger import embedding_assignment
+from hypertutte.tutte import tutte_embedding
+from oracles import degree, incident, next_at, perturbed
+from test_oracle import complete_bipartite
 
 
 def test_fig2_loads(fig2):
@@ -248,3 +258,69 @@ def test_reach_avoids_and_stops(all_hg):
                 assert stopped == full and hits == []
             else:
                 assert hits == [stopped[-1][0]]
+
+
+def test_values_survive_pickle_and_copy(all_hg):
+    """Graphs, polymatroids, activity records, Crapo intervals and
+    decision trees come back from ``pickle`` and ``copy`` as
+    equal values of the same type, still immutable, and a graph that
+    made the round trip has the same embedding polynomial."""
+    tree = load_decision_tree(fixture_path("delta_fig.tree").read_text(encoding="utf-8"))
+    graphs = [*all_hg.values(), perturbed(complete_bipartite(4, 4), random.Random(44))]
+    for g in graphs:
+        P, assignment = embedding_assignment(g)
+        values = [g, P, *assignment.values(), intervals(assignment)[0], tree]
+        for x in values:
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        for x, name in ((g, "basis"), (P, "ground")):
+            with pytest.raises(AttributeError):
+                setattr(pickle.loads(pickle.dumps(x)), name, None)
+        assert tutte_embedding(pickle.loads(pickle.dumps(g))) == tutte_embedding(g)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+UNUSED_BY_LIBRARY = ("yaml", "dataclasses", "importlib.resources")
+
+
+def _python(flags, code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_library_loads_no_parser():
+    """Importing the package and its library modules, building a graph
+    and running the embedding sum and the Crapo verifier load neither
+    YAML nor ``dataclasses`` nor ``importlib.resources`` (in an
+    interpreter without ``site``, which preloads the last)."""
+    k22 = (2, 2, [("v0", "e0"), ("v0", "e1"), ("v1", "e0"), ("v1", "e1")],
+           {"v0": [0, 1], "v1": [2, 3], "e0": [0, 2], "e1": [1, 3]}, ("v0", 0))
+    code = (
+        "import sys\n"
+        "import hypertutte\n"
+        "from hypertutte import crapo, delta, harness, hypertrees, jaeger\n"
+        "from hypertutte import polynomial, tours, tutte\n"
+        f"g = hypertutte.RibbonGraph.build(*{k22!r})\n"
+        "print(tutte.tutte_embedding(g))\n"
+        "print(crapo.verify_crapo_partition(g)['status'])\n"
+        f"print([m for m in {UNUSED_BY_LIBRARY!r} if m in sys.modules])\n"
+    )
+    poly = tutte_embedding(RibbonGraph.build(*k22))
+    assert _python(["-S"], code) == f"{poly}\nPASS\n[]\n"
+
+
+def test_yaml_loads_on_first_parse(fig2):
+    """``load`` still parses, and only then is YAML imported."""
+    code = (
+        "import sys\n"
+        "import hypertutte\n"
+        "print('yaml' in sys.modules)\n"
+        f"g = hypertutte.load_path({str(fixture_path('fig2.hg'))!r})\n"
+        "print(g.violet_count, g.emerald_count, 'yaml' in sys.modules)\n"
+    )
+    assert _python([], code) == "False\n3 4 True\n"
+    assert load(fixture_path("fig2.hg").read_text()) == fig2
+    assert "yaml" in sys.modules

@@ -265,21 +265,36 @@ def rows_not_handed_to(sources: dict, rule: str) -> list:
 
 
 def activity_records(sources: dict) -> list:
-    """``module.Class`` for every dataclass in the sources, given as
+    """``module.Class`` for every record class in the sources, given as
     {module name: source}, with both an ``internal`` and an ``external``
-    field."""
+    field (see :func:`record_fields`)."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and any(
-                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
-                for d in node.decorator_list
-            ):
-                fields = {stmt.target.id for stmt in node.body
-                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
-                if {"internal", "external"} <= fields:
-                    found.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef) and {"internal", "external"} <= record_fields(node):
+                found.append(f"{module}.{node.name}")
     return sorted(found)
+
+
+def record_fields(node: ast.ClassDef) -> set:
+    """The fields of a record class: the annotated names of a dataclass
+    or a ``NamedTuple`` subclass, and the names a ``namedtuple(...)``
+    base lists, as one string or as a list or tuple of strings."""
+    fields = set()
+    if any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+           for d in node.decorator_list) or any(_name(b) == "NamedTuple" for b in node.bases):
+        fields |= {stmt.target.id for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    for base in node.bases:
+        if not (isinstance(base, ast.Call) and _name(base.func) == "namedtuple"):
+            continue
+        names = [kw.value for kw in base.keywords if kw.arg == "field_names"] + base.args[1:2]
+        for listed in names:
+            if isinstance(listed, ast.Constant) and isinstance(listed.value, str):
+                fields |= set(listed.value.replace(",", " ").split())
+            elif isinstance(listed, (ast.List, ast.Tuple)):
+                fields |= {elt.value for elt in listed.elts if isinstance(elt, ast.Constant)}
+    return fields
 
 
 def _package_imports(node, modules) -> set:
@@ -448,8 +463,8 @@ def test_one_interval_rule():
 
 
 def test_one_activity_record():
-    """``delta.BasisActivity`` is the only dataclass holding internal and
-    external activity sets."""
+    """``delta.BasisActivity`` is the only record class holding internal
+    and external activity sets."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert activity_records(sources) == ["delta.BasisActivity"]
 
@@ -653,8 +668,19 @@ def test_checks_catch_violations():
             "class Plain:\n    internal = external = frozenset()\n"
             "@dataclass\nclass Half:\n    internal: frozenset\n"
         ),
+        "tutte": (
+            "from collections import namedtuple\n"
+            "class Activity(namedtuple('Activity', 'internal, external size')):\n"
+            "    __slots__ = ()\n"
+            "class Listed(collections.namedtuple('Listed', field_names=['external', 'internal'])):\n"
+            "    pass\n"
+            "class Typed(NamedTuple):\n    internal: int\n    external: int\n"
+            "class Partial(namedtuple('Partial', 'internal other')):\n    external = 0\n"
+        ),
     }
-    assert activity_records(recording) == ["delta.BasisActivity", "jaeger.ActivityRecord"]
+    assert activity_records(recording) == [
+        "delta.BasisActivity", "jaeger.ActivityRecord",
+        "tutte.Activity", "tutte.Listed", "tutte.Typed"]
     decoding = {
         "cli": "from . import delta\ndef _cmd_jaeger(P, rec):\n    print(delta.names(P, rec.internal))\n",
         "crapo": (
