@@ -84,18 +84,14 @@ def _cmd_hypertrees(args) -> int:
 
 def _cmd_jaeger(args) -> int:
     g = _load(args.instance)
-    emeraldish = args.variant == "emerald"
+    found = hypertrees.jaeger_trees(g, args.variant)
+    col = 1 if args.variant == "emerald" else 2  # the node order, or violet's edge order
     P = delta.bases_from_hypertrees(g)
+    records = delta.assignment_from_orders(P, {h: f[col] for h, f in found.items()})
     for h in hypertrees.enumerate_hypertrees(g):
-        if emeraldish:
-            tree = jaeger.jaeger_tree_of(g, h)
-            order = jaeger.order_emerald(g, h)
-        else:
-            tree = jaeger.violet_jaeger_tree_of(g, h)
-            order = jaeger.order_violet_prime(g, h)
-        rec = jaeger.activities(g, h, order)
+        tree, order, rec = found[h][0], found[h][col], records[h]
         print(
-            f"h={_fmt_h(h)} tree={','.join(str(k) for k in sorted(tree))} "
+            f"h={_fmt_h(h)} tree={','.join(map(str, tree))} "
             f"order={'<'.join(order)} "
             f"Int={','.join(delta.names(P, rec.internal))} "
             f"Ext={','.join(delta.names(P, rec.external))}"
@@ -140,8 +136,6 @@ def _emit_report(report, as_json: bool) -> None:
 
 
 def _cmd_crapo(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {args.jobs}")
     g = _load(args.instance)
     box = [_pair("--box", args.box)] * g.emerald_count if args.box else None
     report = crapo.verify_crapo_partition(g, box=box)
@@ -247,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crapo", help="verify the Crapo partition on a box")
     p.add_argument("action", choices=("verify",))
     p.add_argument("--box", help="lo,hi applied to every coordinate")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1; accepted for compatibility, the listing runs in one process")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_crapo)

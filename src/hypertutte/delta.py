@@ -18,7 +18,10 @@ a mask AND is empty, so each further order of a basis costs O(n).
 
 A record holds four bit masks over P's coordinates, which every layer
 reads as they are; :func:`names` turns a mask back into element names
-only for what the CLI prints.
+only for what the CLI prints.  One builder makes every assignment,
+:func:`assignment_from_orders`, from one order per basis: the embedding
+and Jaeger orders as the tour searches recorded them, and a decision
+tree's branch orders reversed (:func:`assignment_from_delta`).
 
 Also here: the Crapo partition check for an arbitrary activity
 assignment (on crapo's verifier), whose distance attainment test
@@ -348,24 +351,20 @@ def check_order(P: PolymatroidBases, order):
         )
 
 
-def _assignment(P: PolymatroidBases, order_of) -> dict:
-    """basis -> BasisActivity, b's activities by :func:`activity_masks`
-    (the MIN rule) on ``order_of(b)``."""
-    return {b: BasisActivity.of(P, b, *activity_masks(P, b, order_of(b))) for b in sorted(P.bases)}
+def assignment_from_orders(P: PolymatroidBases, order_map: dict) -> dict:
+    """basis -> BasisActivity from explicit per-basis orders, in sorted
+    basis order: b's activities by :func:`activity_masks` (the MIN rule)
+    on ``order_map[b]``, which must list every ground element once
+    (:func:`check_order`)."""
+    for b in P.bases:
+        check_order(P, order_map[b])
+    return {b: BasisActivity.of(P, b, *activity_masks(P, b, order_map[b])) for b in sorted(P.bases)}
 
 
 def assignment_from_delta(tree: DecisionTree, P: PolymatroidBases) -> dict:
     """basis -> BasisActivity under the decision tree's MAX-rule orders:
     the MIN rule on each branch's order reversed."""
-    return _assignment(P, lambda b: order_of_basis(tree, P, b)[::-1])
-
-
-def assignment_from_orders(P: PolymatroidBases, order_map: dict) -> dict:
-    """basis -> BasisActivity from explicit per-basis orders, MIN rule;
-    each order must list every ground element once (:func:`check_order`)."""
-    for b in P.bases:
-        check_order(P, order_map[b])
-    return _assignment(P, lambda b: order_map[b])
+    return assignment_from_orders(P, {b: order_of_basis(tree, P, b)[::-1] for b in P.bases})
 
 
 def obstruction_check(P: PolymatroidBases, assignment: dict) -> tuple:

@@ -36,6 +36,11 @@ appearance as the current node, and as the emerald end of the current
 edge) are read off the nodes in the order the walk reached them and the
 edges in the order it first met them, through per-graph tables built
 once (each edge's emerald index and name, and the set of emeralds).
+The search's table per variant (:func:`jaeger_trees`) is the one way a
+caller reaches a Jaeger tree or an order: the CLI, the Tutte sums and
+the activity assignments read it whole, and only
+``jaeger.embedding_activities`` looks one vector up, after checking it
+with :func:`well_formed`.
 With Python 3.11 on a shared 2-vCPU host (CPU seconds, seeded
 embeddings, medians of five rounds of five runs), the emerald search
 takes about 0.006 s on K6,6 (252 hypertrees), 0.03 s on K7,7 (924) and

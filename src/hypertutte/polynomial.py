@@ -77,22 +77,23 @@ def expand_triples(triples) -> Poly:
     """Sum of n x^a y^b (x+y-1)^c over a mapping {(a, b, c): n}.
 
     (x+y-1)^c is the sum of C(c, i) C(c-i, j) (-1)^(c-i-j) x^i y^j over
-    i + j <= c, its trinomial expansion; each distinct c is expanded once
-    (along j, the coefficient changes by -(c-i-j)/(j+1)) and each triple
-    adds n times it, shifted by x^a y^b.  No product of polynomials is
-    formed, and the cost is proportional to the output.
+    i + j <= c, its trinomial expansion.  The triples are grouped by c,
+    and each term of (x+y-1)^c (along j, the coefficient changes by
+    -(c-i-j)/(j+1)) is added, n times and shifted by x^a y^b, for every
+    triple of its group as it is made, so no power is kept beside the
+    output.  No product of polynomials is formed, and the cost is
+    proportional to the output.
     """
-    out, powers = {}, {}
+    groups = {}
     for (a, b, c), n in triples.items():
-        power = powers.get(c)
-        if power is None:
-            power = powers[c] = []
-            for i in range(c + 1):
-                m = comb(c, i) if (c - i) % 2 == 0 else -comb(c, i)
-                for j in range(c - i + 1):
-                    power.append((i, j, m))
-                    m = -m * (c - i - j) // (j + 1)
-        for i, j, m in power:
-            key = a + i, b + j
-            out[key] = out.get(key, 0) + n * m
+        groups.setdefault(c, []).append((a, b, n))
+    out = {}
+    for c, group in groups.items():
+        for i in range(c + 1):
+            m = comb(c, i) if (c - i) % 2 == 0 else -comb(c, i)
+            for j in range(c - i + 1):
+                for a, b, n in group:
+                    key = a + i, b + j
+                    out[key] = out.get(key, 0) + n * m
+                m = -m * (c - i - j) // (j + 1)
     return Poly(out)

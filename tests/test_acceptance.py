@@ -18,8 +18,8 @@ from hypertutte.delta import (
     obstruction_check,
     validate_decision_tree,
 )
-from hypertutte.hypertrees import enumerate_hypertrees
-from hypertutte.jaeger import embedding_assignment, jaeger_tree_of
+from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
+from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import is_violet
 from hypertutte.tours import enumerate_spanning_trees, tour
 from hypertutte.tutte import series_identity_check, tutte_embedding, tutte_from_order
@@ -168,7 +168,7 @@ def test_a10e_jaeger_cut_ordering(all_hg):
     steps come before the tree edge's own emerald step."""
     for g in all_hg.values():
         for h in enumerate_hypertrees(g):
-            t = jaeger_tree_of(g, h)
+            t = frozenset(jaeger_trees(g)[h][0])
             steps = tour(g, t)
             position = {step: i for i, step in enumerate(steps)}
             for k in t:

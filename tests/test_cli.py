@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hypertutte import crapo, fixture_names, fixture_path, hypertrees, tutte
+from hypertutte import crapo, fixture_names, fixture_path, tutte
 from hypertutte.cli import main
 
 FIG1 = str(fixture_path("fig1.hg"))
@@ -216,15 +216,16 @@ def test_crapo_verify_empty_box_is_usage_error(capsys):
     assert "PASS" not in out
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_crapo_verify_jobs_below_one_is_usage_error(capsys, jobs):
-    code, out, err = run(capsys, "crapo", "verify", f"--jobs={jobs}", FIG2)
-    assert code == 2
-    assert out == ""
-    assert "jobs must be at least 1" in err
+def test_crapo_verify_has_no_jobs_option(capsys):
+    """The listing runs in one process, so ``crapo verify`` takes no
+    ``--jobs``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["crapo", "verify", "--jobs", "2", FIG1])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--jobs=0", "--box=5,2"])
+@pytest.mark.parametrize("flag", ["--box=5,2"])
 def test_crapo_verify_usage_error_before_graph_work(capsys, monkeypatch, flag):
     def refuse(g):
         raise AssertionError("embedding_assignment called")
@@ -234,19 +235,6 @@ def test_crapo_verify_usage_error_before_graph_work(capsys, monkeypatch, flag):
     assert code == 2
     assert out == ""
     assert "error:" in err
-
-
-def test_crapo_verify_jobs_refused_before_the_tour_search(capsys, monkeypatch):
-    """``--jobs`` below 1 is refused before the instance is searched for
-    its hypertrees, which the default box needs."""
-    def refuse(g, variant):
-        raise AssertionError("tour_search called")
-
-    monkeypatch.setattr(hypertrees, "tour_search", refuse)
-    code, out, err = run(capsys, "crapo", "verify", "--jobs=0", FIG1)
-    assert code == 2
-    assert out == ""
-    assert "jobs must be at least 1" in err
 
 
 def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):
@@ -289,8 +277,7 @@ def test_delta_check_bad_bases_is_usage_error(capsys, tmp_path, text, message):
 
 
 def test_crapo_verify_parallel(capsys):
-    code, out, _ = run(capsys, "crapo", "verify", "--jobs", "2",
-                       "--box=-1,3", FIG2)
+    code, out, _ = run(capsys, "crapo", "verify", "--box=-1,3", FIG2)
     assert code == 0
     assert "PASS" in out
 
@@ -438,7 +425,6 @@ def _golden_commands():
         yield ("jaeger", "--variant", "violet", name)
         yield ("crapo", "verify", name)
         yield ("crapo", "verify", "--report", "json", name)
-        yield ("crapo", "verify", "--jobs", "2", name)
         yield ("delta", "obstruct", "--from", "embedding", name)
     yield ("delta", "check", "--tree", "delta_fig.tree", "--bases", "delta_fig.matroid")
     yield ("conjecture", "violet-prime", "--trials", "30", "--report", "json")

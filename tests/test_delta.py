@@ -88,7 +88,7 @@ def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
     g = perturbed(fig2, random.Random(3))  # a graph no other test caches
     assert g != fig2
     for h in bases_from_hypertrees(g).bases:
-        jaeger.activities(g, h, jaeger.order_emerald(g, h))
+        jaeger.embedding_activities(g, h)
     crapo.verify_crapo_partition(g)
     tutte.tutte_embedding(g)
     assert len(built) == 1

@@ -18,7 +18,6 @@ from hypertutte.hypertrees import (
     jaeger_trees,
     tour_search,
 )
-from hypertutte.jaeger import jaeger_tree_of, violet_jaeger_tree_of
 from hypertutte.model import RibbonGraph, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
 from hypertutte.tutte import tutte_embedding
@@ -167,7 +166,7 @@ def replay_walk(g, h, variant) -> int:
     node of the colour that cannot choose, out at the other) exactly when
     Rado's condition allows it, as the least representative of h in the
     tour order must; returns the number of decisions checked."""
-    tree = (jaeger_tree_of if variant == "emerald" else violet_jaeger_tree_of)(g, h)
+    tree = frozenset(jaeger_trees(g, variant)[h][0])
     nv = g.violet_count
     ends = [(node_index(v), nv + node_index(e)) for v, e in g.edges]
     need = [x + 1 for x in h]

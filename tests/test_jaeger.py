@@ -7,17 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from hypertutte import harness, hypertrees, load_path, fixture_path, tours
-from hypertutte.delta import bases_from_hypertrees, names
-from hypertutte.hypertrees import all_spanning_trees, degree_vector, enumerate_hypertrees
-from hypertutte.jaeger import (
-    NotAHypertree,
-    activities,
-    embedding_activities,
-    jaeger_tree_of,
-    order_emerald,
-    order_violet_prime,
-    violet_jaeger_tree_of,
+from hypertutte.delta import activity_masks, assignment_from_orders, bases_from_hypertrees, names
+from hypertutte.hypertrees import (
+    all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees,
 )
+from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
 from hypertutte.model import is_emerald
 from hypertutte.tours import tour
 from hypertutte.tutte import tutte_embedding
@@ -28,6 +22,22 @@ from oracles import (
 from test_oracle import complete_bipartite, ribbon_graphs
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
+
+
+def tree_of(g, h, variant="emerald"):
+    """The Jaeger tree of hypertree h, read off the search's table."""
+    return frozenset(jaeger_trees(g, variant)[h][0])
+
+
+def order_emerald(g, h):
+    """The order <_h: the emerald table's node order."""
+    return jaeger_trees(g)[h][1]
+
+
+def order_violet_prime(g, h):
+    """The violet table's edge order."""
+    return jaeger_trees(g, "violet")[h][2]
+
 
 # hypertree -> its Jaeger tree, transcribed from the seven figure panels
 FIG2_PANELS = {
@@ -56,16 +66,18 @@ def test_is_jaeger_vacuous_on_tree(single_edge):
 
 def test_jaeger_tree_of_panels(fig2):
     for h, t in FIG2_PANELS.items():
-        assert jaeger_tree_of(fig2, h) == t
+        assert tree_of(fig2, h) == t
 
 
 def test_jaeger_tree_of_whole_tree(single_edge):
-    assert jaeger_tree_of(single_edge, (0,)) == frozenset({0})
+    assert tree_of(single_edge, (0,)) == frozenset({0})
 
 
 def test_jaeger_tree_not_a_hypertree(fig2):
+    assert (2, 0, 0, 0) not in jaeger_trees(fig2)
+    assert (2, 0, 0, 0) not in jaeger_trees(fig2, "violet")
     with pytest.raises(NotAHypertree):
-        jaeger_tree_of(fig2, (2, 0, 0, 0))
+        embedding_activities(fig2, (2, 0, 0, 0))
 
 
 def test_uniqueness_exhaustive(all_hg):
@@ -80,15 +92,16 @@ def test_jaeger_tree_is_order_minimum(all_hg):
     for g in all_hg.values():
         for h in enumerate_hypertrees(g):
             reps = representatives(g, h)
-            jt = jaeger_tree_of(g, h)
+            jt = tree_of(g, h)
             for t in reps:
                 if t != jt:
                     assert tree_less(g, jt, t)
 
 
 def test_walk_refuses_exactly_the_non_hypertrees(all_hg, single_edge):
-    """The Jaeger-tree lookups answer exactly the degree vectors of
-    spanning trees on the box around every fixture's hypertrees."""
+    """Both searches' tables hold, and the activity lookup answers,
+    exactly the degree vectors of spanning trees on the box around every
+    fixture's hypertrees."""
     for g in list(all_hg.values()) + [single_edge]:
         hs = enumerate_hypertrees(g)
         vectors = {degree_vector(g, t) for t in all_spanning_trees(g)}
@@ -96,34 +109,32 @@ def test_walk_refuses_exactly_the_non_hypertrees(all_hg, single_edge):
                for e in range(g.emerald_count)]
         for v in itertools.product(*box):
             if v in vectors:
-                assert degree_vector(g, jaeger_tree_of(g, v)) == v
-                assert degree_vector(g, violet_jaeger_tree_of(g, v)) == v
+                assert degree_vector(g, tree_of(g, v)) == v
+                assert degree_vector(g, tree_of(g, v, "violet")) == v
+                embedding_activities(g, v)
             else:
+                assert v not in jaeger_trees(g) and v not in jaeger_trees(g, "violet")
                 with pytest.raises(NotAHypertree):
-                    jaeger_tree_of(g, v)
-                with pytest.raises(NotAHypertree):
-                    violet_jaeger_tree_of(g, v)
+                    embedding_activities(g, v)
 
 
 def test_walk_refuses_malformed_vectors(fig2):
     for v in [(), (0, 2, 0), (0, 2, 0, 0, 0), (-1, 3, 0, 0), (0, 3, 0, 0)]:
         with pytest.raises(NotAHypertree):
-            jaeger_tree_of(fig2, v)
+            embedding_activities(fig2, v)
 
 
 def test_walk_cache_refuses_float_vectors(fig2):
     """A float vector equals and hashes like the int hypertree it rounds
-    to, so it must be refused even after that hypertree's walks are
-    cached."""
+    to, so it must be refused even after that hypertree's activities are
+    computed and its Jaeger trees are in the searches' tables."""
     h = (0, 2, 0, 0)
     assert h in enumerate_hypertrees(fig2)
-    lookups = (jaeger_tree_of, violet_jaeger_tree_of, order_emerald, order_violet_prime)
-    for lookup in lookups:
-        lookup(fig2, h)
+    embedding_activities(fig2, h)
     for v in [(0.0, 2, 0, 0), (0, 2.0, 0, 0)]:
-        for lookup in lookups:
-            with pytest.raises(NotAHypertree):
-                lookup(fig2, v)
+        assert v in jaeger_trees(fig2)  # the table alone cannot tell them apart
+        with pytest.raises(NotAHypertree):
+            embedding_activities(fig2, v)
 
 
 def test_walk_cache_refuses_boolean_entries(fig2):
@@ -131,14 +142,11 @@ def test_walk_cache_refuses_boolean_entries(fig2):
     the hypertree (1, 1, 0, 0); a boolean is no entry of a hypertree."""
     h = (1, 1, 0, 0)
     assert h in enumerate_hypertrees(fig2)
-    order = order_emerald(fig2, h)
+    embedding_activities(fig2, h)
     for v in [(True, True, 0, 0), (1, True, 0, False)]:
         assert not is_hypertree(fig2, v)
-        for lookup in (jaeger_tree_of, violet_jaeger_tree_of, order_emerald, order_violet_prime):
-            with pytest.raises(NotAHypertree):
-                lookup(fig2, v)
         with pytest.raises(NotAHypertree):
-            activities(fig2, v, order)
+            embedding_activities(fig2, v)
 
 
 def test_walk_builds_no_mu_table():
@@ -150,16 +158,16 @@ def test_walk_builds_no_mu_table():
     hs = enumerate_hypertrees(g)
     assert len(hs) == 136  # C(17, 2)
     for h in hs:
-        emerald_tree = jaeger_tree_of(g, h)
+        emerald_tree = tree_of(g, h)
         assert is_jaeger(g, emerald_tree) and degree_vector(g, emerald_tree) == h
-        violet_tree = violet_jaeger_tree_of(g, h)
+        violet_tree = tree_of(g, h, "violet")
         assert is_violet_jaeger(g, violet_tree) and degree_vector(g, violet_tree) == h
         for order in (order_emerald(g, h), order_violet(g, h), order_violet_prime(g, h)):
             assert sorted(order) == emeralds
 
 
 def test_violet_jaeger_fig4(fig2):
-    assert violet_jaeger_tree_of(fig2, (1, 1, 0, 0)) == frozenset({0, 1, 2, 4, 6, 7})
+    assert tree_of(fig2, (1, 1, 0, 0), "violet") == frozenset({0, 1, 2, 4, 6, 7})
 
 
 def test_orders_fig2(fig2):
@@ -203,7 +211,7 @@ def test_emerald_orders_coincide(all_hg):
     and first-as-endpoint-of-current-edge orders agree."""
     for g in all_hg.values():
         for h in enumerate_hypertrees(g):
-            t = jaeger_tree_of(g, h)
+            t = tree_of(g, h)
             assert _order_by_first_node(g, t) == _order_by_first_endpoint(g, t)
 
 
@@ -211,8 +219,8 @@ def assert_orders_match_tours(g):
     """The orders read off the walk that built each Jaeger tree are the
     orders re-read from that tree's tour."""
     for h in enumerate_hypertrees(g):
-        assert order_emerald(g, h) == _order_by_first_node(g, jaeger_tree_of(g, h)), h
-        violet_tree = violet_jaeger_tree_of(g, h)
+        assert order_emerald(g, h) == _order_by_first_node(g, tree_of(g, h)), h
+        violet_tree = tree_of(g, h, "violet")
         assert order_violet(g, h) == _order_by_first_node(g, violet_tree), h
         assert order_violet_prime(g, h) == _order_by_first_endpoint(g, violet_tree), h
 
@@ -251,8 +259,8 @@ def test_polynomials_walk_no_tour(monkeypatch):
 
 def test_one_search_per_variant(all_hg, monkeypatch):
     """The embedding and violet-prime polynomials, with the hypertree
-    list and every tree and order lookup, run one tour search per graph
-    and variant."""
+    list, both tables, the embedding assignment and every hypertree's
+    activities, run one tour search per graph and variant."""
     searched = []
     search = hypertrees.tour_search
     monkeypatch.setattr(hypertrees, "tour_search",
@@ -266,9 +274,11 @@ def test_one_search_per_variant(all_hg, monkeypatch):
         tutte_embedding(g)
         harness.violet_prime_polynomial(g)
         harness.violet_polynomial(g)
+        jaeger_trees(g)
+        jaeger_trees(g, "violet")
+        embedding_assignment(g)
         for h in enumerate_hypertrees(g):
-            jaeger_tree_of(g, h)
-            violet_jaeger_tree_of(g, h)
+            embedding_activities(g, h)
         assert sorted(searched) == ["emerald", "violet"]
 
 
@@ -284,14 +294,13 @@ def test_activities_fig2(fig2):
 def test_activities_order_must_be_a_permutation(fig2):
     """An order that misses, repeats or adds an emerald is refused, not
     read as the activities of the emeralds it happens to list."""
-    h = (1, 1, 0, 0)
+    P = bases_from_hypertrees(fig2)
     for order in [("e0",), ("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e3", "e3"),
                   ("e0", "e1", "e2", "e9"), ()]:
         with pytest.raises(ValueError, match="exactly once"):
-            activities(fig2, h, order)
-    with pytest.raises(NotAHypertree):  # membership is checked first
-        activities(fig2, (2, 0, 0, 0), ("e0",))
-    assert activities(fig2, h, ("e3", "e2", "e1", "e0")).internal
+            assignment_from_orders(P, {b: order for b in P.bases})
+    reverse = assignment_from_orders(P, {b: ("e3", "e2", "e1", "e0") for b in P.bases})
+    assert reverse[(1, 1, 0, 0)].internal
 
 
 def test_minimum_always_both_active(all_hg):
@@ -299,9 +308,9 @@ def test_minimum_always_both_active(all_hg):
         P = bases_from_hypertrees(g)
         for h in enumerate_hypertrees(g):
             for order in (order_emerald(g, h), tuple(sorted(order_emerald(g, h)))):
-                rec = activities(g, h, order)
-                assert order[0] in names(P, rec.internal)
-                assert order[0] in names(P, rec.external)
+                internal, external = activity_masks(P, h, order)
+                assert order[0] in names(P, internal)
+                assert order[0] in names(P, external)
 
 
 def test_panel_monomials(fig2):
@@ -336,14 +345,15 @@ def test_classical_activity_shift(fig1):
         edges.append((u, v))
     n = fig1.violet_count
     order = tuple(f"e{j}" for j in range(fig1.emerald_count))
+    P = bases_from_hypertrees(fig1)
     for h in enumerate_hypertrees(fig1):
         tree = {j for j in range(len(edges)) if h[j] == 1}
         internal, external = classical_activities(
             n, edges, tree, range(len(edges))
         )
-        rec = activities(fig1, h, order)
-        assert rec.internal.bit_count() == len(internal) + (len(edges) - (n - 1))
-        assert rec.external.bit_count() == len(external) + (n - 1)
+        masks = activity_masks(P, h, order)
+        assert masks[0].bit_count() == len(internal) + (len(edges) - (n - 1))
+        assert masks[1].bit_count() == len(external) + (n - 1)
 
 
 def test_uniqueness_on_random_instances():

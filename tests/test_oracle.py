@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypertutte import tours
 from hypertutte.delta import bases_from_hypertrees, check_exchange
-from hypertutte.hypertrees import all_spanning_trees, degree_vector, enumerate_hypertrees
-from hypertutte.jaeger import jaeger_tree_of, violet_jaeger_tree_of
+from hypertutte.hypertrees import (
+    all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees,
+)
 from hypertutte.model import RibbonGraph, emerald, load, violet
 from hypertutte.tutte import tutte_embedding, tutte_from_order
 from oracles import graph_matroid, is_hypertree, is_jaeger, is_violet_jaeger, perturbed
@@ -48,8 +49,8 @@ def assert_matches_oracle(g, buckets=None):
     for h in hs:
         [emerald_tree] = [t for t in buckets[h] if is_jaeger(g, t)]
         [violet_tree] = [t for t in buckets[h] if is_violet_jaeger(g, t)]
-        assert jaeger_tree_of(g, h) == emerald_tree, h
-        assert violet_jaeger_tree_of(g, h) == violet_tree, h
+        assert frozenset(jaeger_trees(g)[h][0]) == emerald_tree, h
+        assert frozenset(jaeger_trees(g, "violet")[h][0]) == violet_tree, h
     assert tutte_embedding(g).evaluate(1, 1) == len(hs)
 
 

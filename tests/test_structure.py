@@ -4,7 +4,9 @@ into another module's private names, no module imports a name it never
 uses or defines a private helper it never names, every exception class
 the package defines is raised somewhere in it, only ``tours.walk``
 steps the dart permutation around the nodes, only ``tours.tour`` and
-``hypertrees.tour_search`` walk, only ``tours._trees`` recurses by
+``hypertrees.tour_search`` walk, only ``jaeger.embedding_activities``
+checks that a vector is a hypertree (every other caller reads the
+searches' tables), only ``tours._trees`` recurses by
 contraction and deletion, no module defines a ``sweep``
 (``tutte.corank_nullity`` is the one walk of lattice points) and no
 function of ``crapo`` or ``tutte`` calls itself, only the routines that
@@ -404,6 +406,15 @@ def test_one_jaeger_tree_builder():
     tour: it is the one builder of Jaeger trees and their orders."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "walk") == ["hypertrees.tour_search", "tours.tour"]
+
+
+def test_one_membership_check():
+    """Jaeger trees, orders and activities are reached through the
+    searches' tables (``hypertrees.jaeger_trees``); only
+    ``jaeger.embedding_activities``, which answers one vector, asks
+    whether that vector is well formed before it looks it up."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "well_formed") == ["jaeger.embedding_activities"]
 
 
 def test_one_contraction_deletion():

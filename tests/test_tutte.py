@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypertutte import crapo, tutte
 from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget
 from hypertutte.hypertrees import enumerate_hypertrees
-from hypertutte.jaeger import order_emerald
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.tutte import (
     corank_nullity,
@@ -61,12 +60,17 @@ def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
 
 
 def test_embedding_order_is_a_fixed_order_per_tree(fig5):
-    from hypertutte.hypertrees import enumerate_hypertrees
-    from hypertutte.jaeger import activities, embedding_activities
+    """The embedding activities of h are the MIN-rule activities of h
+    under one fixed order of all bases, the order <_h of its tour."""
+    from hypertutte.delta import assignment_from_orders, bases_from_hypertrees
+    from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
+    from hypertutte.jaeger import embedding_activities
 
+    P = bases_from_hypertrees(fig5)
     for h in enumerate_hypertrees(fig5):
-        rec = activities(fig5, h, order_emerald(fig5, h))
-        assert rec == embedding_activities(fig5, h)
+        order = jaeger_trees(fig5)[h][1]
+        fixed = assignment_from_orders(P, {b: order for b in P.bases})
+        assert fixed[h] == embedding_activities(fig5, h)
 
 
 def test_interior_exterior_fig2(fig2):
