@@ -128,7 +128,7 @@ def _emit_report(report, as_json: bool) -> None:
     else:
         status = report.get("status") or report.get("verdict")
         print(f"{report['kind']}: {status}")
-        for key in ("points", "hypertrees", "trials", "checked", "seed"):
+        for key in ("points", "hypertrees", "checked"):
             if key in report:
                 print(f"  {key}: {report[key]}")
         for violation in report.get("violations", [])[:20]:
@@ -163,8 +163,6 @@ def _cmd_delta(args) -> int:
         _emit_report(report, args.report == "json")
         return 0 if report["status"] == "PASS" else 1
     # obstruct
-    if args.source != "embedding":
-        return _usage_error("only --from embedding is supported")
     g = _load(args.instance)
     P, assignment = jaeger.embedding_assignment(g)
     verdict, element = delta.obstruction_check(P, assignment)
@@ -252,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--bases", required=True)
     pc.add_argument("--report", choices=("text", "json"), default="text")
     po = dsub.add_parser("obstruct", help="realizability obstruction check")
-    po.add_argument("--from", dest="source", default="embedding")
+    po.add_argument("--from", dest="source", choices=("embedding",), default="embedding")
     po.add_argument("instance")
     p.set_defaults(func=_cmd_delta)
 

@@ -2,15 +2,14 @@
 
 The Crapo interval of a basis b under an activity assignment collects
 the lattice points that exceed b only at externally active coordinates
-and fall below it only at internally active ones.  A CrapoInterval
-holds the two bit masks over P's coordinates of the basis's activity
-record (delta.BasisActivity); intervals, the one interval rule, passes
-them through.  These intervals partition Z^E, and the covering
-basis attains the one-sided distances d1< and d1> simultaneously.
-verify_assignment checks both claims on a box, by default the bases'
-range widened by 2 (default_box), in the one PASS/FAIL report, which the
-embedding activities' (verify_crapo_partition) and any Delta
-assignment's (delta.crapo_verify) extend.
+and fall below it only at internally active ones; the decider reads
+the two bit masks of b's activity record (delta.BasisActivity) as they
+are.  These intervals partition Z^E, and the covering basis attains
+the one-sided distances d1< and d1> simultaneously.  verify_assignment
+checks both claims on a box, by default the bases' range widened by 2
+(default_box), in the one PASS/FAIL report, which the embedding
+activities' (verify_crapo_partition) and any Delta assignment's
+(delta.crapo_verify) extend.
 
 One recursion, _violations, decides and lists every box.  Each
 interval's part of the box is a product of ranges (_region), and the
@@ -42,7 +41,6 @@ other center that the exchange-table test is checked against, are in
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from math import prod
 
 from .model import RibbonGraph
@@ -56,20 +54,6 @@ class BudgetExceeded(ValueError):
 
 
 _BOX_BUDGET = 4_000_000
-
-
-class CrapoInterval(namedtuple("CrapoInterval", "center below above")):
-    """The lattice points below ``center`` only at the coordinates in
-    the bit mask ``below`` and above it only at those in ``above``."""
-
-    __slots__ = ()
-
-
-def intervals(assignment: dict) -> list:
-    """The one interval rule: each basis b of an activity assignment, below
-    at its internally active coordinates, above at its externally active
-    ones (the masks of ``assignment[b]``)."""
-    return [CrapoInterval(tuple(b), rec.internal, rec.external) for b, rec in assignment.items()]
 
 
 def box_around(vectors, below: int, above: int) -> list:
@@ -146,11 +130,12 @@ def _cut(sub, meeting):
     return None
 
 
-def _violations(P, intervals, box) -> list:
-    """Every lattice point of ``box`` that no interval or more than one
-    contains, or whose one covering center does not attain both d1< and
-    d1> to P's bases there, in :func:`itertools.product` order: the one
-    Crapo decider, whose empty list is a PASS.
+def _violations(P, assignment, box) -> list:
+    """Every lattice point of ``box`` in the Crapo interval of no basis of
+    the activity ``assignment`` or of several, or whose one covering
+    center does not attain both d1< and d1> to P's bases there, in
+    :func:`itertools.product` order: the one Crapo decider, whose empty
+    list is a PASS.
 
     The box is cut, region by region, at a boundary of an interval's
     :func:`_region` part that meets a sub-box without containing it,
@@ -164,10 +149,10 @@ def _violations(P, intervals, box) -> list:
     left to list are held to the budget together before any is visited.
     """
     parts = []
-    for iv in intervals:
-        part = _region(box, iv.center, iv.below, iv.above)
+    for k, record in assignment.items():
+        part = _region(box, k, record.internal, record.external)
         if all(a <= b for a, b in part):
-            parts.append((iv.center, part, _attains(P, iv.center, part)))
+            parts.append((k, part, _attains(P, k, part)))
     stack = [(box, parts)]
     leaves = []
     while stack:
@@ -209,7 +194,7 @@ def _checked_size(box, width: int) -> int:
 
 
 def verify_assignment(P, assignment: dict, box=None) -> dict:
-    """The :func:`intervals` of an assignment of P's bases checked over
+    """The Crapo intervals of an assignment of P's bases checked over
     ``box`` or else the :func:`default_box` of P's bases: the one
     PASS/FAIL report, with the ``points`` checked and all ``violations``.
 
@@ -226,7 +211,7 @@ def verify_assignment(P, assignment: dict, box=None) -> dict:
     if box is None:
         box = default_box(P.bases)
     size = _checked_size(box, len(P.ground))
-    violations = _violations(P, intervals(assignment), box)
+    violations = _violations(P, assignment, box)
     return {"status": "PASS" if not violations else "FAIL", "points": size,
             "violations": violations}
 

@@ -39,12 +39,15 @@ bounds its memory whatever the number of decision trees.  Listing,
 counting and drawing decision trees are test oracles, in
 ``tests/oracles.py``.
 
-The exchange axiom is written once (:func:`exchange_witness`) and checked
-only where bases are loaded (:func:`check_exchange`): hypertree sets are
-polymatroids by Kálmán's theorem.  The rule that looks each shifted
-basis up afresh, against which the exchange tables are checked, the
-cycle matroid of a graph and the per-tree orders of the parallel-edge
-counterexample (fig6) are test oracles, in ``tests/oracles.py``.
+A base set's shape is checked once, by the :class:`PolymatroidBases`
+constructor.  The exchange axiom is written once (:func:`exchange_witness`,
+on the exchange tables, the one lookup of shifted bases) and checked
+only where bases are loaded (:func:`check_exchange`, O(|B|·n² + |B|²·n)
+for |B| bases): hypertree sets are polymatroids by Kálmán's theorem.
+The rule that looks each shifted basis up afresh, against which the
+exchange tables are checked, the cycle matroid of a graph and the
+per-tree orders of the parallel-edge counterexample (fig6) are test
+oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,10 @@ _MEMO_CAP = 100_000  # solved subproblems the search may keep
 
 
 class PolymatroidBases(Frozen):
-    """Explicit polymatroid: named ground set and the set of base vectors,
-    checked for one coordinate sum here and for exchange by :func:`check_exchange`.
+    """Explicit polymatroid: named ground set and the set of base vectors.
+    The constructor is the one check of their shape: at least one basis,
+    distinct names, one non-negative coordinate per name, one coordinate
+    sum; exchange is checked where bases are loaded (:func:`check_exchange`).
 
     Instances are immutable (:class:`model.Frozen`).  Equality, hashing
     and the ``repr`` read ``ground`` and ``bases`` alone; ``pickle`` and
@@ -86,15 +91,18 @@ class PolymatroidBases(Frozen):
     def __init__(self, ground: tuple, bases: frozenset):
         if not bases:
             raise ValueError("empty base set")
-        sums = {sum(b) for b in bases}
-        if len(sums) != 1:
-            raise ValueError("bases have differing coordinate sums")
+        if len(set(ground)) != len(ground):
+            raise ValueError("ground elements must be distinct")
+        if any(len(b) != len(ground) for b in bases):
+            raise ValueError("basis length does not match ground set")
         columns = tuple(zip(*bases))
-        positions = {}
-        for i, e in enumerate(ground):
-            positions.setdefault(e, i)  # a repeated name maps to its first place
-        self._set(ground=ground, bases=bases, _ranks=tuple(map(max, columns)),
-                  _floors=tuple(map(min, columns)), _positions=positions, _exchange_rows={})
+        floors = tuple(map(min, columns))
+        if any(x < 0 for x in floors):
+            raise ValueError("basis coordinates must be non-negative")
+        if len({sum(b) for b in bases}) != 1:
+            raise ValueError("bases have differing coordinate sums")
+        self._set(ground=ground, bases=bases, _ranks=tuple(map(max, columns)), _floors=floors,
+                  _positions={e: i for i, e in enumerate(ground)}, _exchange_rows={})
 
     def rank(self, e) -> int:
         """mu({e}): the greatest value of coordinate e over the bases."""
@@ -105,9 +113,6 @@ class PolymatroidBases(Frozen):
             return self._positions[e]
         except (KeyError, TypeError):
             raise ValueError(f"{e!r} is not in the ground set") from None
-
-    def value(self, b, e) -> int:
-        return b[self.index(e)]
 
     def exchanges(self, b) -> tuple:
         """The exchange table of basis b, two tuples of bit masks over the
@@ -144,10 +149,15 @@ def _shift(b, up, down):
 
 
 def exchange_witness(P: PolymatroidBases, b, b2, e):
-    """The first index f with b(f) > b2(f) such that b + 1_e - 1_f and
-    b2 - 1_e + 1_f are both bases, or None."""
-    for f in range(len(P.ground)):
-        if b[f] > b2[f] and _shift(b, e, f) in P.bases and _shift(b2, f, e) in P.bases:
+    """For bases b and b2 with b(e) < b2(e), the first index f with
+    b(f) > b2(f) such that b + 1_e - 1_f and b2 - 1_e + 1_f are both
+    bases, or None: one :func:`_active` test per f on the exchange rows
+    of b and b2."""
+    row = P.exchanges(b)
+    row2 = P.exchanges(b2)
+    for f in range(len(b)):
+        bit = 1 << f
+        if b[f] > b2[f] and not _active(row, e, bit)[1] and not _active(row2, e, bit)[0]:
             return f
     return None
 
@@ -168,15 +178,7 @@ def load_bases(text: str) -> PolymatroidBases:
         isinstance(b, list) and all(map(is_int, b)) for b in bases
     ):
         raise ParseError("ground must be a list and bases a list of integer vectors")
-    ground = tuple(str(e) for e in ground)
-    bases = frozenset(tuple(b) for b in bases)
-    if len(set(ground)) != len(ground):
-        raise ValueError("ground elements must be distinct")
-    if any(len(b) != len(ground) for b in bases):
-        raise ValueError("basis length does not match ground set")
-    if any(x < 0 for b in bases for x in b):
-        raise ValueError("basis coordinates must be non-negative")
-    P = PolymatroidBases(ground, bases)
+    P = PolymatroidBases(tuple(str(e) for e in ground), frozenset(tuple(b) for b in bases))
     check_exchange(P)
     return P
 
@@ -249,7 +251,7 @@ def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:
         order.append(node.label)
         if not node.children:
             break
-        value = P.value(b, node.label)
+        value = b[P.index(node.label)]
         if value < 0 or value >= len(node.children):
             raise BasisOutOfRange(
                 f"b({node.label}) = {value} out of range for arity "
@@ -412,9 +414,6 @@ def exhaustive_delta_search(P: PolymatroidBases, target: dict):
     :class:`SearchSpaceTooLarge`.
     """
     bases = sorted(P.bases)
-    for b in bases:
-        if any(v < 0 for v in b):
-            raise BasisOutOfRange(f"basis {b} has a negative coordinate")
     n = len(P.ground)
     want = {b: (target[b].nontrivial_internal, target[b].nontrivial_external) for b in bases}
     if any((ni | ne) >> n for ni, ne in want.values()):

@@ -36,10 +36,8 @@ def random_instance(seed: int = 0) -> RibbonGraph:
     for _ in range(200):
         nv = rng.randint(1, MAX_VIOLET)
         ne = rng.randint(1, MAX_EMERALD)
-        lo = nv + ne - 1
-        if lo > MAX_EDGES:
-            continue
-        m = rng.randint(lo, MAX_EDGES)
+        # a spanning tree's nv + ne - 1 edges fit: MAX_VIOLET + MAX_EMERALD - 1 <= MAX_EDGES
+        m = rng.randint(nv + ne - 1, MAX_EDGES)
         # random spanning tree of the node set first, to force connectivity
         nodes = [violet(i) for i in range(nv)] + [emerald(j) for j in range(ne)]
         rng.shuffle(nodes)

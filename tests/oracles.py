@@ -262,14 +262,16 @@ def d1(hs, c) -> int:
     return min(sum(one_sided(h, c)) for h in hs)
 
 
-def interval_contains(interval, c) -> bool:
-    """c exceeds the center only at coordinates in the bit mask ``above``
-    and falls below it only at those in ``below``."""
-    for idx, (ci, hi) in enumerate(zip(c, interval.center)):
+def interval_contains(center, record, c) -> bool:
+    """c lies in the Crapo interval of basis ``center`` under its activity
+    record: it exceeds the center only at coordinates in the bit mask
+    ``record.external`` and falls below it only at those in
+    ``record.internal``."""
+    for idx, (ci, hi) in enumerate(zip(c, center)):
         if ci > hi:
-            if not interval.above >> idx & 1:
+            if not record.external >> idx & 1:
                 return False
-        elif ci < hi and not interval.below >> idx & 1:
+        elif ci < hi and not record.internal >> idx & 1:
             return False
     return True
 

@@ -8,7 +8,7 @@ import itertools
 import random
 
 from hypertutte import harness
-from hypertutte.crapo import intervals, verify_crapo_partition
+from hypertutte.crapo import verify_crapo_partition
 from hypertutte.delta import (
     assignment_from_delta,
     bases_from_hypertrees,
@@ -98,12 +98,11 @@ def test_a8_fig6_crapo_table(fig6_graph, fig6_orders):
         for b, rec in assignment.items()
     }
     assert union == FIG6_NONTRIVIAL
-    fig6_intervals = intervals(assignment)
     for point, name in FIG6_COVERING.items():
         covering = [
-            basis_name(P, iv.center)
-            for iv in fig6_intervals
-            if interval_contains(iv, point)
+            basis_name(P, b)
+            for b, record in assignment.items()
+            if interval_contains(b, record, point)
         ]
         assert covering == [name], point
 

@@ -299,6 +299,17 @@ def test_delta_obstruct(capsys):
     assert out.strip() == "NO_EXEMPT"
 
 
+def test_delta_obstruct_refuses_other_sources(capsys):
+    """``--from`` takes ``embedding`` alone: any other source is a usage
+    error that prints nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "obstruct", "--from", "orders", FIG5])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "invalid choice: 'orders'" in err
+
+
 def test_conjecture_report_json(capsys, schema):
     code, out, _ = run(capsys, "conjecture", "violet-prime", FIG2,
                        "--trials", "5", "--seed", "0", "--report", "json")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hypertutte.crapo import (
     BudgetExceeded,
-    CrapoInterval,
     box_around,
     box_size,
     default_box,
@@ -57,13 +56,14 @@ def test_distance_triangle_decomposition(fig2):
 
 def test_interval_fig2(fig2):
     P, assignment = embedding_assignment(fig2)
-    [iv] = crapo.intervals({(1, 1, 0, 0): assignment[(1, 1, 0, 0)]})
-    assert iv.below == 0b1101  # e0, e2 and e3 internally active
-    assert iv.above == 0b0001  # e0 externally active
-    assert interval_contains(iv, (1, 1, 0, 0))
-    assert interval_contains(iv, (2, 1, -1, -3))  # e0 up, e2/e3 down
-    assert not interval_contains(iv, (1, 2, 0, 0))  # e1 not externally active
-    assert not interval_contains(iv, (1, 0, 0, 0))  # e1 not internally active
+    h = (1, 1, 0, 0)
+    record = assignment[h]
+    assert record.internal == 0b1101  # e0, e2 and e3 internally active
+    assert record.external == 0b0001  # e0 externally active
+    assert interval_contains(h, record, (1, 1, 0, 0))
+    assert interval_contains(h, record, (2, 1, -1, -3))  # e0 up, e2/e3 down
+    assert not interval_contains(h, record, (1, 2, 0, 0))  # e1 not externally active
+    assert not interval_contains(h, record, (1, 0, 0, 0))  # e1 not internally active
 
 
 def test_interval_requires_hypertree(fig2):
@@ -126,7 +126,7 @@ def test_partition_budget(fig2, monkeypatch):
     toggled_last = toggled(assignment, len(assignment) - 1, "external")
     listed = verify_assignment(P, toggled_last, box)["violations"]
     inner = default_box(P.bases)
-    _, want = reference_verify(crapo.intervals(toggled_last), inner)
+    _, want = reference_verify(toggled_last.items(), inner)
     assert len(listed) == 127_449 and len(want) == 18
     assert [v for v in listed
             if all(lo <= x <= hi for x, (lo, hi) in zip(v["point"], inner))] == want
@@ -204,15 +204,17 @@ def test_delta_default_box_is_the_partition_box(all_hg):
         assert report["points"] == verify_crapo_partition(g)["points"] > 0, name
 
 
-def reference_verify(intervals, box):
-    """The per-point oracle: every point of the box in itertools.product
-    order, one interval_contains call per interval and one one_sided call
-    per center."""
-    centers = [iv.center for iv in intervals]
+def reference_verify(records, box):
+    """The per-point oracle on ``(basis, activity record)`` pairs, as an
+    assignment's ``items()`` gives them: every point of the box in
+    itertools.product order, one interval_contains call per pair and one
+    one_sided call per center."""
+    records = list(records)
+    centers = [k for k, _ in records]
     violations = []
     points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
     for c in points:
-        covering = [iv.center for iv in intervals if interval_contains(iv, c)]
+        covering = [k for k, record in records if interval_contains(k, record, c)]
         if len(covering) != 1:
             violations.append({"point": list(c), "covered_by": list(map(list, covering))})
             continue
@@ -268,7 +270,7 @@ def report_of(points, violations):
 
 def oracle_report(assignment, box):
     """The per-point oracle's report on the intervals of an assignment."""
-    return report_of(*reference_verify(crapo.intervals(assignment), box))
+    return report_of(*reference_verify(assignment.items(), box))
 
 
 def assert_matches_reference(g):
@@ -301,10 +303,10 @@ def test_sweep_matches_per_point_oracle(all_hg, single_edge):
         box = box_around(P.bases, 1, 1)
         assert oracle_report(swapped(assignment, {0}), box)["violations"] or len(P.bases) == 1
         assert oracle_report(toggled(assignment, 0, "internal"), box)["violations"]
-        intervals = crapo.intervals(assignment)
-        doubled = reference_verify([*intervals, intervals[0]], box)[1]
-        assert {"point": list(intervals[0].center),
-                "covered_by": [list(intervals[0].center)] * 2} in doubled
+        records = list(assignment.items())
+        doubled = reference_verify([*records, records[0]], box)[1]
+        first = list(records[0][0])
+        assert {"point": first, "covered_by": [first] * 2} in doubled
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,7 +400,7 @@ def test_delta_planted_failure_matches_reference(fig6_graph):
         != (assignment[c].internal, assignment[c].external))
     planted = {**assignment, first: assignment[second], second: assignment[first]}
     assert delta.crapo_verify(P, assignment)["status"] == "PASS"
-    points, violations = reference_verify(crapo.intervals(planted), default_box(P.bases))
+    points, violations = reference_verify(planted.items(), default_box(P.bases))
     assert violations
     assert delta.crapo_verify(P, planted) == {"kind": "delta-crapo",
                                               **report_of(points, violations)}
@@ -548,12 +550,11 @@ def test_clamping_into_the_hypertree_box_shifts_every_distance_alike(g, data):
 def test_sweep_box_without_sides():
     """A box with no sides holds the one empty point.  The polymatroid
     on no elements, whose one basis is (), passes on it; the lister finds
-    the point covered by no interval, and twice by two."""
+    the point covered by no interval when the assignment is empty."""
     P = PolymatroidBases((), frozenset({()}))
     assert verify_assignment(P, {(): BasisActivity(0, 0, 0, 0)}, []) == report_of(1, [])
-    empty = CrapoInterval((), 0, 0)
-    for case in ([], [empty], [empty, empty]):
-        assert crapo._violations(P, case, []) == reference_verify(case, [])[1]
+    for case in ({}, {(): BasisActivity(0, 0, 0, 0)}):
+        assert crapo._violations(P, case, []) == reference_verify(case.items(), [])[1]
 
 
 def test_sweep_checks_both_sides():

@@ -29,7 +29,7 @@ from hypertutte.delta import (
     order_of_basis,
     validate_decision_tree,
 )
-from hypertutte.crapo import intervals, verify_assignment
+from hypertutte.crapo import verify_assignment
 from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from oracles import (
@@ -66,6 +66,20 @@ def test_bases_must_satisfy_exchange():
         PolymatroidBases(("a", "b"), frozenset({(1, 0), (1, 1)}))
     with pytest.raises(ValueError):
         PolymatroidBases(("a",), frozenset())
+
+
+def test_constructor_refuses_malformed_bases():
+    """The constructor is the one check of a base set's shape: a basis
+    shorter or longer than the ground set, a repeated name and a negative
+    coordinate are each refused, however the polymatroid is built."""
+    for ground, bases, message in [
+        (("a", "b"), {(1, 0), (1,)}, "length"),
+        (("a", "b"), {(1, 0, 0), (0, 1, 0)}, "length"),
+        (("a", "a"), {(1, 0), (0, 1)}, "distinct"),
+        (("a", "b"), {(-1, 2), (0, 1)}, "non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PolymatroidBases(ground, frozenset(bases))
 
 
 def test_bases_from_hypertrees(fig2):
@@ -348,12 +362,11 @@ def test_fig6_nontrivial_sets(fig6_graph, fig6_orders):
 
 def test_fig6_covering_table(fig6_graph, fig6_orders):
     P, assignment = fixed_tree_order_activities(fig6_graph, fig6_orders)
-    fig6_intervals = intervals(assignment)
     for point, name in FIG6_COVERING.items():
         covering = [
-            basis_name(P, iv.center)
-            for iv in fig6_intervals
-            if interval_contains(iv, point)
+            basis_name(P, b)
+            for b, record in assignment.items()
+            if interval_contains(b, record, point)
         ]
         assert covering == [name], point
 
@@ -596,10 +609,10 @@ def test_search_answers_past_two_million_trees():
 
 
 def test_search_rejects_negative_coordinate():
-    P = PolymatroidBases(("a", "b"), frozenset({(-1, 1), (0, 0)}))
-    empty = BasisActivity(0, 0, 0, 0)
-    with pytest.raises(BasisOutOfRange):
-        exhaustive_delta_search(P, {b: empty for b in P.bases})
+    """A base set with a negative coordinate never reaches the search:
+    the polymatroid constructor refuses it."""
+    with pytest.raises(ValueError, match="non-negative"):
+        PolymatroidBases(("a", "b"), frozenset({(-1, 1), (0, 0)}))
 
 
 def uniform_rank_one(n):

@@ -13,13 +13,12 @@ function of ``crapo`` or ``tutte`` calls itself, only the routines that
 visit points check the box budget, ``crapo._region`` is the one
 membership rule, read by the one Crapo
 decider, the package runs in one process (no module imports ``os``,
-``concurrent.futures`` or ``multiprocessing``), only ``crapo.intervals`` builds a
-Crapo interval, ``delta.BasisActivity`` is the one activity record,
-whose bit masks over P's coordinates only the CLI commands and
-``delta.obstruction_check`` turn back into names (``delta.names``), so
-names appear only at print, ``delta._active`` is the one activity rule,
-to which every fetched row of a basis's exchange table goes, a table only
-``PolymatroidBases.exchanges`` and ``delta.exchange_witness`` build from
+``concurrent.futures`` or ``multiprocessing``), ``delta.BasisActivity``
+is the one activity record, whose bit masks over P's coordinates only
+the CLI commands and ``delta.obstruction_check`` turn back into names
+(``delta.names``), so names appear only at print, ``delta._active`` is
+the one activity rule, to which every fetched row of a basis's exchange
+table goes, a table only ``PolymatroidBases.exchanges`` builds from
 shifted bases, an import inside a function is one that would close a
 cycle at the top of the module, and nothing in the package imports the
 test oracles."""
@@ -466,13 +465,6 @@ def test_one_process():
             if imported_names(path.read_text(encoding="utf-8")) & POOLING] == []
 
 
-def test_one_interval_rule():
-    """Only ``crapo.intervals`` builds a ``CrapoInterval``: the Crapo
-    partition and the Delta-Crapo check read one rule."""
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "CrapoInterval") == ["crapo.intervals"]
-
-
 def test_one_activity_record():
     """``delta.BasisActivity`` is the only record class holding internal
     and external activity sets."""
@@ -483,13 +475,13 @@ def test_one_activity_record():
 def test_one_activity_rule():
     """``delta._active`` is the one activity rule: it alone ANDs a row of
     a basis's exchange table, for every row a caller fetches goes to it
-    and nowhere else, and besides the exchange check only
+    and nowhere else, the exchange check among them, and only
     ``PolymatroidBases.exchanges``, which builds that table, looks up a
     shifted basis."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert readers(sources, "exchanges") != []
     assert rows_not_handed_to(sources, "_active") == []
-    assert callers(sources, "_shift") == ["delta.exchange_witness", "delta.exchanges"]
+    assert callers(sources, "_shift") == ["delta.exchanges"]
 
 
 def test_names_only_at_print():
