@@ -14,7 +14,11 @@ alone, never on the order, so the test reads the exchange table of b
 n(n-1) lookups and memoised on the polymatroid, whose row a caller
 fetches once and hands to every test on b.  An element is active
 against the mask of the elements before it (MIN) or after it (MAX) when
-a mask AND is empty, so each further order of a basis costs O(n).
+a mask AND is empty, so each further order of a basis costs O(n).  A
+hypergraphic polymatroid is kept per hypertree set, not per graph
+(:func:`bases_from_hypertrees`): the graphs with that set, such as the
+embeddings of one hypergraph, share it and its rows, while their orders
+and activities stay their own.
 
 A record holds four bit masks over P's coordinates, which every layer
 reads as they are; :func:`names` turns a mask back into element names
@@ -53,6 +57,7 @@ oracles, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import namedtuple
 
 from .model import Frozen, ParseError, emerald, is_int, yaml_mapping
@@ -183,15 +188,30 @@ def load_bases(text: str) -> PolymatroidBases:
     return P
 
 
+# base set -> its hypergraphic polymatroid, while something (a graph's cache) holds it
+_hypergraphic = weakref.WeakValueDictionary()
+
+
 def bases_from_hypertrees(g) -> PolymatroidBases:
-    """The hypergraphic polymatroid of a ribbon graph instance, built once
-    per graph; a polymatroid by Kálmán's theorem, so not checked."""
+    """The hypergraphic polymatroid of a ribbon graph instance; a
+    polymatroid by Kálmán's theorem, so not checked.  It depends on the
+    hypertree set alone, so graphs with one hypertree set, such as the
+    embeddings of one hypergraph, share one polymatroid and its exchange
+    rows (:func:`_hypergraphic_polymatroid`).  Each graph keeps it in
+    its own cache (:func:`hypertrees.cached`), so it dies with the last
+    graph that reads it."""
+    return cached(g, "bases", _hypergraphic_polymatroid)
 
-    def build(g):
+
+def _hypergraphic_polymatroid(g) -> PolymatroidBases:
+    """The polymatroid registered for g's hypertree set, built and
+    registered if no live graph holds one: at most one per base set."""
+    bases = frozenset(enumerate_hypertrees(g))
+    P = _hypergraphic.get(bases)
+    if P is None:
         ground = tuple(emerald(j) for j in range(g.emerald_count))
-        return PolymatroidBases(ground, frozenset(enumerate_hypertrees(g)))
-
-    return cached(g, "bases", build)
+        _hypergraphic[bases] = P = PolymatroidBases(ground, bases)
+    return P
 
 
 class DecisionTree(namedtuple("DecisionTree", "label children")):

@@ -16,8 +16,9 @@ branch that built its tree, so no tour is walked again.  Activities
 under an order of all emeralds are delta's MIN rule on the hypertree
 set, as a :class:`delta.BasisActivity` of bit masks over the emeralds'
 coordinates: mask tests on each hypertree's exchange table, built once
-per hypertree whatever the number of orders.  Names appear only where
-the CLI prints a record.  :func:`embedding_assignment` reads every
+per hypertree whatever the number of orders, and once for all the live
+embeddings of a hypergraph.  Names appear only where the CLI prints a
+record.  :func:`embedding_assignment` reads every
 hypertree's order off the emerald table at once; only
 :func:`embedding_activities`, which answers one vector, checks that it
 is a hypertree first and raises :class:`NotAHypertree` otherwise.  The

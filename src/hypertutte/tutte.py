@@ -6,7 +6,10 @@ Both go through tutte_sum, which takes one order per hypertree as a
 mapping (the embedding sum reads the node orders of the emerald tour
 search, hypertrees.jaeger_trees), so no hypertree is looked up again,
 and counts (oi, oe, ie) from the bit counts of delta's activity masks.
-A graph's sums share one exchange table per hypertree.
+A graph's sums share one exchange table per hypertree, and so do the
+sums of every graph with the same hypertree set, such as the other
+embeddings of its hypergraph (delta.bases_from_hypertrees); each
+embedding still runs its own tour search and activity sum.
 
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the

@@ -374,21 +374,26 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.split() == fixture_names()
 
 
-@pytest.mark.parametrize("kind", ["tree", "hg"])
+@pytest.mark.parametrize("kind", ["tree", "hg", "hg-100000"])
 def test_deeply_nested_yaml_is_usage_error(tmp_path, kind):
     """A decision tree nested 1,000 deep and an instance whose edges are a
-    list nested 2,000 deep overflow the YAML parser's recursion: exit 2
-    with an error line, not a traceback."""
+    list nested 2,000 or 100,000 deep overflow the YAML parser's
+    recursion: exit 2 with an error line, not a traceback.  libyaml's C
+    loader kills the interpreter with SIGSEGV on the 100,000-deep list,
+    so a switch to it fails here (see ``model.yaml_mapping``)."""
     if kind == "tree":
         text = "{label: a, children: [" * 1000 + "{label: a}" + "]}" * 1000 + "\n"
-        argv = ["delta", "check", "--tree", str(tmp_path / "deep.tree"),
+        path = tmp_path / "deep.tree"
+        argv = ["delta", "check", "--tree", str(path),
                 "--bases", str(fixture_path("delta_fig.matroid"))]
     else:
-        deep = "edges: " + "[" * 2000 + "]" * 2000
+        depth = 100_000 if kind == "hg-100000" else 2000
+        deep = "edges: " + "[" * depth + "]" * depth
         text = "".join(deep + "\n" if line.startswith("edges:") else line
                        for line in fixture_path("fig2.hg").read_text().splitlines(True))
-        argv = ["tutte", str(tmp_path / "deep.hg")]
-    (tmp_path / f"deep.{kind}").write_text(text, encoding="utf-8")
+        path = tmp_path / "deep.hg"
+        argv = ["tutte", str(path)]
+    path.write_text(text, encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

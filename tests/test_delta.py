@@ -30,13 +30,16 @@ from hypertutte.delta import (
     validate_decision_tree,
 )
 from hypertutte.crapo import verify_assignment
+from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
 from hypertutte.jaeger import embedding_assignment
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
+from hypertutte.tutte import tutte_embedding
 from oracles import (
     Graph, basis_name, count_decision_trees, enumerate_decision_trees,
     fixed_tree_order_activities, graph_matroid, interval_contains, perturbed,
     random_decision_tree, shift, shifted_rule_activities,
 )
+from test_oracle import complete_bipartite
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +86,15 @@ def test_constructor_refuses_malformed_bases():
 
 
 def test_bases_from_hypertrees(fig2):
-    from hypertutte.hypertrees import enumerate_hypertrees
-
     P = bases_from_hypertrees(fig2)
     assert P.ground == ("e0", "e1", "e2", "e3")
     assert P.bases == frozenset(enumerate_hypertrees(fig2))
 
 
-def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
-    """Single-hypertree callers share one polymatroid per graph."""
+def test_polymatroid_built_at_most_once_per_base_set(fig2, monkeypatch):
+    """Single-hypertree callers share one polymatroid per base set: a
+    perturbed fig2, whose hypertrees are fig2's, reads fig2's polymatroid,
+    and no caller builds a second."""
     from hypertutte import crapo, jaeger, tutte
 
     built = []
@@ -99,13 +102,73 @@ def test_polymatroid_built_once_per_graph(fig2, monkeypatch):
     monkeypatch.setattr(
         PolymatroidBases, "__init__", lambda P, *args: built.append(P) or init(P, *args)
     )
-    g = perturbed(fig2, random.Random(3))  # a graph no other test caches
+    g = perturbed(fig2, random.Random(3))
     assert g != fig2
-    for h in bases_from_hypertrees(g).bases:
+    P = bases_from_hypertrees(g)
+    for h in P.bases:
         jaeger.embedding_activities(g, h)
     crapo.verify_crapo_partition(g)
     tutte.tutte_embedding(g)
-    assert len(built) == 1
+    assert bases_from_hypertrees(fig2) is P
+    assert len(built) <= 1 and all(Q is P for Q in built)
+
+
+def test_embeddings_share_one_polymatroid(fig2):
+    """The polymatroid depends on the hypertree set alone, so embeddings
+    of one hypergraph read the same object: fig2 and a perturbed fig2,
+    and two perturbed K4,4."""
+    rng = random.Random(5)
+    assert bases_from_hypertrees(perturbed(fig2, rng)) is bases_from_hypertrees(fig2)
+    g1, g2 = (perturbed(complete_bipartite(4, 4), rng) for _ in range(2))
+    assert g1 != g2
+    assert bases_from_hypertrees(g1) is bases_from_hypertrees(g2)
+
+
+def test_exchange_rows_built_once_across_embeddings(monkeypatch):
+    """Two embeddings of K4,4 build each exchange row once between them:
+    no shifted-basis lookup repeats, and the second embedding's Tutte sum
+    finds every row of the first memoised."""
+    lookups = []
+    lookup = delta._shift
+    monkeypatch.setattr(
+        delta, "_shift", lambda b, *moves: lookups.append((b, *moves)) or lookup(b, *moves)
+    )
+    rng = random.Random(6)
+    g1, g2 = (perturbed(complete_bipartite(4, 4), rng) for _ in range(2))
+    tutte_embedding(g1)
+    P = bases_from_hypertrees(g1)
+    rows = dict(P._exchange_rows)
+    assert rows.keys() == P.bases
+    tutte_embedding(g2)
+    assert all(P.exchanges(b) is row for b, row in rows.items())
+    assert len(lookups) == len(set(lookups))
+
+
+def test_distinct_hypertree_sets_never_share(all_hg):
+    """Graphs with different hypertree sets read different polymatroids,
+    each with its graph's own bases; graphs with one set read one."""
+    graphs = list(all_hg.values()) + [harness.random_instance(seed=s) for s in range(40)]
+    graphs += [complete_bipartite(a, b) for a, b in ((2, 3), (3, 2), (3, 3))]
+    by_bases = {}
+    for g in graphs:
+        P = bases_from_hypertrees(g)
+        assert P.bases == frozenset(enumerate_hypertrees(g))
+        assert by_bases.setdefault(P.bases, P) is P
+    assert len(by_bases) > 10
+
+
+def test_embeddings_keep_their_own_search():
+    """Nothing that depends on the embedding is shared: two perturbed
+    K4,4 each run their own tour search, whose orders differ, and their
+    own activity sum, to one polynomial (A4)."""
+    rng = random.Random(7)
+    g1, g2 = (perturbed(complete_bipartite(4, 4), rng) for _ in range(2))
+    found1, found2 = jaeger_trees(g1), jaeger_trees(g2)
+    assert found1 is not found2 and found1.keys() == found2.keys()
+    assert any(found1[h][1:] != found2[h][1:] for h in found1)
+    assert embedding_assignment(g1)[1] != embedding_assignment(g2)[1]
+    assert tutte_embedding(g1) is not tutte_embedding(g2)
+    assert tutte_embedding(g1) == tutte_embedding(g2)
 
 
 def test_exchange_witness_and_check():

@@ -328,16 +328,32 @@ def test_exchange_axiom_exhaustive(fig2, fig5):
                     assert exchange_witness(P, h, h2, e) is not None, (h, h2, e)
 
 
+def graphs_reading(P) -> list:
+    """The live graphs whose derived cache holds the polymatroid P."""
+    return [g for derived in gc.get_referrers(P)
+            if isinstance(derived, dict) and derived.get("bases") is P
+            for g in gc.get_referrers(derived) if isinstance(g, model.RibbonGraph)]
+
+
 def test_cache_dies_with_graph():
     """What is derived from a graph is kept in the graph and freed with
-    it, so long searches run in bounded memory."""
+    it, so long searches run in bounded memory.  A polymatroid is shared
+    by every graph with its base set (:func:`delta.bases_from_hypertrees`),
+    so once these graphs die it outlives them only while another live
+    graph reads it; otherwise its registry entry is gone too."""
     graphs = [harness.random_instance(seed=seed) for seed in range(50)]
     polymatroids = []
     for g in graphs:
         tutte_embedding(g)
-        polymatroids.append(weakref.ref(bases_from_hypertrees(g)))
+        P = bases_from_hypertrees(g)
+        polymatroids.append((weakref.ref(P), P.bases))
         assert hypertrees.cached(g, "embedding", None) is tutte_embedding(g)
     alive = [weakref.ref(g) for g in graphs]
-    del graphs, g
+    del graphs, g, P
     gc.collect()
-    assert all(ref() is None for ref in alive + polymatroids)
+    assert all(ref() is None for ref in alive)
+    for ref, bases in polymatroids:
+        if ref() is None:
+            assert bases not in delta._hypergraphic
+        else:
+            assert delta._hypergraphic[bases] is ref() and graphs_reading(ref())

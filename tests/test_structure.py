@@ -19,9 +19,10 @@ the CLI commands and ``delta.obstruction_check`` turn back into names
 (``delta.names``), so names appear only at print, ``delta._active`` is
 the one activity rule, to which every fetched row of a basis's exchange
 table goes, a table only ``PolymatroidBases.exchanges`` builds from
-shifted bases, an import inside a function is one that would close a
-cycle at the top of the module, and nothing in the package imports the
-test oracles."""
+shifted bases, a hypergraphic polymatroid is built only through the
+registry behind ``delta.bases_from_hypertrees``, one per base set, an
+import inside a function is one that would close a cycle at the top of
+the module, and nothing in the package imports the test oracles."""
 
 import ast
 import builtins
@@ -482,6 +483,20 @@ def test_one_activity_rule():
     assert readers(sources, "exchanges") != []
     assert rows_not_handed_to(sources, "_active") == []
     assert callers(sources, "_shift") == ["delta.exchanges"]
+
+
+def test_one_polymatroid_per_base_set():
+    """Only ``delta.load_bases`` and the registry of hypergraphic
+    polymatroids behind ``delta.bases_from_hypertrees`` build a
+    ``PolymatroidBases``, so no caller bypasses the registry and builds
+    a second polymatroid, with its own exchange rows, for a hypertree set."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "PolymatroidBases") == [
+        "delta._hypergraphic_polymatroid", "delta.load_bases"]
+    for name, where in [("_hypergraphic_polymatroid", ["delta.bases_from_hypertrees"]),
+                        ("_hypergraphic", ["delta", "delta._hypergraphic_polymatroid"])]:
+        named = _places(sources, lambda node: isinstance(node, ast.Name) and node.id == name)
+        assert named == where
 
 
 def test_names_only_at_print():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 
 from hypertutte import crapo, tutte
 from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget
-from hypertutte.hypertrees import enumerate_hypertrees
+from hypertutte.delta import bases_from_hypertrees
+from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.tutte import (
     corank_nullity,
@@ -24,7 +25,7 @@ from oracles import (
     fixed_tree_order_activities, graph_tutte_bridge, load_graph, monomial, perturbed, plus,
     substitute, to_bipartite, x, y,
 )
-from test_oracle import ribbon_graphs
+from test_oracle import complete_bipartite, ribbon_graphs
 
 FIG2_POLY = (
     "x^4 + 4x^3y - x^3 + 6x^2y^2 - 3x^2y + 4xy^3 - 4xy^2"
@@ -78,6 +79,31 @@ def test_interior_exterior_fig2(fig2):
     t = tutte_embedding(fig2)
     assert str(substitute(t, x(), monomial(0, 0))) == "x^4 + 3x^3 + 3x^2"
     assert str(substitute(t, monomial(0, 0), y())) == "y^4 + 2y^3 + 3y^2 + y"
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(2, 8) for b in range(2, 8) if a + b <= 13])
+def test_complete_bipartite_closed_forms(a, b):
+    """K_{a,b}, with a violets and b emeralds, in closed form.  Its root
+    polytope is Δ_{a−1} × Δ_{b−1}, whose h* is Σ_i C(a−1, i)·C(b−1, i)·z^i
+    (Kálmán and Postnikov), so T(x, 1) = Σ_i C(a−1, i)·C(b−1, i)·x^(b−i)
+    and T(1, 1) = C(a+b−2, a−1).  T(1, y) = Σ_{j=1..b} C(a+b−2−j, a−2)·y^j
+    is an observation with no reference, asserted only on the range where
+    it was checked, 2 ≤ a, b ≤ 7 with a + b ≤ 13.  Two perturbed
+    embeddings, each with its own tour search, give one polynomial and
+    read one polymatroid."""
+    rng = random.Random(100 * a + b)
+    g1, g2 = (perturbed(complete_bipartite(a, b), rng) for _ in range(2))
+    assert bases_from_hypertrees(g1) is bases_from_hypertrees(g2)
+    assert jaeger_trees(g1) is not jaeger_trees(g2)
+    interior = plus(*(monomial(b - i, 0, comb(a - 1, i) * comb(b - 1, i))
+                      for i in range(min(a, b))))
+    exterior = plus(*(monomial(0, j, comb(a + b - 2 - j, a - 2)) for j in range(1, b + 1)))
+    for g in (g1, g2):
+        t = tutte_embedding(g)
+        assert t.evaluate(1, 1) == comb(a + b - 2, a - 1)
+        assert substitute(t, x(), monomial(0, 0)) == interior
+        assert substitute(t, monomial(0, 0), y()) == exterior
+    assert tutte_embedding(g1) == tutte_embedding(g2)
 
 
 def test_evaluation_counts_hypertrees(all_hg):
