@@ -15,7 +15,7 @@ import sys
 from itertools import islice
 
 from . import fixture_names, fixture_path
-from .model import load_path, ParseError, ValidationError
+from .model import emerald, load_path, ParseError, ValidationError
 from . import tours, hypertrees, jaeger, tutte, crapo, delta, harness
 
 
@@ -63,7 +63,7 @@ def _cmd_tutte(args) -> int:
         if args.order is not None:
             order = tuple(args.order.split(","))
         else:
-            order = tuple(f"e{j}" for j in range(g.emerald_count))
+            order = tuple(emerald(j) for j in range(g.emerald_count))
         _print_poly(tutte.tutte_from_order(g, order))
     else:  # corank-nullity
         imax, jmax = _pair("--bounds", args.bounds)

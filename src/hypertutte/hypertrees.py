@@ -102,14 +102,16 @@ def well_formed(g: RibbonGraph, v: tuple) -> bool:
 
 
 def tour_search(g: RibbonGraph, variant: str):
-    """Yield (h, tree, node order, edge order) for every Jaeger tree of
-    the variant, one per hypertree h: the tree as a sorted tuple of edge
-    ids, and the emeralds in order of first appearance in its tour as the
-    current node and as the emerald end of the current edge.
+    """Yield (h, (tree, node order, edge order)) for every Jaeger tree of
+    the variant, one per hypertree h, so the pairs are the rows of
+    :func:`jaeger_trees`: the tree as a sorted tuple of edge ids, and the
+    emeralds in order of first appearance in its tour as the current node
+    and as the emerald end of the current edge.
 
     Each pending branch is the walk's state at a dart: the tree so far,
     the nodes in the order the walk reached them, the edges in the order
-    it first met them, and the dart to resume at.
+    it first met them (one insertion-ordered dict, which also answers
+    whether an edge is decided), and the dart to resume at.
     """
     chooser = 1 if variant == "emerald" else 0  # dart side of the choosing colour
     edges = g.edges
@@ -117,39 +119,36 @@ def tour_search(g: RibbonGraph, variant: str):
                  lambda g: adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)))
     emerald_name = cached(g, "emerald name of edge", lambda g: tuple(e for _, e in g.edges))
     emeralds = cached(g, "emeralds", lambda g: frozenset(e for _, e in g.edges)).__contains__
-    pending = [(set(), {g.basis[0]: None}, [], None)]
+    pending = [(set(), {g.basis[0]: None}, {}, None)]
     while pending:
         tree, reached, met, at = pending.pop()
-        seen = set(met)
         for d in tours.walk(g, tree, at):
             k = d >> 1
-            if k in seen:
+            if k in met:
                 continue
-            seen.add(k)
-            met.append(k)
+            met[k] = None
             far = edges[k][(d & 1) ^ 1]
             if d & 1 == chooser:
                 if far in reached:
                     continue  # k stays out: in, it would close a cycle
                 for x, w in adj[far]:
-                    if w in reached and x not in seen:
+                    if w in reached and x not in met:
                         # k stays out: in, the look-ahead kills it at far;
                         # out, x keeps far joined to the tree
                         break
                 else:
-                    if next(reversed(reach(adj, far, seen, reached))) in reached:
+                    if next(reversed(reach(adj, far, met, reached))) in reached:
                         # out keeps the graph connected iff far still reaches
                         # the tree through undecided edges, when the search
                         # stops at a reached node, its last key; in goes on
                         # in this walk
-                        pending.append((set(tree), dict(reached), list(met), d))
+                        pending.append((set(tree), dict(reached), dict(met), d))
                     tree.add(k)
                     reached[far] = None
                 continue
             tree.add(k)  # at a node that cannot choose, far is never reached
             reached[far] = None
-        yield (
-            degree_vector(g, tree),
+        yield degree_vector(g, tree), (
             tuple(sorted(tree)),
             tuple(filter(emeralds, reached)),
             tuple(dict.fromkeys(map(emerald_name.__getitem__, met))),
@@ -157,10 +156,9 @@ def tour_search(g: RibbonGraph, variant: str):
 
 
 def jaeger_trees(g: RibbonGraph, variant: str = "emerald") -> dict:
-    """h -> (tree, node order, edge order) for every hypertree h, from one
-    :func:`tour_search` per graph and variant."""
-    return cached(g, f"{variant} Jaeger trees",
-                  lambda g: {leaf[0]: leaf[1:] for leaf in tour_search(g, variant)})
+    """h -> (tree, node order, edge order) for every hypertree h: the
+    pairs of one :func:`tour_search` per graph and variant."""
+    return cached(g, f"{variant} Jaeger trees", lambda g: dict(tour_search(g, variant)))
 
 
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:

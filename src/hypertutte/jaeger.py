@@ -1,29 +1,20 @@
-"""Jaeger trees, hyperedge orders, and activity computations.
+"""The embedding's activity records, and the one membership check.
 
-A (emerald) Jaeger tree is a spanning tree whose tour meets every
-non-tree edge first at its emerald endpoint; each hypertree has exactly
-one, the least of its representatives in the tour order.  The violet
-variant uses the violet-endpoint-first rule.  Both come, with the
-hypertrees themselves, from one depth-first search per graph and
-variant over the tour of the tree under construction
-(:func:`hypertrees.tour_search`), whose tables
-(:func:`hypertrees.jaeger_trees`) are the one way to reach a Jaeger
-tree or an order.  The recognisers that read the definition off a
-tree's tour are the test oracle, in ``tests/oracles.py``.  The tour of
-the Jaeger tree induces the emerald order <_h, and the violet tours
-induce two further orders; the search records each order along the
-branch that built its tree, so no tour is walked again.  Activities
-under an order of all emeralds are delta's MIN rule on the hypertree
-set, as a :class:`delta.BasisActivity` of bit masks over the emeralds'
-coordinates: mask tests on each hypertree's exchange table, built once
-per hypertree whatever the number of orders, and once for all the live
-embeddings of a hypergraph.  Names appear only where the CLI prints a
-record.  :func:`embedding_assignment` reads every
-hypertree's order off the emerald table at once; only
-:func:`embedding_activities`, which answers one vector, checks that it
-is a hypertree first and raises :class:`NotAHypertree` otherwise.  The
-plain violet node order is read off the violet search by
-``harness.violet_polynomial`` alone.
+The embedding activities of a hypertree h are read off its Jaeger tree
+(a spanning tree whose tour meets every non-tree edge first at its
+emerald end; each hypertree has exactly one): the tour induces the
+emerald order <_h, and the activities under it are delta's MIN rule on
+the hypertree set, as a :class:`delta.BasisActivity` of bit masks over
+the emeralds' coordinates.  The Jaeger trees and their orders come from
+one search per graph and variant (:func:`hypertrees.tour_search`),
+reached only through its tables (:func:`hypertrees.jaeger_trees`); the
+activities are mask tests on each hypertree's exchange table, built
+once per hypertree whatever the number of orders, and once for all the
+live embeddings of a hypergraph.  Names appear only where the CLI
+prints a record.  :func:`embedding_assignment` reads every hypertree's
+order off the emerald table at once; only :func:`embedding_activities`,
+which answers one vector, checks that it is a hypertree first and
+raises :class:`NotAHypertree` otherwise.
 """
 
 from __future__ import annotations

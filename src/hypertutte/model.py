@@ -201,9 +201,6 @@ class RibbonGraph(Frozen):
     def nodes(self) -> list[str]:
         return self.violets + self.emeralds
 
-    def endpoints(self, edge: int) -> tuple[str, str]:
-        return self.edges[edge]
-
     def dart(self, node: str, edge: int) -> int:
         """The dart of ``edge`` at ``node``."""
         if is_int(edge) and 0 <= edge < len(self.edges) and node in self.edges[edge]:

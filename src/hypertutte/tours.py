@@ -28,7 +28,7 @@ def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
     n_nodes = len(g.nodes)
     if len(tree) != n_nodes - 1 or not all(k in range(len(g.edges)) for k in tree):
         return False
-    return connected(((k, *g.endpoints(k)) for k in tree), n_nodes)
+    return connected(((k, *g.edges[k]) for k in tree), n_nodes)
 
 
 def walk(g: RibbonGraph, tree, at=None):

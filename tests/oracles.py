@@ -73,7 +73,7 @@ class WrongSide(ValueError):
 
 
 def _tree_adjacency(g: RibbonGraph, tree, removed=None) -> dict:
-    return adjacency((k, *g.endpoints(k)) for k in tree if k != removed)
+    return adjacency((k, *g.edges[k]) for k in tree if k != removed)
 
 
 def climb(via: dict, ends, x) -> list:
@@ -92,7 +92,7 @@ def fundamental_cycle(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
     """Edge set of the unique cycle of tree + edge (includes ``edge``)."""
     if edge in tree:
         raise WrongSide("fundamental_cycle expects a non-tree edge")
-    v, e = g.endpoints(edge)
+    v, e = g.edges[edge]
     return frozenset(climb(reach(_tree_adjacency(g, tree), v), g.edges, e)) | {edge}
 
 
@@ -104,7 +104,7 @@ def fundamental_cut(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
     """Edges crossing the two components of tree - edge (includes ``edge``)."""
     if edge not in tree:
         raise WrongSide("fundamental_cut expects a tree edge")
-    v, _ = g.endpoints(edge)
+    v, _ = g.edges[edge]
     shore = _component(g, tree, edge, v)
     return frozenset(
         k

@@ -22,7 +22,9 @@ table goes, a table only ``PolymatroidBases.exchanges`` builds from
 shifted bases, a hypergraphic polymatroid is built only through the
 registry behind ``delta.bases_from_hypertrees``, one per base set, an
 import inside a function is one that would close a cycle at the top of
-the module, and nothing in the package imports the test oracles."""
+the module, a module loads only a pinned set of standard modules (so
+PyYAML and ``pathlib`` wait for the function that needs them), and
+nothing in the package imports the test oracles."""
 
 import ast
 import builtins
@@ -37,6 +39,8 @@ MODULES = sorted(SRC.glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 ENTRY_POINTS = ("cli", "__init__")  # the commands and the package's public names
 POOLING = {"os", "concurrent", "multiprocessing"}  # modules that start other processes
+STARTUP = {"collections", "itertools", "math", "random", "weakref"}  # what a library module loads
+STARTUP_EXTRA = {"cli": {"argparse", "json", "sys"}, "__main__": {"sys"}}
 
 
 def _private(name: str) -> bool:
@@ -378,6 +382,19 @@ def imported_names(source: str) -> set:
     return found
 
 
+def startup_imports(source: str) -> set:
+    """The first component of every module the source imports as it
+    loads, at its top level or in a class body, other than the package
+    and ``__future__``."""
+    found = set()
+    for node, deferred in _scoped_imports(ast.parse(source)):
+        if deferred or isinstance(node, ast.ImportFrom) and node.level:
+            continue
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module]
+        found |= {name.partition(".")[0] for name in names}
+    return found - {"hypertutte", "__future__"}
+
+
 def _test_code(name: str) -> bool:
     return name in ("oracles", "tests", "conftest") or name.startswith("test_")
 
@@ -513,6 +530,17 @@ def test_function_level_imports_only_break_cycles():
     at the top of the module would make a cycle."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert deferred_imports(sources)[1] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_startup_imports(path):
+    """Loading a module loads only ``collections``, ``itertools``,
+    ``math``, ``random`` and ``weakref`` from outside the package, and
+    ``argparse``, ``json`` and ``sys`` for the CLI: a heavier import
+    (PyYAML, ``pathlib``, ``dataclasses``) goes inside the function
+    that needs it, so start-up stays cheap."""
+    allowed = STARTUP | STARTUP_EXTRA.get(path.stem, set())
+    assert sorted(startup_imports(path.read_text(encoding="utf-8")) - allowed) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -755,6 +783,16 @@ def test_checks_catch_violations():
         "from .crapo import sweep\n"
         "import itertools\n"
     ))) == ["conftest", "oracles", "test_delta", "tests"]
+    assert startup_imports(
+        "from __future__ import annotations\n"
+        "import os.path, sys\n"
+        "from . import model\n"
+        "from .delta import f\n"
+        "from hypertutte.tours import walk\n"
+        "from collections.abc import Mapping\n"
+        "class C:\n    import json\n"
+        "def f():\n    import yaml\n    from pathlib import Path\n"
+    ) == {"collections", "json", "os", "sys"}
     assert imported_names(
         "import os.path\n"
         "from concurrent.futures import ProcessPoolExecutor\n"

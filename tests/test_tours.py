@@ -92,7 +92,7 @@ def _lockstep_difference(g, t1, t2):
         if in1 != (edge in t2):
             return (node, edge)
         if in1:
-            v, e = g.endpoints(edge)
+            v, e = g.edges[edge]
             node = e if node == v else v
         edge = next_at(g, node, edge)
         if (node, edge) == (b0, beta0):
@@ -216,7 +216,7 @@ def test_base_component_leaf(fig2):
         other = set(fig2.nodes) - shore
         assert "v0" in shore
         assert shore | other == set(fig2.nodes)
-        v, e = fig2.endpoints(edge)
+        v, e = fig2.edges[edge]
         assert (v in shore) != (e in shore)
 
 
