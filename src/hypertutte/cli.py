@@ -15,15 +15,21 @@ import sys
 from itertools import islice
 
 from . import fixture_names, fixture_path
-from .model import emerald, load_path, ParseError, ValidationError
+from .model import emerald, load, ParseError, ValidationError
 from . import tours, hypertrees, jaeger, tutte, crapo, delta, harness
+
+
+def _read(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 
 def _load(path):
     try:
-        return load_path(path)
-    except FileNotFoundError as exc:
-        raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
+        return load(_read(path))
     except (ParseError, ValidationError) as exc:
         raise SystemExit(_usage_error(f"invalid instance {path}: {exc}"))
 
@@ -145,10 +151,8 @@ def _cmd_crapo(args) -> int:
 
 def _cmd_delta(args) -> int:
     if args.action == "check":
-        with open(args.bases, encoding="utf-8") as fh:
-            P = delta.load_bases(fh.read())
-        with open(args.tree, encoding="utf-8") as fh:
-            dtree = delta.load_decision_tree(fh.read())
+        P = delta.load_bases(_read(args.bases))
+        dtree = delta.load_decision_tree(_read(args.tree))
         delta.validate_decision_tree(dtree, P)
         assignment = delta.assignment_from_delta(dtree, P)
         for b, rec in assignment.items():

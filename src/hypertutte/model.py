@@ -14,6 +14,11 @@ a dart's edge, ``d & 1`` the colour of its node (1 for emerald) and
 ``d ^ 1`` the dart at the edge's other end.  ``sigma[d]`` is the next
 dart around d's node, and ``basis_dart`` is the basis pair's dart.
 
+Instance files are read in :meth:`RibbonGraph.render`'s line form by
+``read_rendered``, with plain string methods; any other YAML text goes
+through PyYAML (``yaml_mapping``), imported only then.  Both give the
+same mapping, and ``load`` checks it the same way.
+
 Also here, on (edge, u, v) triples: adjacency, reachability and
 connectivity.  Walks up a reachability map, a node's successor in its
 rotation and the other test oracles are in ``tests/oracles.py``.
@@ -272,6 +277,52 @@ class RibbonGraph(Frozen):
         return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> bool:
+    # YAML 1.1 reads "010" as 8 and "1_0" as 10: only these forms are read here
+    return token.isdigit() and token.isascii() and (token == "0" or token[0] != "0")
+
+
+def _is_name(token: str) -> bool:
+    return token[:1] in ("v", "e") and _decimal(token[1:])
+
+
+def _int_list(text: str):
+    """``[0, 12, ...]`` as a list of integers, or None."""
+    items = text[1:-1].split(", ")
+    if text[:1] == "[" and text[-1:] == "]" and all(map(_decimal, items)):
+        return [int(x) for x in items]
+    return None
+
+
+def read_rendered(text: str):
+    """The mapping ``yaml.safe_load(text)`` returns when ``text`` is in
+    :meth:`RibbonGraph.render`'s line form: the five keys in order, at
+    least one rotation line, ``": "`` and ``", "`` as the separators,
+    decimal integers without a leading zero, node names ``v``/``e`` and
+    such an integer, and one final newline.  None for any other text."""
+    lines = text.split("\n")
+    if len(lines) < 7 or lines.pop() or lines[3] != "rotation:":
+        return None
+    heads = [line.partition(": ") for line in lines[:3] + lines[-1:]]
+    if [key for key, _, _ in heads] != ["violet", "emerald", "edges", "basis"]:
+        return None
+    nv, ne, edges, basis = (value for _, _, value in heads)
+    pairs = [_int_list(f"[{pair}]") for pair in edges[2:-2].split("], [")]
+    node, _, edge = basis[1:-1].partition(", ")
+    if not (_decimal(nv) and _decimal(ne) and edges[:2] == "[[" and edges[-2:] == "]]"
+            and None not in pairs and basis[:1] == "[" and basis[-1:] == "]"
+            and _is_name(node) and _decimal(edge)):
+        return None
+    rotation = {}
+    for line in lines[4:-1]:
+        name, _, rot = line[2:].partition(": ")
+        rotation[name] = _int_list(rot)
+        if line[:2] != "  " or not _is_name(name) or rotation[name] is None:
+            return None
+    return {"violet": int(nv), "emerald": int(ne), "edges": pairs,
+            "rotation": rotation, "basis": [node, int(edge)]}
+
+
 _KEYS = {"violet", "emerald", "edges", "rotation", "basis"}
 
 
@@ -302,8 +353,12 @@ def yaml_mapping(text: str, required) -> dict:
 
 
 def load(text: str) -> RibbonGraph:
-    """Parse and validate an instance file (see ``render`` for the format)."""
-    data = yaml_mapping(text, _KEYS)
+    """Parse and validate an instance file (see ``render`` for the format).
+
+    Text in ``render``'s line form is read by :func:`read_rendered`, any
+    other YAML by :func:`yaml_mapping`; both give the same mapping, which
+    the same checks then turn into a graph or a ParseError."""
+    data = read_rendered(text) or yaml_mapping(text, _KEYS)
     unknown = set(data) - _KEYS
     if unknown:
         raise ParseError(f"unknown keys: {sorted(unknown)}")

@@ -179,6 +179,31 @@ def test_missing_file_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "binary.hg"
+    path.write_bytes(b"\xff\xfe\x00violet: 3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("directory", "Is a directory"), ("binary", "'utf-8' codec can't decode byte 0xff")])
+def test_unreadable_file_is_usage_error_naming_it(capsys, tmp_path, kind, reason):
+    """A directory or a file that is not UTF-8, given as an instance, a
+    polymatroid or a decision tree, exits 2 with the path in the error."""
+    bad = _unreadable(tmp_path, kind)
+    tree, bases = str(fixture_path("delta_fig.tree")), str(fixture_path("delta_fig.matroid"))
+    for argv in (["tutte", bad], ["conjecture", "violet-prime", FIG2, bad, "--trials", "0"],
+                 ["delta", "check", "--tree", tree, "--bases", bad],
+                 ["delta", "check", "--tree", bad, "--bases", bases]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot read {bad}: ") and reason in err, argv
+
+
 def test_declared_node_count_above_the_edges_is_refused_briefly(capsys, tmp_path):
     """100,000 declared violet nodes with one edge are refused as usage
     errors before a node name is listed: a connected graph on N nodes

@@ -10,9 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from hypertutte import fixture_names, fixture_path, load_path
+from hypertutte import fixture_names, fixture_path, harness, load_path
 from hypertutte.model import (
     NotIncident,
     ParseError,
@@ -22,6 +23,7 @@ from hypertutte.model import (
     connected,
     load,
     reach,
+    read_rendered,
 )
 from hypertutte.delta import load_decision_tree
 from hypertutte.jaeger import embedding_assignment
@@ -214,6 +216,113 @@ def test_fixture_files_round_trip():
         assert load(g.render()) == g
 
 
+def test_fixtures_are_in_render_form():
+    """Every bundled instance is its own ``render``, so it is read
+    without PyYAML: a hand edit that leaves the form fails here."""
+    for text in INSTANCE_TEXTS:
+        assert load(text).render() == text
+
+
+def _rendered_texts():
+    yield from INSTANCE_TEXTS
+    yield from (harness.random_instance(seed).render() for seed in range(300))
+    rng = random.Random(35)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            yield perturbed(complete_bipartite(a, b), rng).render()
+
+
+def test_reader_accepts_every_render():
+    """The fixtures, 300 random instances and perturbed K_{a,b} for
+    a, b <= 5 are read without PyYAML, into PyYAML's mapping."""
+    for text in _rendered_texts():
+        data = read_rendered(text)
+        assert data is not None and data == yaml.safe_load(text), text
+
+
+FORMAT_INSERTS = [" ", "  ", "\t", "\r", "\n", "# x", "0", "_", "+", "-", ",", ":",
+                  "[", "]", "\ufeff", "\u2028", "\x85", "\u0661", "v", "e", ".", "~", "1"]
+
+
+@st.composite
+def format_mutants(draw):
+    """A fixture instance with text inserted, replaced or deleted, or
+    lines duplicated or swapped."""
+    text = draw(st.sampled_from(INSTANCE_TEXTS))
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["insert", "replace", "delete", "duplicate", "swap"]))
+    if how in ("insert", "replace"):
+        return text[:at] + draw(st.sampled_from(FORMAT_INSERTS)) + text[at + (how == "replace"):]
+    if how == "delete":
+        return text[:at] + text[at + draw(st.integers(1, 3)):]
+    lines = text.splitlines(True)
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    if how == "duplicate":
+        lines.insert(j, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(one_token_mutants(), format_mutants()))
+def test_reader_agrees_with_yaml(text):
+    """Whatever text the reader accepts, PyYAML reads the same mapping."""
+    data = read_rendered(text)
+    if data is not None:
+        assert data == yaml.safe_load(text)
+
+
+FIG2_TEXT = fixture_path("fig2.hg").read_text()
+
+
+def _fig2_edit(old, new):
+    assert old in FIG2_TEXT
+    return FIG2_TEXT.replace(old, new)
+
+
+# (text, whether the reader accepts it, what ``load`` makes of it)
+READER_CASES = {
+    "octal-010": (_fig2_edit("e3: [8, 7]", "e3: [010, 7]"), False, "fig2"),  # YAML: 8
+    "underscore-1_0": (_fig2_edit("e3: [8, 7]", "e3: [8, 1_0]"), False,
+                       "rotation at e3 does not list its incident edges exactly once"),
+    "plus-sign": (_fig2_edit("e0: [1, 0]", "e0: [+1, 0]"), False, "fig2"),
+    "trailing-space": (_fig2_edit("violet: 3\n", "violet: 3 \n"), False, "fig2"),
+    "crlf": (FIG2_TEXT.replace("\n", "\r\n"), False, "fig2"),
+    "tab-indent": (_fig2_edit("  v0:", "\tv0:"), False, "invalid syntax"),
+    "no-final-newline": (FIG2_TEXT[:-1], False, "fig2"),
+    "comment-line": ("# comment\n" + FIG2_TEXT, False, "fig2"),
+    # the later line wins, as in YAML
+    "duplicate-rotation-key": (_fig2_edit("  e2: [6, 5]\n", "  e2: [0, 2, 7]\n  e2: [6, 5]\n"),
+                               True, "fig2"),
+    "leading-zero-name-v01": (_fig2_edit("  v0:", "  v01:"), False,
+                              "rotation node set mismatch: ['v0', 'v01']"),
+    "empty-rotation-block": (FIG2_TEXT[:FIG2_TEXT.index("  v0:")]
+                             + FIG2_TEXT[FIG2_TEXT.index("basis:"):], False,
+                             "rotation must be a mapping"),
+    "byte-order-mark": ("\ufeff" + FIG2_TEXT, False, "fig2"),
+    "rotation-out-of-order": (_fig2_edit("  v0: [0, 2, 7]\n", "")
+                              .replace("  e3: [8, 7]\n", "  e3: [8, 7]\n  v0: [0, 2, 7]\n"),
+                              True, "fig2"),
+}
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_named_cases(name, fig2):
+    """Texts near the form: the reader reads only what it accepts, and
+    ``load`` gives the graph or the error PyYAML's mapping gives."""
+    text, accepted, outcome = READER_CASES[name]
+    data = read_rendered(text)
+    assert (data is not None) == accepted
+    if accepted:
+        assert data == yaml.safe_load(text)
+    if outcome == "fig2":
+        assert load(text) == fig2
+    else:
+        with pytest.raises((ParseError, ValidationError), match=re.escape(outcome)):
+            load(text)
+
+
 def test_connected():
     assert connected([], 0) and connected([], 1)
     assert connected([(0, "a", "b"), (1, "b", "c")], 3)
@@ -311,15 +420,15 @@ def test_library_loads_no_parser():
     assert _python(["-S"], code) == f"{poly}\nPASS\n[]\n"
 
 
-def test_yaml_loads_on_first_parse(fig2):
-    """``load`` still parses, and only then is YAML imported."""
+def test_yaml_loads_on_first_parse():
+    """A file in ``render``'s form loads without PyYAML; PyYAML is
+    imported by the first parse of any other text, here fig2 with a
+    comment line, which gives the same graph."""
     code = (
         "import sys\n"
         "import hypertutte\n"
-        "print('yaml' in sys.modules)\n"
         f"g = hypertutte.load_path({str(fixture_path('fig2.hg'))!r})\n"
         "print(g.violet_count, g.emerald_count, 'yaml' in sys.modules)\n"
+        "print(hypertutte.load('# comment\\n' + g.render()) == g, 'yaml' in sys.modules)\n"
     )
-    assert _python([], code) == "False\n3 4 True\n"
-    assert load(fixture_path("fig2.hg").read_text()) == fig2
-    assert "yaml" in sys.modules
+    assert _python([], code) == "3 4 False\nTrue True\n"
