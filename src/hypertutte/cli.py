@@ -15,8 +15,8 @@ import sys
 from itertools import islice
 
 from . import fixture_names, fixture_path
-from .model import emerald, load, ParseError, ValidationError
-from . import tours, hypertrees, jaeger, tutte, crapo, delta, harness
+from .model import emerald, load
+from . import tours, hypertrees, polymatroid, jaeger, tutte, crapo, delta, harness
 
 
 def _read(path) -> str:
@@ -27,11 +27,11 @@ def _read(path) -> str:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 
-def _load(path):
+def _load(path, parse=load, noun="instance"):
     try:
-        return load(_read(path))
-    except (ParseError, ValidationError) as exc:
-        raise SystemExit(_usage_error(f"invalid instance {path}: {exc}"))
+        return parse(_read(path))
+    except ValueError as exc:
+        raise SystemExit(_usage_error(f"invalid {noun} {path}: {exc}"))
 
 
 def _usage_error(message: str) -> int:
@@ -92,15 +92,15 @@ def _cmd_jaeger(args) -> int:
     g = _load(args.instance)
     found = hypertrees.jaeger_trees(g, args.variant)
     col = 1 if args.variant == "emerald" else 2  # the node order, or violet's edge order
-    P = delta.bases_from_hypertrees(g)
-    records = delta.assignment_from_orders(P, {h: f[col] for h, f in found.items()})
+    P = polymatroid.bases_from_hypertrees(g)
+    records = polymatroid.assignment_from_orders(P, {h: f[col] for h, f in found.items()})
     for h in hypertrees.enumerate_hypertrees(g):
         tree, order, rec = found[h][0], found[h][col], records[h]
         print(
             f"h={_fmt_h(h)} tree={','.join(map(str, tree))} "
             f"order={'<'.join(order)} "
-            f"Int={','.join(delta.names(P, rec.internal))} "
-            f"Ext={','.join(delta.names(P, rec.external))}"
+            f"Int={','.join(polymatroid.names(P, rec.internal))} "
+            f"Ext={','.join(polymatroid.names(P, rec.external))}"
         )
     return 0
 
@@ -151,17 +151,17 @@ def _cmd_crapo(args) -> int:
 
 def _cmd_delta(args) -> int:
     if args.action == "check":
-        P = delta.load_bases(_read(args.bases))
-        dtree = delta.load_decision_tree(_read(args.tree))
+        P = _load(args.bases, polymatroid.load_bases, "bases")
+        dtree = _load(args.tree, delta.load_decision_tree, "decision tree")
         delta.validate_decision_tree(dtree, P)
         assignment = delta.assignment_from_delta(dtree, P)
         for b, rec in assignment.items():
             nontrivial = rec.nontrivial_internal | rec.nontrivial_external
             print(
                 f"b={_fmt_h(b)} order={'<'.join(delta.order_of_basis(dtree, P, b))} "
-                f"Int={','.join(sorted(delta.names(P, rec.internal)))} "
-                f"Ext={','.join(sorted(delta.names(P, rec.external)))} "
-                f"nontrivial={','.join(sorted(delta.names(P, nontrivial)))}"
+                f"Int={','.join(sorted(polymatroid.names(P, rec.internal)))} "
+                f"Ext={','.join(sorted(polymatroid.names(P, rec.external)))} "
+                f"nontrivial={','.join(sorted(polymatroid.names(P, nontrivial)))}"
             )
         report = delta.crapo_verify(P, assignment)
         _emit_report(report, args.report == "json")

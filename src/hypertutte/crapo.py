@@ -3,7 +3,7 @@
 The Crapo interval of a basis b under an activity assignment collects
 the lattice points that exceed b only at externally active coordinates
 and fall below it only at internally active ones; the decider reads
-the two bit masks of b's activity record (delta.BasisActivity) as they
+the two bit masks of b's activity record (polymatroid.BasisActivity) as they
 are.  These intervals partition Z^E, and the covering basis attains
 the one-sided distances d1< and d1> simultaneously.  verify_assignment
 checks both claims on a box, by default the bases' range widened by 2
@@ -46,7 +46,7 @@ from math import prod
 from .model import RibbonGraph
 from .hypertrees import enumerate_hypertrees
 from .jaeger import embedding_assignment
-from .delta import exchange_free
+from .polymatroid import exchange_free
 
 
 class BudgetExceeded(ValueError):
@@ -108,7 +108,7 @@ def _attains(P, k, part) -> bool:
     iff no neighbour does better there (Murota's local optimality
     theorem); on the whole part, iff no i where the part goes below k
     and f where it goes above make k - 1_i + 1_f a basis
-    (:func:`delta.exchange_free`).  k must be one of P's bases.
+    (:func:`polymatroid.exchange_free`).  k must be one of P's bases.
     """
     lower = upper = 0
     for i, ((a, b), t) in enumerate(zip(part, k)):
@@ -204,7 +204,7 @@ def verify_assignment(P, assignment: dict, box=None) -> dict:
     holds each of P's bases once: any other assignment is refused with
     ValueError before the box is looked at.  P's bases must satisfy the
     exchange axiom: a hypertree set does by Kálmán's theorem, and loaded
-    bases are checked (:func:`delta.check_exchange`).
+    bases are checked (:func:`polymatroid.check_exchange`).
     """
     if assignment.keys() != P.bases:
         raise ValueError("the assignment must hold exactly the polymatroid's bases")

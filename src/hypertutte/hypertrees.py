@@ -54,15 +54,14 @@ exchange search that re-derives the hypertree set, are in
 
 Everything derived from one graph lives in the graph itself and dies
 with it (:func:`cached`).  What depends on the embedding stays per
-graph: the search tables, the orders, the activities and the
-polynomial.  The set of all hypertrees forms the bases of a
-polymatroid (Kálmán), which depends on the hypertree set alone, so
-graphs with one hypertree set, such as the embeddings of one
-hypergraph, share one polymatroid and its exchange rows
-(:func:`delta.bases_from_hypertrees`); each graph's cache holds it, so
-it lives while any graph reads it.  It is trusted, not checked, where
-it is built; the tests check the exchange axiom through
-:func:`delta.exchange_witness`.
+graph: the search tables, the orders, the activities and the polynomial.
+The set of all hypertrees forms the bases of a polymatroid (Kálmán),
+which depends on the hypertree set alone, so graphs with one hypertree
+set, such as the embeddings of one hypergraph, share one polymatroid and
+its exchange rows (:func:`polymatroid.bases_from_hypertrees`); each
+graph's cache holds it, so it lives while any graph reads it.  It is
+trusted, not checked, where it is built; the tests check the exchange
+axiom through :func:`polymatroid.exchange_witness`.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ activities; tutte_from_order does the same with a fixed emerald order.
 Both go through tutte_sum, which takes one order per hypertree as a
 mapping (the embedding sum reads the node orders of the emerald tour
 search, hypertrees.jaeger_trees), so no hypertree is looked up again,
-and counts (oi, oe, ie) from the bit counts of delta's activity masks.
+and counts (oi, oe, ie) from the bit counts of polymatroid's activity masks.
 A graph's sums share one exchange table per hypertree, and so do the
 sums of every graph with the same hypertree set, such as the other
-embeddings of its hypergraph (delta.bases_from_hypertrees); each
+embeddings of its hypergraph (polymatroid.bases_from_hypertrees); each
 embedding still runs its own tour search and activity sum.
 
 corank_nullity tabulates the generating function of the one-sided
@@ -35,7 +35,7 @@ from math import comb
 from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
 from .hypertrees import cached, enumerate_hypertrees, jaeger_trees
-from .delta import activity_masks, bases_from_hypertrees, check_order
+from .polymatroid import activity_masks, bases_from_hypertrees, check_order
 from .crapo import box_around, box_size, check_budget
 
 
@@ -63,7 +63,7 @@ def tutte_embedding(g: RibbonGraph) -> Poly:
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:
     """Same sum, with activities taken relative to one fixed emerald
-    order, which must list every emerald once (:func:`delta.check_order`)."""
+    order, which must list every emerald once (:func:`polymatroid.check_order`)."""
     order = tuple(order)
     P = bases_from_hypertrees(g)
     check_order(P, order)

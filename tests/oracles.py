@@ -37,7 +37,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from hypertutte.delta import DecisionTree, PolymatroidBases, assignment_from_orders
+from hypertutte.delta import DecisionTree
+from hypertutte.polymatroid import PolymatroidBases, assignment_from_orders
 from hypertutte.hypertrees import all_spanning_trees, degree_vector, jaeger_trees, well_formed
 from hypertutte.model import (
     ParseError, RibbonGraph, adjacency, connected, emerald, is_emerald, is_int, reach,

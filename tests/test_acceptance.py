@@ -11,15 +11,13 @@ from hypertutte import harness
 from hypertutte.crapo import verify_crapo_partition
 from hypertutte.delta import (
     assignment_from_delta,
-    bases_from_hypertrees,
-    exchange_witness,
     exhaustive_delta_search,
-    names,
     obstruction_check,
     validate_decision_tree,
 )
 from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
 from hypertutte.jaeger import embedding_assignment
+from hypertutte.polymatroid import bases_from_hypertrees, exchange_witness, names
 from hypertutte.model import is_violet
 from hypertutte.tours import enumerate_spanning_trees, tour
 from hypertutte.tutte import series_identity_check, tutte_embedding, tutte_from_order

@@ -16,8 +16,8 @@ from hypertutte.crapo import (
     verify_assignment,
     verify_crapo_partition,
 )
-from hypertutte import crapo, delta, fixture_path
-from hypertutte.delta import BasisActivity, PolymatroidBases
+from hypertutte import crapo, delta, fixture_path, polymatroid
+from hypertutte.polymatroid import BasisActivity, PolymatroidBases
 from hypertutte.hypertrees import enumerate_hypertrees
 from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
 from oracles import (
@@ -428,9 +428,9 @@ def test_attainment_matches_all_pairs_oracle(all_hg, single_edge, fig6_graph):
     other basis on random parts of the boxes of margin 0-2 and those that
     leave centers out, on every fixture, fig6's cycle matroid and
     delta_fig.matroid; both verdicts occur."""
-    polymatroids = [delta.bases_from_hypertrees(g) for g in [*all_hg.values(), single_edge]]
+    polymatroids = [polymatroid.bases_from_hypertrees(g) for g in [*all_hg.values(), single_edge]]
     polymatroids += [graph_matroid(fig6_graph),
-                     delta.load_bases(fixture_path("delta_fig.matroid").read_text())]
+                     polymatroid.load_bases(fixture_path("delta_fig.matroid").read_text())]
     rng = random.Random(0)
     verdicts = set()
     for P in polymatroids:
@@ -444,7 +444,7 @@ def test_attainment_matches_all_pairs_oracle(all_hg, single_edge, fig6_graph):
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs(), st.integers(0, 2 ** 32))
 def test_attainment_matches_all_pairs_oracle_on_random_instances(g, seed):
-    P = delta.bases_from_hypertrees(g)
+    P = polymatroid.bases_from_hypertrees(g)
     for k, part in attainment_cases(P, random.Random(seed), draws=8):
         assert crapo._attains(P, k, part) == attains_against_all(part, k, P.bases)
 

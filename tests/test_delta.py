@@ -5,29 +5,31 @@ import random
 
 import pytest
 
-from hypertutte import delta, fixture_path, harness
+from hypertutte import delta, fixture_path, harness, polymatroid
 from hypertutte.delta import (
-    BasisActivity,
     BasisOutOfRange,
     DecisionTree,
     InvalidDecisionTree,
-    PolymatroidBases,
     SearchSpaceTooLarge,
-    activity_masks,
     assignment_from_delta,
-    assignment_from_orders,
-    bases_from_hypertrees,
-    check_exchange,
     crapo_verify,
-    exchange_witness,
     exhaustive_delta_search,
-    load_bases,
     load_decision_tree,
-    names,
-    nontrivial,
     obstruction_check,
     order_of_basis,
     validate_decision_tree,
+)
+from hypertutte.polymatroid import (
+    BasisActivity,
+    PolymatroidBases,
+    activity_masks,
+    assignment_from_orders,
+    bases_from_hypertrees,
+    check_exchange,
+    exchange_witness,
+    load_bases,
+    names,
+    nontrivial,
 )
 from hypertutte.crapo import verify_assignment
 from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
@@ -129,9 +131,9 @@ def test_exchange_rows_built_once_across_embeddings(monkeypatch):
     no shifted-basis lookup repeats, and the second embedding's Tutte sum
     finds every row of the first memoised."""
     lookups = []
-    lookup = delta._shift
+    lookup = polymatroid._shift
     monkeypatch.setattr(
-        delta, "_shift", lambda b, *moves: lookups.append((b, *moves)) or lookup(b, *moves)
+        polymatroid, "_shift", lambda b, *moves: lookups.append((b, *moves)) or lookup(b, *moves)
     )
     rng = random.Random(6)
     g1, g2 = (perturbed(complete_bipartite(4, 4), rng) for _ in range(2))
@@ -261,7 +263,7 @@ def test_built_polymatroids_are_not_rechecked(fig2, fig6_graph, monkeypatch):
     def refuse(P):
         raise AssertionError("exchange axiom checked")
 
-    monkeypatch.setattr(delta, "check_exchange", refuse)
+    monkeypatch.setattr(polymatroid, "check_exchange", refuse)
     with pytest.raises(AssertionError):
         load_bases(fixture_path("delta_fig.matroid").read_text())
     g = perturbed(fig2, random.Random(5))  # a graph no other test caches
@@ -734,7 +736,7 @@ def test_search_checks_one_element_at_a_time(
 
     with monkeypatch.context() as patched:
         for name in ("activity_masks", "nontrivial"):
-            patched.setattr(delta, name, refuse)
+            patched.setattr(polymatroid, name, refuse)
         found = [exhaustive_delta_search(P, target) for P, target, _ in cases]
     for (P, target, want), tree in zip(cases, found):
         assert (tree and tree_text(tree)) == want

@@ -9,8 +9,8 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import delta, harness, hypertrees, model, tours
-from hypertutte.delta import bases_from_hypertrees, exchange_witness
+from hypertutte import harness, hypertrees, model, polymatroid, tours
+from hypertutte.polymatroid import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
     all_spanning_trees,
     degree_vector,
@@ -305,16 +305,16 @@ def test_exchange_witness_requires_deficit(fig2, fig5, monkeypatch):
     """A witness is asked for only at an element where the first basis
     is below the second: the exchange check keeps that precondition."""
     asked = []
-    witness = delta.exchange_witness
+    witness = polymatroid.exchange_witness
 
     def checked(P, b, b2, e):
         assert b[e] < b2[e], (b, b2, e)
         asked.append(e)
         return witness(P, b, b2, e)
 
-    monkeypatch.setattr(delta, "exchange_witness", checked)
+    monkeypatch.setattr(polymatroid, "exchange_witness", checked)
     for g in (fig2, fig5):
-        delta.check_exchange(bases_from_hypertrees(g))
+        polymatroid.check_exchange(bases_from_hypertrees(g))
     assert asked
 
 
@@ -338,7 +338,7 @@ def graphs_reading(P) -> list:
 def test_cache_dies_with_graph():
     """What is derived from a graph is kept in the graph and freed with
     it, so long searches run in bounded memory.  A polymatroid is shared
-    by every graph with its base set (:func:`delta.bases_from_hypertrees`),
+    by every graph with its base set (:func:`polymatroid.bases_from_hypertrees`),
     so once these graphs die it outlives them only while another live
     graph reads it; otherwise its registry entry is gone too."""
     graphs = [harness.random_instance(seed=seed) for seed in range(50)]
@@ -354,6 +354,6 @@ def test_cache_dies_with_graph():
     assert all(ref() is None for ref in alive)
     for ref, bases in polymatroids:
         if ref() is None:
-            assert bases not in delta._hypergraphic
+            assert bases not in polymatroid._hypergraphic
         else:
-            assert delta._hypergraphic[bases] is ref() and graphs_reading(ref())
+            assert polymatroid._hypergraphic[bases] is ref() and graphs_reading(ref())

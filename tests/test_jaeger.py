@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from hypertutte import harness, hypertrees, load_path, fixture_path, tours
-from hypertutte.delta import activity_masks, assignment_from_orders, bases_from_hypertrees, names
+from hypertutte.polymatroid import activity_masks, assignment_from_orders, bases_from_hypertrees, names
 from hypertutte.hypertrees import (
     all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees,
 )

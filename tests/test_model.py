@@ -410,7 +410,7 @@ def test_library_loads_no_parser():
         "import sys\n"
         "import hypertutte\n"
         "from hypertutte import crapo, delta, harness, hypertrees, jaeger\n"
-        "from hypertutte import polynomial, tours, tutte\n"
+        "from hypertutte import polymatroid, polynomial, tours, tutte\n"
         f"g = hypertutte.RibbonGraph.build(*{k22!r})\n"
         "print(tutte.tutte_embedding(g))\n"
         "print(crapo.verify_crapo_partition(g)['status'])\n"

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from hypertutte import tours
-from hypertutte.delta import bases_from_hypertrees, check_exchange
+from hypertutte.polymatroid import bases_from_hypertrees, check_exchange
 from hypertutte.hypertrees import (
     all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees,
 )

@@ -13,18 +13,21 @@ function of ``crapo`` or ``tutte`` calls itself, only the routines that
 visit points check the box budget, ``crapo._region`` is the one
 membership rule, read by the one Crapo
 decider, the package runs in one process (no module imports ``os``,
-``concurrent.futures`` or ``multiprocessing``), ``delta.BasisActivity``
-is the one activity record, whose bit masks over P's coordinates only
-the CLI commands and ``delta.obstruction_check`` turn back into names
-(``delta.names``), so names appear only at print, ``delta._active`` is
-the one activity rule, to which every fetched row of a basis's exchange
-table goes, a table only ``PolymatroidBases.exchanges`` builds from
-shifted bases, a hypergraphic polymatroid is built only through the
-registry behind ``delta.bases_from_hypertrees``, one per base set, an
-import inside a function is one that would close a cycle at the top of
-the module, a module loads only a pinned set of standard modules (so
-PyYAML and ``pathlib`` wait for the function that needs them), and
-nothing in the package imports the test oracles."""
+``concurrent.futures`` or ``multiprocessing``),
+``polymatroid.BasisActivity`` is the one activity record, whose bit
+masks over P's coordinates only the CLI commands and
+``delta.obstruction_check`` turn back into names
+(``polymatroid.names``), so names appear only at print,
+``polymatroid.active`` is the one activity rule, to which every fetched
+row of a basis's exchange table goes, a table only
+``PolymatroidBases.exchanges`` builds from shifted bases, a hypergraphic
+polymatroid is built only through the registry behind
+``polymatroid.bases_from_hypertrees``, one per base set, no package
+import runs inside a function, only ``cli`` imports ``delta`` and
+``polymatroid`` imports none of the modules above it, a module loads
+only a pinned set of standard modules (so PyYAML and ``pathlib`` wait
+for the function that needs them), and nothing in the package imports
+the test oracles."""
 
 import ast
 import builtins
@@ -367,6 +370,15 @@ def deferred_imports(sources: dict) -> tuple:
     return sorted(cyclic), sorted(needless)
 
 
+def package_imports(sources: dict) -> dict:
+    """The package modules each module of ``sources`` ({module name:
+    source}) imports, at its top or inside a function or class, as
+    {module: set of imported modules}."""
+    return {module: {target for node, _ in _scoped_imports(ast.parse(source))
+                     for target in _package_imports(node, sources)}
+            for module, source in sources.items()}
+
+
 def imported_names(source: str) -> set:
     """The first component of every module an import names, and every
     name a relative ``from . import`` takes."""
@@ -484,34 +496,35 @@ def test_one_process():
 
 
 def test_one_activity_record():
-    """``delta.BasisActivity`` is the only record class holding internal
-    and external activity sets."""
+    """``polymatroid.BasisActivity`` is the only record class holding
+    internal and external activity sets."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert activity_records(sources) == ["delta.BasisActivity"]
+    assert activity_records(sources) == ["polymatroid.BasisActivity"]
 
 
 def test_one_activity_rule():
-    """``delta._active`` is the one activity rule: it alone ANDs a row of
-    a basis's exchange table, for every row a caller fetches goes to it
-    and nowhere else, the exchange check among them, and only
-    ``PolymatroidBases.exchanges``, which builds that table, looks up a
-    shifted basis."""
+    """``polymatroid.active`` is the one activity rule: it alone ANDs a
+    row of a basis's exchange table, for every row a caller fetches goes
+    to it and nowhere else, the exchange check and the Delta search among
+    them, and only ``PolymatroidBases.exchanges``, which builds that
+    table, looks up a shifted basis."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert readers(sources, "exchanges") != []
-    assert rows_not_handed_to(sources, "_active") == []
-    assert callers(sources, "_shift") == ["delta.exchanges"]
+    assert rows_not_handed_to(sources, "active") == []
+    assert callers(sources, "_shift") == ["polymatroid.exchanges"]
 
 
 def test_one_polymatroid_per_base_set():
-    """Only ``delta.load_bases`` and the registry of hypergraphic
-    polymatroids behind ``delta.bases_from_hypertrees`` build a
+    """Only ``polymatroid.load_bases`` and the registry of hypergraphic
+    polymatroids behind ``polymatroid.bases_from_hypertrees`` build a
     ``PolymatroidBases``, so no caller bypasses the registry and builds
     a second polymatroid, with its own exchange rows, for a hypertree set."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "PolymatroidBases") == [
-        "delta._hypergraphic_polymatroid", "delta.load_bases"]
-    for name, where in [("_hypergraphic_polymatroid", ["delta.bases_from_hypertrees"]),
-                        ("_hypergraphic", ["delta", "delta._hypergraphic_polymatroid"])]:
+        "polymatroid._hypergraphic_polymatroid", "polymatroid.load_bases"]
+    for name, where in [("_hypergraphic_polymatroid", ["polymatroid.bases_from_hypertrees"]),
+                        ("_hypergraphic", ["polymatroid",
+                                           "polymatroid._hypergraphic_polymatroid"])]:
         named = _places(sources, lambda node: isinstance(node, ast.Name) and node.id == name)
         assert named == where
 
@@ -519,17 +532,29 @@ def test_one_polymatroid_per_base_set():
 def test_names_only_at_print():
     """Activity records stay bit masks through every layer: only the CLI
     commands that print a record and ``delta.obstruction_check``, whose
-    answer the CLI prints, call ``delta.names``."""
+    answer the CLI prints, call ``polymatroid.names``."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "names") == [
         "cli._cmd_delta", "cli._cmd_jaeger", "delta.obstruction_check"]
 
 
 def test_function_level_imports_only_break_cycles():
-    """An import inside a function is allowed only where the same import
-    at the top of the module would make a cycle."""
+    """No package import runs inside a function: the modules import each
+    other at the top without a cycle, so none needs breaking there."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert deferred_imports(sources)[1] == []
+    assert deferred_imports(sources) == ([], [])
+
+
+def test_layering():
+    """``delta``, the decision-tree framework, sits above the library:
+    within the package only ``cli`` imports it.  ``polymatroid`` sits
+    beneath the layers that read it: it imports none of ``jaeger``,
+    ``crapo``, ``tutte``, ``delta``, ``harness`` or ``cli``."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    imports = package_imports(sources)
+    assert sorted(module for module, targets in imports.items() if "delta" in targets) == ["cli"]
+    above = {"jaeger", "crapo", "tutte", "delta", "harness", "cli"}
+    assert sorted(imports["polymatroid"] & above) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -737,28 +762,28 @@ def test_checks_catch_violations():
     }
     assert callers(decoding, "names") == ["cli._cmd_jaeger", "crapo.intervals"]
     exchanging = {
-        "delta": (
+        "polymatroid": (
             "class PolymatroidBases:\n"
             "    def exchanges(self, b):\n"
             "        return [_shift(b, 0, 1) in self.bases]\n"
             "def exchange_witness(P, b, e):\n    return _shift(b, e, 0)\n"
-            "def _active(row, i, others):\n    down, up = row\n    return down[i] & others\n"
-            "def activity_masks(P, b):\n    row = P.exchanges(b)\n    return _active(row, 0, 1)\n"
-            "def exchange_free(P, b):\n    return _active(P.exchanges(b), 0, 1)\n"
+            "def active(row, i, others):\n    down, up = row\n    return down[i] & others\n"
+            "def activity_masks(P, b):\n    row = P.exchanges(b)\n    return active(row, 0, 1)\n"
+            "def exchange_free(P, b):\n    return active(P.exchanges(b), 0, 1)\n"
         ),
         "tutte": (
             "def tutte_sum(P, h, i):\n"
             "    down, up = P.exchanges(h)\n"
             "    return down[i], _shift(h, i, 0) in P.bases\n"
-            "def inline(P, h, i):\n    row = P.exchanges(h)\n    return _active(row, i, row[0][i])\n"
+            "def inline(P, h, i):\n    row = P.exchanges(h)\n    return active(row, i, row[0][i])\n"
             "def fetcher(P):\n    return P.exchanges\n"
             "def lazy(P, h):\n    return [P.exchanges(h)]\n"
         ),
     }
-    assert rows_not_handed_to(exchanging, "_active") == [
+    assert rows_not_handed_to(exchanging, "active") == [
         "tutte.fetcher", "tutte.inline", "tutte.lazy", "tutte.tutte_sum"]
     assert callers(exchanging, "_shift") == [
-        "delta.exchange_witness", "delta.exchanges", "tutte.tutte_sum"]
+        "polymatroid.exchange_witness", "polymatroid.exchanges", "tutte.tutte_sum"]
     deferring = {
         "__init__": "from .model import load\n",
         "model": "import yaml\n",
@@ -775,6 +800,9 @@ def test_checks_catch_violations():
     }
     assert deferred_imports(deferring) == (
         ["delta -> jaeger"], ["delta -> __init__", "delta -> model", "delta -> tours"])
+    assert package_imports(deferring) == {
+        "__init__": {"model"}, "model": set(), "tours": {"model"}, "jaeger": {"tours", "delta"},
+        "delta": {"jaeger", "tours", "__init__", "model"}, "cli": {"tours", "delta"}}
     assert sorted(filter(_test_code, imported_names(
         "import tests.oracles\n"
         "from oracles import is_jaeger\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from hypertutte import crapo, tutte
 from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget
-from hypertutte.delta import bases_from_hypertrees
+from hypertutte.polymatroid import bases_from_hypertrees
 from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.tutte import (
@@ -45,7 +45,7 @@ def test_embedding_polynomial_single_edge(single_edge):
 def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
     """An order that misses, repeats or adds an element is refused, by the
     fixed-order sum and by explicit per-basis orders alike."""
-    from hypertutte.delta import assignment_from_orders
+    from hypertutte.polymatroid import assignment_from_orders
 
     bad = [("e0",), ("e0", "e0", "e1", "e2"), ("e0", "e1", "e2", "e3", "e3"),
            ("e0", "e1", "e2", "e9"), ()]
@@ -63,7 +63,7 @@ def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
 def test_embedding_order_is_a_fixed_order_per_tree(fig5):
     """The embedding activities of h are the MIN-rule activities of h
     under one fixed order of all bases, the order <_h of its tour."""
-    from hypertutte.delta import assignment_from_orders, bases_from_hypertrees
+    from hypertutte.polymatroid import assignment_from_orders, bases_from_hypertrees
     from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
     from hypertutte.jaeger import embedding_activities
 
