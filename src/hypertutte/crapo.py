@@ -30,7 +30,7 @@ This module holds the package's box rules: box_around is the one box
 rule, box_size the one empty-side check, check_budget the one budget
 check, run only where points are visited (the lister, and
 tutte.corank_nullity, the one walk of lattice points, on its table's
-cells and on the hypertrees' bounding box), and _region the one rule
+cells and on the prefixes its walk pops), and _region the one rule
 for an interval's part of a box.  The point-by-point distances and
 interval membership that the tests check the lister and the
 corank-nullity table against, and the attainment test against every

@@ -16,27 +16,28 @@ Manhattan distances (d1>, d1<) over lattice points, which equals the
 substituted embedding polynomial as a formal power series, in
 series_window's format: a window dict {(i, j): count}.  Its box
 rule and budget are crapo's (box_around, check_budget).  It is the
-package's one walk of lattice points: it walks only the hypertrees'
-bounding box, with one deficit per hypertree (all share one coordinate
-sum, so the deficits give both distances), and every window point
-outside it is counted in closed form from the box point it clamps to.
-It reads only the hypertree set, no activities, so the series identity
-stays an independent check.  The classical graph layer that compares the
-polynomial of a graph's bipartite model with the classical Tutte
-polynomial, and the specializations T(x, 1) and T(1, y), are test
-oracles in ``tests/oracles.py``.
+package's one walk of lattice points: it walks only the prefixes of the
+hypertrees' bounding box that can reach the window, and counts every
+window point outside the box in closed form from the box point it
+clamps to; it and series_window read one table of spread coefficients
+(_spread).  It reads only the hypertree set, no activities, so the
+series identity stays an independent check.  The classical graph layer
+that compares the polynomial of a graph's bipartite model with the
+classical Tutte polynomial, and the specializations T(x, 1) and
+T(1, y), are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import comb
+from operator import add
 
 from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
 from .hypertrees import cached, enumerate_hypertrees, jaeger_trees
 from .polymatroid import activity_masks, bases_from_hypertrees, check_order
-from .crapo import box_around, box_size, check_budget
+from .crapo import box_around, check_budget
 
 
 def tutte_sum(g: RibbonGraph, orders) -> Poly:
@@ -72,87 +73,104 @@ def tutte_from_order(g: RibbonGraph, order) -> Poly:
 
 def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:
     """Exact truncated corank-nullity table, ``{(i, j): #{c : d1>(H, c) =
-    i, d1<(H, c) = j}}`` for i <= imax and j <= jmax: the hypertrees'
-    bounding box is walked, and the rest of the window is counted in
-    closed form.
+    i, d1<(H, c) = j}}`` for i <= imax and j <= jmax: the points of the
+    hypertrees' bounding box [m, M] that reach the window are walked, and
+    the rest of the window is counted in closed form.  The table's cells
+    are held to the budget first, then the prefixes the walk pops.
 
-    Any c with d1> <= imax and d1< <= jmax satisfies, coordinatewise,
-    m(e) - imax <= c(e) <= M(e) + jmax, where [m, M] is the hypertrees'
-    bounding box.  The table's own cells are checked against the box
-    budget first, then [m, M].  Clamping c
-    into [m, M] brings it equally closer to every hypertree h: the total
-    excess and deficit of c against h are those of p = clamp(c) plus
-    (sum (c(e) - M(e))+, sum (m(e) - c(e))+), so both least distances
-    shift by that same offset.  Only [m, M] is walked, and each of
-    its points p at (d1>, d1<) = (i0, j0) stands for the window points
-    that leave it outward: t >= 0 more d1< on each coordinate with p(e) =
-    M(e) > m(e) (up), t >= 0 more d1> on each with p(e) = m(e) < M(e)
-    (down), and either, not both, on each with m(e) = M(e) (fixed),
-    whose series 1/(1-u) + 1/(1-v) - 1 counts s of them going up by at
-    least one and the rest down.  t units spread over a coordinates in
-    :func:`_series_coeff` (a, t) ways.  The points are grouped by (i0,
+    Clamping a lattice point c into [m, M] brings it equally closer to
+    every hypertree h: the total excess and deficit of c against h are
+    those of p = clamp(c) plus (sum (c(e) - M(e))+, sum (m(e) - c(e))+),
+    so both least distances shift by that same offset.  So each box point
+    p at (d1>, d1<) = (i0, j0) stands for the window points that leave it
+    outward: t >= 0 more d1< on each coordinate with p(e) = M(e) > m(e)
+    (up), t >= 0 more d1> on each with p(e) = m(e) < M(e) (down), and
+    either, not both, on each with m(e) = M(e) (fixed), whose series is
+    1/(1-u) + 1/(1-v) - 1 = (1 - uv)/((1-u)(1-v)).  t units spread over
+    a coordinates in C(t + a - 1, a - 1) ways (:func:`_spread`), so p
+    counts as u^i0 v^j0 (1 - uv)^#fixed times the spreads over #down +
+    #fixed and #up + #fixed coordinates.  The points are grouped by (i0,
     j0, #down, #up) before they are expanded into the window.
 
     The walk is depth first on an explicit stack of prefixes, each with
     one deficit per hypertree h, sum (h(e) - c(e))+ over the coordinates
-    set so far, its coordinate sum and its counts of coordinates at the
-    box's low and high ends.  At a full point c, d1> = min(deficits), and
-    d1< = d1> + sum(c) - r: every hypertree sums to r = #violet - 1, so
-    d1<(c, h) - d1>(c, h) = sum(c) - r is the same for every h.
+    set so far, and their least (each value of a coordinate below its high
+    end adds one precomputed tuple; at the high end no deficit grows, and
+    the prefix shares its parent's list), the least coordinate sum of its
+    points (its sum plus the low ends of the coordinates not yet set) and
+    its counts of coordinates at the box's low and high ends.  At a full
+    point c, d1> = min(deficits), and d1< = d1> + sum(c) - r: every
+    hypertree sums to r = #violet - 1, so d1<(c, h) - d1>(c, h) = sum(c) -
+    r is the same for every h.  The deficits only grow along a prefix, and
+    a point feeds only cells at or beyond its own (i0, j0), so a prefix is
+    dropped with all its points once min(deficits) > imax or min(deficits)
+    plus its least sum, less r, exceeds jmax.
     """
     if imax < 0 or jmax < 0:
         raise ValueError("bounds must be non-negative")
-    check_budget((imax + 1) * (jmax + 1))  # the table's cells
+    check_budget((imax + 1) * (jmax + 1), "window")  # the table's cells
     hs = enumerate_hypertrees(g)
     core = box_around(hs, 0, 0)
-    check_budget(box_size(core))  # the points walked
+    last = len(core)
     fixed = sum(lo == hi for lo, hi in core)
+    steps = [[(v - lo, tuple(t - v if t > v else 0 for t in column) if v < hi else None,
+               v == lo < hi, v == hi > lo)
+              for v in range(lo, hi + 1)] for (lo, hi), column in zip(core, zip(*hs))]
     rank = g.violet_count - 1
-    columns = list(zip(*hs))
+    reach = jmax + rank
     groups = Counter()
-    stack = [(0, [0] * len(hs), 0, 0, 0)]  # (coordinates set, deficits, sum, #down, #up)
+    # (coordinates set, deficits, their least, least sum of its points, #down, #up)
+    stack = [(0, [0] * len(hs), 0, sum(lo for lo, _ in core), 0, 0)]
+    popped = 0
     while stack:
-        i, deficits, total, down, up = stack.pop()
-        if i == len(core):
-            greater = min(deficits)
-            less = greater + total - rank
-            if greater <= imax and less <= jmax:
-                groups[greater, less, down, up] += 1
+        i, deficits, greater, total, down, up = stack.pop()
+        popped += 1
+        if not popped & 4095:
+            check_budget(popped, "walk")
+        if greater > imax or greater + total > reach:
             continue
-        lo, hi = core[i]
-        column = columns[i]
-        for v in range(lo, hi + 1):
-            stack.append((i + 1, [d + t - v if t > v else d for d, t in zip(deficits, column)],
-                          total + v, down + (v == lo < hi), up + (v == hi > lo)))
+        if i == last:
+            groups[greater, greater + total - rank, down, up] += 1
+            continue
+        for rise, step, low, high in steps[i]:
+            if step:  # below the high end: some deficit grows
+                child = list(map(add, deficits, step))
+                stack.append((i + 1, child, min(child), total + rise, down + low, up + high))
+            else:
+                stack.append((i + 1, deficits, greater, total + rise, down + low, up + high))
+    spread = _spread(max(imax, jmax), {a + fixed for _, _, down, up in groups for a in (down, up)})
     counts = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
     for (i0, j0, down, up), n in groups.items():
-        for s in range(fixed + 1):  # the fixed coordinates that go up
-            ways = n * comb(fixed, s)
-            for i in range(i0, imax + 1):
-                below = ways * _series_coeff(down + fixed - s, i - i0)
-                for j in range(j0 + s, jmax + 1):
-                    counts[i, j] += below * _series_coeff(up + s, j - j0 - s)
+        left, right = spread[down + fixed], spread[up + fixed]
+        for k in range(min(fixed, imax - i0, jmax - j0) + 1):  # the term (-uv)^k
+            ways = (-1) ** k * n * comb(fixed, k)
+            for i in range(i0 + k, imax + 1):
+                below = ways * left[i - i0 - k]
+                for j in range(j0 + k, jmax + 1):
+                    counts[i, j] += below * right[j - j0 - k]
     return counts
 
 
-def _series_coeff(a: int, i: int) -> int:
-    """Coefficient of u^i in (1/(1-u))^a = sum_i C(a+i-1, a-1) u^i: the
-    number of ways to spread i units over a coordinates."""
-    if a == 0:
-        return 1 if i == 0 else 0
-    return comb(a + i - 1, a - 1)
+def _spread(most: int, rows) -> dict:
+    """``{a: [C(t + a - 1, a - 1) for t <= most]}`` for each a of ``rows``:
+    the ways to spread t units over a coordinates, the coefficient of
+    u^t in (1/(1-u))^a."""
+    return {a: [comb(t + a - 1, a - 1) for t in range(most + 1)] if a else [1] + [0] * most
+            for a in rows}
 
 
 def series_window(p: Poly, imax: int, jmax: int) -> dict:
     """Coefficients of p(1/(1-u), 1/(1-v)) for u^i v^j in the window."""
+    spread = _spread(max(imax, jmax), {a for term in p.terms for a in term})
     window = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
     for (a, b), c in p.terms.items():
+        left, right = spread[a], spread[b]
         for i in range(imax + 1):
-            ca = _series_coeff(a, i)
+            ca = c * left[i]
             if not ca:
                 continue
             for j in range(jmax + 1):
-                window[(i, j)] += c * ca * _series_coeff(b, j)
+                window[(i, j)] += ca * right[j]
     return window
 
 

@@ -42,7 +42,7 @@ MODULES = sorted(SRC.glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 ENTRY_POINTS = ("cli", "__init__")  # the commands and the package's public names
 POOLING = {"os", "concurrent", "multiprocessing"}  # modules that start other processes
-STARTUP = {"collections", "itertools", "math", "random", "weakref"}  # what a library module loads
+STARTUP = {"collections", "itertools", "math", "operator", "random", "weakref"}  # what a library module loads
 STARTUP_EXTRA = {"cli": {"argparse", "json", "sys"}, "__main__": {"sys"}}
 
 
@@ -471,9 +471,10 @@ def test_one_sweep():
 def test_budget_only_where_points_are_visited():
     """``crapo.check_budget`` runs only in the Crapo lister on the leaves
     it is about to list, and in the corank-nullity walk on the table's
-    cells and the hypertrees' bounding box: a box the lister passes
-    leaves no leaf to list, so it is held to the budget for 0 points
-    whatever its size."""
+    cells and on the prefixes the walk pops, as it pops them: a box the
+    lister passes leaves no leaf to list, and a bounding box whose
+    prefixes cannot reach the window is not walked, so each is held to
+    the budget for the points visited, whatever its size."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "check_budget") == ["crapo._violations", "tutte.corank_nullity"]
     named = _places(sources, lambda node: isinstance(node, ast.Name) and node.id == "_BOX_BUDGET")
@@ -560,7 +561,8 @@ def test_layering():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_startup_imports(path):
     """Loading a module loads only ``collections``, ``itertools``,
-    ``math``, ``random`` and ``weakref`` from outside the package, and
+    ``math``, ``operator`` (which ``collections`` loads anyway), ``random``
+    and ``weakref`` from outside the package, and
     ``argparse``, ``json`` and ``sys`` for the CLI: a heavier import
     (PyYAML, ``pathlib``, ``dataclasses``) goes inside the function
     that needs it, so start-up stays cheap."""

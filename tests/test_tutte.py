@@ -159,8 +159,10 @@ def test_corank_nullity_matches_brute_force(fig1, fig2):
 @given(ribbon_graphs())
 def test_corank_nullity_matches_brute_force_on_random_instances(g):
     """Windows with one bound 0 put every tail on one side; the others
-    spread tails both ways."""
-    for imax, jmax in ((0, 0), (0, 3), (3, 0), (2, 2), (4, 1)):
+    spread tails both ways, and (n, n), n = #emerald, is the window that
+    determines T."""
+    n = g.emerald_count
+    for imax, jmax in ((0, 0), (0, 3), (3, 0), (2, 2), (4, 1), (n, n)):
         counts = brute_force_counts(g, imax, jmax)
         assert corank_nullity(g, imax, jmax) == {
             (i, j): counts[i, j] for i in range(imax + 1) for j in range(jmax + 1)
@@ -208,13 +210,18 @@ def test_corank_nullity_matches_brute_force_with_a_fixed_coordinate():
 
 
 def test_tail_count_is_the_number_of_compositions():
-    """C(t + a - 1, a - 1), the count of window points t units out over a
-    coordinates and the series coefficient of (1/(1-u))^a, against the
-    compositions of t into a non-negative parts listed one by one."""
+    """The spread table's C(t + a - 1, a - 1), the count of window points
+    t units out over a coordinates and the series coefficient of
+    (1/(1-u))^a, against the compositions of t into a non-negative parts
+    listed one by one; it holds a row for each a asked for, and no other."""
+    spread = tutte._spread(6, [4, 0, 2, 1, 3])
+    assert sorted(spread) == [0, 1, 2, 3, 4]
     for a in range(5):
+        assert len(spread[a]) == 7
         for t in range(7):
             listed = sum(sum(parts) == t for parts in itertools.product(range(t + 1), repeat=a))
-            assert tutte._series_coeff(a, t) == listed
+            assert spread[a][t] == listed
+    assert sorted(tutte._spread(6, {5})) == [5]
 
 
 def budget_spy(monkeypatch) -> list:
@@ -230,14 +237,16 @@ def budget_spy(monkeypatch) -> list:
 
 
 def test_corank_nullity_sweeps_the_hypertree_bounding_box(fig1, monkeypatch):
-    """The walk covers only the hypertrees' bounding box: for fig1's (3, 3)
-    window of 32,768 points, the table's 16 cells and then its 32 points
-    are budgeted."""
+    """The walk covers at most the hypertrees' bounding box, and is
+    budgeted by the prefixes it pops, every 4,096 of them: for fig1's
+    (3, 3) window of 32,768 points, whose bounding box holds 32, the
+    table's 16 cells are the only count budgeted."""
     hs = enumerate_hypertrees(fig1)
     asked = budget_spy(monkeypatch)
     corank_nullity(fig1, 3, 3)
     assert box_size(box_around(hs, 3, 3)) == 32_768
-    assert asked == [16, box_size(box_around(hs, 0, 0))] == [16, 32]
+    assert box_size(box_around(hs, 0, 0)) == 32
+    assert asked == [16]
 
 
 def test_corank_nullity_bad_bounds(fig2, monkeypatch):
@@ -256,9 +265,33 @@ def test_corank_nullity_bad_bounds(fig2, monkeypatch):
     assert series_identity_check(fig2, 40, 40)["status"] == "PASS"
     asked = budget_spy(monkeypatch)
     monkeypatch.setattr(tutte, "enumerate_hypertrees", None)  # a listing would raise TypeError
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="^window of 4004001 points exceeds budget$"):
         corank_nullity(fig2, 2000, 2000)
     assert asked == [2001 * 2001]
+
+
+def k3_14():
+    """Seeded K3,14: 105 hypertrees, whose bounding box of 3^14 points
+    is over the budget."""
+    return perturbed(complete_bipartite(3, 14), random.Random(314))
+
+
+def test_series_identity_walks_only_the_window():
+    """K3,14's bounding box holds 4,782,969 points, over the budget, but
+    the walk pops only the prefixes that can reach the (3, 3) window."""
+    g = k3_14()
+    assert box_size(box_around(enumerate_hypertrees(g), 0, 0)) == 3 ** 14 > crapo._BOX_BUDGET
+    assert series_identity_check(g, 3, 3)["status"] == "PASS"
+
+
+def test_corank_nullity_budget_holds_the_walk(monkeypatch):
+    """The walk itself is held to the budget: with the budget one under
+    4,096, the pop count at the walk's first check, the table's 16 cells
+    pass and K3,14's (3, 3) walk is refused at that check."""
+    g = k3_14()
+    monkeypatch.setattr(crapo, "_BOX_BUDGET", 4095)
+    with pytest.raises(BudgetExceeded, match="^walk of 4096 points exceeds budget$"):
+        corank_nullity(g, 3, 3)
 
 
 def test_corank_nullity_walks_a_long_star(long_star):
@@ -266,17 +299,20 @@ def test_corank_nullity_walks_a_long_star(long_star):
     limit.  The only hypertree is 0, so c counts at (i, j) when its
     negative entries sum to -i over some a coordinates and its positive
     ones to j over b others: C(n, a) C(n - a, b) choices of coordinates
-    times the compositions of i into a parts and of j into b."""
+    times the compositions of i into a parts and of j into b.  Every
+    coordinate is fixed, and the lopsided windows reach far along one
+    side only."""
     n = long_star.emerald_count
 
     def compositions(t, parts):
         return comb(t - 1, parts - 1) if parts else int(t == 0)
 
-    assert corank_nullity(long_star, 3, 3) == {
-        (i, j): sum(comb(n, a) * comb(n - a, b) * compositions(i, a) * compositions(j, b)
-                    for a in range(i + 1) for b in range(j + 1))
-        for i in range(4) for j in range(4)
-    }
+    for imax, jmax in ((3, 3), (0, 40), (40, 0)):
+        assert corank_nullity(long_star, imax, jmax) == {
+            (i, j): sum(comb(n, a) * comb(n - a, b) * compositions(i, a) * compositions(j, b)
+                        for a in range(i + 1) for b in range(j + 1))
+            for i in range(imax + 1) for j in range(jmax + 1)
+        }
 
 
 def test_series_identity_fig2(fig2):
