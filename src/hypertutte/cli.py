@@ -3,6 +3,8 @@
 Subcommands: tutte, hypertrees, jaeger, tour, crapo, delta, conjecture,
 fixtures.  Exit codes: 0 success or PASS, 1 verification failure (or a
 conjecture counterexample under --strict), 2 usage or input errors.
+Every usage or input error is a ValueError or OSError (naming the file
+it is about, :func:`_load`) that :func:`main` alone reports, exit 2.
 All output is deterministic; randomized commands take an explicit
 --seed and default to a fixed constant.
 """
@@ -19,24 +21,16 @@ from .model import emerald, load
 from . import tours, hypertrees, polymatroid, jaeger, tutte, crapo, delta, harness
 
 
-def _read(path) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
-
-
 def _load(path, parse=load, noun="instance"):
     try:
-        return parse(_read(path))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
     except ValueError as exc:
-        raise SystemExit(_usage_error(f"invalid {noun} {path}: {exc}"))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+        raise ValueError(f"invalid {noun} {path}: {exc}") from None
 
 
 def _pair(flag: str, text: str) -> tuple:
@@ -62,6 +56,8 @@ def _print_poly(poly) -> None:
 
 
 def _cmd_tutte(args) -> int:
+    if args.order is not None and args.method != "fixed":
+        raise ValueError("--order needs --method fixed")
     g = _load(args.instance)
     if args.method == "embedding":
         _print_poly(tutte.tutte_embedding(g))
@@ -110,12 +106,12 @@ def _cmd_tour(args) -> int:
     try:
         ids = [int(k) for k in args.tree.split(",")]
     except ValueError:
-        return _usage_error("--tree must be comma-separated edge indices")
+        raise ValueError("--tree must be comma-separated edge indices") from None
     tree = frozenset(ids)
     if len(tree) != len(ids):
-        return _usage_error("--tree repeats an edge index")
+        raise ValueError("--tree repeats an edge index")
     if not tours.is_spanning_tree(g, tree):
-        return _usage_error("--tree is not a spanning tree of the instance")
+        raise ValueError("--tree is not a spanning tree of the instance")
     if args.dot:
         print("graph tour {")
         for k, (v, e) in enumerate(g.edges):
@@ -152,8 +148,8 @@ def _cmd_crapo(args) -> int:
 def _cmd_delta(args) -> int:
     if args.action == "check":
         P = _load(args.bases, polymatroid.load_bases, "bases")
-        dtree = _load(args.tree, delta.load_decision_tree, "decision tree")
-        delta.validate_decision_tree(dtree, P)
+        dtree = _load(args.tree, lambda text: delta.validate_decision_tree(
+            delta.load_decision_tree(text), P), "decision tree")
         assignment = delta.assignment_from_delta(dtree, P)
         for b, rec in assignment.items():
             nontrivial = rec.nontrivial_internal | rec.nontrivial_external
@@ -176,9 +172,9 @@ def _cmd_delta(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     if args.trials < 0:
-        return _usage_error(f"--trials must be at least 0, not {args.trials}")
+        raise ValueError(f"--trials must be at least 0, not {args.trials}")
     if not args.instances and not args.trials:
-        return _usage_error("nothing to check: give instance files or --trials of at least 1")
+        raise ValueError("nothing to check: give instance files or --trials of at least 1")
     reports = []
     for path in args.instances:
         report = harness.test_violet_prime(_load(path))
@@ -201,11 +197,9 @@ def _cmd_fixtures(args) -> int:
         for name in fixture_names():
             print(name)
         return 0
-    try:
-        path = fixture_path(args.name)
-    except FileNotFoundError as exc:
-        return _usage_error(str(exc))
-    sys.stdout.write(path.read_text(encoding="utf-8"))
+    if not args.name:
+        raise ValueError("fixtures emit requires a name")
+    sys.stdout.write(fixture_path(args.name).read_text(encoding="utf-8"))
     return 0
 
 
@@ -282,14 +276,11 @@ def main(argv=None) -> int:
         args.instances += extra  # instance files may also follow the options
     elif extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "fixtures" and args.action == "emit" and not args.name:
-        return _usage_error("fixtures emit requires a name")
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

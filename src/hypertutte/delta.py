@@ -70,9 +70,9 @@ def load_decision_tree(text: str) -> DecisionTree:
     return DecisionTree.from_dict(yaml_mapping(text, ("label",)))
 
 
-def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
-    """Every branch lists every ground element exactly once; every
-    non-final node has r(label)+1 children."""
+def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases) -> DecisionTree:
+    """The tree, once every branch lists every ground element exactly
+    once and every non-final node has r(label)+1 children."""
     full = (1 << len(P.ground)) - 1
 
     def visit(node, seen):
@@ -95,6 +95,7 @@ def validate_decision_tree(tree: DecisionTree, P: PolymatroidBases):
             visit(child, seen)
 
     visit(tree, 0)
+    return tree
 
 
 def order_of_basis(tree: DecisionTree, P: PolymatroidBases, b) -> tuple:

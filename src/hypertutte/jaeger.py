@@ -12,16 +12,17 @@ orders come from one search per graph and variant
 hypertree's exchange table, built once per hypertree whatever the number
 of orders, and once for all the live embeddings of a hypergraph.  Names
 appear only where the CLI prints a record.  :func:`embedding_assignment`
-reads every hypertree's order off the emerald table at once; only
-:func:`embedding_activities`, which answers one vector, checks that it
-is a hypertree first and raises :class:`NotAHypertree` otherwise.
+builds every record once per graph and shares it, so no caller may
+mutate it; :func:`embedding_activities` looks one vector up there, and
+only it checks that the vector is a hypertree first, raising
+:class:`NotAHypertree` otherwise.
 """
 
 from __future__ import annotations
 
 from .model import RibbonGraph
-from .hypertrees import jaeger_trees, well_formed
-from .polymatroid import BasisActivity, activity_masks, assignment_from_orders, bases_from_hypertrees
+from .hypertrees import cached, jaeger_trees, well_formed
+from .polymatroid import BasisActivity, assignment_from_orders, bases_from_hypertrees
 
 
 class NotAHypertree(ValueError):
@@ -33,15 +34,16 @@ def embedding_activities(g: RibbonGraph, h) -> BasisActivity:
     h is looked up: (0.0, 2) and (False, 2) equal and hash like (0, 2)
     but are no hypertrees."""
     h = tuple(h)
-    found = jaeger_trees(g)
-    if not well_formed(g, h) or h not in found:
+    assignment = embedding_assignment(g)[1]
+    if not well_formed(g, h) or h not in assignment:
         raise NotAHypertree(f"{h} is not a hypertree")
-    P = bases_from_hypertrees(g)
-    return BasisActivity.of(P, h, *activity_masks(P, h, found[h][1]))
+    return assignment[h]
 
 
 def embedding_assignment(g: RibbonGraph):
     """The hypergraphic polymatroid of g and the embedding activities of
-    every hypertree, as :mod:`polymatroid` activity assignments."""
+    every hypertree, as :mod:`polymatroid` activity assignments: built
+    once per graph (:func:`hypertrees.cached`) and shared, never mutated."""
     P = bases_from_hypertrees(g)
-    return P, assignment_from_orders(P, {h: found[1] for h, found in jaeger_trees(g).items()})
+    return P, cached(g, "embedding assignment", lambda g: assignment_from_orders(
+        P, {h: found[1] for h, found in jaeger_trees(g).items()}))

@@ -17,6 +17,8 @@ from hypertutte.cli import main
 FIG1 = str(fixture_path("fig1.hg"))
 FIG2 = str(fixture_path("fig2.hg"))
 FIG5 = str(fixture_path("fig5.hg"))
+TREE = str(fixture_path("delta_fig.tree"))
+BASES = str(fixture_path("delta_fig.matroid"))
 
 FIG2_POLY = (
     "x^4 + 4x^3y - x^3 + 6x^2y^2 - 3x^2y + 4xy^3 - 4xy^2"
@@ -66,6 +68,17 @@ def test_tutte_fixed_order_rejects_empty_order(capsys):
     assert code == 2
     assert out == ""
     assert "must list every element" in err
+
+
+@pytest.mark.parametrize("method", [(), ("--method", "embedding"),
+                                    ("--method", "corank-nullity")],
+                         ids=["default", "embedding", "corank-nullity"])
+def test_tutte_order_needs_fixed_method(capsys, method):
+    """``--order`` is read only by ``--method fixed``: with any other
+    method, the default included, it is refused, not ignored."""
+    code, out, err = run(capsys, "tutte", *method, "--order", "e1,e0", FIG1)
+    assert (code, out) == (2, "")
+    assert err == "error: --order needs --method fixed\n"
 
 
 def test_tutte_corank_nullity_long_star(tmp_path, long_star):
@@ -173,10 +186,25 @@ def test_integer_pair_flags_name_the_flag(capsys, args):
     assert f"{args[-2]} must be two comma-separated integers" in err
 
 
-def test_missing_file_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["tutte", "/nonexistent.hg"])
-    assert info.value.code == 2
+@pytest.mark.parametrize("argv", [
+    ("tutte", "MISSING"),
+    ("hypertrees", "MISSING"),
+    ("jaeger", "MISSING"),
+    ("tour", "--tree", "0", "MISSING"),
+    ("crapo", "verify", "MISSING"),
+    ("delta", "check", "--tree", TREE, "--bases", "MISSING"),
+    ("delta", "check", "--tree", "MISSING", "--bases", BASES),
+    ("delta", "obstruct", "MISSING"),
+    ("conjecture", "violet-prime", "MISSING"),
+], ids=["tutte", "hypertrees", "jaeger", "tour", "crapo-verify", "delta-check-bases",
+        "delta-check-tree", "delta-obstruct", "conjecture"])
+def test_missing_file_is_usage_error(capsys, tmp_path, argv):
+    """Every subcommand that reads a file exits 2 on a missing one, prints
+    nothing to stdout and names the file."""
+    missing = str(tmp_path / "missing.hg")
+    code, out, err = run(capsys, *(missing if arg == "MISSING" else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
 
 
 def _unreadable(tmp_path, kind):
@@ -193,14 +221,11 @@ def test_unreadable_file_is_usage_error_naming_it(capsys, tmp_path, kind, reason
     """A directory or a file that is not UTF-8, given as an instance, a
     polymatroid or a decision tree, exits 2 with the path in the error."""
     bad = _unreadable(tmp_path, kind)
-    tree, bases = str(fixture_path("delta_fig.tree")), str(fixture_path("delta_fig.matroid"))
     for argv in (["tutte", bad], ["conjecture", "violet-prime", FIG2, bad, "--trials", "0"],
-                 ["delta", "check", "--tree", tree, "--bases", bad],
-                 ["delta", "check", "--tree", bad, "--bases", bases]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert (info.value.code, out) == (2, ""), argv
+                 ["delta", "check", "--tree", TREE, "--bases", bad],
+                 ["delta", "check", "--tree", bad, "--bases", BASES]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: cannot read {bad}: ") and reason in err, argv
 
 
@@ -211,10 +236,8 @@ def test_declared_node_count_above_the_edges_is_refused_briefly(capsys, tmp_path
     path = tmp_path / "wide.hg"
     path.write_text("violet: 100000\nemerald: 1\nedges: [[0, 0]]\n"
                     "rotation:\n  v0: [0]\n  e0: [0]\nbasis: [v0, 0]\n")
-    with pytest.raises(SystemExit) as info:
-        main(["tutte", str(path)])
-    err = capsys.readouterr().err
-    assert info.value.code == 2
+    code, _, err = run(capsys, "tutte", str(path))
+    assert code == 2
     assert "100001 nodes need at least 100000 edges" in err
     assert len(err) < 300
 
@@ -267,24 +290,22 @@ def test_crapo_verify_usage_error_before_graph_work(capsys, monkeypatch, flag):
 def refused_delta_check(capsys, tree, bases) -> str:
     """``delta check`` on the files ``tree`` and ``bases``: a usage error
     (exit 2) that prints nothing to stdout; its stderr."""
-    with pytest.raises(SystemExit) as info:
-        main(["delta", "check", "--tree", str(tree), "--bases", str(bases)])
-    out, err = capsys.readouterr()
-    assert (info.value.code, out) == (2, "")
+    code, out, err = run(capsys, "delta", "check", "--tree", str(tree), "--bases", str(bases))
+    assert (code, out) == (2, "")
     return err
 
 
 def test_delta_check_bases_without_bases_is_usage_error(capsys, tmp_path):
     bases = tmp_path / "broken.matroid"
     bases.write_text("ground: [a, b, c]\n", encoding="utf-8")
-    err = refused_delta_check(capsys, fixture_path("delta_fig.tree"), bases)
+    err = refused_delta_check(capsys, TREE, bases)
     assert err == f"error: invalid bases {bases}: missing keys: ['bases']\n"
 
 
 def test_delta_check_bases_breaking_exchange_is_usage_error(capsys, tmp_path):
     bases = tmp_path / "no_exchange.matroid"
     bases.write_text("ground: [a, b]\nbases: [[2, 0], [0, 2]]\n", encoding="utf-8")
-    err = refused_delta_check(capsys, fixture_path("delta_fig.tree"), bases)
+    err = refused_delta_check(capsys, TREE, bases)
     assert err.startswith(f"error: invalid bases {bases}: exchange axiom fails")
 
 
@@ -295,7 +316,7 @@ def test_delta_check_bases_breaking_exchange_is_usage_error(capsys, tmp_path):
 def test_delta_check_bad_bases_is_usage_error(capsys, tmp_path, text, message):
     bases = tmp_path / "bad.matroid"
     bases.write_text(text, encoding="utf-8")
-    err = refused_delta_check(capsys, fixture_path("delta_fig.tree"), bases)
+    err = refused_delta_check(capsys, TREE, bases)
     assert err.startswith(f"error: invalid bases {bases}: ")
     assert message in err
 
@@ -305,15 +326,24 @@ def test_delta_check_bad_tree_is_usage_error(capsys, tmp_path):
     base set is."""
     tree = tmp_path / "unlabeled.tree"
     tree.write_text("children: []\n", encoding="utf-8")
-    err = refused_delta_check(capsys, tree, fixture_path("delta_fig.matroid"))
+    err = refused_delta_check(capsys, tree, BASES)
     assert err == f"error: invalid decision tree {tree}: missing keys: ['label']\n"
+
+
+def test_delta_check_invalid_tree_names_the_file(capsys, tmp_path):
+    """A decision tree that parses but does not fit the base set is named
+    in the error too: its node ``a`` of rank 1 needs two children."""
+    tree = tmp_path / "short.tree"
+    tree.write_text("label: a\nchildren:\n  - label: b\n", encoding="utf-8")
+    err = refused_delta_check(capsys, tree, BASES)
+    assert err == f"error: invalid decision tree {tree}: node 'a' needs 2 children, has 1\n"
 
 
 def test_delta_check(capsys, schema):
     code, out, _ = run(
         capsys, "delta", "check",
-        "--tree", str(fixture_path("delta_fig.tree")),
-        "--bases", str(fixture_path("delta_fig.matroid")),
+        "--tree", TREE,
+        "--bases", BASES,
     )
     assert code == 0
     assert "b=0,1,1 order=a<b<c" in out
@@ -412,7 +442,7 @@ def test_deeply_nested_yaml_is_usage_error(tmp_path, kind):
         text = "{label: a, children: [" * 1000 + "{label: a}" + "]}" * 1000 + "\n"
         path = tmp_path / "deep.tree"
         argv = ["delta", "check", "--tree", str(path),
-                "--bases", str(fixture_path("delta_fig.matroid"))]
+                "--bases", BASES]
     else:
         depth = 100_000 if kind == "hg-100000" else 2000
         deep = "edges: " + "[" * depth + "]" * depth

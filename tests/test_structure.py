@@ -9,12 +9,15 @@ checks that a vector is a hypertree (every other caller reads the
 searches' tables), only ``tours._trees`` recurses by
 contraction and deletion, no module defines a ``sweep``
 (``tutte.corank_nullity`` is the one walk of lattice points) and no
-function of ``crapo`` or ``tutte`` calls itself, only the routines that
+function of ``crapo`` or ``tutte`` calls itself, ``tutte._expand`` is
+the one series expansion, which both sums of the series identity call,
+only the routines that
 visit points check the box budget, ``crapo._region`` is the one
 membership rule, read by the one Crapo
 decider, the package runs in one process (no module imports ``os``,
 ``concurrent.futures`` or ``multiprocessing``),
-``polymatroid.BasisActivity`` is the one activity record, whose bit
+``polymatroid.BasisActivity`` is the one activity record, which only
+``polymatroid.assignment_from_orders`` builds and whose bit
 masks over P's coordinates only the CLI commands and
 ``delta.obstruction_check`` turn back into names
 (``polymatroid.names``), so names appear only at print,
@@ -27,7 +30,8 @@ import runs inside a function, only ``cli`` imports ``delta`` and
 ``polymatroid`` imports none of the modules above it, a module loads
 only a pinned set of standard modules (so PyYAML and ``pathlib`` wait
 for the function that needs them), and nothing in the package imports
-the test oracles."""
+the test oracles.  The CLI raises every usage or input error as an
+exception, which ``cli.main`` alone reports as ``error: ...``."""
 
 import ast
 import builtins
@@ -273,6 +277,18 @@ def rows_not_handed_to(sources: dict, rule: str) -> list:
     return sorted(found)
 
 
+def system_exits(sources: dict) -> list:
+    """Where the sources name ``SystemExit``, in the form of :func:`_places`."""
+    return _places(sources, lambda node: _name(node) == "SystemExit")
+
+
+def error_writers(sources: dict) -> list:
+    """Where the sources hold a string with ``error:`` in it, f-string
+    parts included, in the form of :func:`_places`."""
+    return _places(sources, lambda node: isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and "error:" in node.value)
+
+
 def activity_records(sources: dict) -> list:
     """``module.Class`` for every record class in the sources, given as
     {module name: source}, with both an ``internal`` and an ``external``
@@ -501,6 +517,33 @@ def test_one_activity_record():
     internal and external activity sets."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert activity_records(sources) == ["polymatroid.BasisActivity"]
+
+
+def test_one_record_builder():
+    """``polymatroid.assignment_from_orders`` builds every activity
+    record: it alone calls ``BasisActivity.of``, and the embedding's
+    records are looked up in the assignment it builds
+    (``jaeger.embedding_assignment``)."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "of") == ["polymatroid.assignment_from_orders"]
+
+
+def test_one_series_expansion():
+    """``tutte._expand`` is the one expansion of grouped terms into a
+    series window: the lattice counts and the substituted polynomial
+    both go through it, and only it reads the table of spreads."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "_spread") == ["tutte._expand"]
+    assert callers(sources, "_expand") == ["tutte.corank_nullity", "tutte.series_window"]
+
+
+def test_one_error_reporter():
+    """Every usage or input error is an exception that ``cli.main``
+    alone reports: no module names ``SystemExit``, and only ``cli.main``
+    writes ``error:``."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert system_exits(sources) == []
+    assert error_writers(sources) == ["cli.main"]
 
 
 def test_one_activity_rule():
@@ -763,6 +806,19 @@ def test_checks_catch_violations():
         ),
     }
     assert callers(decoding, "names") == ["cli._cmd_jaeger", "crapo.intervals"]
+    reporting = {
+        "cli": (
+            "def _read(path):\n    raise SystemExit(_usage_error(f'cannot read {path}'))\n"
+            "def _usage_error(message):\n    print(f'error: {message}')\n    return 2\n"
+            "def main(args):\n"
+            "    try:\n        return args.func(args)\n"
+            "    except builtins.SystemExit:\n        raise\n"
+            "    except ValueError as exc:\n        print('error: ' + str(exc))\n"
+        ),
+        "model": "def load(text):\n    raise ValueError('parse error: ' + text)\n",
+    }
+    assert system_exits(reporting) == ["cli._read", "cli.main"]
+    assert error_writers(reporting) == ["cli._usage_error", "cli.main", "model.load"]
     exchanging = {
         "polymatroid": (
             "class PolymatroidBases:\n"

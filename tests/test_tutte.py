@@ -7,12 +7,14 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertutte import crapo, tutte
 from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget
 from hypertutte.polymatroid import bases_from_hypertrees
 from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
+from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
     corank_nullity,
     series_identity_check,
@@ -323,6 +325,31 @@ def test_series_identity_fig2(fig2):
 
 def test_series_identity_single_edge(single_edge):
     assert series_identity_check(single_edge, 4, 4)["status"] == "PASS"
+
+
+def geometric_power(a: int, most: int) -> list:
+    """The coefficients of u^0 .. u^most in (1/(1-u))^a: a running sum,
+    the product with 1/(1-u), taken a times of the series 1."""
+    series = [1] + [0] * most
+    for _ in range(a):
+        series = list(itertools.accumulate(series))
+    return series
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.integers(-9, 9), max_size=8),
+       st.integers(0, 6), st.integers(0, 6))
+def test_series_window_matches_direct_sum(terms, imax, jmax):
+    """``series_window`` shares its expansion with ``corank_nullity``;
+    against p(1/(1-u), 1/(1-v)) summed term by term, with no spread
+    table, the series identity stays an independent check."""
+    p = Poly(terms)
+    most = max(imax, jmax)
+    direct = {(i, j): sum(c * geometric_power(a, most)[i] * geometric_power(b, most)[j]
+                          for (a, b), c in p.terms.items())
+              for i in range(imax + 1) for j in range(jmax + 1)}
+    assert series_window(p, imax, jmax) == direct
 
 
 def test_series_identity_detects_mutation(fig2):
