@@ -58,6 +58,8 @@ def _print_poly(poly) -> None:
 def _cmd_tutte(args) -> int:
     if args.order is not None and args.method != "fixed":
         raise ValueError("--order needs --method fixed")
+    if args.bounds is not None and args.method != "corank-nullity":
+        raise ValueError("--bounds needs --method corank-nullity")
     g = _load(args.instance)
     if args.method == "embedding":
         _print_poly(tutte.tutte_embedding(g))
@@ -68,7 +70,7 @@ def _cmd_tutte(args) -> int:
             order = tuple(emerald(j) for j in range(g.emerald_count))
         _print_poly(tutte.tutte_from_order(g, order))
     else:  # corank-nullity
-        imax, jmax = _pair("--bounds", args.bounds)
+        imax, jmax = _pair("--bounds", args.bounds) if args.bounds is not None else (3, 3)
         table = tutte.corank_nullity(g, imax, jmax)
         print("i\\j\t" + "\t".join(str(j) for j in range(jmax + 1)))
         for i in range(imax + 1):
@@ -87,14 +89,12 @@ def _cmd_hypertrees(args) -> int:
 def _cmd_jaeger(args) -> int:
     g = _load(args.instance)
     found = hypertrees.jaeger_trees(g, args.variant)
-    col = 1 if args.variant == "emerald" else 2  # the node order, or violet's edge order
+    order_map = hypertrees.orders(g, "embedding" if args.variant == "emerald" else "violet-prime")
     P = polymatroid.bases_from_hypertrees(g)
-    records = polymatroid.assignment_from_orders(P, {h: f[col] for h, f in found.items()})
-    for h in hypertrees.enumerate_hypertrees(g):
-        tree, order, rec = found[h][0], found[h][col], records[h]
+    for h, rec in polymatroid.assignment_from_orders(P, order_map).items():
         print(
-            f"h={_fmt_h(h)} tree={','.join(map(str, tree))} "
-            f"order={'<'.join(order)} "
+            f"h={_fmt_h(h)} tree={','.join(map(str, found[h][0]))} "
+            f"order={'<'.join(order_map[h])} "
             f"Int={','.join(polymatroid.names(P, rec.internal))} "
             f"Ext={','.join(polymatroid.names(P, rec.external))}"
         )
@@ -194,6 +194,8 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_fixtures(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise ValueError("fixtures list takes no name")
         for name in fixture_names():
             print(name)
         return 0
@@ -214,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("embedding", "fixed", "corank-nullity"),
                    default="embedding")
     p.add_argument("--order", help="emerald order for --method fixed, e.g. e1,e0")
-    p.add_argument("--bounds", default="3,3",
-                   help="I,J window for --method corank-nullity")
+    p.add_argument("--bounds", help="I,J window for --method corank-nullity")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_tutte)
 

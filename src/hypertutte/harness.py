@@ -2,14 +2,14 @@
 
 random_instance builds connected bipartite ribbon graphs with shuffled
 rotations, deterministically per seed.  test_violet_prime compares the
-polynomial built from violet-tour endpoint orders against the embedding
-polynomial (an open conjecture: reported, not assumed).  The plain
-violet-node order is also exposed, since it is known to disagree on some
-instances.  Both read their orders straight off the violet tour search
-(hypertrees.jaeger_trees) as one mapping per graph.  random_reports is the one loop that runs a check over seeded
-random instances; the CLI's conjecture command reads it.  The rotation
-and basis perturbation under which the tests re-derive the embedding
-polynomial is in ``tests/oracles.py``.
+Tutte sum (tutte.tutte_sum) under the orders of kind "violet-prime"
+(hypertrees.orders) against the embedding polynomial (an open
+conjecture: reported, not assumed); test_violet does so for kind
+"violet", which is known to disagree on some instances.  random_reports
+is the one loop that runs a check over seeded random instances; the
+CLI's conjecture command reads it.  The rotation and basis perturbation
+under which the tests re-derive the embedding polynomial is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 
 from .model import RibbonGraph, violet, emerald
-from .polynomial import Poly
-from .hypertrees import cached, jaeger_trees
+from .hypertrees import cached, orders
 from . import tutte
 
 
@@ -63,16 +62,6 @@ def random_instance(seed: int = 0) -> RibbonGraph:
     raise GenerationFailed(f"no connected instance for seed {seed}")
 
 
-def violet_prime_polynomial(g: RibbonGraph) -> Poly:
-    """The Tutte sum under the edge orders of the violet tour search."""
-    return tutte.tutte_sum(g, {h: found[2] for h, found in jaeger_trees(g, "violet").items()})
-
-
-def violet_polynomial(g: RibbonGraph) -> Poly:
-    """The Tutte sum under the node orders of the violet tour search."""
-    return tutte.tutte_sum(g, {h: found[1] for h, found in jaeger_trees(g, "violet").items()})
-
-
 def _describe(g: RibbonGraph) -> dict:
     return {
         "violet": g.violet_count,
@@ -82,12 +71,12 @@ def _describe(g: RibbonGraph) -> dict:
     }
 
 
-def _compare(g: RibbonGraph, kind: str, polynomial_fn) -> dict:
-    """Compare ``polynomial_fn(g)`` to the embedding polynomial, rendered
-    once per graph; a counterexample reports the candidate under ``kind``
-    in snake case."""
+def _compare(g: RibbonGraph, kind: str) -> dict:
+    """Compare the Tutte sum under the orders of ``kind`` to the embedding
+    polynomial, rendered once per graph; a counterexample reports the
+    candidate under ``kind`` in snake case."""
     reference = tutte.tutte_embedding(g)
-    candidate = polynomial_fn(g)
+    candidate = tutte.tutte_sum(g, orders(g, kind))
     rendered = cached(g, "rendered embedding", lambda g: str(reference))
     if reference == candidate:
         return {"kind": kind, "verdict": "EQUAL", "polynomial": rendered}
@@ -102,12 +91,12 @@ def _compare(g: RibbonGraph, kind: str, polynomial_fn) -> dict:
 
 def test_violet_prime(g: RibbonGraph) -> dict:
     """Compare the violet-prime-order polynomial to the embedding one."""
-    return _compare(g, "violet-prime", violet_prime_polynomial)
+    return _compare(g, "violet-prime")
 
 
 def test_violet(g: RibbonGraph) -> dict:
     """Same comparison for the plain violet-node order."""
-    return _compare(g, "violet", violet_polynomial)
+    return _compare(g, "violet")
 
 
 def random_reports(check, trials: int, seed: int = 0):

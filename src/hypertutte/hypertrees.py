@@ -37,8 +37,8 @@ edge) are read off the nodes in the order the walk reached them and the
 edges in the order it first met them, through per-graph tables built
 once (each edge's emerald index and name, and the set of emeralds).
 The search's table per variant (:func:`jaeger_trees`) is the one way a
-caller reaches a Jaeger tree or an order: the CLI, the Tutte sums and
-the activity assignments read it whole, and only
+caller reaches a Jaeger tree, and :func:`orders`, which alone knows a
+row's layout, the one way it reaches an activity kind's orders.  Only
 ``jaeger.embedding_activities`` looks one vector up, after checking it
 with :func:`well_formed`.
 With Python 3.11 on a shared 2-vCPU host (CPU seconds, seeded
@@ -158,6 +158,16 @@ def jaeger_trees(g: RibbonGraph, variant: str = "emerald") -> dict:
     """h -> (tree, node order, edge order) for every hypertree h: the
     pairs of one :func:`tour_search` per graph and variant."""
     return cached(g, f"{variant} Jaeger trees", lambda g: dict(tour_search(g, variant)))
+
+
+def orders(g: RibbonGraph, kind: str) -> dict:
+    """h -> the emerald order of h under the activity kind: "embedding",
+    the emerald search's node orders (the paper's), or "violet-prime" or
+    "violet", the violet search's edge or node orders.  Read off the
+    cached table of :func:`jaeger_trees` on each call, not cached itself."""
+    variant, column = {"embedding": ("emerald", 1), "violet-prime": ("violet", 2),
+                       "violet": ("violet", 1)}[kind]
+    return {h: found[column] for h, found in jaeger_trees(g, variant).items()}
 
 
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:

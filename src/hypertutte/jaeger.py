@@ -7,21 +7,21 @@ emerald order <_h, and the activities under it are polymatroid's MIN
 rule on the hypertree set, as a :class:`polymatroid.BasisActivity` of
 bit masks over the emeralds' coordinates.  The Jaeger trees and their
 orders come from one search per graph and variant
-(:func:`hypertrees.tour_search`), reached only through its tables
-(:func:`hypertrees.jaeger_trees`); the activities are mask tests on each
-hypertree's exchange table, built once per hypertree whatever the number
-of orders, and once for all the live embeddings of a hypergraph.  Names
-appear only where the CLI prints a record.  :func:`embedding_assignment`
-builds every record once per graph and shares it, so no caller may
-mutate it; :func:`embedding_activities` looks one vector up there, and
-only it checks that the vector is a hypertree first, raising
-:class:`NotAHypertree` otherwise.
+(:func:`hypertrees.tour_search`); the orders of kind "embedding" are
+read off its table by :func:`hypertrees.orders`.  The activities are
+mask tests on each hypertree's exchange table, built once per hypertree
+whatever the number of orders, and once for all the live embeddings of
+a hypergraph.  Names appear only where the CLI prints a record.
+:func:`embedding_assignment` builds every record once per graph and
+shares it, so no caller may mutate it; :func:`embedding_activities`
+looks one vector up there, and only it checks that the vector is a
+hypertree first, raising :class:`NotAHypertree` otherwise.
 """
 
 from __future__ import annotations
 
 from .model import RibbonGraph
-from .hypertrees import cached, jaeger_trees, well_formed
+from .hypertrees import cached, orders, well_formed
 from .polymatroid import BasisActivity, assignment_from_orders, bases_from_hypertrees
 
 
@@ -45,5 +45,5 @@ def embedding_assignment(g: RibbonGraph):
     every hypertree, as :mod:`polymatroid` activity assignments: built
     once per graph (:func:`hypertrees.cached`) and shared, never mutated."""
     P = bases_from_hypertrees(g)
-    return P, cached(g, "embedding assignment", lambda g: assignment_from_orders(
-        P, {h: found[1] for h, found in jaeger_trees(g).items()}))
+    return P, cached(g, "embedding assignment",
+                     lambda g: assignment_from_orders(P, orders(g, "embedding")))

@@ -3,9 +3,9 @@
 tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
 activities; tutte_from_order does the same with a fixed emerald order.
 Both go through tutte_sum, which takes one order per hypertree as a
-mapping (the embedding sum reads the node orders of the emerald tour
-search, hypertrees.jaeger_trees), so no hypertree is looked up again,
-and counts (oi, oe, ie) from the bit counts of polymatroid's activity masks.
+mapping (the embedding sum reads hypertrees.orders of kind "embedding"),
+so no hypertree is looked up again, and counts (oi, oe, ie) from the
+bit counts of polymatroid's activity masks.
 It needs the two masks alone, so it reads no activity records: one per
 hypertree makes the sum about twice as slow (seeded K4,5, Python 3.11).
 A graph's sums share one exchange table per hypertree, and so do the
@@ -38,20 +38,20 @@ from operator import add
 
 from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
-from .hypertrees import cached, enumerate_hypertrees, jaeger_trees
+from .hypertrees import cached, enumerate_hypertrees, orders
 from .polymatroid import activity_masks, bases_from_hypertrees, check_order
 from .crapo import box_around, check_budget
 
 
-def tutte_sum(g: RibbonGraph, orders) -> Poly:
+def tutte_sum(g: RibbonGraph, order_map) -> Poly:
     """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie: the emeralds only
     internally, only externally and both ways active under the order
-    ``orders[h]``, counted per (oi, oe, ie) on the activity bit masks and
+    ``order_map[h]``, counted per (oi, oe, ie) on the activity bit masks and
     expanded with trinomial coefficients (:func:`polynomial.expand_triples`)."""
     P = bases_from_hypertrees(g)
     triples = Counter()
     for h in enumerate_hypertrees(g):
-        internal, external = activity_masks(P, h, orders[h])
+        internal, external = activity_masks(P, h, order_map[h])
         both = internal & external
         triples[(internal ^ both).bit_count(), (external ^ both).bit_count(), both.bit_count()] += 1
     return expand_triples(triples)
@@ -59,10 +59,9 @@ def tutte_sum(g: RibbonGraph, orders) -> Poly:
 
 def tutte_embedding(g: RibbonGraph) -> Poly:
     """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities
-    under the node orders of the emerald tour search; computed once per
-    graph (a Poly is never mutated)."""
-    return cached(g, "embedding", lambda g: tutte_sum(
-        g, {h: found[1] for h, found in jaeger_trees(g).items()}))
+    under the orders of kind "embedding" (:func:`hypertrees.orders`);
+    computed once per graph (a Poly is never mutated)."""
+    return cached(g, "embedding", lambda g: tutte_sum(g, orders(g, "embedding")))
 
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:

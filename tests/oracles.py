@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from hypertutte.delta import DecisionTree
 from hypertutte.polymatroid import PolymatroidBases, assignment_from_orders
-from hypertutte.hypertrees import all_spanning_trees, degree_vector, jaeger_trees, well_formed
+from hypertutte.hypertrees import all_spanning_trees, degree_vector, jaeger_trees, orders, well_formed
 from hypertutte.model import (
     ParseError, RibbonGraph, adjacency, connected, emerald, is_emerald, is_int, reach,
     violet, yaml_mapping,
@@ -197,8 +197,8 @@ def is_violet_jaeger(g: RibbonGraph, tree: frozenset) -> bool:
 def order_violet(g: RibbonGraph, h) -> tuple:
     """The emeralds in order of first appearance as the current node on
     the tour of the violet Jaeger tree of h, as the violet search found
-    them."""
-    return jaeger_trees(g, "violet")[tuple(h)][1]
+    them: the orders of kind "violet"."""
+    return orders(g, "violet")[tuple(h)]
 
 
 # -- the tree order ------------------------------------------------------------

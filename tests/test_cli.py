@@ -81,6 +81,29 @@ def test_tutte_order_needs_fixed_method(capsys, method):
     assert err == "error: --order needs --method fixed\n"
 
 
+@pytest.mark.parametrize("argv", [("--bounds", "1,1"), ("--method", "embedding", "--bounds", "1,1"),
+                                  ("--method", "fixed", "--bounds", "9,9")],
+                         ids=["default", "embedding", "fixed"])
+def test_tutte_bounds_needs_corank_nullity_method(capsys, argv):
+    """``--bounds`` is read only by ``--method corank-nullity``: with any
+    other method, the default included, it is refused, not ignored."""
+    code, out, err = run(capsys, "tutte", *argv, FIG1)
+    assert (code, out) == (2, "")
+    assert err == "error: --bounds needs --method corank-nullity\n"
+
+
+def test_negative_pair_needs_the_equals_form(capsys):
+    """argparse reads ``-2,3`` after ``--box`` as an option, a usage error;
+    ``--box=-2,3`` passes it as the value.  fig2's default box is [-2, 3]."""
+    with pytest.raises(SystemExit) as exc:
+        main(["crapo", "verify", "--box", "-2,3", FIG2])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "crapo", "verify", "--box=-2,3", FIG2)
+    assert code == 0
+    assert out == "crapo-partition: PASS\n  points: 1296\n  hypertrees: 7\n"
+
+
 def test_tutte_corank_nullity_long_star(tmp_path, long_star):
     """A 1,500-emerald star's table is walked without recursion: exit 0
     and the table, with no traceback."""
@@ -470,6 +493,13 @@ def test_fixtures_list_and_emit(capsys):
     code, out, _ = run(capsys, "fixtures", "emit", "fig2.hg")
     assert code == 0
     assert out == fixture_path("fig2.hg").read_text()
+
+
+def test_fixtures_list_takes_no_name(capsys):
+    """``fixtures list`` with a name is refused, not read as a plain list."""
+    code, out, err = run(capsys, "fixtures", "list", "fig1.hg")
+    assert (code, out) == (2, "")
+    assert err == "error: fixtures list takes no name\n"
 
 
 def test_fixtures_emit_requires_name(capsys, tmp_path):

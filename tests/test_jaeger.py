@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from hypertutte import harness, hypertrees, load_path, fixture_path, tours
-from hypertutte.polymatroid import activity_masks, assignment_from_orders, bases_from_hypertrees, names
+from hypertutte.polymatroid import (
+    activity_masks, assignment_from_orders, bases_from_hypertrees, check_order, names,
+)
 from hypertutte.hypertrees import (
-    all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees,
+    all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees, orders,
 )
 from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
 from hypertutte.model import is_emerald
@@ -30,13 +32,13 @@ def tree_of(g, h, variant="emerald"):
 
 
 def order_emerald(g, h):
-    """The order <_h: the emerald table's node order."""
-    return jaeger_trees(g)[h][1]
+    """The order <_h: the orders of kind "embedding"."""
+    return orders(g, "embedding")[h]
 
 
 def order_violet_prime(g, h):
-    """The violet table's edge order."""
-    return jaeger_trees(g, "violet")[h][2]
+    """The orders of kind "violet-prime", the violet table's edge order."""
+    return orders(g, "violet-prime")[h]
 
 
 # hypertree -> its Jaeger tree, transcribed from the seven figure panels
@@ -230,6 +232,19 @@ def test_orders_match_tours_on_fixtures(all_hg, single_edge):
         assert_orders_match_tours(g)
 
 
+def test_every_kind_orders_each_emerald_once(all_hg, single_edge):
+    """Each activity kind gives every hypertree one order, which lists
+    every emerald exactly once."""
+    randoms = [harness.random_instance(seed=s) for s in range(150)]
+    for g in list(all_hg.values()) + [single_edge] + randoms:
+        P = bases_from_hypertrees(g)
+        for kind in ("embedding", "violet-prime", "violet"):
+            order_map = orders(g, kind)
+            assert sorted(order_map) == sorted(P.bases), kind
+            for order in order_map.values():
+                check_order(P, order)
+
+
 def test_orders_match_tours_on_k34_rotations():
     rng = random.Random(34)
     for _ in range(20):
@@ -258,9 +273,9 @@ def test_polynomials_walk_no_tour(monkeypatch):
 
 
 def test_one_search_per_variant(all_hg, monkeypatch):
-    """The embedding and violet-prime polynomials, with the hypertree
-    list, both tables, the embedding assignment and every hypertree's
-    activities, run one tour search per graph and variant."""
+    """The embedding polynomial and both order comparisons, with the
+    hypertree list, both tables, the embedding assignment and every
+    hypertree's activities, run one tour search per graph and variant."""
     searched = []
     search = hypertrees.tour_search
     monkeypatch.setattr(hypertrees, "tour_search",
@@ -272,8 +287,8 @@ def test_one_search_per_variant(all_hg, monkeypatch):
     for g in fresh:
         searched.clear()
         tutte_embedding(g)
-        harness.violet_prime_polynomial(g)
-        harness.violet_polynomial(g)
+        harness.test_violet_prime(g)
+        harness.test_violet(g)
         jaeger_trees(g)
         jaeger_trees(g, "violet")
         embedding_assignment(g)

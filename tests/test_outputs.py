@@ -14,9 +14,9 @@ import random
 from pathlib import Path
 
 from hypertutte import fixture_path, load_path
-from hypertutte.harness import random_instance, violet_polynomial, violet_prime_polynomial
-from hypertutte.hypertrees import jaeger_trees
-from hypertutte.tutte import corank_nullity, tutte_embedding
+from hypertutte.harness import random_instance
+from hypertutte.hypertrees import jaeger_trees, orders
+from hypertutte.tutte import corank_nullity, tutte_embedding, tutte_sum
 from oracles import perturbed
 from test_oracle import complete_bipartite
 
@@ -28,8 +28,9 @@ def digest(graphs) -> str:
     for g in graphs:
         for variant in ("emerald", "violet"):
             sha.update(repr(sorted(jaeger_trees(g, variant).items())).encode())
-        for poly in (tutte_embedding, violet_prime_polynomial, violet_polynomial):
-            sha.update(f"\n{poly(g)}\n".encode())
+        violets = [tutte_sum(g, orders(g, kind)) for kind in ("violet-prime", "violet")]
+        for poly in [tutte_embedding(g), *violets]:
+            sha.update(f"\n{poly}\n".encode())
     return sha.hexdigest()
 
 

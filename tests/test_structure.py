@@ -6,7 +6,9 @@ the package defines is raised somewhere in it, only ``tours.walk``
 steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``jaeger.embedding_activities``
 checks that a vector is a hypertree (every other caller reads the
-searches' tables), only ``tours._trees`` recurses by
+searches' tables), only ``hypertrees`` reads a table's order columns
+(``hypertrees.orders``, per activity kind), ``tutte.tutte_sum`` is the
+one activity sum, only ``tours._trees`` recurses by
 contraction and deletion, no module defines a ``sweep``
 (``tutte.corank_nullity`` is the one walk of lattice points) and no
 function of ``crapo`` or ``tutte`` calls itself, ``tutte._expand`` is
@@ -455,11 +457,32 @@ def test_one_jaeger_tree_builder():
 
 def test_one_membership_check():
     """Jaeger trees, orders and activities are reached through the
-    searches' tables (``hypertrees.jaeger_trees``); only
+    searches' tables (``hypertrees.jaeger_trees``, whose orders
+    ``hypertrees.orders`` reads); only
     ``jaeger.embedding_activities``, which answers one vector, asks
     whether that vector is well formed before it looks it up."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert callers(sources, "well_formed") == ["jaeger.embedding_activities"]
+
+
+def test_one_order_table():
+    """Only ``hypertrees`` reads the order columns of a Jaeger row: the
+    searches' tables are read by the CLI for the trees it prints, by
+    ``hypertrees.enumerate_hypertrees`` for their keys and by
+    ``hypertrees.orders``, which every caller asks for an activity kind's
+    orders."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "jaeger_trees") == [
+        "cli._cmd_jaeger", "hypertrees.enumerate_hypertrees", "hypertrees.orders"]
+
+
+def test_one_activity_sum():
+    """``tutte.tutte_sum`` is the one activity sum: the embedding and
+    fixed-order polynomials and the order comparisons of ``harness``
+    call it, and ``harness`` defines no sum of its own."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert callers(sources, "tutte_sum") == [
+        "harness._compare", "tutte.tutte_embedding", "tutte.tutte_from_order"]
 
 
 def test_one_contraction_deletion():
@@ -715,6 +738,17 @@ def test_checks_catch_violations():
     }
     assert callers(walking, "walk") == [
         "hypertrees.tour_search", "jaeger.greedy_tree", "tours.tour"]
+    ordering = {
+        "hypertrees": "def orders(g, kind):\n    return jaeger_trees(g, 'violet')\n",
+        "harness": (
+            "from . import hypertrees, tutte\n"
+            "def violet_polynomial(g):\n"
+            "    found = hypertrees.jaeger_trees(g, 'violet')\n"
+            "    return tutte.tutte_sum(g, {h: f[1] for h, f in found.items()})\n"
+        ),
+    }
+    assert callers(ordering, "jaeger_trees") == ["harness.violet_polynomial", "hypertrees.orders"]
+    assert callers(ordering, "tutte_sum") == ["harness.violet_polynomial"]
     recursing = {
         "tours": "def _trees(edges, n):\n    return connected(edges[1:], n)\n",
         "model": "class RibbonGraph:\n    def _validate(self):\n        return connected(self.edges, 2)\n",

@@ -66,12 +66,12 @@ def test_embedding_order_is_a_fixed_order_per_tree(fig5):
     """The embedding activities of h are the MIN-rule activities of h
     under one fixed order of all bases, the order <_h of its tour."""
     from hypertutte.polymatroid import assignment_from_orders, bases_from_hypertrees
-    from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
+    from hypertutte.hypertrees import enumerate_hypertrees, orders
     from hypertutte.jaeger import embedding_activities
 
     P = bases_from_hypertrees(fig5)
     for h in enumerate_hypertrees(fig5):
-        order = jaeger_trees(fig5)[h][1]
+        order = orders(fig5, "embedding")[h]
         fixed = assignment_from_orders(P, {b: order for b in P.bases})
         assert fixed[h] == embedding_activities(fig5, h)
 
