@@ -8,8 +8,9 @@ Every hypertree has exactly one emerald Jaeger tree and one violet one
 (Kálmán and Tóthmérész), so one search that lists the Jaeger trees of a
 variant lists the hypertrees too: :func:`tour_search`, one depth-first
 search per graph and variant over the tour of the tree under
-construction.  It steps by :func:`tours.walk`, on darts, and decides
-each edge at its first visit: the dart's parity is the colour of the
+construction.  It steps by :func:`tours.walk`, on darts, which steps
+over the edges already decided, so the search sees first visits only
+and decides each edge there: the dart's parity is the colour of the
 current node and its edge's other entry the far end.  An emerald Jaeger
 tree meets every non-tree edge first at its emerald end, so at a violet
 node the edge must go in.  At an emerald node an edge whose far end is
@@ -30,12 +31,13 @@ had an undecided edge to a reached node; not after, for then y lies in
 x's subtree, and a tour walks every dart around a node before it leaves
 that node for the last time, so it met k at y first.  So no include
 closes a cycle, every exclusion keeps the graph connected, the tree
-spans, and every branch the search pushes is one Jaeger tree.  Its
-degree vector is its hypertree, and its two emerald orders (first
-appearance as the current node, and as the emerald end of the current
-edge) are read off the nodes in the order the walk reached them and the
-edges in the order it first met them, through per-graph tables built
-once (each edge's emerald index and name, and the set of emeralds).
+spans, and every branch the search pushes is one Jaeger tree, whose row
+is final once the tree spans (:func:`tour_search`).  Its degree vector,
+carried down the branch, is its hypertree, and its two emerald orders
+(first appearance as the current node, and as the emerald end of the
+current edge) are read off the nodes in the order the walk reached them
+and the edges in the order it first met them, through per-graph tables
+built once (each edge's emerald index and name, and the set of emeralds).
 The search's table per variant (:func:`jaeger_trees`) is the one way a
 caller reaches a Jaeger tree, and :func:`orders`, which alone knows a
 row's layout, the one way it reaches an activity kind's orders.  Only
@@ -43,8 +45,8 @@ row's layout, the one way it reaches an activity kind's orders.  Only
 with :func:`well_formed`.
 With Python 3.11 on a shared 2-vCPU host (CPU seconds, seeded
 embeddings, medians of five rounds of five runs), the emerald search
-takes about 0.006 s on K6,6 (252 hypertrees), 0.03 s on K7,7 (924) and
-0.011 s on K3,24 (300).
+takes about 0.0047 s on K6,6 (252 hypertrees), 0.024 s on K7,7 (924)
+and 0.0085 s on K3,24 (300).
 
 Listing spanning trees (:func:`all_spanning_trees`) remains for the
 coverage figures of the benchmark; the oracles built on it, the
@@ -79,17 +81,6 @@ def cached(g: RibbonGraph, name: str, build):
     return derived[name]
 
 
-def degree_vector(g: RibbonGraph, tree) -> tuple:
-    """h(e) = (tree degree of emerald node e) - 1, as a tuple; each edge's
-    emerald index is read from one tuple per graph."""
-    emerald_of = cached(g, "emerald of edge",
-                        lambda g: tuple(node_index(e) for _, e in g.edges))
-    degs = [-1] * g.emerald_count
-    for k in tree:
-        degs[emerald_of[k]] += 1
-    return tuple(degs)
-
-
 def well_formed(g: RibbonGraph, v: tuple) -> bool:
     """The O(#emerald) part of membership: one non-negative int per
     emerald, summing to #violet - 1."""
@@ -110,21 +101,30 @@ def tour_search(g: RibbonGraph, variant: str):
     Each pending branch is the walk's state at a dart: the tree so far,
     the nodes in the order the walk reached them, the edges in the order
     it first met them (one insertion-ordered dict, which also answers
-    whether an edge is decided), and the dart to resume at.
+    whether an edge is decided, and which the walk steps over), the
+    degree vector so far, and the dart to resume at.
+
+    A branch stops once an include makes its tree span: every dart left
+    is then a first visit with a reached far end, which stays out at the
+    choosing colour and, as no branch dies, never comes at the other.
+    So the tree and the node order are final, and so is the edge order,
+    which lists each emerald at its first appearance: each entered the
+    tree through a met edge at it, an emerald basis node through the
+    first edge.
     """
     chooser = 1 if variant == "emerald" else 0  # dart side of the choosing colour
-    edges = g.edges
+    edges, n_nodes = g.edges, len(g.nodes)
     adj = cached(g, "adjacency",
                  lambda g: adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)))
+    emerald_of = cached(g, "emerald of edge",
+                        lambda g: tuple(node_index(e) for _, e in g.edges))
     emerald_name = cached(g, "emerald name of edge", lambda g: tuple(e for _, e in g.edges))
     emeralds = cached(g, "emeralds", lambda g: frozenset(e for _, e in g.edges)).__contains__
-    pending = [(set(), {g.basis[0]: None}, {}, None)]
+    pending = [(set(), {g.basis[0]: None}, {}, [-1] * g.emerald_count, None)]
     while pending:
-        tree, reached, met, at = pending.pop()
-        for d in tours.walk(g, tree, at):
+        tree, reached, met, degs, at = pending.pop()
+        for d in tours.walk(g, tree, at, met):
             k = d >> 1
-            if k in met:
-                continue
             met[k] = None
             far = edges[k][(d & 1) ^ 1]
             if d & 1 == chooser:
@@ -141,13 +141,19 @@ def tour_search(g: RibbonGraph, variant: str):
                         # the tree through undecided edges, when the search
                         # stops at a reached node, its last key; in goes on
                         # in this walk
-                        pending.append((set(tree), dict(reached), dict(met), d))
+                        pending.append((set(tree), dict(reached), dict(met), list(degs), d))
                     tree.add(k)
                     reached[far] = None
+                    degs[emerald_of[k]] += 1
+                    if len(reached) == n_nodes:
+                        break  # the tree spans: nothing left changes the row
                 continue
             tree.add(k)  # at a node that cannot choose, far is never reached
             reached[far] = None
-        yield degree_vector(g, tree), (
+            degs[emerald_of[k]] += 1
+            if len(reached) == n_nodes:
+                break
+        yield tuple(degs), (
             tuple(sorted(tree)),
             tuple(filter(emeralds, reached)),
             tuple(dict.fromkeys(map(emerald_name.__getitem__, met))),

@@ -9,9 +9,10 @@ before the basis dart would recur, having seen every edge twice, once
 at each end.  :func:`walk` holds this step rule, the only one in the
 package; the tour and the search for Jaeger trees
 (:func:`hypertrees.tour_search`) both run on it, the search resuming a
-walk at a dart to branch there.  The tree order by first tour
-difference, whose least representative of each hypertree is its Jaeger
-tree, is defined for the tests in ``tests/oracles.py``.
+walk at a dart to branch there, with its decided edges to skip.  The
+tree order by first tour difference, whose least representative of each
+hypertree is its Jaeger tree, is defined for the tests in
+``tests/oracles.py``.
 
 Also here: the one contraction/deletion recursion (:func:`_trees`),
 which lists the spanning trees.  The classical Tutte polynomial read off
@@ -31,22 +32,26 @@ def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
     return connected(((k, *g.edges[k]) for k in tree), n_nodes)
 
 
-def walk(g: RibbonGraph, tree, at=None):
+def walk(g: RibbonGraph, tree, at=None, skip=()):
     """Yield the tour's darts, from the basis dart or from the dart
-    ``at``, up to the basis dart.
+    ``at``, up to the basis dart, stepping over those whose edge is in
+    ``skip`` without handing them out.
 
     One step turns to the next dart around the node (``g.sigma``), first
     crossing to the edge's other end if the edge is in the tree.
-    ``tree`` is read at each step, after the dart is handed out: a caller
-    may add the edge it was just given, and the walk then crosses it.
-    A walk resumed at a dart of another walk, over a copy of its tree,
-    goes on as that walk would with that tree.
+    ``tree`` and ``skip`` are read at each step, after the dart is handed
+    out: a caller may add the edge it was just given to either, and the
+    walk then crosses it or steps over its later darts.  A walk resumed
+    at a dart of another walk, over copies of its tree and skip set, goes
+    on as that walk would with them.
     """
     sigma, start = g.sigma, g.basis_dart
     d = start if at is None else at
     while True:
-        yield d
-        d = sigma[d ^ 1] if d >> 1 in tree else sigma[d]
+        k = d >> 1
+        if k not in skip:
+            yield d
+        d = sigma[d ^ 1] if k in tree else sigma[d]
         if d == start:
             return
 

@@ -5,7 +5,8 @@ runs them.
 
 - Rotations and trees: incident edges, degree and rotation successor
   (:func:`next_at`), fundamental cycles and cuts and base components.
-- Hypertrees: listing by degree vector (:func:`representatives`),
+- Hypertrees: the degree vector of a tree (:func:`degree_vector`),
+  listing by degree vector (:func:`representatives`),
   membership (:func:`is_hypertree`) and the set grown by exchange moves.
 - Jaeger trees read off a tour (:func:`is_jaeger`), the violet node
   order of a hypertree (:func:`order_violet`), and the tree order by
@@ -39,10 +40,10 @@ from dataclasses import dataclass
 
 from hypertutte.delta import DecisionTree
 from hypertutte.polymatroid import PolymatroidBases, assignment_from_orders
-from hypertutte.hypertrees import all_spanning_trees, degree_vector, jaeger_trees, orders, well_formed
+from hypertutte.hypertrees import all_spanning_trees, jaeger_trees, orders, well_formed
 from hypertutte.model import (
-    ParseError, RibbonGraph, adjacency, connected, emerald, is_emerald, is_int, reach,
-    violet, yaml_mapping,
+    ParseError, RibbonGraph, adjacency, connected, emerald, is_emerald, is_int, node_index,
+    reach, violet, yaml_mapping,
 )
 from hypertutte.polynomial import Poly
 from hypertutte.tours import enumerate_spanning_trees, spanning_trees, tour, walk
@@ -122,6 +123,15 @@ def base_component(g: RibbonGraph, tree: frozenset, edge: int) -> frozenset:
 
 
 # -- hypertrees ----------------------------------------------------------------
+
+
+def degree_vector(g: RibbonGraph, tree) -> tuple:
+    """h(e) = (tree degree of emerald node e) - 1, as a tuple, counted
+    from the tree's edges; the tour search carries it instead."""
+    degs = [-1] * g.emerald_count
+    for k in tree:
+        degs[node_index(g.edges[k][1])] += 1
+    return tuple(degs)
 
 
 def is_hypertree(g: RibbonGraph, vector) -> bool:

@@ -1,8 +1,9 @@
 """Random instance generation and the order-variant experiments."""
 
 import random
+from pathlib import Path
 
-from hypertutte import harness, load
+from hypertutte import harness, load, load_path
 from hypertutte.hypertrees import orders
 from hypertutte.model import is_violet
 from hypertutte.tours import enumerate_spanning_trees
@@ -63,6 +64,15 @@ def test_violet_order_counterexample():
     report = next(r for r in reports if r["verdict"] != "EQUAL")
     assert report["verdict"] == "COUNTEREXAMPLE"
     assert report["seed"] == 3
+
+
+def test_frozen_violet_counterexample():
+    """The seed-3 counterexample, saved as text so that it outlives a
+    change of the generator: the plain violet order disagrees with the
+    embedding polynomial on it, the violet-prime order agrees."""
+    g = load_path(Path(__file__).resolve().parent / "data" / "violet_counterexample.hg")
+    assert harness.test_violet(g)["verdict"] == "COUNTEREXAMPLE"
+    assert harness.test_violet_prime(g)["verdict"] == "EQUAL"
 
 
 def test_random_reports_tag_seeds_and_feed_the_search():

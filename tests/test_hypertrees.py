@@ -13,7 +13,6 @@ from hypertutte import harness, hypertrees, model, polymatroid, tours
 from hypertutte.polymatroid import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
     all_spanning_trees,
-    degree_vector,
     enumerate_hypertrees,
     jaeger_trees,
     tour_search,
@@ -21,8 +20,11 @@ from hypertutte.hypertrees import (
 from hypertutte.model import RibbonGraph, is_emerald, node_index
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
 from hypertutte.tutte import tutte_embedding
-from oracles import hypertrees_by_exchange, is_hypertree, is_jaeger, is_violet_jaeger, perturbed
+from oracles import (
+    degree_vector, hypertrees_by_exchange, is_hypertree, is_jaeger, is_violet_jaeger, perturbed,
+)
 from test_oracle import complete_bipartite, ribbon_graphs
+from test_outputs import seeded_complete_bipartites
 
 
 def test_degree_vector_panel1(fig2):
@@ -109,6 +111,17 @@ def test_search_trees_have_the_degrees(fig2):
         for h, (t, *_) in jaeger_trees(fig2, variant).items():
             assert is_spanning_tree(fig2, frozenset(t))
             assert degree_vector(fig2, t) == h
+
+
+def test_every_row_carries_its_trees_degree_vector(all_hg):
+    """The degree vector the search carries down each branch is the one
+    the oracle counts from the row's tree, for both variants."""
+    graphs = [*all_hg.values(), *map(harness.random_instance, range(150)),
+              *seeded_complete_bipartites()]
+    for g in graphs:
+        for variant in ("emerald", "violet"):
+            for h, (tree, *_) in jaeger_trees(g, variant).items():
+                assert degree_vector(g, tree) == h
 
 
 def _subset_sums(values) -> list:

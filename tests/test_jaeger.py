@@ -11,15 +11,15 @@ from hypertutte.polymatroid import (
     activity_masks, assignment_from_orders, bases_from_hypertrees, check_order, names,
 )
 from hypertutte.hypertrees import (
-    all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees, orders,
+    all_spanning_trees, enumerate_hypertrees, jaeger_trees, orders,
 )
 from hypertutte.jaeger import NotAHypertree, embedding_activities, embedding_assignment
 from hypertutte.model import is_emerald
 from hypertutte.tours import tour
 from hypertutte.tutte import tutte_embedding
 from oracles import (
-    classical_activities, is_hypertree, is_jaeger, is_violet_jaeger, monomial, order_violet,
-    perturbed, power, representatives, times, tree_less, x_plus_y_minus_1,
+    classical_activities, degree_vector, is_hypertree, is_jaeger, is_violet_jaeger, monomial,
+    order_violet, perturbed, power, representatives, times, tree_less, x_plus_y_minus_1,
 )
 from test_oracle import complete_bipartite, ribbon_graphs
 

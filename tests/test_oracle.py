@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hypertutte import tours
 from hypertutte.polymatroid import bases_from_hypertrees, check_exchange
 from hypertutte.hypertrees import (
-    all_spanning_trees, degree_vector, enumerate_hypertrees, jaeger_trees,
+    all_spanning_trees, enumerate_hypertrees, jaeger_trees,
 )
 from hypertutte.model import RibbonGraph, emerald, load, violet
 from hypertutte.tutte import tutte_embedding, tutte_from_order
-from oracles import graph_matroid, is_hypertree, is_jaeger, is_violet_jaeger, perturbed
+from oracles import (
+    degree_vector, graph_matroid, is_hypertree, is_jaeger, is_violet_jaeger, perturbed,
+)
 
 
 def complete_bipartite(a, b):

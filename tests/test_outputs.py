@@ -1,6 +1,7 @@
 """Byte-identity guard: both variants' tour-search tables and the rendered
 embedding, violet-prime and violet polynomials, hashed over the fixtures,
-``harness.random_instance`` seeds 0-149 and a seeded K4,4, and the
+``harness.random_instance`` seeds 0-149, a seeded K4,4 and seeded
+K4,5, K5,5, K6,6, K4,8 and K3,12, and the
 corank-nullity tables of the fixtures and those seeds at five windows,
 must match the digests recorded in ``tests/data/outputs.sha256``.  A
 speed-up of the search, the activities, the assembly or the lattice walk
@@ -45,6 +46,12 @@ def lattice_digest(graphs) -> str:
     return sha.hexdigest()
 
 
+def seeded_complete_bipartites() -> list:
+    """Seeded embeddings of K4,5, K5,5, K6,6, K4,8 and K3,12."""
+    return [perturbed(complete_bipartite(a, b), random.Random(10 * a + b))
+            for a, b in ((4, 5), (5, 5), (6, 6), (4, 8), (3, 12))]
+
+
 def groups():
     """name -> (digest, graphs), in a fixed order."""
     fixtures = [load_path(fixture_path(f"fig{i}.hg")) for i in (1, 2, 4, 5)]
@@ -53,6 +60,7 @@ def groups():
         "fixtures": (digest, fixtures),
         "random_instance 0-149": (digest, randoms),
         "K4,4": (digest, [perturbed(complete_bipartite(4, 4), random.Random(44))]),
+        "K4,5 K5,5 K6,6 K4,8 K3,12": (digest, seeded_complete_bipartites()),
         "corank_nullity, fixtures and random_instance 0-149": (lattice_digest, fixtures + randoms),
     }
 

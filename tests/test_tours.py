@@ -1,6 +1,7 @@
 """Tours, the tree order, fundamental cycles/cuts, tree enumeration."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -128,6 +129,29 @@ def test_walk_resumes_at_any_step(all_hg):
             for i, step in enumerate(steps):
                 resumed = tours.walk(g, t, g.dart(*step))
                 assert [g.node_edge(d) for d in resumed] == steps[i:]
+
+
+def test_walk_steps_over_skipped_edges(all_hg):
+    """From the basis dart or any dart of the tour, the walk with a skip
+    set hands out the darts of the walk without it whose edges are not
+    in the set; if the caller adds each edge it is handed to the set, as
+    the tour search does, it hands out the first visits only."""
+    rng = random.Random(40)
+    for g in all_hg.values():
+        trees = list(enumerate_spanning_trees(g))
+        for t in rng.sample(trees, min(10, len(trees))):
+            for at in [None, *rng.sample(list(tours.walk(g, t)), 4)]:
+                darts = list(tours.walk(g, t, at))
+                skip = set(rng.sample(range(len(g.edges)), rng.randrange(len(g.edges))))
+                kept = [d for d in darts if d >> 1 not in skip]
+                assert list(tours.walk(g, t, at, frozenset(skip))) == kept
+                firsts = [d for i, d in enumerate(kept)
+                          if all(e >> 1 != d >> 1 for e in kept[:i])]
+                handed = []
+                for d in tours.walk(g, t, at, skip):
+                    handed.append(d)
+                    skip.add(d >> 1)
+                assert handed == firsts
 
 
 def test_walk_visits_every_dart_once(all_hg):
