@@ -24,20 +24,23 @@ node w of the colour that cannot choose: if w has an undecided edge to a
 reached node, the tour finishes w's subtree before it leaves w, so it
 meets that edge first at w, where it must go in and closes a cycle.
 That edge also keeps w joined to the tree, so the out branch then needs
-no connectivity test.  No branch dies: at a node x that cannot choose,
-an edge k met first there never has its far end y reached.  Not before
-x was entered, for the look-ahead refused every include into x while x
-had an undecided edge to a reached node; not after, for then y lies in
-x's subtree, and a tour walks every dart around a node before it leaves
-that node for the last time, so it met k at y first.  So no include
-closes a cycle, every exclusion keeps the graph connected, the tree
-spans, and every branch the search pushes is one Jaeger tree, whose row
-is final once the tree spans (:func:`tour_search`).  Its degree vector,
-carried down the branch, is its hypertree, and its two emerald orders
-(first appearance as the current node, and as the emerald end of the
-current edge) are read off the nodes in the order the walk reached them
-and the edges in the order it first met them, through per-graph tables
-built once (each edge's emerald index and name, and the set of emeralds).
+no connectivity test; nor does it when w has no undecided edge left, for
+out would cut w off, so the edge goes in and nothing is pushed.  No
+branch dies: at a node x that cannot choose, an edge k met first there
+never has its far end y reached.  Not before x was entered, for the
+look-ahead refused every include into x while x had an undecided edge
+to a reached node; not after, for then y lies in x's subtree, and a
+tour walks every dart around a node before it leaves that node for the
+last time, so it met k at y first.  So no include closes a cycle, every
+exclusion keeps the graph connected, the tree spans, and every branch
+the search pushes is one Jaeger tree, whose row is final once the tree
+spans (:func:`tour_search`).  Its degree vector, carried down the
+branch, is its hypertree, and its two emerald orders (first appearance
+as the current node, and as the emerald end of the current edge) are
+read off the nodes in the order the walk reached them and the edges in
+the order it first met them, through per-graph tables built once (each
+edge's emerald index and name, and the set of emeralds).  They agree on
+an emerald Jaeger tree, so only violet rows keep the second.
 The search's table per variant (:func:`jaeger_trees`) is the one way a
 caller reaches a Jaeger tree, and :func:`orders`, which alone knows a
 row's layout, the one way it reaches an activity kind's orders.  Only
@@ -45,8 +48,8 @@ row's layout, the one way it reaches an activity kind's orders.  Only
 with :func:`well_formed`.
 With Python 3.11 on a shared 2-vCPU host (CPU seconds, seeded
 embeddings, medians of five rounds of five runs), the emerald search
-takes about 0.0047 s on K6,6 (252 hypertrees), 0.024 s on K7,7 (924)
-and 0.0085 s on K3,24 (300).
+takes about 0.0029 s on K6,6 (252 hypertrees), 0.014 s on K7,7 (924)
+and 0.0056 s on K3,24 (300).
 
 Listing spanning trees (:func:`all_spanning_trees`) remains for the
 coverage figures of the benchmark; the oracles built on it, the
@@ -92,11 +95,11 @@ def well_formed(g: RibbonGraph, v: tuple) -> bool:
 
 
 def tour_search(g: RibbonGraph, variant: str):
-    """Yield (h, (tree, node order, edge order)) for every Jaeger tree of
-    the variant, one per hypertree h, so the pairs are the rows of
-    :func:`jaeger_trees`: the tree as a sorted tuple of edge ids, and the
-    emeralds in order of first appearance in its tour as the current node
-    and as the emerald end of the current edge.
+    """Yield (h, row) for every Jaeger tree of the variant, one per
+    hypertree h, so the pairs are the rows of :func:`jaeger_trees`: the
+    tree as a sorted tuple of edge ids, and the emeralds in order of first
+    appearance in its tour as the current node and, in violet rows only,
+    as the emerald end of the current edge.
 
     Each pending branch is the walk's state at a dart: the tree so far,
     the nodes in the order the walk reached them, the edges in the order
@@ -111,9 +114,13 @@ def tour_search(g: RibbonGraph, variant: str):
     which lists each emerald at its first appearance: each entered the
     tree through a met edge at it, an emerald basis node through the
     first edge.
+
+    If the look-ahead's scan finds no undecided edge at far but k, the
+    connectivity test is decided unasked: :func:`model.reach` from far
+    would return {far: None}, far is not reached, so k goes in, unbranched.
     """
     chooser = 1 if variant == "emerald" else 0  # dart side of the choosing colour
-    edges, n_nodes = g.edges, len(g.nodes)
+    edges, n_nodes = g.edges, g.violet_count + g.emerald_count
     adj = cached(g, "adjacency",
                  lambda g: adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)))
     emerald_of = cached(g, "emerald of edge",
@@ -130,17 +137,20 @@ def tour_search(g: RibbonGraph, variant: str):
             if d & 1 == chooser:
                 if far in reached:
                     continue  # k stays out: in, it would close a cycle
+                free = False  # far has an undecided edge other than k
                 for x, w in adj[far]:
-                    if w in reached and x not in met:
-                        # k stays out: in, the look-ahead kills it at far;
-                        # out, x keeps far joined to the tree
-                        break
+                    if x not in met:
+                        if w in reached:
+                            # k stays out: in, the look-ahead kills it at far;
+                            # out, x keeps far joined to the tree
+                            break
+                        free = True
                 else:
-                    if next(reversed(reach(adj, far, met, reached))) in reached:
+                    if free and next(reversed(reach(adj, far, met, reached))) in reached:
                         # out keeps the graph connected iff far still reaches
-                        # the tree through undecided edges, when the search
-                        # stops at a reached node, its last key; in goes on
-                        # in this walk
+                        # the tree through undecided edges (never if far has
+                        # none), when the search stops at a reached node, its
+                        # last key; in goes on in this walk
                         pending.append((set(tree), dict(reached), dict(met), list(degs), d))
                     tree.add(k)
                     reached[far] = None
@@ -153,16 +163,16 @@ def tour_search(g: RibbonGraph, variant: str):
             degs[emerald_of[k]] += 1
             if len(reached) == n_nodes:
                 break
-        yield tuple(degs), (
-            tuple(sorted(tree)),
-            tuple(filter(emeralds, reached)),
-            tuple(dict.fromkeys(map(emerald_name.__getitem__, met))),
-        )
+        row = tuple(sorted(tree)), tuple(filter(emeralds, reached))
+        if not chooser:  # only the violet search's edge order is read
+            row += tuple(dict.fromkeys(map(emerald_name.__getitem__, met))),
+        yield tuple(degs), row
 
 
 def jaeger_trees(g: RibbonGraph, variant: str = "emerald") -> dict:
-    """h -> (tree, node order, edge order) for every hypertree h: the
-    pairs of one :func:`tour_search` per graph and variant."""
+    """h -> (tree, node order) for the emerald variant, (tree, node
+    order, edge order) for the violet, for every hypertree h: the pairs
+    of one :func:`tour_search` per graph and variant."""
     return cached(g, f"{variant} Jaeger trees", lambda g: dict(tour_search(g, variant)))
 
 

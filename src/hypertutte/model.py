@@ -227,7 +227,7 @@ class RibbonGraph(Frozen):
                 f"underlying bipartite graph is disconnected: {count} nodes"
                 f" need at least {count - 1} edges, not {len(self.edges)}"
             )
-        nodes = set(self.violets) | set(self.emeralds)
+        nodes = set(self.nodes)
         for k, (v, e) in enumerate(self.edges):
             if v not in nodes or not is_violet(v):
                 raise ValidationError(f"edge {k}: bad violet endpoint {v!r}")

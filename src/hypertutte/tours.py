@@ -26,7 +26,7 @@ from .model import RibbonGraph, connected
 
 
 def is_spanning_tree(g: RibbonGraph, tree: frozenset) -> bool:
-    n_nodes = len(g.nodes)
+    n_nodes = g.violet_count + g.emerald_count
     if len(tree) != n_nodes - 1 or not all(k in range(len(g.edges)) for k in tree):
         return False
     return connected(((k, *g.edges[k]) for k in tree), n_nodes)
@@ -69,7 +69,8 @@ def tour(g: RibbonGraph, tree: frozenset) -> list[tuple[str, int]]:
 
 def enumerate_spanning_trees(g: RibbonGraph):
     """Every spanning tree of g once, in the order of :func:`spanning_trees`."""
-    return spanning_trees(((k, v, e) for k, (v, e) in enumerate(g.edges)), len(g.nodes))
+    return spanning_trees(((k, v, e) for k, (v, e) in enumerate(g.edges)),
+                          g.violet_count + g.emerald_count)
 
 
 def spanning_trees(edges, n_nodes: int):

@@ -90,6 +90,28 @@ def assert_one_walk_per_hypertree(g):
         assert len(walks) == len(leaves) == hypertree_count, variant
 
 
+def test_search_tests_connectivity_only_from_undecided_edges(all_hg, monkeypatch):
+    """Both searches call ``model.reach`` only from a far end that still
+    has an undecided edge: from one with none left, excluding the edge
+    would cut it off, so the search includes it without asking (the
+    argument is in the ``tour_search`` docstring)."""
+    starts = []
+    search_reach = hypertrees.reach
+
+    def spied(adj, start, avoid=(), until=()):
+        assert any(x not in avoid for x, _ in adj[start]), start
+        starts.append(start)
+        return search_reach(adj, start, avoid, until)
+
+    monkeypatch.setattr(hypertrees, "reach", spied)
+    graphs = [*all_hg.values(), *map(harness.random_instance, range(150)),
+              *seeded_complete_bipartites()]
+    for g in graphs:
+        for variant in ("emerald", "violet"):
+            assert list(tour_search(g, variant))
+    assert starts
+
+
 def test_every_branch_is_a_jaeger_tree(all_hg, single_edge):
     """On the fixtures and seeded K_{a,b} embeddings, with the basis at
     either colour, every branch the search pushes yields a Jaeger tree."""

@@ -22,6 +22,7 @@ from oracles import (
     order_violet, perturbed, power, representatives, times, tree_less, x_plus_y_minus_1,
 )
 from test_oracle import complete_bipartite, ribbon_graphs
+from test_outputs import seeded_complete_bipartites
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
 
@@ -210,11 +211,24 @@ def _order_by_first_endpoint(g, tree):
 
 def test_emerald_orders_coincide(all_hg):
     """In the tour of an emerald Jaeger tree, the first-as-current-node
-    and first-as-endpoint-of-current-edge orders agree."""
-    for g in all_hg.values():
-        for h in enumerate_hypertrees(g):
-            t = tree_of(g, h)
-            assert _order_by_first_node(g, t) == _order_by_first_endpoint(g, t)
+    and first-as-endpoint-of-current-edge orders agree, so an emerald row
+    keeps only the node order: it is the endpoint order re-read from the
+    row's tree."""
+    graphs = [*all_hg.values(), *map(harness.random_instance, range(150)),
+              *seeded_complete_bipartites()]
+    for g in graphs:
+        for h, (tree, node_order) in jaeger_trees(g).items():
+            t = frozenset(tree)
+            assert node_order == _order_by_first_endpoint(g, t) == _order_by_first_node(g, t), h
+
+
+def test_rows_per_variant(all_hg, single_edge):
+    """An emerald row is (tree, node order); a violet row adds the edge
+    order, which the "violet-prime" kind reads."""
+    for g in [*all_hg.values(), single_edge]:
+        assert {len(row) for row in jaeger_trees(g).values()} == {2}
+        assert {len(row) for row in jaeger_trees(g, "violet").values()} == {3}
+        assert orders(g, "violet-prime") == {h: row[2] for h, row in jaeger_trees(g, "violet").items()}
 
 
 def assert_orders_match_tours(g):
