@@ -1,9 +1,10 @@
 """Byte-identity guard: both variants' tour-search tables and the rendered
 embedding, violet-prime and violet polynomials, hashed over the fixtures,
 ``harness.random_instance`` seeds 0-149, a seeded K4,4 and seeded
-K4,5, K5,5, K6,6, K4,8 and K3,12, and the
+K4,5, K5,5, K6,6, K4,8 and K3,12, the
 corank-nullity tables of the fixtures and those seeds at five windows,
-must match the digests recorded in ``tests/data/outputs.sha256``.  A
+and the fixed-order polynomials of all these graphs under the index
+order and under one seeded shuffled order each, must match the digests recorded in ``tests/data/outputs.sha256``.  A
 speed-up of the search, the activities, the assembly or the lattice walk
 must leave every one unchanged.
 
@@ -17,7 +18,8 @@ from pathlib import Path
 from hypertutte import fixture_path, load_path
 from hypertutte.harness import random_instance
 from hypertutte.hypertrees import jaeger_trees, orders
-from hypertutte.tutte import corank_nullity, tutte_embedding, tutte_sum
+from hypertutte.polymatroid import bases_from_hypertrees
+from hypertutte.tutte import corank_nullity, tutte_embedding, tutte_from_order, tutte_sum
 from oracles import perturbed
 from test_oracle import complete_bipartite
 
@@ -46,6 +48,18 @@ def lattice_digest(graphs) -> str:
     return sha.hexdigest()
 
 
+def fixed_order_digest(graphs) -> str:
+    """``tutte_from_order`` of the i-th graph under its ground set's index
+    order and under that order shuffled by ``random.Random(i)``."""
+    sha = hashlib.sha256()
+    for i, g in enumerate(graphs):
+        order = list(bases_from_hypertrees(g).ground)
+        sha.update(f"\n{tutte_from_order(g, order)}\n".encode())
+        random.Random(i).shuffle(order)
+        sha.update(f"\n{tutte_from_order(g, order)}\n".encode())
+    return sha.hexdigest()
+
+
 def seeded_complete_bipartites() -> list:
     """Seeded embeddings of K4,5, K5,5, K6,6, K4,8 and K3,12."""
     return [perturbed(complete_bipartite(a, b), random.Random(10 * a + b))
@@ -56,12 +70,16 @@ def groups():
     """name -> (digest, graphs), in a fixed order."""
     fixtures = [load_path(fixture_path(f"fig{i}.hg")) for i in (1, 2, 4, 5)]
     randoms = [random_instance(seed=s) for s in range(150)]
+    k44 = [perturbed(complete_bipartite(4, 4), random.Random(44))]
+    kabs = seeded_complete_bipartites()
     return {
         "fixtures": (digest, fixtures),
         "random_instance 0-149": (digest, randoms),
-        "K4,4": (digest, [perturbed(complete_bipartite(4, 4), random.Random(44))]),
-        "K4,5 K5,5 K6,6 K4,8 K3,12": (digest, seeded_complete_bipartites()),
+        "K4,4": (digest, k44),
+        "K4,5 K5,5 K6,6 K4,8 K3,12": (digest, kabs),
         "corank_nullity, fixtures and random_instance 0-149": (lattice_digest, fixtures + randoms),
+        "tutte_from_order, fixtures, random_instance 0-149 and seeded K_{a,b}":
+            (fixed_order_digest, fixtures + randoms + k44 + kabs),
     }
 
 
