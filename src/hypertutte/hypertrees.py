@@ -187,8 +187,14 @@ def orders(g: RibbonGraph, kind: str) -> dict:
 
 
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:
-    """All hypertrees of g in lexicographic order (tuple of tuples)."""
-    return cached(g, "hypertrees", lambda g: tuple(sorted(jaeger_trees(g))))
+    """All hypertrees of g in lexicographic order (tuple of tuples): the
+    keys of the search table g already holds, the emerald one if it holds
+    both, each of which lists every hypertree once, since a hypertree has
+    exactly one Jaeger tree of each variant.  Only a graph that holds
+    neither runs the emerald search (:func:`jaeger_trees`)."""
+    held = g.derived.get  # a table is never empty: every graph has a hypertree
+    return cached(g, "hypertrees", lambda g: tuple(sorted(
+        held("emerald Jaeger trees") or held("violet Jaeger trees") or jaeger_trees(g))))
 
 
 # -- spanning-tree listing, for the benchmark's coverage figures -------------

@@ -1,17 +1,24 @@
 """The hypergraph Tutte polynomial, three ways.
 
 tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
-activities; tutte_from_order does the same with a fixed emerald order.
-Both go through tutte_sum, which takes one order per hypertree as a
-mapping (the embedding sum reads hypertrees.orders of kind "embedding"),
-so no hypertree is looked up again, and counts (oi, oe, ie) from the
-bit counts of polymatroid's activity masks.
+activities through tutte_sum, which takes one order per hypertree as a
+mapping (the embedding sum reads hypertrees.orders of kind "embedding",
+and harness's order comparisons their own kinds), so no hypertree is
+looked up again, and counts (oi, oe, ie) from the bit counts of
+polymatroid's activity masks.
 It needs the two masks alone, so it reads no activity records: one per
 hypertree makes the sum about twice as slow (seeded K4,5, Python 3.11).
 A graph's sums share one exchange table per hypertree, and so do the
 sums of every graph with the same hypertree set, such as the other
 embeddings of its hypergraph (polymatroid.bases_from_hypertrees); each
 embedding still runs its own tour search and activity sum.
+
+tutte_from_order is the same sum with one fixed emerald order for every
+hypertree, regrouped so that it needs no activity (Bernardi, Kálmán and
+Postnikov, "Universal Tutte polynomial"): it slices the hypertree set
+along the order, last element first, and reads no exchange table.  It
+is T too, so the conjecture harness takes its reference polynomial from
+it, and a conjecture run needs no emerald search.
 
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
@@ -66,11 +73,59 @@ def tutte_embedding(g: RibbonGraph) -> Poly:
 
 def tutte_from_order(g: RibbonGraph, order) -> Poly:
     """Same sum, with activities taken relative to one fixed emerald
-    order, which must list every emerald once (:func:`polymatroid.check_order`)."""
+    order, which must list every emerald once (:func:`polymatroid.check_order`).
+
+    Under the MIN rule the last element e of the order is internally
+    active in a basis b iff b(e) is e's least value lo over the bases (b
+    - 1_e + 1_f is a basis for some f iff some basis is lower at e, by
+    the exchange axiom), and externally active iff b(e) is the greatest,
+    hi.  An exchange between earlier elements leaves b(e) alone, so the
+    rest of b's activities are those of the slice of bases with b's value
+    at e, with e dropped, under the order without e.  So the bases of a
+    slice are grouped by their value at e: if lo = hi, the one group adds
+    1 to ie, else the group at lo adds 1 to oi, the group at hi 1 to oe,
+    and any group between nothing.
+
+    The slices are made one level (one element) at a time, and equal
+    slices of a level merge their counters {(oi, oe, ie): n}, so a level
+    holds at most one counter per distinct base set, and only one level
+    is kept.  A one-basis slice has lo = hi at every element left, and
+    adds them all to ie at once.  The counts are expanded once
+    (:func:`polynomial.expand_triples`); no exchange table is read and
+    no activity mask is tested.
+    """
     order = tuple(order)
     P = bases_from_hypertrees(g)
     check_order(P, order)
-    return tutte_sum(g, dict.fromkeys(P.bases, order))
+    places = tuple(map(P.index, order))
+    start = P.bases if places == tuple(range(len(places))) else frozenset(
+        tuple(b[i] for i in places) for b in P.bases)  # coordinates in order
+    # base set of a slice -> {(oi, oe, ie): n}
+    level = {start: {(0, 0, 0): 1}}
+    triples = {}
+    for left in reversed(range(len(order))):  # the coordinate sliced, the last one left
+        below = {}
+        for bases, counts in level.items():
+            if len(bases) == 1:  # every element left is fixed
+                for (oi, oe, ie), n in counts.items():
+                    key = oi, oe, ie + left + 1
+                    triples[key] = triples.get(key, 0) + n
+                continue
+            groups = {}
+            for b in bases:
+                groups.setdefault(b[left], []).append(b[:left])
+            lo, hi = min(groups), max(groups)
+            for k, group in groups.items():
+                di, de, dc = (0, 0, 1) if lo == hi else (k == lo, k == hi, 0)
+                merged = below.setdefault(frozenset(group), {})
+                for (oi, oe, ie), n in counts.items():
+                    key = oi + di, oe + de, ie + dc
+                    merged[key] = merged.get(key, 0) + n
+        level = below
+    for counts in level.values():  # the slices of no element left
+        for key, n in counts.items():
+            triples[key] = triples.get(key, 0) + n
+    return expand_triples(triples)
 
 
 def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:

@@ -3,13 +3,14 @@
 import random
 from pathlib import Path
 
-from hypertutte import harness, load, load_path
-from hypertutte.hypertrees import orders
+from hypertutte import harness, hypertrees, load, load_path
+from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees, orders
 from hypertutte.model import is_violet
 from hypertutte.tours import enumerate_spanning_trees
 from hypertutte.tutte import tutte_embedding, tutte_sum
 
 from oracles import perturbed
+from test_oracle import complete_bipartite
 
 
 def test_random_instance_deterministic():
@@ -104,17 +105,50 @@ def test_violet_and_prime_agree_at_one_one():
 
 
 def test_embedding_polynomial_built_once_per_graph(fig2, monkeypatch):
-    """Both order checks on one graph share its embedding polynomial: one
-    activity sum for it and one for each order variant."""
+    """Both order checks on one graph share its reference, the embedding
+    polynomial: one slice sum for it (the fixed-order sum) and one
+    activity sum for each order variant."""
     from hypertutte import tutte
 
-    sums = []
-    tutte_sum = tutte.tutte_sum
+    sums, slices = [], []
+    tutte_sum, tutte_from_order = tutte.tutte_sum, tutte.tutte_from_order
     monkeypatch.setattr(
         tutte, "tutte_sum", lambda g, order_map: sums.append(order_map) or tutte_sum(g, order_map)
+    )
+    monkeypatch.setattr(
+        tutte, "tutte_from_order", lambda g, order: slices.append(order) or tutte_from_order(g, order)
     )
     g = perturbed(fig2, random.Random(5))  # a graph no other test caches
     assert g != fig2
     assert harness.test_violet_prime(g)["verdict"] == "EQUAL"
     harness.test_violet(g)
-    assert len(sums) == 3
+    assert (len(slices), len(sums)) == (1, 2)
+
+
+def test_conjecture_run_searches_once(monkeypatch):
+    """A conjecture run makes one tour search per graph, the violet one its
+    orders need: the hypertree list is read off that table, and equals the
+    emerald table's keys, which only a later embedding sum searches for."""
+    searched = []
+    search = hypertrees.tour_search
+    monkeypatch.setattr(hypertrees, "tour_search",
+                        lambda g, variant: searched.append(variant) or search(g, variant))
+    g = perturbed(complete_bipartite(3, 4), random.Random(43))  # fresh: nothing searched yet
+    harness.test_violet_prime(g)
+    harness.test_violet(g)
+    assert searched == ["violet"]
+    tutte_embedding(g)
+    assert searched == ["violet", "emerald"]
+    assert enumerate_hypertrees(g) == tuple(sorted(jaeger_trees(g)))
+    assert searched == ["violet", "emerald"]
+
+
+def test_reference_is_the_embedding_polynomial(all_hg):
+    """The reference the order checks report, the fixed-order sum under
+    the index order, is the embedding polynomial, on the fixtures and
+    ``random_instance`` seeds 0-149."""
+    graphs = [*all_hg.values(), *(harness.random_instance(seed=s) for s in range(150))]
+    for g in graphs:
+        for check in (harness.test_violet_prime, harness.test_violet):
+            report = check(g)
+            assert report.get("polynomial", report.get("embedding")) == str(tutte_embedding(g))

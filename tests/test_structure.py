@@ -477,12 +477,16 @@ def test_one_order_table():
 
 
 def test_one_activity_sum():
-    """``tutte.tutte_sum`` is the one activity sum: the embedding and
-    fixed-order polynomials and the order comparisons of ``harness``
-    call it, and ``harness`` defines no sum of its own."""
+    """``tutte.tutte_sum`` is the one activity sum: the embedding
+    polynomial and the order comparisons of ``harness`` call it, and
+    ``harness`` defines no sum of its own.  The fixed-order sum slices
+    the base set instead: it calls none of ``tutte_sum``,
+    ``activity_masks`` or ``exchanges``, so it shares no exchange row
+    with the embedding sum it is compared with."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "tutte_sum") == [
-        "harness._compare", "tutte.tutte_embedding", "tutte.tutte_from_order"]
+    assert callers(sources, "tutte_sum") == ["harness._compare", "tutte.tutte_embedding"]
+    for name in ("tutte_sum", "activity_masks", "exchanges"):
+        assert "tutte.tutte_from_order" not in callers(sources, name), name
 
 
 def test_one_contraction_deletion():
