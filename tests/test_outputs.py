@@ -1,12 +1,13 @@
 """Byte-identity guard: both variants' tour-search tables and the rendered
 embedding, violet-prime and violet polynomials, hashed over the fixtures,
 ``harness.random_instance`` seeds 0-149, a seeded K4,4 and seeded
-K4,5, K5,5, K6,6, K4,8 and K3,12, the
-corank-nullity tables of the fixtures and those seeds at five windows,
-and the fixed-order polynomials of all these graphs under the index
-order and under one seeded shuffled order each, must match the digests recorded in ``tests/data/outputs.sha256``.  A
-speed-up of the search, the activities, the assembly or the lattice walk
-must leave every one unchanged.
+K4,5, K5,5, K6,6, K4,8 and K3,12, the corank-nullity tables of the
+fixtures and those seeds at five windows, and the fixed-order
+polynomials of all these graphs under the index order and under one
+seeded shuffled order each, must match the digests recorded in
+``tests/data/outputs.sha256``.  A speed-up of the search, the
+activities, the assembly, the slices or the lattice walk must leave
+every one unchanged.
 
 To re-record after a deliberate change of output, run
 ``PYTHONPATH=src:tests python tests/test_outputs.py`` and say why."""
