@@ -2,21 +2,24 @@
 embedding, violet-prime and violet polynomials, hashed over the fixtures,
 ``harness.random_instance`` seeds 0-149, a seeded K4,4 and seeded
 K4,5, K5,5, K6,6, K4,8 and K3,12, the corank-nullity tables of the
-fixtures and those seeds at five windows, and the fixed-order
+fixtures and those seeds at five windows, the fixed-order
 polynomials of all these graphs under the index order and under one
-seeded shuffled order each, must match the digests recorded in
+seeded shuffled order each, and the violet-prime and violet reports of
+the fixtures, the frozen violet counterexample, seeds 0-299 and the
+seeded K_{a,b}, must match the digests recorded in
 ``tests/data/outputs.sha256``.  A speed-up of the search, the
-activities, the assembly, the slices or the lattice walk must leave
-every one unchanged.
+activities, the assembly, the slices, the lattice walk or the
+conjecture checks must leave every one unchanged.
 
 To re-record after a deliberate change of output, run
 ``PYTHONPATH=src:tests python tests/test_outputs.py`` and say why."""
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
-from hypertutte import fixture_path, load_path
+from hypertutte import fixture_path, harness, load_path
 from hypertutte.harness import random_instance
 from hypertutte.hypertrees import jaeger_trees, orders
 from hypertutte.polymatroid import bases_from_hypertrees
@@ -61,6 +64,15 @@ def fixed_order_digest(graphs) -> str:
     return sha.hexdigest()
 
 
+def reports_digest(graphs) -> str:
+    """The violet-prime and violet reports of each graph, as sorted JSON."""
+    sha = hashlib.sha256()
+    for g in graphs:
+        for check in (harness.test_violet_prime, harness.test_violet):
+            sha.update(f"\n{json.dumps(check(g), sort_keys=True)}\n".encode())
+    return sha.hexdigest()
+
+
 def seeded_complete_bipartites() -> list:
     """Seeded embeddings of K4,5, K5,5, K6,6, K4,8 and K3,12."""
     return [perturbed(complete_bipartite(a, b), random.Random(10 * a + b))
@@ -73,6 +85,8 @@ def groups():
     randoms = [random_instance(seed=s) for s in range(150)]
     k44 = [perturbed(complete_bipartite(4, 4), random.Random(44))]
     kabs = seeded_complete_bipartites()
+    counterexample = [load_path(DIGESTS.parent / "violet_counterexample.hg")]
+    more = [random_instance(seed=s) for s in range(150, 300)]
     return {
         "fixtures": (digest, fixtures),
         "random_instance 0-149": (digest, randoms),
@@ -81,6 +95,9 @@ def groups():
         "corank_nullity, fixtures and random_instance 0-149": (lattice_digest, fixtures + randoms),
         "tutte_from_order, fixtures, random_instance 0-149 and seeded K_{a,b}":
             (fixed_order_digest, fixtures + randoms + k44 + kabs),
+        "violet-prime and violet reports, fixtures, violet_counterexample.hg,"
+        " random_instance 0-299 and seeded K_{a,b}":
+            (reports_digest, fixtures + counterexample + randoms + more + k44 + kabs),
     }
 
 
