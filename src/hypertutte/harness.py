@@ -2,17 +2,22 @@
 
 random_instance builds connected bipartite ribbon graphs with shuffled
 rotations, deterministically per seed.  test_violet_prime compares the
-Tutte sum (tutte.tutte_sum) under the orders of kind "violet-prime"
-(hypertrees.orders) against the embedding polynomial (an open
-conjecture: reported, not assumed); test_violet does so for kind
-"violet", which is known to disagree on some instances.  The reference
-they compare against is computed as the fixed-order sum under the index
-order (tutte.tutte_from_order), which slices the hypertree set and reads
-no activity: that sum is T (Bernardi, Kálmán and Postnikov), and so is
-the embedding sum (the paper's theorem), so the reference is the
-embedding polynomial, as the tests check; a report still names it
-"embedding".  The hypertree list comes from the violet search the
-orders need, so a run makes one tour search per graph.  random_reports
+Tutte sum under the orders of kind "violet-prime" (hypertrees.orders)
+against the embedding polynomial (an open conjecture: reported, not
+assumed); test_violet does so for kind "violet", which is known to
+disagree on some instances.  The reference they compare against is
+computed as the fixed-order sum under the index order, which slices the
+hypertree set and reads no activity: that sum is T (Bernardi, Kálmán
+and Postnikov), and so is the embedding sum (the paper's theorem), so
+the reference is the embedding polynomial, as the tests check; a report
+still names it "embedding".  Each sum is compared first as its counter
+{(oi, oe, ie): n} (tutte.slice_triples for the reference,
+tutte.activity_triples for the candidate), which one linear map expands
+into the polynomial (polynomial.expand_triples): equal counters decide
+EQUAL with no expansion, and only a candidate whose counter differs is
+expanded and compared as a polynomial, since different counters may
+still expand alike.  The hypertree list comes from the violet search
+the orders need, so a run makes one tour search per graph.  random_reports
 is the one loop that runs a check over seeded random instances; the
 CLI's conjecture command reads it.  The rotation and basis perturbation
 under which the tests re-derive the embedding polynomial is in
@@ -26,6 +31,7 @@ import random
 from .model import RibbonGraph, violet, emerald
 from .hypertrees import cached, orders
 from .polymatroid import bases_from_hypertrees
+from .polynomial import expand_triples
 from . import tutte
 
 
@@ -79,26 +85,36 @@ def _describe(g: RibbonGraph) -> dict:
     }
 
 
+def _reference(g: RibbonGraph) -> tuple:
+    """The fixed-order counter of g under the index order, its polynomial
+    and that polynomial's text."""
+    counts = tutte.slice_triples(g, bases_from_hypertrees(g).ground)
+    reference = expand_triples(counts)
+    return counts, reference, str(reference)
+
+
 def _compare(g: RibbonGraph, kind: str) -> dict:
     """Compare the Tutte sum under the orders of ``kind`` to the embedding
-    polynomial, computed once per graph as the fixed-order sum under the
-    index order and rendered once per graph; a counterexample reports the
-    candidate under ``kind`` in snake case.  The orders come first, so the
-    hypertree list is read off their search's table."""
+    polynomial, whose counter, polynomial and text are computed once per
+    graph (:func:`_reference`).  Equal counters expand to equal
+    polynomials, so the candidate is expanded only when its counter
+    differs; a counterexample reports it under ``kind`` in snake case.
+    The orders come first, so the hypertree list is read off their
+    search's table."""
     order_map = orders(g, kind)
-    reference = cached(g, "reference",
-                       lambda g: tutte.tutte_from_order(g, bases_from_hypertrees(g).ground))
-    candidate = tutte.tutte_sum(g, order_map)
-    rendered = cached(g, "rendered reference", lambda g: str(reference))
-    if reference == candidate:
-        return {"kind": kind, "verdict": "EQUAL", "polynomial": rendered}
-    return {
-        "kind": kind,
-        "verdict": "COUNTEREXAMPLE",
-        "instance": _describe(g),
-        "embedding": rendered,
-        kind.replace("-", "_"): str(candidate),
-    }
+    counts, reference, rendered = cached(g, "reference", _reference)
+    triples = tutte.activity_triples(g, order_map)
+    if triples != counts:
+        candidate = expand_triples(triples)
+        if candidate != reference:
+            return {
+                "kind": kind,
+                "verdict": "COUNTEREXAMPLE",
+                "instance": _describe(g),
+                "embedding": rendered,
+                kind.replace("-", "_"): str(candidate),
+            }
+    return {"kind": kind, "verdict": "EQUAL", "polynomial": rendered}
 
 
 def test_violet_prime(g: RibbonGraph) -> dict:

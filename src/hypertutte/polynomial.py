@@ -7,7 +7,10 @@ that output diffs are byte-stable.  The package builds a polynomial,
 compares, prints and evaluates it, and nothing more: the Tutte sums
 expand each power of x+y-1 they need by its trinomial coefficients
 (:func:`expand_triples`), so no sum or product of two polynomials is
-ever formed.  Ring arithmetic (sums, products, powers), substitution,
+ever formed.  The expansion is a function of the counter {(a, b, c):
+n} alone, so equal counters give equal polynomials: a conjecture check
+compares the counters first, and expands and compares polynomials only
+where they differ.  Ring arithmetic (sums, products, powers), substitution,
 degrees, the monomials x, y and c x^a y^b, and the factor x+y-1
 itself, which only the test oracles use, are in ``tests/oracles.py``.
 """

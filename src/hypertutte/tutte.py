@@ -4,8 +4,10 @@ tutte_embedding sums x^oi y^oe (x+y-1)^ie over hypertrees with embedding
 activities through tutte_sum, which takes one order per hypertree as a
 mapping (the embedding sum reads hypertrees.orders of kind "embedding",
 and harness's order comparisons their own kinds), so no hypertree is
-looked up again, and counts (oi, oe, ie) from the bit counts of
-polymatroid's activity masks.
+looked up again.  Its counter activity_triples counts (oi, oe, ie) from
+the bit counts of polymatroid's activity masks, and tutte_sum expands
+that counter (polynomial.expand_triples); harness's comparisons read
+the counter itself.
 It needs the two masks alone, so it reads no activity records: one per
 hypertree makes the sum about twice as slow (seeded K4,5, Python 3.11).
 A graph's sums share one exchange table per hypertree, and so do the
@@ -15,10 +17,11 @@ embedding still runs its own tour search and activity sum.
 
 tutte_from_order is the same sum with one fixed emerald order for every
 hypertree, regrouped so that it needs no activity (Bernardi, Kálmán and
-Postnikov, "Universal Tutte polynomial"): it slices the hypertree set
-along the order, last element first, and reads no exchange table.  It
-is T too, so the conjecture harness takes its reference polynomial from
-it, and a conjecture run needs no emerald search.
+Postnikov, "Universal Tutte polynomial"): its counter slice_triples
+slices the hypertree set along the order, last element first, and reads
+no exchange table.  It is T too, so the conjecture harness takes its
+reference counter and polynomial from it, and a conjecture run needs no
+emerald search.
 
 corank_nullity tabulates the generating function of the one-sided
 Manhattan distances (d1>, d1<) over lattice points, which equals the
@@ -50,18 +53,26 @@ from .polymatroid import activity_masks, bases_from_hypertrees, check_order
 from .crapo import box_around, check_budget
 
 
-def tutte_sum(g: RibbonGraph, order_map) -> Poly:
-    """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie: the emeralds only
-    internally, only externally and both ways active under the order
-    ``order_map[h]``, counted per (oi, oe, ie) on the activity bit masks and
-    expanded with trinomial coefficients (:func:`polynomial.expand_triples`)."""
+def activity_triples(g: RibbonGraph, order_map) -> dict:
+    """{(oi, oe, ie): n}: the number n of hypertrees h whose emeralds
+    only internally, only externally and both ways active under the order
+    ``order_map[h]`` number oi, oe and ie, counted on the activity bit
+    masks; no count is zero."""
     P = bases_from_hypertrees(g)
-    triples = Counter()
+    triples = {}
     for h in enumerate_hypertrees(g):
         internal, external = activity_masks(P, h, order_map[h])
         both = internal & external
-        triples[(internal ^ both).bit_count(), (external ^ both).bit_count(), both.bit_count()] += 1
-    return expand_triples(triples)
+        key = (internal ^ both).bit_count(), (external ^ both).bit_count(), both.bit_count()
+        triples[key] = triples.get(key, 0) + 1
+    return triples
+
+
+def tutte_sum(g: RibbonGraph, order_map) -> Poly:
+    """Sum over hypertrees h of x^oi y^oe (x+y-1)^ie under the orders
+    ``order_map[h]``: :func:`activity_triples` expanded with trinomial
+    coefficients (:func:`polynomial.expand_triples`)."""
+    return expand_triples(activity_triples(g, order_map))
 
 
 def tutte_embedding(g: RibbonGraph) -> Poly:
@@ -71,9 +82,10 @@ def tutte_embedding(g: RibbonGraph) -> Poly:
     return cached(g, "embedding", lambda g: tutte_sum(g, orders(g, "embedding")))
 
 
-def tutte_from_order(g: RibbonGraph, order) -> Poly:
-    """Same sum, with activities taken relative to one fixed emerald
-    order, which must list every emerald once (:func:`polymatroid.check_order`).
+def slice_triples(g: RibbonGraph, order) -> dict:
+    """The counter of :func:`activity_triples` with one fixed emerald
+    order for every hypertree, which must list every emerald once
+    (:func:`polymatroid.check_order`), counted without activities.
 
     Under the MIN rule the last element e of the order is internally
     active in a basis b iff b(e) is e's least value lo over the bases (b
@@ -90,9 +102,8 @@ def tutte_from_order(g: RibbonGraph, order) -> Poly:
     slices of a level merge their counters {(oi, oe, ie): n}, so a level
     holds at most one counter per distinct base set, and only one level
     is kept.  A one-basis slice has lo = hi at every element left, and
-    adds them all to ie at once.  The counts are expanded once
-    (:func:`polynomial.expand_triples`); no exchange table is read and
-    no activity mask is tested.
+    adds them all to ie at once.  No exchange table is read and no
+    activity mask is tested.
     """
     order = tuple(order)
     P = bases_from_hypertrees(g)
@@ -125,7 +136,13 @@ def tutte_from_order(g: RibbonGraph, order) -> Poly:
     for counts in level.values():  # the slices of no element left
         for key, n in counts.items():
             triples[key] = triples.get(key, 0) + n
-    return expand_triples(triples)
+    return triples
+
+
+def tutte_from_order(g: RibbonGraph, order) -> Poly:
+    """The sum of :func:`tutte_sum` with one fixed emerald order for every
+    hypertree: :func:`slice_triples` expanded (:func:`polynomial.expand_triples`)."""
+    return expand_triples(slice_triples(g, order))
 
 
 def corank_nullity(g: RibbonGraph, imax: int, jmax: int) -> dict:

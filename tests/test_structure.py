@@ -7,8 +7,8 @@ steps the dart permutation around the nodes, only ``tours.tour`` and
 ``hypertrees.tour_search`` walk, only ``jaeger.embedding_activities``
 checks that a vector is a hypertree (every other caller reads the
 searches' tables), only ``hypertrees`` reads a table's order columns
-(``hypertrees.orders``, per activity kind), ``tutte.tutte_sum`` is the
-one activity sum, only ``tours._trees`` recurses by
+(``hypertrees.orders``, per activity kind), ``tutte.activity_triples``
+is the one activity sum, only ``tours._trees`` recurses by
 contraction and deletion, no module defines a ``sweep``
 (``tutte.corank_nullity`` is the one walk of lattice points) and no
 function of ``crapo`` or ``tutte`` calls itself, ``tutte._expand`` is
@@ -477,16 +477,17 @@ def test_one_order_table():
 
 
 def test_one_activity_sum():
-    """``tutte.tutte_sum`` is the one activity sum: the embedding
-    polynomial and the order comparisons of ``harness`` call it, and
+    """``tutte.activity_triples`` is the one activity sum: the embedding
+    polynomial reads it through ``tutte.tutte_sum``, the order
+    comparisons of ``harness`` call it for the counter they compare, and
     ``harness`` defines no sum of its own.  The fixed-order sum slices
-    the base set instead: it calls none of ``tutte_sum``,
-    ``activity_masks`` or ``exchanges``, so it shares no exchange row
-    with the embedding sum it is compared with."""
+    the base set instead: ``tutte.slice_triples`` calls none of
+    ``activity_triples``, ``activity_masks`` or ``exchanges``, so it
+    shares no exchange row with the activity sums it is compared with."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
-    assert callers(sources, "tutte_sum") == ["harness._compare", "tutte.tutte_embedding"]
-    for name in ("tutte_sum", "activity_masks", "exchanges"):
-        assert "tutte.tutte_from_order" not in callers(sources, name), name
+    assert callers(sources, "activity_triples") == ["harness._compare", "tutte.tutte_sum"]
+    for name in ("activity_triples", "activity_masks", "exchanges"):
+        assert "tutte.slice_triples" not in callers(sources, name), name
 
 
 def test_one_contraction_deletion():

@@ -16,9 +16,11 @@ from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
 from hypertutte.model import ParseError, RibbonGraph, emerald, violet
 from hypertutte.polynomial import Poly
 from hypertutte.tutte import (
+    activity_triples,
     corank_nullity,
     series_identity_check,
     series_window,
+    slice_triples,
     tutte_embedding,
     tutte_from_order,
     tutte_sum,
@@ -65,8 +67,10 @@ def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
 
 def test_slice_sum_is_the_activity_sum(all_hg):
     """The fixed-order sum, made by slicing the hypertree set, equals the
-    activity sum under the same order for every basis, under three seeded
-    random orders per graph, and T(1, 1) is the number of hypertrees: on
+    activity sum under the same order for every basis, counter
+    {(oi, oe, ie): n} by counter and so polynomial by polynomial, under
+    three seeded random orders per graph, and T(1, 1) is the number of
+    hypertrees: on
     the fixtures, ``random_instance`` seeds 0-299, seeded K4,4, K4,5,
     K5,5, K3,8 and K6,6, and a star of one violet on five emeralds, whose
     one hypertree is a one-basis slice from the start."""
@@ -82,6 +86,8 @@ def test_slice_sum_is_the_activity_sum(all_hg):
         rng = random.Random(i)
         for _ in range(3):
             order = rng.sample(P.ground, len(P.ground))
+            assert slice_triples(g, order) == activity_triples(g, dict.fromkeys(P.bases, order)), (
+                i, order)
             poly = tutte_from_order(g, order)
             assert poly == tutte_sum(g, dict.fromkeys(P.bases, order)), (i, order)
             assert poly.evaluate(1, 1) == len(P.bases), (i, order)
