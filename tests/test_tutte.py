@@ -70,10 +70,9 @@ def test_slice_sum_is_the_activity_sum(all_hg):
     activity sum under the same order for every basis, counter
     {(oi, oe, ie): n} by counter and so polynomial by polynomial, under
     three seeded random orders per graph, and T(1, 1) is the number of
-    hypertrees: on
-    the fixtures, ``random_instance`` seeds 0-299, seeded K4,4, K4,5,
-    K5,5, K3,8 and K6,6, and a star of one violet on five emeralds, whose
-    one hypertree is a one-basis slice from the start."""
+    hypertrees: on the fixtures, ``random_instance`` seeds 0-299, seeded
+    K4,4, K4,5, K5,5, K3,8 and K6,6, and a star of one violet on five
+    emeralds, whose one hypertree is a one-basis slice from the start."""
     star = RibbonGraph.build(1, 5, [("v0", f"e{j}") for j in range(5)],
                              {"v0": list(range(5)), **{f"e{j}": [j] for j in range(5)}},
                              ("v0", 0))
