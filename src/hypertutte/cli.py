@@ -2,7 +2,9 @@
 
 Subcommands: tutte, hypertrees, jaeger, tour, crapo, delta, conjecture,
 fixtures.  Exit codes: 0 success or PASS, 1 verification failure (or a
-conjecture counterexample under --strict), 2 usage or input errors.
+conjecture counterexample under --strict), 2 usage or input errors, 141
+(128 + SIGPIPE, with nothing on stderr) when stdout is closed early, as
+by ``| head``.
 Every usage or input error is a ValueError or OSError (naming the file
 it is about, :func:`_load`) that :func:`main` alone reports, exit 2.
 All output is deterministic; randomized commands take an explicit
@@ -278,7 +280,15 @@ def main(argv=None) -> int:
     elif extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout is seen here, not at exit
+        return code
+    except BrokenPipeError:  # the reader went away: stop as SIGPIPE would
+        try:
+            sys.stdout.close()  # closes it even when its last flush fails
+        except BrokenPipeError:
+            pass
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

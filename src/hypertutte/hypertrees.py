@@ -18,7 +18,11 @@ reached stays out; any other branches, out if the edges not excluded
 still connect the graph (the walk resumes at the same dart over a copy
 of the tree), then in.  That test is one :func:`model.reach` from the
 far end on the graph's adjacency, built once per graph: it crosses no
-decided edge and stops at the first reached node.  The violet variant
+decided edge and stops at the first reached node.  It is made only when
+no two undecided edges, one from the far end to a node w and one from w
+to a reached node, already join the far end to the tree without the
+edge; on K_{a,b} that leaves only the edges at a basis of the choosing
+colour while it is the one reached node.  The violet variant
 swaps the colours.  A look-ahead prunes an include into an unreached
 node w of the colour that cannot choose: if w has an undecided edge to a
 reached node, the tour finishes w's subtree before it leaves w, so it
@@ -115,18 +119,17 @@ def tour_search(g: RibbonGraph, variant: str):
     tree through a met edge at it, an emerald basis node through the
     first edge.
 
-    If the look-ahead's scan finds no undecided edge at far but k, the
-    connectivity test is decided unasked: :func:`model.reach` from far
-    would return {far: None}, far is not reached, so k goes in, unbranched.
+    The look-ahead's scan of far's edges decides the connectivity test
+    unasked where it can.  If it finds no undecided edge at far but k,
+    :func:`model.reach` from far would return {far: None}, far is not
+    reached, so k goes in, unbranched.  If one of them, x, leads to a
+    node w with an undecided edge y to a reached node, x and y join far
+    to the tree without k, so out keeps the graph connected and is
+    pushed.  Only otherwise is :func:`model.reach` called.
     """
     chooser = 1 if variant == "emerald" else 0  # dart side of the choosing colour
     edges, n_nodes = g.edges, g.violet_count + g.emerald_count
-    adj = cached(g, "adjacency",
-                 lambda g: adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)))
-    emerald_of = cached(g, "emerald of edge",
-                        lambda g: tuple(node_index(e) for _, e in g.edges))
-    emerald_name = cached(g, "emerald name of edge", lambda g: tuple(e for _, e in g.edges))
-    emeralds = cached(g, "emeralds", lambda g: frozenset(e for _, e in g.edges)).__contains__
+    adj, emerald_of, emerald_name, emeralds = cached(g, "search tables", _search_tables)
     pending = [(set(), {g.basis[0]: None}, {}, [-1] * g.emerald_count, None)]
     while pending:
         tree, reached, met, degs, at = pending.pop()
@@ -137,7 +140,9 @@ def tour_search(g: RibbonGraph, variant: str):
             if d & 1 == chooser:
                 if far in reached:
                     continue  # k stays out: in, it would close a cycle
-                free = False  # far has an undecided edge other than k
+                # free: far has an undecided edge but k; joined: one of them,
+                # then an undecided edge at its other end, reaches the tree
+                free = joined = False
                 for x, w in adj[far]:
                     if x not in met:
                         if w in reached:
@@ -145,12 +150,19 @@ def tour_search(g: RibbonGraph, variant: str):
                             # out, x keeps far joined to the tree
                             break
                         free = True
+                        if not joined:
+                            for y, z in adj[w]:
+                                if z in reached and y not in met:
+                                    joined = True
+                                    break
                 else:
-                    if free and next(reversed(reach(adj, far, met, reached))) in reached:
+                    if joined or free and next(
+                            reversed(reach(adj, far, met, reached))) in reached:
                         # out keeps the graph connected iff far still reaches
-                        # the tree through undecided edges (never if far has
-                        # none), when the search stops at a reached node, its
-                        # last key; in goes on in this walk
+                        # the tree through undecided edges: at once if two of
+                        # them make a path, never if far has none, else when
+                        # the search stops at a reached node, its last key;
+                        # in goes on in this walk
                         pending.append((set(tree), dict(reached), dict(met), list(degs), d))
                     tree.add(k)
                     reached[far] = None
@@ -163,10 +175,19 @@ def tour_search(g: RibbonGraph, variant: str):
             degs[emerald_of[k]] += 1
             if len(reached) == n_nodes:
                 break
-        row = tuple(sorted(tree)), tuple(filter(emeralds, reached))
+        row = tuple(sorted(tree)), tuple(filter(emeralds.__contains__, reached))
         if not chooser:  # only the violet search's edge order is read
             row += tuple(dict.fromkeys(map(emerald_name.__getitem__, met))),
         yield tuple(degs), row
+
+
+def _search_tables(g: RibbonGraph) -> tuple:
+    """The tables :func:`tour_search` reads, built together and cached
+    as one entry: the adjacency, each edge's emerald index and emerald
+    name, and the set of emeralds on an edge."""
+    names = tuple(e for _, e in g.edges)
+    return (adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)),
+            tuple(map(node_index, names)), names, frozenset(names))
 
 
 def jaeger_trees(g: RibbonGraph, variant: str = "emerald") -> dict:

@@ -454,6 +454,29 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.split() == fixture_names()
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["hypertrees", FIG1],
+                                  ["crapo", "verify", FIG1, "--report", "json"]])
+def test_closed_stdout_is_not_an_input_error(argv, buffered):
+    """Writing to a pipe whose reader has gone, as under ``| head``, is
+    no usage error: exit 141 (128 + SIGPIPE) with nothing on stderr,
+    whether stdout is flushed at each write or only at the end."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        done = subprocess.run([sys.executable, "-m", "hypertutte", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("kind", ["tree", "hg", "hg-100000"])
 def test_deeply_nested_yaml_is_usage_error(tmp_path, kind):
     """A decision tree nested 1,000 deep and an instance whose edges are a

@@ -56,19 +56,26 @@ def test_is_hypertree_fig2(fig2):
 
 
 def test_search_builds_the_adjacency_once(monkeypatch):
-    """Both searches of a K4,4 embedding test connectivity on one
-    adjacency map of the graph, built once, not once per exclusion."""
-    built = []
+    """Both searches of a K4,4 embedding read one cached entry of search
+    tables, built once, with one adjacency map of the graph: not once
+    per variant, nor once per exclusion."""
+    tables, built = [], []
+    search_tables = hypertrees._search_tables
+
+    def counting_tables(g):
+        tables.append(None)
+        return search_tables(g)
 
     def counting(edges):
         built.append(None)
         return model.adjacency(edges)
 
+    monkeypatch.setattr(hypertrees, "_search_tables", counting_tables)
     monkeypatch.setattr(hypertrees, "adjacency", counting)
     g = perturbed(complete_bipartite(4, 4), random.Random(44))
     for variant in ("emerald", "violet"):
         assert len(list(tour_search(g, variant))) == 20  # C(6, 3)
-    assert len(built) <= 1
+    assert len(tables) == len(built) == 1
 
 
 def assert_one_walk_per_hypertree(g):
@@ -90,32 +97,80 @@ def assert_one_walk_per_hypertree(g):
         assert len(walks) == len(leaves) == hypertree_count, variant
 
 
-def test_search_tests_connectivity_only_from_undecided_edges(all_hg, monkeypatch):
-    """Both searches call ``model.reach`` only from a far end that still
-    has an undecided edge: from one with none left, excluding the edge
-    would cut it off, so the search includes it without asking (the
-    argument is in the ``tour_search`` docstring)."""
-    starts = []
+def spy_on_reach(monkeypatch) -> list:
+    """The ``until`` sets of the search's ``model.reach`` calls, as
+    lists, in call order, once ``monkeypatch`` has wrapped it; each call
+    is first checked to come from a far end whose scan could not decide
+    it: one with an undecided edge, none of them to a reached node, and
+    no undecided edge to a node w with an undecided edge to a reached
+    node (the argument is in the ``tour_search`` docstring)."""
+    calls = []
     search_reach = hypertrees.reach
 
     def spied(adj, start, avoid=(), until=()):
-        assert any(x not in avoid for x, _ in adj[start]), start
-        starts.append(start)
+        free = [w for x, w in adj[start] if x not in avoid]
+        assert free, start
+        assert not any(w in until for w in free), start
+        assert not any(z in until for w in free for y, z in adj[w] if y not in avoid), start
+        calls.append(list(until))
         return search_reach(adj, start, avoid, until)
 
     monkeypatch.setattr(hypertrees, "reach", spied)
-    graphs = [*all_hg.values(), *map(harness.random_instance, range(150)),
-              *seeded_complete_bipartites()]
-    for g in graphs:
+    return calls
+
+
+def test_search_tests_connectivity_only_from_undecided_edges(all_hg, monkeypatch):
+    """Both searches call ``model.reach`` only when the look-ahead's scan
+    of the far end cannot decide it: from a far end with none left,
+    excluding the edge would cut it off, so the search includes it
+    without asking, and an undecided path of two edges from it to the
+    tree keeps out connected.  The fixtures and random instances still
+    need the call."""
+    calls = spy_on_reach(monkeypatch)
+    for g in [*all_hg.values(), *map(harness.random_instance, range(150))]:
         for variant in ("emerald", "violet"):
             assert list(tour_search(g, variant))
-    assert starts
+    assert calls
+    for g in seeded_complete_bipartites():
+        for variant in ("emerald", "violet"):
+            assert list(tour_search(g, variant))
+
+
+def seeded_square(a: int) -> RibbonGraph:
+    """The seeded embedding of K_{a,a}, as in ``seeded_complete_bipartites``."""
+    return perturbed(complete_bipartite(a, a), random.Random(11 * a))
+
+
+def with_violet_basis(g: RibbonGraph) -> RibbonGraph:
+    """g's embedding with the basis moved to v0's first dart."""
+    rotation = {node: list(rot) for node, rot in g.rotations}
+    return RibbonGraph.build(g.violet_count, g.emerald_count, g.edges, rotation,
+                             ("v0", rotation["v0"][0]))
+
+
+@pytest.mark.parametrize("a", [4, 5, 6, 8])
+def test_search_certifies_complete_bipartites(a, monkeypatch):
+    """On K_{a,b} the scan's two-edge certificate decides every exclusion
+    once a node of each colour is reached: a far end's undecided edge
+    leads to an unreached node joined to every reached node of the far
+    end's colour by an undecided edge.  So the searches call
+    ``model.reach`` only while the basis is the one reached node, and
+    the emerald search with a violet basis never calls it."""
+    calls = spy_on_reach(monkeypatch)
+    for g in (seeded_square(a), with_violet_basis(seeded_square(a))):
+        for variant in ("emerald", "violet"):
+            calls.clear()
+            assert len(list(tour_search(g, variant))) == math.comb(2 * a - 2, a - 1)
+            assert all(until == [g.basis[0]] for until in calls), variant
+            if is_emerald(g.basis[0]) != (variant == "emerald"):
+                assert calls == [], variant
 
 
 def test_every_branch_is_a_jaeger_tree(all_hg, single_edge):
     """On the fixtures and seeded K_{a,b} embeddings, with the basis at
     either colour, every branch the search pushes yields a Jaeger tree."""
-    graphs = [*all_hg.values(), single_edge]
+    graphs = [*all_hg.values(), single_edge, *seeded_complete_bipartites(),
+              seeded_square(4), seeded_square(8)]
     for a, b in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
         graphs += [perturbed(complete_bipartite(a, b), random.Random(seed)) for seed in range(4)]
     for g in graphs:
