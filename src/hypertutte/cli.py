@@ -177,17 +177,17 @@ def _cmd_conjecture(args) -> int:
         raise ValueError(f"--trials must be at least 0, not {args.trials}")
     if not args.instances and not args.trials:
         raise ValueError("nothing to check: give instance files or --trials of at least 1")
-    reports = []
-    for path in args.instances:
-        report = harness.test_violet_prime(_load(path))
-        report["instance_path"] = path
-        reports.append(report)
-    reports.extend(harness.random_reports(harness.test_violet_prime, args.trials, args.seed))
-    counterexamples = [r for r in reports if r["verdict"] != "EQUAL"]
+    files = ({**harness.test_violet_prime(_load(path)), "instance_path": path}
+             for path in args.instances)
+    randoms = harness.random_reports(harness.test_violet_prime, args.trials, args.seed)
+    counterexamples = []  # an EQUAL report is dropped once counted
+    for checked, report in enumerate((r for reports in (files, randoms) for r in reports), 1):
+        if report["verdict"] != "EQUAL":
+            counterexamples.append(report)
     summary = {
         "kind": "violet-prime-summary",
         "verdict": "COUNTEREXAMPLE" if counterexamples else "EQUAL",
-        "checked": len(reports),
+        "checked": checked,
         "counterexamples": counterexamples,
     }
     _emit_report(summary, args.report == "json")

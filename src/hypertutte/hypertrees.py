@@ -4,73 +4,18 @@ A hypertree of a bipartite ribbon graph is a vector h over the emerald
 nodes such that some spanning tree has degree h(e)+1 at every emerald
 node e.  Hypertrees are stored as plain tuples indexed by emerald index.
 
-Every hypertree has exactly one emerald Jaeger tree and one violet one
-(Kálmán and Tóthmérész), so one search that lists the Jaeger trees of a
-variant lists the hypertrees too: :func:`tour_search`, one depth-first
-search per graph and variant over the tour of the tree under
-construction.  It steps by :func:`tours.walk`, on darts, which steps
-over the edges already decided, so the search sees first visits only
-and decides each edge there: the dart's parity is the colour of the
-current node and its edge's other entry the far end.  An emerald Jaeger
-tree meets every non-tree edge first at its emerald end, so at a violet
-node the edge must go in.  At an emerald node an edge whose far end is
-reached stays out; any other branches, out if the edges not excluded
-still connect the graph (the walk resumes at the same dart over a copy
-of the tree), then in.  That test is one :func:`model.reach` from the
-far end on the graph's adjacency, built once per graph: it crosses no
-decided edge and stops at the first reached node.  It is made only when
-no two undecided edges, one from the far end to a node w and one from w
-to a reached node, already join the far end to the tree without the
-edge; on K_{a,b} that leaves only the edges at a basis of the choosing
-colour while it is the one reached node.  The violet variant
-swaps the colours.  A look-ahead prunes an include into an unreached
-node w of the colour that cannot choose: if w has an undecided edge to a
-reached node, the tour finishes w's subtree before it leaves w, so it
-meets that edge first at w, where it must go in and closes a cycle.
-That edge also keeps w joined to the tree, so the out branch then needs
-no connectivity test; nor does it when w has no undecided edge left, for
-out would cut w off, so the edge goes in and nothing is pushed.  No
-branch dies: at a node x that cannot choose, an edge k met first there
-never has its far end y reached.  Not before x was entered, for the
-look-ahead refused every include into x while x had an undecided edge
-to a reached node; not after, for then y lies in x's subtree, and a
-tour walks every dart around a node before it leaves that node for the
-last time, so it met k at y first.  So no include closes a cycle, every
-exclusion keeps the graph connected, the tree spans, and every branch
-the search pushes is one Jaeger tree, whose row is final once the tree
-spans (:func:`tour_search`).  Its degree vector, carried down the
-branch, is its hypertree, and its two emerald orders (first appearance
-as the current node, and as the emerald end of the current edge) are
-read off the nodes in the order the walk reached them and the edges in
-the order it first met them, through per-graph tables built once (each
-edge's emerald index and name, and the set of emeralds).  They agree on
-an emerald Jaeger tree, so only violet rows keep the second.
-The search's table per variant (:func:`jaeger_trees`) is the one way a
-caller reaches a Jaeger tree, and :func:`orders`, which alone knows a
-row's layout, the one way it reaches an activity kind's orders.  Only
-``jaeger.embedding_activities`` looks one vector up, after checking it
-with :func:`well_formed`.
-With Python 3.11 on a shared 2-vCPU host (CPU seconds, seeded
-embeddings, medians of five rounds of five runs), the emerald search
-takes about 0.0029 s on K6,6 (252 hypertrees), 0.014 s on K7,7 (924)
-and 0.0056 s on K3,24 (300).
-
-Listing spanning trees (:func:`all_spanning_trees`) remains for the
-coverage figures of the benchmark; the oracles built on it, the
-membership test ``is_hypertree`` on the search's table, and the
-exchange search that re-derives the hypertree set, are in
-``tests/oracles.py``.
-
-Everything derived from one graph lives in the graph itself and dies
-with it (:func:`cached`).  What depends on the embedding stays per
-graph: the search tables, the orders, the activities and the polynomial.
-The set of all hypertrees forms the bases of a polymatroid (Kálmán),
-which depends on the hypertree set alone, so graphs with one hypertree
-set, such as the embeddings of one hypergraph, share one polymatroid and
-its exchange rows (:func:`polymatroid.bases_from_hypertrees`); each
-graph's cache holds it, so it lives while any graph reads it.  It is
-trusted, not checked, where it is built; the tests check the exchange
-axiom through :func:`polymatroid.exchange_witness`.
+- :func:`tour_search` lists the Jaeger trees of one variant, and so the
+  hypertrees; its docstring holds the search's argument.
+- :func:`jaeger_trees` is the search's table per variant, the one way a
+  caller reaches a Jaeger tree, and :func:`orders`, which alone knows a
+  row's layout, the one way it reaches an activity kind's orders.
+- :func:`enumerate_hypertrees` lists the hypertrees, and
+  :func:`well_formed` is the part of membership that needs no list.
+- :func:`cached` keeps what is derived from one graph in the graph; its
+  docstring lists what is kept and which reader reads it again.
+- :func:`all_spanning_trees` lists spanning trees for the benchmark's
+  coverage figures; the oracles built on listing are in
+  ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -81,11 +26,31 @@ from . import tours
 
 def cached(g: RibbonGraph, name: str, build):
     """``build(g)``, computed once per graph and kept in the graph, so it
-    lives as long as g does; no value refers back to its graph."""
-    derived = g.derived
-    if name not in derived:
-        derived[name] = build(g)
-    return derived[name]
+    lives as long as g does; no value refers back to its graph.
+
+    An entry is kept only where a second reader reads it:
+
+    - ``"emerald Jaeger trees"`` and ``"violet Jaeger trees"``
+      (:func:`jaeger_trees`): :func:`enumerate_hypertrees` reads them
+      again for the polymatroid's base set.
+    - ``"bases"`` (:func:`polymatroid.bases_from_hypertrees`): every live
+      graph with one hypertree set, such as the embeddings of one
+      hypergraph, shares one polymatroid and its exchange rows through a
+      weak registry, and holds it here, so it dies with the last graph
+      that reads it.  The benchmark's 12 K4,4 embeddings share theirs;
+      unshared, that workload took 30% longer.
+    - ``"embedding assignment"`` (:func:`jaeger.embedding_assignment`):
+      each :func:`jaeger.embedding_activities` lookup reads it again.
+    - ``"reference"`` (``harness._reference``): the violet-prime and
+      violet checks of a graph share it.
+    - ``"spanning_trees"`` (:func:`all_spanning_trees`): the benchmark's
+      check and its coverage pass both read it.
+
+    The embedding polynomial, the search's tables and the sorted
+    hypertree list are each read once per graph, so they are not kept."""
+    if name not in g.derived:
+        g.derived[name] = build(g)
+    return g.derived[name]
 
 
 def well_formed(g: RibbonGraph, v: tuple) -> bool:
@@ -103,7 +68,45 @@ def tour_search(g: RibbonGraph, variant: str):
     hypertree h, so the pairs are the rows of :func:`jaeger_trees`: the
     tree as a sorted tuple of edge ids, and the emeralds in order of first
     appearance in its tour as the current node and, in violet rows only,
-    as the emerald end of the current edge.
+    as the emerald end of the current edge (the two agree on an emerald
+    Jaeger tree).  Every hypertree has exactly one emerald Jaeger tree and
+    one violet one (Kálmán and Tóthmérész), so the search lists the
+    hypertrees too.
+
+    It is depth first over the tour of the tree under construction,
+    stepped by :func:`tours.walk` on darts, which steps over the edges
+    already decided, so the search sees first visits only and decides
+    each edge k there: the dart's parity is the colour of the current
+    node and k's other entry the far end.  In the emerald variant (the
+    violet one swaps the colours), an emerald Jaeger tree meets every
+    non-tree edge first at its emerald end, so at a violet node k must go
+    in.  At an emerald node k stays out if far is reached; else it
+    branches, out if the edges not excluded still connect the graph (the
+    walk resumes at the same dart over a copy of the tree), then in.
+
+    A look-ahead prunes an include into far: if far has an undecided
+    edge to a reached node, the tour finishes far's subtree before it
+    leaves far, so it meets that edge first at far, where it must go in
+    and closes a cycle.  So k stays out, and that edge keeps far joined
+    to the tree.  The same scan of far's edges decides the connectivity
+    test unasked where it can.  If it finds no undecided edge at far but
+    k, out would cut far off, so k goes in, unbranched.  If one of them,
+    x, leads to a node w with an undecided edge y to a reached node, x
+    and y join far to the tree without k, so out keeps the graph
+    connected and is pushed.  Only otherwise is :func:`model.reach`
+    called from far on the graph's adjacency: it crosses no decided edge
+    and stops at the first reached node.  On K_{a,b} that leaves only the
+    edges at a basis of the choosing colour while it is the one reached
+    node.
+
+    No branch dies: at a node x that cannot choose, an edge k met first
+    there never has its far end y reached.  Not before x was entered,
+    for the look-ahead refused every include into x while x had an
+    undecided edge to a reached node; not after, for then y lies in x's
+    subtree, and a tour walks every dart around a node before it leaves
+    that node for the last time, so it met k at y first.  So no include
+    closes a cycle, every exclusion keeps the graph connected, the tree
+    spans, and every branch the search pushes is one Jaeger tree.
 
     Each pending branch is the walk's state at a dart: the tree so far,
     the nodes in the order the walk reached them, the edges in the order
@@ -117,19 +120,12 @@ def tour_search(g: RibbonGraph, variant: str):
     So the tree and the node order are final, and so is the edge order,
     which lists each emerald at its first appearance: each entered the
     tree through a met edge at it, an emerald basis node through the
-    first edge.
-
-    The look-ahead's scan of far's edges decides the connectivity test
-    unasked where it can.  If it finds no undecided edge at far but k,
-    :func:`model.reach` from far would return {far: None}, far is not
-    reached, so k goes in, unbranched.  If one of them, x, leads to a
-    node w with an undecided edge y to a reached node, x and y join far
-    to the tree without k, so out keeps the graph connected and is
-    pushed.  Only otherwise is :func:`model.reach` called.
+    first edge.  The degree vector carried down the branch is its
+    hypertree.
     """
     chooser = 1 if variant == "emerald" else 0  # dart side of the choosing colour
     edges, n_nodes = g.edges, g.violet_count + g.emerald_count
-    adj, emerald_of, emerald_name, emeralds = cached(g, "search tables", _search_tables)
+    adj, emerald_of, emerald_name, emeralds = _search_tables(g)
     pending = [(set(), {g.basis[0]: None}, {}, [-1] * g.emerald_count, None)]
     while pending:
         tree, reached, met, degs, at = pending.pop()
@@ -182,8 +178,8 @@ def tour_search(g: RibbonGraph, variant: str):
 
 
 def _search_tables(g: RibbonGraph) -> tuple:
-    """The tables :func:`tour_search` reads, built together and cached
-    as one entry: the adjacency, each edge's emerald index and emerald
+    """The tables :func:`tour_search` reads, built together at the start
+    of each search: the adjacency, each edge's emerald index and emerald
     name, and the set of emeralds on an edge."""
     names = tuple(e for _, e in g.edges)
     return (adjacency((k, v, e) for k, (v, e) in enumerate(g.edges)),
@@ -209,13 +205,13 @@ def orders(g: RibbonGraph, kind: str) -> dict:
 
 def enumerate_hypertrees(g: RibbonGraph) -> tuple:
     """All hypertrees of g in lexicographic order (tuple of tuples): the
-    keys of the search table g already holds, the emerald one if it holds
-    both, each of which lists every hypertree once, since a hypertree has
-    exactly one Jaeger tree of each variant.  Only a graph that holds
-    neither runs the emerald search (:func:`jaeger_trees`)."""
+    sorted keys of the search table g already holds, the emerald one if it
+    holds both, each of which lists every hypertree once, since a
+    hypertree has exactly one Jaeger tree of each variant.  Only a graph
+    that holds neither runs the emerald search (:func:`jaeger_trees`)."""
     held = g.derived.get  # a table is never empty: every graph has a hypertree
-    return cached(g, "hypertrees", lambda g: tuple(sorted(
-        held("emerald Jaeger trees") or held("violet Jaeger trees") or jaeger_trees(g))))
+    return tuple(sorted(
+        held("emerald Jaeger trees") or held("violet Jaeger trees") or jaeger_trees(g)))
 
 
 # -- spanning-tree listing, for the benchmark's coverage figures -------------

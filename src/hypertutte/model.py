@@ -152,7 +152,7 @@ class RibbonGraph(Frozen):
     ``(node, edge)`` pair with the edge incident to the node; the node may
     be violet or emerald.  ``sigma`` and ``basis_dart`` are the rotations
     and the basis on darts (see the module docstring).  ``derived`` holds
-    what is computed from the graph, read and filled through
+    what is computed from the graph, filled through
     :func:`hypertrees.cached` only.
 
     Instances are immutable (:class:`Frozen`).  Equality, hashing and the

@@ -48,7 +48,7 @@ from operator import add
 
 from .model import RibbonGraph
 from .polynomial import Poly, expand_triples
-from .hypertrees import cached, enumerate_hypertrees, orders
+from .hypertrees import enumerate_hypertrees, orders
 from .polymatroid import activity_masks, bases_from_hypertrees, check_order
 from .crapo import box_around, check_budget
 
@@ -57,14 +57,16 @@ def activity_triples(g: RibbonGraph, order_map) -> dict:
     """{(oi, oe, ie): n}: the number n of hypertrees h whose emeralds
     only internally, only externally and both ways active under the order
     ``order_map[h]`` number oi, oe and ie, counted on the activity bit
-    masks; no count is zero."""
+    masks; no count is zero.  ValueError unless ``order_map`` holds
+    exactly the hypertrees."""
     P = bases_from_hypertrees(g)
-    triples = {}
-    for h in enumerate_hypertrees(g):
-        internal, external = activity_masks(P, h, order_map[h])
+    if order_map.keys() != P.bases:
+        raise ValueError("the order map must hold exactly the hypertrees")
+    triples = Counter()
+    for h, order in order_map.items():
+        internal, external = activity_masks(P, h, order)
         both = internal & external
-        key = (internal ^ both).bit_count(), (external ^ both).bit_count(), both.bit_count()
-        triples[key] = triples.get(key, 0) + 1
+        triples[(internal ^ both).bit_count(), (external ^ both).bit_count(), both.bit_count()] += 1
     return triples
 
 
@@ -77,9 +79,8 @@ def tutte_sum(g: RibbonGraph, order_map) -> Poly:
 
 def tutte_embedding(g: RibbonGraph) -> Poly:
     """Sum over hypertrees of x^oi y^oe (x+y-1)^ie, embedding activities
-    under the orders of kind "embedding" (:func:`hypertrees.orders`);
-    computed once per graph (a Poly is never mutated)."""
-    return cached(g, "embedding", lambda g: tutte_sum(g, orders(g, "embedding")))
+    under the orders of kind "embedding" (:func:`hypertrees.orders`)."""
+    return tutte_sum(g, orders(g, "embedding"))
 
 
 def slice_triples(g: RibbonGraph, order) -> dict:

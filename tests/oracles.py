@@ -8,6 +8,8 @@ runs them.
 - Hypertrees: the degree vector of a tree (:func:`degree_vector`),
   listing by degree vector (:func:`representatives`),
   membership (:func:`is_hypertree`) and the set grown by exchange moves.
+- Spanning trees counted without listing them, by the matrix-tree
+  theorem and an exact determinant (:func:`matrix_tree_count`).
 - Jaeger trees read off a tour (:func:`is_jaeger`), the violet node
   order of a hypertree (:func:`order_violet`), and the tree order by
   first tour difference (:func:`tree_less`).
@@ -367,6 +369,47 @@ def y() -> Poly:
 
 def x_plus_y_minus_1() -> Poly:
     return Poly({(1, 0): 1, (0, 1): 1, (0, 0): -1})
+
+
+# -- spanning-tree counts ------------------------------------------------------
+
+
+def matrix_tree_count(nodes, edges) -> int:
+    """The number of spanning trees of the multigraph on ``nodes`` with
+    ``edges``, pairs of nodes: by Kirchhoff's matrix-tree theorem, the
+    determinant of its Laplacian less the first node's row and column
+    (:func:`bareiss_determinant`).  A loop is in no tree and adds nothing."""
+    index = {node: i - 1 for i, node in enumerate(nodes)}  # the first node is dropped
+    lap = [[0] * (len(index) - 1) for _ in range(len(index) - 1)]
+    for u, v in edges:
+        i, j = index[u], index[v]
+        if i == j:
+            continue
+        for a, b in ((i, j), (j, i)):
+            if a >= 0:
+                lap[a][a] += 1
+                if b >= 0:
+                    lap[a][b] -= 1
+    return bareiss_determinant(lap)
+
+
+def bareiss_determinant(matrix) -> int:
+    """The exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination: every entry after step k is a k+1 by k+1
+    minor, so each division by the previous pivot is exact."""
+    m = [list(row) for row in matrix]
+    n, sign, previous = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 # -- random embeddings ---------------------------------------------------------

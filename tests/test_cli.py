@@ -1,17 +1,19 @@
 """End-to-end command-line checks."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from hypertutte import crapo, fixture_names, fixture_path, tutte
+from hypertutte import crapo, fixture_names, fixture_path, harness, tutte
 from hypertutte.cli import main
 
 FIG1 = str(fixture_path("fig1.hg"))
@@ -416,6 +418,34 @@ def test_conjecture_refuses_to_check_nothing(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+class WeakReport(dict):
+    """A report that a weak reference can watch."""
+
+
+def test_conjecture_keeps_no_equal_report(capsys, monkeypatch):
+    """A conjecture run drops each EQUAL report once counted, so its memory
+    does not grow with --trials: before each random report is handed over,
+    every EQUAL one handed over two or more steps earlier is dead.  The
+    output is that of an unwatched run."""
+    argv = ("conjecture", "violet-prime", FIG2, "--trials", "30", "--report", "json")
+    unwatched = run(capsys, *argv)
+    random_reports = harness.random_reports
+    equal = []  # (step, weak reference) of each EQUAL report handed over
+
+    def watched(check, trials, seed=0):
+        for step, report in enumerate(random_reports(check, trials, seed)):
+            gc.collect()
+            assert all(ref() is None for at, ref in equal if at <= step - 2), step
+            report = WeakReport(report)
+            if report["verdict"] == "EQUAL":
+                equal.append((step, weakref.ref(report)))
+            yield report
+
+    monkeypatch.setattr(harness, "random_reports", watched)
+    assert run(capsys, *argv) == unwatched
+    assert len(equal) == 30 and json.loads(unwatched[1])["checked"] == 31
 
 
 def test_conjecture_instances_before_or_after_options(capsys):

@@ -9,7 +9,9 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from hypertutte import harness, hypertrees, model, polymatroid, tours
+from hypertutte import (
+    crapo, fixture_path, harness, hypertrees, load_path, model, polymatroid, tours, tutte,
+)
 from hypertutte.polymatroid import bases_from_hypertrees, exchange_witness
 from hypertutte.hypertrees import (
     all_spanning_trees,
@@ -17,13 +19,13 @@ from hypertutte.hypertrees import (
     jaeger_trees,
     tour_search,
 )
-from hypertutte.model import RibbonGraph, is_emerald, node_index
+from hypertutte.model import RibbonGraph, emerald, is_emerald, node_index, violet
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, tour
 from hypertutte.tutte import tutte_embedding
 from oracles import (
     degree_vector, hypertrees_by_exchange, is_hypertree, is_jaeger, is_violet_jaeger, perturbed,
 )
-from test_oracle import complete_bipartite, ribbon_graphs
+from test_oracle import _with_index_rotation, complete_bipartite, ribbon_graphs
 from test_outputs import seeded_complete_bipartites
 
 
@@ -56,9 +58,9 @@ def test_is_hypertree_fig2(fig2):
 
 
 def test_search_builds_the_adjacency_once(monkeypatch):
-    """Both searches of a K4,4 embedding read one cached entry of search
-    tables, built once, with one adjacency map of the graph: not once
-    per variant, nor once per exclusion."""
+    """Each search of a K4,4 embedding builds its tables once, with one
+    adjacency map of the graph: not once per exclusion.  Nothing of them
+    is kept, so the second variant builds its own."""
     tables, built = [], []
     search_tables = hypertrees._search_tables
 
@@ -73,15 +75,16 @@ def test_search_builds_the_adjacency_once(monkeypatch):
     monkeypatch.setattr(hypertrees, "_search_tables", counting_tables)
     monkeypatch.setattr(hypertrees, "adjacency", counting)
     g = perturbed(complete_bipartite(4, 4), random.Random(44))
-    for variant in ("emerald", "violet"):
+    for searches, variant in enumerate(("emerald", "violet"), 1):
         assert len(list(tour_search(g, variant))) == 20  # C(6, 3)
-    assert len(tables) == len(built) == 1
+        assert len(tables) == len(built) == searches
 
 
 def assert_one_walk_per_hypertree(g):
     """Each branch the search pops resumes one ``tours.walk``: for both
     variants there are as many walks as hypertrees, so no branch dies
-    (the argument is in the ``hypertrees`` docstring)."""
+    (the argument is in the ``tour_search`` docstring).  A walk past that
+    count fails at once, so a search whose branches multiply fails fast."""
     walk = tours.walk
     hypertree_count = len(enumerate_hypertrees(g))
     for variant in ("emerald", "violet"):
@@ -89,6 +92,7 @@ def assert_one_walk_per_hypertree(g):
 
         def counted(*args):
             walks.append(None)
+            assert len(walks) <= hypertree_count, variant
             return walk(*args)
 
         with pytest.MonkeyPatch.context() as patched:
@@ -166,11 +170,27 @@ def test_search_certifies_complete_bipartites(a, monkeypatch):
                 assert calls == [], variant
 
 
+def spider(centre: str, spokes: int) -> RibbonGraph:
+    """A tree: ``spokes`` edges at one node, violet if ``centre`` is "v"
+    and emerald if it is "e", each spoke carrying one pendant node, with
+    the basis at the centre.  So it has one hypertree."""
+    if centre == "e":
+        edges = [(violet(i), "e0") for i in range(spokes)]
+        edges += [(violet(i), emerald(i + 1)) for i in range(spokes)]
+        return _with_index_rotation(spokes, spokes + 1, edges, ("e0", 0))
+    edges = [("v0", emerald(i)) for i in range(spokes)]
+    edges += [(violet(i + 1), emerald(i)) for i in range(spokes)]
+    return _with_index_rotation(spokes + 1, spokes, edges, ("v0", 0))
+
+
 def test_every_branch_is_a_jaeger_tree(all_hg, single_edge):
     """On the fixtures and seeded K_{a,b} embeddings, with the basis at
-    either colour, every branch the search pushes yields a Jaeger tree."""
+    either colour, every branch the search pushes yields a Jaeger tree.
+    On the spiders, a search that pushed every out branch and dropped the
+    ones that do not span would push 2^40 - 1 of them; this one makes one
+    walk per variant."""
     graphs = [*all_hg.values(), single_edge, *seeded_complete_bipartites(),
-              seeded_square(4), seeded_square(8)]
+              seeded_square(4), seeded_square(8), spider("e", 40), spider("v", 40)]
     for a, b in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
         graphs += [perturbed(complete_bipartite(a, b), random.Random(seed)) for seed in range(4)]
     for g in graphs:
@@ -437,7 +457,6 @@ def test_cache_dies_with_graph():
         tutte_embedding(g)
         P = bases_from_hypertrees(g)
         polymatroids.append((weakref.ref(P), P.bases))
-        assert hypertrees.cached(g, "embedding", None) is tutte_embedding(g)
     alive = [weakref.ref(g) for g in graphs]
     del graphs, g, P
     gc.collect()
@@ -447,3 +466,23 @@ def test_cache_dies_with_graph():
             assert bases not in polymatroid._hypergraphic
         else:
             assert polymatroid._hypergraphic[bases] is ref() and graphs_reading(ref())
+
+
+@pytest.mark.parametrize("entry, kept", [
+    (tutte_embedding, ["bases", "emerald Jaeger trees"]),
+    (lambda g: tutte.tutte_from_order(g, ("e0", "e1", "e2", "e3")),
+     ["bases", "emerald Jaeger trees"]),
+    (lambda g: tutte.series_identity_check(g, 2, 2), ["bases", "emerald Jaeger trees"]),
+    (lambda g: tutte.corank_nullity(g, 2, 2), ["emerald Jaeger trees"]),
+    (enumerate_hypertrees, ["emerald Jaeger trees"]),
+    (lambda g: (harness.test_violet_prime(g), harness.test_violet(g)),
+     ["bases", "reference", "violet Jaeger trees"]),
+    (crapo.verify_crapo_partition, ["bases", "embedding assignment", "emerald Jaeger trees"]),
+], ids=["tutte_embedding", "tutte_from_order", "series_identity_check", "corank_nullity",
+        "enumerate_hypertrees", "violet_checks", "verify_crapo_partition"])
+def test_graph_keeps_only_what_is_read_again(entry, kept):
+    """Each entry point leaves in a freshly loaded graph only the entries
+    that :func:`hypertrees.cached` lists, each with a second reader."""
+    g = load_path(fixture_path("fig2.hg"))
+    entry(g)
+    assert sorted(g.derived) == kept

@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from hypertutte import tours
@@ -12,7 +11,7 @@ from hypertutte.model import RibbonGraph, is_violet, node_sort_key
 from hypertutte.tours import enumerate_spanning_trees, is_spanning_tree, spanning_trees, tour
 from oracles import (
     EqualTrees, Graph, WrongSide, base_component, classical_tutte, degree, first_difference,
-    fundamental_cut, fundamental_cycle, incident, next_at, tree_less,
+    fundamental_cut, fundamental_cycle, incident, matrix_tree_count, next_at, tree_less,
 )
 
 PANEL1 = frozenset({0, 2, 5, 6, 7, 8})
@@ -264,25 +263,41 @@ def test_enumerate_cycle():
         assert len(set(trees)) == 2 * k
 
 
-def _matrix_tree_count(g):
-    n = len(g.nodes)
-    index = {node: i for i, node in enumerate(g.nodes)}
-    lap = np.zeros((n, n))
-    for v, e in g.edges:
-        i, j = index[v], index[e]
-        lap[i, i] += 1
-        lap[j, j] += 1
-        lap[i, j] -= 1
-        lap[j, i] -= 1
-    return round(np.linalg.det(lap[1:, 1:]))
-
-
 def test_enumeration_matches_matrix_tree(all_hg, single_edge):
     for g in list(all_hg.values()) + [single_edge]:
         trees = list(enumerate_spanning_trees(g))
         assert len(trees) == len(set(trees))
         assert all(is_spanning_tree(g, t) for t in trees)
-        assert len(trees) == _matrix_tree_count(g)
+        assert len(trees) == matrix_tree_count(g.nodes, g.edges)
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 12) for b in range(1, 12)
+                                  if a + b <= 12])
+def test_matrix_tree_count_of_complete_bipartites(a, b):
+    """Scoins: K_{a,b} has a^(b-1) b^(a-1) spanning trees."""
+    sides = [("u", i) for i in range(a)], [("w", j) for j in range(b)]
+    edges = itertools.product(*sides)
+    assert matrix_tree_count(sides[0] + sides[1], edges) == a ** (b - 1) * b ** (a - 1)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 192), (4, 100_352)])
+def test_matrix_tree_count_of_grids(n, count):
+    """The n by n grid graph's spanning trees, counted without listing them."""
+    nodes = list(itertools.product(range(n), repeat=2))
+    edges = [((i, j), (i + di, j + dj)) for i, j in nodes for di, dj in ((0, 1), (1, 0))
+             if i + di < n and j + dj < n]
+    assert matrix_tree_count(nodes, edges) == count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matrix_tree_count_of_complete_graphs(n):
+    """Cayley: K_n has n^(n-2) spanning trees."""
+    assert matrix_tree_count(range(n), itertools.combinations(range(n), 2)) == n ** (n - 2)
+
+
+def test_matrix_tree_count_skips_loops_and_counts_parallel_edges():
+    assert matrix_tree_count("ab", ["ab", "ab", "aa", "bb"]) == 2
+    assert matrix_tree_count("abc", ["ab"]) == 0
 
 
 def test_spanning_tree_rejects_foreign_edge_ids(fig2):

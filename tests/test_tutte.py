@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertutte import crapo, harness, tutte
+from hypertutte import crapo, harness, hypertrees, tutte
 from hypertutte.crapo import BudgetExceeded, box_around, box_size, check_budget
 from hypertutte.polymatroid import bases_from_hypertrees
 from hypertutte.hypertrees import enumerate_hypertrees, jaeger_trees
@@ -63,6 +63,19 @@ def test_fixed_order_must_be_a_permutation(fig2, fig6_graph, fig6_orders):
     orders[min(P.bases)] = ("a", "b", "c", "c")
     with pytest.raises(ValueError, match="exactly once"):
         assignment_from_orders(P, orders)
+
+
+def test_order_map_must_hold_exactly_the_hypertrees(fig2):
+    """An order map that misses a hypertree or holds another key is
+    refused by the activity sum and its counter."""
+    order_map = hypertrees.orders(fig2, "embedding")
+    missing = dict(list(order_map.items())[1:])
+    extra = {**order_map, (9, 9, 9, 9): ("e0", "e1", "e2", "e3")}
+    for bad in (missing, extra):
+        for sum_of in (activity_triples, tutte_sum):
+            with pytest.raises(ValueError, match="exactly the hypertrees"):
+                sum_of(fig2, bad)
+    assert str(tutte_sum(fig2, order_map)) == FIG2_POLY
 
 
 def test_slice_sum_is_the_activity_sum(all_hg):
